@@ -117,13 +117,12 @@ def cmd_certify(args) -> int:
     params = parse_params(args.params, args.config)
     workers = _workers(args)
     code, recipe = _load_code(args, params)
+    budgets = dict(enum_budget=args.enum_budget, syndrome_budget=args.syndrome_budget,
+                   work_budget=args.sweep_budget)
     if isinstance(code, hm.LinearCode):
-        cert = _certify_hamming(code, args.claim, recipe, params)
+        cert = _certify_hamming(code, args.claim, recipe, params, **budgets)
     else:
-        cert = ct.certify_code(code, args.claim,
-                               enum_budget=args.enum_budget,
-                               syndrome_budget=args.syndrome_budget,
-                               word_budget=args.sweep_budget)
+        cert = ct.certify_code(code, args.claim, **budgets)
     # workers are reported but never written into the certificate, which
     # must be byte-identical regardless of the worker count
     print(f"workers: {workers} (deterministic merge)")
@@ -136,13 +135,14 @@ def cmd_certify(args) -> int:
     return cert.exit_code
 
 
-def _certify_hamming(code: hm.LinearCode, claim: str, recipe: str,
-                     params: dict) -> ct.Certificate:
+def _certify_hamming(code: hm.LinearCode, claim: str, recipe: str, params: dict, *,
+                     enum_budget: int, syndrome_budget: int,
+                     work_budget: int) -> ct.Certificate:
     cert = ct.Certificate({"recipe": recipe, "params": params,
                            "code": code.describe()}, claim)
     cert.add_quantity("length", code.n, "construction")
     cert.add_quantity("dimension", code.k, "construction")
-    res = hm.min_distance(code, "auto")
+    res = hm.min_distance(code, "auto", enum_budget)
     if not res.exact:
         cert.verdict = "inconclusive"
         cert.add_quantity("min_distance", [res.lo, res.hi], res.method + " (interval)")
@@ -156,8 +156,14 @@ def _certify_hamming(code: hm.LinearCode, claim: str, recipe: str,
         cert.verdict = verdict
         return cert
     if claim in ("perfect", "quasi-perfect"):
-        radius, _ = hm.covering_radius(code)
-        cert.add_quantity("covering_radius", radius, "coset-leader walk")
+        try:
+            radius, _ = hm.covering_radius(code, syndrome_budget=syndrome_budget,
+                                           work_budget=work_budget)
+        except hm.BudgetExceeded as exc:
+            cert.notes.append(str(exc))
+            cert.verdict = "inconclusive"
+            return cert
+        cert.add_quantity("covering_radius", radius, ct.DP_METHOD)
         name = ct.perfection_verdict(res.value, radius)
         cert.add_quantity("perfection", name, "exact comparison")
         cert.verdict = "certified" if name == claim else "refuted"
@@ -287,9 +293,12 @@ def build_parser() -> _Parser:
     z.add_argument("--recipe")
     z.add_argument("--code", help="descriptor JSON written by construct")
     z.add_argument("--out", help="write the certificate as JSON")
-    z.add_argument("--enum-budget", type=int, default=ct.ENUM_BUDGET)
-    z.add_argument("--sweep-budget", type=int, default=ct.SWEEP_BUDGET)
-    z.add_argument("--syndrome-budget", type=int, default=ct.SYNDROME_BUDGET)
+    z.add_argument("--enum-budget", type=int, default=ct.ENUM_BUDGET,
+                   help="most codewords an exhaustive distance enumeration may stream")
+    z.add_argument("--sweep-budget", type=int, default=ct.WORK_BUDGET,
+                   help="most syndrome-DP work: block values over all blocks x q^codim")
+    z.add_argument("--syndrome-budget", type=int, default=ct.SYNDROME_BUDGET,
+                   help="most syndromes (q^codim) the syndrome DP may hold")
     z.add_argument("--workers", type=int, default=None)
     add_common(z)
     z.set_defaults(fn=cmd_certify)

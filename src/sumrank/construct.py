@@ -20,9 +20,8 @@ from functools import cached_property
 
 from .gf import Field, make_field, is_prime
 from . import hamming as hm
-from .spaces import MatrixProfile, SumRankWord, pack_matrix, unpack_matrix
-
-ENUM_BUDGET = 1 << 22
+from .spaces import MatrixProfile, SumRankWord, pack_matrix, rank_array, unpack_matrix
+from .syndrome import ENUM_BUDGET, SyndromeDP, syndrome_dp as run_syndrome_dp
 
 
 def field_of_order(q: int) -> Field:
@@ -107,6 +106,12 @@ class SumRankCode:
     def flat_parity(self) -> tuple[tuple[int, ...], ...]:
         return tuple(hm.nullspace(self.base, self.flat_generator, self.ambient_dim))
 
+    @cached_property
+    def syndrome_dp(self) -> SyndromeDP:
+        """One syndrome-space DP pass: d with a witness, R, and the leader table."""
+        blocks = [(n * m, rank_array(self.base, n, m)) for n, m in self.profile.blocks]
+        return run_syndrome_dp(self.base, self.flat_parity, blocks)
+
     def to_word(self, packed) -> SumRankWord:
         mats = tuple(unpack_matrix(self.base, pk, n, m)
                      for (n, m), pk in zip(self.profile.blocks, packed))
@@ -175,8 +180,10 @@ class IngredientSumRankCode(SumRankCode):
         self.params = dict(params or {})
         if construction == "linearized":
             self.domain = domain if domain is not None else base.extension(rows)
-            self.domain_basis = (tuple(domain_basis) if domain_basis is not None
-                                 else self.domain.power_basis())
+            if domain_basis is not None:
+                self.domain_basis = tuple(domain_basis)
+            else:  # a basis over `base`; GF(q^1) is `base` itself
+                self.domain_basis = self.domain.power_basis() if rows > 1 else (1,)
             self.phi = phi if phi is not None else self._default_phi()
             self._check_phi_injective()
         else:
@@ -187,11 +194,11 @@ class IngredientSumRankCode(SumRankCode):
     # -- construction of a single block -------------------------------
 
     def _default_phi(self):
-        dom, ext = self.domain, self.ext
-        pad = self.m - dom.degree
+        dom, ext, over_base = self.domain, self.ext, self.domain == self.base
 
         def phi(x: int) -> int:
-            return ext.from_coords(dom.coords(x) + (0,) * pad)
+            coords = (x,) if over_base else dom.coords(x)
+            return ext.from_coords(coords + (0,) * (self.m - len(coords)))
 
         return phi
 

@@ -3,7 +3,7 @@
 Covers the ingredient-code machinery: cyclic codes from cyclotomic
 cosets, standard families (Hamming, Reed-Solomon, BCH, trivial codes),
 exact minimum distance by enumeration or support testing, and exact
-covering radius by coset-leader enumeration in increasing weight.
+covering radius by the syndrome-space DP of `sumrank.syndrome`.
 """
 
 from __future__ import annotations
@@ -12,14 +12,11 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 from math import gcd
 
+import numpy as np
+
 from .gf import Field
-
-ENUM_BUDGET = 1 << 22
-SYNDROME_BUDGET = 1 << 16
-
-
-class BudgetExceeded(RuntimeError):
-    """An exact enumeration would overrun the configured budget."""
+from .syndrome import (ENUM_BUDGET, SYNDROME_BUDGET, WORK_BUDGET, BudgetExceeded,
+                       CosetLeaderTable, dp_budget_stop, syndrome_dp)
 
 
 # ----------------------------------------------------------------------
@@ -181,14 +178,6 @@ def zero_code(field: Field, t: int) -> LinearCode:
 
 def hamming_weight(vec) -> int:
     return sum(1 for v in vec if v)
-
-
-def vec_add(field: Field, a, b):
-    return tuple(field.add(x, y) for x, y in zip(a, b))
-
-
-def vec_scale(field: Field, lam: int, a):
-    return tuple(field.mul(lam, x) for x in a)
 
 
 # ----------------------------------------------------------------------
@@ -376,26 +365,6 @@ def bch_binary(e: int, n: int) -> LinearCode:
     code.family = "bch"
     code.designed_distance = 2 * e + 1
     return code
-
-
-def standard_family(kind: str, field: Field | None = None, **params) -> LinearCode:
-    """Dispatch table used by the CLI and config loader."""
-    kind = kind.lower()
-    if kind == "hamming":
-        return hamming_code(field, params["u"])
-    if kind in ("rs", "reed-solomon"):
-        return reed_solomon(field, params["t"], params["k"])
-    if kind == "repetition":
-        return repetition_code(field, params["t"])
-    if kind == "parity":
-        return parity_check_code(field, params["t"])
-    if kind == "full":
-        return full_code(field, params["t"])
-    if kind == "bch":
-        return bch_binary(params["e"], params["n"])
-    if kind == "cyclic":
-        return cyclic_code(params["n"], field, params["generators"])
-    raise ValueError(f"unknown family {kind!r}")
 
 
 def field_extension_of_code(code: LinearCode, target: Field) -> LinearCode:
@@ -613,57 +582,21 @@ def min_distance(code: LinearCode, method: str = "auto",
 # covering radius
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CosetLeaderTable:
-    """Minimum coset weight per syndrome; max entry is the covering radius."""
-
-    flavor: str
-    leader_weight: dict[tuple, int]
-
-    @property
-    def covering_radius(self) -> int:
-        return max(self.leader_weight.values())
-
-    def complete(self, expected: int) -> bool:
-        return len(self.leader_weight) == expected
-
-
 def covering_radius(code: LinearCode, *, syndrome_budget: int = SYNDROME_BUDGET,
-                    word_budget: int = ENUM_BUDGET) -> tuple[int, CosetLeaderTable]:
-    """Exact covering radius via weight-ordered coset-leader enumeration.
+                    work_budget: int = WORK_BUDGET) -> tuple[int, CosetLeaderTable]:
+    """Exact covering radius and coset-leader table from the syndrome DP.
 
-    Walks ambient words by increasing Hamming weight; the first weight at
-    which a syndrome appears is its coset-leader weight.  Stops once every
-    syndrome has been seen.
+    Each coordinate is a one-symbol block of weight [a != 0].  Raises
+    BudgetExceeded, naming the budget, when the DP does not fit.
     """
     f = code.field
-    n_syn = f.order ** code.codim
-    if n_syn > syndrome_budget:
-        raise BudgetExceeded(f"{n_syn} syndromes exceed budget {syndrome_budget}")
-    cols = _columns(code)
-    leaders: dict[tuple, int] = {(0,) * code.codim: 0}
-    words = 1
-    if code.codim == 0:
-        return 0, CosetLeaderTable("hamming", leaders)
-    nonzero = list(f.nonzero_elements())
-    for w in range(1, code.n + 1):
-        for support in itertools.combinations(range(code.n), w):
-            sup_cols = [cols[j] for j in support]
-            for coeffs in itertools.product(nonzero, repeat=w):
-                acc = [0] * code.codim
-                for lam, col in zip(coeffs, sup_cols):
-                    for r, h in enumerate(col):
-                        if h:
-                            acc[r] = f.add(acc[r], f.mul(lam, h))
-                syn = tuple(acc)
-                if syn not in leaders:
-                    leaders[syn] = w
-                words += 1
-                if words > word_budget:
-                    raise BudgetExceeded("coset-leader walk exceeded the word budget")
-        if len(leaders) == n_syn:
-            return w, CosetLeaderTable("hamming", leaders)
-    return max(leaders.values()), CosetLeaderTable("hamming", leaders)
+    stop = dp_budget_stop(f.order, code.codim, [f.order] * code.n,
+                          syndrome_budget, work_budget)
+    if stop is not None:
+        raise BudgetExceeded(stop)
+    weight = (np.arange(f.order) != 0).astype(np.int8)
+    dp = syndrome_dp(f, code.parity, [(1, weight)] * code.n, witness=False)
+    return dp.radius, dp.table("hamming")
 
 
 def covering_radius_sweep(code: LinearCode, budget: int = 1 << 20) -> int:
@@ -760,7 +693,7 @@ def search_634_ingredient(field4: Field, verbose: bool = False) -> LinearCode:
 
     Scans generator matrices [I | A] with A Hermitian-unitary and entrywise
     nonzero (the self-dual shape), verifying d = 4 by enumeration and the
-    covering radius by coset-leader walk; widens to all entrywise-nonzero A
+    covering radius by the syndrome DP; widens to all entrywise-nonzero A
     if needed.
     """
     if field4.order != 4:

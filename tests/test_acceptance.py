@@ -130,11 +130,11 @@ def test_criterion_03_quasi_perfect_2xm(qp_2xm, f2):
     code = qp_2xm
     assert code.profile.t == 5 and code.dim == 14
     validate_rank_tables(f2, {(2, 2)})
-    # exhaustive distance over all 2^14 codewords, weights by validated tables
+    # syndrome-DP distance over the 64 syndromes, weights by validated tables
     dist = ct.sr_min_distance(code)
-    assert dist.method == "exhaustive" and dist.value == 3
+    assert dist.method == "syndrome-dp" and dist.value == 3
     assert elimination_weight(code, dist.witness) == 3
-    # exact covering radius: 64-syndrome coset walk over the 2^20 ambient
+    # exact covering radius: 64-syndrome DP over the 2^20 ambient
     radius, table = ct.sr_covering_radius(code)
     assert radius == 2 and len(table.leader_weight) == 64
     # independent oracle: full ambient sweep, per-syndrome agreement
@@ -148,7 +148,7 @@ def test_criterion_03_quasi_perfect_2xm(qp_2xm, f2):
     assert 886 > 64 == 2 ** (2 * 3)
     register(code, 3)
     report(3, time.monotonic() - t0, 120,
-           "t=5 dim=14; d=3 exhaustive; R=2 walk == 2^20 sweep; 886 > 64")
+           "t=5 dim=14; d=3 syndrome DP; R=2 DP == 2^20 sweep; 886 > 64")
 
 
 def test_criterion_04_distance_optimal_2x2(f2, f4):
@@ -212,12 +212,12 @@ def test_criterion_06_binary_2x2_quasi_perfect(qp_2x2, f2, f4):
     r_h, tab_h = hm.covering_radius(ingredient)
     assert r_h == 2 and tab_h.complete(64)
     assert hm.covering_radius_sweep(ingredient) == 2
-    # exhaustive d_sr over 2^16 codewords
+    # syndrome-DP d_sr over the 256 syndromes
     validate_rank_tables(f2, {(2, 2)})
     dist = ct.sr_min_distance(code)
-    assert dist.method == "exhaustive" and dist.value == 4
+    assert dist.method == "syndrome-dp" and dist.value == 4
     assert elimination_weight(code, dist.witness) == 4
-    # exact R_sr: syndrome walk, then the full 2^24 ambient sweep oracle
+    # exact R_sr: syndrome DP, then the full 2^24 ambient sweep oracle
     radius, table = ct.sr_covering_radius(code)
     assert radius == 2 and len(table.leader_weight) == 2 ** code.codim
     sweep_radius, sweep_table = ct.sr_covering_radius_sweep(code, budget=1 << 24)
@@ -230,7 +230,7 @@ def test_criterion_06_binary_2x2_quasi_perfect(qp_2x2, f2, f4):
     register(code, 4)
     report(6, time.monotonic() - t0, 600,
            f"ingredient [6,3,4]_4 G={ingredient.generator} has R_H=2; "
-           "d_sr=4; R_sr=2 (walk == 2^24 sweep); quasi-perfect")
+           "d_sr=4; R_sr=2 (DP == 2^24 sweep); quasi-perfect")
 
 
 def test_criterion_07_covering_construction(f2, f4):

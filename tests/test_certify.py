@@ -23,10 +23,25 @@ def am_code():
 
 def test_sr_min_distance_exhaustive(qp_code, am_code):
     d = ct.sr_min_distance(qp_code)
-    assert d.value == 3 and d.method == "exhaustive"
+    assert d.value == 3 and d.method == "syndrome-dp"
     assert sp.packed_word_weight(qp_code.profile, d.witness) == 3
     d2 = ct.sr_min_distance(am_code)
     assert d2.value == 4
+
+
+def test_sr_min_distance_exhaustive_below_syndrome_budget(qp_code):
+    """A syndrome budget below q^codim = 64 sends d to exhaustive enumeration."""
+    d = ct.sr_min_distance(qp_code, syndrome_budget=63)
+    assert d.method == "exhaustive" and d.value == 3
+    assert sp.packed_word_weight(qp_code.profile, d.witness) == 3
+    assert qp_code.contains_packed(d.witness)
+
+
+def test_sr_min_distance_interval_names_budgets(qp_code):
+    d = ct.sr_min_distance(qp_code, budget=10, syndrome_budget=2)
+    assert (d.lo, d.hi) == (1, qp_code.profile.N) and not d.exact
+    assert d.note == ("syndrome budget 2 < 64 syndromes (q^codim); "
+                      "enum budget 10 < 2^14 codewords (q^dim)")
 
 
 def test_sr_min_distance_zero_code(f4):
@@ -49,7 +64,7 @@ def test_sr_min_distance_composed(f2, f4):
     code = cs.distance_optimal_2x2(2)
     res = ct.sr_min_distance(code)
     assert res.exact and res.value == 4
-    assert res.method == "composed+witness"
+    assert res.method == "syndrome-dp"
     assert sp.packed_word_weight(code.profile, res.witness) == 4
     assert code.contains_packed(res.witness)
 
@@ -67,21 +82,21 @@ def test_sr_covering_radius_full_space(f4):
     assert radius == 0 and len(table.leader_weight) == 1
 
 
-def test_walk_matches_sweep_binary(qp_code):
-    walk_r, walk_table = ct.sr_covering_radius(qp_code)
+def test_dp_matches_sweep_binary(qp_code):
+    dp_r, dp_table = ct.sr_covering_radius(qp_code)
     sweep_r, sweep_table = ct.sr_covering_radius_sweep(qp_code)
-    assert walk_r == sweep_r
-    assert walk_table.leader_weight == sweep_table
+    assert dp_r == sweep_r
+    assert dp_table.leader_weight == sweep_table
 
 
-def test_walk_matches_sweep_odd_characteristic(f3):
+def test_dp_matches_sweep_odd_characteristic(f3):
     f9 = f3.extension(2)
     code = cs.sr_linearized([hm.repetition_code(f9, 2),
                              hm.parity_check_code(f9, 2)], base=f3)
-    walk_r, walk_table = ct.sr_covering_radius(code)
+    dp_r, dp_table = ct.sr_covering_radius(code)
     sweep_r, sweep_table = ct.sr_covering_radius_sweep(code)
-    assert walk_r == sweep_r
-    assert walk_table.leader_weight == sweep_table
+    assert dp_r == sweep_r
+    assert dp_table.leader_weight == sweep_table
 
 
 def test_extension_preserves_radius(f4):
@@ -302,6 +317,15 @@ def test_certify_perfect_full_space(f4):
 def test_certify_budget_degrades_to_inconclusive(qp_code):
     cert = ct.certify_code(qp_code, "quasi-perfect", syndrome_budget=2)
     assert cert.verdict == "inconclusive" and cert.exit_code == 2
+
+
+def test_budget_stop_note_names_budget(qp_code):
+    cert = ct.certify_code(qp_code, "quasi-perfect", syndrome_budget=2)
+    assert "syndrome budget 2 < 64 syndromes (q^codim)" in cert.notes
+    work = ct.certify_code(qp_code, "quasi-perfect", work_budget=100)
+    assert work.verdict == "inconclusive"
+    assert work.notes == [f"sweep budget 100 < {5 * 16 * 64} DP work units "
+                          "(block values x q^codim)"]
 
 
 def test_certificate_records_witness(qp_code):

@@ -74,6 +74,23 @@ def test_certify_hamming_recipe(capsys):
     assert "min_distance" in out
 
 
+def test_certify_hamming_budget_stop_is_inconclusive(capsys):
+    code, out, _ = run(capsys, "certify", "quasi-perfect", "--recipe", "cyclic-d4",
+                       "q=2", "m=3", "--syndrome-budget", "2")
+    assert code == 2
+    assert "syndrome budget 2 < 16 syndromes (q^codim)" in out
+
+
+def test_sphere_packing_violation_is_internal_error(capsys, monkeypatch):
+    from sumrank import certify as ct
+    monkeypatch.setattr(ct, "sphere_packing_check",
+                        lambda profile, size, d: ct.SpherePackingRecord(2, 1, False, False))
+    code, _, err = run(capsys, "certify", "quasi-perfect", "--recipe",
+                       "quasi-perfect-2xm", "q=2", "m=2", "u=2")
+    assert code == 3
+    assert "sphere packing violated" in err
+
+
 def test_bounds_strong_bch(capsys):
     code, out, _ = run(capsys, "bounds", "strong-bch",
                        "m=2", "t=65535", "e=2", "n=16", "d=33")
