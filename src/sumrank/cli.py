@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import certify as ct
@@ -61,14 +60,6 @@ def parse_params(tokens, config_path: str | None = None) -> dict:
     return params
 
 
-def _workers(args) -> int:
-    w = args.workers if args.workers is not None else os.environ.get("SUMRANK_WORKERS", "1")
-    w = int(w)
-    if w < 1:
-        raise ValueError("worker count must be a positive integer")
-    return w
-
-
 def _summarize(code) -> str:
     if isinstance(code, hm.LinearCode):
         d = code.designed_distance
@@ -115,7 +106,6 @@ def _load_code(args, params):
 
 def cmd_certify(args) -> int:
     params = parse_params(args.params, args.config)
-    workers = _workers(args)
     code, recipe = _load_code(args, params)
     budgets = dict(enum_budget=args.enum_budget, syndrome_budget=args.syndrome_budget,
                    work_budget=args.sweep_budget)
@@ -123,9 +113,6 @@ def cmd_certify(args) -> int:
         cert = _certify_hamming(code, args.claim, recipe, params, **budgets)
     else:
         cert = ct.certify_code(code, args.claim, **budgets)
-    # workers are reported but never written into the certificate, which
-    # must be byte-identical regardless of the worker count
-    print(f"workers: {workers} (deterministic merge)")
     print(cert.to_table())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -299,7 +286,6 @@ def build_parser() -> _Parser:
                    help="most syndrome-DP work: block values over all blocks x q^codim")
     z.add_argument("--syndrome-budget", type=int, default=ct.SYNDROME_BUDGET,
                    help="most syndromes (q^codim) the syndrome DP may hold")
-    z.add_argument("--workers", type=int, default=None)
     add_common(z)
     z.set_defaults(fn=cmd_certify)
 

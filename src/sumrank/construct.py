@@ -15,6 +15,7 @@ named parameterized recipes used by the CLI.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 from functools import cached_property
 
@@ -670,4 +671,8 @@ def build_recipe(name: str, **params):
     unknown = set(params) - set(argnames)
     if unknown:
         raise ValueError(f"unexpected parameters {sorted(unknown)} for recipe {name!r}")
+    missing = [p.name for p in inspect.signature(fn).parameters.values()
+               if p.default is p.empty and p.name not in params]
+    if missing:
+        raise ValueError(f"missing parameters {missing} for recipe {name!r}")
     return fn(**params)

@@ -11,6 +11,10 @@ Defining polynomials may be supplied explicitly; otherwise the
 lexicographically smallest monic irreducible of the required degree is
 selected (candidates ordered by the packed int of their non-leading
 coefficients), so field construction is deterministic.
+
+An extension field of order at most 2^16 multiplies and inverts through one
+exp/log table pair built with the field; a larger one multiplies polynomials
+directly (`_mul_raw`).
 """
 
 from __future__ import annotations
@@ -20,9 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-# Dense q x q operation tables are built below this order.
-_TABLE_LIMIT = 1 << 10
-# exp/log tables (fast mul/inv) are built below this order.
+# exp/log tables are built for every extension field up to this order.
 _LOG_LIMIT = 1 << 16
 # Automatic irreducible-polynomial search is offered up to this order.
 _AUTO_POLY_LIMIT = 1 << 20
@@ -82,12 +84,10 @@ class Field:
         self._generator: int | None = None
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
-        self._mul_rows: list[list[int]] | None = None
         self._np_tables: dict[str, np.ndarray] = {}
         self._basis_cache: dict[tuple[int, ...], list[list[int]]] = {}
-        if self.order <= _TABLE_LIMIT and subfield is not None:
-            self._mul_rows = [[self._mul_raw(a, b) for b in range(self.order)]
-                              for a in range(self.order)]
+        if subfield is not None and self.order <= _LOG_LIMIT:
+            self._build_log_tables()
 
     # ------------------------------------------------------------------
     # structure
@@ -96,11 +96,6 @@ class Field:
     @property
     def is_prime_field(self) -> bool:
         return self.subfield is None
-
-    def tower_degrees(self) -> tuple[int, ...]:
-        if self.subfield is None:
-            return (1,)
-        return self.subfield.tower_degrees() + (self.degree,)
 
     def cache_key(self) -> tuple:
         if self.subfield is None:
@@ -229,15 +224,10 @@ class Field:
         return self.from_digits(prod[:self.degree])
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul_rows is not None:
-            return self._mul_rows[a][b]
+        if self._exp is not None:
+            return self._exp[self._log[a] + self._log[b]]
         if self.subfield is None:
             return (a * b) % self.p
-        if a == 0 or b == 0:
-            return 0
-        if self.order <= _LOG_LIMIT:
-            self._ensure_log_tables()
-            return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
         return self._mul_raw(a, b)
 
     def pow(self, a: int, e: int) -> int:
@@ -259,9 +249,8 @@ class Field:
             raise ZeroDivisionError(f"zero has no inverse in {self!r}")
         if self.subfield is None:
             return pow(a, self.p - 2, self.p)
-        if self.order <= _LOG_LIMIT:
-            self._ensure_log_tables()
-            return self._exp[(self.order - 1 - self._log[a]) % (self.order - 1)]
+        if self._exp is not None:
+            return self._exp[self.order - 1 - self._log[a]]
         return self.pow(a, self.order - 2)
 
     def div(self, a: int, b: int) -> int:
@@ -290,16 +279,20 @@ class Field:
                 self._generator = 1
         return self._generator
 
-    def _ensure_log_tables(self) -> None:
-        if self._exp is not None:
-            return
+    def _build_log_tables(self) -> None:
+        """exp[i] = g^i for i < 2(Q-1) and 0 beyond; log[0] = 2(Q-1).
+
+        So mul indexes exp[log a + log b] with no modulo and no zero test.
+        The generator search runs before the tables exist, so its products
+        come from _mul_raw.
+        """
         g = self.generator
         n = self.order - 1
-        exp = [1] * n
-        log = [0] * self.order
+        exp = [1] * (2 * n) + [0] * (2 * n + 1)
+        log = [2 * n] * self.order
         v = 1
         for i in range(n):
-            exp[i] = v
+            exp[i] = exp[i + n] = v
             log[v] = i
             v = self._mul_raw(v, g)
         self._exp, self._log = exp, log
@@ -406,9 +399,6 @@ class Field:
         self.subfield.check(a)
         return a
 
-    def in_subfield(self, a: int) -> bool:
-        return all(d == 0 for d in self.digits(a)[1:])
-
     def project(self, a: int) -> int:
         """Inverse of embed; error if a is not in the immediate subfield."""
         digs = self.digits(a)
@@ -455,17 +445,6 @@ def poly_eval(field: Field, coeffs, x: int) -> int:
     for c in reversed(list(coeffs)):
         acc = field.add(field.mul(acc, x), c)
     return acc
-
-
-def poly_mul(field: Field, a, b) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] = field.add(out[i + j], field.mul(x, y))
-    return out
 
 
 def poly_divmod(field: Field, a, b) -> tuple[list[int], list[int]]:

@@ -329,19 +329,12 @@ def parity_check_code(field: Field, t: int) -> LinearCode:
     """Single-parity [t, t-1, 2]; cyclic with defining set {0} when gcd(t,Q)=1."""
     if t < 2:
         raise ValueError("length must be at least 2")
-    if gcd(t, field.order) == 1:
-        code = cyclic_code(t, field, [0])
-    else:
-        rows = []
-        for i in range(t - 1):
-            row = [0] * t
-            row[i] = 1
-            row[t - 1] = field.neg(1)
-            rows.append(tuple(row))
-        code = from_generator(field, rows, family="parity")
-    code.family = "parity"
-    code.designed_distance = 2
-    return code
+    # rows e_i - e_{t-1} are already in RREF; the dual is spanned by all-ones
+    minus_one = field.neg(1)
+    gen = tuple(tuple(1 if j == i else minus_one if j == t - 1 else 0 for j in range(t))
+                for i in range(t - 1))
+    return LinearCode(field, t, gen, ((1,) * t,), family="parity", designed_distance=2,
+                      defining_set=(0,) if gcd(t, field.order) == 1 else None)
 
 
 def full_code(field: Field, t: int) -> LinearCode:

@@ -161,21 +161,29 @@ def test_usage_errors(capsys):
     assert main([]) == 4
 
 
-def test_workers_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SUMRANK_WORKERS", "2")
-    cert2 = tmp_path / "w2.json"
-    code, out, _ = run(capsys, "certify", "almost-msrd",
-                       "--recipe", "almost-msrd-2x2", "q=2", "t=4",
-                       "--out", str(cert2))
-    assert code == 0
-    assert "workers: 2" in out
-    # certificates are byte-identical regardless of the worker count
-    monkeypatch.setenv("SUMRANK_WORKERS", "4")
-    cert4 = tmp_path / "w4.json"
-    run(capsys, "certify", "almost-msrd", "--recipe", "almost-msrd-2x2",
-        "q=2", "t=4", "--out", str(cert4))
-    assert cert2.read_bytes() == cert4.read_bytes()
-    monkeypatch.setenv("SUMRANK_WORKERS", "0")
-    code, _, err = run(capsys, "certify", "almost-msrd",
-                       "--recipe", "almost-msrd-2x2", "q=2", "t=4")
-    assert code == 4 and "positive" in err
+def test_missing_recipe_parameter_is_usage_error(capsys):
+    code, _, err = run(capsys, "construct", "quasi-perfect-2xm", "q=2", "m=2")
+    assert code == 4
+    assert "missing parameters ['u']" in err and "internal" not in err
+
+
+def test_workers_option_removed(tmp_path, capsys):
+    code, _, err = run(capsys, "certify", "almost-msrd", "--recipe", "almost-msrd-2x2",
+                       "q=2", "t=4", "--workers", "2")
+    assert code == 4 and "--workers" in err
+    # certificates of repeated runs are byte-identical
+    certs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for cert in certs:
+        code, _, _ = run(capsys, "certify", "almost-msrd", "--recipe", "almost-msrd-2x2",
+                         "q=2", "t=4", "--out", str(cert))
+        assert code == 0
+    assert certs[0].read_bytes() == certs[1].read_bytes()
+
+
+def test_construct_over_log_table_fields(capsys):
+    # the single-parity ingredient of length 273 needs no splitting field, and
+    # the cyclic-d4 code multiplies in GF(2048) through its exp/log tables
+    code, out, _ = run(capsys, "construct", "quasi-perfect-2xm", "q=4", "m=2", "u=3")
+    assert code == 0 and "t = 273 blocks of 2x2" in out
+    code, out, _ = run(capsys, "construct", "cyclic-d4", "q=2", "m=11", "lam=23")
+    assert code == 0 and "[89,77,4]_2" in out

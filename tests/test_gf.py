@@ -1,5 +1,7 @@
 """Field towers: construction, arithmetic axioms, coordinates, Frobenius."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,32 @@ def test_generator_is_primitive(f8, f9):
             seen.add(v)
             v = f.mul(v, g)
         assert len(seen) == f.order - 1
+
+
+def _raw_order(f, g):
+    v, k = g, 1
+    while v != 1:
+        v, k = f._mul_raw(v, g), k + 1
+    return k
+
+
+@pytest.mark.parametrize("p,degrees", [(3, [2, 3]), (2, [11])])
+def test_generator_is_smallest_primitive(p, degrees):
+    f = make_field(p, degrees)
+    g = f.generator
+    assert _raw_order(f, g) == f.order - 1
+    assert all(_raw_order(f, a) < f.order - 1 for a in range(1, g))
+
+
+@pytest.mark.parametrize("p,e", [(2, 11), (3, 7)])
+def test_log_tables_above_1024(p, e):
+    f = make_field(p, [e])  # GF(2048), GF(2187)
+    for a in f.nonzero_elements():
+        assert f.mul(a, f.inv(a)) == 1
+    rng = random.Random(e)
+    for _ in range(2000):
+        a, b = rng.randrange(f.order), rng.randrange(f.order)
+        assert f.mul(a, b) == f._mul_raw(a, b)
 
 
 def test_embed_project(f16_tower, f4):

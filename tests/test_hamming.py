@@ -1,9 +1,11 @@
 """Ingredient codes: cyclic machinery, families, distance, covering radius."""
 
+from math import gcd
+
 import pytest
 
 from sumrank import hamming as hm
-from sumrank.gf import poly_mod
+from sumrank.gf import Field, poly_mod
 
 
 def test_cyclotomic_cosets_golden():
@@ -98,6 +100,38 @@ def test_trivial_families(f4):
     assert hm.min_distance(rep, "enumerate").value == 3
     z = hm.zero_code(f4, 4)
     assert z.k == 0 and z.size == 1
+
+
+def test_parity_check_code_matches_cyclic_oracle(f2, f3, f4, f9):
+    # the single-parity code is the cyclic code with defining set {0};
+    # cyclic_code reaches it through a splitting field, kept to 2^16 here
+    checked = 0
+    for f in (f2, f3, f4, f9):
+        for t in range(2, 31):
+            if gcd(t, f.order) != 1 or f.order ** hm._multiplicative_order(f.order, t) > 1 << 16:
+                continue
+            par = hm.parity_check_code(f, t)
+            oracle = hm.cyclic_code(t, f, [0])
+            oracle.family, oracle.designed_distance = "parity", 2
+            assert par.generator == oracle.generator
+            assert par.parity == oracle.parity
+            assert par.describe() == oracle.describe()
+            checked += 1
+    assert checked > 40
+
+
+def test_parity_check_code_builds_no_extension(f2, f3, f4, f9, monkeypatch):
+    def no_extension(*args, **kwargs):
+        raise AssertionError("parity_check_code built an extension field")
+    monkeypatch.setattr(Field, "extension", no_extension)
+    par = hm.parity_check_code(f2, 13)
+    assert (par.n, par.k, par.defining_set) == (13, 12, (0,))
+    assert par.parity == ((1,) * 13,)
+    for f in (f2, f3, f4, f9):
+        for t in range(2, 40):
+            par = hm.parity_check_code(f, t)
+            assert par.defining_set == ((0,) if gcd(t, f.order) == 1 else None)
+            assert all(not any(par.syndrome(row)) for row in par.generator)
 
 
 def test_bch_binary(f2):
