@@ -21,7 +21,7 @@ from .spaces import (MatrixProfile, ball_volume_exact, brute_weight_array,
                      hamming_ball_volume, rank_classes, rank_array)
 from .construct import SumRankCode, ExtendedSumRankCode, PlotkinSumRankCode
 from .syndrome import (ENUM_BUDGET, SYNDROME_BUDGET, WORK_BUDGET, BudgetExceeded,
-                       CosetLeaderTable, dp_budget_stop)
+                       CosetLeaderTable, dp_budget_stop, least_weight_word)
 
 TOOLCHAIN_VERSION = "sumrank 0.1.0"
 
@@ -54,21 +54,11 @@ class SrDistance:
         return self.lo
 
 
-def _exhaustive_sr_distance(code: SumRankCode, budget: int) -> SrDistance:
-    field = code.base
-    tables = [rank_array(field, n, m) for n, m in code.profile.blocks]
-    best, witness = None, None
-    for packed in code.enumerate_packed(budget):
-        w = 0
-        for tab, pk in zip(tables, packed):
-            w += int(tab[pk])
-        if w and (best is None or w < best):
-            best, witness = w, packed
-            if best == 1:
-                break
-    if best is None:
+def _exhaustive_sr_distance(code: SumRankCode) -> SrDistance:
+    found = least_weight_word(code.base, code._generator_rows_packed(), code.weight_blocks)
+    if found is None:
         return SrDistance(None, None, "exhaustive", None, infinite=True)
-    return SrDistance(best, best, "exhaustive", witness)
+    return SrDistance(found[0], found[0], "exhaustive", found[1])
 
 
 def _dp_stop(code: SumRankCode, syndrome_budget: int, work_budget: int) -> str | None:
@@ -93,7 +83,7 @@ def sr_min_distance(code: SumRankCode, budget: int = ENUM_BUDGET, *,
             return SrDistance(None, None, DP_METHOD, None, infinite=True)
         return SrDistance(dp.distance, dp.distance, DP_METHOD, dp.witness)
     if code.size <= budget:
-        return _exhaustive_sr_distance(code, budget)
+        return _exhaustive_sr_distance(code)
     if isinstance(code, ExtendedSumRankCode):
         n, m = code.block_shape
         # a single rank-1 matrix in an extra block has sum-rank weight 1

@@ -70,7 +70,12 @@ class SumRankCode:
         raise NotImplementedError
 
     def _generator_rows_packed(self):
-        """Packed-block words spanning the code (one per GF(q) dimension)."""
+        """Packed-block words spanning the code, one per GF(q) dimension.
+
+        Listed in `enumerate_packed` order: that enumeration is the
+        lexicographic GF(q)-span of these rows, the first row most
+        significant, which `syndrome.least_weight_word` walks.
+        """
         raise NotImplementedError
 
     def describe(self) -> dict:
@@ -107,11 +112,15 @@ class SumRankCode:
     def flat_parity(self) -> tuple[tuple[int, ...], ...]:
         return tuple(hm.nullspace(self.base, self.flat_generator, self.ambient_dim))
 
+    @property
+    def weight_blocks(self) -> list:
+        """Per block: its GF(q) cell count and the rank of every packed value."""
+        return [(n * m, rank_array(self.base, n, m)) for n, m in self.profile.blocks]
+
     @cached_property
     def syndrome_dp(self) -> SyndromeDP:
         """One syndrome-space DP pass: d with a witness, R, and the leader table."""
-        blocks = [(n * m, rank_array(self.base, n, m)) for n, m in self.profile.blocks]
-        return run_syndrome_dp(self.base, self.flat_parity, blocks)
+        return run_syndrome_dp(self.base, self.flat_parity, self.weight_blocks)
 
     def to_word(self, packed) -> SumRankWord:
         mats = tuple(unpack_matrix(self.base, pk, n, m)
@@ -290,15 +299,21 @@ class IngredientSumRankCode(SumRankCode):
             yield self.packed_from_symbols(combo)
 
     def _generator_rows_packed(self):
-        rows = []
-        for i, code in enumerate(self.ingredients):
-            for grow in code.generator:
-                for mult in self.ext.power_basis():
-                    scaled = tuple(self.ext.mul(mult, g) for g in grow)
-                    symbol_rows = [(0,) * self.t] * self.rows
-                    symbol_rows[i] = scaled
-                    rows.append(self.packed_from_symbols(symbol_rows))
-        return rows
+        blocks = {}  # (ingredient, symbol) -> packed block of that lone symbol
+
+        def block(i, s):
+            if (i, s) not in blocks:
+                syms = [0] * self.rows
+                syms[i] = s
+                blocks[i, s] = pack_matrix(self.base, self.block_matrix(syms))
+            return blocks[i, s]
+
+        # beta * g over the power basis from high to low, the digit order of
+        # the symbol coefficients that `enumerate_packed` counts up
+        return [tuple(block(i, self.ext.mul(beta, g)) for g in grow)
+                for i, code in enumerate(self.ingredients)
+                for grow in code.generator
+                for beta in reversed(self.ext.power_basis())]
 
     def composition_lower_bound(self) -> int:
         """Distance lower bound from the ingredient distances."""
@@ -396,7 +411,7 @@ class ExtendedSumRankCode(SumRankCode):
         zeros_head = (0,) * self.inner.profile.t
         q = self.base.order
         for b in range(self.extra):
-            for cell in range(n * m):
+            for cell in reversed(range(n * m)):  # enumeration order
                 tail = [0] * self.extra
                 tail[b] = q ** cell
                 rows.append(zeros_head + tuple(tail))

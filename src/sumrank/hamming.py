@@ -16,7 +16,8 @@ import numpy as np
 
 from .gf import Field
 from .syndrome import (ENUM_BUDGET, SYNDROME_BUDGET, WORK_BUDGET, BudgetExceeded,
-                       CosetLeaderTable, dp_budget_stop, syndrome_dp)
+                       CosetLeaderTable, dp_budget_stop, least_weight_word,
+                       syndrome_dp)
 
 
 # ----------------------------------------------------------------------
@@ -249,16 +250,26 @@ def cyclic_code(n: int, field: Field, generators) -> LinearCode:
         gcoeffs = list(gpoly)
     else:
         gcoeffs = [_project_to(field, ext, c) for c in gpoly]
-    k = n - len(T_sorted)
-    rows = []
-    for shift in range(k):
-        row = [0] * n
-        for j, c in enumerate(gcoeffs):
-            row[shift + j] = c
-        rows.append(tuple(row))
-    if not rows:
+    r = len(T_sorted)
+    k = n - r
+    if k == 0:
         raise ValueError("defining set covers all residues; code is trivial {0}")
-    code = from_generator(field, rows, family="cyclic")
+    # Systematic form [I_k | P]: row j is x^j - x^k (x^(r+j) mod g(x)), a
+    # multiple of g(x) modulo x^n - 1 that is e_j on the first k positions,
+    # so [I_k | P] is the unique RREF of the code and [-P^T | I_r] its
+    # nullspace basis.  rems[j] holds the coefficients of x^(r+j) mod g(x).
+    rem = [field.neg(c) for c in gcoeffs[:r]]
+    rems = []
+    for _ in range(k):
+        rems.append(rem)
+        top = rem[-1] if r else 0
+        rem = [field.sub(rem[i - 1] if i else 0, field.mul(top, gcoeffs[i]))
+               for i in range(r)]
+    gen = tuple(tuple(1 if c == j else 0 for c in range(k))
+                + tuple(field.neg(x) for x in rems[j]) for j in range(k))
+    parity = tuple(tuple(rj[i] for rj in rems) + tuple(1 if c == i else 0 for c in range(r))
+                   for i in range(r))
+    code = LinearCode(field, n, gen, parity, family="cyclic")
     code.defining_set = T_sorted
     code.beta_extension_degree = ell
     code.beta = beta
@@ -540,11 +551,19 @@ def iter_low_weight(code: LinearCode, w: int, cap: int = 1 << 30):
     raise ValueError("support search handles weights 1..4 only")
 
 
+def _symbol_blocks(code: LinearCode) -> list:
+    """Each coordinate as a one-symbol block of weight [a != 0]."""
+    weight = (np.arange(code.field.order) != 0).astype(np.int8)
+    return [(1, weight)] * code.n
+
+
 def min_distance(code: LinearCode, method: str = "auto",
                  budget: int = ENUM_BUDGET) -> DistanceResult:
     """Exact minimum distance with a proof tag.
 
-    'enumerate' streams every codeword (requires Q^k <= budget);
+    'enumerate' weighs every codeword with `syndrome.least_weight_word`
+    (requires Q^k <= budget) and returns the first of least weight in
+    `codewords` order;
     'support' certifies d >= w+1 by the absence of dependent column sets
     of size <= w and exhibits a weight witness, for d <= 4.  When neither
     settles the value, an interval [5, Singleton] is returned.
@@ -556,11 +575,7 @@ def min_distance(code: LinearCode, method: str = "auto",
     if method == "enumerate":
         if code.size > budget:
             raise BudgetExceeded(f"{code.size} codewords exceed budget {budget}")
-        best, witness = None, None
-        for cw in code.codewords(budget):
-            w = hamming_weight(cw)
-            if w and (best is None or w < best):
-                best, witness = w, cw
+        best, witness = least_weight_word(code.field, code.generator, _symbol_blocks(code))
         return DistanceResult(best, best, "enumerate", witness)
     if method == "support":
         for w in range(1, 5):
@@ -587,8 +602,7 @@ def covering_radius(code: LinearCode, *, syndrome_budget: int = SYNDROME_BUDGET,
                           syndrome_budget, work_budget)
     if stop is not None:
         raise BudgetExceeded(stop)
-    weight = (np.arange(f.order) != 0).astype(np.int8)
-    dp = syndrome_dp(f, code.parity, [(1, weight)] * code.n, witness=False)
+    dp = syndrome_dp(f, code.parity, _symbol_blocks(code), witness=False)
     return dp.radius, dp.table("hamming")
 
 

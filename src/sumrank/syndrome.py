@@ -17,6 +17,9 @@ as GF(p^e) elements are packed, so subtraction is digit-wise mod p.  The
 index splits into digit halves s = hi * p^D2 + lo, and a shift of the
 (p^D1, p^D2) state is a column gather and a row gather through two small
 subtraction tables.
+
+When the syndrome space is too large, `least_weight_word` settles d by
+enumerating the code in numpy chunks instead, in both metrics.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ WORK_BUDGET = 1 << 30      # DP work: block values summed over blocks, times q^c
 
 _INF = 100                 # int8 sentinel above every leader weight
 _SNAPSHOT_BYTES = 1 << 26  # witness snapshots beyond this are thinned and recomputed
+_CHUNK_WORDS = 1 << 16     # words the enumeration holds at once
+_CHUNK_BYTES = 1 << 23     # and at most this many bytes of them
 
 
 class BudgetExceeded(RuntimeError):
@@ -189,3 +194,93 @@ def syndrome_dp(field, parity, blocks, *, witness: bool = True) -> SyndromeDP:
     if (s, w) != (0, 0):
         raise RuntimeError("syndrome DP backtrack did not reach the zero word")
     return SyndromeDP(A, distance, tuple(reversed(word)))
+
+
+# ----------------------------------------------------------------------
+# exhaustive enumeration
+# ----------------------------------------------------------------------
+
+def _scale_block(field, c: int, value: int, cells: int) -> int:
+    """c times every GF(q) cell of a packed block value."""
+    q, out = field.order, 0
+    for i in range(cells):
+        out += field.mul(c, value // q ** i % q) * q ** i
+    return out
+
+
+def _digit_adder(p: int, digits: int):
+    """Digit-wise addition mod p of packed value arrays: XOR for p = 2."""
+    if p == 2:
+        return np.bitwise_xor
+    powers = [p ** i for i in range(digits)]
+
+    def add(a, b):
+        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=a.dtype)
+        for pw in powers:
+            out += (a // pw % p + b // pw % p) % p * pw
+        return out
+
+    return add
+
+
+def span_chunks(field, rows, cells):
+    """The GF(p)-span of GF(q) rows of packed block values, in order.
+
+    Each row stands for its GF(p) multiples p^j * row, j from high to low,
+    and the span is listed lexicographically in the digits on those rows,
+    the first row most significant, as `LinearCode.codewords` lists
+    GF(q)-combinations.  `cells[b]` is the number of GF(q) entries packed
+    in block b.  Yields (blocks, words) arrays of block values of at most
+    `_CHUNK_WORDS` words and `_CHUNK_BYTES` bytes each: the span of the
+    trailing rows is tabulated once and shifted by each combination of the
+    leading rows.
+    """
+    p, e = field.p, field.dim_over_prime
+    prime_rows = [[_scale_block(field, p ** j, v, n) for v, n in zip(row, cells)]
+                  for row in rows for j in reversed(range(e))]
+    digits = e * max(cells)
+    dtype = np.min_scalar_type(p ** digits - 1)
+    add = _digit_adder(p, digits)
+
+    def span(rows):  # the last row is the least significant digit
+        words = np.zeros((len(cells), 1), dtype=dtype)
+        for row in reversed(rows):
+            step = np.array(row, dtype=dtype)[:, None]
+            multiples = [words]
+            for _ in range(p - 1):
+                multiples.append(add(multiples[-1], step))
+            words = np.concatenate(multiples, axis=1)
+        return words
+
+    fit = min(_CHUNK_WORDS, _CHUNK_BYTES // (len(cells) * dtype.itemsize))
+    low = 0
+    while low < len(prime_rows) and p ** (low + 1) <= fit:
+        low += 1
+    split = len(prime_rows) - low
+    inner = span(prime_rows[split:])
+    for shift in span(prime_rows[:split]).T:
+        yield add(inner, shift[:, None]) if shift.any() else inner
+
+
+def least_weight_word(field, rows, blocks) -> tuple[int, tuple[int, ...]] | None:
+    """The first word of least nonzero weight in the span of `rows`.
+
+    `rows` are GF(q) generator rows of packed block values, in the order
+    that fixes the enumeration (see `span_chunks`); `blocks` lists each
+    block's number of GF(q) cells and its weight array, as for
+    `syndrome_dp`.  Every word is weighed by one table lookup per block.
+    Returns (weight, word), or None when the span has no nonzero word.
+    """
+    top = np.iinfo(np.int64).max
+    best, witness = None, None
+    for words in span_chunks(field, rows, [n for n, _ in blocks]):
+        weight = np.zeros(words.shape[1], dtype=np.int64)
+        for (_, table), values in zip(blocks, words):
+            weight += table[values]
+        weight[weight == 0] = top
+        i = int(np.argmin(weight))
+        if weight[i] < (top if best is None else best):
+            best, witness = int(weight[i]), tuple(int(v) for v in words[:, i])
+            if best == 1:
+                break
+    return None if best is None else (best, witness)

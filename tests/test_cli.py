@@ -187,3 +187,20 @@ def test_construct_over_log_table_fields(capsys):
     assert code == 0 and "t = 273 blocks of 2x2" in out
     code, out, _ = run(capsys, "construct", "cyclic-d4", "q=2", "m=11", "lam=23")
     assert code == 0 and "[89,77,4]_2" in out
+
+
+@pytest.mark.parametrize("params,t,block", [
+    (("q=2", "m=4", "t=8"), 8, [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]),
+    (("q=3", "m=2", "t=9"), 9, [[0, 0], [1, 0]]),
+])
+def test_enumeration_witness_is_pinned(tmp_path, capsys, params, t, block):
+    # the witness is the first least-weight word of the enumeration order;
+    # another order would pick another weight-t word and change the certificate
+    cert = tmp_path / "cert.json"
+    code, _, _ = run(capsys, "certify", "singleton", "--recipe", "covering-repetition",
+                     *params, "--out", str(cert))
+    assert code == 0
+    quantities = {q["name"]: q for q in json.loads(cert.read_text())["quantities"]}
+    assert quantities["min_sum_rank_distance"]["value"] == t
+    assert quantities["min_sum_rank_distance"]["method"] == "exhaustive"
+    assert quantities["distance_witness"]["value"] == [block] * t

@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from sumrank import construct as cs
 from sumrank import hamming as hm
 from sumrank.gf import Field, poly_mod
 
@@ -132,6 +133,31 @@ def test_parity_check_code_builds_no_extension(f2, f3, f4, f9, monkeypatch):
             par = hm.parity_check_code(f, t)
             assert par.defining_set == ((0,) if gcd(t, f.order) == 1 else None)
             assert all(not any(par.syndrome(row)) for row in par.generator)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cs.cyclic_d4(2, 4),
+    lambda: cs.cyclic_d4(2, 6),
+    lambda: cs.cyclic_d4(4, 2),
+    lambda: cs.cyclic_d4(3, 3, 2),
+    lambda: cs.cyclic_d4_alt(3, 2),
+    lambda: cs.cyclic_d4_alt(5, 2),
+    lambda: cs.distance_optimal_2x2(2).ingredients[0],
+    lambda: cs.distance_optimal_sxs(2, 2, 2).ingredients[0],
+    lambda: cs.distance_optimal_rect(2, 2, 3, 1).ingredients[0],
+    lambda: hm.bch_binary(2, 5),
+])
+def test_systematic_cyclic_code_matches_rref(build):
+    # the banded shifts of g(x), reduced by from_generator, are the oracle
+    code = build()
+    g = code.notes["generator_polynomial"]
+    banded = [(0,) * s + tuple(g) + (0,) * (code.n - len(g) - s) for s in range(code.k)]
+    oracle = hm.from_generator(code.field, banded, family=code.family,
+                               designed_distance=code.designed_distance,
+                               defining_set=code.defining_set)
+    assert code.generator == oracle.generator
+    assert code.parity == oracle.parity
+    assert code.describe() == oracle.describe()
 
 
 def test_bch_binary(f2):

@@ -1,13 +1,17 @@
-"""The syndrome-space DP against independent oracles on random small codes.
+"""The syndrome-space DP and the enumeration kernel against independent oracles.
 
-d is compared with exhaustive enumeration, the coset-leader table with the
-full ambient sweep, and the Hamming-metric radius with the Hamming sweep,
-over GF(2), GF(3) and GF(4), for covering and linearized codes (n < m and
-n = m) and for explicit codes with mixed block shapes.
+The DP's d is compared with a Python loop over `enumerate_packed`, its
+coset-leader table with the full ambient sweep, and the Hamming-metric
+radius with the Hamming sweep, over GF(2), GF(3) and GF(4), for covering and
+linearized codes (n < m and n = m) and for explicit codes with mixed block
+shapes.  The enumeration kernel must give the same d, the same first
+least-weight witness and the same word order as those loops and as
+`LinearCode.codewords`.
 """
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,8 +34,8 @@ def _code_from_rows(field, rows, n):
 
 
 @st.composite
-def linear_codes(draw, field, n):
-    k = draw(st.integers(0, n))
+def linear_codes(draw, field, n, max_k=None):
+    k = draw(st.integers(0, n if max_k is None else min(n, max_k)))
     rows = [draw(st.lists(st.integers(0, field.order - 1), min_size=n, max_size=n))
             for _ in range(k)]
     return _code_from_rows(field, rows, n)
@@ -41,15 +45,23 @@ AMBIENT_BITS = 16  # ambients of at most 2^16 words keep the sweep oracle quick
 
 
 @st.composite
-def ingredient_codes(draw):
+def ingredient_shapes(draw):
     q, m = draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (4, 2)]))
-    base = cs.field_of_order(q)
-    ext = base.extension(m)
     kind = draw(st.sampled_from(["covering", "linearized-square", "linearized-thin"]))
     rows = 1 if kind == "linearized-thin" else m
     t_max = max(1, int(AMBIENT_BITS / (rows * m * math.log2(q))))
-    t = draw(st.integers(1, t_max))
-    ingredients = [draw(linear_codes(ext, t)) for _ in range(rows)]
+    return q, m, kind, draw(st.integers(1, t_max))
+
+
+@st.composite
+def ingredient_codes(draw, shape=None, max_size=None):
+    """A covering or linearized code; with `max_size`, of at most that many words."""
+    q, m, kind, t = shape or draw(ingredient_shapes())
+    base = cs.field_of_order(q)
+    ext = base.extension(m)
+    rows = 1 if kind == "linearized-thin" else m
+    max_k = None if max_size is None else int(math.log(max_size, ext.order) + 1e-9) // rows
+    ingredients = [draw(linear_codes(ext, t, max_k)) for _ in range(rows)]
     if kind == "covering":
         return cs.sr_covering(ingredients, base=base)
     return cs.sr_linearized(ingredients, base=base)
@@ -101,13 +113,24 @@ def mixed_codes(draw):
     return ExplicitCode(base, tuple(blocks), rows)
 
 
+def _enumeration_oracle(code):
+    """Least nonzero sum-rank weight over `enumerate_packed`, and its first word."""
+    tables = [sp.rank_array(code.base, n, m) for n, m in code.profile.blocks]
+    best, witness = None, None
+    for packed in code.enumerate_packed(SMALL_CODE):
+        w = sum(int(tab[pk]) for tab, pk in zip(tables, packed))
+        if w and (best is None or w < best):
+            best, witness = w, packed
+    return best, witness
+
+
 def _check_against_oracles(code):
     dp = ct.sr_min_distance(code)
     assert dp.method == "syndrome-dp"
     if code.size <= SMALL_CODE:
-        brute = ct._exhaustive_sr_distance(code, SMALL_CODE)
-        assert dp.infinite == brute.infinite
-        assert dp.infinite or dp.value == brute.value
+        best, _ = _enumeration_oracle(code)
+        assert dp.infinite == (best is None)
+        assert dp.infinite or dp.value == best
     if not dp.infinite:
         assert code.contains_packed(dp.witness)
         assert sp.sum_rank_weight(code.to_word(dp.witness)) == dp.value
@@ -172,3 +195,130 @@ def test_plotkin_rule_matches_dp(f2, f4):
     d1, d2, d = (ct.sr_min_distance(c) for c in (first, second, code))
     assert d.method == "syndrome-dp"
     assert d.value == min(2 * d1.value, d2.value)
+
+
+# ----------------------------------------------------------------------
+# the enumeration kernel
+# ----------------------------------------------------------------------
+
+TINY_CHUNK = 4  # words per chunk that force many shifted chunks
+
+
+def _kernel_words(field, rows, cells):
+    return [tuple(int(v) for v in col)
+            for words in sd.span_chunks(field, rows, cells) for col in words.T]
+
+
+def _check_kernel(code):
+    """The kernel's d, witness and zero-code flag equal the enumeration loop's."""
+    best, witness = _enumeration_oracle(code)
+    for chunk in (sd._CHUNK_WORDS, TINY_CHUNK):
+        with mock.patch.object(sd, "_CHUNK_WORDS", chunk):
+            found = ct._exhaustive_sr_distance(code)
+        assert found.infinite == (best is None)
+        assert found.infinite or (found.value, found.witness) == (best, witness)
+
+
+@st.composite
+def extended_codes(draw):
+    q, m, kind, t = draw(ingredient_shapes())
+    assume(kind != "linearized-thin")
+    extra = draw(st.integers(1, 2))
+    assume(q ** (extra * m * m) <= SMALL_CODE)
+    inner = draw(ingredient_codes((q, m, kind, t), SMALL_CODE // q ** (extra * m * m)))
+    return cs.extend_full_blocks(inner, extra)
+
+
+@st.composite
+def plotkin_codes(draw):
+    shape = draw(ingredient_shapes())
+    half = math.isqrt(SMALL_CODE)
+    return cs.plotkin(draw(ingredient_codes(shape, half)), draw(ingredient_codes(shape, half)))
+
+
+@st.composite
+def small_mixed_codes(draw):
+    code = draw(mixed_codes())
+    assume(code.size <= SMALL_CODE)
+    return code
+
+
+@FAST
+@given(st.one_of(small_mixed_codes(), ingredient_codes(max_size=SMALL_CODE),
+                 extended_codes(), plotkin_codes()))
+def test_kernel_matches_enumeration_loop(code):
+    _check_kernel(code)
+
+
+def _hamming_oracle(code):
+    """Least nonzero Hamming weight over `codewords`, and its first word."""
+    best, witness = None, None
+    for cw in code.codewords():
+        w = hm.hamming_weight(cw)
+        if w and (best is None or w < best):
+            best, witness = w, cw
+    return best, witness
+
+
+@FAST
+@given(st.sampled_from([4, 9]).flatmap(
+    lambda q: st.integers(1, 6).flatmap(
+        lambda n: linear_codes(cs.field_of_order(q), n, int(math.log(SMALL_CODE, q))))))
+def test_kernel_matches_codewords_loop_on_hamming_codes(code):
+    best, witness = _hamming_oracle(code)
+    if best is None:
+        assert sd.least_weight_word(code.field, code.generator,
+                                    hm._symbol_blocks(code)) is None
+        return
+    res = hm.min_distance(code, "enumerate")
+    assert (res.value, res.witness) == (best, witness)
+
+
+def _assert_enumeration_order(code):
+    cells = [n for n, _ in code.weight_blocks]
+    assert _kernel_words(code.base, code._generator_rows_packed(), cells) == \
+        list(code.enumerate_packed())
+
+
+def _ingredient_codes():
+    f2, f3 = cs.field_of_order(2), cs.field_of_order(3)
+    f4, f9 = f2.extension(2), f3.extension(2)
+    return [cs.covering_repetition(2, 2, 3), cs.covering_repetition(4, 2, 2),
+            cs.almost_msrd_2x2(2, 4),
+            cs.sr_linearized([hm.parity_check_code(f9, 2), hm.repetition_code(f9, 2)],
+                             base=f3),
+            cs.sr_linearized([hm.reed_solomon(f4, 3, 1)], base=f2)]
+
+
+@pytest.mark.parametrize("chunk", [TINY_CHUNK, 1 << 16])
+@pytest.mark.parametrize("index", range(len(_ingredient_codes())))
+def test_kernel_order_ingredient(index, chunk, monkeypatch):
+    monkeypatch.setattr(sd, "_CHUNK_WORDS", chunk)
+    _assert_enumeration_order(_ingredient_codes()[index])
+
+
+@pytest.mark.parametrize("chunk", [TINY_CHUNK, 1 << 16])
+@pytest.mark.parametrize("q,extra", [(2, 1), (2, 2), (3, 1)])
+def test_kernel_order_extended(q, extra, chunk, monkeypatch):
+    monkeypatch.setattr(sd, "_CHUNK_WORDS", chunk)
+    _assert_enumeration_order(cs.extend_full_blocks(cs.covering_repetition(q, 2, 2), extra))
+
+
+@pytest.mark.parametrize("chunk", [TINY_CHUNK, 1 << 16])
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_kernel_order_plotkin(q, chunk, monkeypatch):
+    monkeypatch.setattr(sd, "_CHUNK_WORDS", chunk)
+    base = cs.field_of_order(q)
+    ext = base.extension(2)
+    first = cs.sr_linearized([hm.repetition_code(ext, 2)], base=base)
+    second = cs.sr_linearized([hm.parity_check_code(ext, 2)], base=base)
+    _assert_enumeration_order(cs.plotkin(first, second))
+
+
+@pytest.mark.parametrize("chunk", [TINY_CHUNK, 1 << 16])
+def test_kernel_order_linear_code(chunk, monkeypatch, f4, f9, f16_tower):
+    monkeypatch.setattr(sd, "_CHUNK_WORDS", chunk)
+    for code in (hm.hamming_code(f4, 2), hm.reed_solomon(f9, 4, 2),
+                 hm.from_generator(f16_tower, [(1, 2, 7), (0, 5, 11)])):
+        assert _kernel_words(code.field, code.generator, [1] * code.n) == \
+            list(code.codewords())
