@@ -19,7 +19,7 @@ import inspect
 import itertools
 from functools import cached_property
 
-from .gf import Field, make_field, is_prime
+from .gf import Field, digit_add, is_prime, make_field
 from . import hamming as hm
 from .spaces import MatrixProfile, SumRankWord, pack_matrix, rank_array, unpack_matrix
 from .syndrome import ENUM_BUDGET, SyndromeDP, syndrome_dp as run_syndrome_dp
@@ -452,10 +452,10 @@ class PlotkinSumRankCode(SumRankCode):
         if self.size > budget:
             raise hm.BudgetExceeded(f"{self.size} codewords exceed budget {budget}")
         seconds = list(self.second.enumerate_packed(budget))
-        add = _packed_block_adder(self.base)
+        p = self.base.p
         for c1 in self.first.enumerate_packed(budget):
             for c2 in seconds:
-                yield c1 + tuple(add(a, b) for a, b in zip(c1, c2))
+                yield c1 + tuple(digit_add(p, a, b) for a, b in zip(c1, c2))
 
     def _generator_rows_packed(self):
         t = self.first.profile.t
@@ -472,24 +472,6 @@ class PlotkinSumRankCode(SumRankCode):
             "first": self.first.describe(),
             "second": self.second.describe(),
         }
-
-
-def _packed_block_adder(base: Field):
-    """Digit-wise addition of packed GF(q) blocks."""
-    if base.p == 2:
-        return lambda a, b: a ^ b
-    q = base.order
-
-    def add(a: int, b: int) -> int:
-        v, mult = 0, 1
-        while a or b:
-            v += base.add(a % q, b % q) * mult
-            a //= q
-            b //= q
-            mult *= q
-        return v
-
-    return add
 
 
 def plotkin(first: SumRankCode, second: SumRankCode) -> PlotkinSumRankCode:

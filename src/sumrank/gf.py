@@ -59,6 +59,23 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def digit_add(p: int, a: int, b: int) -> int:
+    """Digit-wise sum mod p of two packed base-p ints: XOR for p = 2.
+
+    This is addition in every field of characteristic p, and in any vector
+    of GF(q) cells packed into one int, since both pack base-p digits.
+    """
+    if p == 2:
+        return a ^ b
+    v, pw = 0, 1
+    while a or b:
+        v += (a % p + b % p) % p * pw
+        a //= p
+        b //= p
+        pw *= p
+    return v
+
+
 class Field:
     """A finite field, either GF(p) or an extension of another Field.
 
@@ -96,6 +113,10 @@ class Field:
     @property
     def is_prime_field(self) -> bool:
         return self.subfield is None
+
+    @property
+    def has_log_tables(self) -> bool:
+        return self._exp is not None
 
     def cache_key(self) -> tuple:
         if self.subfield is None:
@@ -173,26 +194,19 @@ class Field:
             return a ^ b
         if self.subfield is None:
             return (a + b) % self.p
-        q = self.subfield.order
-        v, mult = 0, 1
-        while a or b:
-            v += self.subfield.add(a % q, b % q) * mult
-            a //= q
-            b //= q
-            mult *= q
-        return v
+        return digit_add(self.p, a, b)
 
     def neg(self, a: int) -> int:
         if self.p == 2:
             return a
         if self.subfield is None:
             return (-a) % self.p
-        q = self.subfield.order
-        v, mult = 0, 1
+        p = self.p
+        v, pw = 0, 1
         while a:
-            v += self.subfield.neg(a % q) * mult
-            a //= q
-            mult *= q
+            v += (-a) % p * pw
+            a //= p
+            pw *= p
         return v
 
     def sub(self, a: int, b: int) -> int:
@@ -298,7 +312,8 @@ class Field:
         self._exp, self._log = exp, log
 
     def np_table(self, kind: str) -> np.ndarray:
-        """Vectorizable op tables: 'add'/'mul' are QxQ, 'neg' is Q."""
+        """Vectorizable op tables: 'add'/'mul' are QxQ, 'neg' is Q, and
+        'exp'/'log' are the exp/log pair of a field that has one."""
         if kind not in self._np_tables:
             q = self.order
             if kind == "add":
@@ -309,6 +324,8 @@ class Field:
                                 dtype=np.int64, count=q * q).reshape(q, q)
             elif kind == "neg":
                 t = np.fromiter((self.neg(a) for a in range(q)), dtype=np.int64, count=q)
+            elif kind in ("exp", "log") and self.has_log_tables:
+                t = np.array(self._exp if kind == "exp" else self._log, dtype=np.int64)
             else:
                 raise ValueError(f"unknown table kind {kind!r}")
             self._np_tables[kind] = t

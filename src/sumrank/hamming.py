@@ -16,54 +16,78 @@ import numpy as np
 
 from .gf import Field
 from .syndrome import (ENUM_BUDGET, SYNDROME_BUDGET, WORK_BUDGET, BudgetExceeded,
-                       CosetLeaderTable, dp_budget_stop, least_weight_word,
-                       syndrome_dp)
+                       CosetLeaderTable, digit_adder, dp_budget_stop,
+                       least_weight_word, syndrome_dp)
 
 
 # ----------------------------------------------------------------------
 # generic linear algebra over a field
 # ----------------------------------------------------------------------
 
+def _array_mul(field: Field):
+    """Elementwise product of int64 arrays of field elements."""
+    if field.is_prime_field and field.p < 1 << 31:
+        p = field.p
+        return lambda a, b: a * b % p
+    if field.has_log_tables:
+        exp, log = field.np_table("exp"), field.np_table("log")
+        return lambda a, b: exp[log[a] + log[b]]
+    mul = np.frompyfunc(field.mul, 2, 1)
+    return lambda a, b: mul(a, b).astype(np.int64)
+
+
 def rref(field: Field, rows):
-    """Reduced row echelon form; returns (rows-without-zeros, pivot cols)."""
-    mat = [list(r) for r in rows]
-    if not mat:
+    """Reduced row echelon form; returns (rows-without-zeros, pivot cols).
+
+    One numpy elimination: for each column the first nonzero row at or
+    below the current one is swapped up and scaled to a leading 1, and
+    every other row nonzero in that column is cleared in one update,
+    row_i + (-f_i) * pivot_row, on the columns from the pivot on (the pivot
+    row is zero before it).  Products come from `_array_mul`; sums are
+    digit-wise mod p on the packed base-p values.
+    """
+    mat = np.array([list(r) for r in rows], dtype=np.int64)
+    if not len(mat):
         return [], []
-    ncols = len(mat[0])
+    mul, add = _array_mul(field), digit_adder(field.p, field.dim_over_prime)
+    minus_one = field.p - 1  # -1 of the prime field, as a packed element
     pivots = []
     r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if piv is None:
+    for c in range(mat.shape[1]):
+        below = np.flatnonzero(mat[r:, c])
+        if not len(below):
             continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = field.inv(mat[r][c])
-        mat[r] = [field.mul(inv, x) for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [field.sub(mat[i][j], field.mul(f, mat[r][j]))
-                          for j in range(ncols)]
+        piv = r + int(below[0])
+        if piv != r:
+            mat[[r, piv]] = mat[[piv, r]]
+        row = mul(mat[r, c:], field.inv(int(mat[r, c])))
+        mat[r, c:] = row
+        others = np.flatnonzero(mat[:, c])
+        others = others[others != r]
+        if len(others):
+            f = mul(mat[others, c], minus_one)
+            mat[others, c:] = add(mat[others, c:], mul(f[:, None], row[None, :]))
         pivots.append(c)
         r += 1
         if r == len(mat):
             break
-    return [tuple(row) for row in mat[:r]], pivots
+    return [tuple(row) for row in mat[:r].tolist()], pivots
 
 
 def nullspace(field: Field, rows, ncols: int):
-    """Basis of {h : row . h = 0 for every row}, one vector per free column."""
+    """Basis of {h : row . h = 0 for every row}, one vector per free column.
+
+    With red the RREF of rows: H[:, free] = I and H[:, pivots] = -red[:, free]^T.
+    """
     red, pivots = rref(field, rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        vec = [0] * ncols
-        vec[f] = 1
-        for row, p in zip(red, pivots):
-            vec[p] = field.neg(row[f])
-        basis.append(tuple(vec))
-    return basis
+    is_free = np.ones(ncols, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    basis = np.zeros((len(free), ncols), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    if red:
+        basis[:, pivots] = _array_mul(field)(np.array(red)[:, free].T, field.p - 1)
+    return [tuple(row) for row in basis.tolist()]
 
 
 @dataclass

@@ -208,7 +208,7 @@ def _scale_block(field, c: int, value: int, cells: int) -> int:
     return out
 
 
-def _digit_adder(p: int, digits: int):
+def digit_adder(p: int, digits: int):
     """Digit-wise addition mod p of packed value arrays: XOR for p = 2."""
     if p == 2:
         return np.bitwise_xor
@@ -239,8 +239,8 @@ def span_chunks(field, rows, cells):
     prime_rows = [[_scale_block(field, p ** j, v, n) for v, n in zip(row, cells)]
                   for row in rows for j in reversed(range(e))]
     digits = e * max(cells)
-    dtype = np.min_scalar_type(p ** digits - 1)
-    add = _digit_adder(p, digits)
+    dtype = np.min_scalar_type(max(p ** digits, 2 * p) - 1)  # digit sums reach 2p - 2
+    add = digit_adder(p, digits)
 
     def span(rows):  # the last row is the least significant digit
         words = np.zeros((len(cells), 1), dtype=dtype)

@@ -1,12 +1,15 @@
 """Sum-rank constructions: blocks, linearity, composition rules, recipes."""
 
+import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from sumrank import construct as cs
 from sumrank import hamming as hm
 from sumrank import spaces as sp
+from sumrank.cli import parse_params
 from sumrank.gf import make_field
 
 
@@ -305,3 +308,20 @@ def test_describe_roundtrip_deterministic():
     a = cs.build_recipe("almost-msrd-2x2", q=2, t=4)
     b = cs.build_recipe("almost-msrd-2x2", q=2, t=4)
     assert json.dumps(a.describe(), sort_keys=True) == json.dumps(b.describe(), sort_keys=True)
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+
+
+def test_flat_parity_of_every_certify_job_is_pinned():
+    # the RREF is unique, so every grid code keeps the parity matrix the
+    # benchmark's reference table stores, one decimal digit per entry
+    jobs = {key: ref for key, ref in json.loads(REFERENCE.read_text())["jobs"].items()
+            if key.startswith("certify ")}
+    assert len(jobs) == 14
+    for key, ref in jobs.items():
+        argv = key.split()
+        code = cs.build_recipe(argv[argv.index("--recipe") + 1],
+                               **parse_params([a for a in argv if "=" in a]))
+        assert ref["field"] == code.base.describe(), key
+        assert ref["parity"] == ["".join(map(str, row)) for row in code.flat_parity], key

@@ -241,3 +241,28 @@ def test_poly_mod(f4):
     assert len(rem) == 1
     x0 = f4.neg(2)
     assert rem[0] == f4.add(f4.add(f4.mul(x0, x0), x0), 1)
+
+
+def _recursive_add(f, a, b):
+    """Addition by the definition: digit by digit over the immediate subfield."""
+    if f.subfield is None:
+        return (a + b) % f.p
+    q = f.subfield.order
+    return sum(_recursive_add(f.subfield, a // q ** i % q, b // q ** i % q) * q ** i
+               for i in range(f.degree))
+
+
+def _recursive_neg(f, a):
+    if f.subfield is None:
+        return (-a) % f.p
+    q = f.subfield.order
+    return sum(_recursive_neg(f.subfield, a // q ** i % q) * q ** i for i in range(f.degree))
+
+
+@pytest.mark.parametrize("field", [make_field(3, [2]), make_field(3, [3]), make_field(5, [2]),
+                                   make_field(3, [2, 2])], ids=repr)
+def test_digitwise_add_neg_match_recursive_definition(field):
+    for a in field.elements():
+        assert field.neg(a) == _recursive_neg(field, a)
+        for b in field.elements():
+            assert field.add(a, b) == _recursive_add(field, a, b)

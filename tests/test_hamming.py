@@ -1,12 +1,14 @@
 """Ingredient codes: cyclic machinery, families, distance, covering radius."""
 
+import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sumrank import construct as cs
 from sumrank import hamming as hm
-from sumrank.gf import Field, poly_mod
+from sumrank.gf import Field, make_field, poly_mod
 
 
 def test_cyclotomic_cosets_golden():
@@ -279,3 +281,106 @@ def test_search_634_ingredient(f4):
     assert (code.n, code.k) == (6, 3)
     assert hm.min_distance(code, "enumerate").value == 4
     assert hm.covering_radius(code)[0] == 2
+
+
+# ----------------------------------------------------------------------
+# rref / nullspace against row-by-row Gauss-Jordan elimination
+# ----------------------------------------------------------------------
+
+def _rref_oracle(field, rows):
+    """Gauss-Jordan elimination one entry at a time, with scalar field ops."""
+    mat = [list(r) for r in rows]
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = field.inv(mat[r][c])
+        mat[r] = [field.mul(inv, x) for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [field.sub(mat[i][j], field.mul(f, mat[r][j]))
+                          for j in range(ncols)]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return [tuple(row) for row in mat[:r]], pivots
+
+
+def _nullspace_oracle(field, rows, ncols):
+    red, pivots = _rref_oracle(field, rows)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [0] * ncols
+        vec[f] = 1
+        for row, p in zip(red, pivots):
+            vec[p] = field.neg(row[f])
+        basis.append(tuple(vec))
+    return basis
+
+
+RREF_FIELDS = [make_field(2, [1]), make_field(3, [1]), make_field(5, [1]),
+               make_field(2, [2]), make_field(2, [3]), make_field(3, [2]),
+               make_field(5, [2]), make_field(2, [2, 2])]
+
+
+@st.composite
+def matrices(draw, fields=RREF_FIELDS):
+    """Up to 12 rows by 1 to 16 columns: random, zero, repeated and combined rows."""
+    field = draw(st.sampled_from(fields))
+    ncols = draw(st.integers(1, 16))
+    scalar = st.integers(0, field.order - 1)
+    entry = st.one_of(st.just(0), scalar)
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["random", "zero", "repeat", "combine"] if rows
+                                    else ["random", "zero"]))
+        if kind == "random":
+            rows.append(tuple(draw(st.lists(entry, min_size=ncols, max_size=ncols))))
+        elif kind == "zero":
+            rows.append((0,) * ncols)
+        elif kind == "repeat":
+            rows.append(draw(st.sampled_from(rows)))
+        else:
+            a, b = draw(scalar), draw(scalar)
+            x, y = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append(tuple(field.add(field.mul(a, u), field.mul(b, v))
+                              for u, v in zip(x, y)))
+    return field, rows, ncols
+
+
+def _assert_matches_oracle(field, rows, ncols):
+    red, pivots = hm.rref(field, rows)
+    assert (red, pivots) == _rref_oracle(field, rows)
+    assert all(type(x) is int for row in red for x in row)
+    assert all(type(c) is int for c in pivots)
+    basis = hm.nullspace(field, rows, ncols)
+    assert basis == _nullspace_oracle(field, rows, ncols)
+    assert all(type(x) is int for row in basis for x in row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_rref_and_nullspace_match_oracle(case):
+    _assert_matches_oracle(*case)
+
+
+@pytest.mark.parametrize("p,degree", [(2, 17), (3, 11)])
+def test_rref_over_fields_without_log_tables(p, degree):
+    # these fields multiply through field.mul, one entry at a time
+    field = make_field(p, [degree])
+    assert not field.has_log_tables
+    rng = random.Random(degree)
+    for nrows, ncols in ((3, 5), (5, 4), (4, 7)):
+        rows = [tuple(rng.randrange(field.order) for _ in range(ncols))
+                for _ in range(nrows)]
+        c = rng.randrange(1, field.order)
+        rows += [tuple(field.mul(c, x) for x in rows[0]), (0,) * ncols]
+        _assert_matches_oracle(field, rows, ncols)

@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from sumrank import certify as ct
 from sumrank import construct as cs
@@ -264,6 +264,8 @@ def _hamming_oracle(code):
 @given(st.sampled_from([4, 9]).flatmap(
     lambda q: st.integers(1, 6).flatmap(
         lambda n: linear_codes(cs.field_of_order(q), n, int(math.log(SMALL_CODE, q))))))
+# over GF(131) a sum of two digits, up to 260, does not fit the packed values' uint8
+@example(hm.from_generator(cs.field_of_order(131), [(1, 130, 0), (0, 1, 130)]))
 def test_kernel_matches_codewords_loop_on_hamming_codes(code):
     best, witness = _hamming_oracle(code)
     if best is None:
