@@ -19,7 +19,9 @@ import numpy as np
 
 from .spaces import (MatrixProfile, ball_volume_exact, brute_weight_array,
                      hamming_ball_volume, rank_classes, rank_array)
-from .construct import SumRankCode, ExtendedSumRankCode, PlotkinSumRankCode
+from .construct import (SumRankCode, ExtendedSumRankCode, PlotkinSumRankCode,
+                        field_of_order)
+from .gf import make_field
 from .syndrome import (ENUM_BUDGET, SYNDROME_BUDGET, WORK_BUDGET, BudgetExceeded,
                        CosetLeaderTable, dp_budget_stop, least_weight_word)
 
@@ -351,11 +353,7 @@ def entropy(Q: int, rho: float) -> float:
 def strong_singleton_blf(q: int, m: int, u: int, R: int, t: int,
                          c: float = 1.0) -> BoundRecord:
     """Size bound q^((t-1)m^2 - uR) for d = 2R + 1, gated on the block length."""
-    if u % (m * m) != 0:
-        raise ValueError(f"divisibility gate failed: {m}^2 does not divide u = {u}")
-    if R % m != 0:
-        raise ValueError(f"divisibility gate failed: {m} does not divide R = {R}")
-    gate = c * q ** (((u - m) * R + m * m) / R) * (m * math.log(q)) ** (m / R)
+    gate = block_length_bound(q, m, u, R, c).value
     if t < gate:
         raise ValueError(f"gate failed: block length {t} below {gate:.6g}")
     bound = q ** ((t - 1) * m * m - u * R)
@@ -401,7 +399,6 @@ def family_condition_checks(family: str, params: dict) -> ConditionRecord:
         rat = 2 * (q - 1) ** 2 * lam * lam < q ** s - 1
         rat_str = f"2*({q}-1)^2*{lam}^2 < {q}^{s} - 1"
         t = (q ** (s * m) - 1) // lam
-        from .construct import field_of_order
         profile = MatrixProfile(field_of_order(q), tuple([(s, s)] * t))
         lhs, rhs = ball_volume_exact(profile, 2), q ** (s * (2 * m + 3))
         crit = f"V_sr(q,2) over {t} blocks {s}x{s} > q^(s(2m+3))"
@@ -412,7 +409,6 @@ def family_condition_checks(family: str, params: dict) -> ConditionRecord:
         rat = 2 * q ** s2 * (q - 1) ** 2 * lam * lam < (q ** s1 - 1) ** 2
         rat_str = f"2*{q}^{s2}*({q}-1)^2*{lam}^2 < ({q}^{s1}-1)^2"
         t = (q ** (s2 * m) - 1) // lam
-        from .construct import field_of_order
         profile = MatrixProfile(field_of_order(q), tuple([(s1, s2)] * t))
         lhs, rhs = ball_volume_exact(profile, 2), q ** (s2 * (2 * m + 3))
         crit = f"V_sr(q,2) over {t} blocks {s1}x{s2} > q^(s2(2m+3))"
@@ -421,7 +417,6 @@ def family_condition_checks(family: str, params: dict) -> ConditionRecord:
         rat = 2 * (2 ** s - 1) ** 4 >= 2 ** (4 * s)
         rat_str = f"2*(1 - 2^-{s})^4 >= 1"
         t = 2 ** (s * m) - 1
-        from .gf import make_field
         profile = MatrixProfile(make_field(2, [1]), tuple([(s, s)] * (2 * t)))
         lhs, rhs = ball_volume_exact(profile, 2), 2 ** (s * (2 * m + 4))
         crit = f"V_sr(2,2) over {2 * t} blocks {s}x{s} > 2^(s(2m+4))"
@@ -429,7 +424,6 @@ def family_condition_checks(family: str, params: dict) -> ConditionRecord:
         q, m, u = p["q"], p["m"], p["u"]
         rat, rat_str = True, "none (no lambda condition)"
         t = (q ** (m * u) - 1) // (q ** m - 1)
-        from .construct import field_of_order
         profile = MatrixProfile(field_of_order(q), tuple([(2, m)] * t))
         lhs, rhs = ball_volume_exact(profile, 2), q ** (m * (u + 1))
         crit = f"V_sr(q,2) over {t} blocks 2x{m} > q^(m(u+1))"

@@ -303,7 +303,6 @@ def build_parser() -> _Parser:
 
     s = sub.add_parser("selftest", help="quick golden-value battery")
     s.set_defaults(fn=cmd_selftest)
-    add_common(s)
     return parser
 
 
@@ -326,7 +325,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as exc:  # noqa: BLE001 - report and keep the >2 contract
-        print(f"internal error: {exc}", file=sys.stderr)
+        name = type(exc).__name__
+        print(f"internal error: {name}: {exc}" if str(exc) else f"internal error: {name}",
+              file=sys.stderr)
         return INTERNAL_ERROR
 
 

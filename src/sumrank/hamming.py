@@ -8,13 +8,14 @@ covering radius by the syndrome-space DP of `sumrank.syndrome`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field as dc_field
 from math import gcd
 
 import numpy as np
 
-from .gf import Field
+from .gf import Field, digit_add
 from .syndrome import (ENUM_BUDGET, SYNDROME_BUDGET, WORK_BUDGET, BudgetExceeded,
                        CosetLeaderTable, digit_adder, dp_budget_stop,
                        least_weight_word, syndrome_dp)
@@ -427,152 +428,59 @@ class DistanceResult:
         return self.lo
 
 
-def _norm_column(field: Field, col):
-    """Scale a column so its first nonzero entry is 1 (projective rep)."""
-    first = next((x for x in col if x), None)
-    if first is None:
-        return None
-    inv = field.inv(first)
-    return tuple(field.mul(inv, x) for x in col)
-
-
-def _columns(code: LinearCode) -> list[tuple[int, ...]]:
-    return [tuple(row[j] for row in code.parity) for j in range(code.n)]
-
-
 def low_weight_search(code: LinearCode, w: int):
     """First codeword of Hamming weight exactly w (w <= 4), or None.
 
-    Searches parity-check column dependencies directly, so it does not
-    enumerate the code: singles, proportional pairs, pair-span triples, and
-    a meet-in-the-middle pass for quadruples.
+    Searches parity-check column dependencies (`iter_low_weight`), so it
+    does not enumerate the code.
     """
-    found = list(iter_low_weight(code, w, cap=1))
-    return found[0] if found else None
+    return next(iter_low_weight(code, w, cap=1), None)
 
 
 def iter_low_weight(code: LinearCode, w: int, cap: int = 1 << 30):
-    """Yield up to `cap` codewords of weight exactly w, for w <= 4."""
-    f = code.field
-    cols = _columns(code)
-    n = code.n
-    if code.codim == 0:
-        # full space: any support works
-        count = 0
-        for support in itertools.combinations(range(n), w):
-            vec = [0] * n
-            for s in support:
-                vec[s] = 1
-            yield tuple(vec)
-            count += 1
-            if count >= cap:
-                return
-        return
+    """Yield up to `cap` codewords of weight exactly w, for w <= 4, each once.
+
+    Meet in the middle: a word of weight w is a codeword exactly when the
+    syndromes of its low half (its first w // 2 nonzero positions) and its
+    high half cancel.  The syndromes of every low half are tabulated; each
+    high half whose first coefficient is 1 looks up the negation of its own
+    syndrome among the low halves that end before it starts, and every
+    nonzero multiple of a match is yielded.  Syndromes are packed base-p
+    ints, sums of the weight-1 syndromes lam * h_j, each computed once.
+    """
+    if not 1 <= w <= 4:
+        raise ValueError("support search handles weights 1..4 only")
+    f, n, nz = code.field, code.n, code.field.nonzero_elements()
+    add = functools.partial(digit_add, f.p)
+    single = [[sum(f.mul(lam, row[j]) * f.order ** i for i, row in enumerate(code.parity))
+               for lam in f.elements()] for j in range(n)]
+    negated = [[syn[f.neg(lam)] for lam in f.elements()] for syn in single]
+
+    def halves(size, heads, table):
+        """(positions, coefficients, syndrome from `table`) of every half."""
+        out = [((), (), 0)]
+        for k in range(size):
+            out = [(pos + (j,), cs + (c,), add(syn, table[j][c]))
+                   for pos, cs, syn in out for j in range(pos[-1] + 1 if pos else 0, n)
+                   for c in (heads if k == 0 else nz)]
+        return out
+
+    low: dict[int, list] = {}
+    for pos, cs, syn in halves(w // 2, nz, single):
+        low.setdefault(syn, []).append((pos, cs))
     emitted = 0
-
-    def emit(positions, coeffs):
-        nonlocal emitted
-        vec = [0] * n
-        for p, c in zip(positions, coeffs):
-            vec[p] = c
-        emitted += 1
-        return tuple(vec)
-
-    if w == 1:
-        for j, col in enumerate(cols):
-            if not any(col):
-                for lam in f.nonzero_elements():
-                    yield emit([j], [lam])
-                    if emitted >= cap:
-                        return
-        return
-    if w == 2:
-        for i, j in itertools.combinations(range(n), 2):
-            if not any(cols[i]) or not any(cols[j]):
+    for pos, cs, syn in halves(w - w // 2, (1,), negated):
+        for lpos, lcs in low.get(syn, ()):
+            if lpos and lpos[-1] >= pos[0]:
                 continue
-            # lam_i * c_i + lam_j * c_j = 0  <=>  c_j = mu * c_i
-            mu = None
-            for a, b in zip(cols[i], cols[j]):
-                if a == 0 and b == 0:
-                    continue
-                if a == 0 or b == 0:
-                    mu = None
-                    break
-                cand = f.div(b, a)
-                if mu is None:
-                    mu = cand
-                elif mu != cand:
-                    mu = None
-                    break
-            if mu is None:
-                continue
-            for lam in f.nonzero_elements():
-                yield emit([i, j], [f.mul(lam, mu), f.neg(lam)])
+            for mu in nz:
+                vec = [0] * n
+                for j, c in zip(lpos + pos, lcs + cs):
+                    vec[j] = f.mul(mu, c)
+                yield tuple(vec)
+                emitted += 1
                 if emitted >= cap:
                     return
-        return
-    if w == 3:
-        # lam1 c_i + lam2 c_j + lam3 c_k = 0 with all lams nonzero
-        norm_map: dict[tuple, list[int]] = {}
-        for j, col in enumerate(cols):
-            nc = _norm_column(f, col)
-            if nc is not None:
-                norm_map.setdefault(nc, []).append(j)
-        for i, j in itertools.combinations(range(n), 2):
-            ci, cj = cols[i], cols[j]
-            if not any(ci) or not any(cj):
-                continue
-            for b in f.nonzero_elements():
-                combo = tuple(f.add(x, f.mul(b, y)) for x, y in zip(ci, cj))
-                nc = _norm_column(f, combo)
-                if nc is None:
-                    continue
-                for k in norm_map.get(nc, ()):
-                    if k <= j or k == i:
-                        continue
-                    # combo = c_i + b c_j is proportional to c_k
-                    first = next(x for x in combo if x)
-                    kfirst = next(x for x in cols[k] if x)
-                    scale = f.div(first, kfirst)
-                    for lam in f.nonzero_elements():
-                        yield emit([i, j, k],
-                                   [lam, f.mul(lam, b), f.neg(f.mul(lam, scale))])
-                        if emitted >= cap:
-                            return
-        return
-    if w == 4:
-        pair_syn: dict[tuple, list[tuple[int, int, int, int]]] = {}
-        for i, j in itertools.combinations(range(n), 2):
-            ci, cj = cols[i], cols[j]
-            for a in f.nonzero_elements():
-                for b in f.nonzero_elements():
-                    s = tuple(f.add(f.mul(a, x), f.mul(b, y)) for x, y in zip(ci, cj))
-                    pair_syn.setdefault(s, []).append((i, j, a, b))
-        for s in sorted(pair_syn):
-            neg = tuple(f.neg(x) for x in s)
-            if neg not in pair_syn:
-                continue
-            if neg == s:
-                entries = pair_syn[s]
-                for x in range(len(entries)):
-                    i, j, a, b = entries[x]
-                    for y in range(x + 1, len(entries)):
-                        k, l, c, d = entries[y]
-                        if len({i, j, k, l}) != 4:
-                            continue
-                        yield emit([i, j, k, l], [a, b, c, d])
-                        if emitted >= cap:
-                            return
-            elif s < neg:
-                for (i, j, a, b) in pair_syn[s]:
-                    for (k, l, c, d) in pair_syn[neg]:
-                        if len({i, j, k, l}) != 4:
-                            continue
-                        yield emit([i, j, k, l], [a, b, c, d])
-                        if emitted >= cap:
-                            return
-        return
-    raise ValueError("support search handles weights 1..4 only")
 
 
 def _symbol_blocks(code: LinearCode) -> list:
@@ -719,7 +627,7 @@ def low_weight_pool(code: LinearCode, wmax: int, cap: int = 512) -> list[tuple[i
     return pool
 
 
-def search_634_ingredient(field4: Field, verbose: bool = False) -> LinearCode:
+def search_634_ingredient(field4: Field) -> LinearCode:
     """Deterministic search for a [6,3,4] code over GF(4) of covering radius 2.
 
     Scans generator matrices [I | A] with A Hermitian-unitary and entrywise

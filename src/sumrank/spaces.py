@@ -323,8 +323,8 @@ def brute_rank_array(field: Field, n: int, m: int) -> np.ndarray:
     """Rank of every packed n x m matrix over the field, by enumeration.
 
     Independent of the product-formula counts: ranks come from kernel
-    counting (q = 2) or vanishing-minor tests (n <= 3), and from plain
-    Gaussian elimination otherwise.
+    counting (q = 2) or vanishing-minor tests (n <= 3).  Those cover every
+    shape under the cap: q >= 3 and 4 <= n <= m give q^(nm) >= 3^16 > 2^24.
     """
     q = field.order
     size = q ** (n * m)
@@ -334,12 +334,7 @@ def brute_rank_array(field: Field, n: int, m: int) -> np.ndarray:
         raise ValueError("profiles require n <= m")
     if q == 2:
         return _brute_rank_array_gf2(n, m, size)
-    if n <= 3:
-        return _brute_rank_array_minors(field, n, m, size)
-    ranks = np.empty(size, dtype=np.int8)
-    for packed in range(size):
-        ranks[packed] = rank(field, unpack_matrix(field, packed, n, m))
-    return ranks
+    return _brute_rank_array_minors(field, n, m, size)
 
 
 def brute_rank_counts(field: Field, n: int, m: int) -> list[int]:
@@ -348,18 +343,13 @@ def brute_rank_counts(field: Field, n: int, m: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _rank_array_cached(key: tuple, n: int, m: int) -> np.ndarray:
-    field = _FIELDS_BY_KEY[key]
+def _rank_array_cached(field: Field, n: int, m: int) -> np.ndarray:
     return brute_rank_array(field, n, m)
 
 
-_FIELDS_BY_KEY: dict[tuple, Field] = {}
-
-
 def rank_array(field: Field, n: int, m: int) -> np.ndarray:
-    key = field.cache_key()
-    _FIELDS_BY_KEY.setdefault(key, field)
-    return _rank_array_cached(key, n, m)
+    """Rank of every packed n x m matrix, built once per (field, n, m)."""
+    return _rank_array_cached(field, n, m)
 
 
 def rank_classes(field: Field, n: int, m: int) -> list[np.ndarray]:

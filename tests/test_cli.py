@@ -91,6 +91,22 @@ def test_sphere_packing_violation_is_internal_error(capsys, monkeypatch):
     assert "sphere packing violated" in err
 
 
+def test_internal_error_names_the_exception(capsys, monkeypatch):
+    from sumrank import construct as cs
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cs, "build_recipe", out_of_memory)
+    code, _, err = run(capsys, "construct", "quasi-perfect-2xm", "q=2", "m=2", "u=2")
+    assert code == 3
+    assert err == "internal error: MemoryError\n"
+    monkeypatch.setattr(cs, "build_recipe", lambda *a, **k: 1 / 0)
+    code, _, err = run(capsys, "construct", "quasi-perfect-2xm", "q=2", "m=2", "u=2")
+    assert code == 3
+    assert err == "internal error: ZeroDivisionError: division by zero\n"
+
+
 def test_bounds_strong_bch(capsys):
     code, out, _ = run(capsys, "bounds", "strong-bch",
                        "m=2", "t=65535", "e=2", "n=16", "d=33")
@@ -159,6 +175,14 @@ def test_usage_errors(capsys):
     assert run(capsys, "construct", "no-such-recipe")[0] == 4
     assert main(["bogus-command"]) == 4
     assert main([]) == 4
+
+
+def test_selftest_takes_no_parameters(tmp_path, capsys):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("x = 1\n")
+    assert run(capsys, "selftest", "x=1")[0] == 4
+    code, _, err = run(capsys, "selftest", "--config", str(cfg))
+    assert code == 4 and "--config" in err
 
 
 def test_missing_recipe_parameter_is_usage_error(capsys):

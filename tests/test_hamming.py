@@ -1,10 +1,12 @@
 """Ingredient codes: cyclic machinery, families, distance, covering radius."""
 
+import math
 import random
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from test_syndrome import linear_codes
 
 from sumrank import construct as cs
 from sumrank import hamming as hm
@@ -203,6 +205,34 @@ def test_min_distance_support_witness(f4):
     assert res.value == 4
     assert hm.hamming_weight(res.witness) == 4
     assert c.contains(res.witness)
+
+
+@st.composite
+def small_codes(draw, max_size=4096):
+    """Codes of length <= 8 over GF(2), GF(3), GF(4), GF(5), codim 0 to n, Q^k <= max_size."""
+    field = cs.field_of_order(draw(st.sampled_from([2, 3, 4, 5])))
+    n = draw(st.integers(1, 8))
+    return draw(linear_codes(field, n, int(math.log(max_size, field.order) + 1e-9)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_codes())
+@example(hm.full_code(cs.field_of_order(3), 5))
+def test_support_search_yields_every_low_weight_codeword(code):
+    words = code.codeword_list()
+    for w in range(1, min(4, code.n) + 1):
+        found = list(hm.iter_low_weight(code, w))
+        assert len(found) == len(set(found))
+        assert set(found) == {v for v in words if hm.hamming_weight(v) == w}
+    if code.k == 0:
+        return
+    d = min(hm.hamming_weight(v) for v in words if any(v))
+    res = hm.min_distance(code, "support")
+    if d <= 4:
+        assert (res.lo, res.hi) == (d, d)
+        assert hm.hamming_weight(res.witness) == d and code.contains(res.witness)
+    else:
+        assert res.lo >= 5 and res.witness is None
 
 
 def test_min_distance_budget(f4):

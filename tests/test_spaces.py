@@ -35,6 +35,28 @@ def test_rank_matches_kernel_enumeration(f4):
         assert sp.rank(f4, mat) == arr[packed]
 
 
+def test_rank_tables_are_built_once_per_field_and_shape(f3, f4):
+    sp._rank_array_cached.cache_clear()
+
+    def misses():
+        return sp._rank_array_cached.cache_info().misses
+
+    first = sp.rank_array(f3, 2, 2)
+    assert misses() == 1
+    assert sp.rank_array(f3, 2, 2) is first and misses() == 1
+    sp.rank_array(f3, 2, 3)
+    sp.rank_array(f4, 2, 2)
+    assert misses() == 3
+    sp.rank_array(f4, 2, 2)
+    assert misses() == 3
+
+
+def test_brute_rank_array_odd_q_stops_at_the_cap(f3):
+    # every odd-q shape with n >= 4 has at least 3^16 > 2^24 matrices
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        sp.brute_rank_array(f3, 4, 4)
+
+
 def test_sum_rank_weight_golden(f2):
     prof = sp.MatrixProfile(f2, ((2, 2), (2, 2)))
     zero = sp.zero_word(prof)
