@@ -64,7 +64,7 @@ def _exhaustive_sr_distance(code: SumRankCode) -> SrDistance:
 
 
 def _dp_stop(code: SumRankCode, syndrome_budget: int, work_budget: int) -> str | None:
-    return dp_budget_stop(code.base.order, code.codim, code.profile.block_space_sizes(),
+    return dp_budget_stop(code.base, code.codim, code.profile.blocks,
                           syndrome_budget, work_budget)
 
 

@@ -283,7 +283,8 @@ def build_parser() -> _Parser:
     z.add_argument("--enum-budget", type=int, default=ct.ENUM_BUDGET,
                    help="most codewords an exhaustive distance enumeration may stream")
     z.add_argument("--sweep-budget", type=int, default=ct.WORK_BUDGET,
-                   help="most syndrome-DP work: block values over all blocks x q^codim")
+                   help="most syndrome-DP work: shift passes x q^codim "
+                        "plus block values, over all blocks")
     z.add_argument("--syndrome-budget", type=int, default=ct.SYNDROME_BUDGET,
                    help="most syndromes (q^codim) the syndrome DP may hold")
     add_common(z)

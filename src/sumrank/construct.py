@@ -19,6 +19,8 @@ import inspect
 import itertools
 from functools import cached_property
 
+import numpy as np
+
 from .gf import Field, digit_add, is_prime, make_field
 from . import hamming as hm
 from .spaces import MatrixProfile, SumRankWord, pack_matrix, rank_array, unpack_matrix
@@ -83,13 +85,25 @@ class SumRankCode:
 
     # -- flattened GF(q) linear-code view ------------------------------
 
+    def flat_rows(self, words) -> np.ndarray:
+        """Row-major GF(q) coordinates of packed words, blocks in order.
+
+        One int64 row per word; each block's packed values are split into
+        base-q digits in one numpy step.
+        """
+        q, blocks = self.base.order, self.profile.blocks
+        dtype = np.int64 if q ** max(n * m for n, m in blocks) < 1 << 63 else object
+        packed = np.array(words, dtype=dtype).reshape(len(words), len(blocks))
+        out = np.zeros((len(words), self.ambient_dim), dtype=np.int64)
+        starts = np.cumsum([0] + [n * m for n, m in blocks])
+        for b, (n, m) in enumerate(blocks):
+            powers = q ** np.arange(n * m, dtype=dtype)
+            out[:, starts[b]:starts[b + 1]] = packed[:, b, None] // powers % q
+        return out
+
     def flatten(self, packed) -> tuple[int, ...]:
         """Row-major GF(q) coordinates of a packed word, blocks in order."""
-        out = []
-        for (n, m), pk in zip(self.profile.blocks, packed):
-            for row in unpack_matrix(self.base, pk, n, m):
-                out.extend(row)
-        return tuple(out)
+        return tuple(self.flat_rows([packed])[0].tolist())
 
     def unflatten(self, vec) -> tuple[int, ...]:
         packed = []
@@ -102,7 +116,7 @@ class SumRankCode:
 
     @cached_property
     def flat_generator(self) -> tuple[tuple[int, ...], ...]:
-        rows = [self.flatten(p) for p in self._generator_rows_packed()]
+        rows = self.flat_rows(self._generator_rows_packed())
         red, _ = hm.rref(self.base, rows)
         if len(red) != len(rows):
             raise RuntimeError("construction is not injective: dependent generators")
@@ -110,7 +124,8 @@ class SumRankCode:
 
     @cached_property
     def flat_parity(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(hm.nullspace(self.base, self.flat_generator, self.ambient_dim))
+        return tuple(hm.nullspace(self.base, self.flat_generator, self.ambient_dim,
+                                  reduced=True))
 
     @property
     def weight_blocks(self) -> list:
@@ -120,7 +135,7 @@ class SumRankCode:
     @cached_property
     def syndrome_dp(self) -> SyndromeDP:
         """One syndrome-space DP pass: d with a witness, R, and the leader table."""
-        return run_syndrome_dp(self.base, self.flat_parity, self.weight_blocks)
+        return run_syndrome_dp(self.base, self.flat_parity, self.profile.blocks)
 
     def to_word(self, packed) -> SumRankWord:
         mats = tuple(unpack_matrix(self.base, pk, n, m)

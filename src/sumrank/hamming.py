@@ -47,7 +47,7 @@ def rref(field: Field, rows):
     row is zero before it).  Products come from `_array_mul`; sums are
     digit-wise mod p on the packed base-p values.
     """
-    mat = np.array([list(r) for r in rows], dtype=np.int64)
+    mat = np.array(rows, dtype=np.int64)
     if not len(mat):
         return [], []
     mul, add = _array_mul(field), digit_adder(field.p, field.dim_over_prime)
@@ -75,19 +75,23 @@ def rref(field: Field, rows):
     return [tuple(row) for row in mat[:r].tolist()], pivots
 
 
-def nullspace(field: Field, rows, ncols: int):
+def nullspace(field: Field, rows, ncols: int, *, reduced: bool = False):
     """Basis of {h : row . h = 0 for every row}, one vector per free column.
 
     With red the RREF of rows: H[:, free] = I and H[:, pivots] = -red[:, free]^T.
+    With `reduced`, `rows` are already that RREF and are not eliminated again.
     """
-    red, pivots = rref(field, rows)
+    red, pivots = (rows, None) if reduced else rref(field, rows)
+    red = np.array(red, dtype=np.int64).reshape(len(red), ncols)
+    if reduced:
+        pivots = (red != 0).argmax(axis=1).tolist()
     is_free = np.ones(ncols, dtype=bool)
     is_free[pivots] = False
     free = np.flatnonzero(is_free)
     basis = np.zeros((len(free), ncols), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
-    if red:
-        basis[:, pivots] = _array_mul(field)(np.array(red)[:, free].T, field.p - 1)
+    if len(red):
+        basis[:, pivots] = _array_mul(field)(red[:, free].T, field.p - 1)
     return [tuple(row) for row in basis.tolist()]
 
 
@@ -191,7 +195,7 @@ def from_generator(field: Field, rows, *, family: str = "explicit",
     red, _ = rref(field, rows)
     if len(red) != len(rows):
         raise ValueError("generator matrix rows are dependent")
-    parity = tuple(nullspace(field, red, n))
+    parity = tuple(nullspace(field, red, n, reduced=True))
     return LinearCode(field, n, tuple(red), parity, family=family,
                       designed_distance=designed_distance, **meta)
 
@@ -526,15 +530,14 @@ def covering_radius(code: LinearCode, *, syndrome_budget: int = SYNDROME_BUDGET,
                     work_budget: int = WORK_BUDGET) -> tuple[int, CosetLeaderTable]:
     """Exact covering radius and coset-leader table from the syndrome DP.
 
-    Each coordinate is a one-symbol block of weight [a != 0].  Raises
+    Each coordinate is a 1 x 1 block, whose rank is [a != 0].  Raises
     BudgetExceeded, naming the budget, when the DP does not fit.
     """
-    f = code.field
-    stop = dp_budget_stop(f.order, code.codim, [f.order] * code.n,
-                          syndrome_budget, work_budget)
+    shapes = [(1, 1)] * code.n
+    stop = dp_budget_stop(code.field, code.codim, shapes, syndrome_budget, work_budget)
     if stop is not None:
         raise BudgetExceeded(stop)
-    dp = syndrome_dp(f, code.parity, _symbol_blocks(code), witness=False)
+    dp = syndrome_dp(code.field, code.parity, shapes, witness=False)
     return dp.radius, dp.table("hamming")
 
 

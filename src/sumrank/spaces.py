@@ -18,7 +18,7 @@ import numpy as np
 
 from .gf import Field
 
-_BRUTE_LIMIT = 1 << 24
+BRUTE_LIMIT = 1 << 24  # most values a rank table or an ambient sweep enumerates
 
 
 @dataclass(frozen=True)
@@ -267,6 +267,9 @@ def _brute_rank_array_gf2(n: int, m: int, size: int) -> np.ndarray:
 def _brute_rank_array_minors(field: Field, n: int, m: int, size: int) -> np.ndarray:
     q = field.order
     idx = np.arange(size, dtype=np.int64)
+    nonzero = idx != 0
+    if n == 1:
+        return nonzero.astype(np.int8)
     dig = _digit_planes(idx, q, n, m)
     if field.is_prime_field:
         def mul(a, b):
@@ -294,9 +297,6 @@ def _brute_rank_array_minors(field: Field, n: int, m: int, size: int) -> np.ndar
     def det2(r0, r1, i, j):
         return sub(mul(dig[r0][i], dig[r1][j]), mul(dig[r0][j], dig[r1][i]))
 
-    nonzero = idx != 0
-    if n == 1:
-        return nonzero.astype(np.int8)
     has2 = np.zeros(size, dtype=bool)
     for r0 in range(n):
         for r1 in range(r0 + 1, n):
@@ -328,7 +328,7 @@ def brute_rank_array(field: Field, n: int, m: int) -> np.ndarray:
     """
     q = field.order
     size = q ** (n * m)
-    if size > _BRUTE_LIMIT:
+    if size > BRUTE_LIMIT:
         raise ValueError(f"brute enumeration of {size} matrices exceeds the cap")
     if n > m:
         raise ValueError("profiles require n <= m")
@@ -361,7 +361,7 @@ def rank_classes(field: Field, n: int, m: int) -> list[np.ndarray]:
 def brute_weight_array(profile: MatrixProfile) -> np.ndarray:
     """Sum-rank weight of every packed ambient word (ambient sweeps)."""
     size = profile.ambient_size
-    if size > _BRUTE_LIMIT:
+    if size > BRUTE_LIMIT:
         raise ValueError(f"ambient sweep of {size} words exceeds the cap")
     dtype = np.int32 if size <= 1 << 31 else np.int64
     idx = np.arange(size, dtype=dtype)

@@ -1,22 +1,31 @@
 """Exact minimum distance and covering radius by a syndrome-space DP.
 
 Words are built block by block.  After some blocks, A[s] is the least
-weight of a word on them with syndrome s, and B[s] the same over nonzero
-words.  A block whose nonzero values v have weight w(v) and syndrome
-syn(v) updates both by a min-plus convolution,
+weight of a word on them with syndrome s.  A block value weighs its rank,
+and a rank-r value is a sum of r rank-1 values: the nonzero points of the
+(q^n - 1)/(q - 1) lines U_u = {u v^T : v in GF(q)^m} of an n x m block
+(n <= m), each an F_p-subspace.  So n rounds of
 
-    C[s] = min_v A[s - syn(v)] + w(v),   A <- min(A, C),   B <- min(B, C),
+    A <- min(A, 1 + min over lines u of min over x in U_u of A[s - syn(x)])
 
-the recursion `spaces.ball_volume_exact` runs over counts.  After the last
-block d = B[0], R = max A, and A is the coset-leader table.  Sum-rank
-blocks weigh a value by its rank; a Hamming-metric code is the case of
-one-symbol blocks of weight [a != 0].  Every value is a small exact integer.
+add the block, the inner coset-min taken by m*e sweeps of (p - 1)
+shift-mins over the line's generator syndromes.  A Hamming-metric code is
+the case of 1 x 1 blocks.  After the last block R = max A and A is the
+coset-leader table.  Every value is a small exact integer.
+
+Rank-1 rounds would count x + (-x) as a nonzero word, so d comes from a
+gather before each block instead,
+
+    b_zero[b] = min(b_zero[b - 1], min over v != 0 of A[-syn(v)] + rank(v)),
+
+and d = b_zero after the last block.  For the witness the DP records, per
+weight level w <= codim, the number of blocks after which A[s] first drops
+to <= w; A before block b is the number of levels not yet reached then.
 
 A syndrome index concatenates the base-p digits of the syndrome entries,
 as GF(p^e) elements are packed, so subtraction is digit-wise mod p.  The
 index splits into digit halves s = hi * p^D2 + lo, and a shift of the
-(p^D1, p^D2) state is a column gather and a row gather through two small
-subtraction tables.
+(p^D1, p^D2) state is one row and one column gather.
 
 When the syndrome space is too large, `least_weight_word` settles d by
 enumerating the code in numpy chunks instead, in both metrics.
@@ -24,17 +33,20 @@ enumerating the code in numpy chunks instead, in both metrics.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .spaces import BRUTE_LIMIT, rank_array
+
 ENUM_BUDGET = 1 << 22      # codewords an exhaustive enumeration may stream
 SYNDROME_BUDGET = 1 << 16  # syndromes (q^codim) the DP may hold
-WORK_BUDGET = 1 << 30      # DP work: block values summed over blocks, times q^codim
+WORK_BUDGET = 1 << 30      # DP work units, as `dp_budget_stop` counts them
 
 _INF = 100                 # int8 sentinel above every leader weight
-_SNAPSHOT_BYTES = 1 << 26  # witness snapshots beyond this are thinned and recomputed
-_CHUNK_WORDS = 1 << 16     # words the enumeration holds at once
+_CHUNK_WORDS = 1 << 16     # words (or block values) held at once
 _CHUNK_BYTES = 1 << 23     # and at most this many bytes of them
 
 
@@ -42,16 +54,27 @@ class BudgetExceeded(RuntimeError):
     """An exact computation would overrun the configured budget."""
 
 
-def dp_budget_stop(q: int, codim: int, block_sizes, syndrome_budget: int,
+def dp_budget_stop(field, codim: int, shapes, syndrome_budget: int,
                    work_budget: int) -> str | None:
-    """Why the DP may not run within these budgets, or None if it may."""
+    """Why the DP may not run within these budgets, or None if it may.
+
+    Per block the DP makes n rounds over the block's rank-1 lines, m*e*(p - 1)
+    shift passes over the q^codim syndromes each, and reads every one of the
+    block's q^(nm) values once, for its syndromes, ranks and d.
+    """
+    q, e, p = field.order, field.dim_over_prime, field.p
     n_syn = q ** codim
     if n_syn > syndrome_budget:
         return f"syndrome budget {syndrome_budget} < {n_syn} syndromes (q^codim)"
-    work = sum(block_sizes) * n_syn
+    for n, m in dict.fromkeys(shapes):
+        if q ** (n * m) > BRUTE_LIMIT:
+            return (f"rank table cap {BRUTE_LIMIT} < {q ** (n * m)} values "
+                    f"per {n} x {m} block (q^(nm))")
+    work = sum(n * (q ** n - 1) // (q - 1) * m * e * (p - 1) * n_syn + q ** (n * m)
+               for n, m in shapes)
     if work > work_budget:
         return (f"sweep budget {work_budget} < {work} DP work units "
-                "(block values x q^codim)")
+                "(shift passes x q^codim + block values)")
     return None
 
 
@@ -60,7 +83,8 @@ def block_syndromes(field, columns) -> np.ndarray:
 
     `columns[j]` is the parity-check column of the block's j-th position in
     packing order.  The map is GF(p)-linear, so the syndromes of the base-p
-    unit digits fix it, and one integer matrix product applies it.
+    unit digits fix it, and one integer matrix product per chunk of
+    `_CHUNK_WORDS` values applies it.
     """
     p, e = field.p, field.dim_over_prime
     units = []  # syndrome digits of each base-p unit digit of the block
@@ -69,39 +93,65 @@ def block_syndromes(field, columns) -> np.ndarray:
             img = [field.mul(p ** i, h) for h in col]
             units.append([(x // p ** j) % p for x in img for j in range(e)])
     unit_digits = np.array(units, dtype=np.int64).reshape(len(units), -1)
-    values = np.arange(field.order ** len(columns), dtype=np.int64)
-    digits = (values[:, None] // p ** np.arange(len(units), dtype=np.int64)) % p
-    return (digits @ unit_digits) % p @ p ** np.arange(unit_digits.shape[1], dtype=np.int64)
+    unit_powers = p ** np.arange(len(units), dtype=np.int64)
+    syn_powers = p ** np.arange(unit_digits.shape[1], dtype=np.int64)
+    size = field.order ** len(columns)
+    syn = np.empty(size, dtype=np.int64)
+    for lo in range(0, size, _CHUNK_WORDS):
+        values = np.arange(lo, min(lo + _CHUNK_WORDS, size), dtype=np.int64)
+        digits = (values[:, None] // unit_powers) % p
+        syn[lo:lo + len(values)] = (digits @ unit_digits) % p @ syn_powers
+    return syn
 
 
-def _sub_table(p: int, digits: int) -> np.ndarray:
-    """T[k, h] = index of the digit-wise difference h - k mod p."""
-    idx = np.arange(p ** digits)
-    table = np.zeros((len(idx), len(idx)), dtype=np.intp)
+@lru_cache(maxsize=None)
+def _line_generators(field, n: int, m: int) -> np.ndarray:
+    """Packed F_p-basis of every rank-1 line of n x m blocks, one row per line.
+
+    Line u, for u in GF(q)^n with leading nonzero entry 1, is
+    {u v^T : v in GF(q)^m}; its basis is u (beta_i e_j)^T over the power
+    basis beta_i = p^i of GF(q) and the unit vectors e_j of GF(q)^m.
+    """
+    q, p, e = field.order, field.p, field.dim_over_prime
+    lines = [[sum(field.mul(p ** i, x) * q ** (r * m + j) for r, x in enumerate(u))
+              for j in range(m) for i in range(e)]
+             for u in itertools.product(range(q), repeat=n)
+             if any(u) and next(x for x in u if x) == 1]
+    return np.array(lines, dtype=np.int64)
+
+
+def _digit_sub(p: int, digits: int, a, b):
+    """Digit-wise difference a - b mod p of packed base-p values."""
+    if p == 2:
+        return np.bitwise_xor(a, b)
+    out = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=np.int64)
     for i in range(digits):
-        dig = (idx // p ** i) % p
-        table += ((dig[None, :] - dig[:, None]) % p) * p ** i
-    return table
+        out += (a // p ** i - b // p ** i) % p * p ** i
+    return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CosetLeaderTable:
     """Least coset weight per syndrome index; max entry is the covering radius."""
 
     flavor: str
-    leader_weight: dict[int, int]
+    leaders: np.ndarray
+
+    @cached_property
+    def leader_weight(self) -> dict[int, int]:
+        return dict(enumerate(self.leaders.tolist()))
 
     @property
     def covering_radius(self) -> int:
-        return max(self.leader_weight.values())
+        return int(self.leaders.max())
 
     def complete(self, expected: int) -> bool:
-        return len(self.leader_weight) == expected
+        return len(self.leaders) == expected
 
 
 @dataclass(frozen=True)
 class SyndromeDP:
-    """One DP pass: leader table A, distance B[0], and a weight-d codeword."""
+    """One DP pass: leader table A, distance d, and a weight-d codeword."""
 
     leaders: np.ndarray              # least word weight per syndrome index
     distance: int | None             # None for the zero code
@@ -112,88 +162,102 @@ class SyndromeDP:
         return int(self.leaders.max())
 
     def table(self, flavor: str) -> CosetLeaderTable:
-        return CosetLeaderTable(flavor, dict(enumerate(self.leaders.tolist())))
+        return CosetLeaderTable(flavor, self.leaders)
 
 
-def syndrome_dp(field, parity, blocks, *, witness: bool = True) -> SyndromeDP:
+def syndrome_dp(field, parity, shapes, *, witness: bool = True) -> SyndromeDP:
     """Run the DP for the code over `field` with parity-check rows `parity`.
 
-    `blocks` lists, in order, each block's number of positions and its
-    weight array indexed by packed block value.  With `witness`, the state A
-    before each block is kept (every `stride`-th one past `_SNAPSHOT_BYTES`,
-    the rest recomputed), and a weight-d codeword is recovered from the
-    last block back, taking the smallest block value at each tie so that
-    the witness is reproducible.
+    `shapes` lists each block's n x m shape, in order; a block value weighs
+    its rank.  With `witness`, the level record is kept and a weight-d
+    codeword is recovered from the last block back, taking the smallest
+    block value at each tie so that the witness is reproducible.
     """
-    columns = list(zip(*parity)) or [()] * sum(n for n, _ in blocks)
-    starts = np.cumsum([0] + [n for n, _ in blocks])
-    blocks = [(block_syndromes(field, columns[a:b]), wt)
-              for a, b, (_, wt) in zip(starts, starts[1:], blocks)]
-    p, digits = field.p, len(parity) * field.dim_over_prime
+    p, codim = field.p, len(parity)
+    digits = codim * field.dim_over_prime
+    columns = list(zip(*parity)) or [()] * sum(n * m for n, m in shapes)
+    starts = np.cumsum([0] + [n * m for n, m in shapes])
     low = digits // 2
     n1, n2 = p ** (digits - low), p ** low
-    t1, t2 = _sub_table(p, digits - low), _sub_table(p, low)
-    moves = []  # per block: {(least weight, k_lo): [k_hi, ...]} over its distinct syndromes
-    for syn, wt in blocks:
-        order = np.lexsort((wt[1:], syn[1:]))
-        ks, ws = syn[1:][order], wt[1:][order]
-        first = np.r_[True, ks[1:] != ks[:-1]]
-        groups: dict[tuple[int, int], list[int]] = {}
-        for k, w in zip(ks[first].tolist(), ws[first].tolist()):
-            groups.setdefault((w, k % n2), []).append(k // n2)
-        moves.append(groups)
 
-    def relax(A, block):  # C[s] = min over moves (k, w) of A[s - k] + w
-        A2, C = A.reshape(n1, n2), np.full((n1, n2), _INF, dtype=np.int8)
-        plus = {}
-        for (w, k_lo), k_his in moves[block].items():
-            if w not in plus:
-                plus[w] = A2 + np.int8(w)
-            cols = plus[w][:, t2[k_lo]]
-            for k_hi in k_his:
-                np.minimum(C, cols[t1[k_hi]], out=C)
-        return C.ravel()
+    def block_syn(b):
+        return block_syndromes(field, columns[starts[b]:starts[b + 1]])
 
-    A = np.full(n1 * n2, _INF, dtype=np.int8)
-    A[0] = 0
-    B = A.copy()
-    B[0] = _INF
-    stride = -(-len(blocks) * n1 * n2 // _SNAPSHOT_BYTES)
-    snapshots, b_zero = {}, []
-    for b in range(len(blocks)):
-        if witness and b % stride == 0:
-            snapshots[b] = A.copy()
-        C = relax(A, b)
-        np.minimum(A, C, out=A)
-        np.minimum(B, C, out=B)
-        b_zero.append(int(B[0]))
+    def shifter(ks):  # per syndrome k: M -> M[s - k], a row then a column gather
+        k_hi, k_lo = divmod(ks, n2)
+        rows = _digit_sub(p, digits - low, np.arange(n1), k_hi[:, None])
+        cols = _digit_sub(p, low, np.arange(n2), k_lo[:, None])
+
+        def shift(M, j):
+            if k_hi[j]:
+                M = M[rows[j]]
+            return M[:, cols[j]] if k_lo[j] else M
+        return shift
+
+    def coset_min(M, gens, shift):  # min of M[s - syn(x)] over the F_p-span of gens
+        for j in gens:
+            acc, cur = M, M
+            for _ in range(p - 1):
+                cur = shift(cur, j)
+                acc = np.minimum(acc, cur)
+            M = acc
+        return M
+
+    A = np.full((n1, n2), _INF, dtype=np.int8)
+    A[0, 0] = 0
+    flat = A.reshape(-1)
+    t = len(shapes)
+    if witness:  # levels[w, s]: blocks after which A[s] is first <= w, else t + 1
+        levels = np.full((codim + 1, n1 * n2), t + 1,
+                         dtype=np.uint8 if t < 255 else np.uint16)
+        levels[:, 0] = 0
+    b_zero = []
+    for b, (n, m) in enumerate(shapes):
+        syn = block_syn(b)
+        ranks = rank_array(field, n, m)
+        # syn(-v) = -syn(v) and rank(-v) = rank(v): the min over v of
+        # A[-syn(v)] + rank(v) is the min over v of A[syn(v)] + rank(v)
+        reach = flat[syn[1:]] + ranks[1:].astype(np.int16)
+        b_zero.append(min(b_zero[-1] if b_zero else _INF, int(reach.min())))
+        gens = syn[_line_generators(field, n, m)]  # generator syndromes per line
+        ks, js = np.unique(gens, return_inverse=True)
+        shift = shifter(ks)
+        lines = [[j for j in row if ks[j]] for row in js.reshape(gens.shape).tolist()]
+        before = flat.copy() if witness else None
+        for _ in range(n):
+            C = np.full_like(A, _INF)
+            for line in lines:
+                np.minimum(C, coset_min(A, line, shift), out=C)
+            np.minimum(A, C + 1, out=A)
+        if witness:
+            idx = np.flatnonzero(flat < before)
+            new, old = flat[idx], before[idx]
+            for w in range(codim + 1):
+                levels[w, idx[(new <= w) & (old > w)]] = b + 1
     if int(A.max()) >= _INF:
         raise RuntimeError("parity map is not onto: a syndrome is unreachable")
-    distance = int(B[0]) if B[0] < _INF else None
+    distance = b_zero[-1] if b_zero[-1] < _INF else None
     if not witness or distance is None:
-        return SyndromeDP(A, distance, None)
+        return SyndromeDP(flat, distance, None)
+
+    def before_block(b, idx):  # A before block b: the levels not yet reached
+        return sum(level[idx] > b for level in levels)
 
     # target: a nonzero word of syndrome 0 while every later value is zero,
     # then any word of syndrome s and weight w
-    s, w, need_nonzero, word, segment = 0, distance, True, [], {}
-    for b in range(len(blocks) - 1, -1, -1):
-        if b not in segment:
-            start = b - b % stride
-            segment = {start: snapshots[start]}
-            for c in range(start, b):
-                segment[c + 1] = np.minimum(segment[c], relax(segment[c], c))
-        prev = segment[b]
-        if (b > 0 and b_zero[b - 1] == w) if need_nonzero else prev[s] == w:
+    s, w, need_nonzero, word = 0, distance, True, []
+    for b in range(t - 1, -1, -1):
+        if (b > 0 and b_zero[b - 1] == w) if need_nonzero else before_block(b, s) == w:
             word.append(0)
             continue
-        syn, wt = blocks[b]
-        src = t1[syn[1:] // n2, s // n2] * n2 + t2[syn[1:] % n2, s % n2]
-        v = 1 + int(np.argmax(prev[src].astype(np.int64) + wt[1:] == w))
+        wt = rank_array(field, *shapes[b])
+        src = _digit_sub(p, digits, s, block_syn(b)[1:])
+        v = 1 + int(np.argmax(before_block(b, src) + wt[1:] == w))
         word.append(v)
         s, w, need_nonzero = int(src[v - 1]), w - int(wt[v]), False
     if (s, w) != (0, 0):
         raise RuntimeError("syndrome DP backtrack did not reach the zero word")
-    return SyndromeDP(A, distance, tuple(reversed(word)))
+    return SyndromeDP(flat, distance, tuple(reversed(word)))
 
 
 # ----------------------------------------------------------------------
@@ -212,6 +276,8 @@ def digit_adder(p: int, digits: int):
     """Digit-wise addition mod p of packed value arrays: XOR for p = 2."""
     if p == 2:
         return np.bitwise_xor
+    if digits == 1:
+        return lambda a, b: (a + b) % p
     powers = [p ** i for i in range(digits)]
 
     def add(a, b):

@@ -324,8 +324,33 @@ def test_budget_stop_note_names_budget(qp_code):
     assert "syndrome budget 2 < 64 syndromes (q^codim)" in cert.notes
     work = ct.certify_code(qp_code, "quasi-perfect", work_budget=100)
     assert work.verdict == "inconclusive"
-    assert work.notes == [f"sweep budget 100 < {5 * 16 * 64} DP work units "
-                          "(block values x q^codim)"]
+    # 5 blocks of 2 x 2 over GF(2): 2 rounds x 3 rank-1 lines x 2 generators
+    # x 1 shift each, times q^codim = 64, plus 2^4 block values
+    assert work.notes == [f"sweep budget 100 < {5 * (12 * 64 + 16)} DP work units "
+                          "(shift passes x q^codim + block values)"]
+
+
+def test_quasi_perfect_q4_u3_fits_the_default_budgets():
+    """273 blocks of 2 x 2 over GF(4) at codim 8: 2 rounds x 5 lines x 4
+    generators x 1 shift per block, 273 * (40 * 4^8 + 4^4) <= 2^30 work units."""
+    code = cs.quasi_perfect_2xm(4, 2, 3)
+    assert (code.profile.t, code.codim) == (273, 8)
+    work = 273 * (40 * 4 ** 8 + 4 ** 4)
+    assert work <= ct.WORK_BUDGET < 273 * 4 ** 4 * 4 ** 8  # block values x q^codim did not
+    assert ct._dp_stop(code, ct.SYNDROME_BUDGET, ct.WORK_BUDGET) is None
+    assert ct._dp_stop(code, ct.SYNDROME_BUDGET, work - 1) == (
+        f"sweep budget {work - 1} < {work} DP work units "
+        "(shift passes x q^codim + block values)")
+
+
+def test_blocks_past_the_rank_table_cap_stop_the_dp():
+    """The first Plotkin summand of plotkin-distance-optimal s=5 m=1 has 31
+    blocks of 5 x 5 over GF(2): few shift passes at codim 5, but 2^25 values
+    per block, past what a rank table holds, so the DP must not start."""
+    first = cs.plotkin_distance_optimal(5, 1).first
+    assert (first.profile.t, first.codim) == (31, 5)
+    assert ct._dp_stop(first, ct.SYNDROME_BUDGET, ct.WORK_BUDGET) == (
+        f"rank table cap {1 << 24} < {1 << 25} values per 5 x 5 block (q^(nm))")
 
 
 def test_certificate_records_witness(qp_code):

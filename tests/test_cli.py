@@ -228,3 +228,30 @@ def test_enumeration_witness_is_pinned(tmp_path, capsys, params, t, block):
     assert quantities["min_sum_rank_distance"]["value"] == t
     assert quantities["min_sum_rank_distance"]["method"] == "exhaustive"
     assert quantities["distance_witness"]["value"] == [block] * t
+
+
+ZERO_2X2 = [[0, 0], [0, 0]]
+
+
+@pytest.mark.parametrize("claim,recipe,params,exit_code,d,witness", [
+    ("quasi-perfect", "quasi-perfect-2xm", ("q=2", "m=2", "u=2"), 0, 3,
+     [[[0, 0], [1, 1]], [[0, 1], [0, 1]], [[1, 0], [0, 0]]] + [ZERO_2X2] * 2),
+    ("quasi-perfect", "quasi-perfect-2x2", ("t=6",), 0, 4,
+     [[[1, 1], [1, 0]], [[1, 1], [1, 0]]] + [ZERO_2X2] * 4),
+    ("quasi-perfect", "almost-msrd-2x2", ("q=3", "t=9"), 1, 4,
+     [[[0, 2], [2, 0]], [[0, 1], [1, 0]]] + [ZERO_2X2] * 7),
+    ("quasi-perfect", "distance-optimal-sxs", ("q=3", "s=2", "m=1"), 1, 4,
+     [[[0, 2], [2, 0]], [[0, 1], [1, 0]]] + [ZERO_2X2] * 6),
+], ids=["quasi-perfect-2xm", "quasi-perfect-2x2", "almost-msrd-2x2", "distance-optimal-sxs"])
+def test_dp_witness_is_pinned(tmp_path, capsys, claim, recipe, params, exit_code, d,
+                              witness):
+    # the DP walks back from the last block, taking the smallest block value
+    # at each tie; another walk would pick another weight-d word
+    cert = tmp_path / "cert.json"
+    code, _, _ = run(capsys, "certify", claim, "--recipe", recipe, *params,
+                     "--out", str(cert))
+    assert code == exit_code
+    quantities = {q["name"]: q for q in json.loads(cert.read_text())["quantities"]}
+    assert quantities["min_sum_rank_distance"]["value"] == d
+    assert quantities["min_sum_rank_distance"]["method"] == "syndrome-dp"
+    assert quantities["distance_witness"]["value"] == witness

@@ -394,6 +394,7 @@ def _assert_matches_oracle(field, rows, ncols):
     basis = hm.nullspace(field, rows, ncols)
     assert basis == _nullspace_oracle(field, rows, ncols)
     assert all(type(x) is int for row in basis for x in row)
+    assert hm.nullspace(field, red, ncols, reduced=True) == basis
 
 
 @settings(max_examples=200, deadline=None)

@@ -4,7 +4,9 @@ The DP's d is compared with a Python loop over `enumerate_packed`, its
 coset-leader table with the full ambient sweep, and the Hamming-metric
 radius with the Hamming sweep, over GF(2), GF(3) and GF(4), for covering and
 linearized codes (n < m and n = m) and for explicit codes with mixed block
-shapes.  The enumeration kernel must give the same d, the same first
+shapes.  The rank-1 DP must also equal the DP that relaxes every block value
+(`_full_dp_oracle`) on the whole leader table, d, R and the witness.  The
+enumeration kernel must give the same d, the same first
 least-weight witness and the same word order as those loops and as
 `LinearCode.codewords`.
 """
@@ -165,13 +167,130 @@ def test_hamming_dp_radius_matches_sweep(code):
     assert table.complete(code.field.order ** code.codim)
 
 
-def test_witness_survives_sparse_snapshots(monkeypatch):
-    """Recomputing skipped per-block snapshots gives the same witness."""
-    full = cs.quasi_perfect_2xm(3, 2, 2).syndrome_dp
-    monkeypatch.setattr(sd, "_SNAPSHOT_BYTES", 1000)
-    sparse = cs.quasi_perfect_2xm(3, 2, 2).syndrome_dp
-    assert (sparse.distance, sparse.witness) == (full.distance, full.witness)
-    assert np.array_equal(sparse.leaders, full.leaders)
+# ----------------------------------------------------------------------
+# the rank-1 DP against the all-values DP
+# ----------------------------------------------------------------------
+
+def _sub_table(p, digits):
+    """T[k, h] = index of the digit-wise difference h - k mod p."""
+    idx = np.arange(p ** digits)
+    table = np.zeros((len(idx), len(idx)), dtype=np.intp)
+    for i in range(digits):
+        dig = (idx // p ** i) % p
+        table += ((dig[None, :] - dig[:, None]) % p) * p ** i
+    return table
+
+
+def _full_dp_oracle(field, parity, shapes):
+    """The DP relaxing every block by every nonzero block value.
+
+    C[s] = min over v != 0 of A[s - syn(v)] + rank(v), then A <- min(A, C)
+    and B <- min(B, C) (B over nonzero words), with a copy of A kept before
+    every block; d = B[0], and the witness is walked back from the last
+    block taking the smallest value at each tie.
+    """
+    columns = list(zip(*parity)) or [()] * sum(n * m for n, m in shapes)
+    starts = np.cumsum([0] + [n * m for n, m in shapes])
+    blocks = [(sd.block_syndromes(field, columns[a:b]), sp.rank_array(field, n, m))
+              for a, b, (n, m) in zip(starts, starts[1:], shapes)]
+    p, digits = field.p, len(parity) * field.dim_over_prime
+    low = digits // 2
+    n1, n2 = p ** (digits - low), p ** low
+    t1, t2 = _sub_table(p, digits - low), _sub_table(p, low)
+    inf = sd._INF
+
+    def relax(A, syn, wt):  # C[s] = min over v != 0 of A[s - syn(v)] + wt(v)
+        A2, C = A.reshape(n1, n2), np.full((n1, n2), inf, dtype=np.int8)
+        for k, w in zip(syn[1:].tolist(), wt[1:].tolist()):
+            np.minimum(C, A2[t1[k // n2]][:, t2[k % n2]] + np.int8(w), out=C)
+        return C.ravel()
+
+    A = np.full(n1 * n2, inf, dtype=np.int8)
+    A[0] = 0
+    B = A.copy()
+    B[0] = inf
+    snapshots, b_zero = [], []
+    for syn, wt in blocks:
+        snapshots.append(A.copy())
+        C = relax(A, syn, wt)
+        np.minimum(A, C, out=A)
+        np.minimum(B, C, out=B)
+        b_zero.append(int(B[0]))
+    distance = int(B[0]) if B[0] < inf else None
+    if distance is None:
+        return sd.SyndromeDP(A, None, None)
+    s, w, need_nonzero, word = 0, distance, True, []
+    for b in range(len(blocks) - 1, -1, -1):
+        prev = snapshots[b]
+        if (b > 0 and b_zero[b - 1] == w) if need_nonzero else prev[s] == w:
+            word.append(0)
+            continue
+        syn, wt = blocks[b]
+        src = t1[syn[1:] // n2, s // n2] * n2 + t2[syn[1:] % n2, s % n2]
+        v = 1 + int(np.argmax(prev[src].astype(np.int64) + wt[1:] == w))
+        word.append(v)
+        s, w, need_nonzero = int(src[v - 1]), w - int(wt[v]), False
+    assert (s, w) == (0, 0)
+    return sd.SyndromeDP(A, distance, tuple(reversed(word)))
+
+
+def _check_against_full_dp(field, parity, shapes):
+    got = sd.syndrome_dp(field, parity, shapes)
+    want = _full_dp_oracle(field, parity, shapes)
+    assert np.array_equal(got.leaders, want.leaders)
+    assert (got.distance, got.radius, got.witness) == \
+        (want.distance, want.radius, want.witness)
+    bare = sd.syndrome_dp(field, parity, shapes, witness=False)
+    assert np.array_equal(bare.leaders, want.leaders) and bare.distance == want.distance
+
+
+# shapes per base field; 1 x 1 blocks are the Hamming metric, 3 x 3 takes
+# three rank-1 rounds
+DP_SHAPES = {2: ((1, 1), (1, 3), (2, 2), (2, 3), (3, 3)),
+             3: ((1, 1), (1, 2), (2, 2), (2, 3), (3, 3)),
+             4: ((1, 1), (1, 2), (2, 2), (2, 3)),
+             9: ((1, 1), (1, 2), (2, 2))}
+DP_SYNDROMES = 1 << 10  # q^codim the all-values oracle relaxes quickly
+
+
+@st.composite
+def parity_problems(draw):
+    q = draw(st.sampled_from(sorted(DP_SHAPES)))
+    field = cs.field_of_order(q)
+    hamming = draw(st.booleans())
+    shapes = draw(st.lists(st.sampled_from(((1, 1),) if hamming else DP_SHAPES[q]),
+                           min_size=1, max_size=6))
+    ambient_dim = sum(n * m for n, m in shapes)
+    codim = draw(st.integers(0, min(ambient_dim, int(math.log(DP_SYNDROMES, q)))))
+    rows = [draw(st.lists(st.integers(0, q - 1), min_size=ambient_dim,
+                          max_size=ambient_dim)) for _ in range(codim)]
+    return field, hm.rref(field, rows)[0], shapes
+
+
+def _one_block(q, shape):
+    """One block whose cells are the syndrome digits: every leader is a rank."""
+    cells = shape[0] * shape[1]
+    return cs.field_of_order(q), [tuple(int(i == j) for j in range(cells))
+                                  for i in range(cells)], [shape]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(parity_problems())
+@example(_one_block(2, (3, 3)))
+@example(_one_block(3, (2, 3)))
+@example(_one_block(4, (2, 2)))
+@example(_one_block(9, (1, 2)))
+def test_rank_one_dp_matches_full_dp(problem):
+    _check_against_full_dp(*problem)
+
+
+def test_witness_survives_uint16_level_record(f2):
+    """Past 254 blocks the level record is uint16; leaders, d and witness stay."""
+    t, codim = 300, 5
+    rows = np.random.default_rng(t).integers(0, 2, size=(codim, t)).tolist()
+    parity = hm.rref(f2, rows)[0]
+    assert len(parity) == codim
+    _check_against_full_dp(f2, parity, [(1, 1)] * t)
 
 
 @pytest.mark.parametrize("build", [
