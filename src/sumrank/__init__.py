@@ -7,6 +7,15 @@ whose hypotheses were verified before the number was produced.
 
 __version__ = "0.1.0"
 
+import os
+
+# sumrank does only integer arithmetic: no code path calls BLAS, and the one
+# integer `@` (syndrome.block_syndromes) runs numpy's own loop.  Without this,
+# OpenBLAS starts a worker thread at `import numpy` that spins for about 0.13 s
+# of CPU per process and is never used.  It must precede the first numpy
+# import; a value the user has set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .gf import Field, FieldElement, make_field
 from .spaces import (MatrixProfile, SumRankWord, ball_volume_exact,
                      count_rank_matrices, hamming_ball_volume, rank,

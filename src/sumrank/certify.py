@@ -10,10 +10,10 @@ assumptions in the certificate.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass, field as dc_field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -451,6 +451,85 @@ def unlock_big_int_strings(digits: int = 1_000_000) -> None:
         pass
 
 
+def _float_json(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_json(key) -> str:
+    """A dict key as json converts it, before quoting."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_json(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def write_json(obj, write, default=None, _newline: str = "\n") -> None:
+    """Write `json.dumps(obj, sort_keys=True, indent=2, default=default)` through `write`.
+
+    The same bytes, piece by piece, without json's pure-Python indent
+    encoder: a list of plain ints (descriptor rows, which make up nearly all
+    of a descriptor) is one join.  `bool` is not a plain int, so it still
+    prints as true/false.  No circular-reference check.
+    """
+    if isinstance(obj, str):
+        write(encode_basestring_ascii(obj))
+    elif obj is None:
+        write("null")
+    elif obj is True:
+        write("true")
+    elif obj is False:
+        write("false")
+    elif isinstance(obj, int):
+        write(int.__repr__(obj))
+    elif isinstance(obj, float):
+        write(_float_json(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            write("[]")
+            return
+        inner = _newline + "  "
+        if all(type(x) is int for x in obj):
+            write("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + _newline + "]")
+            return
+        sep = "[" + inner
+        for item in obj:
+            write(sep)
+            write_json(item, write, default, inner)
+            sep = "," + inner
+        write(_newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            write("{}")
+            return
+        inner = _newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            write(sep + encode_basestring_ascii(_key_json(key)) + ": ")
+            write_json(value, write, default, inner)
+            sep = "," + inner
+        write(_newline + "}")
+    elif default is not None:
+        write_json(default(obj), write, default, _newline)
+    else:
+        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
 def _attach_family_conditions(cert: "Certificate", code) -> None:
     """Record the recipe family's hypothesis checks alongside the verdict."""
     recipe = getattr(code, "recipe", None)
@@ -501,7 +580,9 @@ class Certificate:
             "seed": self.seed,
             "toolchain-version": self.toolchain_version,
         }
-        return json.dumps(payload, sort_keys=True, indent=2, default=str)
+        pieces: list[str] = []
+        write_json(payload, pieces.append, default=str)
+        return "".join(pieces)
 
     def to_table(self) -> str:
         unlock_big_int_strings()

@@ -83,7 +83,7 @@ def cmd_construct(args) -> int:
     print(_summarize(code))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(_descriptor(code, args.recipe, params), fh, sort_keys=True, indent=2)
+            ct.write_json(_descriptor(code, args.recipe, params), fh.write)
             fh.write("\n")
         print(f"descriptor written to {args.out}")
     return 0

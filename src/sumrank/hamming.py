@@ -214,6 +214,13 @@ def hamming_weight(vec) -> int:
 # cyclotomic cosets and cyclic codes
 # ----------------------------------------------------------------------
 
+# The largest k * n of a dense systematic generator that `cyclic_code` builds
+# (2^24).  Past it the code is refused before any table or matrix exists: a
+# length-32767 ingredient would need about 10^9 cells of Python ints, far past
+# a desk machine's memory.
+DENSE_CELL_LIMIT = 1 << 24
+
+
 def cyclotomic_coset(i: int, Q: int, n: int) -> tuple[int, ...]:
     """The Q-cyclotomic coset of i modulo n, sorted ascending."""
     if gcd(n, Q) != 1:
@@ -263,6 +270,13 @@ def cyclic_code(n: int, field: Field, generators) -> LinearCode:
     for g in generators:
         T.update(cyclotomic_coset(g, Q, n))
     T_sorted = tuple(sorted(T))
+    r = len(T_sorted)
+    k = n - r
+    if k == 0:
+        raise ValueError("defining set covers all residues; code is trivial {0}")
+    if k * n > DENSE_CELL_LIMIT:
+        raise ValueError(f"size gate: the {k} x {n} generator has k*n = {k * n} cells, "
+                         f"above DENSE_CELL_LIMIT = {DENSE_CELL_LIMIT}")
     ext = field.extension(ell)
     beta = ext.pow(ext.generator, (ext.order - 1) // n)
     if ext.pow(beta, n) != 1 or (n > 1 and beta == 1):
@@ -279,10 +293,6 @@ def cyclic_code(n: int, field: Field, generators) -> LinearCode:
         gcoeffs = list(gpoly)
     else:
         gcoeffs = [_project_to(field, ext, c) for c in gpoly]
-    r = len(T_sorted)
-    k = n - r
-    if k == 0:
-        raise ValueError("defining set covers all residues; code is trivial {0}")
     # Systematic form [I_k | P]: row j is x^j - x^k (x^(r+j) mod g(x)), a
     # multiple of g(x) modulo x^n - 1 that is e_j on the first k positions,
     # so [I_k | P] is the unique RREF of the code and [-P^T | I_r] its

@@ -2,8 +2,10 @@
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sumrank import certify as ct
 from sumrank import construct as cs
@@ -289,6 +291,48 @@ def test_certificate_json_deterministic(qp_code):
     assert {q["name"] for q in payload["quantities"]} >= {
         "min_sum_rank_distance", "covering_radius", "dimension"}
     assert all("method" in q for q in payload["quantities"])
+
+
+# JSON-like trees: int lists with bools among the ints (the writer's join
+# path), tuples, empty and nested containers, dict keys of every kind json
+# converts (one comparable kind per dict, as sort_keys needs), escapes and
+# non-ASCII text, nan/inf, ints past the 4300-digit str cap, and Fractions,
+# which only `default` can write
+_BIG_INTS = st.builds(lambda e, s, r: s * (10 ** e + r), st.integers(4300, 4400),
+                      st.sampled_from([1, -1]), st.integers(0, 10 ** 6))
+_LEAVES = (st.none() | st.booleans() | st.integers() | _BIG_INTS | st.floats()
+           | st.text() | st.fractions())
+_KEYS = (st.text(), st.integers() | st.floats() | st.booleans(), st.none())
+
+
+def _json_trees():
+    def containers(children):
+        return (st.lists(children, max_size=4)
+                | st.lists(children, max_size=4).map(tuple)
+                | st.one_of(*(st.dictionaries(keys, children, max_size=4) for keys in _KEYS)))
+    return st.recursive(_LEAVES | st.lists(st.integers() | st.booleans()), containers,
+                        max_leaves=20)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_json_trees())
+@example([1, True, 2, False])
+@example({"a": [], "b": {}, "c": ((),)})
+@example({1.5: [0], 2: [-1], True: None})
+@example(["\u00e9\n\"\\\x00", float("nan"), float("inf"), -float("inf"), Fraction(1, 3)])
+def test_write_json_matches_json_dumps(tree):
+    ct.unlock_big_int_strings()
+    pieces = []
+    ct.write_json(tree, pieces.append, default=str)
+    assert "".join(pieces) == json.dumps(tree, sort_keys=True, indent=2, default=str)
+
+
+def test_write_json_without_default_refuses_what_json_refuses():
+    for bad in (Fraction(1, 3), {(1, 2): 0}):
+        with pytest.raises(TypeError):
+            json.dumps(bad, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            ct.write_json(bad, [].append)
 
 
 def test_certificate_verdicts(am_code):

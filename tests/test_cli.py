@@ -1,10 +1,20 @@
 """CLI: subcommands, exit codes, descriptor round trips, config files."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+import time
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
+from sumrank import hamming as hm
 from sumrank.cli import main, parse_params
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -255,3 +265,58 @@ def test_dp_witness_is_pinned(tmp_path, capsys, claim, recipe, params, exit_code
     assert quantities["min_sum_rank_distance"]["value"] == d
     assert quantities["min_sum_rank_distance"]["method"] == "syndrome-dp"
     assert quantities["distance_witness"]["value"] == witness
+
+
+@pytest.mark.parametrize("argv,sha256", [
+    (("construct", "distance-optimal-2x2", "q=3"),
+     "c3ed45fcb063272dafedbe3f89622ed3dc77f3cae8c1861caadeab9f8d5984bc"),
+    (("certify", "quasi-perfect", "--recipe", "quasi-perfect-2xm", "q=2", "m=2", "u=2"),
+     "ad9752e5ff14273cf3e529fd4fe505d942ce6e6a2814531c321e4bff37edae3d"),
+], ids=["descriptor", "certificate"])
+def test_out_bytes_are_pinned(tmp_path, capsys, argv, sha256):
+    # the hashes are those of json.dump(s)(..., sort_keys=True, indent=2),
+    # which wrote both kinds of --out file before the streaming writer
+    out = tmp_path / "out.json"
+    assert run(capsys, *argv, "--out", str(out))[0] == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+def test_dense_size_gate_refuses_before_building(capsys):
+    # the length-32767 cyclic ingredient over GF(8) would need a 32756 x 32767
+    # generator; the gate refuses it from k and n alone
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, _, err = run(capsys, "construct", "distance-optimal-sxs",
+                           "q=2", "s=3", "m=5", "lam=1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 4
+    assert f"{32756 * 32767} cells" in err and str(hm.DENSE_CELL_LIMIT) in err
+    assert time.perf_counter() - start < 5
+    assert peak < 8 << 20
+
+
+def _fresh_python(code: str, **env) -> str:
+    clean = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    clean["PYTHONPATH"] = str(SRC)
+    return subprocess.run([sys.executable, "-c", code], env=dict(clean, **env),
+                          capture_output=True, text=True, check=True).stdout.split()
+
+
+def test_no_blas_thread_pool_by_default():
+    threads = ("len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') "
+               "else -1")
+    env_value, n_threads = _fresh_python(
+        "import os, sumrank; value = os.environ['OPENBLAS_NUM_THREADS']; "
+        f"import sumrank.cli; print(value, {threads})")
+    assert env_value == "1"
+    if n_threads == "-1":
+        pytest.skip("no /proc/self/task to count threads")
+    assert n_threads == "1"
+
+
+def test_user_blas_setting_is_kept():
+    assert _fresh_python("import os, sumrank; print(os.environ['OPENBLAS_NUM_THREADS'])",
+                         OPENBLAS_NUM_THREADS="3") == ["3"]
