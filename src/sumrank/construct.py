@@ -314,21 +314,22 @@ class IngredientSumRankCode(SumRankCode):
             yield self.packed_from_symbols(combo)
 
     def _generator_rows_packed(self):
-        blocks = {}  # (ingredient, symbol) -> packed block of that lone symbol
-
-        def block(i, s):
-            if (i, s) not in blocks:
-                syms = [0] * self.rows
-                syms[i] = s
-                blocks[i, s] = pack_matrix(self.base, self.block_matrix(syms))
-            return blocks[i, s]
-
         # beta * g over the power basis from high to low, the digit order of
         # the symbol coefficients that `enumerate_packed` counts up
-        return [tuple(block(i, self.ext.mul(beta, g)) for g in grow)
-                for i, code in enumerate(self.ingredients)
-                for grow in code.generator
-                for beta in reversed(self.ext.power_basis())]
+        mul = hm.array_mul(self.ext)
+        betas = np.array(self.ext.power_basis()[::-1], dtype=np.int64)[:, None, None]
+        dtype = np.int64 if self.base.order ** (self.rows * self.m) < 1 << 63 else object
+        rows = []
+        for i, code in enumerate(self.ingredients):
+            gen = np.array(code.generator, dtype=np.int64).reshape(code.k, self.t)
+            symbols, at = np.unique(mul(betas, gen[None]), return_inverse=True)
+            zeros = [0] * self.rows
+            # the packed block of each symbol alone in ingredient row i
+            blocks = np.array([pack_matrix(self.base, self.block_matrix(
+                zeros[:i] + [s] + zeros[i + 1:])) for s in symbols.tolist()], dtype=dtype)
+            rows.append(blocks[at.reshape(len(betas), code.k, self.t)]
+                        .transpose(1, 0, 2).reshape(-1, self.t))
+        return [tuple(row) for row in np.concatenate(rows).tolist()]
 
     def composition_lower_bound(self) -> int:
         """Distance lower bound from the ingredient distances."""

@@ -25,16 +25,23 @@ from .syndrome import (ENUM_BUDGET, SYNDROME_BUDGET, WORK_BUDGET, BudgetExceeded
 # generic linear algebra over a field
 # ----------------------------------------------------------------------
 
-def _array_mul(field: Field):
-    """Elementwise product of int64 arrays of field elements."""
+def array_mul(field: Field, dtype=np.int64):
+    """Elementwise product of `dtype` arrays of field elements.
+
+    The products a * b of a prime field and the log sums of a log-table
+    field are formed in `dtype` too, so it must hold them.
+    """
     if field.is_prime_field and field.p < 1 << 31:
         p = field.p
         return lambda a, b: a * b % p
     if field.has_log_tables:
-        exp, log = field.np_table("exp"), field.np_table("log")
+        exp, log = (field.np_table(kind).astype(dtype) for kind in ("exp", "log"))
         return lambda a, b: exp[log[a] + log[b]]
     mul = np.frompyfunc(field.mul, 2, 1)
-    return lambda a, b: mul(a, b).astype(np.int64)
+    return lambda a, b: mul(a, b).astype(dtype)
+
+
+INT16_ORDER = 181  # largest order whose products, log and digit sums fit int16
 
 
 def rref(field: Field, rows):
@@ -44,13 +51,15 @@ def rref(field: Field, rows):
     below the current one is swapped up and scaled to a leading 1, and
     every other row nonzero in that column is cleared in one update,
     row_i + (-f_i) * pivot_row, on the columns from the pivot on (the pivot
-    row is zero before it).  Products come from `_array_mul`; sums are
-    digit-wise mod p on the packed base-p values.
+    row is zero before it).  Products come from `array_mul`; sums are
+    digit-wise mod p on the packed base-p values.  Fields of order at most
+    `INT16_ORDER` are eliminated in int16, larger ones in int64.
     """
-    mat = np.array(rows, dtype=np.int64)
+    dtype = np.int16 if field.order <= INT16_ORDER else np.int64
+    mat = np.array(rows, dtype=dtype)
     if not len(mat):
         return [], []
-    mul, add = _array_mul(field), digit_adder(field.p, field.dim_over_prime)
+    mul, add = array_mul(field, dtype), digit_adder(field.p, field.dim_over_prime)
     minus_one = field.p - 1  # -1 of the prime field, as a packed element
     pivots = []
     r = 0
@@ -91,7 +100,7 @@ def nullspace(field: Field, rows, ncols: int, *, reduced: bool = False):
     basis = np.zeros((len(free), ncols), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
     if len(red):
-        basis[:, pivots] = _array_mul(field)(red[:, free].T, field.p - 1)
+        basis[:, pivots] = array_mul(field)(red[:, free].T, field.p - 1)
     return [tuple(row) for row in basis.tolist()]
 
 

@@ -208,20 +208,23 @@ def hamming_ball_volume(n: int, r: int, q: int) -> int:
 
 
 def ball_volume_exact(profile: MatrixProfile, r: int) -> int:
-    """|{x : wt_sr(x) <= r}| by convolving per-block rank distributions."""
+    """|{x : wt_sr(x) <= r}| by convolving per-block rank distributions.
+
+    The convolution stops at weight r: the count at weight w reads only the
+    counts at weights <= w.
+    """
     if r < 0:
         raise ValueError("radius must be nonnegative")
     q = profile.q
-    cap = profile.max_weight()
-    r = min(r, cap)
-    vol = [0] * (cap + 1)
+    r = min(r, profile.max_weight())
+    vol = [0] * (r + 1)
     vol[0] = 1
     upto = 0
     for n, m in profile.blocks:
         dist = rank_distribution(n, m, q)
         upto += len(dist) - 1
-        new = [0] * (cap + 1)
-        for w in range(min(upto, cap) + 1):
+        new = [0] * (r + 1)
+        for w in range(min(upto, r) + 1):
             acc = 0
             for rk, cnt in enumerate(dist):
                 if rk > w:
@@ -229,7 +232,7 @@ def ball_volume_exact(profile: MatrixProfile, r: int) -> int:
                 acc += cnt * vol[w - rk]
             new[w] = acc
         vol = new
-    return sum(vol[: r + 1])
+    return sum(vol)
 
 
 def radius2_ball_lower_bound(t: int, s: int, q: int) -> Fraction:

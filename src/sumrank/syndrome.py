@@ -4,14 +4,27 @@ Words are built block by block.  After some blocks, A[s] is the least
 weight of a word on them with syndrome s.  A block value weighs its rank,
 and a rank-r value is a sum of r rank-1 values: the nonzero points of the
 (q^n - 1)/(q - 1) lines U_u = {u v^T : v in GF(q)^m} of an n x m block
-(n <= m), each an F_p-subspace.  So n rounds of
+(n <= m), each an F_p-subspace.  So n - 1 rounds of
 
     A <- min(A, 1 + min over lines u of min over x in U_u of A[s - syn(x)])
 
-add the block, the inner coset-min taken by m*e sweeps of (p - 1)
-shift-mins over the line's generator syndromes.  A Hamming-metric code is
-the case of 1 x 1 blocks.  After the last block R = max A and A is the
-coset-leader table.  Every value is a small exact integer.
+give the block's values of rank <= n - 1, the inner coset-min taken by
+m*e sweeps of (p - 1) shift-mins over the line's generator syndromes.
+Rank n comes from one min over all block values of A as it was before
+the block, counted at weight n: a value of lower rank counted at n never
+wins, so this is exact.  A Hamming-metric code is the case of 1 x 1
+blocks.  After the last block R = max A and A is the coset-leader table.
+Every value is a small exact integer.
+
+A syndrome index concatenates the base-p digits of the syndrome entries,
+as GF(p^e) elements are packed, so subtraction is digit-wise mod p.  Each
+block runs on a copy of A in its own layout (`_layout`): the block's
+syndromes span a subspace G of dimension k, and cell (y, c) of the
+(p^k, p^(D - k)) copy holds the syndrome with pivot digits y (over an RREF
+basis of G) and other digits c plus those of the basis combination y.
+Every shift by a syndrome in G is then a row gather, and the min over all
+of G is a column min.  A is gathered into the layout and scattered back
+once per block.
 
 Rank-1 rounds would count x + (-x) as a nonzero word, so d comes from a
 gather before each block instead,
@@ -21,11 +34,7 @@ gather before each block instead,
 and d = b_zero after the last block.  For the witness the DP records, per
 weight level w <= codim, the number of blocks after which A[s] first drops
 to <= w; A before block b is the number of levels not yet reached then.
-
-A syndrome index concatenates the base-p digits of the syndrome entries,
-as GF(p^e) elements are packed, so subtraction is digit-wise mod p.  The
-index splits into digit halves s = hi * p^D2 + lo, and a shift of the
-(p^D1, p^D2) state is one row and one column gather.
+Both use syndrome indices, not a layout.
 
 When the syndrome space is too large, `least_weight_word` settles d by
 enumerating the code in numpy chunks instead, in both metrics.
@@ -58,9 +67,11 @@ def dp_budget_stop(field, codim: int, shapes, syndrome_budget: int,
                    work_budget: int) -> str | None:
     """Why the DP may not run within these budgets, or None if it may.
 
-    Per block the DP makes n rounds over the block's rank-1 lines, m*e*(p - 1)
-    shift passes over the q^codim syndromes each, and reads every one of the
-    block's q^(nm) values once, for its syndromes, ranks and d.
+    A work unit counts, per block, n rounds over the block's rank-1 lines
+    of m*e*(p - 1) shift passes over the q^codim syndromes each, plus one
+    read of each of the block's q^(nm) values for its syndromes, ranks and
+    d.  The DP makes n - 1 such rounds (a column min replaces the last), so
+    the count bounds its shift passes from above.
     """
     q, e, p = field.order, field.dim_over_prime, field.p
     n_syn = q ** codim
@@ -102,6 +113,74 @@ def block_syndromes(field, columns) -> np.ndarray:
         digits = (values[:, None] // unit_powers) % p
         syn[lo:lo + len(values)] = (digits @ unit_digits) % p @ syn_powers
     return syn
+
+
+def _echelon(p: int, rows: np.ndarray):
+    """Reduced row echelon basis over GF(p) of digit rows, and its pivots."""
+    basis = {}  # pivot -> row with 1 there and 0 at every other pivot
+    for row in rows.tolist():
+        for c, g in basis.items():
+            if row[c]:
+                row = [(a - row[c] * b) % p for a, b in zip(row, g)]
+        c = next((i for i, a in enumerate(row) if a), None)
+        if c is None:
+            continue
+        inv = pow(row[c], p - 2, p)
+        row = [a * inv % p for a in row]
+        for d, g in basis.items():
+            if g[c]:
+                basis[d] = [(a - g[c] * b) % p for a, b in zip(g, row)]
+        basis[c] = row
+    pivots = sorted(basis)
+    return (np.array([basis[c] for c in pivots], dtype=np.int64)
+            .reshape(len(pivots), rows.shape[1]), pivots)
+
+
+@lru_cache(maxsize=None)
+def _digit_rows(p: int, width: int) -> np.ndarray:
+    """The base-p digits of 0 .. p^width - 1, one row each, least significant first."""
+    rows = np.arange(p ** width, dtype=np.int64)[:, None] // p ** np.arange(width) % p
+    rows.flags.writeable = False  # shared by every caller through the cache
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _sum_table(p: int, width: int) -> np.ndarray:
+    """S[a, b]: the digit-wise sum mod p of the width-digit values a and b."""
+    r = np.arange(p ** width, dtype=np.int64)
+    table = digit_adder(p, width)(r[:, None], r[None, :])
+    table.flags.writeable = False  # shared by every caller through the cache
+    return table
+
+
+def _layout(p: int, basis: np.ndarray, pivots, out: np.ndarray) -> np.ndarray:
+    """Syndrome index of every cell (y, c) of a block's layout: a (p^k, p^f) view of `out`.
+
+    `basis` is the RREF basis g_1..g_k of the block's syndrome span, with
+    `pivots`.  Cell (y, c) is the syndrome with pivot digits y and other
+    digits c + t(y), t(y) the non-pivot digits of sum_j y_j g_j, so a shift
+    by any syndrome of the span changes y only.  The non-pivot digits are
+    split in two halves, and each half's digit-wise sums t(y) + c are read
+    from the table of all sums of two half-width values.  `out` holds one
+    index per syndrome.
+    """
+    free = [i for i in range(basis.shape[1]) if i not in pivots]
+    y = _digit_rows(p, len(pivots))
+    t = y @ basis[:, free] % p  # t(y), one digit per non-pivot position
+    split = len(free) // 2      # c = c_hi * p^split + c_lo
+    hi, lo = (_placed_sums(p, free[split:], t[:, split:]),
+              _placed_sums(p, free[:split], t[:, :split]))
+    pivot_part = y @ p ** np.array(pivots, dtype=np.int64)
+    index = out.reshape(len(y), len(hi[0]), len(lo[0]))
+    np.add((pivot_part[:, None] + hi)[:, :, None], lo[:, None, :], out=index)
+    return out.reshape(len(y), -1)
+
+
+def _placed_sums(p: int, positions, t: np.ndarray) -> np.ndarray:
+    """Row y: the digits t[y] + c placed at `positions`, for every c."""
+    width = len(positions)
+    placed = _digit_rows(p, width) @ p ** np.array(positions, dtype=np.int64)
+    return placed[_sum_table(p, width)[t @ p ** np.arange(width)]]
 
 
 @lru_cache(maxsize=None)
@@ -177,38 +256,26 @@ def syndrome_dp(field, parity, shapes, *, witness: bool = True) -> SyndromeDP:
     digits = codim * field.dim_over_prime
     columns = list(zip(*parity)) or [()] * sum(n * m for n, m in shapes)
     starts = np.cumsum([0] + [n * m for n, m in shapes])
-    low = digits // 2
-    n1, n2 = p ** (digits - low), p ** low
 
     def block_syn(b):
         return block_syndromes(field, columns[starts[b]:starts[b + 1]])
 
-    def shifter(ks):  # per syndrome k: M -> M[s - k], a row then a column gather
-        k_hi, k_lo = divmod(ks, n2)
-        rows = _digit_sub(p, digits - low, np.arange(n1), k_hi[:, None])
-        cols = _digit_sub(p, low, np.arange(n2), k_lo[:, None])
-
-        def shift(M, j):
-            if k_hi[j]:
-                M = M[rows[j]]
-            return M[:, cols[j]] if k_lo[j] else M
-        return shift
-
-    def coset_min(M, gens, shift):  # min of M[s - syn(x)] over the F_p-span of gens
+    def coset_min(M, gens, rows):  # min of M[s - syn(x)] over the F_p-span of gens
         for j in gens:
-            acc, cur = M, M
+            acc = cur = M
             for _ in range(p - 1):
-                cur = shift(cur, j)
+                cur = np.take(cur, rows[j], axis=0)
                 acc = np.minimum(acc, cur)
             M = acc
         return M
 
-    A = np.full((n1, n2), _INF, dtype=np.int8)
-    A[0, 0] = 0
-    flat = A.reshape(-1)
+    flat = np.full(p ** digits, _INF, dtype=np.int8)
+    flat[0] = 0
+    buf = np.empty_like(flat)  # the state in the current block's layout
+    index = np.empty(len(flat), dtype=np.intp)  # the syndrome of each layout cell
     t = len(shapes)
     if witness:  # levels[w, s]: blocks after which A[s] is first <= w, else t + 1
-        levels = np.full((codim + 1, n1 * n2), t + 1,
+        levels = np.full((codim + 1, len(flat)), t + 1,
                          dtype=np.uint8 if t < 255 else np.uint16)
         levels[:, 0] = 0
     b_zero = []
@@ -219,22 +286,32 @@ def syndrome_dp(field, parity, shapes, *, witness: bool = True) -> SyndromeDP:
         # A[-syn(v)] + rank(v) is the min over v of A[syn(v)] + rank(v)
         reach = flat[syn[1:]] + ranks[1:].astype(np.int16)
         b_zero.append(min(b_zero[-1] if b_zero else _INF, int(reach.min())))
-        gens = syn[_line_generators(field, n, m)]  # generator syndromes per line
-        ks, js = np.unique(gens, return_inverse=True)
-        shift = shifter(ks)
-        lines = [[j for j in row if ks[j]] for row in js.reshape(gens.shape).tolist()]
+        units = syn[p ** np.arange(n * m * field.dim_over_prime)]  # unit digits' syndromes
+        basis, pivots = _echelon(p, units[:, None] // p ** np.arange(digits) % p)
+        idx = _layout(p, basis, pivots, index)
+        B = np.take(flat, idx, out=buf.reshape(idx.shape))
+        top = B.min(axis=0) + np.int8(n)  # any block value, counted at weight n
+        if n > 1:
+            gens = syn[_line_generators(field, n, m)]  # generator syndromes per line
+            ks, js = np.unique(gens, return_inverse=True)
+            # a shift by syndrome k moves row y to row y + (the pivot digits of k)
+            ks_y = sum(ks // p ** at % p * p ** j for j, at in enumerate(pivots))
+            rows = _digit_sub(p, len(pivots), np.arange(len(B)), np.reshape(ks_y, (-1, 1)))
+            lines = [[j for j in row if ks[j]] for row in js.reshape(gens.shape).tolist()]
+            for _ in range(n - 1):
+                C = np.full_like(B, _INF)
+                for line in lines:
+                    np.minimum(C, coset_min(B, line, rows), out=C)
+                np.minimum(B, C + 1, out=B)
+        np.minimum(B, top, out=B)
         before = flat.copy() if witness else None
-        for _ in range(n):
-            C = np.full_like(A, _INF)
-            for line in lines:
-                np.minimum(C, coset_min(A, line, shift), out=C)
-            np.minimum(A, C + 1, out=A)
+        flat[idx] = B
         if witness:
-            idx = np.flatnonzero(flat < before)
-            new, old = flat[idx], before[idx]
+            changed = np.flatnonzero(flat < before)
+            new, old = flat[changed], before[changed]
             for w in range(codim + 1):
-                levels[w, idx[(new <= w) & (old > w)]] = b + 1
-    if int(A.max()) >= _INF:
+                levels[w, changed[(new <= w) & (old > w)]] = b + 1
+    if int(flat.max()) >= _INF:
         raise RuntimeError("parity map is not onto: a syndrome is unreachable")
     distance = b_zero[-1] if b_zero[-1] < _INF else None
     if not witness or distance is None:

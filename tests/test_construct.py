@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from sumrank import certify as ct
 from sumrank import construct as cs
 from sumrank import hamming as hm
 from sumrank import spaces as sp
@@ -313,15 +314,81 @@ def test_describe_roundtrip_deterministic():
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
 
 
+def _syndrome_stop(codim_bits):
+    return f"syndrome budget 65536 < {2 ** codim_bits} syndromes (q^codim)"
+
+
+# why the syndrome DP may not run at the default budgets, per certify job
+# (None: it runs); a job that moves between the DP, enumeration and the
+# composition rules changes its certificate's method
+DP_STOPS = {
+    "certify almost-msrd --recipe almost-msrd-2x2 q=2 t=4": None,
+    "certify distance-optimal --recipe distance-optimal-2x2 q=3": None,
+    "certify distance-optimal --recipe plotkin-distance-optimal s=3 m=1": _syndrome_stop(18),
+    "certify msrd --recipe covering-repetition q=2 m=4 t=12": _syndrome_stop(176),
+    "certify msrd --recipe quasi-perfect-2x2 t=6": None,
+    "certify quasi-perfect --recipe almost-msrd-2x2 q=3 t=9": None,
+    "certify quasi-perfect --recipe distance-optimal-sxs q=3 s=2 m=1": None,
+    "certify quasi-perfect --recipe quasi-perfect-2x2 t=6": None,
+    "certify quasi-perfect --recipe quasi-perfect-2xm q=2 m=2 u=2": None,
+    "certify quasi-perfect --recipe quasi-perfect-2xm q=3 m=2 u=3": None,
+    "certify quasi-perfect --recipe quasi-perfect-2xm q=4 m=2 u=2": None,
+    "certify quasi-perfect --recipe quasi-perfect-2xm q=5 m=2 u=2": None,
+    "certify singleton --recipe covering-repetition q=2 m=4 t=8": _syndrome_stop(112),
+    "certify sphere-packing --recipe covering-repetition q=2 m=4 t=16": _syndrome_stop(240),
+}
+
+
 def test_flat_parity_of_every_certify_job_is_pinned():
     # the RREF is unique, so every grid code keeps the parity matrix the
-    # benchmark's reference table stores, one decimal digit per entry
+    # benchmark's reference table stores, one decimal digit per entry; the
+    # DP dispatch of every job is pinned too
     jobs = {key: ref for key, ref in json.loads(REFERENCE.read_text())["jobs"].items()
             if key.startswith("certify ")}
-    assert len(jobs) == 14
+    assert len(jobs) == 14 and set(jobs) == set(DP_STOPS)
     for key, ref in jobs.items():
         argv = key.split()
         code = cs.build_recipe(argv[argv.index("--recipe") + 1],
                                **parse_params([a for a in argv if "=" in a]))
+        assert ct._dp_stop(code, ct.SYNDROME_BUDGET, ct.WORK_BUDGET) == DP_STOPS[key], key
         assert ref["field"] == code.base.describe(), key
         assert ref["parity"] == ["".join(map(str, row)) for row in code.flat_parity], key
+
+
+def _generator_rows_oracle(code):
+    """The packed generator rows, one `block_matrix` per distinct lone symbol."""
+    blocks = {}  # (ingredient, symbol) -> packed block of that lone symbol
+
+    def block(i, s):
+        if (i, s) not in blocks:
+            syms = [0] * code.rows
+            syms[i] = s
+            blocks[i, s] = sp.pack_matrix(code.base, code.block_matrix(syms))
+        return blocks[i, s]
+
+    return [tuple(block(i, code.ext.mul(beta, g)) for g in grow)
+            for i, ingredient in enumerate(code.ingredients)
+            for grow in ingredient.generator
+            for beta in reversed(code.ext.power_basis())]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cs.covering_repetition(2, 2, 3),
+    lambda: cs.covering_repetition(3, 2, 2),
+    lambda: cs.quasi_perfect_2xm(2, 2, 2),
+    lambda: cs.quasi_perfect_2xm(4, 2, 2),
+    lambda: cs.quasi_perfect_2x2(6),
+    lambda: cs.distance_optimal_2x2(3),
+    lambda: cs.almost_msrd_2x2(3, 9),
+    lambda: cs.distance_optimal_sxs(3, 2, 1),
+    # a zero ingredient, and a thin linearized code (fewer rows than m)
+    lambda: cs.sr_covering([hm.zero_code(make_field(2, [2]), 3),
+                            hm.repetition_code(make_field(2, [2]), 3)]),
+    lambda: cs.sr_linearized([hm.reed_solomon(make_field(2, [3]), 5, 2)],
+                             base=make_field(2, [1])),
+    # 8 x 8 binary blocks: packed values reach 2^64, past int64
+    lambda: cs.covering_repetition(2, 8, 2),
+])
+def test_generator_rows_match_lone_symbol_loop(build):
+    code = build()
+    assert code._generator_rows_packed() == _generator_rows_oracle(code)

@@ -356,9 +356,12 @@ def _nullspace_oracle(field, rows, ncols):
     return basis
 
 
+# GF(181), GF(169) and GF(128) sit at the top of the int16 elimination
+# (hm.INT16_ORDER): the largest prime products, odd-p log sums and digit sums
 RREF_FIELDS = [make_field(2, [1]), make_field(3, [1]), make_field(5, [1]),
                make_field(2, [2]), make_field(2, [3]), make_field(3, [2]),
-               make_field(5, [2]), make_field(2, [2, 2])]
+               make_field(5, [2]), make_field(2, [2, 2]),
+               make_field(181, [1]), make_field(13, [2]), make_field(2, [7])]
 
 
 @st.composite

@@ -170,6 +170,33 @@ def test_ball_volume_heterogeneous_brute(f2, f3):
             assert sp.ball_volume_exact(prof, r) == sp.brute_ball_volume(prof, r)
 
 
+def _ball_volume_full(profile, r):
+    """Ball volume from the per-block rank distributions convolved out to weight N."""
+    vol = [1]
+    for n, m in profile.blocks:
+        dist = sp.rank_distribution(n, m, profile.q)
+        vol = [sum(dist[k] * vol[w - k] for k in range(len(dist)) if 0 <= w - k < len(vol))
+               for w in range(len(vol) + len(dist) - 1)]
+    return sum(vol[:r + 1])
+
+
+BALL_SHAPES = {2: ((1, 1), (1, 2), (2, 2), (1, 3), (2, 3)), 3: ((1, 1), (1, 2), (2, 2))}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(BALL_SHAPES)).flatmap(lambda q: st.tuples(
+    st.just(q), st.lists(st.sampled_from(BALL_SHAPES[q]), min_size=1, max_size=5))),
+    st.integers(0, 12))
+def test_ball_volume_stops_at_radius(shape, r):
+    from sumrank.construct import field_of_order
+    q, blocks = shape
+    prof = sp.MatrixProfile(field_of_order(q), tuple(blocks))
+    exact = sp.ball_volume_exact(prof, r)
+    assert exact == _ball_volume_full(prof, r)
+    if prof.ambient_size <= 1 << 14:
+        assert exact == int((sp.brute_weight_array(prof) <= r).sum())
+
+
 def test_radius2_lower_bound(f2):
     assert sp.radius2_ball_lower_bound(2, 2, 2) == 81
     assert sp.radius2_ball_lower_bound(15, 2, 2) == 8505

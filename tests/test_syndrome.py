@@ -274,12 +274,35 @@ def _one_block(q, shape):
                                   for i in range(cells)], [shape]
 
 
+def _problem(q, shapes, rows):
+    field = cs.field_of_order(q)
+    return field, hm.rref(field, rows)[0], list(shapes)
+
+
+# the 3 x 3 block's syndromes have a zero last digit: they span at most 4 of D = 5
+_NON_SPANNING_ROWS = np.random.default_rng(3).integers(0, 2, size=(4, 11)).tolist() + \
+    [[0] * 9 + [1, 1]]
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(parity_problems())
 @example(_one_block(2, (3, 3)))
 @example(_one_block(3, (2, 3)))
 @example(_one_block(4, (2, 2)))
 @example(_one_block(9, (1, 2)))
+# codim 0: one syndrome, every block's span is {0}
+@example(_problem(2, [(2, 2), (1, 1)], []))
+@example(_problem(3, [(1, 2)], []))
+# odd D = 3; the 2 x 2 block's 4 unit syndromes span only 2 dimensions
+@example(_problem(2, [(2, 2), (1, 1)], [[1, 0, 1, 0, 0], [0, 1, 1, 0, 0], [0, 0, 0, 0, 1]]))
+# a block spanning the whole syndrome space (one layout column), then a
+# block whose syndromes are all zero; p = 2 and p = 3
+@example(_problem(2, [(2, 2), (1, 1)], [[1, 0, 1, 0, 0], [0, 1, 1, 0, 0]]))
+@example(_problem(3, [(1, 2), (1, 1)], [[1, 0, 0], [0, 1, 0]]))
+# odd p with e = 2 (GF(9), D = 4)
+@example(_problem(9, [(1, 2), (1, 1)], [[1, 3, 0], [0, 1, 5]]))
+# a 3 x 3 block (two line rounds before the column min) that does not span
+@example(_problem(2, [(3, 3), (1, 1), (1, 1)], _NON_SPANNING_ROWS))
 def test_rank_one_dp_matches_full_dp(problem):
     _check_against_full_dp(*problem)
 
