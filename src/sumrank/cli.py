@@ -4,13 +4,19 @@ Subcommands: construct, certify, bounds, table, selftest.  Parameters are
 key=value tokens (ints where they parse); a config file of KEY=VALUE lines
 may supply defaults.  Exit codes: 0 certified/ok, 1 refuted, 2
 inconclusive, 3 internal error, 4 usage error.
+
+`run()` is the process entry point; Python callers use `main(argv)`, which
+returns the exit code and leaves the interpreter running.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
+from typing import NoReturn
 
 from . import certify as ct
 from . import construct as cs
@@ -77,7 +83,16 @@ def _descriptor(code, recipe: str, params: dict) -> dict:
     return {"recipe": recipe, "params": params, "descriptor": code.describe()}
 
 
+def _check_out_dir(path: str | None) -> None:
+    """Refuse an --out path whose directory does not exist, before any work."""
+    if path:
+        directory = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(directory):
+            raise FileNotFoundError(f"--out {path}: no directory {directory}")
+
+
 def cmd_construct(args) -> int:
+    _check_out_dir(args.out)
     params = parse_params(args.params, args.config)
     code = cs.build_recipe(args.recipe, **params)
     print(_summarize(code))
@@ -105,6 +120,7 @@ def _load_code(args, params):
 
 
 def cmd_certify(args) -> int:
+    _check_out_dir(args.out)
     params = parse_params(args.params, args.config)
     code, recipe = _load_code(args, params)
     budgets = dict(enum_budget=args.enum_budget, syndrome_budget=args.syndrome_budget,
@@ -326,11 +342,46 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as exc:  # noqa: BLE001 - report and keep the >2 contract
-        name = type(exc).__name__
-        print(f"internal error: {name}: {exc}" if str(exc) else f"internal error: {name}",
-              file=sys.stderr)
+        _report_internal_error(exc)
         return INTERNAL_ERROR
 
 
+def _report_internal_error(exc: Exception) -> None:
+    name = type(exc).__name__
+    print(f"internal error: {name}: {exc}" if str(exc) else f"internal error: {name}",
+          file=sys.stderr)
+
+
+def run() -> NoReturn:
+    """Run `main()` on the process's arguments and exit without interpreter teardown.
+
+    Finalizing the module state of numpy and sumrank costs about 50 ms per
+    process and serves no CLI user, so once standard output and standard
+    error are flushed the process ends by `os._exit`.  That skips `atexit`
+    handlers and the close of every open file object: every file the CLI
+    writes (`--out`, and any output file added later) must be written and
+    closed inside `main`, as the `with` blocks of `cmd_construct` and
+    `cmd_certify` do.  A flush that fails, such as on a pipe whose reader has
+    gone, turns the exit code into 3 with the `internal error:` line that
+    the same failure gives inside `main`.  An exception that `main` lets
+    through (KeyboardInterrupt) propagates, and the interpreter exits the
+    normal way.
+    """
+    code = main()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        code = INTERNAL_ERROR
+        with contextlib.suppress(OSError):
+            _report_internal_error(exc)
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        code = INTERNAL_ERROR
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -14,7 +14,8 @@ import pytest
 from sumrank import hamming as hm
 from sumrank.cli import main, parse_params
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def run(capsys, *argv):
@@ -52,12 +53,16 @@ def test_construct_certify_roundtrip(tmp_path, capsys):
     assert saved["recipe"] == "almost-msrd-2x2"
 
 
-def test_corrupted_descriptor_rejected(tmp_path, capsys):
-    desc = tmp_path / "code.json"
+def _write_corrupted_descriptor(desc: Path, capsys) -> None:
     run(capsys, "construct", "almost-msrd-2x2", "q=2", "t=4", "--out", str(desc))
     saved = json.loads(desc.read_text())
     saved["descriptor"]["dimension"] = 99
     desc.write_text(json.dumps(saved))
+
+
+def test_corrupted_descriptor_rejected(tmp_path, capsys):
+    desc = tmp_path / "code.json"
+    _write_corrupted_descriptor(desc, capsys)
     code, out, err = run(capsys, "certify", "almost-msrd", "--code", str(desc))
     assert code == 3
     assert "descriptor mismatch" in err
@@ -267,6 +272,20 @@ def test_dp_witness_is_pinned(tmp_path, capsys, claim, recipe, params, exit_code
     assert quantities["distance_witness"]["value"] == witness
 
 
+@pytest.mark.parametrize("argv", [
+    ("construct", "almost-msrd-2x2", "q=2", "t=4"),
+    ("certify", "almost-msrd", "--recipe", "almost-msrd-2x2", "q=2", "t=4"),
+], ids=["construct", "certify"])
+def test_missing_out_directory_refused_before_work(tmp_path, capsys, monkeypatch, argv):
+    from sumrank import construct as cs
+    monkeypatch.setattr(cs, "build_recipe", lambda *a, **k: pytest.fail("code was built"))
+    out = tmp_path / "missing" / "x.json"
+    code, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert code == 4 and stdout == ""
+    assert str(out) in err
+    assert not out.parent.exists()
+
+
 @pytest.mark.parametrize("argv,sha256", [
     (("construct", "distance-optimal-2x2", "q=3"),
      "c3ed45fcb063272dafedbe3f89622ed3dc77f3cae8c1861caadeab9f8d5984bc"),
@@ -298,10 +317,14 @@ def test_dense_size_gate_refuses_before_building(capsys):
     assert peak < 8 << 20
 
 
+def _child_env(**env) -> dict:
+    clean = {k: v for k, v in os.environ.items()
+             if k not in ("OPENBLAS_NUM_THREADS", "PYTHONUNBUFFERED")}
+    return dict(clean, PYTHONPATH=str(SRC), **env)
+
+
 def _fresh_python(code: str, **env) -> str:
-    clean = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    clean["PYTHONPATH"] = str(SRC)
-    return subprocess.run([sys.executable, "-c", code], env=dict(clean, **env),
+    return subprocess.run([sys.executable, "-c", code], env=_child_env(**env),
                           capture_output=True, text=True, check=True).stdout.split()
 
 
@@ -320,3 +343,77 @@ def test_no_blas_thread_pool_by_default():
 def test_user_blas_setting_is_kept():
     assert _fresh_python("import os, sumrank; print(os.environ['OPENBLAS_NUM_THREADS'])",
                          OPENBLAS_NUM_THREADS="3") == ["3"]
+
+
+@pytest.mark.parametrize("exit_code,argv", [
+    (0, ("certify", "distance-optimal", "--recipe", "distance-optimal-2x2", "q=2")),
+    (1, ("certify", "msrd", "--recipe", "almost-msrd-2x2", "q=2", "t=4")),
+    (2, ("certify", "distance-optimal", "--recipe", "cyclic-d4", "q=4", "m=2", "lam=1")),
+    (3, ("certify", "almost-msrd", "--code", "CORRUPTED")),
+    (4, ("certify", "distance-optimal", "--recipe", "nope")),
+], ids=["certified", "refuted", "inconclusive", "internal-error", "usage-error"])
+def test_process_matches_in_process_main(tmp_path, capsys, exit_code, argv):
+    # the process exits through run(), which skips teardown; nothing a user
+    # sees may differ from main() in this interpreter
+    desc = tmp_path / "code.json"
+    if "CORRUPTED" in argv:
+        _write_corrupted_descriptor(desc, capsys)
+    out = tmp_path / "out.json"
+    argv = [str(desc) if a == "CORRUPTED" else a for a in argv] + ["--out", str(out)]
+    proc = subprocess.run([sys.executable, "-m", "sumrank.cli", *argv], env=_child_env(),
+                          capture_output=True)
+    process = (proc.returncode, proc.stdout, proc.stderr,
+               out.read_bytes() if out.exists() else None)
+    out.unlink(missing_ok=True)
+    code = main(argv)
+    captured = capsys.readouterr()
+    in_process = (code, captured.out.encode(), captured.err.encode(),
+                  out.read_bytes() if out.exists() else None)
+    assert process == in_process
+    assert code == exit_code and (in_process[3] is not None) == (exit_code < 3)
+
+
+def test_process_exit_skips_teardown():
+    child = ("import atexit, runpy, sys\n"
+             "atexit.register(lambda: print('TEARDOWN', flush=True))\n"
+             "sys.argv = ['sumrank', 'selftest']\n"
+             "runpy.run_module('sumrank.cli', run_name='__main__')\n")
+    proc = subprocess.run([sys.executable, "-c", child], env=_child_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert "[PASS]" in proc.stdout and "TEARDOWN" not in proc.stdout
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_failed_final_flush_is_internal_error(unbuffered):
+    # buffered, the write fails in run()'s flush; unbuffered, in main()'s print
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = _child_env(PYTHONUNBUFFERED="1") if unbuffered else _child_env()
+    try:
+        proc = subprocess.run([sys.executable, "-m", "sumrank.cli", "selftest"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("internal error: BrokenPipeError")
+    assert proc.stderr.count("\n") == 1
+
+
+def _close_stdout_and_stderr():
+    os.close(1)
+    os.close(2)
+
+
+def test_closed_standard_streams_are_not_an_error():
+    # started with fds 1 and 2 closed, sys.stdout and sys.stderr are None
+    proc = subprocess.run([sys.executable, "-m", "sumrank.cli", "selftest"],
+                          env=_child_env(), preexec_fn=_close_stdout_and_stderr)
+    assert proc.returncode == 0
+
+
+def test_console_script_is_run():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"sumrank": "sumrank.cli:run"}
