@@ -22,7 +22,7 @@ from . import certify as ct
 from . import construct as cs
 from . import hamming as hm
 from .spaces import MatrixProfile, ball_volume_exact, count_rank_matrices
-from .gf import make_field, parse_field
+from .gf import make_field
 
 USAGE_ERROR = 4
 INTERNAL_ERROR = 3
@@ -149,6 +149,8 @@ def _certify_hamming(code: hm.LinearCode, claim: str, recipe: str, params: dict,
     if not res.exact:
         cert.verdict = "inconclusive"
         cert.add_quantity("min_distance", [res.lo, res.hi], res.method + " (interval)")
+        if res.note:
+            cert.notes.append(res.note)
         return cert
     cert.add_quantity("min_distance", res.value, res.method)
     if claim == "distance-optimal":
@@ -174,14 +176,17 @@ def _certify_hamming(code: hm.LinearCode, claim: str, recipe: str, params: dict,
     raise ValueError(f"claim {claim!r} is not supported for Hamming-metric codes")
 
 
+def _profile(p: dict) -> MatrixProfile:
+    """The profile of `q=Q blocks=NxM[,NxM...]` over GF(Q)."""
+    blocks = tuple(tuple(map(int, b.split("x"))) for b in str(p["blocks"]).split(","))
+    return MatrixProfile(cs.field_of_order(p["q"]), blocks)
+
+
 def cmd_bounds(args) -> int:
     p = parse_params(args.params, args.config)
     kind = args.kind
     if kind == "singleton":
-        field = make_field(p["p"], [p.get("e", 1)]) if "p" in p else parse_field(p["field"])
-        blocks = tuple(tuple(map(int, b.split("x"))) for b in str(p["blocks"]).split(","))
-        prof = MatrixProfile(field, blocks)
-        print(ct.singleton_like_bound(prof, p["d"]))
+        print(ct.singleton_like_bound(_profile(p), p["d"]))
         return 0
     if kind == "strong-bch":
         rec = ct.strong_singleton_bch(p["m"], p["t"], p["e"], p["n"], p["d"])
@@ -216,10 +221,7 @@ def cmd_bounds(args) -> int:
         print(f"[{interval[0]}, {interval[1]}]")
         return 0
     if kind == "volume":
-        field = cs.field_of_order(p["q"])
-        blocks = tuple(tuple(map(int, b.split("x"))) for b in str(p["blocks"]).split(","))
-        prof = MatrixProfile(field, blocks)
-        print(ball_volume_exact(prof, p["r"]))
+        print(ball_volume_exact(_profile(p), p["r"]))
         return 0
     if kind == "condition":
         rec = ct.family_condition_checks(p.pop("family"), p)
@@ -297,7 +299,9 @@ def build_parser() -> _Parser:
     z.add_argument("--code", help="descriptor JSON written by construct")
     z.add_argument("--out", help="write the certificate as JSON")
     z.add_argument("--enum-budget", type=int, default=ct.ENUM_BUDGET,
-                   help="most codewords an exhaustive distance enumeration may stream")
+                   help="most codewords an exhaustive distance enumeration may "
+                        "stream, and most half-words per table of the Hamming "
+                        "support search")
     z.add_argument("--sweep-budget", type=int, default=ct.WORK_BUDGET,
                    help="most syndrome-DP work: shift passes x q^codim "
                         "plus block values, over all blocks")

@@ -6,8 +6,13 @@ Two ingredient-based constructions are provided:
   m x m matrix whose i-th row is the coordinate vector of the r-th symbol
   of the i-th ingredient codeword; and
 * the linearized-polynomial construction, where block r is the matrix of
-  x -> sum_j c_jr * phi(x**(q**(j-1))) acting on GF(q^n), written in fixed
-  bases of GF(q^n) and GF(q^m).
+  x -> sum_j c_jr * phi(x**(q**(j-1))) acting on GF(q^n), n the number of
+  ingredients.
+
+Both write blocks in the power bases of GF(q^n) and GF(q^m) over GF(q), and
+phi is the power-basis digit embedding of GF(q^n) in GF(q^m): it keeps the
+digits, so it is the identity on element ints.  The base field GF(q) is the
+subfield of the ingredients' symbol field.
 
 On top of those sit the full-block extension and the Plotkin sum, plus the
 named parameterized recipes used by the CLI.
@@ -163,19 +168,25 @@ def _pack_symbols(symbols, Q: int) -> int:
 
 
 class IngredientSumRankCode(SumRankCode):
-    """Covering or linearized construction from Hamming ingredient codes."""
+    """Covering or linearized construction from Hamming ingredient codes.
 
-    def __init__(self, construction: str, base: Field, ext: Field,
-                 ingredients, *, basis=None, domain=None, domain_basis=None,
-                 phi=None, designed_distance: int | None = None,
+    The ingredients share the symbol field GF(q^m), and the base field
+    GF(q) is its subfield.
+    """
+
+    def __init__(self, construction: str, ingredients, *,
+                 designed_distance: int | None = None,
                  recipe: str | None = None, params: dict | None = None):
         if construction not in ("covering", "linearized"):
             raise ValueError("construction must be 'covering' or 'linearized'")
-        if ext.subfield != base:
-            raise ValueError("the symbol field must be an extension of the base field")
         ingredients = tuple(ingredients)
         if not ingredients:
             raise ValueError("at least one ingredient code is required")
+        ext = ingredients[0].field
+        if ext.subfield is None:
+            raise ValueError(f"ingredients over the prime field {ext!r} have no base "
+                             "field: the symbol field must be an extension GF(q^m)")
+        base = ext.subfield
         t = ingredients[0].n
         for c in ingredients:
             if c.field != ext:
@@ -199,60 +210,34 @@ class IngredientSumRankCode(SumRankCode):
         self.t = t
         self.m = m
         self.rows = rows
-        self.basis = tuple(basis) if basis is not None else ext.power_basis()
         self.designed_distance = designed_distance
         self.recipe = recipe
         self.params = dict(params or {})
-        if construction == "linearized":
-            self.domain = domain if domain is not None else base.extension(rows)
-            if domain_basis is not None:
-                self.domain_basis = tuple(domain_basis)
-            else:  # a basis over `base`; GF(q^1) is `base` itself
-                self.domain_basis = self.domain.power_basis() if rows > 1 else (1,)
-            self.phi = phi if phi is not None else self._default_phi()
-            self._check_phi_injective()
-        else:
-            self.domain = None
-            self.domain_basis = None
-            self.phi = None
 
     # -- construction of a single block -------------------------------
 
-    def _default_phi(self):
-        dom, ext, over_base = self.domain, self.ext, self.domain == self.base
+    @cached_property
+    def _frobenius_images(self) -> list[list[int]]:
+        """[k][j]: phi((x^k)^(q^j)) for the power basis x^k = q^k of GF(q^n).
 
-        def phi(x: int) -> int:
-            coords = (x,) if over_base else dom.coords(x)
-            return ext.from_coords(coords + (0,) * (self.m - len(coords)))
-
-        return phi
-
-    def _check_phi_injective(self):
-        images = {self.phi(x) for x in self.domain.elements()}
-        if len(images) != self.domain.order:
-            raise ValueError("phi is not injective")
-        zero_ok = self.phi(0) == 0
-        add_ok = all(
-            self.phi(self.domain.add(a, b)) == self.ext.add(self.phi(a), self.phi(b))
-            for a in list(self.domain.elements())[:8]
-            for b in list(self.domain.elements())[:8])
-        if not (zero_ok and add_ok):
-            raise ValueError("phi is not additive")
+        phi places GF(q^n) in GF(q^m) by its power-basis digits, which is
+        the identity on element ints.
+        """
+        dom, q = self.base.extension(self.rows), self.base.order
+        return [[dom.frobenius(q ** k, j) for j in range(self.rows)] for k in range(self.rows)]
 
     def block_matrix(self, symbols) -> tuple[tuple[int, ...], ...]:
         """The block contributed by one position's ingredient symbols."""
         ext = self.ext
         if self.construction == "covering":
-            return tuple(ext.coords(s, self.basis) for s in symbols)
-        dom = self.domain
+            return tuple(ext.coords(s) for s in symbols)
         rows = []
-        for bk in self.domain_basis:
+        for images in self._frobenius_images:
             acc = 0
-            for j, c in enumerate(symbols):
+            for c, img in zip(symbols, images):
                 if c:
-                    img = self.phi(dom.frobenius(bk, j))
                     acc = ext.add(acc, ext.mul(c, img))
-            rows.append(ext.coords(acc, self.basis))
+            rows.append(ext.coords(acc))
         return tuple(rows)
 
     @cached_property
@@ -364,28 +349,14 @@ def _ingredient_distance(code: hm.LinearCode) -> int:
     return res.value
 
 
-def sr_covering(ingredients, *, base: Field | None = None, basis=None,
-                **meta) -> IngredientSumRankCode:
+def sr_covering(ingredients, **meta) -> IngredientSumRankCode:
     """Row-matrix covering construction from m codes over GF(q^m)."""
-    ingredients = tuple(ingredients)
-    ext = ingredients[0].field
-    if base is None:
-        base = ext.subfield
-    return IngredientSumRankCode("covering", base, ext, ingredients,
-                                 basis=basis, **meta)
+    return IngredientSumRankCode("covering", ingredients, **meta)
 
 
-def sr_linearized(ingredients, *, base: Field | None = None, basis=None,
-                  domain=None, domain_basis=None, phi=None,
-                  **meta) -> IngredientSumRankCode:
+def sr_linearized(ingredients, **meta) -> IngredientSumRankCode:
     """Linearized-polynomial construction from n <= m codes over GF(q^m)."""
-    ingredients = tuple(ingredients)
-    ext = ingredients[0].field
-    if base is None:
-        base = ext.subfield
-    return IngredientSumRankCode("linearized", base, ext, ingredients,
-                                 basis=basis, domain=domain,
-                                 domain_basis=domain_basis, phi=phi, **meta)
+    return IngredientSumRankCode("linearized", ingredients, **meta)
 
 
 class ExtendedSumRankCode(SumRankCode):
@@ -509,7 +480,7 @@ def quasi_perfect_2xm(q: int, m: int, u: int) -> IngredientSumRankCode:
     t = (ext.order ** u - 1) // (ext.order - 1)
     c1 = hm.hamming_code(ext, u)
     c2 = hm.parity_check_code(ext, t)
-    code = sr_linearized([c1, c2], base=base, designed_distance=3,
+    code = sr_linearized([c1, c2], designed_distance=3,
                          recipe="quasi-perfect-2xm", params={"q": q, "m": m, "u": u})
     return code
 
@@ -533,7 +504,7 @@ def quasi_perfect_2x2(t: int = 6, ingredient: hm.LinearCode | None = None
     if radius != 2:
         raise ValueError("gate failed: ingredient covering radius must be 2")
     c1 = hm.parity_check_code(ext, t)
-    return sr_linearized([c1, ingredient], base=base, designed_distance=4,
+    return sr_linearized([c1, ingredient], designed_distance=4,
                          recipe="quasi-perfect-2x2", params={"t": t})
 
 
@@ -582,7 +553,7 @@ def distance_optimal_sxs(q: int, s: int, m: int, lam: int = 1) -> IngredientSumR
         ingredients.append(hm.parity_check_code(ext, t))
     while len(ingredients) < s:
         ingredients.append(hm.full_code(ext, t))
-    return sr_linearized(ingredients, base=base, designed_distance=4,
+    return sr_linearized(ingredients, designed_distance=4,
                          recipe="distance-optimal-sxs",
                          params={"q": q, "s": s, "m": m, "lam": lam})
 
@@ -604,7 +575,7 @@ def distance_optimal_rect(q: int, s1: int, s2: int, m: int,
         ingredients.append(hm.parity_check_code(ext, t))
     while len(ingredients) < s1:
         ingredients.append(hm.full_code(ext, t))
-    return sr_linearized(ingredients, base=base, designed_distance=4,
+    return sr_linearized(ingredients, designed_distance=4,
                          recipe="distance-optimal-rect",
                          params={"q": q, "s1": s1, "s2": s2, "m": m, "lam": lam})
 
@@ -618,7 +589,7 @@ def distance_optimal_2x2(q: int) -> IngredientSumRankCode:
     c1 = hm.cyclic_code(t, ext, [0, 1, Q + 1])
     c1.designed_distance = 4
     c2 = hm.parity_check_code(ext, t)
-    return sr_linearized([c1, c2], base=base, designed_distance=4,
+    return sr_linearized([c1, c2], designed_distance=4,
                          recipe="distance-optimal-2x2", params={"q": q})
 
 
@@ -632,7 +603,7 @@ def almost_msrd_2x2(q: int, t: int) -> IngredientSumRankCode:
         raise ValueError("gate failed: block length must be at least 4")
     c1 = hm.reed_solomon(ext, t, t - 3)
     c2 = hm.parity_check_code(ext, t)
-    return sr_linearized([c1, c2], base=base, designed_distance=4,
+    return sr_linearized([c1, c2], designed_distance=4,
                          recipe="almost-msrd-2x2", params={"q": q, "t": t})
 
 
@@ -646,7 +617,7 @@ def plotkin_distance_optimal(s: int, m: int) -> PlotkinSumRankCode:
     ingredients = [hm.parity_check_code(ext, t)]
     while len(ingredients) < s:
         ingredients.append(hm.full_code(ext, t))
-    first = sr_linearized(ingredients, base=base, designed_distance=2)
+    first = sr_linearized(ingredients, designed_distance=2)
     second = distance_optimal_sxs(2, s, m, 1)
     code = PlotkinSumRankCode(first, second)
     code.recipe = "plotkin-distance-optimal"
@@ -659,8 +630,8 @@ def covering_repetition(q: int, m: int, t: int) -> IngredientSumRankCode:
     base = field_of_order(q)
     ext = base.extension(m)
     ingredients = [hm.repetition_code(ext, t) for _ in range(m)]
-    return sr_covering(ingredients, base=base,
-                       recipe="covering-repetition", params={"q": q, "m": m, "t": t})
+    return sr_covering(ingredients, recipe="covering-repetition",
+                       params={"q": q, "m": m, "t": t})
 
 
 RECIPES: dict = {

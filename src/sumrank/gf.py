@@ -15,6 +15,10 @@ coefficients), so field construction is deterministic.
 An extension field of order at most 2^16 multiplies and inverts through one
 exp/log table pair built with the field; a larger one multiplies polynomials
 directly (`_mul_raw`).
+
+The same packed ints fill numpy arrays: `array_mul` and `digit_adder`
+multiply and add them elementwise, and `rref` / `nullspace` are the one
+Gaussian elimination the constructions and engines use.
 """
 
 from __future__ import annotations
@@ -102,7 +106,6 @@ class Field:
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         self._np_tables: dict[str, np.ndarray] = {}
-        self._basis_cache: dict[tuple[int, ...], list[list[int]]] = {}
         if subfield is not None and self.order <= _LOG_LIMIT:
             self._build_log_tables()
 
@@ -341,73 +344,10 @@ class Field:
         q = self.subfield.order
         return tuple(q ** i for i in range(self.degree))
 
-    def _basis_solver(self, basis: tuple[int, ...]) -> list[list[int]]:
-        """Inverse of the basis matrix over the subfield (cached)."""
-        if basis in self._basis_cache:
-            return self._basis_cache[basis]
-        sub = self.subfield
-        m = self.degree
-        if len(basis) != m:
-            raise ValueError("basis must have one element per extension degree")
-        rows = [self.digits(self.check(b)) for b in basis]
-        # invert the m x m matrix over the subfield by Gauss-Jordan
-        aug = [rows[i] + [1 if j == i else 0 for j in range(m)] for i in range(m)]
-        r = 0
-        for c in range(m):
-            piv = next((i for i in range(r, m) if aug[i][c] != 0), None)
-            if piv is None:
-                continue
-            aug[r], aug[piv] = aug[piv], aug[r]
-            inv = sub.inv(aug[r][c])
-            aug[r] = [sub.mul(inv, x) for x in aug[r]]
-            for i in range(m):
-                if i != r and aug[i][c] != 0:
-                    f = aug[i][c]
-                    aug[i] = [sub.sub(aug[i][j], sub.mul(f, aug[r][j]))
-                              for j in range(2 * m)]
-            r += 1
-        if r < m:
-            raise ValueError("basis elements are linearly dependent over the subfield")
-        inv_rows = [row[m:] for row in aug]
-        self._basis_cache[basis] = inv_rows
-        return inv_rows
-
-    def coords(self, a: int, basis: tuple[int, ...] | None = None) -> tuple[int, ...]:
-        """Coordinates of a over the immediate subfield w.r.t. basis.
-
-        Default basis is the power basis, for which the coordinates are
-        just the base-q digits of the int encoding.
-        """
-        self.check(a)
-        if self.subfield is None:
-            return (a,)
-        if basis is None or tuple(basis) == self.power_basis():
-            return tuple(self.digits(a))
-        basis = tuple(basis)
-        inv = self._basis_solver(basis)
-        sub = self.subfield
-        digs = self.digits(a)
-        out = []
-        for col in range(self.degree):
-            acc = 0
-            for i, d in enumerate(digs):
-                if d:
-                    acc = sub.add(acc, sub.mul(d, inv[i][col]))
-            out.append(acc)
-        return tuple(out)
-
-    def from_coords(self, coords, basis: tuple[int, ...] | None = None) -> int:
-        if self.subfield is None:
-            return self.check(coords[0])
-        if basis is None:
-            basis = self.power_basis()
-        if len(coords) != self.degree:
-            raise ValueError("coordinate vector length must equal the extension degree")
-        acc = 0
-        for c, b in zip(coords, basis):
-            self.subfield.check(c)
-            acc = self.add(acc, self.mul(self.embed(c), b))
-        return acc
+    def coords(self, a: int) -> tuple[int, ...]:
+        """Coordinates of a over the immediate subfield in the power basis:
+        the base-q digits of the int encoding."""
+        return tuple(self.digits(self.check(a)))
 
     def embed(self, a: int) -> int:
         """Embed a subfield element: the int encoding is unchanged."""
@@ -577,6 +517,107 @@ def parse_field(desc: dict) -> Field:
         if len(mods) != len(degrees):
             mods = None
     return make_field(desc["characteristic"], degrees, mods)
+
+
+# ----------------------------------------------------------------------
+# numpy arrays of packed elements: products, sums, elimination
+# ----------------------------------------------------------------------
+
+def digit_adder(p: int, digits: int):
+    """Digit-wise addition mod p of packed value arrays: XOR for p = 2."""
+    if p == 2:
+        return np.bitwise_xor
+    if digits == 1:
+        return lambda a, b: (a + b) % p
+    powers = [p ** i for i in range(digits)]
+
+    def add(a, b):
+        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=a.dtype)
+        for pw in powers:
+            out += (a // pw % p + b // pw % p) % p * pw
+        return out
+
+    return add
+
+
+def array_mul(field: Field, dtype=np.int64):
+    """Elementwise product of `dtype` arrays of field elements.
+
+    The products a * b of a prime field and the log sums of a log-table
+    field are formed in `dtype` too, so it must hold them.
+    """
+    if field.is_prime_field and field.p < 1 << 31:
+        p = field.p
+        return lambda a, b: a * b % p
+    if field.has_log_tables:
+        exp, log = (field.np_table(kind).astype(dtype) for kind in ("exp", "log"))
+        return lambda a, b: exp[log[a] + log[b]]
+    mul = np.frompyfunc(field.mul, 2, 1)
+    return lambda a, b: mul(a, b).astype(dtype)
+
+
+INT16_ORDER = 181  # largest order whose products, log and digit sums fit int16
+
+
+def rref(field: Field, rows):
+    """Reduced row echelon form; returns (rows-without-zeros, pivot cols).
+
+    One numpy elimination: for each column the first nonzero row at or
+    below the current one is swapped up and scaled to a leading 1, and
+    every other row nonzero in that column is cleared in one update,
+    row_i + (-f_i) * pivot_row, on the columns from the pivot on (the pivot
+    row is zero before it).  Products come from `array_mul`; sums are
+    digit-wise mod p on the packed base-p values.  Fields of order at most
+    `INT16_ORDER` are eliminated in int16, larger ones in int64.  `rows`
+    may be any 2-D sequence, an ndarray included; it is copied, not changed.
+    """
+    dtype = np.int16 if field.order <= INT16_ORDER else np.int64
+    mat = np.array(rows, dtype=dtype)
+    if not len(mat):
+        return [], []
+    mul, add = array_mul(field, dtype), digit_adder(field.p, field.dim_over_prime)
+    minus_one = field.p - 1  # -1 of the prime field, as a packed element
+    pivots = []
+    r = 0
+    for c in range(mat.shape[1]):
+        below = mat[r:, c].nonzero()[0]
+        if not len(below):
+            continue
+        piv = r + int(below[0])
+        if piv != r:
+            mat[[r, piv]] = mat[[piv, r]]
+        row = mul(mat[r, c:], field.inv(int(mat[r, c])))
+        mat[r, c:] = row
+        others = mat[:, c].nonzero()[0]
+        others = others[others != r]
+        if len(others):
+            f = mul(mat[others, c], minus_one)
+            mat[others, c:] = add(mat[others, c:], mul(f[:, None], row[None, :]))
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return [tuple(row) for row in mat[:r].tolist()], pivots
+
+
+def nullspace(field: Field, rows, ncols: int, *, reduced: bool = False):
+    """Basis of {h : row . h = 0 for every row}, one vector per free column.
+
+    With red the RREF of rows: H[:, free] = I and H[:, pivots] = -red[:, free]^T.
+    With `reduced`, `rows` are already that RREF and are not eliminated again.
+    """
+    red, pivots = (rows, None) if reduced else rref(field, rows)
+    red = np.array(red, dtype=np.int64).reshape(len(red), ncols)
+    if reduced:
+        pivots = (red != 0).argmax(axis=1).tolist()
+    is_free = np.ones(ncols, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    basis = np.zeros((len(free), ncols), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    if len(red):
+        basis[:, pivots] = array_mul(field)(red[:, free].T, field.p - 1)
+    return [tuple(row) for row in basis.tolist()]
 
 
 # ----------------------------------------------------------------------

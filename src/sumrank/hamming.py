@@ -11,97 +11,14 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field as dc_field
-from math import gcd
+from math import comb, gcd
 
 import numpy as np
 
-from .gf import Field, digit_add
+# rref, nullspace, array_mul and INT16_ORDER live in `gf` and stay reachable here
+from .gf import INT16_ORDER, Field, array_mul, digit_add, nullspace, rref
 from .syndrome import (ENUM_BUDGET, SYNDROME_BUDGET, WORK_BUDGET, BudgetExceeded,
-                       CosetLeaderTable, digit_adder, dp_budget_stop,
-                       least_weight_word, syndrome_dp)
-
-
-# ----------------------------------------------------------------------
-# generic linear algebra over a field
-# ----------------------------------------------------------------------
-
-def array_mul(field: Field, dtype=np.int64):
-    """Elementwise product of `dtype` arrays of field elements.
-
-    The products a * b of a prime field and the log sums of a log-table
-    field are formed in `dtype` too, so it must hold them.
-    """
-    if field.is_prime_field and field.p < 1 << 31:
-        p = field.p
-        return lambda a, b: a * b % p
-    if field.has_log_tables:
-        exp, log = (field.np_table(kind).astype(dtype) for kind in ("exp", "log"))
-        return lambda a, b: exp[log[a] + log[b]]
-    mul = np.frompyfunc(field.mul, 2, 1)
-    return lambda a, b: mul(a, b).astype(dtype)
-
-
-INT16_ORDER = 181  # largest order whose products, log and digit sums fit int16
-
-
-def rref(field: Field, rows):
-    """Reduced row echelon form; returns (rows-without-zeros, pivot cols).
-
-    One numpy elimination: for each column the first nonzero row at or
-    below the current one is swapped up and scaled to a leading 1, and
-    every other row nonzero in that column is cleared in one update,
-    row_i + (-f_i) * pivot_row, on the columns from the pivot on (the pivot
-    row is zero before it).  Products come from `array_mul`; sums are
-    digit-wise mod p on the packed base-p values.  Fields of order at most
-    `INT16_ORDER` are eliminated in int16, larger ones in int64.
-    """
-    dtype = np.int16 if field.order <= INT16_ORDER else np.int64
-    mat = np.array(rows, dtype=dtype)
-    if not len(mat):
-        return [], []
-    mul, add = array_mul(field, dtype), digit_adder(field.p, field.dim_over_prime)
-    minus_one = field.p - 1  # -1 of the prime field, as a packed element
-    pivots = []
-    r = 0
-    for c in range(mat.shape[1]):
-        below = np.flatnonzero(mat[r:, c])
-        if not len(below):
-            continue
-        piv = r + int(below[0])
-        if piv != r:
-            mat[[r, piv]] = mat[[piv, r]]
-        row = mul(mat[r, c:], field.inv(int(mat[r, c])))
-        mat[r, c:] = row
-        others = np.flatnonzero(mat[:, c])
-        others = others[others != r]
-        if len(others):
-            f = mul(mat[others, c], minus_one)
-            mat[others, c:] = add(mat[others, c:], mul(f[:, None], row[None, :]))
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return [tuple(row) for row in mat[:r].tolist()], pivots
-
-
-def nullspace(field: Field, rows, ncols: int, *, reduced: bool = False):
-    """Basis of {h : row . h = 0 for every row}, one vector per free column.
-
-    With red the RREF of rows: H[:, free] = I and H[:, pivots] = -red[:, free]^T.
-    With `reduced`, `rows` are already that RREF and are not eliminated again.
-    """
-    red, pivots = (rows, None) if reduced else rref(field, rows)
-    red = np.array(red, dtype=np.int64).reshape(len(red), ncols)
-    if reduced:
-        pivots = (red != 0).argmax(axis=1).tolist()
-    is_free = np.ones(ncols, dtype=bool)
-    is_free[pivots] = False
-    free = np.flatnonzero(is_free)
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
-    if len(red):
-        basis[:, pivots] = array_mul(field)(red[:, free].T, field.p - 1)
-    return [tuple(row) for row in basis.tolist()]
+                       CosetLeaderTable, dp_budget_stop, least_weight_word, syndrome_dp)
 
 
 @dataclass
@@ -119,8 +36,6 @@ class LinearCode:
     family: str = "explicit"
     designed_distance: int | None = None
     defining_set: tuple[int, ...] | None = None
-    beta_extension_degree: int | None = None
-    beta: int | None = None
     notes: dict = dc_field(default_factory=dict)
     _codeword_cache: list | None = None
 
@@ -319,8 +234,6 @@ def cyclic_code(n: int, field: Field, generators) -> LinearCode:
                    for i in range(r))
     code = LinearCode(field, n, gen, parity, family="cyclic")
     code.defining_set = T_sorted
-    code.beta_extension_degree = ell
-    code.beta = beta
     code.notes["generator_polynomial"] = gcoeffs
     return code
 
@@ -423,10 +336,8 @@ def field_extension_of_code(code: LinearCode, target: Field) -> LinearCode:
     """Read the generator matrix over a larger field of the same tower."""
     if not target.contains_field(code.field):
         raise ValueError(f"{target!r} does not extend {code.field!r}")
-    ext = from_generator(target, code.generator, family="extension",
-                         designed_distance=code.designed_distance)
-    ext.notes["base_field_order"] = code.field.order
-    return ext
+    return from_generator(target, code.generator, family="extension",
+                          designed_distance=code.designed_distance)
 
 
 # ----------------------------------------------------------------------
@@ -439,6 +350,7 @@ class DistanceResult:
     hi: int
     method: str
     witness: tuple[int, ...] | None = None
+    note: str | None = None  # the budget stop behind an interval
 
     @property
     def exact(self) -> bool:
@@ -506,6 +418,12 @@ def iter_low_weight(code: LinearCode, w: int, cap: int = 1 << 30):
                     return
 
 
+def _half_words(code: LinearCode, w: int) -> int:
+    """Entries of the larger of the two half tables `iter_low_weight` lists at weight w."""
+    n, nz, lo, hi = code.n, code.field.order - 1, w // 2, w - w // 2
+    return max(comb(n, lo) * nz ** lo, comb(n, hi) * nz ** (hi - 1))
+
+
 def _symbol_blocks(code: LinearCode) -> list:
     """Each coordinate as a one-symbol block of weight [a != 0]."""
     weight = (np.arange(code.field.order) != 0).astype(np.int8)
@@ -521,7 +439,9 @@ def min_distance(code: LinearCode, method: str = "auto",
     `codewords` order;
     'support' certifies d >= w+1 by the absence of dependent column sets
     of size <= w and exhibits a weight witness, for d <= 4.  When neither
-    settles the value, an interval [5, Singleton] is returned.
+    settles the value, an interval [5, Singleton] is returned.  The support
+    search lists its half-words only while they fit `budget`; past it the
+    result is the interval [w, Singleton], with a note naming the budget.
     """
     if code.k == 0:
         raise ValueError("the zero code has no nonzero codeword")
@@ -534,6 +454,11 @@ def min_distance(code: LinearCode, method: str = "auto",
         return DistanceResult(best, best, "enumerate", witness)
     if method == "support":
         for w in range(1, 5):
+            need = _half_words(code, w)
+            if need > budget:
+                return DistanceResult(w, code.n - code.k + 1, "support_test", None,
+                                      note=f"enum budget {budget} < {need} half-words "
+                                           f"of the weight-{w} support search")
             witness = low_weight_search(code, w)
             if witness is not None:
                 return DistanceResult(w, w, "support_test", witness)
@@ -696,6 +621,5 @@ def search_634_ingredient(field4: Field) -> LinearCode:
         radius, _ = covering_radius(code)
         if radius == 2:
             code.designed_distance = 4
-            code.notes["covering_radius"] = 2
             return code
     raise RuntimeError("no [6,3,4]_4 code of covering radius 2 found")

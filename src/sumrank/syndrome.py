@@ -48,6 +48,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .gf import digit_adder, make_field, rref
 from .spaces import BRUTE_LIMIT, rank_array
 
 ENUM_BUDGET = 1 << 22      # codewords an exhaustive enumeration may stream
@@ -113,27 +114,6 @@ def block_syndromes(field, columns) -> np.ndarray:
         digits = (values[:, None] // unit_powers) % p
         syn[lo:lo + len(values)] = (digits @ unit_digits) % p @ syn_powers
     return syn
-
-
-def _echelon(p: int, rows: np.ndarray):
-    """Reduced row echelon basis over GF(p) of digit rows, and its pivots."""
-    basis = {}  # pivot -> row with 1 there and 0 at every other pivot
-    for row in rows.tolist():
-        for c, g in basis.items():
-            if row[c]:
-                row = [(a - row[c] * b) % p for a, b in zip(row, g)]
-        c = next((i for i, a in enumerate(row) if a), None)
-        if c is None:
-            continue
-        inv = pow(row[c], p - 2, p)
-        row = [a * inv % p for a in row]
-        for d, g in basis.items():
-            if g[c]:
-                basis[d] = [(a - g[c] * b) % p for a, b in zip(g, row)]
-        basis[c] = row
-    pivots = sorted(basis)
-    return (np.array([basis[c] for c in pivots], dtype=np.int64)
-            .reshape(len(pivots), rows.shape[1]), pivots)
 
 
 @lru_cache(maxsize=None)
@@ -254,6 +234,7 @@ def syndrome_dp(field, parity, shapes, *, witness: bool = True) -> SyndromeDP:
     """
     p, codim = field.p, len(parity)
     digits = codim * field.dim_over_prime
+    prime = make_field(p, [1])
     columns = list(zip(*parity)) or [()] * sum(n * m for n, m in shapes)
     starts = np.cumsum([0] + [n * m for n, m in shapes])
 
@@ -287,8 +268,9 @@ def syndrome_dp(field, parity, shapes, *, witness: bool = True) -> SyndromeDP:
         reach = flat[syn[1:]] + ranks[1:].astype(np.int16)
         b_zero.append(min(b_zero[-1] if b_zero else _INF, int(reach.min())))
         units = syn[p ** np.arange(n * m * field.dim_over_prime)]  # unit digits' syndromes
-        basis, pivots = _echelon(p, units[:, None] // p ** np.arange(digits) % p)
-        idx = _layout(p, basis, pivots, index)
+        basis, pivots = rref(prime, units[:, None] // p ** np.arange(digits) % p)
+        idx = _layout(p, np.array(basis, dtype=np.int64).reshape(len(pivots), digits),
+                      pivots, index)
         B = np.take(flat, idx, out=buf.reshape(idx.shape))
         top = B.min(axis=0) + np.int8(n)  # any block value, counted at weight n
         if n > 1:
@@ -347,23 +329,6 @@ def _scale_block(field, c: int, value: int, cells: int) -> int:
     for i in range(cells):
         out += field.mul(c, value // q ** i % q) * q ** i
     return out
-
-
-def digit_adder(p: int, digits: int):
-    """Digit-wise addition mod p of packed value arrays: XOR for p = 2."""
-    if p == 2:
-        return np.bitwise_xor
-    if digits == 1:
-        return lambda a, b: (a + b) % p
-    powers = [p ** i for i in range(digits)]
-
-    def add(a, b):
-        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=a.dtype)
-        for pw in powers:
-            out += (a // pw % p + b // pw % p) % p * pw
-        return out
-
-    return add
 
 
 def span_chunks(field, rows, cells):

@@ -272,7 +272,7 @@ def test_criterion_08_weight_identity(f2, f4):
     validate_rank_tables(f2, {(2, 2)})
     checked = 0
     for c1, c2 in pairs:
-        code = cs.sr_linearized([c1, c2], base=f2)
+        code = cs.sr_linearized([c1, c2])
         for w1 in c1.codeword_list():
             for w2 in c2.codeword_list():
                 packed = code.packed_from_symbols([w1, w2])
@@ -291,10 +291,10 @@ def test_criterion_09_plotkin(f2, f4):
     """Plotkin dimension/distance rules; the doubled-length pipeline."""
     t0 = time.monotonic()
     instances = [
-        (cs.sr_linearized([hm.full_code(f4, 2), hm.full_code(f4, 2)], base=f2),
-         cs.sr_linearized([hm.repetition_code(f4, 2), hm.full_code(f4, 2)], base=f2)),
-        (cs.sr_linearized([hm.parity_check_code(f4, 3), hm.full_code(f4, 3)], base=f2),
-         cs.sr_linearized([hm.repetition_code(f4, 3), hm.repetition_code(f4, 3)], base=f2)),
+        (cs.sr_linearized([hm.full_code(f4, 2), hm.full_code(f4, 2)]),
+         cs.sr_linearized([hm.repetition_code(f4, 2), hm.full_code(f4, 2)])),
+        (cs.sr_linearized([hm.parity_check_code(f4, 3), hm.full_code(f4, 3)]),
+         cs.sr_linearized([hm.repetition_code(f4, 3), hm.repetition_code(f4, 3)])),
         (cs.sr_covering([hm.full_code(f4, 2), hm.parity_check_code(f4, 2)]),
          cs.sr_covering([hm.repetition_code(f4, 2), hm.repetition_code(f4, 2)])),
     ]

@@ -94,7 +94,7 @@ def test_dp_matches_sweep_binary(qp_code):
 def test_dp_matches_sweep_odd_characteristic(f3):
     f9 = f3.extension(2)
     code = cs.sr_linearized([hm.repetition_code(f9, 2),
-                             hm.parity_check_code(f9, 2)], base=f3)
+                             hm.parity_check_code(f9, 2)])
     dp_r, dp_table = ct.sr_covering_radius(code)
     sweep_r, sweep_table = ct.sr_covering_radius_sweep(code)
     assert dp_r == sweep_r

@@ -96,6 +96,15 @@ def test_certify_hamming_budget_stop_is_inconclusive(capsys):
     assert "syndrome budget 2 < 16 syndromes (q^codim)" in out
 
 
+def test_certify_hamming_support_search_budget_stop(capsys):
+    """Weight 3 of the [63,56]_4 code needs C(63,2) * 3 = 5859 half-words."""
+    code, out, _ = run(capsys, "certify", "distance-optimal", "--recipe", "cyclic-d4",
+                       "q=4", "m=3", "--enum-budget", "1000")
+    assert code == 2
+    assert "min_distance             = [3, 8]" in out
+    assert "enum budget 1000 < 5859 half-words of the weight-3 support search" in out
+
+
 def test_sphere_packing_violation_is_internal_error(capsys, monkeypatch):
     from sumrank import certify as ct
     monkeypatch.setattr(ct, "sphere_packing_check",
@@ -137,6 +146,13 @@ def test_bounds_entropy_and_volume(capsys):
     assert code == 0 and abs(float(out.strip()) - 1.0) < 1e-12
     code, out, _ = run(capsys, "bounds", "volume", "q=2", "blocks=2x2,2x2", "r=2")
     assert code == 0 and out.strip() == "112"
+
+
+def test_bounds_singleton(capsys):
+    code, out, _ = run(capsys, "bounds", "singleton", "q=4", "blocks=2x2", "d=2")
+    assert code == 0 and out.strip() == "16"
+    code, _, err = run(capsys, "bounds", "singleton", "q=4", "blocks=3x2", "d=2")
+    assert code == 4 and "violates n <= m" in err
 
 
 def test_bounds_bch_radius_interval(capsys):

@@ -1,7 +1,6 @@
 """Sum-rank constructions: blocks, linearity, composition rules, recipes."""
 
 import json
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -53,7 +52,7 @@ def test_covering_single_row_is_weight_one(f4):
 
 
 def test_linearized_block_ranks(f2, f4):
-    lin = cs.sr_linearized([hm.full_code(f4, 1), hm.full_code(f4, 1)], base=f2)
+    lin = cs.sr_linearized([hm.full_code(f4, 1), hm.full_code(f4, 1)])
     assert sp.rank(f2, lin.block_matrix([1, 0])) == 2      # f(x) = x
     assert sp.rank(f2, lin.block_matrix([1, 2])) == 1      # f(x) = x + w x^2
     assert sp.rank(f2, lin.block_matrix([1, 1])) == 1      # f(x) = x + x^2
@@ -64,7 +63,7 @@ def test_binary_2x2_weight_identity(f2, f4):
     """wt_sr = 2 wt_H(c1) + 2 wt_H(c2) - 3|supp overlap| for q=2, 2x2."""
     c1 = hm.parity_check_code(f4, 3)
     c2 = hm.repetition_code(f4, 3)
-    code = cs.sr_linearized([c1, c2], base=f2)
+    code = cs.sr_linearized([c1, c2])
     for w1 in c1.codeword_list():
         for w2 in c2.codeword_list():
             packed = code.packed_from_symbols([w1, w2])
@@ -76,7 +75,7 @@ def test_binary_2x2_weight_identity(f2, f4):
 def test_encode_linearity(f2, f4):
     c1 = hm.hamming_code(f4, 2)
     c2 = hm.parity_check_code(f4, 5)
-    code = cs.sr_linearized([c1, c2], base=f2)
+    code = cs.sr_linearized([c1, c2])
     ext = code.ext
     msgs = [((1, 0, 2), (0, 1, 0, 3)), ((2, 2, 0), (1, 0, 0, 1))]
     summed = tuple(tuple(ext.add(a, b) for a, b in zip(ma, mb))
@@ -89,7 +88,7 @@ def test_encode_linearity(f2, f4):
 
 def test_enumeration_is_injective(f2, f4):
     code = cs.sr_linearized([hm.reed_solomon(f4, 4, 1),
-                             hm.parity_check_code(f4, 4)], base=f2)
+                             hm.parity_check_code(f4, 4)])
     words = list(code.enumerate_packed())
     assert len(words) == code.size == 256
     assert len(set(words)) == 256
@@ -104,7 +103,7 @@ def test_composition_lower_bound_holds(f2, f4):
         [hm.reed_solomon(f4, 4, 2), hm.full_code(f4, 4)],
     ]
     for ingredients in cases:
-        code = cs.sr_linearized(ingredients, base=f2)
+        code = cs.sr_linearized(ingredients)
         lower = code.composition_lower_bound()
         assert _exact_d(code) >= lower
     # rectangular blocks obey the same composition rule
@@ -114,37 +113,16 @@ def test_composition_lower_bound_holds(f2, f4):
         [hm.parity_check_code(f8, 3), hm.parity_check_code(f8, 3)],
     ]
     for ingredients in rect_cases:
-        code = cs.sr_linearized(ingredients, base=f2)
+        code = cs.sr_linearized(ingredients)
         assert code.profile.blocks[0] == (2, 3)
         assert _exact_d(code) >= code.composition_lower_bound()
-
-
-def test_basis_independence_of_weight_distribution(f2, f4):
-    """Same sum-rank weight distribution under two bases of GF(4)."""
-    c1 = hm.repetition_code(f4, 3)
-    c2 = hm.parity_check_code(f4, 3)
-    default = cs.sr_linearized([c1, c2], base=f2)
-    alt = cs.sr_linearized([c1, c2], base=f2, basis=(2, 3), domain_basis=(2, 3))
-    assert Counter(_weights(default)) == Counter(_weights(alt))
-
-
-def test_weight_identity_alternative_basis(f2, f4):
-    c1 = hm.parity_check_code(f4, 3)
-    c2 = hm.repetition_code(f4, 3)
-    code = cs.sr_linearized([c1, c2], base=f2, basis=(2, 3))
-    for w1 in c1.codeword_list():
-        for w2 in c2.codeword_list():
-            wt = sp.packed_word_weight(code.profile,
-                                       code.packed_from_symbols([w1, w2]))
-            overlap = sum(1 for a, b in zip(w1, w2) if a and b)
-            assert wt == 2 * hm.hamming_weight(w1) + 2 * hm.hamming_weight(w2) - 3 * overlap
 
 
 def test_rectangular_linearized(f2):
     f8 = make_field(2, [3])
     c1 = hm.parity_check_code(f8, 3)
     c2 = hm.full_code(f8, 3)
-    code = cs.sr_linearized([c1, c2], base=f2)
+    code = cs.sr_linearized([c1, c2])
     assert code.profile.blocks == ((2, 3),) * 3
     assert code.dim == 3 * (2 + 3)
     words = list(code.enumerate_packed(1 << 16))
@@ -153,16 +131,16 @@ def test_rectangular_linearized(f2):
     assert max(int(arr[pk]) for w in words for pk in w) <= 2
 
 
-def test_phi_must_be_injective(f2):
-    f8 = make_field(2, [3])
-    with pytest.raises(ValueError, match="injective"):
-        cs.sr_linearized([hm.full_code(f8, 2), hm.full_code(f8, 2)],
-                         base=f2, phi=lambda x: 0)
-
-
 def test_covering_requires_m_ingredients(f4):
     with pytest.raises(ValueError, match="exactly 2 ingredients"):
         cs.sr_covering([hm.repetition_code(f4, 3)])
+
+
+@pytest.mark.parametrize("construct", [cs.sr_covering, cs.sr_linearized])
+def test_prime_field_ingredients_rejected(f2, construct):
+    """GF(p) has no subfield to serve as the base field."""
+    with pytest.raises(ValueError, match="prime field"):
+        construct([hm.repetition_code(f2, 3)])
 
 
 def test_mismatched_ingredients_rejected(f2, f4):
@@ -190,7 +168,7 @@ def test_extend_full_blocks(f4, f2):
 
 
 def test_plotkin_golden(f2, f4):
-    c_full = cs.sr_linearized([hm.full_code(f4, 2), hm.full_code(f4, 2)], base=f2)
+    c_full = cs.sr_linearized([hm.full_code(f4, 2), hm.full_code(f4, 2)])
     c_zero = cs.sr_covering([hm.zero_code(f4, 2), hm.zero_code(f4, 2)])
     with pytest.raises(ValueError, match="profile"):
         cs.plotkin(c_full, cs.sr_covering([hm.zero_code(f4, 3), hm.zero_code(f4, 3)]))
@@ -206,10 +184,10 @@ def test_plotkin_golden(f2, f4):
 
 def test_plotkin_dimension_and_distance(f2, f4):
     instances = [
-        (cs.sr_linearized([hm.full_code(f4, 2), hm.full_code(f4, 2)], base=f2),
-         cs.sr_linearized([hm.repetition_code(f4, 2), hm.full_code(f4, 2)], base=f2)),
-        (cs.sr_linearized([hm.parity_check_code(f4, 3), hm.full_code(f4, 3)], base=f2),
-         cs.sr_linearized([hm.repetition_code(f4, 3), hm.repetition_code(f4, 3)], base=f2)),
+        (cs.sr_linearized([hm.full_code(f4, 2), hm.full_code(f4, 2)]),
+         cs.sr_linearized([hm.repetition_code(f4, 2), hm.full_code(f4, 2)])),
+        (cs.sr_linearized([hm.parity_check_code(f4, 3), hm.full_code(f4, 3)]),
+         cs.sr_linearized([hm.repetition_code(f4, 3), hm.repetition_code(f4, 3)])),
         (cs.sr_covering([hm.full_code(f4, 2), hm.parity_check_code(f4, 2)]),
          cs.sr_covering([hm.repetition_code(f4, 2), hm.repetition_code(f4, 2)])),
     ]
@@ -223,7 +201,7 @@ def test_plotkin_dimension_and_distance(f2, f4):
 def test_flat_generator_rank_equals_dim(f2, f4):
     codes = [
         cs.sr_covering([hm.repetition_code(f4, 3), hm.repetition_code(f4, 3)]),
-        cs.sr_linearized([hm.hamming_code(f4, 2), hm.parity_check_code(f4, 5)], base=f2),
+        cs.sr_linearized([hm.hamming_code(f4, 2), hm.parity_check_code(f4, 5)]),
         cs.quasi_perfect_2x2(6),
     ]
     for code in codes:
@@ -245,7 +223,7 @@ def test_covering_vs_linearized_not_assumed_equivalent(f2, f4):
     rep = hm.repetition_code(f4, 3)
     par = hm.parity_check_code(f4, 3)
     cov = cs.sr_covering([rep, par])
-    lin = cs.sr_linearized([rep, par], base=f2)
+    lin = cs.sr_linearized([rep, par])
     assert cov.size == lin.size
     assert len(set(cov.enumerate_packed())) == cov.size
     assert len(set(lin.enumerate_packed())) == lin.size
@@ -384,8 +362,7 @@ def _generator_rows_oracle(code):
     # a zero ingredient, and a thin linearized code (fewer rows than m)
     lambda: cs.sr_covering([hm.zero_code(make_field(2, [2]), 3),
                             hm.repetition_code(make_field(2, [2]), 3)]),
-    lambda: cs.sr_linearized([hm.reed_solomon(make_field(2, [3]), 5, 2)],
-                             base=make_field(2, [1])),
+    lambda: cs.sr_linearized([hm.reed_solomon(make_field(2, [3]), 5, 2)]),
     # 8 x 8 binary blocks: packed values reach 2^64, past int64
     lambda: cs.covering_repetition(2, 8, 2),
 ])

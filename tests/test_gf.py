@@ -115,23 +115,7 @@ def test_neg_and_sub(q):
 def test_coords_zero_and_golden(f4):
     assert f4.coords(0) == (0, 0)
     # basis {1, omega}: omega + 1 has coordinates (1, 1)
-    assert f4.coords(3, (1, 2)) == (1, 1)
-
-
-def test_coords_roundtrip_gf16(f16_tower):
-    for a in f16_tower.elements():
-        assert f16_tower.from_coords(f16_tower.coords(a)) == a
-
-
-def test_coords_custom_basis_roundtrip(f4):
-    basis = (2, 3)  # {omega, omega^2}, independent over GF(2)
-    for a in f4.elements():
-        assert f4.from_coords(f4.coords(a, basis), basis) == a
-
-
-def test_coords_dependent_basis_rejected(f16_tower):
-    with pytest.raises(ValueError, match="dependent"):
-        f16_tower.coords(5, (1, 1))
+    assert f4.coords(3) == (1, 1)
 
 
 def test_coords_linear_over_subfield(f16_tower, f4):

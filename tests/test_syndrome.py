@@ -65,8 +65,8 @@ def ingredient_codes(draw, shape=None, max_size=None):
     max_k = None if max_size is None else int(math.log(max_size, ext.order) + 1e-9) // rows
     ingredients = [draw(linear_codes(ext, t, max_k)) for _ in range(rows)]
     if kind == "covering":
-        return cs.sr_covering(ingredients, base=base)
-    return cs.sr_linearized(ingredients, base=base)
+        return cs.sr_covering(ingredients)
+    return cs.sr_linearized(ingredients)
 
 
 class ExplicitCode(cs.SumRankCode):
@@ -330,9 +330,9 @@ def test_composition_lower_bound_below_dp(build):
 
 
 def test_plotkin_rule_matches_dp(f2, f4):
-    first = cs.sr_linearized([hm.parity_check_code(f4, 3), hm.full_code(f4, 3)], base=f2)
+    first = cs.sr_linearized([hm.parity_check_code(f4, 3), hm.full_code(f4, 3)])
     second = cs.sr_linearized([hm.repetition_code(f4, 3),
-                               hm.parity_check_code(f4, 3)], base=f2)
+                               hm.parity_check_code(f4, 3)])
     code = cs.plotkin(first, second)
     d1, d2, d = (ct.sr_min_distance(c) for c in (first, second, code))
     assert d.method == "syndrome-dp"
@@ -429,9 +429,8 @@ def _ingredient_codes():
     f4, f9 = f2.extension(2), f3.extension(2)
     return [cs.covering_repetition(2, 2, 3), cs.covering_repetition(4, 2, 2),
             cs.almost_msrd_2x2(2, 4),
-            cs.sr_linearized([hm.parity_check_code(f9, 2), hm.repetition_code(f9, 2)],
-                             base=f3),
-            cs.sr_linearized([hm.reed_solomon(f4, 3, 1)], base=f2)]
+            cs.sr_linearized([hm.parity_check_code(f9, 2), hm.repetition_code(f9, 2)]),
+            cs.sr_linearized([hm.reed_solomon(f4, 3, 1)])]
 
 
 @pytest.mark.parametrize("chunk", [TINY_CHUNK, 1 << 16])
@@ -454,8 +453,8 @@ def test_kernel_order_plotkin(q, chunk, monkeypatch):
     monkeypatch.setattr(sd, "_CHUNK_WORDS", chunk)
     base = cs.field_of_order(q)
     ext = base.extension(2)
-    first = cs.sr_linearized([hm.repetition_code(ext, 2)], base=base)
-    second = cs.sr_linearized([hm.parity_check_code(ext, 2)], base=base)
+    first = cs.sr_linearized([hm.repetition_code(ext, 2)])
+    second = cs.sr_linearized([hm.parity_check_code(ext, 2)])
     _assert_enumeration_order(cs.plotkin(first, second))
 
 
