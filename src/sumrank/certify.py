@@ -1,9 +1,9 @@
 """Exact sum-rank invariants and bound certification.
 
 Minimum distance and covering radius come from the syndrome-space DP and,
-for the distance, from enumeration and composition rules, all under
-explicit budgets; every bound evaluator validates its hypotheses before
-producing a value.  Quantities feeding a 'certified' verdict are exact
+for the distance, from enumeration, the Hamming support search and
+composition rules, all under explicit budgets; every bound evaluator
+validates its hypotheses before producing a value.  Quantities feeding a 'certified' verdict are exact
 big integers; transcendental bounds are advisory and carry their
 assumptions in the certificate.
 """
@@ -12,20 +12,22 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from . import __version__
+from . import hamming as hm
 from .spaces import (MatrixProfile, ball_volume_exact, brute_weight_array,
                      hamming_ball_volume, rank_classes, rank_array)
-from .construct import (SumRankCode, ExtendedSumRankCode, PlotkinSumRankCode,
-                        field_of_order)
+from .construct import ExtendedSumRankCode, PlotkinSumRankCode, field_of_order
 from .gf import make_field
 from .syndrome import (ENUM_BUDGET, SYNDROME_BUDGET, WORK_BUDGET, BudgetExceeded,
-                       CosetLeaderTable, dp_budget_stop, least_weight_word)
+                       CosetLeaderTable, SrDistance, SumRankCode, dp_budget_stop,
+                       least_weight_word)
 
-TOOLCHAIN_VERSION = "sumrank 0.1.0"
+TOOLCHAIN_VERSION = f"sumrank {__version__}"
 
 DP_METHOD = "syndrome-dp"
 
@@ -33,28 +35,6 @@ DP_METHOD = "syndrome-dp"
 # ----------------------------------------------------------------------
 # minimum sum-rank distance
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SrDistance:
-    lo: int | None
-    hi: int | None
-    method: str
-    witness: tuple[int, ...] | None = None
-    infinite: bool = False
-    note: str | None = None  # the budget stops behind an interval
-
-    @property
-    def exact(self) -> bool:
-        return self.infinite or self.lo == self.hi
-
-    @property
-    def value(self) -> int:
-        if self.infinite:
-            raise ValueError("the zero code has no minimum distance")
-        if not self.exact:
-            raise ValueError(f"distance only known in [{self.lo}, {self.hi}]")
-        return self.lo
-
 
 def _exhaustive_sr_distance(code: SumRankCode) -> SrDistance:
     found = least_weight_word(code.base, code._generator_rows_packed(), code.weight_blocks)
@@ -75,8 +55,10 @@ def sr_min_distance(code: SumRankCode, budget: int = ENUM_BUDGET, *,
 
     Dispatch: the syndrome DP when the syndrome space and the DP work fit
     their budgets; else exhaustive enumeration when |C| fits `budget`; else
-    the extension and Plotkin composition rules, whose parts dispatch the
-    same way; else the interval [1, N], noting the budgets that stopped it.
+    the support search of a Hamming-metric code (whose half-word tables
+    `budget` also caps), or the extension and Plotkin composition rules,
+    whose parts dispatch the same way; else the interval [1, N], noting the
+    budgets that stopped it.
     """
     dp_stop = _dp_stop(code, syndrome_budget, work_budget)
     if dp_stop is None:
@@ -86,6 +68,11 @@ def sr_min_distance(code: SumRankCode, budget: int = ENUM_BUDGET, *,
         return SrDistance(dp.distance, dp.distance, DP_METHOD, dp.witness)
     if code.size <= budget:
         return _exhaustive_sr_distance(code)
+    if isinstance(code, hm.LinearCode):
+        res = hm.min_distance(code, "support", budget)
+        if not res.exact:
+            res = replace(res, note="; ".join(n for n in (dp_stop, res.note) if n))
+        return res
     if isinstance(code, ExtendedSumRankCode):
         n, m = code.block_shape
         # a single rank-1 matrix in an extra block has sum-rank weight 1
@@ -130,7 +117,7 @@ def sr_covering_radius(code: SumRankCode, *,
     if stop is not None:
         raise BudgetExceeded(stop)
     dp = code.syndrome_dp
-    return dp.radius, dp.table("sum-rank")
+    return dp.radius, CosetLeaderTable(dp.leaders)
 
 
 def sr_covering_radius_sweep(code: SumRankCode,
@@ -230,14 +217,6 @@ def distance_optimal_check(profile: MatrixProfile, size: int, d: int) -> tuple[s
     """Sufficient sphere-packing refutation of any (size, d+1) code."""
     vol = ball_volume_exact(profile, d // 2)
     rhs = profile.ambient_size
-    lhs = size * vol
-    verdict = "certified" if lhs > rhs else "inconclusive"
-    return verdict, {"volume_radius": d // 2, "volume": vol, "lhs": lhs, "rhs": rhs}
-
-
-def distance_optimal_check_hamming(n: int, q: int, size: int, d: int) -> tuple[str, dict]:
-    vol = hamming_ball_volume(n, d // 2, q)
-    rhs = q ** n
     lhs = size * vol
     verdict = "certified" if lhs > rhs else "inconclusive"
     return verdict, {"volume_radius": d // 2, "volume": vol, "lhs": lhs, "rhs": rhs}
@@ -603,7 +582,7 @@ def certify_code(code: SumRankCode, claim: str, *,
                  syndrome_budget: int = SYNDROME_BUDGET,
                  work_budget: int = WORK_BUDGET) -> Certificate:
     """Run the exact engines needed for a claim and assemble the verdict."""
-    cert = Certificate(code.describe() if hasattr(code, "describe") else {}, claim)
+    cert = Certificate(code.describe(), claim)
     cert.add_quantity("dimension", code.dim, "construction")
     cert.add_quantity("block_length", code.profile.t, "construction")
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -113,22 +114,18 @@ def _load_code(args, params):
                            sort_keys=True)
         if json.dumps(saved, sort_keys=True) != fresh:
             raise RuntimeError("descriptor mismatch: reload does not reproduce the code")
-        return code, saved["recipe"]
+        return code
     if not args.recipe:
         raise ValueError("either --code FILE or --recipe NAME is required")
-    return cs.build_recipe(args.recipe, **params), args.recipe
+    return cs.build_recipe(args.recipe, **params)
 
 
 def cmd_certify(args) -> int:
     _check_out_dir(args.out)
-    params = parse_params(args.params, args.config)
-    code, recipe = _load_code(args, params)
-    budgets = dict(enum_budget=args.enum_budget, syndrome_budget=args.syndrome_budget,
-                   work_budget=args.sweep_budget)
-    if isinstance(code, hm.LinearCode):
-        cert = _certify_hamming(code, args.claim, recipe, params, **budgets)
-    else:
-        cert = ct.certify_code(code, args.claim, **budgets)
+    code = _load_code(args, parse_params(args.params, args.config))
+    cert = ct.certify_code(code, args.claim, enum_budget=args.enum_budget,
+                           syndrome_budget=args.syndrome_budget,
+                           work_budget=args.sweep_budget)
     print(cert.to_table())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -138,50 +135,25 @@ def cmd_certify(args) -> int:
     return cert.exit_code
 
 
-def _certify_hamming(code: hm.LinearCode, claim: str, recipe: str, params: dict, *,
-                     enum_budget: int, syndrome_budget: int,
-                     work_budget: int) -> ct.Certificate:
-    cert = ct.Certificate({"recipe": recipe, "params": params,
-                           "code": code.describe()}, claim)
-    cert.add_quantity("length", code.n, "construction")
-    cert.add_quantity("dimension", code.k, "construction")
-    res = hm.min_distance(code, "auto", enum_budget)
-    if not res.exact:
-        cert.verdict = "inconclusive"
-        cert.add_quantity("min_distance", [res.lo, res.hi], res.method + " (interval)")
-        if res.note:
-            cert.notes.append(res.note)
-        return cert
-    cert.add_quantity("min_distance", res.value, res.method)
-    if claim == "distance-optimal":
-        verdict, rec = ct.distance_optimal_check_hamming(
-            code.n, code.field.order, code.size, res.value)
-        cert.add_bound("sphere_packing_refutation", f"{rec['lhs']} > {rec['rhs']}",
-                       (f"ball volume {rec['volume']} at radius {rec['volume_radius']}",))
-        cert.verdict = verdict
-        return cert
-    if claim in ("perfect", "quasi-perfect"):
-        try:
-            radius, _ = hm.covering_radius(code, syndrome_budget=syndrome_budget,
-                                           work_budget=work_budget)
-        except hm.BudgetExceeded as exc:
-            cert.notes.append(str(exc))
-            cert.verdict = "inconclusive"
-            return cert
-        cert.add_quantity("covering_radius", radius, ct.DP_METHOD)
-        name = ct.perfection_verdict(res.value, radius)
-        cert.add_quantity("perfection", name, "exact comparison")
-        cert.verdict = "certified" if name == claim else "refuted"
-        return cert
-    raise ValueError(f"claim {claim!r} is not supported for Hamming-metric codes")
-
-
 def _profile(p: dict) -> MatrixProfile:
     """The profile of `q=Q blocks=NxM[,NxM...]` over GF(Q)."""
     blocks = tuple(tuple(map(int, b.split("x"))) for b in str(p["blocks"]).split(","))
     return MatrixProfile(cs.field_of_order(p["q"]), blocks)
 
 
+def _names_missing_parameter(cmd):
+    """Make a parameter that `cmd` reads but was not given a usage error that names it."""
+    @functools.wraps(cmd)
+    def run_cmd(args) -> int:
+        try:
+            return cmd(args)
+        except KeyError as exc:
+            raise ValueError(f"{args.command} {args.kind}: "
+                             f"missing parameter {exc.args[0]}=") from None
+    return run_cmd
+
+
+@_names_missing_parameter
 def cmd_bounds(args) -> int:
     p = parse_params(args.params, args.config)
     kind = args.kind
@@ -232,6 +204,7 @@ def cmd_bounds(args) -> int:
     raise ValueError(f"unknown bound kind {kind!r}")
 
 
+@_names_missing_parameter
 def cmd_table(args) -> int:
     p = parse_params(args.params, args.config)
     if args.kind != "strong-bch":

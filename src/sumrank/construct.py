@@ -28,8 +28,8 @@ import numpy as np
 
 from .gf import Field, digit_add, is_prime, make_field
 from . import hamming as hm
-from .spaces import MatrixProfile, SumRankWord, pack_matrix, rank_array, unpack_matrix
-from .syndrome import ENUM_BUDGET, SyndromeDP, syndrome_dp as run_syndrome_dp
+from .spaces import MatrixProfile, SumRankWord, pack_matrix
+from .syndrome import ENUM_BUDGET, SumRankCode
 
 
 def field_of_order(q: int) -> Field:
@@ -45,119 +45,6 @@ def field_of_order(q: int) -> Field:
     if v != 1 or not is_prime(p):
         raise ValueError(f"{q} is not a prime power")
     return make_field(p, [e] if e > 1 else [1])
-
-
-class SumRankCode:
-    """Common interface for structured sum-rank codes over GF(q)."""
-
-    construction: str = "explicit"
-
-    def __init__(self, base: Field, profile: MatrixProfile):
-        self.base = base
-        self.profile = profile
-
-    @property
-    def dim(self) -> int:
-        raise NotImplementedError
-
-    @property
-    def size(self) -> int:
-        return self.base.order ** self.dim
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.profile.ambient_dim
-
-    @property
-    def codim(self) -> int:
-        return self.ambient_dim - self.dim
-
-    def enumerate_packed(self, budget: int = ENUM_BUDGET):
-        """Yield each codeword once, as a tuple of packed block ints."""
-        raise NotImplementedError
-
-    def _generator_rows_packed(self):
-        """Packed-block words spanning the code, one per GF(q) dimension.
-
-        Listed in `enumerate_packed` order: that enumeration is the
-        lexicographic GF(q)-span of these rows, the first row most
-        significant, which `syndrome.least_weight_word` walks.
-        """
-        raise NotImplementedError
-
-    def describe(self) -> dict:
-        raise NotImplementedError
-
-    # -- flattened GF(q) linear-code view ------------------------------
-
-    def flat_rows(self, words) -> np.ndarray:
-        """Row-major GF(q) coordinates of packed words, blocks in order.
-
-        One int64 row per word; each block's packed values are split into
-        base-q digits in one numpy step.
-        """
-        q, blocks = self.base.order, self.profile.blocks
-        dtype = np.int64 if q ** max(n * m for n, m in blocks) < 1 << 63 else object
-        packed = np.array(words, dtype=dtype).reshape(len(words), len(blocks))
-        out = np.zeros((len(words), self.ambient_dim), dtype=np.int64)
-        starts = np.cumsum([0] + [n * m for n, m in blocks])
-        for b, (n, m) in enumerate(blocks):
-            powers = q ** np.arange(n * m, dtype=dtype)
-            out[:, starts[b]:starts[b + 1]] = packed[:, b, None] // powers % q
-        return out
-
-    def flatten(self, packed) -> tuple[int, ...]:
-        """Row-major GF(q) coordinates of a packed word, blocks in order."""
-        return tuple(self.flat_rows([packed])[0].tolist())
-
-    def unflatten(self, vec) -> tuple[int, ...]:
-        packed = []
-        pos = 0
-        for n, m in self.profile.blocks:
-            mat = tuple(tuple(vec[pos + i * m + j] for j in range(m)) for i in range(n))
-            packed.append(pack_matrix(self.base, mat))
-            pos += n * m
-        return tuple(packed)
-
-    @cached_property
-    def flat_generator(self) -> tuple[tuple[int, ...], ...]:
-        rows = self.flat_rows(self._generator_rows_packed())
-        red, _ = hm.rref(self.base, rows)
-        if len(red) != len(rows):
-            raise RuntimeError("construction is not injective: dependent generators")
-        return tuple(red)
-
-    @cached_property
-    def flat_parity(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(hm.nullspace(self.base, self.flat_generator, self.ambient_dim,
-                                  reduced=True))
-
-    @property
-    def weight_blocks(self) -> list:
-        """Per block: its GF(q) cell count and the rank of every packed value."""
-        return [(n * m, rank_array(self.base, n, m)) for n, m in self.profile.blocks]
-
-    @cached_property
-    def syndrome_dp(self) -> SyndromeDP:
-        """One syndrome-space DP pass: d with a witness, R, and the leader table."""
-        return run_syndrome_dp(self.base, self.flat_parity, self.profile.blocks)
-
-    def to_word(self, packed) -> SumRankWord:
-        mats = tuple(unpack_matrix(self.base, pk, n, m)
-                     for (n, m), pk in zip(self.profile.blocks, packed))
-        return SumRankWord(self.profile, mats)
-
-    def contains_packed(self, packed) -> bool:
-        vec = self.flatten(packed)
-        f = self.base
-        for row in self.flat_parity:
-            acc = 0
-            for h, v in zip(row, vec):
-                if h and v:
-                    acc = f.add(acc, f.mul(h, v))
-            if acc:
-                return False
-        return True
 
 
 def _pack_symbols(symbols, Q: int) -> int:

@@ -3,7 +3,8 @@
 Covers the ingredient-code machinery: cyclic codes from cyclotomic
 cosets, standard families (Hamming, Reed-Solomon, BCH, trivial codes),
 exact minimum distance by enumeration or support testing, and exact
-covering radius by the syndrome-space DP of `sumrank.syndrome`.
+covering radius by the syndrome-space DP of `sumrank.syndrome`.  A
+`LinearCode` is a `SumRankCode` of n blocks of 1 x 1, whose rank is [a != 0].
 """
 
 from __future__ import annotations
@@ -13,20 +14,22 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 from math import comb, gcd
 
-import numpy as np
-
 # rref, nullspace, array_mul and INT16_ORDER live in `gf` and stay reachable here
 from .gf import INT16_ORDER, Field, array_mul, digit_add, nullspace, rref
+from .spaces import MatrixProfile
 from .syndrome import (ENUM_BUDGET, SYNDROME_BUDGET, WORK_BUDGET, BudgetExceeded,
-                       CosetLeaderTable, dp_budget_stop, least_weight_word, syndrome_dp)
+                       CosetLeaderTable, SrDistance, SumRankCode, dp_budget_stop,
+                       least_weight_word, syndrome_dp)
 
 
 @dataclass
-class LinearCode:
-    """An [n, k] linear code over an extension field.
+class LinearCode(SumRankCode):
+    """An [n, k] linear code over an extension field: n blocks of 1 x 1.
 
-    G rows are a basis; H rows span the dual.  Cyclic metadata is attached
-    when the code was built from a defining set.
+    G rows are a basis; H rows span the dual.  A symbol is its own packed
+    1 x 1 block, so G and H are also the packed generator rows and the flat
+    parity-check rows.  Cyclic metadata is attached when the code was built
+    from a defining set.
     """
 
     field: Field
@@ -40,35 +43,30 @@ class LinearCode:
     _codeword_cache: list | None = None
 
     @property
-    def k(self) -> int:
+    def dim(self) -> int:
         return len(self.generator)
 
-    @property
-    def codim(self) -> int:
-        return self.n - self.k
+    k = dim
 
     @property
-    def size(self) -> int:
-        return self.field.order ** self.k
+    def base(self) -> Field:
+        return self.field
+
+    @functools.cached_property
+    def profile(self) -> MatrixProfile:
+        return MatrixProfile(self.field, ((1, 1),) * self.n)
+
+    @property
+    def flat_parity(self) -> tuple[tuple[int, ...], ...]:
+        return self.parity
+
+    def _generator_rows_packed(self):
+        return self.generator
 
     def __repr__(self) -> str:
         d = self.designed_distance
         tail = f",{d}" if d is not None else ""
         return f"[{self.n},{self.k}{tail}]_{self.field.order}"
-
-    def syndrome(self, vec) -> tuple[int, ...]:
-        f = self.field
-        out = []
-        for row in self.parity:
-            acc = 0
-            for h, v in zip(row, vec):
-                if v and h:
-                    acc = f.add(acc, f.mul(h, v))
-            out.append(acc)
-        return tuple(out)
-
-    def contains(self, vec) -> bool:
-        return not any(self.syndrome(vec))
 
     def codewords(self, budget: int = ENUM_BUDGET):
         """Stream every codeword exactly once (streaming span walk)."""
@@ -87,6 +85,8 @@ class LinearCode:
                 yield from walk(i + 1, nxt)
 
         yield from walk(0, (0,) * self.n)
+
+    enumerate_packed = codewords
 
     def codeword_list(self, budget: int = 1 << 16) -> list:
         if self._codeword_cache is None:
@@ -344,25 +344,6 @@ def field_extension_of_code(code: LinearCode, target: Field) -> LinearCode:
 # minimum distance
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DistanceResult:
-    lo: int
-    hi: int
-    method: str
-    witness: tuple[int, ...] | None = None
-    note: str | None = None  # the budget stop behind an interval
-
-    @property
-    def exact(self) -> bool:
-        return self.lo == self.hi
-
-    @property
-    def value(self) -> int:
-        if not self.exact:
-            raise ValueError(f"distance only known to lie in [{self.lo}, {self.hi}]")
-        return self.lo
-
-
 def low_weight_search(code: LinearCode, w: int):
     """First codeword of Hamming weight exactly w (w <= 4), or None.
 
@@ -424,14 +405,8 @@ def _half_words(code: LinearCode, w: int) -> int:
     return max(comb(n, lo) * nz ** lo, comb(n, hi) * nz ** (hi - 1))
 
 
-def _symbol_blocks(code: LinearCode) -> list:
-    """Each coordinate as a one-symbol block of weight [a != 0]."""
-    weight = (np.arange(code.field.order) != 0).astype(np.int8)
-    return [(1, weight)] * code.n
-
-
 def min_distance(code: LinearCode, method: str = "auto",
-                 budget: int = ENUM_BUDGET) -> DistanceResult:
+                 budget: int = ENUM_BUDGET) -> SrDistance:
     """Exact minimum distance with a proof tag.
 
     'enumerate' weighs every codeword with `syndrome.least_weight_word`
@@ -450,19 +425,19 @@ def min_distance(code: LinearCode, method: str = "auto",
     if method == "enumerate":
         if code.size > budget:
             raise BudgetExceeded(f"{code.size} codewords exceed budget {budget}")
-        best, witness = least_weight_word(code.field, code.generator, _symbol_blocks(code))
-        return DistanceResult(best, best, "enumerate", witness)
+        best, witness = least_weight_word(code.field, code.generator, code.weight_blocks)
+        return SrDistance(best, best, "enumerate", witness)
     if method == "support":
         for w in range(1, 5):
             need = _half_words(code, w)
             if need > budget:
-                return DistanceResult(w, code.n - code.k + 1, "support_test", None,
-                                      note=f"enum budget {budget} < {need} half-words "
-                                           f"of the weight-{w} support search")
+                return SrDistance(w, code.n - code.k + 1, "support_test", None,
+                                  note=f"enum budget {budget} < {need} half-words "
+                                       f"of the weight-{w} support search")
             witness = low_weight_search(code, w)
             if witness is not None:
-                return DistanceResult(w, w, "support_test", witness)
-        return DistanceResult(5, code.n - code.k + 1, "support_test", None)
+                return SrDistance(w, w, "support_test", witness)
+        return SrDistance(5, code.n - code.k + 1, "support_test", None)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -474,15 +449,16 @@ def covering_radius(code: LinearCode, *, syndrome_budget: int = SYNDROME_BUDGET,
                     work_budget: int = WORK_BUDGET) -> tuple[int, CosetLeaderTable]:
     """Exact covering radius and coset-leader table from the syndrome DP.
 
-    Each coordinate is a 1 x 1 block, whose rank is [a != 0].  Raises
-    BudgetExceeded, naming the budget, when the DP does not fit.
+    Each coordinate is a 1 x 1 block, whose rank is [a != 0]; the DP keeps
+    no witness record.  Raises BudgetExceeded, naming the budget, when the
+    DP does not fit.
     """
-    shapes = [(1, 1)] * code.n
-    stop = dp_budget_stop(code.field, code.codim, shapes, syndrome_budget, work_budget)
+    blocks = code.profile.blocks
+    stop = dp_budget_stop(code.base, code.codim, blocks, syndrome_budget, work_budget)
     if stop is not None:
         raise BudgetExceeded(stop)
-    dp = syndrome_dp(code.field, code.parity, shapes, witness=False)
-    return dp.radius, dp.table("hamming")
+    dp = syndrome_dp(code.base, code.flat_parity, blocks, witness=False)
+    return dp.radius, CosetLeaderTable(dp.leaders)
 
 
 def covering_radius_sweep(code: LinearCode, budget: int = 1 << 20) -> int:

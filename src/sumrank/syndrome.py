@@ -38,6 +38,8 @@ Both use syndrome indices, not a layout.
 
 When the syndrome space is too large, `least_weight_word` settles d by
 enumerating the code in numpy chunks instead, in both metrics.
+`SumRankCode` is the code interface that supplies their inputs: the
+profile, the flat parity-check rows and the packed generator rows.
 """
 
 from __future__ import annotations
@@ -48,8 +50,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .gf import digit_adder, make_field, rref
-from .spaces import BRUTE_LIMIT, rank_array
+from .gf import Field, digit_adder, make_field, nullspace, rref
+from .spaces import (BRUTE_LIMIT, MatrixProfile, SumRankWord, pack_matrix, rank_array,
+                     unpack_matrix)
 
 ENUM_BUDGET = 1 << 22      # codewords an exhaustive enumeration may stream
 SYNDROME_BUDGET = 1 << 16  # syndromes (q^codim) the DP may hold
@@ -193,7 +196,6 @@ def _digit_sub(p: int, digits: int, a, b):
 class CosetLeaderTable:
     """Least coset weight per syndrome index; max entry is the covering radius."""
 
-    flavor: str
     leaders: np.ndarray
 
     @cached_property
@@ -219,9 +221,6 @@ class SyndromeDP:
     @property
     def radius(self) -> int:
         return int(self.leaders.max())
-
-    def table(self, flavor: str) -> CosetLeaderTable:
-        return CosetLeaderTable(flavor, self.leaders)
 
 
 def syndrome_dp(field, parity, shapes, *, witness: bool = True) -> SyndromeDP:
@@ -392,3 +391,144 @@ def least_weight_word(field, rows, blocks) -> tuple[int, tuple[int, ...]] | None
             if best == 1:
                 break
     return None if best is None else (best, witness)
+
+
+# ----------------------------------------------------------------------
+# the code view the engines read
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SrDistance:
+    """A minimum distance, exact or as a certified interval, with its method."""
+
+    lo: int | None
+    hi: int | None
+    method: str
+    witness: tuple[int, ...] | None = None  # packed block values
+    infinite: bool = False
+    note: str | None = None  # the budget stops behind an interval
+
+    @property
+    def exact(self) -> bool:
+        return self.infinite or self.lo == self.hi
+
+    @property
+    def value(self) -> int:
+        if self.infinite:
+            raise ValueError("the zero code has no minimum distance")
+        if not self.exact:
+            raise ValueError(f"distance only known in [{self.lo}, {self.hi}]")
+        return self.lo
+
+
+class SumRankCode:
+    """Common interface for structured sum-rank codes over GF(q)."""
+
+    construction: str = "explicit"
+
+    def __init__(self, base: Field, profile: MatrixProfile):
+        self.base = base
+        self.profile = profile
+
+    @property
+    def dim(self) -> int:
+        raise NotImplementedError
+
+    @property
+    def size(self) -> int:
+        return self.base.order ** self.dim
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.profile.ambient_dim
+
+    @property
+    def codim(self) -> int:
+        return self.ambient_dim - self.dim
+
+    def enumerate_packed(self, budget: int = ENUM_BUDGET):
+        """Yield each codeword once, as a tuple of packed block ints."""
+        raise NotImplementedError
+
+    def _generator_rows_packed(self):
+        """Packed-block words spanning the code, one per GF(q) dimension.
+
+        Listed in `enumerate_packed` order: that enumeration is the
+        lexicographic GF(q)-span of these rows, the first row most
+        significant, which `least_weight_word` walks.
+        """
+        raise NotImplementedError
+
+    def describe(self) -> dict:
+        raise NotImplementedError
+
+    # -- flattened GF(q) linear-code view ------------------------------
+
+    def flat_rows(self, words) -> np.ndarray:
+        """Row-major GF(q) coordinates of packed words, blocks in order.
+
+        One int64 row per word; each block's packed values are split into
+        base-q digits in one numpy step.
+        """
+        q, blocks = self.base.order, self.profile.blocks
+        dtype = np.int64 if q ** max(n * m for n, m in blocks) < 1 << 63 else object
+        packed = np.array(words, dtype=dtype).reshape(len(words), len(blocks))
+        out = np.zeros((len(words), self.ambient_dim), dtype=np.int64)
+        starts = np.cumsum([0] + [n * m for n, m in blocks])
+        for b, (n, m) in enumerate(blocks):
+            powers = q ** np.arange(n * m, dtype=dtype)
+            out[:, starts[b]:starts[b + 1]] = packed[:, b, None] // powers % q
+        return out
+
+    def flatten(self, packed) -> tuple[int, ...]:
+        """Row-major GF(q) coordinates of a packed word, blocks in order."""
+        return tuple(self.flat_rows([packed])[0].tolist())
+
+    def unflatten(self, vec) -> tuple[int, ...]:
+        packed = []
+        pos = 0
+        for n, m in self.profile.blocks:
+            mat = tuple(tuple(vec[pos + i * m + j] for j in range(m)) for i in range(n))
+            packed.append(pack_matrix(self.base, mat))
+            pos += n * m
+        return tuple(packed)
+
+    @cached_property
+    def flat_generator(self) -> tuple[tuple[int, ...], ...]:
+        rows = self.flat_rows(self._generator_rows_packed())
+        red, _ = rref(self.base, rows)
+        if len(red) != len(rows):
+            raise RuntimeError("construction is not injective: dependent generators")
+        return tuple(red)
+
+    @cached_property
+    def flat_parity(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(nullspace(self.base, self.flat_generator, self.ambient_dim,
+                               reduced=True))
+
+    @property
+    def weight_blocks(self) -> list:
+        """Per block: its GF(q) cell count and the rank of every packed value."""
+        return [(n * m, rank_array(self.base, n, m)) for n, m in self.profile.blocks]
+
+    @cached_property
+    def syndrome_dp(self) -> SyndromeDP:
+        """One syndrome-space DP pass: d with a witness, R, and the leader table."""
+        return syndrome_dp(self.base, self.flat_parity, self.profile.blocks)
+
+    def to_word(self, packed) -> SumRankWord:
+        mats = tuple(unpack_matrix(self.base, pk, n, m)
+                     for (n, m), pk in zip(self.profile.blocks, packed))
+        return SumRankWord(self.profile, mats)
+
+    def contains_packed(self, packed) -> bool:
+        vec = self.flatten(packed)
+        f = self.base
+        for row in self.flat_parity:
+            acc = 0
+            for h, v in zip(row, vec):
+                if h and v:
+                    acc = f.add(acc, f.mul(h, v))
+            if acc:
+                return False
+        return True

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sumrank import certify as ct
 from sumrank import construct as cs
@@ -168,10 +168,11 @@ def test_distance_optimal_check(f2):
     assert verdict_s == "certified" and rec_s["volume"] == 52823
 
 
-def test_distance_optimal_check_hamming():
-    v15, r15 = ct.distance_optimal_check_hamming(15, 4, 4 ** 10, 4)
+def test_distance_optimal_check_hamming(f4):
+    """A Hamming ball is the sum-rank ball of 1 x 1 blocks."""
+    v15, r15 = ct.distance_optimal_check(sp.MatrixProfile(f4, ((1, 1),) * 15), 4 ** 10, 4)
     assert v15 == "inconclusive" and r15["volume"] == 991
-    v63, r63 = ct.distance_optimal_check_hamming(63, 4, 4 ** 56, 4)
+    v63, r63 = ct.distance_optimal_check(sp.MatrixProfile(f4, ((1, 1),) * 63), 4 ** 56, 4)
     assert v63 == "certified" and r63["volume"] == 17767
 
 
@@ -348,6 +349,64 @@ def test_certificate_verdicts(am_code):
     assert cert5.verdict == "certified"
     with pytest.raises(ValueError, match="unknown claim"):
         ct.certify_code(am_code, "bogus")
+
+
+def test_mds_codes_are_msrd_as_1x1_blocks(f4):
+    """A Hamming-metric code is t blocks of 1 x 1, where MDS means MSRD."""
+    cert = ct.certify_code(hm.reed_solomon(f4, 5, 3), "msrd")
+    values = {q["name"]: q["value"] for q in cert.quantities}
+    assert cert.verdict == "certified"
+    assert values["min_sum_rank_distance"] == 3 and values["singleton_defect"] == 0
+    assert ct.certify_code(hm.parity_check_code(f4, 5), "almost-msrd").verdict == "certified"
+
+
+SMALL_RECIPE_PARAMS = {
+    "quasi-perfect-2xm": {"q": 2, "m": 2, "u": 2},
+    "quasi-perfect-2x2": {"t": 6},
+    "cyclic-d4": {"q": 2, "m": 3},
+    "cyclic-d4-alt": {"q": 3, "m": 2},
+    "distance-optimal-sxs": {"q": 3, "s": 2, "m": 1},
+    "distance-optimal-rect": {"q": 2, "s1": 2, "s2": 3, "m": 1},
+    "distance-optimal-2x2": {"q": 2},
+    "almost-msrd-2x2": {"q": 2, "t": 4},
+    "plotkin-distance-optimal": {"s": 3, "m": 1},
+    "covering-repetition": {"q": 2, "m": 2, "t": 3},
+}
+
+
+@pytest.mark.parametrize("name", sorted(cs.RECIPES))
+def test_every_recipe_goes_through_certify_code(name):
+    code = cs.build_recipe(name, **SMALL_RECIPE_PARAMS[name])
+    cert = ct.certify_code(code, "sphere-packing")
+    assert cert.verdict in ct.VERDICT_EXIT
+    assert cert.subject == code.describe()
+
+
+@st.composite
+def covering_ingredients(draw):
+    """Two random codes of length 2 to 4 over GF(4) or GF(9), each of dimension >= 1."""
+    ext = cs.field_of_order(draw(st.sampled_from([2, 3]))).extension(2)
+    t = draw(st.integers(2, 4))
+    codes = []
+    for _ in range(2):
+        rows = draw(st.lists(st.lists(st.integers(0, ext.order - 1), min_size=t, max_size=t),
+                             min_size=1, max_size=t))
+        red, _ = hm.rref(ext, rows)
+        assume(red)
+        codes.append(hm.from_generator(ext, red))
+    return codes
+
+
+@settings(max_examples=50, deadline=None)
+@given(covering_ingredients())
+def test_covering_construction_bounds_from_ingredients(ingredients):
+    """R_sr <= sum_i R_H(C_i) and d_sr >= min_i d_H(C_i) for the covering construction."""
+    code = cs.sr_covering(ingredients)
+    assume(code.base.order ** code.codim <= 1 << 16)
+    radius, _ = ct.sr_covering_radius(code)
+    assert radius <= sum(hm.covering_radius(c)[0] for c in ingredients)
+    d_sr = ct.sr_min_distance(code).value
+    assert d_sr >= min(hm.min_distance(c, "enumerate").value for c in ingredients)
 
 
 def test_certify_perfect_full_space(f4):

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+import sumrank
+from sumrank import certify as ct
 from sumrank import hamming as hm
 from sumrank.cli import main, parse_params
 
@@ -86,7 +88,7 @@ def test_certify_hamming_recipe(capsys):
     code, out, _ = run(capsys, "certify", "distance-optimal",
                        "--recipe", "cyclic-d4", "q=4", "m=3", "lam=1")
     assert code == 0
-    assert "min_distance" in out
+    assert "min_sum_rank_distance    = 4   [syndrome-dp]" in out
 
 
 def test_certify_hamming_budget_stop_is_inconclusive(capsys):
@@ -99,9 +101,9 @@ def test_certify_hamming_budget_stop_is_inconclusive(capsys):
 def test_certify_hamming_support_search_budget_stop(capsys):
     """Weight 3 of the [63,56]_4 code needs C(63,2) * 3 = 5859 half-words."""
     code, out, _ = run(capsys, "certify", "distance-optimal", "--recipe", "cyclic-d4",
-                       "q=4", "m=3", "--enum-budget", "1000")
+                       "q=4", "m=3", "--enum-budget", "1000", "--syndrome-budget", "1000")
     assert code == 2
-    assert "min_distance             = [3, 8]" in out
+    assert "min_sum_rank_distance    = [3, 8]" in out
     assert "enum budget 1000 < 5859 half-words of the weight-3 support search" in out
 
 
@@ -153,6 +155,18 @@ def test_bounds_singleton(capsys):
     assert code == 0 and out.strip() == "16"
     code, _, err = run(capsys, "bounds", "singleton", "q=4", "blocks=3x2", "d=2")
     assert code == 4 and "violates n <= m" in err
+
+
+@pytest.mark.parametrize("argv,missing", [
+    (("bounds", "singleton", "blocks=2x2", "d=2"), "bounds singleton: missing parameter q="),
+    (("bounds", "condition", "family=cyclic-d4", "q=2"),
+     "bounds condition: missing parameter m="),
+    (("table", "strong-bch", "m=2", "n=16"), "table strong-bch: missing parameter e="),
+])
+def test_missing_parameter_is_named(capsys, argv, missing):
+    code, out, err = run(capsys, *argv)
+    assert code == 4 and out == ""
+    assert err == f"error: {missing}\n"
 
 
 def test_bounds_bch_radius_interval(capsys):
@@ -306,7 +320,7 @@ def test_missing_out_directory_refused_before_work(tmp_path, capsys, monkeypatch
     (("construct", "distance-optimal-2x2", "q=3"),
      "c3ed45fcb063272dafedbe3f89622ed3dc77f3cae8c1861caadeab9f8d5984bc"),
     (("certify", "quasi-perfect", "--recipe", "quasi-perfect-2xm", "q=2", "m=2", "u=2"),
-     "ad9752e5ff14273cf3e529fd4fe505d942ce6e6a2814531c321e4bff37edae3d"),
+     "15c519d6fdecd15f46a243bab859389ecbca34a6414a33c694066b3b6cd14785"),
 ], ids=["descriptor", "certificate"])
 def test_out_bytes_are_pinned(tmp_path, capsys, argv, sha256):
     # the hashes are those of json.dump(s)(..., sort_keys=True, indent=2),
@@ -426,6 +440,14 @@ def test_closed_standard_streams_are_not_an_error():
     proc = subprocess.run([sys.executable, "-m", "sumrank.cli", "selftest"],
                           env=_child_env(), preexec_fn=_close_stdout_and_stderr)
     assert proc.returncode == 0
+
+
+def test_package_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        version = tomllib.load(fh)["project"]["version"]
+    assert version == sumrank.__version__
+    assert ct.TOOLCHAIN_VERSION == f"sumrank {version}"
 
 
 def test_console_script_is_run():

@@ -412,7 +412,7 @@ def test_kernel_matches_codewords_loop_on_hamming_codes(code):
     best, witness = _hamming_oracle(code)
     if best is None:
         assert sd.least_weight_word(code.field, code.generator,
-                                    hm._symbol_blocks(code)) is None
+                                    code.weight_blocks) is None
         return
     res = hm.min_distance(code, "enumerate")
     assert (res.value, res.witness) == (best, witness)
