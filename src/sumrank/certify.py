@@ -1,11 +1,13 @@
 """Exact sum-rank invariants and bound certification.
 
-Minimum distance and covering radius come from the syndrome-space DP and,
-for the distance, from enumeration, the Hamming support search and
-composition rules, all under explicit budgets; every bound evaluator
-validates its hypotheses before producing a value.  Quantities feeding a 'certified' verdict are exact
-big integers; transcendental bounds are advisory and carry their
-assumptions in the certificate.
+Minimum distance and covering radius come from the code's one syndrome-DP
+pass and, for the distance, from enumeration, the Hamming support search
+and composition rules, all under explicit budgets.  A Hamming-metric code
+is a sum-rank code of 1 x 1 blocks and takes the same dispatch.  Every
+bound evaluator validates its hypotheses before producing a value.
+Quantities feeding a 'certified' verdict are exact big integers;
+transcendental bounds are advisory and carry their assumptions in the
+certificate.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .spaces import (MatrixProfile, ball_volume_exact, brute_weight_array,
 from .construct import ExtendedSumRankCode, PlotkinSumRankCode, field_of_order
 from .gf import make_field
 from .syndrome import (ENUM_BUDGET, SYNDROME_BUDGET, WORK_BUDGET, BudgetExceeded,
-                       CosetLeaderTable, SrDistance, SumRankCode, dp_budget_stop,
+                       SrDistance, SumRankCode, SyndromeDP, dp_budget_stop,
                        least_weight_word)
 
 TOOLCHAIN_VERSION = f"sumrank {__version__}"
@@ -69,7 +71,7 @@ def sr_min_distance(code: SumRankCode, budget: int = ENUM_BUDGET, *,
     if code.size <= budget:
         return _exhaustive_sr_distance(code)
     if isinstance(code, hm.LinearCode):
-        res = hm.min_distance(code, "support", budget)
+        res = hm.min_distance(code, budget)
         if not res.exact:
             res = replace(res, note="; ".join(n for n in (dp_stop, res.note) if n))
         return res
@@ -108,8 +110,8 @@ def sr_min_distance(code: SumRankCode, budget: int = ENUM_BUDGET, *,
 
 def sr_covering_radius(code: SumRankCode, *,
                        syndrome_budget: int = SYNDROME_BUDGET,
-                       work_budget: int = WORK_BUDGET) -> tuple[int, CosetLeaderTable]:
-    """Exact covering radius and coset-leader table from the syndrome DP.
+                       work_budget: int = WORK_BUDGET) -> tuple[int, SyndromeDP]:
+    """Exact covering radius and the code's cached syndrome-DP pass.
 
     Raises BudgetExceeded, naming the budget, when the DP does not fit.
     """
@@ -117,7 +119,7 @@ def sr_covering_radius(code: SumRankCode, *,
     if stop is not None:
         raise BudgetExceeded(stop)
     dp = code.syndrome_dp
-    return dp.radius, CosetLeaderTable(dp.leaders)
+    return dp.radius, dp
 
 
 def sr_covering_radius_sweep(code: SumRankCode,
@@ -418,6 +420,9 @@ def family_condition_checks(family: str, params: dict) -> ConditionRecord:
 
 VERDICT_EXIT = {"certified": 0, "refuted": 1, "inconclusive": 2}
 
+CLAIMS = ("perfect", "quasi-perfect", "distance-optimal", "msrd", "almost-msrd",
+          "sphere-packing", "singleton")
+
 CONDITION_FAMILIES = ("quasi-perfect-2xm", "distance-optimal-sxs",
                       "distance-optimal-rect", "plotkin-distance-optimal")
 
@@ -527,7 +532,7 @@ def _attach_family_conditions(cert: "Certificate", code) -> None:
 
 @dataclass
 class Certificate:
-    subject: dict
+    code: SumRankCode
     claim: str
     quantities: list = dc_field(default_factory=list)
     bounds: list = dc_field(default_factory=list)
@@ -542,6 +547,11 @@ class Certificate:
     def add_bound(self, name: str, value, assumptions=()):
         self.bounds.append({"name": name, "value": value,
                             "assumptions": list(assumptions)})
+
+    @property
+    def subject(self) -> dict:
+        """The code's descriptor, built only when asked for: `to_table` omits it."""
+        return self.code.describe()
 
     @property
     def exit_code(self) -> int:
@@ -582,7 +592,9 @@ def certify_code(code: SumRankCode, claim: str, *,
                  syndrome_budget: int = SYNDROME_BUDGET,
                  work_budget: int = WORK_BUDGET) -> Certificate:
     """Run the exact engines needed for a claim and assemble the verdict."""
-    cert = Certificate(code.describe(), claim)
+    if claim not in CLAIMS:
+        raise ValueError(f"unknown claim {claim!r}")
+    cert = Certificate(code, claim)
     cert.add_quantity("dimension", code.dim, "construction")
     cert.add_quantity("block_length", code.profile.t, "construction")
 
@@ -590,7 +602,6 @@ def certify_code(code: SumRankCode, claim: str, *,
                            work_budget=work_budget)
     if dist.infinite:
         cert.notes.append("zero code: minimum distance undefined")
-        cert.verdict = "inconclusive"
         return cert
     cert.add_quantity("min_sum_rank_distance",
                       dist.value if dist.exact else [dist.lo, dist.hi],
@@ -609,12 +620,16 @@ def certify_code(code: SumRankCode, claim: str, *,
                                            work_budget=work_budget)
         except BudgetExceeded as exc:
             cert.notes.append(str(exc))
-            cert.verdict = "inconclusive"
             return cert
         cert.add_quantity("covering_radius", radius, DP_METHOD)
-        if not dist.exact:
-            cert.verdict = "inconclusive"
-            return cert
+
+    # every verdict below compares the exact d; an interval stays inconclusive
+    if not dist.exact:
+        if claim == "distance-optimal":
+            cert.notes.append("distance not settled exactly")
+        return cert
+
+    if claim in ("perfect", "quasi-perfect"):
         verdict_name = perfection_verdict(dist.value, radius)
         cert.add_quantity("perfection", verdict_name, "exact comparison")
         sp = sphere_packing_check(code.profile, code.size, dist.value)
@@ -624,49 +639,26 @@ def certify_code(code: SumRankCode, claim: str, *,
         cert.add_bound("sphere_packing_lhs<=rhs", f"{sp.lhs} <= {sp.rhs}",
                        ("sanity invariant",))
         cert.verdict = "certified" if verdict_name == claim else "refuted"
-        return cert
-
-    if claim == "distance-optimal":
-        if not dist.exact:
-            cert.verdict = "inconclusive"
-            cert.notes.append("distance not settled exactly")
-            return cert
+    elif claim == "distance-optimal":
         verdict, rec = distance_optimal_check(code.profile, code.size, dist.value)
         cert.add_bound("sphere_packing_refutation",
                        f"{rec['lhs']} > {rec['rhs']}",
                        (f"ball volume {rec['volume']} at radius {rec['volume_radius']}",))
         cert.verdict = verdict
         _attach_family_conditions(cert, code)
-        return cert
-
-    if claim in ("msrd", "almost-msrd"):
-        if not dist.exact:
-            cert.verdict = "inconclusive"
-            return cert
+    elif claim in ("msrd", "almost-msrd"):
         name, defect = msrd_verdict(code.profile, code.dim, dist.value)
         cert.add_quantity("singleton_defect", defect, "exact")
         cert.add_quantity("msrd_class", name, "exact")
         want = "MSRD" if claim == "msrd" else "almost-MSRD"
         cert.verdict = "certified" if (name == want or
                                        (want == "almost-MSRD" and name == "MSRD")) else "refuted"
-        return cert
-
-    if claim == "sphere-packing":
-        if not dist.exact:
-            cert.verdict = "inconclusive"
-            return cert
+    elif claim == "sphere-packing":
         sp = sphere_packing_check(code.profile, code.size, dist.value)
         cert.add_bound("sphere_packing", f"{sp.lhs} <= {sp.rhs}", ())
         cert.verdict = "certified" if sp.holds else "refuted"
-        return cert
-
-    if claim == "singleton":
-        if not dist.exact:
-            cert.verdict = "inconclusive"
-            return cert
+    else:  # singleton
         bound = singleton_like_bound(code.profile, dist.value)
         cert.add_bound("singleton_like", bound, ())
         cert.verdict = "certified" if code.size <= bound else "refuted"
-        return cert
-
-    raise ValueError(f"unknown claim {claim!r}")
+    return cert

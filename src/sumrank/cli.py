@@ -236,7 +236,7 @@ def cmd_selftest(args) -> int:
     prof = MatrixProfile(f2, ((2, 2), (2, 2)))
     checks.append(("ball volume 112", ball_volume_exact(prof, 2) == 112))
     h = hm.hamming_code(f4, 2)
-    checks.append(("Hamming [5,3,3]_4 d=3", hm.min_distance(h, "enumerate").value == 3))
+    checks.append(("Hamming [5,3,3]_4 d=3", ct.sr_min_distance(h).value == 3))
     checks.append(("Hamming [5,3,3]_4 R=1", hm.covering_radius(h)[0] == 1))
     am = cs.almost_msrd_2x2(2, 4)
     d = ct.sr_min_distance(am)
@@ -265,9 +265,7 @@ def build_parser() -> _Parser:
     c.set_defaults(fn=cmd_construct)
 
     z = sub.add_parser("certify", help="run a certification job")
-    z.add_argument("claim", choices=["perfect", "quasi-perfect", "distance-optimal",
-                                     "msrd", "almost-msrd", "sphere-packing",
-                                     "singleton"])
+    z.add_argument("claim", choices=ct.CLAIMS)
     z.add_argument("--recipe")
     z.add_argument("--code", help="descriptor JSON written by construct")
     z.add_argument("--out", help="write the certificate as JSON")

@@ -29,7 +29,7 @@ import numpy as np
 from .gf import Field, digit_add, is_prime, make_field
 from . import hamming as hm
 from .spaces import MatrixProfile, SumRankWord, pack_matrix
-from .syndrome import ENUM_BUDGET, SumRankCode
+from .syndrome import ENUM_BUDGET, SumRankCode, least_weight_word
 
 
 def field_of_order(q: int) -> Field:
@@ -225,15 +225,20 @@ class IngredientSumRankCode(SumRankCode):
 
 
 def _ingredient_distance(code: hm.LinearCode) -> int:
+    """Exact d by enumeration up to 2^16 codewords, else by the support search."""
     if code.k == 0:
         return code.n + 1
-    res = hm.min_distance(code, "auto")
-    if not res.exact:
-        raise ValueError("ingredient distance could not be settled exactly")
-    if code.designed_distance is not None and code.designed_distance != res.value:
+    if code.size <= 1 << 16:
+        value = least_weight_word(code.field, code.generator, code.weight_blocks)[0]
+    else:
+        res = hm.min_distance(code)
+        if not res.exact:
+            raise ValueError("ingredient distance could not be settled exactly")
+        value = res.value
+    if code.designed_distance is not None and code.designed_distance != value:
         raise RuntimeError(f"designed distance {code.designed_distance} "
-                           f"contradicts the exact value {res.value}")
-    return res.value
+                           f"contradicts the exact value {value}")
+    return value
 
 
 def sr_covering(ingredients, **meta) -> IngredientSumRankCode:
@@ -384,10 +389,9 @@ def quasi_perfect_2x2(t: int = 6, ingredient: hm.LinearCode | None = None
         ingredient = hm.search_634_ingredient(ext)
     if ingredient.field != ext or ingredient.n != t:
         raise ValueError("gate failed: ingredient must be a length-t code over GF(4)")
-    dres = hm.min_distance(ingredient, "auto")
-    if not (dres.exact and dres.value == 4):
+    radius, dp = hm.covering_radius(ingredient)
+    if dp.distance != 4:
         raise ValueError("gate failed: ingredient minimum distance must be 4")
-    radius, _ = hm.covering_radius(ingredient)
     if radius != 2:
         raise ValueError("gate failed: ingredient covering radius must be 2")
     c1 = hm.parity_check_code(ext, t)

@@ -1,10 +1,11 @@
 """Hamming-metric linear codes over extension fields.
 
 Covers the ingredient-code machinery: cyclic codes from cyclotomic
-cosets, standard families (Hamming, Reed-Solomon, BCH, trivial codes),
-exact minimum distance by enumeration or support testing, and exact
-covering radius by the syndrome-space DP of `sumrank.syndrome`.  A
-`LinearCode` is a `SumRankCode` of n blocks of 1 x 1, whose rank is [a != 0].
+cosets, standard families (Hamming, Reed-Solomon, BCH, trivial codes), the
+support search for d <= 4, and the covering radius read from the code's
+syndrome-space DP pass.  A `LinearCode` is a `SumRankCode` of n blocks of
+1 x 1, whose rank is [a != 0], so exact d of any code comes from
+`certify.sr_min_distance`, the same dispatch as in the sum-rank metric.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from math import comb, gcd
 from .gf import INT16_ORDER, Field, array_mul, digit_add, nullspace, rref
 from .spaces import MatrixProfile
 from .syndrome import (ENUM_BUDGET, SYNDROME_BUDGET, WORK_BUDGET, BudgetExceeded,
-                       CosetLeaderTable, SrDistance, SumRankCode, dp_budget_stop,
-                       least_weight_word, syndrome_dp)
+                       SrDistance, SumRankCode, SyndromeDP, dp_budget_stop)
 
 
 @dataclass
@@ -405,40 +405,27 @@ def _half_words(code: LinearCode, w: int) -> int:
     return max(comb(n, lo) * nz ** lo, comb(n, hi) * nz ** (hi - 1))
 
 
-def min_distance(code: LinearCode, method: str = "auto",
-                 budget: int = ENUM_BUDGET) -> SrDistance:
-    """Exact minimum distance with a proof tag.
+def min_distance(code: LinearCode, budget: int = ENUM_BUDGET) -> SrDistance:
+    """Minimum distance by the support search, for d <= 4.
 
-    'enumerate' weighs every codeword with `syndrome.least_weight_word`
-    (requires Q^k <= budget) and returns the first of least weight in
-    `codewords` order;
-    'support' certifies d >= w+1 by the absence of dependent column sets
-    of size <= w and exhibits a weight witness, for d <= 4.  When neither
-    settles the value, an interval [5, Singleton] is returned.  The support
-    search lists its half-words only while they fit `budget`; past it the
-    result is the interval [w, Singleton], with a note naming the budget.
+    Certifies d >= w + 1 by the absence of dependent column sets of size
+    <= w and exhibits a weight witness.  When d > 4 the result is the
+    interval [5, Singleton].  The search lists its half-words only while
+    they fit `budget`; past it the result is the interval [w, Singleton],
+    with a note naming the budget.
     """
     if code.k == 0:
         raise ValueError("the zero code has no nonzero codeword")
-    if method == "auto":
-        method = "enumerate" if code.size <= min(budget, 1 << 16) else "support"
-    if method == "enumerate":
-        if code.size > budget:
-            raise BudgetExceeded(f"{code.size} codewords exceed budget {budget}")
-        best, witness = least_weight_word(code.field, code.generator, code.weight_blocks)
-        return SrDistance(best, best, "enumerate", witness)
-    if method == "support":
-        for w in range(1, 5):
-            need = _half_words(code, w)
-            if need > budget:
-                return SrDistance(w, code.n - code.k + 1, "support_test", None,
-                                  note=f"enum budget {budget} < {need} half-words "
-                                       f"of the weight-{w} support search")
-            witness = low_weight_search(code, w)
-            if witness is not None:
-                return SrDistance(w, w, "support_test", witness)
-        return SrDistance(5, code.n - code.k + 1, "support_test", None)
-    raise ValueError(f"unknown method {method!r}")
+    for w in range(1, 5):
+        need = _half_words(code, w)
+        if need > budget:
+            return SrDistance(w, code.n - code.k + 1, "support_test", None,
+                              note=f"enum budget {budget} < {need} half-words "
+                                   f"of the weight-{w} support search")
+        witness = low_weight_search(code, w)
+        if witness is not None:
+            return SrDistance(w, w, "support_test", witness)
+    return SrDistance(5, code.n - code.k + 1, "support_test", None)
 
 
 # ----------------------------------------------------------------------
@@ -446,19 +433,19 @@ def min_distance(code: LinearCode, method: str = "auto",
 # ----------------------------------------------------------------------
 
 def covering_radius(code: LinearCode, *, syndrome_budget: int = SYNDROME_BUDGET,
-                    work_budget: int = WORK_BUDGET) -> tuple[int, CosetLeaderTable]:
-    """Exact covering radius and coset-leader table from the syndrome DP.
+                    work_budget: int = WORK_BUDGET) -> tuple[int, SyndromeDP]:
+    """Exact covering radius and the code's cached syndrome-DP pass.
 
-    Each coordinate is a 1 x 1 block, whose rank is [a != 0]; the DP keeps
-    no witness record.  Raises BudgetExceeded, naming the budget, when the
-    DP does not fit.
+    Each coordinate is a 1 x 1 block, whose rank is [a != 0]; the same pass
+    holds d and its witness.  Raises BudgetExceeded, naming the budget,
+    when the DP does not fit.
     """
-    blocks = code.profile.blocks
-    stop = dp_budget_stop(code.base, code.codim, blocks, syndrome_budget, work_budget)
+    stop = dp_budget_stop(code.base, code.codim, code.profile.blocks,
+                          syndrome_budget, work_budget)
     if stop is not None:
         raise BudgetExceeded(stop)
-    dp = syndrome_dp(code.base, code.flat_parity, blocks, witness=False)
-    return dp.radius, CosetLeaderTable(dp.leaders)
+    dp = code.syndrome_dp
+    return dp.radius, dp
 
 
 def covering_radius_sweep(code: LinearCode, budget: int = 1 << 20) -> int:
@@ -554,48 +541,27 @@ def search_634_ingredient(field4: Field) -> LinearCode:
     """Deterministic search for a [6,3,4] code over GF(4) of covering radius 2.
 
     Scans generator matrices [I | A] with A Hermitian-unitary and entrywise
-    nonzero (the self-dual shape), verifying d = 4 by enumeration and the
-    covering radius by the syndrome DP; widens to all entrywise-nonzero A
-    if needed.
+    nonzero (the self-dual shape), reading d and R from one syndrome-DP
+    pass per candidate.
     """
     if field4.order != 4:
         raise ValueError("the search runs over GF(4)")
     f = field4
 
-    def candidates():
-        nz = (1, 2, 3)
-        for entries in itertools.product(nz, repeat=9):
-            A = [entries[0:3], entries[3:6], entries[6:9]]
-            ok = True
-            for i in range(3):
-                for j in range(3):
-                    acc = 0
-                    for l in range(3):
-                        acc = f.add(acc, f.mul(A[i][l], f.mul(A[j][l], A[j][l])))
-                    if acc != (1 if i == j else 0):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                yield A
-        for entries in itertools.product(nz, repeat=9):
-            yield [entries[0:3], entries[3:6], entries[6:9]]
+    def unitary(A):  # A times its conjugate transpose, x -> x^2, is the identity
+        return all(functools.reduce(f.add, (f.mul(A[i][k], f.mul(A[j][k], A[j][k]))
+                                            for k in range(3))) == int(i == j)
+                   for i in range(3) for j in range(3))
 
-    seen = set()
-    for A in candidates():
-        key = tuple(map(tuple, A))
-        if key in seen:
+    for entries in itertools.product((1, 2, 3), repeat=9):
+        A = [entries[0:3], entries[3:6], entries[6:9]]
+        if not unitary(A):
             continue
-        seen.add(key)
         rows = [tuple((1 if j == i else 0) for j in range(3)) + tuple(A[i])
                 for i in range(3)]
         code = from_generator(f, rows, family="explicit")
-        dres = min_distance(code, "enumerate")
-        if dres.value != 4:
-            continue
-        radius, _ = covering_radius(code)
-        if radius == 2:
+        radius, dp = covering_radius(code)
+        if dp.distance == 4 and radius == 2:
             code.designed_distance = 4
             return code
     raise RuntimeError("no [6,3,4]_4 code of covering radius 2 found")

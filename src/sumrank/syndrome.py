@@ -39,7 +39,9 @@ Both use syndrome indices, not a layout.
 When the syndrome space is too large, `least_weight_word` settles d by
 enumerating the code in numpy chunks instead, in both metrics.
 `SumRankCode` is the code interface that supplies their inputs: the
-profile, the flat parity-check rows and the packed generator rows.
+profile, the flat parity-check rows and the packed generator rows.  Its
+cached `syndrome_dp` is the one DP pass per code: d, its witness, R and
+the leader table of a sum-rank or a Hamming-metric code all come from it.
 """
 
 from __future__ import annotations
@@ -192,24 +194,6 @@ def _digit_sub(p: int, digits: int, a, b):
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class CosetLeaderTable:
-    """Least coset weight per syndrome index; max entry is the covering radius."""
-
-    leaders: np.ndarray
-
-    @cached_property
-    def leader_weight(self) -> dict[int, int]:
-        return dict(enumerate(self.leaders.tolist()))
-
-    @property
-    def covering_radius(self) -> int:
-        return int(self.leaders.max())
-
-    def complete(self, expected: int) -> bool:
-        return len(self.leaders) == expected
-
-
 @dataclass(frozen=True)
 class SyndromeDP:
     """One DP pass: leader table A, distance d, and a weight-d codeword."""
@@ -222,14 +206,19 @@ class SyndromeDP:
     def radius(self) -> int:
         return int(self.leaders.max())
 
+    @property
+    def leader_weight(self) -> dict[int, int]:
+        """The coset-leader weight of every syndrome index."""
+        return dict(enumerate(self.leaders.tolist()))
 
-def syndrome_dp(field, parity, shapes, *, witness: bool = True) -> SyndromeDP:
+
+def syndrome_dp(field, parity, shapes) -> SyndromeDP:
     """Run the DP for the code over `field` with parity-check rows `parity`.
 
     `shapes` lists each block's n x m shape, in order; a block value weighs
-    its rank.  With `witness`, the level record is kept and a weight-d
-    codeword is recovered from the last block back, taking the smallest
-    block value at each tie so that the witness is reproducible.
+    its rank.  A weight-d codeword is recovered from the level record, from
+    the last block back, taking the smallest block value at each tie so that
+    the witness is reproducible.
     """
     p, codim = field.p, len(parity)
     digits = codim * field.dim_over_prime
@@ -254,10 +243,9 @@ def syndrome_dp(field, parity, shapes, *, witness: bool = True) -> SyndromeDP:
     buf = np.empty_like(flat)  # the state in the current block's layout
     index = np.empty(len(flat), dtype=np.intp)  # the syndrome of each layout cell
     t = len(shapes)
-    if witness:  # levels[w, s]: blocks after which A[s] is first <= w, else t + 1
-        levels = np.full((codim + 1, len(flat)), t + 1,
-                         dtype=np.uint8 if t < 255 else np.uint16)
-        levels[:, 0] = 0
+    # levels[w, s]: blocks after which A[s] is first <= w, else t + 1
+    levels = np.full((codim + 1, len(flat)), t + 1, dtype=np.uint8 if t < 255 else np.uint16)
+    levels[:, 0] = 0
     b_zero = []
     for b, (n, m) in enumerate(shapes):
         syn = block_syn(b)
@@ -285,17 +273,16 @@ def syndrome_dp(field, parity, shapes, *, witness: bool = True) -> SyndromeDP:
                     np.minimum(C, coset_min(B, line, rows), out=C)
                 np.minimum(B, C + 1, out=B)
         np.minimum(B, top, out=B)
-        before = flat.copy() if witness else None
+        before = flat.copy()
         flat[idx] = B
-        if witness:
-            changed = np.flatnonzero(flat < before)
-            new, old = flat[changed], before[changed]
-            for w in range(codim + 1):
-                levels[w, changed[(new <= w) & (old > w)]] = b + 1
+        changed = np.flatnonzero(flat < before)
+        new, old = flat[changed], before[changed]
+        for w in range(codim + 1):
+            levels[w, changed[(new <= w) & (old > w)]] = b + 1
     if int(flat.max()) >= _INF:
         raise RuntimeError("parity map is not onto: a syndrome is unreachable")
     distance = b_zero[-1] if b_zero[-1] < _INF else None
-    if not witness or distance is None:
+    if distance is None:
         return SyndromeDP(flat, distance, None)
 
     def before_block(b, idx):  # A before block b: the levels not yet reached

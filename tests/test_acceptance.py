@@ -159,7 +159,7 @@ def test_criterion_04_distance_optimal_2x2(f2, f4):
     assert c1.defining_set == (0, 1, 4, 5) and (c1.n, c1.k) == (15, 11)
     # Hartmann-Tzeng preconditions verified inside the bound call
     assert hm.hartmann_tzeng_bound(c1.defining_set, 15, [0, 1], [0, 4], 4, 1) == 4
-    d1 = hm.min_distance(c1, "support")
+    d1 = hm.min_distance(c1)
     assert d1.value == 4 and hm.hamming_weight(d1.witness) == 4
     assert c1.contains_packed(d1.witness)
     assert code.dim == 50
@@ -207,10 +207,10 @@ def test_criterion_06_binary_2x2_quasi_perfect(qp_2x2, f2, f4):
     code = qp_2x2
     ingredient = code.ingredients[1]
     assert (ingredient.n, ingredient.k) == (6, 3)
-    assert hm.min_distance(ingredient, "enumerate").value == 4
+    assert ct.sr_min_distance(ingredient).value == 4
     # the suite itself verifies the ingredient covering radius two ways
     r_h, tab_h = hm.covering_radius(ingredient)
-    assert r_h == 2 and tab_h.complete(64)
+    assert r_h == 2 and len(tab_h.leaders) == 64
     assert hm.covering_radius_sweep(ingredient) == 2
     # syndrome-DP d_sr over the 256 syndromes
     validate_rank_tables(f2, {(2, 2)})
@@ -334,11 +334,11 @@ def test_criterion_10_cyclic_families(f4):
     c15 = cs.cyclic_d4(4, 2, 1)
     assert (c15.n, c15.k) == (15, 10)
     assert c15.defining_set == (0, 1, 2, 4, 8)
-    d15 = hm.min_distance(c15, "support")
+    d15 = hm.min_distance(c15)
     assert d15.value == 4 and c15.contains_packed(d15.witness)
     c63 = cs.cyclic_d4(4, 3, 1)
     assert (c63.n, c63.k) == (63, 56)
-    d63 = hm.min_distance(c63, "support")
+    d63 = hm.min_distance(c63)
     assert d63.value == 4 and c63.contains_packed(d63.witness)
     # exact optimality criterion: V_H recomputed from binomials
     v15 = 1 + 15 * 3 + 105 * 9
@@ -352,11 +352,11 @@ def test_criterion_10_cyclic_families(f4):
     # ternary and quinary split-defining-set codes at the smallest lengths
     c26 = cs.cyclic_d4_alt(3, 3)
     assert (c26.n, c26.k) == (26, 19)
-    d26 = hm.min_distance(c26, "support")
+    d26 = hm.min_distance(c26)
     assert d26.lo >= 4
     c24 = cs.cyclic_d4_alt(5, 2)
     assert (c24.n, c24.k) == (24, 19)
-    d24 = hm.min_distance(c24, "support")
+    d24 = hm.min_distance(c24)
     assert d24.lo >= 4
     report(10, time.monotonic() - t0, 120,
            "[15,10,4]_4 and [63,56,4]_4 support-tested; 991 < 1024, "

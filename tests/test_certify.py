@@ -75,7 +75,7 @@ def test_sr_covering_radius_golden(qp_code):
     radius, table = ct.sr_covering_radius(qp_code)
     assert radius == 2
     assert len(table.leader_weight) == 2 ** qp_code.codim == 64
-    assert table.covering_radius == 2
+    assert table.radius == 2
 
 
 def test_sr_covering_radius_full_space(f4):
@@ -351,6 +351,19 @@ def test_certificate_verdicts(am_code):
         ct.certify_code(am_code, "bogus")
 
 
+@pytest.mark.parametrize("build", [lambda: cs.almost_msrd_2x2(2, 4), lambda: cs.cyclic_d4(2, 4)])
+def test_certificate_builds_the_descriptor_only_for_json(build, monkeypatch):
+    code = build()
+    describe, calls = type(code).describe, []
+    monkeypatch.setattr(type(code), "describe",
+                        lambda self: calls.append(self) or describe(self))
+    cert = ct.certify_code(code, "distance-optimal")
+    cert.to_table()
+    assert calls == []
+    assert json.loads(cert.to_json())["subject"] == describe(code)
+    assert calls == [code]
+
+
 def test_mds_codes_are_msrd_as_1x1_blocks(f4):
     """A Hamming-metric code is t blocks of 1 x 1, where MDS means MSRD."""
     cert = ct.certify_code(hm.reed_solomon(f4, 5, 3), "msrd")
@@ -406,7 +419,7 @@ def test_covering_construction_bounds_from_ingredients(ingredients):
     radius, _ = ct.sr_covering_radius(code)
     assert radius <= sum(hm.covering_radius(c)[0] for c in ingredients)
     d_sr = ct.sr_min_distance(code).value
-    assert d_sr >= min(hm.min_distance(c, "enumerate").value for c in ingredients)
+    assert d_sr >= min(ct.sr_min_distance(c).value for c in ingredients)
 
 
 def test_certify_perfect_full_space(f4):

@@ -229,6 +229,15 @@ def test_covering_vs_linearized_not_assumed_equivalent(f2, f4):
     assert len(set(lin.enumerate_packed())) == lin.size
 
 
+@pytest.mark.parametrize("t, ingredient, message", [
+    (6, lambda f4: hm.parity_check_code(f4, 6), "minimum distance must be 4"),  # d = 2
+    (4, lambda f4: hm.reed_solomon(f4, 4, 1), "covering radius must be 2"),     # d = 4, R = 3
+])
+def test_quasi_perfect_2x2_gate_refuses_ingredient(f4, t, ingredient, message):
+    with pytest.raises(ValueError, match=message):
+        cs.quasi_perfect_2x2(t, ingredient(f4))
+
+
 def test_recipe_gates():
     with pytest.raises(ValueError, match="gate"):
         cs.quasi_perfect_2xm(2, 2, 1)

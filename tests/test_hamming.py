@@ -8,8 +8,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from test_syndrome import linear_codes
 
+from sumrank import certify as ct
 from sumrank import construct as cs
 from sumrank import hamming as hm
+from sumrank import syndrome as sd
 from sumrank.gf import Field, make_field, poly_mod
 
 
@@ -80,16 +82,16 @@ def test_generator_parity_orthogonal(f4, f2):
 def test_hamming_family(f4):
     h = hm.hamming_code(f4, 2)
     assert (h.n, h.k, h.designed_distance) == (5, 3, 3)
-    assert hm.min_distance(h, "enumerate").value == 3
+    assert ct.sr_min_distance(h).value == 3
     with pytest.raises(ValueError):
         hm.hamming_code(f4, 1)
 
 
 def test_rs_family(f4):
     rs = hm.reed_solomon(f4, 4, 1)
-    assert hm.min_distance(rs, "enumerate").value == 4
+    assert ct.sr_min_distance(rs).value == 4
     ext = hm.reed_solomon(f4, 5, 3)
-    assert hm.min_distance(ext, "enumerate").value == 3
+    assert ct.sr_min_distance(ext).value == 3
     with pytest.raises(ValueError, match="exceeds"):
         hm.reed_solomon(f4, 6, 2)
 
@@ -98,11 +100,11 @@ def test_trivial_families(f4):
     par = hm.parity_check_code(f4, 5)
     assert (par.n, par.k) == (5, 4)
     assert par.defining_set == (0,)
-    assert hm.min_distance(par, "enumerate").value == 2
+    assert ct.sr_min_distance(par).value == 2
     full = hm.full_code(f4, 5)
-    assert full.k == 5 and hm.min_distance(full, "enumerate").value == 1
+    assert full.k == 5 and ct.sr_min_distance(full).value == 1
     rep = hm.repetition_code(f4, 3)
-    assert hm.min_distance(rep, "enumerate").value == 3
+    assert ct.sr_min_distance(rep).value == 3
     z = hm.zero_code(f4, 4)
     assert z.k == 0 and z.size == 1
 
@@ -167,20 +169,20 @@ def test_systematic_cyclic_code_matches_rref(build):
 def test_bch_binary(f2):
     c = hm.bch_binary(1, 3)
     assert (c.n, c.k) == (7, 4)
-    assert hm.min_distance(c, "enumerate").value == 3
+    assert ct.sr_min_distance(c).value == 3
     c2 = hm.bch_binary(2, 4)
     assert (c2.n, c2.k) == (15, 7)
-    assert hm.min_distance(c2, "enumerate").value == 5
+    assert ct.sr_min_distance(c2).value == 5
 
 
 def test_field_extension_of_code(f2, f4):
     rep = hm.repetition_code(f2, 3)
     ext = hm.field_extension_of_code(rep, f4)
     assert ext.field == f4 and ext.generator == rep.generator
-    assert hm.min_distance(ext, "enumerate").value == 3
+    assert ct.sr_min_distance(ext).value == 3
     ham = hm.bch_binary(1, 3)
     ext2 = hm.field_extension_of_code(ham, f4)
-    assert hm.min_distance(ext2, "enumerate").value == 3
+    assert ct.sr_min_distance(ext2).value == 3
     full = hm.full_code(f2, 4)
     assert hm.field_extension_of_code(full, f4).k == 4
     with pytest.raises(ValueError, match="extend"):
@@ -191,17 +193,17 @@ def test_min_distance_methods_agree(f4):
     for code in (hm.hamming_code(f4, 2), hm.cyclic_code(15, f4, [0, 1, 5]),
                  hm.parity_check_code(f4, 6), hm.reed_solomon(f4, 4, 2)):
         if code.size <= 1 << 14:
-            enum = hm.min_distance(code, "enumerate")
-            supp = hm.min_distance(code, "support")
+            enum, _ = sd.least_weight_word(code.field, code.generator, code.weight_blocks)
+            supp = hm.min_distance(code)
             if supp.exact:
-                assert enum.value == supp.value
+                assert enum == supp.value
             else:
-                assert enum.value >= supp.lo
+                assert enum >= supp.lo
 
 
 def test_min_distance_support_witness(f4):
     c = hm.cyclic_code(15, f4, [0, 1, 5])
-    res = hm.min_distance(c, "support")
+    res = hm.min_distance(c)
     assert res.value == 4
     assert hm.hamming_weight(res.witness) == 4
     assert c.contains_packed(res.witness)
@@ -227,7 +229,7 @@ def test_support_search_yields_every_low_weight_codeword(code):
     if code.k == 0:
         return
     d = min(hm.hamming_weight(v) for v in words if any(v))
-    res = hm.min_distance(code, "support")
+    res = hm.min_distance(code)
     if d <= 4:
         assert (res.lo, res.hi) == (d, d)
         assert hm.hamming_weight(res.witness) == d and code.contains_packed(res.witness)
@@ -235,17 +237,11 @@ def test_support_search_yields_every_low_weight_codeword(code):
         assert res.lo >= 5 and res.witness is None
 
 
-def test_min_distance_budget(f4):
-    c = hm.cyclic_code(15, f4, [0])
-    with pytest.raises(hm.BudgetExceeded):
-        hm.min_distance(c, "enumerate", budget=100)
-
-
 def test_covering_radius_golden(f4):
     h = hm.hamming_code(f4, 2)
     r, table = hm.covering_radius(h)
     assert r == 1
-    assert table.complete(16) and table.covering_radius == 1
+    assert len(table.leaders) == 16 and table.radius == 1
     par = hm.parity_check_code(f4, 5)
     assert hm.covering_radius(par)[0] == 1
     rep = hm.repetition_code(f4, 3)
@@ -309,7 +305,7 @@ def test_low_weight_pool(f4):
 def test_search_634_ingredient(f4):
     code = hm.search_634_ingredient(f4)
     assert (code.n, code.k) == (6, 3)
-    assert hm.min_distance(code, "enumerate").value == 4
+    assert ct.sr_min_distance(code).value == 4
     assert hm.covering_radius(code)[0] == 2
 
 

@@ -164,7 +164,7 @@ HAMMING_LENGTHS = {2: 8, 3: 5, 4: 4}
 def test_hamming_dp_radius_matches_sweep(code):
     radius, table = hm.covering_radius(code)
     assert radius == hm.covering_radius_sweep(code)
-    assert table.complete(code.field.order ** code.codim)
+    assert len(table.leaders) == code.field.order ** code.codim
 
 
 # ----------------------------------------------------------------------
@@ -240,8 +240,6 @@ def _check_against_full_dp(field, parity, shapes):
     assert np.array_equal(got.leaders, want.leaders)
     assert (got.distance, got.radius, got.witness) == \
         (want.distance, want.radius, want.witness)
-    bare = sd.syndrome_dp(field, parity, shapes, witness=False)
-    assert np.array_equal(bare.leaders, want.leaders) and bare.distance == want.distance
 
 
 # shapes per base field; 1 x 1 blocks are the Hamming metric, 3 x 3 takes
@@ -414,8 +412,8 @@ def test_kernel_matches_codewords_loop_on_hamming_codes(code):
         assert sd.least_weight_word(code.field, code.generator,
                                     code.weight_blocks) is None
         return
-    res = hm.min_distance(code, "enumerate")
-    assert (res.value, res.witness) == (best, witness)
+    assert sd.least_weight_word(code.field, code.generator,
+                                code.weight_blocks) == (best, witness)
 
 
 def _assert_enumeration_order(code):
