@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from . import hamming as hm
 from .spaces import (MatrixProfile, ball_volume_exact, brute_weight_array,
-                     hamming_ball_volume, rank_classes, rank_array)
+                     hamming_ball_volume, rank_array)
 from .construct import ExtendedSumRankCode, PlotkinSumRankCode, field_of_order
 from .gf import make_field
 from .syndrome import (ENUM_BUDGET, SYNDROME_BUDGET, WORK_BUDGET, BudgetExceeded,
@@ -76,10 +76,8 @@ def sr_min_distance(code: SumRankCode, budget: int = ENUM_BUDGET, *,
             res = replace(res, note="; ".join(n for n in (dp_stop, res.note) if n))
         return res
     if isinstance(code, ExtendedSumRankCode):
-        n, m = code.block_shape
-        # a single rank-1 matrix in an extra block has sum-rank weight 1
-        one = int(rank_classes(code.base, n, m)[1][0])
-        witness = (0,) * code.inner.profile.t + (one,) + (0,) * (code.extra - 1)
+        # a single 1 at entry (0, 0) of an extra block, packed as 1, has rank 1
+        witness = (0,) * code.inner.profile.t + (1,) + (0,) * (code.extra - 1)
         return SrDistance(1, 1, "composition(extension)", witness)
     if isinstance(code, PlotkinSumRankCode):
         # d = min(2 d1, d2), witnessed by (c1 | c1) or (0 | c2)
@@ -235,12 +233,24 @@ def perfection_verdict(d: int, radius: int) -> str:
 
 @dataclass(frozen=True)
 class StrongSingletonBch:
+    """Both size bounds as exponents of 2; an inapplicable record keeps the Singleton one."""
     applicable: bool
     reason: str | None
+    singleton_exponent: int
     case: int | None = None
-    bound: int | None = None
-    singleton: int | None = None
-    improves: bool | None = None
+    exponent: int | None = None
+
+    @property
+    def bound(self) -> int | None:
+        return None if self.exponent is None else 2 ** self.exponent
+
+    @property
+    def singleton(self) -> int:
+        return 2 ** self.singleton_exponent
+
+    @property
+    def improves(self) -> bool | None:
+        return None if self.exponent is None else self.exponent < self.singleton_exponent
 
 
 def strong_singleton_bch(m: int, t: int, e: int, n: int, d_sr: int) -> StrongSingletonBch:
@@ -248,22 +258,21 @@ def strong_singleton_bch(m: int, t: int, e: int, n: int, d_sr: int) -> StrongSin
 
     Case 1 (d = 4m^2 e + i, 1 <= i <= 4m^2 - 1): 2^(m^2 (t - ne)).
     Case 2 (d = 4m^2 e): 2^(m^2 (t - ne + n)).
+    The Singleton-like bound of the m x m profile is 2^(m(tm - d + 1)).
     """
-    if t < 2 ** n - 1:
-        return StrongSingletonBch(False, f"block length {t} below 2^{n} - 1")
-    if 2 ** n < (2 * e - 1) ** (4 * e + 2):
-        return StrongSingletonBch(
-            False, f"2^{n} < (2e-1)^(4e+2) = {(2 * e - 1) ** (4 * e + 2)}")
+    singleton_exponent = m * (t * m - d_sr + 1)
     lo, hi = 4 * m * m * e, 4 * m * m * e + 4 * m * m - 1
-    if not lo <= d_sr <= hi:
-        return StrongSingletonBch(False, f"distance {d_sr} outside [{lo}, {hi}]")
-    if d_sr == lo:
-        case, bound = 2, 2 ** (m * m * (t - n * e + n))
+    if t < 2 ** n - 1:
+        reason = f"block length {t} below 2^{n} - 1"
+    elif 2 ** n < (2 * e - 1) ** (4 * e + 2):
+        reason = f"2^{n} < (2e-1)^(4e+2) = {(2 * e - 1) ** (4 * e + 2)}"
+    elif not lo <= d_sr <= hi:
+        reason = f"distance {d_sr} outside [{lo}, {hi}]"
     else:
-        case, bound = 1, 2 ** (m * m * (t - n * e))
-    profile_exponent = m * (t * m - d_sr + 1)
-    singleton = 2 ** profile_exponent
-    return StrongSingletonBch(True, None, case, bound, singleton, bound < singleton)
+        case = 2 if d_sr == lo else 1
+        return StrongSingletonBch(True, None, singleton_exponent, case,
+                                  m * m * (t - n * e + (n if case == 2 else 0)))
+    return StrongSingletonBch(False, reason, singleton_exponent)
 
 
 @dataclass(frozen=True)

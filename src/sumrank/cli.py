@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import json
 import os
 import sys
@@ -105,8 +104,12 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _load_code(args, params):
+def _load_code(args):
     if args.code:
+        given = [f"{o} {v}" for o, v in (("--recipe", args.recipe), ("--config", args.config))
+                 if v] + args.params
+        if given:
+            raise ValueError(f"--code takes no recipe or parameters; got {' '.join(given)}")
         with open(args.code, "r", encoding="utf-8") as fh:
             saved = json.load(fh)
         code = cs.build_recipe(saved["recipe"], **saved["params"])
@@ -117,12 +120,12 @@ def _load_code(args, params):
         return code
     if not args.recipe:
         raise ValueError("either --code FILE or --recipe NAME is required")
-    return cs.build_recipe(args.recipe, **params)
+    return cs.build_recipe(args.recipe, **parse_params(args.params, args.config))
 
 
 def cmd_certify(args) -> int:
     _check_out_dir(args.out)
-    code = _load_code(args, parse_params(args.params, args.config))
+    code = _load_code(args)
     cert = ct.certify_code(code, args.claim, enum_budget=args.enum_budget,
                            syndrome_budget=args.syndrome_budget,
                            work_budget=args.sweep_budget)
@@ -141,21 +144,40 @@ def _profile(p: dict) -> MatrixProfile:
     return MatrixProfile(cs.field_of_order(p["q"]), blocks)
 
 
-def _names_missing_parameter(cmd):
-    """Make a parameter that `cmd` reads but was not given a usage error that names it."""
-    @functools.wraps(cmd)
-    def run_cmd(args) -> int:
-        try:
-            return cmd(args)
-        except KeyError as exc:
-            raise ValueError(f"{args.command} {args.kind}: "
-                             f"missing parameter {exc.args[0]}=") from None
-    return run_cmd
+# The (required, optional) parameter names each kind reads, in the order a missing
+# one is named; `bounds condition` also reads its family's recipe parameters.
+BOUND_PARAMS = {
+    "singleton": (("q", "blocks", "d"), ()),
+    "strong-bch": (("m", "t", "e", "n", "d"), ()),
+    "strong-blf": (("q", "m", "u", "R", "t"), ("c",)),
+    "block-length": (("q", "m", "u", "R"), ("c",)),
+    "entropy": (("Q", "rho"), ()),
+    "volume": (("q", "blocks", "r"), ()),
+    "bch-radius-interval": (("e", "n"), ()),
+    "condition": (("family",), ()),
+}
+TABLE_PARAMS = {"strong-bch": (("m", "e", "n", "t"), ())}
 
 
-@_names_missing_parameter
-def cmd_bounds(args) -> int:
+def _kind_params(args, declared: dict) -> dict:
+    """The parameters of `args`, refused unless its kind reads exactly those keys."""
     p = parse_params(args.params, args.config)
+    required, optional = declared[args.kind]
+    if args.kind == "condition" and "family" in p:
+        family_required, optional = cs.recipe_params(p["family"])
+        required += family_required
+    unknown = sorted(set(p) - set(required + optional))
+    if unknown:
+        raise ValueError(f"{args.command} {args.kind}: unknown parameters {unknown}; "
+                         f"it reads {', '.join(required + optional)}")
+    missing = [k for k in required if k not in p]
+    if missing:
+        raise ValueError(f"{args.command} {args.kind}: missing parameter {missing[0]}=")
+    return p
+
+
+def cmd_bounds(args) -> int:
+    p = _kind_params(args, BOUND_PARAMS)
     kind = args.kind
     if kind == "singleton":
         print(ct.singleton_like_bound(_profile(p), p["d"]))
@@ -195,35 +217,25 @@ def cmd_bounds(args) -> int:
     if kind == "volume":
         print(ball_volume_exact(_profile(p), p["r"]))
         return 0
-    if kind == "condition":
-        rec = ct.family_condition_checks(p.pop("family"), p)
-        print(f"rational condition [{rec.rational_condition}]: {rec.rational_holds}")
-        print(f"exact criterion [{rec.exact_criterion}]: {rec.exact_holds} "
-              f"({rec.exact_lhs} vs {rec.exact_rhs})")
-        return 0 if (rec.rational_holds and rec.exact_holds) else 2
-    raise ValueError(f"unknown bound kind {kind!r}")
+    rec = ct.family_condition_checks(p.pop("family"), p)  # kind == "condition"
+    print(f"rational condition [{rec.rational_condition}]: {rec.rational_holds}")
+    print(f"exact criterion [{rec.exact_criterion}]: {rec.exact_holds} "
+          f"({rec.exact_lhs} vs {rec.exact_rhs})")
+    return 0 if (rec.rational_holds and rec.exact_holds) else 2
 
 
-@_names_missing_parameter
 def cmd_table(args) -> int:
-    p = parse_params(args.params, args.config)
-    if args.kind != "strong-bch":
-        raise ValueError(f"unknown table kind {args.kind!r}")
+    p = _kind_params(args, TABLE_PARAMS)
     m, e, n = p["m"], p["e"], p["n"]
-    ts = [int(x) for x in str(p.get("t", "")).split(",") if x != ""]
-    header = f"{'t':>8} {'d':>6} {'strong_exp':>12} {'singleton_exp':>14} winner"
-    print(header)
+    ts = [int(x) for x in str(p["t"]).split(",") if x != ""]
+    print(f"{'t':>8} {'d':>6} {'strong_exp':>12} {'singleton_exp':>14} winner")
     for t in ts:
         for i in range(-1, 4 * m * m):
             d = 4 * m * m * e + i
             rec = ct.strong_singleton_bch(m, t, e, n, d)
-            singleton_exp = m * (t * m - d + 1)
-            if not rec.applicable:
-                print(f"{t:>8} {d:>6} {'n/a':>12} {singleton_exp:>14} singleton")
-                continue
-            strong_exp = m * m * (t - n * e + (n if rec.case == 2 else 0))
+            strong_exp = rec.exponent if rec.applicable else "n/a"
             winner = "strong" if rec.improves else "singleton"
-            print(f"{t:>8} {d:>6} {strong_exp:>12} {singleton_exp:>14} {winner}")
+            print(f"{t:>8} {d:>6} {strong_exp:>12} {rec.singleton_exponent:>14} {winner}")
     return 0
 
 
@@ -282,14 +294,12 @@ def build_parser() -> _Parser:
     z.set_defaults(fn=cmd_certify)
 
     b = sub.add_parser("bounds", help="evaluate a bound or hypothesis check")
-    b.add_argument("kind", choices=["singleton", "strong-bch", "strong-blf",
-                                    "block-length", "entropy", "volume",
-                                    "bch-radius-interval", "condition"])
+    b.add_argument("kind", choices=list(BOUND_PARAMS))
     add_common(b)
     b.set_defaults(fn=cmd_bounds)
 
     t = sub.add_parser("table", help="tabulate bound comparisons over a grid")
-    t.add_argument("kind", choices=["strong-bch"])
+    t.add_argument("kind", choices=list(TABLE_PARAMS))
     add_common(t)
     t.set_defaults(fn=cmd_table)
 

@@ -384,7 +384,7 @@ def quasi_perfect_2x2(t: int = 6, ingredient: hm.LinearCode | None = None
     ext = base.extension(2)
     if ingredient is None:
         if t != 6:
-            raise ValueError("gate failed: the built-in ingredient search covers t = 6; "
+            raise ValueError("gate failed: the built-in hexacode ingredient covers t = 6; "
                              "pass an explicit [t,k,4]_4 code of covering radius 2")
         ingredient = hm.search_634_ingredient(ext)
     if ingredient.field != ext or ingredient.n != t:
@@ -539,15 +539,22 @@ RECIPES: dict = {
 }
 
 
-def build_recipe(name: str, **params):
+def recipe_params(name: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The recipe's required and optional parameter names, in signature order."""
     if name not in RECIPES:
         raise ValueError(f"unknown recipe {name!r}; known: {sorted(RECIPES)}")
     fn, argnames = RECIPES[name]
-    unknown = set(params) - set(argnames)
+    sig = inspect.signature(fn).parameters
+    required = tuple(a for a in argnames if sig[a].default is sig[a].empty)
+    return required, tuple(a for a in argnames if a not in required)
+
+
+def build_recipe(name: str, **params):
+    required, optional = recipe_params(name)
+    unknown = set(params) - set(required + optional)
     if unknown:
         raise ValueError(f"unexpected parameters {sorted(unknown)} for recipe {name!r}")
-    missing = [p.name for p in inspect.signature(fn).parameters.values()
-               if p.default is p.empty and p.name not in params]
+    missing = [a for a in required if a not in params]
     if missing:
         raise ValueError(f"missing parameters {missing} for recipe {name!r}")
-    return fn(**params)
+    return RECIPES[name][0](**params)

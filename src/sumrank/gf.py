@@ -23,7 +23,6 @@ Gaussian elimination the constructions and engines use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -269,9 +268,6 @@ class Field:
         if self._exp is not None:
             return self._exp[self.order - 1 - self._log[a]]
         return self.pow(a, self.order - 2)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def frobenius(self, a: int, e: int = 1) -> int:
         """a ** (q ** e) where q is the order of the immediate subfield."""
@@ -618,56 +614,3 @@ def nullspace(field: Field, rows, ncols: int, *, reduced: bool = False):
     if len(red):
         basis[:, pivots] = array_mul(field)(red[:, free].T, field.p - 1)
     return [tuple(row) for row in basis.tolist()]
-
-
-# ----------------------------------------------------------------------
-# ergonomic element wrapper
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FieldElement:
-    """Thin wrapper pairing an element int with its owning field."""
-
-    field: Field
-    value: int
-
-    def __post_init__(self):
-        self.field.check(self.value)
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError("elements of different fields cannot be combined")
-            return other.value
-        return self.field.check(other)
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field.add(self.value, self._coerce(other)))
-
-    def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub(self.value, self._coerce(other)))
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul(self.value, self._coerce(other)))
-
-    def __truediv__(self, other):
-        return FieldElement(self.field, self.field.div(self.value, self._coerce(other)))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow(self.value, e))
-
-    def inverse(self) -> FieldElement:
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def frobenius(self, e: int = 1) -> FieldElement:
-        return FieldElement(self.field, self.field.frobenius(self.value, e))
-
-    @property
-    def coords(self) -> tuple[int, ...]:
-        return self.field.coords(self.value)
-
-    def __int__(self) -> int:
-        return self.value

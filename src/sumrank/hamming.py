@@ -11,7 +11,6 @@ syndrome-space DP pass.  A `LinearCode` is a `SumRankCode` of n blocks of
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field as dc_field
 from math import comb, gcd
 
@@ -103,11 +102,6 @@ class LinearCode(SumRankCode):
             "defining_set": list(self.defining_set) if self.defining_set else None,
             "generator": [list(r) for r in self.generator],
         }
-
-    def export_matrices(self) -> dict:
-        """Generator and parity-check matrices as plain integer lists."""
-        return {"generator": [list(r) for r in self.generator],
-                "parity_check": [list(r) for r in self.parity]}
 
 
 def from_generator(field: Field, rows, *, family: str = "explicit",
@@ -448,20 +442,6 @@ def covering_radius(code: LinearCode, *, syndrome_budget: int = SYNDROME_BUDGET,
     return dp.radius, dp
 
 
-def covering_radius_sweep(code: LinearCode, budget: int = 1 << 20) -> int:
-    """Independent oracle: full ambient max-min distance sweep."""
-    f = code.field
-    total = f.order ** code.n
-    if total > budget:
-        raise BudgetExceeded(f"ambient of {total} words exceeds budget {budget}")
-    words = code.codeword_list()
-    worst = 0
-    for vec in itertools.product(f.elements(), repeat=code.n):
-        best = min(sum(1 for a, b in zip(vec, cw) if a != b) for cw in words)
-        worst = max(worst, best)
-    return worst
-
-
 # ----------------------------------------------------------------------
 # designed-distance bounds for cyclic codes
 # ----------------------------------------------------------------------
@@ -518,50 +498,26 @@ def bch_covering_radius_interval(e: int, n: int):
 
 
 # ----------------------------------------------------------------------
-# low-weight pools and the quasi-perfect [6,3,4] ingredient search
+# low-weight pools and the quasi-perfect [6,3,4] ingredient
 # ----------------------------------------------------------------------
 
 def low_weight_pool(code: LinearCode, wmax: int, cap: int = 512) -> list[tuple[int, ...]]:
     """Up to `cap` codewords of weight <= wmax (wmax <= 4), by support search."""
-    if code.size <= 1 << 14:
-        out = [cw for cw in code.codeword_list()
-               if 0 < hamming_weight(cw) <= wmax]
-        out.sort(key=lambda v: (hamming_weight(v), v))
-        return out[:cap]
     pool: list[tuple[int, ...]] = []
     for w in range(1, min(wmax, 4) + 1):
-        for cw in iter_low_weight(code, w, cap=cap - len(pool)):
-            pool.append(cw)
-            if len(pool) >= cap:
-                return pool
+        if len(pool) < cap:
+            pool += iter_low_weight(code, w, cap=cap - len(pool))
     return pool
 
 
 def search_634_ingredient(field4: Field) -> LinearCode:
-    """Deterministic search for a [6,3,4] code over GF(4) of covering radius 2.
+    """The hexacode, a [6,3,4] code over GF(4) of covering radius 2.
 
-    Scans generator matrices [I | A] with A Hermitian-unitary and entrywise
-    nonzero (the self-dual shape), reading d and R from one syndrome-DP
-    pass per candidate.
+    The generator is [I | A] with A = [[1, 1, 1], [1, w, w^2], [1, w^2, w]],
+    w = 2.  The rows are fixed data, not searched for: the
+    `quasi-perfect-2x2` gate certifies d = 4 and R = 2 on the code it receives.
     """
     if field4.order != 4:
-        raise ValueError("the search runs over GF(4)")
-    f = field4
-
-    def unitary(A):  # A times its conjugate transpose, x -> x^2, is the identity
-        return all(functools.reduce(f.add, (f.mul(A[i][k], f.mul(A[j][k], A[j][k]))
-                                            for k in range(3))) == int(i == j)
-                   for i in range(3) for j in range(3))
-
-    for entries in itertools.product((1, 2, 3), repeat=9):
-        A = [entries[0:3], entries[3:6], entries[6:9]]
-        if not unitary(A):
-            continue
-        rows = [tuple((1 if j == i else 0) for j in range(3)) + tuple(A[i])
-                for i in range(3)]
-        code = from_generator(f, rows, family="explicit")
-        radius, dp = covering_radius(code)
-        if dp.distance == 4 and radius == 2:
-            code.designed_distance = 4
-            return code
-    raise RuntimeError("no [6,3,4]_4 code of covering radius 2 found")
+        raise ValueError("the hexacode lives over GF(4)")
+    rows = ((1, 0, 0, 1, 1, 1), (0, 1, 0, 1, 2, 3), (0, 0, 1, 1, 3, 2))
+    return from_generator(field4, rows, family="explicit", designed_distance=4)

@@ -211,7 +211,7 @@ def test_criterion_06_binary_2x2_quasi_perfect(qp_2x2, f2, f4):
     # the suite itself verifies the ingredient covering radius two ways
     r_h, tab_h = hm.covering_radius(ingredient)
     assert r_h == 2 and len(tab_h.leaders) == 64
-    assert hm.covering_radius_sweep(ingredient) == 2
+    assert ct.sr_covering_radius_sweep(ingredient)[0] == 2
     # syndrome-DP d_sr over the 256 syndromes
     validate_rank_tables(f2, {(2, 2)})
     dist = ct.sr_min_distance(code)

@@ -110,6 +110,18 @@ def test_extension_preserves_radius(f4):
     assert r_inner == r_ext
 
 
+def test_extension_witness_needs_no_rank_table():
+    # 5 x 5 extra block: 2^25 matrices, past the rank-table enumeration cap
+    code = cs.extend_full_blocks(cs.covering_repetition(2, 5, 2), 1)
+    dist = ct.sr_min_distance(code)
+    assert (dist.value, dist.method) == (1, "composition(extension)")
+    assert code.to_word(dist.witness).matrices[-1][0] == (1, 0, 0, 0, 0)
+    verdicts = {claim: ct.certify_code(code, claim).verdict
+                for claim in ("singleton", "sphere-packing", "msrd")}
+    assert verdicts == {"singleton": "certified", "sphere-packing": "certified",
+                        "msrd": "refuted"}
+
+
 def test_singleton_like_bound(f2):
     prof = sp.MatrixProfile(f2, tuple([(2, 2)] * 4))
     assert ct.singleton_like_bound(prof, 4) == 2 ** 10
@@ -489,16 +501,3 @@ def test_verdicts_stable_under_block_permutation(f2):
         assert ct.singleton_like_bound(a, d) == ct.singleton_like_bound(b, d)
         assert (ct.distance_optimal_check(a, 2 ** 6, d)
                 == ct.distance_optimal_check(b, 2 ** 6, d))
-
-
-def test_export_matrices(f4):
-    code = hm.hamming_code(f4, 2)
-    out = code.export_matrices()
-    assert len(out["generator"]) == 3 and len(out["parity_check"]) == 2
-    f = code.field
-    for g in out["generator"]:
-        for h in out["parity_check"]:
-            acc = 0
-            for x, y in zip(g, h):
-                acc = f.add(acc, f.mul(x, y))
-            assert acc == 0

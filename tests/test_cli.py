@@ -70,6 +70,26 @@ def test_corrupted_descriptor_rejected(tmp_path, capsys):
     assert "descriptor mismatch" in err
 
 
+def test_code_takes_no_recipe_or_parameters(tmp_path, capsys, monkeypatch):
+    from sumrank import construct as cs
+
+    desc, cfg = tmp_path / "code.json", tmp_path / "job.cfg"
+    run(capsys, "construct", "almost-msrd-2x2", "q=2", "t=4", "--out", str(desc))
+    cfg.write_text("q = 7\n")
+
+    def build_recipe(*args, **kwargs):
+        raise AssertionError("a code was built")
+
+    monkeypatch.setattr(cs, "build_recipe", build_recipe)
+    for extra, named in ((("--recipe", "cyclic-d4", "q=7", "bogus=1"),
+                          "--recipe cyclic-d4 q=7 bogus=1"),
+                         (("q=7",), "q=7"),
+                         (("--config", str(cfg)), f"--config {cfg}")):
+        code, out, err = run(capsys, "certify", "quasi-perfect", "--code", str(desc), *extra)
+        assert code == 4 and out == ""
+        assert err == f"error: --code takes no recipe or parameters; got {named}\n"
+
+
 def test_exit_codes_cover_verdicts(capsys):
     certified, _, _ = run(capsys, "certify", "distance-optimal",
                           "--recipe", "distance-optimal-2x2", "q=2")
@@ -167,6 +187,20 @@ def test_missing_parameter_is_named(capsys, argv, missing):
     code, out, err = run(capsys, *argv)
     assert code == 4 and out == ""
     assert err == f"error: {missing}\n"
+
+
+@pytest.mark.parametrize("argv,unknown,reads", [
+    (("bounds", "block-length", "q=2", "m=2", "u=4", "R=2", "C=5"),
+     "bounds block-length: unknown parameters ['C']", "q, m, u, R, c"),
+    (("table", "strong-bch", "m=2", "e=2", "n=16", "T=65535"),
+     "table strong-bch: unknown parameters ['T']", "m, e, n, t"),
+    (("bounds", "condition", "family=cyclic-d4", "q=4", "m=3", "lam=1", "s=2"),
+     "bounds condition: unknown parameters ['s']", "family, q, m, lam"),
+])
+def test_unknown_parameter_is_named(capsys, argv, unknown, reads):
+    code, out, err = run(capsys, *argv)
+    assert code == 4 and out == ""
+    assert err == f"error: {unknown}; it reads {reads}\n"
 
 
 def test_bounds_bch_radius_interval(capsys):
