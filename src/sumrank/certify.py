@@ -12,10 +12,10 @@ certificate.
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 from dataclasses import dataclass, field as dc_field, replace
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -369,9 +369,16 @@ class ConditionRecord:
     exact_rhs: int
 
 
+CONDITION_FAMILIES = ("cyclic-d4", "quasi-perfect-2xm", "distance-optimal-sxs",
+                      "distance-optimal-rect", "plotkin-distance-optimal")
+
+
 def family_condition_checks(family: str, params: dict) -> ConditionRecord:
     """Evaluate a family's lambda-condition at epsilon = 0 as rationals,
     alongside the exact finite volume criterion the proof reduces to."""
+    if family not in CONDITION_FAMILIES:
+        raise ValueError(f"no condition checks for family {family!r}; "
+                         f"checkable: {', '.join(CONDITION_FAMILIES)}")
     p = dict(params)
     if family == "cyclic-d4":
         q, m, lam = p["q"], p["m"], p.get("lam", 1)
@@ -410,15 +417,13 @@ def family_condition_checks(family: str, params: dict) -> ConditionRecord:
         profile = MatrixProfile(make_field(2, [1]), tuple([(s, s)] * (2 * t)))
         lhs, rhs = ball_volume_exact(profile, 2), 2 ** (s * (2 * m + 4))
         crit = f"V_sr(2,2) over {2 * t} blocks {s}x{s} > 2^(s(2m+4))"
-    elif family == "quasi-perfect-2xm":
+    else:  # quasi-perfect-2xm
         q, m, u = p["q"], p["m"], p["u"]
         rat, rat_str = True, "none (no lambda condition)"
         t = (q ** (m * u) - 1) // (q ** m - 1)
         profile = MatrixProfile(field_of_order(q), tuple([(2, m)] * t))
         lhs, rhs = ball_volume_exact(profile, 2), q ** (m * (u + 1))
         crit = f"V_sr(q,2) over {t} blocks 2x{m} > q^(m(u+1))"
-    else:
-        raise ValueError(f"no condition checks for family {family!r}")
     return ConditionRecord(family, p, rat_str, bool(rat), crit,
                            bool(lhs > rhs), int(lhs), int(rhs))
 
@@ -432,9 +437,6 @@ VERDICT_EXIT = {"certified": 0, "refuted": 1, "inconclusive": 2}
 CLAIMS = ("perfect", "quasi-perfect", "distance-optimal", "msrd", "almost-msrd",
           "sphere-packing", "singleton")
 
-CONDITION_FAMILIES = ("quasi-perfect-2xm", "distance-optimal-sxs",
-                      "distance-optimal-rect", "plotkin-distance-optimal")
-
 
 def unlock_big_int_strings(digits: int = 1_000_000) -> None:
     """Raise the int->str conversion cap so exact bounds print in full."""
@@ -444,55 +446,17 @@ def unlock_big_int_strings(digits: int = 1_000_000) -> None:
         pass
 
 
-def _float_json(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _key_json(key) -> str:
-    """A dict key as json converts it, before quoting."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float_json(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}")
-
-
 def write_json(obj, write, default=None, _newline: str = "\n") -> None:
     """Write `json.dumps(obj, sort_keys=True, indent=2, default=default)` through `write`.
 
-    The same bytes, piece by piece, without json's pure-Python indent
-    encoder: a list of plain ints (descriptor rows, which make up nearly all
-    of a descriptor) is one join.  `bool` is not a plain int, so it still
-    prints as true/false.  No circular-reference check.
+    The same bytes, piece by piece, so a descriptor streams to its file
+    instead of being built whole in memory: this lays out the lists and
+    dicts, joins a list of plain ints (descriptor rows, which make up nearly
+    all of a descriptor) in one piece, and leaves every scalar and key to
+    json.  `bool` is not a plain int, so it still prints as true/false.  No
+    circular-reference check.
     """
-    if isinstance(obj, str):
-        write(encode_basestring_ascii(obj))
-    elif obj is None:
-        write("null")
-    elif obj is True:
-        write("true")
-    elif obj is False:
-        write("false")
-    elif isinstance(obj, int):
-        write(int.__repr__(obj))
-    elif isinstance(obj, float):
-        write(_float_json(obj))
-    elif isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple)):
         if not obj:
             write("[]")
             return
@@ -513,10 +477,15 @@ def write_json(obj, write, default=None, _newline: str = "\n") -> None:
         inner = _newline + "  "
         sep = "{" + inner
         for key, value in sorted(obj.items()):
-            write(sep + encode_basestring_ascii(_key_json(key)) + ": ")
+            if not (isinstance(key, (str, int, float)) or key is None):
+                raise TypeError(f"keys must be str, int, float, bool or None, "
+                                f"not {key.__class__.__name__}")
+            write(sep + json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": ")
             write_json(value, write, default, inner)
             sep = "," + inner
         write(_newline + "}")
+    elif isinstance(obj, (str, int, float)) or obj is None:
+        write(json.dumps(obj))
     elif default is not None:
         write_json(default(obj), write, default, _newline)
     else:
@@ -528,10 +497,7 @@ def _attach_family_conditions(cert: "Certificate", code) -> None:
     recipe = getattr(code, "recipe", None)
     if recipe not in CONDITION_FAMILIES:
         return
-    try:
-        rec = family_condition_checks(recipe, getattr(code, "params", {}))
-    except (KeyError, ValueError):
-        return
+    rec = family_condition_checks(recipe, code.params)
     cert.add_bound(f"family_condition[{rec.rational_condition}]", rec.rational_holds,
                    ("lambda condition evaluated at epsilon = 0, exact rationals",))
     cert.add_bound(f"family_criterion[{rec.exact_criterion}]", rec.exact_holds,

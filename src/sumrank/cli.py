@@ -164,6 +164,9 @@ def _kind_params(args, declared: dict) -> dict:
     p = parse_params(args.params, args.config)
     required, optional = declared[args.kind]
     if args.kind == "condition" and "family" in p:
+        if p["family"] not in ct.CONDITION_FAMILIES:
+            raise ValueError(f"{args.command} {args.kind}: no checks for family "
+                             f"{p['family']!r}; it checks {', '.join(ct.CONDITION_FAMILIES)}")
         family_required, optional = cs.recipe_params(p["family"])
         required += family_required
     unknown = sorted(set(p) - set(required + optional))

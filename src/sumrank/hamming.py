@@ -99,8 +99,8 @@ class LinearCode(SumRankCode):
             "dimension": self.k,
             "family": self.family,
             "designed_distance": self.designed_distance,
-            "defining_set": list(self.defining_set) if self.defining_set else None,
-            "generator": [list(r) for r in self.generator],
+            "defining_set": self.defining_set or None,
+            "generator": self.generator,
         }
 
 

@@ -294,6 +294,17 @@ def test_condition_checks_sxs_and_plotkin():
     assert (pl3.exact_lhs, pl3.exact_rhs) == (223294, 262144)
 
 
+def test_condition_checks_rect_and_unknown_family():
+    rec = ct.family_condition_checks("distance-optimal-rect",
+                                      {"q": 2, "s1": 2, "s2": 3, "m": 1, "lam": 1})
+    _, r1, r2 = sp.rank_distribution(2, 3, 2)  # 7 blocks 2 x 3: t = 2^3 - 1
+    assert rec.exact_lhs == 1 + 7 * r1 + math.comb(7, 2) * r1 ** 2 + 7 * r2 == 9703
+    assert rec.exact_rhs == 2 ** 15 and not rec.exact_holds
+    assert not rec.rational_holds      # 16 < 9
+    with pytest.raises(ValueError, match="checkable: cyclic-d4, quasi-perfect-2xm"):
+        ct.family_condition_checks("cyclic-d4-alt", {"q": 2, "m": 3})
+
+
 def test_certificate_json_deterministic(qp_code):
     c1 = ct.certify_code(qp_code, "quasi-perfect")
     c2 = ct.certify_code(qp_code, "quasi-perfect")
@@ -372,8 +383,16 @@ def test_certificate_builds_the_descriptor_only_for_json(build, monkeypatch):
     cert = ct.certify_code(code, "distance-optimal")
     cert.to_table()
     assert calls == []
-    assert json.loads(cert.to_json())["subject"] == describe(code)
+    assert json.loads(cert.to_json())["subject"] == json.loads(json.dumps(describe(code)))
     assert calls == [code]
+
+
+def test_certificate_writes_an_extended_descriptor():
+    inner = cs.covering_repetition(2, 2, 3)
+    cert = ct.certify_code(cs.extend_full_blocks(inner, 1), "singleton")
+    subject = json.loads(cert.to_json())["subject"]
+    assert (subject["construction"], subject["extra_blocks"]) == ("extended", 1)
+    assert subject["inner"] == json.loads(json.dumps(inner.describe()))
 
 
 def test_mds_codes_are_msrd_as_1x1_blocks(f4):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,8 @@ import pytest
 
 import sumrank
 from sumrank import certify as ct
+from sumrank import cli
+from sumrank import construct as cs
 from sumrank import hamming as hm
 from sumrank.cli import main, parse_params
 
@@ -220,6 +223,37 @@ def test_bounds_condition(capsys):
     assert "991" in out
 
 
+@pytest.mark.parametrize("family", ["cyclic-d4-alt", "bogus"])
+def test_bounds_condition_refuses_uncheckable_families(capsys, family):
+    # refused before the parameter checks, which would name x=1 as unknown
+    code, out, err = run(capsys, "bounds", "condition", f"family={family}", "q=2", "m=3",
+                         "x=1")
+    assert code == 4 and out == ""
+    assert err == (f"error: bounds condition: no checks for family {family!r}; it checks "
+                   "cyclic-d4, quasi-perfect-2xm, distance-optimal-sxs, "
+                   "distance-optimal-rect, plotkin-distance-optimal\n")
+
+
+def test_bounds_strong_blf_and_block_length(capsys):
+    code, out, _ = run(capsys, "bounds", "strong-blf", "q=2", "m=2", "u=4", "R=2", "t=64")
+    assert code == 0
+    assert out.splitlines() == [
+        f"strong_singleton_blf(q=2,m=2,u=4,R=2,t=64) = {2 ** ((64 - 1) * 4 - 4 * 2)}",
+        "  assumption: universal constant c = 1.0 (non-rigorous)",
+        "  assumption: gate 64 >= 22.1807097779",
+        "  assumption: requires d_sr = 2R + 1"]
+    code, out, _ = run(capsys, "bounds", "block-length", "q=2", "m=2", "u=4", "R=2")
+    assert code == 0
+    assert out.splitlines() == [
+        f"block_length_bound(q=2,m=2,codim=12,R=2) = {2.0 ** 4 * 2 * math.log(2)!r}",
+        "  assumption: universal constant c = 1.0 (non-rigorous)",
+        "  assumption: tolerance 1e-12"]
+    code, out, err = run(capsys, "bounds", "strong-blf", "q=2", "m=2", "u=4", "R=2", "t=10")
+    assert code == 4 and out == "" and "gate failed" in err
+    code, out, err = run(capsys, "bounds", "block-length", "q=2", "m=2", "u=6", "R=2")
+    assert code == 4 and out == "" and "divisibility gate failed" in err
+
+
 def test_table_strong_bch(capsys):
     code, out, _ = run(capsys, "table", "strong-bch", "m=2", "e=2", "n=16",
                        "t=65535,70000")
@@ -379,6 +413,21 @@ def test_dense_size_gate_refuses_before_building(capsys):
     assert f"{32756 * 32767} cells" in err and str(hm.DENSE_CELL_LIMIT) in err
     assert time.perf_counter() - start < 5
     assert peak < 8 << 20
+
+
+def test_write_json_streams_a_descriptor():
+    # json.dumps of this descriptor holds about 3.4 MB; the writer holds a few pieces
+    descriptor = cli._descriptor(cs.distance_optimal_2x2(4), "distance-optimal-2x2", {"q": 4})
+    digest = hashlib.sha256()
+    tracemalloc.start()
+    try:
+        ct.write_json(descriptor, lambda piece: digest.update(piece.encode()))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    expected = json.dumps(descriptor, sort_keys=True, indent=2).encode()
+    assert digest.hexdigest() == hashlib.sha256(expected).hexdigest()
 
 
 def _child_env(**env) -> dict:
