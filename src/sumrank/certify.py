@@ -532,7 +532,11 @@ class Certificate:
     def exit_code(self) -> int:
         return VERDICT_EXIT.get(self.verdict, 3)
 
-    def to_json(self) -> str:
+    def to_json(self, write=None) -> str | None:
+        """The certificate as `json.dumps(..., sort_keys=True, indent=2, default=str)`.
+
+        With `write`, the text goes to it piece by piece and None is returned.
+        """
         unlock_big_int_strings()
         payload = {
             "subject": self.subject,
@@ -544,6 +548,9 @@ class Certificate:
             "seed": self.seed,
             "toolchain-version": self.toolchain_version,
         }
+        if write is not None:
+            write_json(payload, write, default=str)
+            return None
         pieces: list[str] = []
         write_json(payload, pieces.append, default=str)
         return "".join(pieces)

@@ -21,7 +21,8 @@ from typing import NoReturn
 from . import certify as ct
 from . import construct as cs
 from . import hamming as hm
-from .spaces import MatrixProfile, ball_volume_exact, count_rank_matrices
+from .spaces import (MatrixProfile, ball_volume_exact, count_rank_matrices, rank, rank_array,
+                     unpack_matrix)
 from .gf import make_field
 
 USAGE_ERROR = 4
@@ -132,7 +133,7 @@ def cmd_certify(args) -> int:
     print(cert.to_table())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(cert.to_json())
+            cert.to_json(fh.write)
             fh.write("\n")
         print(f"certificate written to {args.out}")
     return cert.exit_code
@@ -247,6 +248,10 @@ def cmd_selftest(args) -> int:
     f4 = make_field(2, [2])
     checks.append(("GF(4): w*w = w+1", f4.mul(2, 2) == 3))
     checks.append(("rank count (2,2,1,2) = 9", count_rank_matrices(2, 2, 1, 2) == 9))
+    f3 = make_field(3, [1])
+    checks.append(("GF(3) 2x3 rank table = elimination",
+                   rank_array(f3, 2, 3).tolist()
+                   == [rank(f3, unpack_matrix(f3, v, 2, 3)) for v in range(3 ** 6)]))
     f2 = make_field(2, [1])
     prof = MatrixProfile(f2, ((2, 2), (2, 2)))
     checks.append(("ball volume 112", ball_volume_exact(prof, 2) == 112))

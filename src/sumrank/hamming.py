@@ -124,10 +124,6 @@ def zero_code(field: Field, t: int) -> LinearCode:
     return LinearCode(field, t, (), parity, family="zero")
 
 
-def hamming_weight(vec) -> int:
-    return sum(1 for v in vec if v)
-
-
 # ----------------------------------------------------------------------
 # cyclotomic cosets and cyclic codes
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ from math import comb
 
 import numpy as np
 
-from .gf import Field
+from .gf import Field, digit_adder
 
 BRUTE_LIMIT = 1 << 24  # most values a rank table or an ambient sweep enumerates
 
@@ -245,89 +245,34 @@ def radius2_ball_lower_bound(t: int, s: int, q: int) -> Fraction:
 
 
 # ----------------------------------------------------------------------
-# brute-force enumeration (oracle paths)
+# rank tables: the production weights of every block value
 # ----------------------------------------------------------------------
 
-def _digit_planes(idx: np.ndarray, q: int, n: int, m: int) -> list[list[np.ndarray]]:
-    return [[(idx // q ** (i * m + j)) % q for j in range(m)] for i in range(n)]
+_TABLE_CHUNK = 1 << 16  # rank-table cells filled per step
 
 
-def _brute_rank_array_gf2(n: int, m: int, size: int) -> np.ndarray:
-    idx = np.arange(size, dtype=np.int64)
-    mask = (1 << m) - 1
-    rows = [(idx >> (i * m)) & mask for i in range(n)]
-    kernel = np.ones(size, dtype=np.int32)  # x = 0 always in the kernel
-    for x in range(1, 1 << n):
-        combo = np.zeros(size, dtype=np.int64)
-        for i in range(n):
-            if (x >> i) & 1:
-                combo ^= rows[i]
-        kernel += (combo == 0)
-    ranks = n - np.round(np.log2(kernel)).astype(np.int8)
-    return ranks
-
-
-def _brute_rank_array_minors(field: Field, n: int, m: int, size: int) -> np.ndarray:
+def _row_multiples(field: Field, m: int) -> np.ndarray:
+    """T[c, r]: the scalar c times the packed length-m row r, for every c and r."""
     q = field.order
-    idx = np.arange(size, dtype=np.int64)
-    nonzero = idx != 0
-    if n == 1:
-        return nonzero.astype(np.int8)
-    dig = _digit_planes(idx, q, n, m)
-    if field.is_prime_field:
-        def mul(a, b):
-            return (a * b) % q
-
-        def add(a, b):
-            return (a + b) % q
-
-        def sub(a, b):
-            return (a - b) % q
-    else:
-        mt = field.np_table("mul")
-        at = field.np_table("add")
-        ng = field.np_table("neg")
-
-        def mul(a, b):
-            return mt[a, b]
-
-        def add(a, b):
-            return at[a, b]
-
-        def sub(a, b):
-            return at[a, ng[b]]
-
-    def det2(r0, r1, i, j):
-        return sub(mul(dig[r0][i], dig[r1][j]), mul(dig[r0][j], dig[r1][i]))
-
-    has2 = np.zeros(size, dtype=bool)
-    for r0 in range(n):
-        for r1 in range(r0 + 1, n):
-            for i in range(m):
-                for j in range(i + 1, m):
-                    has2 |= det2(r0, r1, i, j) != 0
-    if n == 2:
-        return np.where(has2, 2, nonzero.astype(np.int8)).astype(np.int8)
-    if n == 3:
-        has3 = np.zeros(size, dtype=bool)
-        for i in range(m):
-            for j in range(i + 1, m):
-                for k in range(j + 1, m):
-                    d = sub(mul(dig[0][i], det2(1, 2, j, k)),
-                            mul(dig[0][j], det2(1, 2, i, k)))
-                    d = add(d, mul(dig[0][k], det2(1, 2, i, j)))
-                    has3 |= d != 0
-        out = np.where(has3, 3, np.where(has2, 2, nonzero.astype(np.int8)))
-        return out.astype(np.int8)
-    raise ValueError("minor path supports n <= 3 only")
+    powers = q ** np.arange(m, dtype=np.int64)
+    digits = np.arange(q ** m, dtype=np.int64)[:, None] // powers % q
+    return field.np_table("mul")[:, digits] @ powers
 
 
 def brute_rank_array(field: Field, n: int, m: int) -> np.ndarray:
-    """Rank of every packed n x m matrix over the field, by enumeration.
+    """Rank of every packed n x m matrix over the field, as one int8 table.
 
-    Independent of the product-formula counts: ranks come from kernel
-    counting (q = 2) or vanishing-minor tests (n <= 3).  Those cover every
-    shape under the cap: q >= 3 and 4 <= n <= m give q^(nm) >= 3^16 > 2^24.
+    rank M = n - log_q |{x : x^T M = 0}|, with the kernel counted over the
+    projective x by the position of their first nonzero entry.  Those past
+    row 0 are the kernel of H, the rows 1..n-1, whose table is built first.
+    Those with x_0 = 1 solve r_0 = -(y^T H), which has solutions exactly
+    when row r_0 lies in the row space of H, so rank M is rank H, plus 1
+    when r_0 is outside it.  Row 0 is the least significant in packing
+    order, so the q^m matrices that share H fill consecutive cells: all are
+    set to rank H + 1, then the q^(n-1) combinations y^T H, formed on packed
+    rows from a q x q^m table of scalar multiples with XOR (p = 2) or
+    digit-wise addition mod p, are set to rank H.  `_TABLE_CHUNK` cells are
+    filled per step, so only the int8 output grows with q^(nm).
     """
     q = field.order
     size = q ** (n * m)
@@ -335,9 +280,27 @@ def brute_rank_array(field: Field, n: int, m: int) -> np.ndarray:
         raise ValueError(f"brute enumeration of {size} matrices exceeds the cap")
     if n > m:
         raise ValueError("profiles require n <= m")
-    if q == 2:
-        return _brute_rank_array_gf2(n, m, size)
-    return _brute_rank_array_minors(field, n, m, size)
+    width = q ** m  # packed values of one row
+    if n > 1:  # rows to combine; then width <= 2^12 under the cap
+        times = _row_multiples(field, m)
+        add = digit_adder(field.p, field.dim_over_prime * m)
+    ranks = np.zeros(1, dtype=np.int8)  # the one matrix of no rows
+    for k in range(1, n + 1):  # matrices of the last k rows, from those of k - 1
+        high, ranks = ranks, np.empty(len(ranks) * width, dtype=np.int8)
+        step = max(1, _TABLE_CHUNK // width)
+        for lo in range(0, len(high), step):
+            hi = min(lo + step, len(high))
+            cells = ranks[lo * width:hi * width].reshape(hi - lo, width)
+            cells[:] = high[lo:hi, None] + 1
+            h = np.arange(lo, hi, dtype=np.int64)
+            span = [np.zeros(1, dtype=np.int64)]
+            for j in range(k - 1):
+                row = times[:, h // width ** j % width]
+                span = [add(s, row[c]) if j else row[c] for s in span for c in range(q)]
+            at = np.arange(hi - lo)
+            for s in span:
+                cells[at, s] = high[lo:hi]
+    return ranks
 
 
 def brute_rank_counts(field: Field, n: int, m: int) -> list[int]:

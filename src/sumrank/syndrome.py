@@ -61,8 +61,7 @@ SYNDROME_BUDGET = 1 << 16  # syndromes (q^codim) the DP may hold
 WORK_BUDGET = 1 << 30      # DP work units, as `dp_budget_stop` counts them
 
 _INF = 100                 # int8 sentinel above every leader weight
-_CHUNK_WORDS = 1 << 16     # words (or block values) held at once
-_CHUNK_BYTES = 1 << 23     # and at most this many bytes of them
+_CHUNK_BYTES = 1 << 20     # live bytes of one chunk of words or block values
 
 
 class BudgetExceeded(RuntimeError):
@@ -100,8 +99,8 @@ def block_syndromes(field, columns) -> np.ndarray:
 
     `columns[j]` is the parity-check column of the block's j-th position in
     packing order.  The map is GF(p)-linear, so the syndromes of the base-p
-    unit digits fix it, and one integer matrix product per chunk of
-    `_CHUNK_WORDS` values applies it.
+    unit digits fix it, and one integer matrix product per chunk of values
+    applies it, each chunk's int64 digits and products within `_CHUNK_BYTES`.
     """
     p, e = field.p, field.dim_over_prime
     units = []  # syndrome digits of each base-p unit digit of the block
@@ -114,8 +113,9 @@ def block_syndromes(field, columns) -> np.ndarray:
     syn_powers = p ** np.arange(unit_digits.shape[1], dtype=np.int64)
     size = field.order ** len(columns)
     syn = np.empty(size, dtype=np.int64)
-    for lo in range(0, size, _CHUNK_WORDS):
-        values = np.arange(lo, min(lo + _CHUNK_WORDS, size), dtype=np.int64)
+    step = max(1, _CHUNK_BYTES // (8 * (2 + len(units) + 2 * unit_digits.shape[1])))
+    for lo in range(0, size, step):
+        values = np.arange(lo, min(lo + step, size), dtype=np.int64)
         digits = (values[:, None] // unit_powers) % p
         syn[lo:lo + len(values)] = (digits @ unit_digits) % p @ syn_powers
     return syn
@@ -324,10 +324,10 @@ def span_chunks(field, rows, cells):
     and the span is listed lexicographically in the digits on those rows,
     the first row most significant, as `LinearCode.codewords` lists
     GF(q)-combinations.  `cells[b]` is the number of GF(q) entries packed
-    in block b.  Yields (blocks, words) arrays of block values of at most
-    `_CHUNK_WORDS` words and `_CHUNK_BYTES` bytes each: the span of the
-    trailing rows is tabulated once and shifted by each combination of the
-    leading rows.
+    in block b.  Yields (blocks, words) arrays of block values: the span of
+    the trailing rows is tabulated once and shifted by each combination of
+    the leading rows.  A chunk has as many words as fit in `_CHUNK_BYTES`
+    with everything alive while `least_weight_word` weighs it.
     """
     p, e = field.p, field.dim_over_prime
     prime_rows = [[_scale_block(field, p ** j, v, n) for v, n in zip(row, cells)]
@@ -346,7 +346,11 @@ def span_chunks(field, rows, cells):
             words = np.concatenate(multiples, axis=1)
         return words
 
-    fit = min(_CHUNK_WORDS, _CHUNK_BYTES // (len(cells) * dtype.itemsize))
+    # bytes alive per word: the tabulated span, the chunk before and the
+    # shifted chunk (odd p: three more for the digit-wise sum), then the
+    # int64 weight, one block's intp gather index, its int8 ranks and a mask
+    copies = 3 if p == 2 else 6
+    fit = _CHUNK_BYTES // (len(cells) * dtype.itemsize * copies + 8 + 8 + 1 + 1)
     low = 0
     while low < len(prime_rows) and p ** (low + 1) <= fit:
         low += 1

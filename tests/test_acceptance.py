@@ -22,6 +22,8 @@ from sumrank import spaces as sp
 from sumrank.construct import field_of_order
 from sumrank.gf import make_field
 
+from oracles import hamming_weight
+
 PRIME_POWERS_32 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
 
 # codes constructed across the suite, with their exact distances,
@@ -160,7 +162,7 @@ def test_criterion_04_distance_optimal_2x2(f2, f4):
     # Hartmann-Tzeng preconditions verified inside the bound call
     assert hm.hartmann_tzeng_bound(c1.defining_set, 15, [0, 1], [0, 4], 4, 1) == 4
     d1 = hm.min_distance(c1)
-    assert d1.value == 4 and hm.hamming_weight(d1.witness) == 4
+    assert d1.value == 4 and hamming_weight(d1.witness) == 4
     assert c1.contains_packed(d1.witness)
     assert code.dim == 50
     # d_sr = 4: composition lower bound plus a weight-4 witness
@@ -278,7 +280,7 @@ def test_criterion_08_weight_identity(f2, f4):
                 packed = code.packed_from_symbols([w1, w2])
                 wt = sp.packed_word_weight(code.profile, packed)
                 overlap = sum(1 for a, b in zip(w1, w2) if a and b)
-                expected = (2 * hm.hamming_weight(w1) + 2 * hm.hamming_weight(w2)
+                expected = (2 * hamming_weight(w1) + 2 * hamming_weight(w2)
                             - 3 * overlap)
                 assert wt == expected
                 checked += 1

@@ -317,6 +317,18 @@ def test_certificate_json_deterministic(qp_code):
     assert all("method" in q for q in payload["quantities"])
 
 
+def test_certificate_json_streams_the_bytes_of_json_dumps(qp_code):
+    cert = ct.certify_code(qp_code, "quasi-perfect")
+    pieces = []
+    assert cert.to_json(pieces.append) is None
+    payload = {"subject": cert.subject, "property": cert.claim,
+               "quantities": cert.quantities, "bounds": cert.bounds,
+               "verdict": cert.verdict, "notes": cert.notes, "seed": cert.seed,
+               "toolchain-version": cert.toolchain_version}
+    expected = json.dumps(payload, sort_keys=True, indent=2, default=str)
+    assert len(pieces) > 1 and "".join(pieces) == expected == cert.to_json()
+
+
 # JSON-like trees: int lists with bools among the ints (the writer's join
 # path), tuples, empty and nested containers, dict keys of every kind json
 # converts (one comparable kind per dict, as sort_keys needs), escapes and

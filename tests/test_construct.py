@@ -12,6 +12,8 @@ from sumrank import spaces as sp
 from sumrank.cli import parse_params
 from sumrank.gf import make_field
 
+from oracles import hamming_weight
+
 
 def _weights(code, budget=1 << 16):
     ra = [sp.rank_array(code.base, n, m) for n, m in code.profile.blocks]
@@ -69,7 +71,7 @@ def test_binary_2x2_weight_identity(f2, f4):
             packed = code.packed_from_symbols([w1, w2])
             wt = sp.packed_word_weight(code.profile, packed)
             overlap = sum(1 for a, b in zip(w1, w2) if a and b)
-            assert wt == 2 * hm.hamming_weight(w1) + 2 * hm.hamming_weight(w2) - 3 * overlap
+            assert wt == 2 * hamming_weight(w1) + 2 * hamming_weight(w2) - 3 * overlap
 
 
 def test_encode_linearity(f2, f4):

@@ -1,6 +1,8 @@
 """Matrix profiles, rank counting, ball volumes, and the metric axioms."""
 
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumrank import spaces as sp
+from sumrank.construct import field_of_order
 
 
 def test_profile_validation(f2):
@@ -55,6 +58,39 @@ def test_brute_rank_array_odd_q_stops_at_the_cap(f3):
     # every odd-q shape with n >= 4 has at least 3^16 > 2^24 matrices
     with pytest.raises(ValueError, match="exceeds the cap"):
         sp.brute_rank_array(f3, 4, 4)
+
+
+ORACLE_ORDERS = (2, 3, 4, 5, 7, 8, 9)
+
+
+@pytest.mark.parametrize("q", ORACLE_ORDERS)
+def test_rank_table_equals_elimination_on_every_matrix(q):
+    """Every n <= m <= 4 shape of at most 2^12 matrices, at the default and a tiny chunk."""
+    f = field_of_order(q)
+    shapes = [(n, m) for n in range(1, 5) for m in range(n, 5) if q ** (n * m) <= 1 << 12]
+    for n, m in shapes:
+        expected = [sp.rank(f, sp.unpack_matrix(f, v, n, m)) for v in range(q ** (n * m))]
+        for chunk in (sp._TABLE_CHUNK, 1):
+            with mock.patch.object(sp, "_TABLE_CHUNK", chunk):
+                table = sp.brute_rank_array(f, n, m)
+            assert table.dtype == np.int8 and table.tolist() == expected, (n, m, chunk)
+        assert sp.brute_rank_counts(f, n, m) == sp.rank_distribution(n, m, q)
+
+
+@pytest.mark.parametrize("q,n,m", [(2, 4, 4), (3, 2, 4)])
+@pytest.mark.parametrize("chunk", [256, sp._TABLE_CHUNK])
+def test_rank_table_memory_is_the_output_plus_one_chunk(q, n, m, chunk):
+    """The int8 table twice, 16 bytes per chunk cell and the scalar-multiple table's build."""
+    f = field_of_order(q)
+    sp.brute_rank_array(f, n, m)  # the field's mul table is built once, outside the trace
+    with mock.patch.object(sp, "_TABLE_CHUNK", chunk):
+        tracemalloc.start()
+        try:
+            sp.brute_rank_array(f, n, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 2 * q ** (n * m) + 16 * chunk + 8 * q * q ** m * (m + 1)
 
 
 def test_sum_rank_weight_golden(f2):

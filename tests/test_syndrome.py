@@ -13,6 +13,7 @@ least-weight witness and the same word order as those loops and as
 
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -24,6 +25,8 @@ from sumrank import construct as cs
 from sumrank import hamming as hm
 from sumrank import spaces as sp
 from sumrank import syndrome as sd
+
+from oracles import hamming_weight
 
 FAST = settings(max_examples=25, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -341,7 +344,7 @@ def test_plotkin_rule_matches_dp(f2, f4):
 # the enumeration kernel
 # ----------------------------------------------------------------------
 
-TINY_CHUNK = 4  # words per chunk that force many shifted chunks
+TINY_CHUNK = 4  # bytes per chunk: one word per chunk, every word a shifted chunk
 
 
 def _kernel_words(field, rows, cells):
@@ -352,8 +355,8 @@ def _kernel_words(field, rows, cells):
 def _check_kernel(code):
     """The kernel's d, witness and zero-code flag equal the enumeration loop's."""
     best, witness = _enumeration_oracle(code)
-    for chunk in (sd._CHUNK_WORDS, TINY_CHUNK):
-        with mock.patch.object(sd, "_CHUNK_WORDS", chunk):
+    for chunk in (sd._CHUNK_BYTES, TINY_CHUNK):
+        with mock.patch.object(sd, "_CHUNK_BYTES", chunk):
             found = ct._exhaustive_sr_distance(code)
         assert found.infinite == (best is None)
         assert found.infinite or (found.value, found.witness) == (best, witness)
@@ -390,11 +393,26 @@ def test_kernel_matches_enumeration_loop(code):
     _check_kernel(code)
 
 
+def test_enumeration_memory_stays_within_the_chunk_bound():
+    """Weighing 2^16 words of 16 blocks holds one chunk's live bytes, not the whole span."""
+    code = cs.covering_repetition(2, 4, 16)
+    rows, blocks = code._generator_rows_packed(), code.weight_blocks
+    assert code.size == 1 << 16
+    tracemalloc.start()
+    try:
+        found = sd.least_weight_word(code.base, rows, blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found[0] == 16
+    assert peak < 3 << 19  # 1.5 MB; the whole 16 x 2^16 uint16 span is 2 MB
+
+
 def _hamming_oracle(code):
     """Least nonzero Hamming weight over `codewords`, and its first word."""
     best, witness = None, None
     for cw in code.codewords():
-        w = hm.hamming_weight(cw)
+        w = hamming_weight(cw)
         if w and (best is None or w < best):
             best, witness = w, cw
     return best, witness
@@ -434,21 +452,21 @@ def _ingredient_codes():
 @pytest.mark.parametrize("chunk", [TINY_CHUNK, 1 << 16])
 @pytest.mark.parametrize("index", range(len(_ingredient_codes())))
 def test_kernel_order_ingredient(index, chunk, monkeypatch):
-    monkeypatch.setattr(sd, "_CHUNK_WORDS", chunk)
+    monkeypatch.setattr(sd, "_CHUNK_BYTES", chunk)
     _assert_enumeration_order(_ingredient_codes()[index])
 
 
 @pytest.mark.parametrize("chunk", [TINY_CHUNK, 1 << 16])
 @pytest.mark.parametrize("q,extra", [(2, 1), (2, 2), (3, 1)])
 def test_kernel_order_extended(q, extra, chunk, monkeypatch):
-    monkeypatch.setattr(sd, "_CHUNK_WORDS", chunk)
+    monkeypatch.setattr(sd, "_CHUNK_BYTES", chunk)
     _assert_enumeration_order(cs.extend_full_blocks(cs.covering_repetition(q, 2, 2), extra))
 
 
 @pytest.mark.parametrize("chunk", [TINY_CHUNK, 1 << 16])
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_kernel_order_plotkin(q, chunk, monkeypatch):
-    monkeypatch.setattr(sd, "_CHUNK_WORDS", chunk)
+    monkeypatch.setattr(sd, "_CHUNK_BYTES", chunk)
     base = cs.field_of_order(q)
     ext = base.extension(2)
     first = cs.sr_linearized([hm.repetition_code(ext, 2)])
@@ -458,7 +476,7 @@ def test_kernel_order_plotkin(q, chunk, monkeypatch):
 
 @pytest.mark.parametrize("chunk", [TINY_CHUNK, 1 << 16])
 def test_kernel_order_linear_code(chunk, monkeypatch, f4, f9, f16_tower):
-    monkeypatch.setattr(sd, "_CHUNK_WORDS", chunk)
+    monkeypatch.setattr(sd, "_CHUNK_BYTES", chunk)
     for code in (hm.hamming_code(f4, 2), hm.reed_solomon(f9, 4, 2),
                  hm.from_generator(f16_tower, [(1, 2, 7), (0, 5, 11)])):
         assert _kernel_words(code.field, code.generator, [1] * code.n) == \
