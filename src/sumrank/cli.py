@@ -23,7 +23,7 @@ from . import construct as cs
 from . import hamming as hm
 from .spaces import (MatrixProfile, ball_volume_exact, count_rank_matrices, rank, rank_array,
                      unpack_matrix)
-from .gf import make_field
+from .gf import make_field, nullspace
 
 USAGE_ERROR = 4
 INTERNAL_ERROR = 3
@@ -262,6 +262,12 @@ def cmd_selftest(args) -> int:
     d = ct.sr_min_distance(am)
     checks.append(("almost-MSRD d=4 defect=2",
                    d.value == 4 and ct.singleton_defect(am.profile, am.dim, 4) == 2))
+    rep = cs.covering_repetition(2, 2, 3)
+    for name, code in (("linearized", cs.quasi_perfect_2xm(3, 2, 2)),
+                       ("Plotkin", cs.plotkin(rep, rep))):
+        checks.append((f"{name} parity = nullspace(RREF(generator))",
+                       code.flat_parity == tuple(nullspace(code.base, code.flat_generator,
+                                                           code.ambient_dim, reduced=True))))
     ok = True
     for name, passed in checks:
         print(f"[{'PASS' if passed else 'FAIL'}] {name}")

@@ -15,7 +15,9 @@ digits, so it is the identity on element ints.  The base field GF(q) is the
 subfield of the ingredients' symbol field.
 
 On top of those sit the full-block extension and the Plotkin sum, plus the
-named parameterized recipes used by the CLI.
+named parameterized recipes used by the CLI.  Each construction states its
+parity checks through its parts' (`_parity_rows`), so the engines never
+need the code's generator.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gf import Field, digit_add, is_prime, make_field
+from .gf import Field, array_mul, digit_add, is_prime, make_field, rref
 from . import hamming as hm
 from .spaces import MatrixProfile, SumRankWord, pack_matrix
 from .syndrome import ENUM_BUDGET, SumRankCode, least_weight_word
@@ -188,7 +190,7 @@ class IngredientSumRankCode(SumRankCode):
     def _generator_rows_packed(self):
         # beta * g over the power basis from high to low, the digit order of
         # the symbol coefficients that `enumerate_packed` counts up
-        mul = hm.array_mul(self.ext)
+        mul = array_mul(self.ext)
         betas = np.array(self.ext.power_basis()[::-1], dtype=np.int64)[:, None, None]
         dtype = np.int64 if self.base.order ** (self.rows * self.m) < 1 << 63 else object
         rows = []
@@ -202,6 +204,43 @@ class IngredientSumRankCode(SumRankCode):
             rows.append(blocks[at.reshape(len(betas), code.k, self.t)]
                         .transpose(1, 0, 2).reshape(-1, self.t))
         return [tuple(row) for row in np.concatenate(rows).tolist()]
+
+    @cached_property
+    def _cell_preimages(self) -> np.ndarray:
+        """U[i, c]: symbol i of L^-1(e_c), for every unit cell e_c of a block.
+
+        L maps one position's ingredient symbols to its block.  It is
+        GF(q)-linear; row (i, a) of its matrix is the block of x^a alone in
+        symbol i, so the rows of its inverse, read as digits over the power
+        basis, are the preimages.  L must be invertible, or the
+        construction would not be injective.
+        """
+        base, n, m = self.base, self.rows, self.m
+        cells = n * m
+        images = []
+        for i in range(n):
+            for a in range(m):
+                syms = [0] * n
+                syms[i] = base.order ** a
+                images.append([x for row in self.block_matrix(syms) for x in row])
+        red, pivots = rref(base, np.hstack([np.array(images, dtype=np.int64),
+                                            np.eye(cells, dtype=np.int64)]))
+        if pivots != list(range(cells)):
+            raise RuntimeError("construction is not injective: the block map is singular")
+        inverse = np.array(red, dtype=np.int64)[:, cells:].reshape(cells, n, m)
+        return (inverse @ base.order ** np.arange(m, dtype=np.int64)).T
+
+    def _parity_rows(self) -> np.ndarray:
+        # row (i, j, k), column (block r, cell c): coordinate k over GF(q) of
+        # H_i[j, r] * U[i, c], since L^-1 of a block is sum_c b_c U[:, c]
+        mul, q = array_mul(self.ext), self.base.order
+        powers = q ** np.arange(self.m, dtype=np.int64)[:, None, None]
+        rows = []
+        for code, preimages in zip(self.ingredients, self._cell_preimages):
+            H = np.array(code.parity, dtype=np.int64).reshape(-1, self.t)
+            products = mul(H[:, None, :, None], preimages)
+            rows.append((products // powers % q).reshape(-1, self.ambient_dim))
+        return np.concatenate(rows)
 
     def composition_lower_bound(self) -> int:
         """Distance lower bound from the ingredient distances."""
@@ -296,6 +335,11 @@ class ExtendedSumRankCode(SumRankCode):
                 rows.append(zeros_head + tuple(tail))
         return rows
 
+    def _parity_rows(self) -> np.ndarray:
+        inner = _parity_array(self.inner)
+        extra = np.zeros((len(inner), self.ambient_dim - inner.shape[1]), dtype=np.int64)
+        return np.hstack([inner, extra])
+
     def describe(self) -> dict:
         return {
             "construction": "extended",
@@ -304,6 +348,11 @@ class ExtendedSumRankCode(SumRankCode):
             "dimension": self.dim,
             "inner": self.inner.describe(),
         }
+
+
+def _parity_array(code: SumRankCode) -> np.ndarray:
+    """A part's flat parity, rank-checked, as one codim x ambient array."""
+    return np.array(code.flat_parity, dtype=np.int64).reshape(-1, code.ambient_dim)
 
 
 def extend_full_blocks(code: SumRankCode, extra: int) -> ExtendedSumRankCode:
@@ -342,6 +391,12 @@ class PlotkinSumRankCode(SumRankCode):
         rows = [p + p for p in self.first._generator_rows_packed()]
         rows.extend(zeros + p for p in self.second._generator_rows_packed())
         return rows
+
+    def _parity_rows(self) -> np.ndarray:
+        # (x | y) is (c1 | c1 + c2) exactly when H1 x = 0 and H2 (y - x) = 0
+        h1, h2 = _parity_array(self.first), _parity_array(self.second)
+        return np.block([[h1, np.zeros_like(h1)],
+                         [self.base.np_table("neg")[h2], h2]])
 
     def describe(self) -> dict:
         return {

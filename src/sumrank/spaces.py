@@ -19,6 +19,7 @@ import numpy as np
 from .gf import Field, digit_adder
 
 BRUTE_LIMIT = 1 << 24  # most values a rank table or an ambient sweep enumerates
+_CHUNK_BYTES = 1 << 20  # live bytes of one chunk of words, block values or ambient words
 
 
 @dataclass(frozen=True)
@@ -325,25 +326,27 @@ def rank_classes(field: Field, n: int, m: int) -> list[np.ndarray]:
 
 
 def brute_weight_array(profile: MatrixProfile) -> np.ndarray:
-    """Sum-rank weight of every packed ambient word (ambient sweeps)."""
+    """Sum-rank weight of every packed ambient word (ambient sweeps).
+
+    The int16 weights are filled chunk by chunk, so only the output grows
+    with the ambient.  Within `_CHUNK_BYTES` a chunk holds its int32 word
+    indices (twice, while the next chunk's replace them), their digits of
+    one block and the int8 ranks of those.
+    """
     size = profile.ambient_size
     if size > BRUTE_LIMIT:
         raise ValueError(f"ambient sweep of {size} words exceeds the cap")
-    dtype = np.int32 if size <= 1 << 31 else np.int64
-    idx = np.arange(size, dtype=dtype)
+    tables = [(rank_array(profile.field, n, m), bs)
+              for (n, m), bs in zip(profile.blocks, profile.block_space_sizes())]
     weights = np.zeros(size, dtype=np.int16)
-    if profile.q == 2:
-        shift = 0
-        for n, m in profile.blocks:
-            arr = rank_array(profile.field, n, m)
-            weights += arr[(idx >> shift) & ((1 << (n * m)) - 1)].astype(np.int16)
-            shift += n * m
-        return weights
-    stride = 1
-    for (n, m), bs in zip(profile.blocks, profile.block_space_sizes()):
-        arr = rank_array(profile.field, n, m)
-        weights += arr[(idx // stride) % bs].astype(np.int16)
-        stride *= bs
+    step = max(1, _CHUNK_BYTES // (4 + 4 + 4 + 1))
+    for lo in range(0, size, step):
+        rest = np.arange(lo, min(lo + step, size), dtype=np.int32)
+        digit = np.empty_like(rest)
+        out = weights[lo:lo + len(rest)]
+        for ranks, bs in tables:
+            out += ranks[np.remainder(rest, bs, out=digit)]
+            rest //= bs
     return weights
 
 

@@ -24,7 +24,8 @@ syndromes span a subspace G of dimension k, and cell (y, c) of the
 basis of G) and other digits c plus those of the basis combination y.
 Every shift by a syndrome in G is then a row gather, and the min over all
 of G is a column min.  A is gathered into the layout and scattered back
-once per block.
+once per block, a few rows at a time, so the layout's index is never held
+whole.
 
 Rank-1 rounds would count x + (-x) as a nonzero word, so d comes from a
 gather before each block instead,
@@ -42,6 +43,13 @@ enumerating the code in numpy chunks instead, in both metrics.
 profile, the flat parity-check rows and the packed generator rows.  Its
 cached `syndrome_dp` is the one DP pass per code: d, its witness, R and
 the leader table of a sum-rank or a Hamming-metric code all come from it.
+
+The flat parity comes from the constructions' own parity checks (their
+ingredients' parity rows, mapped through each block's coordinate map), not
+from the code's generator, and is brought to the form the generator's
+nullspace would give, so a certificate does not depend on which way it
+was built.  No engine forms the dense flat generator, whose size grows as
+the square of the block count.
 """
 
 from __future__ import annotations
@@ -52,16 +60,16 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .gf import Field, digit_adder, make_field, nullspace, rref
-from .spaces import (BRUTE_LIMIT, MatrixProfile, SumRankWord, pack_matrix, rank_array,
-                     unpack_matrix)
+from .gf import Field, digit_adder, make_field, rref
+from .spaces import (_CHUNK_BYTES, BRUTE_LIMIT, MatrixProfile, SumRankWord, pack_matrix,
+                     rank_array, unpack_matrix)
 
 ENUM_BUDGET = 1 << 22      # codewords an exhaustive enumeration may stream
 SYNDROME_BUDGET = 1 << 16  # syndromes (q^codim) the DP may hold
 WORK_BUDGET = 1 << 30      # DP work units, as `dp_budget_stop` counts them
 
 _INF = 100                 # int8 sentinel above every leader weight
-_CHUNK_BYTES = 1 << 20     # live bytes of one chunk of words or block values
+_LAYOUT_BYTES = 1 << 16    # bytes of layout indices formed at once
 
 
 class BudgetExceeded(RuntimeError):
@@ -138,27 +146,38 @@ def _sum_table(p: int, width: int) -> np.ndarray:
     return table
 
 
-def _layout(p: int, basis: np.ndarray, pivots, out: np.ndarray) -> np.ndarray:
-    """Syndrome index of every cell (y, c) of a block's layout: a (p^k, p^f) view of `out`.
+def _layout(p: int, basis: np.ndarray, pivots) -> tuple[np.ndarray, np.ndarray]:
+    """The syndrome index of every cell (y, c) of a block's (p^k, p^f) layout, as two parts.
 
     `basis` is the RREF basis g_1..g_k of the block's syndrome span, with
     `pivots`.  Cell (y, c) is the syndrome with pivot digits y and other
     digits c + t(y), t(y) the non-pivot digits of sum_j y_j g_j, so a shift
     by any syndrome of the span changes y only.  The non-pivot digits are
-    split in two halves, and each half's digit-wise sums t(y) + c are read
-    from the table of all sums of two half-width values.  `out` holds one
-    index per syndrome.
+    split in two halves, c = c_hi * p^split + c_lo, and each half's
+    digit-wise sums t(y) + c are read from the table of all sums of two
+    half-width values.  Returns (head, lo): cell (y, c) has the index
+    head[y, c_hi] + lo[y, c_lo]; `_layout_rows` adds them up row by row.
     """
     free = [i for i in range(basis.shape[1]) if i not in pivots]
     y = _digit_rows(p, len(pivots))
     t = y @ basis[:, free] % p  # t(y), one digit per non-pivot position
-    split = len(free) // 2      # c = c_hi * p^split + c_lo
+    split = len(free) // 2
     hi, lo = (_placed_sums(p, free[split:], t[:, split:]),
               _placed_sums(p, free[:split], t[:, :split]))
-    pivot_part = y @ p ** np.array(pivots, dtype=np.int64)
-    index = out.reshape(len(y), len(hi[0]), len(lo[0]))
-    np.add((pivot_part[:, None] + hi)[:, :, None], lo[:, None, :], out=index)
-    return out.reshape(len(y), -1)
+    return y @ p ** np.array(pivots, dtype=np.int64)[:, None] + hi, lo
+
+
+def _layout_rows(head: np.ndarray, lo: np.ndarray):
+    """(rows, index): chunks of a layout's rows and the syndrome index of their cells.
+
+    A chunk has as many rows as fit in `_LAYOUT_BYTES` of indices, at least
+    one, so the index of the whole layout is never held.
+    """
+    width = head.shape[1] * lo.shape[1]
+    step = max(1, _LAYOUT_BYTES // (8 * width))
+    for at in range(0, len(head), step):
+        rows = slice(at, at + step)
+        yield rows, (head[rows, :, None] + lo[rows, None, :]).reshape(-1, width)
 
 
 def _placed_sums(p: int, positions, t: np.ndarray) -> np.ndarray:
@@ -241,7 +260,7 @@ def syndrome_dp(field, parity, shapes) -> SyndromeDP:
     flat = np.full(p ** digits, _INF, dtype=np.int8)
     flat[0] = 0
     buf = np.empty_like(flat)  # the state in the current block's layout
-    index = np.empty(len(flat), dtype=np.intp)  # the syndrome of each layout cell
+    before = np.empty_like(flat)  # the state before the current block
     t = len(shapes)
     # levels[w, s]: blocks after which A[s] is first <= w, else t + 1
     levels = np.full((codim + 1, len(flat)), t + 1, dtype=np.uint8 if t < 255 else np.uint16)
@@ -256,9 +275,11 @@ def syndrome_dp(field, parity, shapes) -> SyndromeDP:
         b_zero.append(min(b_zero[-1] if b_zero else _INF, int(reach.min())))
         units = syn[p ** np.arange(n * m * field.dim_over_prime)]  # unit digits' syndromes
         basis, pivots = rref(prime, units[:, None] // p ** np.arange(digits) % p)
-        idx = _layout(p, np.array(basis, dtype=np.int64).reshape(len(pivots), digits),
-                      pivots, index)
-        B = np.take(flat, idx, out=buf.reshape(idx.shape))
+        head, lo = _layout(p, np.array(basis, dtype=np.int64).reshape(len(pivots), digits),
+                           pivots)
+        B = buf.reshape(len(head), -1)
+        for part, idx in _layout_rows(head, lo):
+            B[part] = flat[idx]
         top = B.min(axis=0) + np.int8(n)  # any block value, counted at weight n
         if n > 1:
             gens = syn[_line_generators(field, n, m)]  # generator syndromes per line
@@ -273,11 +294,15 @@ def syndrome_dp(field, parity, shapes) -> SyndromeDP:
                     np.minimum(C, coset_min(B, line, rows), out=C)
                 np.minimum(B, C + 1, out=B)
         np.minimum(B, top, out=B)
-        before = flat.copy()
-        flat[idx] = B
+        np.copyto(before, flat)
+        for part, idx in _layout_rows(head, lo):
+            flat[idx] = B[part]
         changed = np.flatnonzero(flat < before)
+        if not len(changed):
+            continue
         new, old = flat[changed], before[changed]
-        for w in range(codim + 1):
+        # only the levels w with new <= w < old move
+        for w in range(int(new.min()), min(int(old.max()), codim + 1)):
             levels[w, changed[(new <= w) & (old > w)]] = b + 1
     if int(flat.max()) >= _INF:
         raise RuntimeError("parity map is not onto: a syndrome is unreachable")
@@ -413,7 +438,15 @@ class SrDistance:
 
 
 class SumRankCode:
-    """Common interface for structured sum-rank codes over GF(q)."""
+    """Common interface for structured sum-rank codes over GF(q).
+
+    A construction supplies its dimension, its packed generator rows (for
+    enumeration) and `_parity_rows`, rows spanning its dual built from its
+    parts' parity checks.  `flat_parity`, which every engine reads, is
+    derived from those rows alone.  `flat_generator` stays as the reference
+    the self-test compares `flat_parity` with, and as a name the benchmark's
+    tracing wraps; no engine reads it.
+    """
 
     construction: str = "explicit"
 
@@ -447,6 +480,15 @@ class SumRankCode:
         Listed in `enumerate_packed` order: that enumeration is the
         lexicographic GF(q)-span of these rows, the first row most
         significant, which `least_weight_word` walks.
+        """
+        raise NotImplementedError
+
+    def _parity_rows(self) -> np.ndarray:
+        """GF(q) rows spanning the dual of the code: one int64 array, a column per
+        ambient coordinate, rows in any order and not necessarily independent.
+
+        Each construction builds them from its parts' parity checks, so no
+        generator of the code is formed.
         """
         raise NotImplementedError
 
@@ -494,8 +536,20 @@ class SumRankCode:
 
     @cached_property
     def flat_parity(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(nullspace(self.base, self.flat_generator, self.ambient_dim,
-                               reduced=True))
+        """The parity check in the nullspace form of RREF(flat generator).
+
+        Built from `_parity_rows` by matroid duality: the free columns of
+        RREF(G) are the pivots of the parity's RREF taken right to left, so
+        the columns are reversed, eliminated and reversed back, and the rows
+        ordered by their identity column.  The rows must have rank codim:
+        fewer would admit words outside the code, more would exclude
+        codewords.
+        """
+        red, _ = rref(self.base, self._parity_rows()[:, ::-1])
+        if len(red) != self.codim:
+            raise RuntimeError(f"parity checks have rank {len(red)}, "
+                               f"not the codimension {self.codim}")
+        return tuple(row[::-1] for row in reversed(red))
 
     @property
     def weight_blocks(self) -> list:
@@ -511,15 +565,3 @@ class SumRankCode:
         mats = tuple(unpack_matrix(self.base, pk, n, m)
                      for (n, m), pk in zip(self.profile.blocks, packed))
         return SumRankWord(self.profile, mats)
-
-    def contains_packed(self, packed) -> bool:
-        vec = self.flatten(packed)
-        f = self.base
-        for row in self.flat_parity:
-            acc = 0
-            for h, v in zip(row, vec):
-                if h and v:
-                    acc = f.add(acc, f.mul(h, v))
-            if acc:
-                return False
-        return True

@@ -22,7 +22,7 @@ from sumrank import spaces as sp
 from sumrank.construct import field_of_order
 from sumrank.gf import make_field
 
-from oracles import hamming_weight
+from oracles import contains_packed, hamming_weight
 
 PRIME_POWERS_32 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
 
@@ -163,14 +163,14 @@ def test_criterion_04_distance_optimal_2x2(f2, f4):
     assert hm.hartmann_tzeng_bound(c1.defining_set, 15, [0, 1], [0, 4], 4, 1) == 4
     d1 = hm.min_distance(c1)
     assert d1.value == 4 and hamming_weight(d1.witness) == 4
-    assert c1.contains_packed(d1.witness)
+    assert contains_packed(c1, d1.witness)
     assert code.dim == 50
     # d_sr = 4: composition lower bound plus a weight-4 witness
     assert code.composition_lower_bound() == 4
     dist = ct.sr_min_distance(code)
     assert dist.exact and dist.value == 4
     assert elimination_weight(code, dist.witness) == 4
-    assert code.contains_packed(dist.witness)
+    assert contains_packed(code, dist.witness)
     # volume recount by the closed form 1 + 15*9 + 15*6 + C(15,2)*81
     recount = 1 + 15 * 9 + 15 * 6 + 105 * 81
     assert recount == sp.ball_volume_exact(code.profile, 2) == 8731
@@ -337,11 +337,11 @@ def test_criterion_10_cyclic_families(f4):
     assert (c15.n, c15.k) == (15, 10)
     assert c15.defining_set == (0, 1, 2, 4, 8)
     d15 = hm.min_distance(c15)
-    assert d15.value == 4 and c15.contains_packed(d15.witness)
+    assert d15.value == 4 and contains_packed(c15, d15.witness)
     c63 = cs.cyclic_d4(4, 3, 1)
     assert (c63.n, c63.k) == (63, 56)
     d63 = hm.min_distance(c63)
-    assert d63.value == 4 and c63.contains_packed(d63.witness)
+    assert d63.value == 4 and contains_packed(c63, d63.witness)
     # exact optimality criterion: V_H recomputed from binomials
     v15 = 1 + 15 * 3 + 105 * 9
     v63 = 1 + 63 * 3 + 1953 * 9

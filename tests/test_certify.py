@@ -3,6 +3,8 @@
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -11,6 +13,10 @@ from sumrank import certify as ct
 from sumrank import construct as cs
 from sumrank import hamming as hm
 from sumrank import spaces as sp
+from sumrank.cli import parse_params
+from sumrank.syndrome import SumRankCode
+
+from oracles import contains_packed, generator_parity
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +42,7 @@ def test_sr_min_distance_exhaustive_below_syndrome_budget(qp_code):
     d = ct.sr_min_distance(qp_code, syndrome_budget=63)
     assert d.method == "exhaustive" and d.value == 3
     assert sp.packed_word_weight(qp_code.profile, d.witness) == 3
-    assert qp_code.contains_packed(d.witness)
+    assert contains_packed(qp_code, d.witness)
 
 
 def test_sr_min_distance_interval_names_budgets(qp_code):
@@ -68,7 +74,7 @@ def test_sr_min_distance_composed(f2, f4):
     assert res.exact and res.value == 4
     assert res.method == "syndrome-dp"
     assert sp.packed_word_weight(code.profile, res.witness) == 4
-    assert code.contains_packed(res.witness)
+    assert contains_packed(code, res.witness)
 
 
 def test_sr_covering_radius_golden(qp_code):
@@ -532,3 +538,31 @@ def test_verdicts_stable_under_block_permutation(f2):
         assert ct.singleton_like_bound(a, d) == ct.singleton_like_bound(b, d)
         assert (ct.distance_optimal_check(a, 2 ** 6, d)
                 == ct.distance_optimal_check(b, 2 ** 6, d))
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+
+
+def _certify_job(key, parity=None):
+    """The certificate text of a `certify` job key, optionally on a given parity."""
+    argv = key.split()
+    code = cs.build_recipe(argv[argv.index("--recipe") + 1],
+                           **parse_params([a for a in argv if "=" in a]))
+    if parity is not None:
+        code.__dict__["flat_parity"] = parity(code)
+    return ct.certify_code(code, argv[1]).to_json()
+
+
+def test_certify_jobs_never_build_the_flat_generator():
+    # every benchmark certify job gives the bytes it gives on the generator
+    # path's parity, with the dense flat generator out of reach
+    jobs = [key for key in json.loads(REFERENCE.read_text())["jobs"] if key.startswith("certify ")]
+    assert len(jobs) == 14
+    expected = {key: _certify_job(key, generator_parity) for key in jobs}
+
+    def refuse(code):
+        raise AssertionError("the certify path read flat_generator")
+
+    with mock.patch.object(SumRankCode, "flat_generator", property(refuse)):
+        for key in jobs:
+            assert _certify_job(key) == expected[key], key

@@ -1,5 +1,6 @@
 """CLI: subcommands, exit codes, descriptor round trips, config files."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -154,6 +155,21 @@ def test_internal_error_names_the_exception(capsys, monkeypatch):
     code, _, err = run(capsys, "construct", "quasi-perfect-2xm", "q=2", "m=2", "u=2")
     assert code == 3
     assert err == "internal error: ZeroDivisionError: division by zero\n"
+
+
+def test_rank_deficient_ingredient_parity_is_internal_error(capsys, monkeypatch):
+    hamming_code = hm.hamming_code
+
+    def short_parity(field, u):  # one parity row too few: a kernel beyond the code
+        code = hamming_code(field, u)
+        return dataclasses.replace(code, parity=code.parity[1:])
+
+    monkeypatch.setattr(hm, "hamming_code", short_parity)
+    code, _, err = run(capsys, "certify", "quasi-perfect", "--recipe",
+                       "quasi-perfect-2xm", "q=2", "m=2", "u=2")
+    assert code == 3
+    assert err == ("internal error: RuntimeError: parity checks have rank 4, "
+                   "not the codimension 6\n")
 
 
 def test_bounds_strong_bch(capsys):

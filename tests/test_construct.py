@@ -1,9 +1,11 @@
 """Sum-rank constructions: blocks, linearity, composition rules, recipes."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sumrank import certify as ct
 from sumrank import construct as cs
@@ -12,7 +14,8 @@ from sumrank import spaces as sp
 from sumrank.cli import parse_params
 from sumrank.gf import make_field
 
-from oracles import hamming_weight
+from oracles import contains_packed, generator_parity, hamming_weight
+from test_syndrome import linear_codes
 
 
 def _weights(code, budget=1 << 16):
@@ -42,7 +45,7 @@ def test_covering_size_and_membership(f4):
     for m1 in range(4):
         for m2 in range(4):
             word = code.encode([(m1,), (m2,)])
-            assert code.contains_packed(word.packed_blocks())
+            assert contains_packed(code, word.packed_blocks())
 
 
 def test_covering_single_row_is_weight_one(f4):
@@ -217,6 +220,56 @@ def test_flat_generator_rank_equals_dim(f2, f4):
                 for x, y in zip(g, h):
                     acc = f.add(acc, f.mul(x, y))
                 assert acc == 0
+
+
+@st.composite
+def parity_first_codes(draw):
+    """A covering or linearized code, its full-block extension or a Plotkin sum.
+
+    The symbol fields are GF(4), GF(8), GF(9) and GF(16) over GF(4), so
+    both p = 2 and odd p, prime and extension base fields are covered.
+    """
+    q, m = draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (4, 2)]))
+    ext = cs.field_of_order(q).extension(m)
+    t = draw(st.integers(1, 4))
+    covering = draw(st.booleans())
+    rows = m if covering else draw(st.integers(1, m))
+
+    def ingredient_code():
+        ingredients = [draw(linear_codes(ext, t)) for _ in range(rows)]
+        return (cs.sr_covering if covering else cs.sr_linearized)(ingredients)
+
+    code = ingredient_code()
+    shape = draw(st.sampled_from(["plain", "extended", "plotkin"]))
+    if shape == "extended" and rows == m:
+        return cs.extend_full_blocks(code, draw(st.integers(1, 2)))
+    if shape == "plotkin":
+        return cs.plotkin(code, ingredient_code())
+    return code
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(parity_first_codes())
+def test_parity_first_equals_generator_nullspace(code):
+    assert code.flat_parity == generator_parity(code)
+
+
+def test_rank_deficient_ingredient_parity_raises(f4):
+    hamming = hm.hamming_code(f4, 2)
+    short = dataclasses.replace(hamming, parity=hamming.parity[:1])  # kernel beyond the code
+    code = cs.sr_linearized([short, hm.parity_check_code(f4, 5)])
+    with pytest.raises(RuntimeError, match="parity checks have rank 4, not the codimension 6"):
+        code.flat_parity
+    extra = dataclasses.replace(hamming, parity=hamming.parity + ((1,) * 5,))  # excludes codewords
+    with pytest.raises(RuntimeError, match="rank 8, not the codimension 6"):
+        cs.sr_linearized([extra, hm.parity_check_code(f4, 5)]).flat_parity
+
+
+def test_singular_block_map_raises(f4):
+    code = cs.sr_linearized([hm.full_code(f4, 2), hm.full_code(f4, 2)])
+    code.__dict__["_frobenius_images"] = [[1, 1], [1, 1]]  # both rows read c_1 + c_2
+    with pytest.raises(RuntimeError, match="not injective"):
+        code.flat_parity
 
 
 def test_covering_vs_linearized_not_assumed_equivalent(f2, f4):

@@ -93,6 +93,44 @@ def test_rank_table_memory_is_the_output_plus_one_chunk(q, n, m, chunk):
     assert peak <= 2 * q ** (n * m) + 16 * chunk + 8 * q * q ** m * (m + 1)
 
 
+def _weights_oracle(prof):
+    """Sum-rank weight of every ambient word, one full-size gather per block."""
+    words = np.arange(prof.ambient_size, dtype=np.int64)
+    weights = np.zeros(prof.ambient_size, dtype=np.int16)
+    for (n, m), size in zip(prof.blocks, prof.block_space_sizes()):
+        weights += sp.rank_array(prof.field, n, m)[words % size]
+        words //= size
+    return weights
+
+
+@pytest.mark.parametrize("q, blocks", [
+    (2, ((2, 2), (1, 3), (1, 1))), (3, ((1, 2), (2, 2))), (4, ((1, 2), (1, 1), (2, 2))),
+    (5, ((1, 1), (1, 2), (1, 1))), (9, ((1, 2), (1, 1))),
+])
+@pytest.mark.parametrize("chunk", [sp._CHUNK_BYTES, 64])
+def test_brute_weight_array_matches_oracle(q, blocks, chunk):
+    prof = sp.MatrixProfile(field_of_order(q), blocks)
+    with mock.patch.object(sp, "_CHUNK_BYTES", chunk):  # 64 bytes: 4 words a chunk
+        weights = sp.brute_weight_array(prof)
+    assert weights.dtype == np.int16
+    assert weights.tobytes() == _weights_oracle(prof).tobytes()
+
+
+@pytest.mark.parametrize("q, blocks", [(2, ((3, 3), (3, 3))), (3, ((2, 4), (1, 3)))])
+def test_brute_weight_array_memory_is_its_output(q, blocks):
+    # 2^18 and 3^11 words: full-size temporaries would take 13 bytes a word
+    prof = sp.MatrixProfile(field_of_order(q), blocks)
+    for n, m in blocks:
+        sp.rank_array(prof.field, n, m)  # the cached tables are built outside the trace
+    tracemalloc.start()
+    try:
+        weights = sp.brute_weight_array(prof)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= weights.nbytes + 2 * 2 ** 20
+
+
 def test_sum_rank_weight_golden(f2):
     prof = sp.MatrixProfile(f2, ((2, 2), (2, 2)))
     zero = sp.zero_word(prof)

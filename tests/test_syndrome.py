@@ -26,7 +26,7 @@ from sumrank import hamming as hm
 from sumrank import spaces as sp
 from sumrank import syndrome as sd
 
-from oracles import hamming_weight
+from oracles import contains_packed, generator_parity, hamming_weight
 
 FAST = settings(max_examples=25, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -86,6 +86,9 @@ class ExplicitCode(cs.SumRankCode):
     def _generator_rows_packed(self):
         return [self.unflatten(r) for r in self.rows]
 
+    def _parity_rows(self):
+        return np.array(generator_parity(self), dtype=np.int64).reshape(-1, self.ambient_dim)
+
     def enumerate_packed(self, budget=sd.ENUM_BUDGET):
         f = self.base
         for coeffs in itertools.product(range(f.order), repeat=self.dim):
@@ -137,7 +140,7 @@ def _check_against_oracles(code):
         assert dp.infinite == (best is None)
         assert dp.infinite or dp.value == best
     if not dp.infinite:
-        assert code.contains_packed(dp.witness)
+        assert contains_packed(code, dp.witness)
         assert sp.sum_rank_weight(code.to_word(dp.witness)) == dp.value
     radius, table = ct.sr_covering_radius(code)
     sweep_radius, sweep_table = ct.sr_covering_radius_sweep(code, budget=1 << 16)
@@ -238,11 +241,13 @@ def _full_dp_oracle(field, parity, shapes):
 
 
 def _check_against_full_dp(field, parity, shapes):
-    got = sd.syndrome_dp(field, parity, shapes)
     want = _full_dp_oracle(field, parity, shapes)
-    assert np.array_equal(got.leaders, want.leaders)
-    assert (got.distance, got.radius, got.witness) == \
-        (want.distance, want.radius, want.witness)
+    for layout_bytes in (sd._LAYOUT_BYTES, 1):  # 1: each layout row's index formed alone
+        with mock.patch.object(sd, "_LAYOUT_BYTES", layout_bytes):
+            got = sd.syndrome_dp(field, parity, shapes)
+        assert np.array_equal(got.leaders, want.leaders)
+        assert (got.distance, got.radius, got.witness) == \
+            (want.distance, want.radius, want.witness)
 
 
 # shapes per base field; 1 x 1 blocks are the Hamming metric, 3 x 3 takes
