@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field as dc_field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,7 +73,7 @@ def sr_min_distance(code: SumRankCode, budget: int = ENUM_BUDGET, *,
     if isinstance(code, hm.LinearCode):
         res = hm.min_distance(code, budget)
         if not res.exact:
-            res = replace(res, note="; ".join(n for n in (dp_stop, res.note) if n))
+            res = res._replace(note="; ".join(n for n in (dp_stop, res.note) if n))
         return res
     if isinstance(code, ExtendedSumRankCode):
         # a single 1 at entry (0, 0) of an extra block, packed as 1, has rank 1
@@ -199,8 +199,7 @@ def msrd_verdict(profile: MatrixProfile, dim: int, d: int) -> tuple[str, int]:
     return f"defect {defect}", defect
 
 
-@dataclass(frozen=True)
-class SpherePackingRecord:
+class SpherePackingRecord(NamedTuple):
     lhs: int
     rhs: int
     holds: bool
@@ -231,8 +230,7 @@ def perfection_verdict(d: int, radius: int) -> str:
     return "neither"
 
 
-@dataclass(frozen=True)
-class StrongSingletonBch:
+class StrongSingletonBch(NamedTuple):
     """Both size bounds as exponents of 2; an inapplicable record keeps the Singleton one."""
     applicable: bool
     reason: str | None
@@ -275,8 +273,7 @@ def strong_singleton_bch(m: int, t: int, e: int, n: int, d_sr: int) -> StrongSin
     return StrongSingletonBch(False, reason, singleton_exponent)
 
 
-@dataclass(frozen=True)
-class BoundRecord:
+class BoundRecord(NamedTuple):
     name: str
     value: object
     assumptions: tuple[str, ...] = ()
@@ -292,17 +289,6 @@ def block_length_bound(q: int, m: int, u: int, R: int, c: float = 1.0) -> BoundR
     return BoundRecord(
         f"block_length_bound(q={q},m={m},codim={u * R + m * m},R={R})", value,
         (f"universal constant c = {c} (non-rigorous)", "tolerance 1e-12"))
-
-
-def blf_relation_check(q: int, m: int, r: int, R: int) -> BoundRecord:
-    """Divisibility-gated reduction of the block length function."""
-    if r % (m * m) != 0:
-        raise ValueError(f"divisibility gate failed: {m}^2 does not divide r = {r}")
-    if R % m != 0:
-        raise ValueError(f"divisibility gate failed: {m} does not divide R = {R}")
-    return BoundRecord(
-        f"blf(q={q},m={m},{r},{R}) <= blf(q^{m},{r // (m * m)},{R // m})", True,
-        ("reduction to the Hamming-metric length function",))
 
 
 def blf_witness(code: SumRankCode, radius: int) -> BoundRecord:
@@ -357,8 +343,7 @@ def strong_singleton_blf(q: int, m: int, u: int, R: int, t: int,
 # per-family hypothesis checks
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConditionRecord:
+class ConditionRecord(NamedTuple):
     family: str
     params: dict
     rational_condition: str
@@ -505,16 +490,18 @@ def _attach_family_conditions(cert: "Certificate", code) -> None:
                     "at the family's nominal codimension",))
 
 
-@dataclass
 class Certificate:
-    code: SumRankCode
-    claim: str
-    quantities: list = dc_field(default_factory=list)
-    bounds: list = dc_field(default_factory=list)
-    verdict: str = "inconclusive"
-    notes: list = dc_field(default_factory=list)
-    seed: int | None = None
-    toolchain_version: str = TOOLCHAIN_VERSION
+    """A claim about a code: the quantities and bounds behind its verdict, and notes."""
+
+    def __init__(self, code: SumRankCode, claim: str):
+        self.code = code
+        self.claim = claim
+        self.quantities: list = []
+        self.bounds: list = []
+        self.verdict = "inconclusive"
+        self.notes: list = []
+        self.seed: int | None = None
+        self.toolchain_version = TOOLCHAIN_VERSION
 
     def add_quantity(self, name: str, value, method: str):
         self.quantities.append({"name": name, "value": value, "method": method})

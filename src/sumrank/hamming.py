@@ -11,7 +11,6 @@ syndrome-space DP pass.  A `LinearCode` is a `SumRankCode` of n blocks of
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field as dc_field
 from math import comb, gcd
 
 # rref, nullspace, array_mul and INT16_ORDER live in `gf` and stay reachable here
@@ -21,7 +20,6 @@ from .syndrome import (ENUM_BUDGET, SYNDROME_BUDGET, WORK_BUDGET, BudgetExceeded
                        SrDistance, SumRankCode, SyndromeDP, dp_budget_stop)
 
 
-@dataclass
 class LinearCode(SumRankCode):
     """An [n, k] linear code over an extension field: n blocks of 1 x 1.
 
@@ -31,15 +29,19 @@ class LinearCode(SumRankCode):
     from a defining set.
     """
 
-    field: Field
-    n: int
-    generator: tuple[tuple[int, ...], ...]
-    parity: tuple[tuple[int, ...], ...]
-    family: str = "explicit"
-    designed_distance: int | None = None
-    defining_set: tuple[int, ...] | None = None
-    notes: dict = dc_field(default_factory=dict)
-    _codeword_cache: list | None = None
+    def __init__(self, field: Field, n: int, generator: tuple[tuple[int, ...], ...],
+                 parity: tuple[tuple[int, ...], ...], family: str = "explicit",
+                 designed_distance: int | None = None,
+                 defining_set: tuple[int, ...] | None = None, notes: dict | None = None):
+        self.field = field
+        self.n = n
+        self.generator = generator
+        self.parity = parity
+        self.family = family
+        self.designed_distance = designed_distance
+        self.defining_set = defining_set
+        self.notes = {} if notes is None else notes
+        self._codeword_cache: list | None = None
 
     @property
     def dim(self) -> int:
@@ -457,28 +459,6 @@ def bch_bound(T, n: int) -> int:
             cur = (cur + 1) % n
         best = max(best, run)
     return best + 1
-
-
-def hartmann_tzeng_bound(T, n: int, A, B, b: int, s: int) -> int:
-    """Certified bound delta + s after verifying every hypothesis."""
-    Ts = set(x % n for x in T)
-    A = sorted(x % n for x in A)
-    delta = len(A) + 1
-    for prev, cur in zip(A, A[1:]):
-        if (prev + 1) % n != cur % n:
-            raise ValueError(f"A = {A} is not a consecutive run modulo {n}")
-    if not set(A) <= Ts:
-        raise ValueError(f"A = {A} is not contained in the defining set")
-    expected_B = sorted({(j * b) % n for j in range(s + 1)})
-    if sorted(set(x % n for x in B)) != expected_B:
-        raise ValueError(f"B = {sorted(B)} does not equal {{jb mod n : 0<=j<={s}}}")
-    if gcd(b, n) >= delta:
-        raise ValueError(f"gcd({b}, {n}) = {gcd(b, n)} is not below delta = {delta}")
-    sums = {(a + x) % n for a in A for x in expected_B}
-    if not sums <= Ts:
-        raise ValueError(f"A + B has elements outside the defining set: "
-                         f"{sorted(sums - Ts)}")
-    return delta + s
 
 
 def bch_covering_radius_interval(e: int, n: int):

@@ -9,8 +9,6 @@ tables and parity-check columns mutually consistent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -22,22 +20,39 @@ BRUTE_LIMIT = 1 << 24  # most values a rank table or an ambient sweep enumerates
 _CHUNK_BYTES = 1 << 20  # live bytes of one chunk of words, block values or ambient words
 
 
-@dataclass(frozen=True)
 class MatrixProfile:
-    """Shape of a sum-rank ambient space: base field plus per-block sizes."""
+    """Shape of a sum-rank ambient space: base field plus per-block sizes.
 
-    field: Field
-    blocks: tuple[tuple[int, int], ...]
+    Immutable, compared and hashed by (field, blocks): profiles key caches.
+    """
 
-    def __post_init__(self):
-        if not self.blocks:
+    def __init__(self, field: Field, blocks: tuple[tuple[int, int], ...]):
+        if not blocks:
             raise ValueError("a profile needs at least one block")
-        for n, m in self.blocks:
+        for n, m in blocks:
             if n < 1 or m < 1:
                 raise ValueError("block dimensions must be positive")
             if n > m:
                 raise ValueError(f"block shape {n}x{m} violates n <= m")
-        object.__setattr__(self, "blocks", tuple((int(n), int(m)) for n, m in self.blocks))
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "blocks", tuple((int(n), int(m)) for n, m in blocks))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not MatrixProfile:
+            return NotImplemented
+        return self.field == other.field and self.blocks == other.blocks
+
+    def __hash__(self):
+        return hash((self.field, self.blocks))
+
+    def __repr__(self):
+        return f"MatrixProfile(field={self.field!r}, blocks={self.blocks!r})"
 
     @property
     def q(self) -> int:
@@ -69,19 +84,32 @@ class MatrixProfile:
         return {"field": self.field.describe(), "blocks": [list(b) for b in self.blocks]}
 
 
-@dataclass(frozen=True)
 class SumRankWord:
-    """A tuple of matrices matching a profile."""
+    """A tuple of matrices matching a profile; immutable, compared by value."""
 
-    profile: MatrixProfile
-    matrices: tuple[tuple[tuple[int, ...], ...], ...]
-
-    def __post_init__(self):
-        if len(self.matrices) != self.profile.t:
+    def __init__(self, profile: MatrixProfile,
+                 matrices: tuple[tuple[tuple[int, ...], ...], ...]):
+        if len(matrices) != profile.t:
             raise ValueError("wrong number of blocks")
-        for (n, m), mat in zip(self.profile.blocks, self.matrices):
+        for (n, m), mat in zip(profile.blocks, matrices):
             if len(mat) != n or any(len(row) != m for row in mat):
                 raise ValueError(f"block does not match declared shape {n}x{m}")
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "matrices", matrices)
+
+    __setattr__ = MatrixProfile.__setattr__
+    __delattr__ = MatrixProfile.__delattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not SumRankWord:
+            return NotImplemented
+        return self.profile == other.profile and self.matrices == other.matrices
+
+    def __hash__(self):
+        return hash((self.profile, self.matrices))
+
+    def __repr__(self):
+        return f"SumRankWord(profile={self.profile!r}, matrices={self.matrices!r})"
 
     def packed_blocks(self) -> tuple[int, ...]:
         f = self.profile.field
@@ -234,15 +262,6 @@ def ball_volume_exact(profile: MatrixProfile, r: int) -> int:
             new[w] = acc
         vol = new
     return sum(vol)
-
-
-def radius2_ball_lower_bound(t: int, s: int, q: int) -> Fraction:
-    """Lower bound t(t-1)(q^s-1)^4 / (2(q-1)^2) for the radius-2 ball."""
-    if t < 2:
-        raise ValueError("block count must be at least 2")
-    if s < 1:
-        raise ValueError("matrix size must be positive")
-    return Fraction(t * (t - 1) * (q ** s - 1) ** 4, 2 * (q - 1) ** 2)
 
 
 # ----------------------------------------------------------------------

@@ -55,14 +55,14 @@ the square of the block count.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .gf import Field, digit_adder, make_field, rref
-from .spaces import (_CHUNK_BYTES, BRUTE_LIMIT, MatrixProfile, SumRankWord, pack_matrix,
-                     rank_array, unpack_matrix)
+from .spaces import (_CHUNK_BYTES, BRUTE_LIMIT, MatrixProfile, SumRankWord, rank_array,
+                     unpack_matrix)
 
 ENUM_BUDGET = 1 << 22      # codewords an exhaustive enumeration may stream
 SYNDROME_BUDGET = 1 << 16  # syndromes (q^codim) the DP may hold
@@ -213,8 +213,7 @@ def _digit_sub(p: int, digits: int, a, b):
     return out
 
 
-@dataclass(frozen=True)
-class SyndromeDP:
+class SyndromeDP(NamedTuple):
     """One DP pass: leader table A, distance d, and a weight-d codeword."""
 
     leaders: np.ndarray              # least word weight per syndrome index
@@ -413,8 +412,7 @@ def least_weight_word(field, rows, blocks) -> tuple[int, tuple[int, ...]] | None
 # the code view the engines read
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SrDistance:
+class SrDistance(NamedTuple):
     """A minimum distance, exact or as a certified interval, with its method."""
 
     lo: int | None
@@ -516,15 +514,6 @@ class SumRankCode:
     def flatten(self, packed) -> tuple[int, ...]:
         """Row-major GF(q) coordinates of a packed word, blocks in order."""
         return tuple(self.flat_rows([packed])[0].tolist())
-
-    def unflatten(self, vec) -> tuple[int, ...]:
-        packed = []
-        pos = 0
-        for n, m in self.profile.blocks:
-            mat = tuple(tuple(vec[pos + i * m + j] for j in range(m)) for i in range(n))
-            packed.append(pack_matrix(self.base, mat))
-            pos += n * m
-        return tuple(packed)
 
     @cached_property
     def flat_generator(self) -> tuple[tuple[int, ...], ...]:

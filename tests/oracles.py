@@ -1,7 +1,11 @@
 """Brute-force oracles shared by the test modules."""
 
+from fractions import Fraction
+from math import gcd
+
 import numpy as np
 
+from sumrank.certify import BoundRecord
 from sumrank.gf import array_mul, nullspace, rref
 
 
@@ -34,3 +38,45 @@ def contains_packed(code, packed) -> bool:
     products = array_mul(f)(word, parity)
     digits = products[:, :, None] // f.p ** np.arange(f.dim_over_prime) % f.p
     return not (digits.sum(axis=1) % f.p).any()
+
+
+def radius2_ball_lower_bound(t: int, s: int, q: int) -> Fraction:
+    """Lower bound t(t-1)(q^s-1)^4 / (2(q-1)^2) for the radius-2 ball."""
+    if t < 2:
+        raise ValueError("block count must be at least 2")
+    if s < 1:
+        raise ValueError("matrix size must be positive")
+    return Fraction(t * (t - 1) * (q ** s - 1) ** 4, 2 * (q - 1) ** 2)
+
+
+def hartmann_tzeng_bound(T, n: int, A, B, b: int, s: int) -> int:
+    """Certified bound delta + s after verifying every hypothesis."""
+    Ts = set(x % n for x in T)
+    A = sorted(x % n for x in A)
+    delta = len(A) + 1
+    for prev, cur in zip(A, A[1:]):
+        if (prev + 1) % n != cur % n:
+            raise ValueError(f"A = {A} is not a consecutive run modulo {n}")
+    if not set(A) <= Ts:
+        raise ValueError(f"A = {A} is not contained in the defining set")
+    expected_B = sorted({(j * b) % n for j in range(s + 1)})
+    if sorted(set(x % n for x in B)) != expected_B:
+        raise ValueError(f"B = {sorted(B)} does not equal {{jb mod n : 0<=j<={s}}}")
+    if gcd(b, n) >= delta:
+        raise ValueError(f"gcd({b}, {n}) = {gcd(b, n)} is not below delta = {delta}")
+    sums = {(a + x) % n for a in A for x in expected_B}
+    if not sums <= Ts:
+        raise ValueError(f"A + B has elements outside the defining set: "
+                         f"{sorted(sums - Ts)}")
+    return delta + s
+
+
+def blf_relation_check(q: int, m: int, r: int, R: int) -> BoundRecord:
+    """Divisibility-gated reduction of the block length function."""
+    if r % (m * m) != 0:
+        raise ValueError(f"divisibility gate failed: {m}^2 does not divide r = {r}")
+    if R % m != 0:
+        raise ValueError(f"divisibility gate failed: {m} does not divide R = {R}")
+    return BoundRecord(
+        f"blf(q={q},m={m},{r},{R}) <= blf(q^{m},{r // (m * m)},{R // m})", True,
+        ("reduction to the Hamming-metric length function",))

@@ -22,7 +22,8 @@ from sumrank import spaces as sp
 from sumrank.construct import field_of_order
 from sumrank.gf import make_field
 
-from oracles import contains_packed, hamming_weight
+from oracles import (contains_packed, hamming_weight, hartmann_tzeng_bound,
+                     radius2_ball_lower_bound)
 
 PRIME_POWERS_32 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
 
@@ -119,7 +120,7 @@ def test_criterion_02_ball_volume_oracle():
         for s in (1, 2, 3):
             for t in range(2, 21):
                 prof = sp.MatrixProfile(field, tuple([(s, s)] * t))
-                bound = sp.radius2_ball_lower_bound(t, s, q)
+                bound = radius2_ball_lower_bound(t, s, q)
                 assert bound <= sp.ball_volume_exact(prof, 2)
     report(2, time.monotonic() - t0, 60,
            f"DP == brute on {len(profiles)} profiles ({checked} radii); "
@@ -160,7 +161,7 @@ def test_criterion_04_distance_optimal_2x2(f2, f4):
     c1 = code.ingredients[0]
     assert c1.defining_set == (0, 1, 4, 5) and (c1.n, c1.k) == (15, 11)
     # Hartmann-Tzeng preconditions verified inside the bound call
-    assert hm.hartmann_tzeng_bound(c1.defining_set, 15, [0, 1], [0, 4], 4, 1) == 4
+    assert hartmann_tzeng_bound(c1.defining_set, 15, [0, 1], [0, 4], 4, 1) == 4
     d1 = hm.min_distance(c1)
     assert d1.value == 4 and hamming_weight(d1.witness) == 4
     assert contains_packed(c1, d1.witness)

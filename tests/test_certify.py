@@ -16,7 +16,7 @@ from sumrank import spaces as sp
 from sumrank.cli import parse_params
 from sumrank.syndrome import SumRankCode
 
-from oracles import contains_packed, generator_parity
+from oracles import blf_relation_check, contains_packed, generator_parity
 
 
 @pytest.fixture(scope="module")
@@ -220,10 +220,10 @@ def test_block_length_bound():
 
 
 def test_blf_relation_and_witness(f4):
-    rec = ct.blf_relation_check(2, 2, 8, 2)
+    rec = blf_relation_check(2, 2, 8, 2)
     assert rec.value is True
     with pytest.raises(ValueError, match="divisibility"):
-        ct.blf_relation_check(2, 2, 6, 2)
+        blf_relation_check(2, 2, 6, 2)
     cov = cs.covering_repetition(2, 2, 3)
     radius, _ = ct.sr_covering_radius(cov)
     assert radius <= 4  # at most m * R_H = 2 * 2
@@ -493,6 +493,30 @@ def test_budget_stop_note_names_budget(qp_code):
     # x 1 shift each, times q^codim = 64, plus 2^4 block values
     assert work.notes == [f"sweep budget 100 < {5 * (12 * 64 + 16)} DP work units "
                           "(shift passes x q^codim + block values)"]
+
+
+def test_certificates_share_no_list(qp_code):
+    first, second = ct.Certificate(qp_code, "perfect"), ct.Certificate(qp_code, "perfect")
+    first.add_quantity("dimension", 14, "construction")
+    first.add_bound("singleton_like", 1, ())
+    first.notes.append("note")
+    assert second.quantities == second.bounds == second.notes == []
+    assert (second.verdict, second.seed, second.toolchain_version) == \
+        ("inconclusive", None, ct.TOOLCHAIN_VERSION)
+
+
+def test_hamming_budget_stop_joins_both_notes(f4):
+    """A Hamming code past every budget keeps the DP stop and the support search's note."""
+    code = hm.hamming_code(f4, 3)  # [21, 18, 3]_4: 4^3 syndromes, 4^18 codewords
+    d = ct.sr_min_distance(code, budget=30, syndrome_budget=2)
+    assert (d.lo, d.hi, d.method, d.witness) == (2, 4, "support_test", None)
+    assert d.note == ("syndrome budget 2 < 64 syndromes (q^codim); "
+                      "enum budget 30 < 63 half-words of the weight-2 support search")
+    assert hm.min_distance(code, 30).note == d.note.split("; ")[1]
+    with pytest.raises(AttributeError):
+        d.note = None
+    settled = ct.sr_min_distance(code, syndrome_budget=2)  # the support search settles d
+    assert (settled.value, settled.note) == (3, None)
 
 
 def test_quasi_perfect_q4_u3_fits_the_default_budgets():

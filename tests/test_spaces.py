@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from sumrank import spaces as sp
 from sumrank.construct import field_of_order
 
+from oracles import radius2_ball_lower_bound
+
 
 def test_profile_validation(f2):
     with pytest.raises(ValueError, match="at least one block"):
@@ -22,6 +24,52 @@ def test_profile_validation(f2):
         sp.MatrixProfile(f2, ((0, 1),))
     prof = sp.MatrixProfile(f2, ((2, 3), (2, 2)))
     assert prof.N == 4 and prof.ambient_dim == 10 and prof.t == 2
+
+
+def test_profile_is_an_immutable_value(f2, f4):
+    """Profiles key caches: equal fields give equal profiles and equal hashes."""
+    a = sp.MatrixProfile(f2, [(np.int64(1), 2), (2, 2)])
+    b = sp.MatrixProfile(f2, ((1, 2), (2, 2)))
+    assert a.blocks == ((1, 2), (2, 2)) and all(type(x) is int for blk in a.blocks for x in blk)
+    assert a == b and hash(a) == hash(b) and {a: "cached"}[b] == "cached"
+    assert a != sp.MatrixProfile(f4, b.blocks) and a != sp.MatrixProfile(f2, ((1, 2),))
+    assert a != (f2, b.blocks)
+    assert repr(a) == f"MatrixProfile(field={f2!r}, blocks=((1, 2), (2, 2)))"
+    with pytest.raises(AttributeError):
+        a.blocks = ((2, 2),)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    with pytest.raises(AttributeError):
+        del a.field
+    assert a.blocks == ((1, 2), (2, 2)) and a.field == f2
+
+
+def test_validation_messages_are_pinned(f2):
+    with pytest.raises(ValueError, match=r"^a profile needs at least one block$"):
+        sp.MatrixProfile(f2, ())
+    with pytest.raises(ValueError, match=r"^block dimensions must be positive$"):
+        sp.MatrixProfile(f2, ((1, 0),))
+    with pytest.raises(ValueError, match=r"^block shape 3x2 violates n <= m$"):
+        sp.MatrixProfile(f2, ((3, 2),))
+    prof = sp.MatrixProfile(f2, ((1, 2), (2, 2)))
+    with pytest.raises(ValueError, match=r"^wrong number of blocks$"):
+        sp.SumRankWord(prof, (((0, 1),),))
+    with pytest.raises(ValueError, match=r"^block does not match declared shape 2x2$"):
+        sp.SumRankWord(prof, (((0, 1),), ((0, 1),)))
+    with pytest.raises(ValueError, match=r"^block does not match declared shape 1x2$"):
+        sp.SumRankWord(prof, (((0, 1, 1),), ((0, 1), (1, 0))))
+
+
+def test_word_is_an_immutable_value(f2):
+    prof = sp.MatrixProfile(f2, ((1, 2), (2, 2)))
+    mats = (((0, 1),), ((1, 0), (0, 1)))
+    w = sp.SumRankWord(prof, mats)
+    same = sp.SumRankWord(sp.MatrixProfile(f2, ((1, 2), (2, 2))), mats)
+    assert w == same and hash(w) == hash(same) and w != sp.zero_word(prof)
+    assert sp.word_sub(sp.word_add(w, w), w) == w
+    with pytest.raises(AttributeError):
+        w.matrices = sp.zero_word(prof).matrices
+    assert w.matrices == mats
 
 
 def test_rank_golden(f2):
@@ -272,13 +320,13 @@ def test_ball_volume_stops_at_radius(shape, r):
 
 
 def test_radius2_lower_bound(f2):
-    assert sp.radius2_ball_lower_bound(2, 2, 2) == 81
-    assert sp.radius2_ball_lower_bound(15, 2, 2) == 8505
-    assert sp.radius2_ball_lower_bound(5, 2, 2) == 810
+    assert radius2_ball_lower_bound(2, 2, 2) == 81
+    assert radius2_ball_lower_bound(15, 2, 2) == 8505
+    assert radius2_ball_lower_bound(5, 2, 2) == 810
     prof5 = sp.MatrixProfile(f2, tuple([(2, 2)] * 5))
     assert sp.ball_volume_exact(prof5, 2) == 886
     with pytest.raises(ValueError, match="at least 2"):
-        sp.radius2_ball_lower_bound(1, 2, 2)
+        radius2_ball_lower_bound(1, 2, 2)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -287,7 +335,7 @@ def test_radius2_lower_bound_dominated(q):
     f = field_of_order(q)
     for s in (1, 2, 3):
         for t in (2, 5, 11, 20):
-            bound = sp.radius2_ball_lower_bound(t, s, q)
+            bound = radius2_ball_lower_bound(t, s, q)
             prof = sp.MatrixProfile(f, tuple([(s, s)] * t))
             exact = sp.ball_volume_exact(prof, 2)
             assert bound <= exact

@@ -86,6 +86,16 @@ class ExplicitCode(cs.SumRankCode):
     def _generator_rows_packed(self):
         return [self.unflatten(r) for r in self.rows]
 
+    def unflatten(self, vec) -> tuple[int, ...]:
+        """Packed block values of a row-major flat GF(q) word."""
+        packed = []
+        pos = 0
+        for n, m in self.profile.blocks:
+            mat = tuple(tuple(vec[pos + i * m + j] for j in range(m)) for i in range(n))
+            packed.append(sp.pack_matrix(self.base, mat))
+            pos += n * m
+        return tuple(packed)
+
     def _parity_rows(self):
         return np.array(generator_parity(self), dtype=np.int64).reshape(-1, self.ambient_dim)
 
