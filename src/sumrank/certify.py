@@ -26,8 +26,8 @@ from .spaces import (MatrixProfile, ball_volume_exact, brute_weight_array,
 from .construct import ExtendedSumRankCode, PlotkinSumRankCode, field_of_order
 from .gf import make_field
 from .syndrome import (ENUM_BUDGET, SYNDROME_BUDGET, WORK_BUDGET, BudgetExceeded,
-                       SrDistance, SumRankCode, SyndromeDP, dp_budget_stop,
-                       least_weight_word)
+                       SrDistance, SumRankCode, SyndromeDP, least_weight_word,
+                       rank_table_stop)
 
 TOOLCHAIN_VERSION = f"sumrank {__version__}"
 
@@ -45,9 +45,10 @@ def _exhaustive_sr_distance(code: SumRankCode) -> SrDistance:
     return SrDistance(found[0], found[0], "exhaustive", found[1])
 
 
-def _dp_stop(code: SumRankCode, syndrome_budget: int, work_budget: int) -> str | None:
-    return dp_budget_stop(code.base, code.codim, code.profile.blocks,
-                          syndrome_budget, work_budget)
+def _join_notes(*notes: str | None) -> str | None:
+    """The "; "-joined stop reasons of `notes`, each once, in order."""
+    reasons = dict.fromkeys(r for note in notes if note for r in note.split("; "))
+    return "; ".join(reasons) or None
 
 
 def sr_min_distance(code: SumRankCode, budget: int = ENUM_BUDGET, *,
@@ -60,20 +61,25 @@ def sr_min_distance(code: SumRankCode, budget: int = ENUM_BUDGET, *,
     the support search of a Hamming-metric code (whose half-word tables
     `budget` also caps), or the extension and Plotkin composition rules,
     whose parts dispatch the same way; else the interval [1, N], noting the
-    budgets that stopped it.
+    budgets that stopped it.  The DP and enumeration both weigh block values
+    by rank tables, so neither runs on a block past the rank-table cap.
     """
-    dp_stop = _dp_stop(code, syndrome_budget, work_budget)
-    if dp_stop is None:
-        dp = code.syndrome_dp
+    try:
+        dp = code.budgeted_dp(syndrome_budget, work_budget)
+    except BudgetExceeded as exc:
+        dp_stop = str(exc)
+    else:
         if dp.distance is None:
             return SrDistance(None, None, DP_METHOD, None, infinite=True)
         return SrDistance(dp.distance, dp.distance, DP_METHOD, dp.witness)
-    if code.size <= budget:
+    enum_stop = (f"enum budget {budget} < {code.base.order}^{code.dim} codewords (q^dim)"
+                 if code.size > budget else rank_table_stop(code.base, code.profile.blocks))
+    if enum_stop is None:
         return _exhaustive_sr_distance(code)
     if isinstance(code, hm.LinearCode):
         res = hm.min_distance(code, budget)
         if not res.exact:
-            res = res._replace(note="; ".join(n for n in (dp_stop, res.note) if n))
+            res = res._replace(note=_join_notes(dp_stop, res.note))
         return res
     if isinstance(code, ExtendedSumRankCode):
         # a single 1 at entry (0, 0) of an extra block, packed as 1, has rank 1
@@ -94,12 +100,10 @@ def sr_min_distance(code: SumRankCode, budget: int = ENUM_BUDGET, *,
             return SrDistance(None, None, "composition(plotkin)", None, infinite=True)
         lo = min(o[0] for o in options)
         hi, witness = min(options, key=lambda o: o[1])[1:]
-        note = "; ".join(d.note for d in (d1, d2) if d.note) or None
         return SrDistance(lo, hi, "composition(plotkin)", witness if lo == hi else None,
-                          note=note)
-    enum_stop = f"enum budget {budget} < {code.base.order}^{code.dim} codewords (q^dim)"
+                          note=_join_notes(d1.note, d2.note))
     return SrDistance(1, code.profile.N, "budget stop", None,
-                      note=f"{dp_stop}; {enum_stop}")
+                      note=_join_notes(dp_stop, enum_stop))
 
 
 # ----------------------------------------------------------------------
@@ -113,10 +117,7 @@ def sr_covering_radius(code: SumRankCode, *,
 
     Raises BudgetExceeded, naming the budget, when the DP does not fit.
     """
-    stop = _dp_stop(code, syndrome_budget, work_budget)
-    if stop is not None:
-        raise BudgetExceeded(stop)
-    dp = code.syndrome_dp
+    dp = code.budgeted_dp(syndrome_budget, work_budget)
     return dp.radius, dp
 
 
@@ -479,10 +480,9 @@ def write_json(obj, write, default=None, _newline: str = "\n") -> None:
 
 def _attach_family_conditions(cert: "Certificate", code) -> None:
     """Record the recipe family's hypothesis checks alongside the verdict."""
-    recipe = getattr(code, "recipe", None)
-    if recipe not in CONDITION_FAMILIES:
+    if code.recipe not in CONDITION_FAMILIES:
         return
-    rec = family_condition_checks(recipe, code.params)
+    rec = family_condition_checks(code.recipe, code.params)
     cert.add_bound(f"family_condition[{rec.rational_condition}]", rec.rational_holds,
                    ("lambda condition evaluated at epsilon = 0, exact rationals",))
     cert.add_bound(f"family_criterion[{rec.exact_criterion}]", rec.exact_holds,
@@ -588,7 +588,8 @@ def certify_code(code: SumRankCode, claim: str, *,
             radius, _ = sr_covering_radius(code, syndrome_budget=syndrome_budget,
                                            work_budget=work_budget)
         except BudgetExceeded as exc:
-            cert.notes.append(str(exc))
+            if str(exc) not in (dist.note or "").split("; "):  # the d step named no such stop
+                cert.notes.append(str(exc))
             return cert
         cert.add_quantity("covering_radius", radius, DP_METHOD)
 

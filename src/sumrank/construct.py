@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import inspect
 import itertools
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -64,8 +64,7 @@ class IngredientSumRankCode(SumRankCode):
     """
 
     def __init__(self, construction: str, ingredients, *,
-                 designed_distance: int | None = None,
-                 recipe: str | None = None, params: dict | None = None):
+                 designed_distance: int | None = None):
         if construction not in ("covering", "linearized"):
             raise ValueError("construction must be 'covering' or 'linearized'")
         ingredients = tuple(ingredients)
@@ -100,8 +99,6 @@ class IngredientSumRankCode(SumRankCode):
         self.m = m
         self.rows = rows
         self.designed_distance = designed_distance
-        self.recipe = recipe
-        self.params = dict(params or {})
 
     # -- construction of a single block -------------------------------
 
@@ -416,6 +413,31 @@ def plotkin(first: SumRankCode, second: SumRankCode) -> PlotkinSumRankCode:
 # named recipes
 # ----------------------------------------------------------------------
 
+RECIPES: dict = {}
+
+
+def _recipe(fn):
+    """Register the decorated recipe in RECIPES, named as `fn` with hyphens for underscores.
+
+    Every code it returns, built through RECIPES or called directly, carries
+    `recipe`, that name, and `params`, its `recipe_params` with defaults applied.
+    """
+    name = fn.__name__.replace("_", "-")
+
+    @wraps(fn)
+    def build(*args, **kwargs):
+        bound = inspect.signature(fn).bind(*args, **kwargs)
+        bound.apply_defaults()
+        code = fn(*args, **kwargs)
+        code.recipe = name
+        code.params = {a: bound.arguments[a] for a in sum(recipe_params(name), ())}
+        return code
+
+    RECIPES[name] = build
+    return build
+
+
+@_recipe
 def quasi_perfect_2xm(q: int, m: int, u: int) -> IngredientSumRankCode:
     """2 x m quasi-perfect family: Hamming plus single-parity ingredients."""
     if u < 2:
@@ -427,12 +449,11 @@ def quasi_perfect_2xm(q: int, m: int, u: int) -> IngredientSumRankCode:
     t = (ext.order ** u - 1) // (ext.order - 1)
     c1 = hm.hamming_code(ext, u)
     c2 = hm.parity_check_code(ext, t)
-    code = sr_linearized([c1, c2], designed_distance=3,
-                         recipe="quasi-perfect-2xm", params={"q": q, "m": m, "u": u})
-    return code
+    return sr_linearized([c1, c2], designed_distance=3)
 
 
-def quasi_perfect_2x2(t: int = 6, ingredient: hm.LinearCode | None = None
+@_recipe
+def quasi_perfect_2x2(t: int = 6, *, ingredient: hm.LinearCode | None = None
                       ) -> IngredientSumRankCode:
     """Binary 2 x 2 quasi-perfect family from a [t,k,4]_4 covering-2 code."""
     base = make_field(2, [1])
@@ -450,10 +471,10 @@ def quasi_perfect_2x2(t: int = 6, ingredient: hm.LinearCode | None = None
     if radius != 2:
         raise ValueError("gate failed: ingredient covering radius must be 2")
     c1 = hm.parity_check_code(ext, t)
-    return sr_linearized([c1, ingredient], designed_distance=4,
-                         recipe="quasi-perfect-2x2", params={"t": t})
+    return sr_linearized([c1, ingredient], designed_distance=4)
 
 
+@_recipe
 def cyclic_d4(q: int, m: int, lam: int = 1) -> hm.LinearCode:
     """Distance-4 cyclic family over GF(q), defining set C0 u C1 u C2."""
     base = field_of_order(q)
@@ -465,6 +486,7 @@ def cyclic_d4(q: int, m: int, lam: int = 1) -> hm.LinearCode:
     return code
 
 
+@_recipe
 def cyclic_d4_alt(q: int, m: int) -> hm.LinearCode:
     """Distance-4 ternary/quinary cyclic family with split defining sets."""
     if q == 3:
@@ -482,6 +504,7 @@ def cyclic_d4_alt(q: int, m: int) -> hm.LinearCode:
     return code
 
 
+@_recipe
 def distance_optimal_sxs(q: int, s: int, m: int, lam: int = 1) -> IngredientSumRankCode:
     """s x s distance-4 family from a cyclic code plus trivial ingredients."""
     if s < 2:
@@ -499,11 +522,10 @@ def distance_optimal_sxs(q: int, s: int, m: int, lam: int = 1) -> IngredientSumR
         ingredients.append(hm.parity_check_code(ext, t))
     while len(ingredients) < s:
         ingredients.append(hm.full_code(ext, t))
-    return sr_linearized(ingredients, designed_distance=4,
-                         recipe="distance-optimal-sxs",
-                         params={"q": q, "s": s, "m": m, "lam": lam})
+    return sr_linearized(ingredients, designed_distance=4)
 
 
+@_recipe
 def distance_optimal_rect(q: int, s1: int, s2: int, m: int,
                           lam: int = 1) -> IngredientSumRankCode:
     """s1 x s2 (s1 < s2) distance-4 family over GF(q^(s2))."""
@@ -521,11 +543,10 @@ def distance_optimal_rect(q: int, s1: int, s2: int, m: int,
         ingredients.append(hm.parity_check_code(ext, t))
     while len(ingredients) < s1:
         ingredients.append(hm.full_code(ext, t))
-    return sr_linearized(ingredients, designed_distance=4,
-                         recipe="distance-optimal-rect",
-                         params={"q": q, "s1": s1, "s2": s2, "m": m, "lam": lam})
+    return sr_linearized(ingredients, designed_distance=4)
 
 
+@_recipe
 def distance_optimal_2x2(q: int) -> IngredientSumRankCode:
     """2 x 2 distance-4 family of block length q^4 - 1."""
     base = field_of_order(q)
@@ -535,10 +556,10 @@ def distance_optimal_2x2(q: int) -> IngredientSumRankCode:
     c1 = hm.cyclic_code(t, ext, [0, 1, Q + 1])
     c1.designed_distance = 4
     c2 = hm.parity_check_code(ext, t)
-    return sr_linearized([c1, c2], designed_distance=4,
-                         recipe="distance-optimal-2x2", params={"q": q})
+    return sr_linearized([c1, c2], designed_distance=4)
 
 
+@_recipe
 def almost_msrd_2x2(q: int, t: int) -> IngredientSumRankCode:
     """2 x 2 almost-MSRD family from a [t, t-3, 4] Reed-Solomon ingredient."""
     base = field_of_order(q)
@@ -549,10 +570,10 @@ def almost_msrd_2x2(q: int, t: int) -> IngredientSumRankCode:
         raise ValueError("gate failed: block length must be at least 4")
     c1 = hm.reed_solomon(ext, t, t - 3)
     c2 = hm.parity_check_code(ext, t)
-    return sr_linearized([c1, c2], designed_distance=4,
-                         recipe="almost-msrd-2x2", params={"q": q, "t": t})
+    return sr_linearized([c1, c2], designed_distance=4)
 
 
+@_recipe
 def plotkin_distance_optimal(s: int, m: int) -> PlotkinSumRankCode:
     """Binary s x s distance-4 family by doubling the block length."""
     if s < 2:
@@ -563,45 +584,32 @@ def plotkin_distance_optimal(s: int, m: int) -> PlotkinSumRankCode:
     ingredients = [hm.parity_check_code(ext, t)]
     while len(ingredients) < s:
         ingredients.append(hm.full_code(ext, t))
-    first = sr_linearized(ingredients, designed_distance=2)
-    second = distance_optimal_sxs(2, s, m, 1)
-    code = PlotkinSumRankCode(first, second)
-    code.recipe = "plotkin-distance-optimal"
-    code.params = {"s": s, "m": m}
-    return code
+    # the second part is a recipe of its own and describes itself as one
+    return PlotkinSumRankCode(sr_linearized(ingredients, designed_distance=2),
+                              distance_optimal_sxs(2, s, m))
 
 
+@_recipe
 def covering_repetition(q: int, m: int, t: int) -> IngredientSumRankCode:
     """Covering construction from m copies of the [t,1,t] repetition code."""
     base = field_of_order(q)
     ext = base.extension(m)
     ingredients = [hm.repetition_code(ext, t) for _ in range(m)]
-    return sr_covering(ingredients, recipe="covering-repetition",
-                       params={"q": q, "m": m, "t": t})
-
-
-RECIPES: dict = {
-    "quasi-perfect-2xm": (quasi_perfect_2xm, ("q", "m", "u")),
-    "quasi-perfect-2x2": (quasi_perfect_2x2, ("t",)),
-    "cyclic-d4": (cyclic_d4, ("q", "m", "lam")),
-    "cyclic-d4-alt": (cyclic_d4_alt, ("q", "m")),
-    "distance-optimal-sxs": (distance_optimal_sxs, ("q", "s", "m", "lam")),
-    "distance-optimal-rect": (distance_optimal_rect, ("q", "s1", "s2", "m", "lam")),
-    "distance-optimal-2x2": (distance_optimal_2x2, ("q",)),
-    "almost-msrd-2x2": (almost_msrd_2x2, ("q", "t")),
-    "plotkin-distance-optimal": (plotkin_distance_optimal, ("s", "m")),
-    "covering-repetition": (covering_repetition, ("q", "m", "t")),
-}
+    return sr_covering(ingredients)
 
 
 def recipe_params(name: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The recipe's required and optional parameter names, in signature order."""
+    """The recipe's required and optional parameter names, in signature order.
+
+    They are its positional-or-keyword arguments; a keyword-only one is not
+    a recipe parameter.
+    """
     if name not in RECIPES:
         raise ValueError(f"unknown recipe {name!r}; known: {sorted(RECIPES)}")
-    fn, argnames = RECIPES[name]
-    sig = inspect.signature(fn).parameters
-    required = tuple(a for a in argnames if sig[a].default is sig[a].empty)
-    return required, tuple(a for a in argnames if a not in required)
+    args = [a for a in inspect.signature(RECIPES[name]).parameters.values()
+            if a.kind is a.POSITIONAL_OR_KEYWORD]
+    return (tuple(a.name for a in args if a.default is a.empty),
+            tuple(a.name for a in args if a.default is not a.empty))
 
 
 def build_recipe(name: str, **params):
@@ -612,4 +620,4 @@ def build_recipe(name: str, **params):
     missing = [a for a in required if a not in params]
     if missing:
         raise ValueError(f"missing parameters {missing} for recipe {name!r}")
-    return RECIPES[name][0](**params)
+    return RECIPES[name](**params)

@@ -17,7 +17,7 @@ from math import comb, gcd
 from .gf import INT16_ORDER, Field, array_mul, digit_add, nullspace, rref
 from .spaces import MatrixProfile
 from .syndrome import (ENUM_BUDGET, SYNDROME_BUDGET, WORK_BUDGET, BudgetExceeded,
-                       SrDistance, SumRankCode, SyndromeDP, dp_budget_stop)
+                       SrDistance, SumRankCode, SyndromeDP)
 
 
 class LinearCode(SumRankCode):
@@ -432,11 +432,7 @@ def covering_radius(code: LinearCode, *, syndrome_budget: int = SYNDROME_BUDGET,
     holds d and its witness.  Raises BudgetExceeded, naming the budget,
     when the DP does not fit.
     """
-    stop = dp_budget_stop(code.base, code.codim, code.profile.blocks,
-                          syndrome_budget, work_budget)
-    if stop is not None:
-        raise BudgetExceeded(stop)
-    dp = code.syndrome_dp
+    dp = code.budgeted_dp(syndrome_budget, work_budget)
     return dp.radius, dp
 
 

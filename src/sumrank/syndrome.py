@@ -66,7 +66,7 @@ from .spaces import (_CHUNK_BYTES, BRUTE_LIMIT, MatrixProfile, SumRankWord, rank
 
 ENUM_BUDGET = 1 << 22      # codewords an exhaustive enumeration may stream
 SYNDROME_BUDGET = 1 << 16  # syndromes (q^codim) the DP may hold
-WORK_BUDGET = 1 << 30      # DP work units, as `dp_budget_stop` counts them
+WORK_BUDGET = 1 << 30      # DP work units, as `SumRankCode.budgeted_dp` counts them
 
 _INF = 100                 # int8 sentinel above every leader weight
 _LAYOUT_BYTES = 1 << 16    # bytes of layout indices formed at once
@@ -76,29 +76,13 @@ class BudgetExceeded(RuntimeError):
     """An exact computation would overrun the configured budget."""
 
 
-def dp_budget_stop(field, codim: int, shapes, syndrome_budget: int,
-                   work_budget: int) -> str | None:
-    """Why the DP may not run within these budgets, or None if it may.
-
-    A work unit counts, per block, n rounds over the block's rank-1 lines
-    of m*e*(p - 1) shift passes over the q^codim syndromes each, plus one
-    read of each of the block's q^(nm) values for its syndromes, ranks and
-    d.  The DP makes n - 1 such rounds (a column min replaces the last), so
-    the count bounds its shift passes from above.
-    """
-    q, e, p = field.order, field.dim_over_prime, field.p
-    n_syn = q ** codim
-    if n_syn > syndrome_budget:
-        return f"syndrome budget {syndrome_budget} < {n_syn} syndromes (q^codim)"
+def rank_table_stop(field, shapes) -> str | None:
+    """Why a block of these shapes has no rank table, or None if every block has one."""
+    q = field.order
     for n, m in dict.fromkeys(shapes):
         if q ** (n * m) > BRUTE_LIMIT:
             return (f"rank table cap {BRUTE_LIMIT} < {q ** (n * m)} values "
                     f"per {n} x {m} block (q^(nm))")
-    work = sum(n * (q ** n - 1) // (q - 1) * m * e * (p - 1) * n_syn + q ** (n * m)
-               for n, m in shapes)
-    if work > work_budget:
-        return (f"sweep budget {work_budget} < {work} DP work units "
-                "(shift passes x q^codim + block values)")
     return None
 
 
@@ -447,6 +431,8 @@ class SumRankCode:
     """
 
     construction: str = "explicit"
+    recipe: str | None = None  # the recipe and parameters `construct`'s registry stamps
+    params: dict = {}
 
     def __init__(self, base: Field, profile: MatrixProfile):
         self.base = base
@@ -511,10 +497,6 @@ class SumRankCode:
             out[:, starts[b]:starts[b + 1]] = packed[:, b, None] // powers % q
         return out
 
-    def flatten(self, packed) -> tuple[int, ...]:
-        """Row-major GF(q) coordinates of a packed word, blocks in order."""
-        return tuple(self.flat_rows([packed])[0].tolist())
-
     @cached_property
     def flat_generator(self) -> tuple[tuple[int, ...], ...]:
         rows = self.flat_rows(self._generator_rows_packed())
@@ -549,6 +531,33 @@ class SumRankCode:
     def syndrome_dp(self) -> SyndromeDP:
         """One syndrome-space DP pass: d with a witness, R, and the leader table."""
         return syndrome_dp(self.base, self.flat_parity, self.profile.blocks)
+
+    def budgeted_dp(self, syndrome_budget: int = SYNDROME_BUDGET,
+                    work_budget: int = WORK_BUDGET) -> SyndromeDP:
+        """The cached `syndrome_dp`, where the budgets and the rank-table cap admit it.
+
+        Every engine reaches the DP through here.  Raises BudgetExceeded,
+        naming the budget or cap, when the DP may not run.  A work unit
+        counts, per block, n rounds over the block's rank-1 lines of
+        m*e*(p - 1) shift passes over the q^codim syndromes each, plus one
+        read of each of the block's q^(nm) values for its syndromes, ranks
+        and d.  The DP makes n - 1 such rounds (a column min replaces the
+        last), so the count bounds its shift passes from above.
+        """
+        q, e, p = self.base.order, self.base.dim_over_prime, self.base.p
+        n_syn = q ** self.codim
+        if n_syn > syndrome_budget:
+            raise BudgetExceeded(f"syndrome budget {syndrome_budget} < {n_syn} syndromes "
+                                 "(q^codim)")
+        stop = rank_table_stop(self.base, self.profile.blocks)
+        if stop is not None:
+            raise BudgetExceeded(stop)
+        work = sum(n * (q ** n - 1) // (q - 1) * m * e * (p - 1) * n_syn + q ** (n * m)
+                   for n, m in self.profile.blocks)
+        if work > work_budget:
+            raise BudgetExceeded(f"sweep budget {work_budget} < {work} DP work units "
+                                 "(shift passes x q^codim + block values)")
+        return self.syndrome_dp
 
     def to_word(self, packed) -> SumRankWord:
         mats = tuple(unpack_matrix(self.base, pk, n, m)

@@ -442,6 +442,9 @@ def test_every_recipe_goes_through_certify_code(name):
     cert = ct.certify_code(code, "sphere-packing")
     assert cert.verdict in ct.VERDICT_EXIT
     assert cert.subject == code.describe()
+    # the code names its recipe and parameters, defaults applied, and they rebuild it
+    assert code.recipe == name and set(code.params) == set(sum(cs.recipe_params(name), ()))
+    assert cs.build_recipe(name, **code.params).describe() == code.describe()
 
 
 @st.composite
@@ -526,10 +529,19 @@ def test_quasi_perfect_q4_u3_fits_the_default_budgets():
     assert (code.profile.t, code.codim) == (273, 8)
     work = 273 * (40 * 4 ** 8 + 4 ** 4)
     assert work <= ct.WORK_BUDGET < 273 * 4 ** 4 * 4 ** 8  # block values x q^codim did not
-    assert ct._dp_stop(code, ct.SYNDROME_BUDGET, ct.WORK_BUDGET) is None
-    assert ct._dp_stop(code, ct.SYNDROME_BUDGET, work - 1) == (
-        f"sweep budget {work - 1} < {work} DP work units "
-        "(shift passes x q^codim + block values)")
+    with pytest.raises(ct.BudgetExceeded) as stop:
+        code.budgeted_dp(ct.SYNDROME_BUDGET, work - 1)
+    assert str(stop.value) == (f"sweep budget {work - 1} < {work} DP work units "
+                               "(shift passes x q^codim + block values)")
+    assert code.budgeted_dp() is code.syndrome_dp
+
+
+def test_dp_budget_stop_is_noted_once():
+    """7^6 syndromes stop the DP for both d and R; the note names the stop once."""
+    cert = ct.certify_code(cs.quasi_perfect_2xm(7, 2, 2), "quasi-perfect")
+    assert cert.exit_code == 2
+    assert cert.notes == ["syndrome budget 65536 < 117649 syndromes (q^codim); "
+                          "enum budget 4194304 < 7^194 codewords (q^dim)"]
 
 
 def test_blocks_past_the_rank_table_cap_stop_the_dp():
@@ -538,7 +550,9 @@ def test_blocks_past_the_rank_table_cap_stop_the_dp():
     per block, past what a rank table holds, so the DP must not start."""
     first = cs.plotkin_distance_optimal(5, 1).first
     assert (first.profile.t, first.codim) == (31, 5)
-    assert ct._dp_stop(first, ct.SYNDROME_BUDGET, ct.WORK_BUDGET) == (
+    with pytest.raises(ct.BudgetExceeded) as stop:
+        first.budgeted_dp()
+    assert str(stop.value) == (
         f"rank table cap {1 << 24} < {1 << 25} values per 5 x 5 block (q^(nm))")
 
 

@@ -107,11 +107,22 @@ def test_exit_codes_cover_verdicts(capsys):
     assert usage == 4
 
 
-def test_certify_hamming_recipe(capsys):
+def test_certify_hamming_recipe(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
     code, out, _ = run(capsys, "certify", "distance-optimal",
-                       "--recipe", "cyclic-d4", "q=4", "m=3", "lam=1")
+                       "--recipe", "cyclic-d4", "q=4", "m=3", "lam=1", "--out", str(cert))
     assert code == 0
     assert "min_sum_rank_distance    = 4   [syndrome-dp]" in out
+    # the certificate carries the family's checks as `bounds condition` evaluates them
+    _, condition, _ = run(capsys, "bounds", "condition",
+                          "family=cyclic-d4", "q=4", "m=3", "lam=1")
+    assert condition == ("rational condition [2*4*1^2 < (4-1)^2]: True\n"
+                         "exact criterion [V_H(q,2) at n=63 > q^(2m+1)]: True (17767 vs 16384)\n")
+    bounds = {b["name"]: b for b in json.loads(cert.read_text())["bounds"]}
+    assert bounds["family_condition[2*4*1^2 < (4-1)^2]"]["value"] is True
+    criterion = bounds["family_criterion[V_H(q,2) at n=63 > q^(2m+1)]"]
+    assert criterion["value"] is True
+    assert criterion["assumptions"][0].startswith("exact comparison 17767 vs 16384 ")
 
 
 def test_certify_hamming_budget_stop_is_inconclusive(capsys):
@@ -128,6 +139,20 @@ def test_certify_hamming_support_search_budget_stop(capsys):
     assert code == 2
     assert "min_sum_rank_distance    = [3, 8]" in out
     assert "enum budget 1000 < 5859 half-words of the weight-3 support search" in out
+
+
+def test_blocks_past_the_rank_table_cap_stop_enumeration(tmp_path, capsys):
+    """One 5 x 5 binary block: its 2^25 codewords fit the enum budget, but its
+    values do not fit a rank table, so d is a budget-stop interval."""
+    cert = tmp_path / "cert.json"
+    code, _, err = run(capsys, "certify", "sphere-packing", "--recipe", "covering-repetition",
+                       "q=2", "m=5", "t=1", "--enum-budget", str(1 << 26), "--out", str(cert))
+    assert (code, err) == (2, "")
+    doc = json.loads(cert.read_text())
+    d = next(q for q in doc["quantities"] if q["name"] == "min_sum_rank_distance")
+    assert (d["value"], d["method"]) == ([1, 5], "budget stop (interval)")
+    assert doc["notes"] == [
+        f"rank table cap {1 << 24} < {1 << 25} values per 5 x 5 block (q^(nm))"]
 
 
 def test_sphere_packing_violation_is_internal_error(capsys, monkeypatch):
@@ -404,7 +429,7 @@ def test_missing_out_directory_refused_before_work(tmp_path, capsys, monkeypatch
     (("construct", "distance-optimal-2x2", "q=3"),
      "c3ed45fcb063272dafedbe3f89622ed3dc77f3cae8c1861caadeab9f8d5984bc"),
     (("certify", "quasi-perfect", "--recipe", "quasi-perfect-2xm", "q=2", "m=2", "u=2"),
-     "15c519d6fdecd15f46a243bab859389ecbca34a6414a33c694066b3b6cd14785"),
+     "07eb714335794efdd7664772cad6ac532612ca9c289b539cbf031c3b7d9dcce6"),
 ], ids=["descriptor", "certificate"])
 def test_out_bytes_are_pinned(tmp_path, capsys, argv, sha256):
     # the hashes are those of json.dump(s)(..., sort_keys=True, indent=2),

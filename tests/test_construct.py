@@ -1,5 +1,8 @@
 """Sum-rank constructions: blocks, linearity, composition rules, recipes."""
 
+import contextlib
+import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -10,7 +13,7 @@ from sumrank import certify as ct
 from sumrank import construct as cs
 from sumrank import hamming as hm
 from sumrank import spaces as sp
-from sumrank.cli import parse_params
+from sumrank.cli import main, parse_params
 from sumrank.gf import make_field
 
 from oracles import contains_packed, generator_parity, hamming_weight
@@ -290,7 +293,7 @@ def test_covering_vs_linearized_not_assumed_equivalent(f2, f4):
 ])
 def test_quasi_perfect_2x2_gate_refuses_ingredient(f4, t, ingredient, message):
     with pytest.raises(ValueError, match=message):
-        cs.quasi_perfect_2x2(t, ingredient(f4))
+        cs.quasi_perfect_2x2(t, ingredient=ingredient(f4))
 
 
 def test_recipe_gates():
@@ -356,6 +359,12 @@ def test_describe_roundtrip_deterministic():
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
 
 
+def _digest(doc) -> str:
+    """The reference table's digest: SHA-256 of the canonical JSON (bench/gate.py)."""
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _syndrome_stop(codim_bits):
     return f"syndrome budget 65536 < {2 ** codim_bits} syndromes (q^codim)"
 
@@ -384,7 +393,8 @@ DP_STOPS = {
 def test_flat_parity_of_every_certify_job_is_pinned():
     # the RREF is unique, so every grid code keeps the parity matrix the
     # benchmark's reference table stores, one decimal digit per entry; the
-    # DP dispatch of every job is pinned too
+    # DP dispatch and the certificate subject's digest of every job are
+    # pinned too
     jobs = {key: ref for key, ref in json.loads(REFERENCE.read_text())["jobs"].items()
             if key.startswith("certify ")}
     assert len(jobs) == 14 and set(jobs) == set(DP_STOPS)
@@ -392,9 +402,28 @@ def test_flat_parity_of_every_certify_job_is_pinned():
         argv = key.split()
         code = cs.build_recipe(argv[argv.index("--recipe") + 1],
                                **parse_params([a for a in argv if "=" in a]))
-        assert ct._dp_stop(code, ct.SYNDROME_BUDGET, ct.WORK_BUDGET) == DP_STOPS[key], key
+        try:
+            code.budgeted_dp()
+        except ct.BudgetExceeded as exc:
+            assert str(exc) == DP_STOPS[key], key
+        else:
+            assert DP_STOPS[key] is None, key
         assert ref["field"] == code.base.describe(), key
         assert ref["parity"] == ["".join(map(str, row)) for row in code.flat_parity], key
+        assert ref["subject_sha256"] == _digest(code.describe()), key
+
+
+def test_every_construct_job_descriptor_is_pinned(tmp_path):
+    # the `construct --out` file of every benchmark construct job keeps the
+    # digest the reference table stores
+    jobs = {key: ref for key, ref in json.loads(REFERENCE.read_text())["jobs"].items()
+            if key.startswith("construct ")}
+    assert len(jobs) == 7
+    out = tmp_path / "out.json"
+    for key, ref in jobs.items():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(key.split() + ["--out", str(out)]) == ref["exit"], key
+        assert _digest(json.loads(out.read_text())) == ref["descriptor_sha256"], key
 
 
 def _generator_rows_oracle(code):
