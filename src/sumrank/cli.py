@@ -80,8 +80,20 @@ def _summarize(code) -> str:
             f"dim {code.dim}, |C| = {prof.q}^{code.dim}, ambient dim {prof.ambient_dim}")
 
 
-def _descriptor(code, recipe: str, params: dict) -> dict:
-    return {"recipe": recipe, "params": params, "descriptor": code.describe()}
+def _descriptor(code) -> dict:
+    return {"recipe": code.recipe, "params": code.params, "descriptor": code.describe()}
+
+
+def _write_out(path: str, write) -> None:
+    """Stream a document into `path` by `write(fh.write)`; a failure removes the file."""
+    fh = open(path, "w", encoding="utf-8")
+    try:
+        with fh:
+            write(fh.write)
+            fh.write("\n")
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 def _check_out_dir(path: str | None) -> None:
@@ -94,13 +106,10 @@ def _check_out_dir(path: str | None) -> None:
 
 def cmd_construct(args) -> int:
     _check_out_dir(args.out)
-    params = parse_params(args.params, args.config)
-    code = cs.build_recipe(args.recipe, **params)
+    code = cs.build_recipe(args.recipe, **parse_params(args.params, args.config))
     print(_summarize(code))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            ct.write_json(_descriptor(code, args.recipe, params), fh.write)
-            fh.write("\n")
+        _write_out(args.out, lambda write: ct.write_json(_descriptor(code), write))
         print(f"descriptor written to {args.out}")
     return 0
 
@@ -114,9 +123,8 @@ def _load_code(args):
         with open(args.code, "r", encoding="utf-8") as fh:
             saved = json.load(fh)
         code = cs.build_recipe(saved["recipe"], **saved["params"])
-        fresh = json.dumps(_descriptor(code, saved["recipe"], saved["params"]),
-                           sort_keys=True)
-        if json.dumps(saved, sort_keys=True) != fresh:
+        if (json.dumps(saved["descriptor"], sort_keys=True)
+                != json.dumps(code.describe(), sort_keys=True)):
             raise RuntimeError("descriptor mismatch: reload does not reproduce the code")
         return code
     if not args.recipe:
@@ -132,9 +140,7 @@ def cmd_certify(args) -> int:
                            work_budget=args.sweep_budget)
     print(cert.to_table())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            cert.to_json(fh.write)
-            fh.write("\n")
+        _write_out(args.out, cert.to_json)
         print(f"certificate written to {args.out}")
     return cert.exit_code
 
@@ -267,7 +273,7 @@ def cmd_selftest(args) -> int:
                        ("Plotkin", cs.plotkin(rep, rep))):
         checks.append((f"{name} parity = nullspace(RREF(generator))",
                        code.flat_parity == tuple(nullspace(code.base, code.flat_generator,
-                                                           code.ambient_dim, reduced=True))))
+                                                           code.ambient_dim))))
     ok = True
     for name, passed in checks:
         print(f"[{'PASS' if passed else 'FAIL'}] {name}")
@@ -359,8 +365,8 @@ def run() -> NoReturn:
     error are flushed the process ends by `os._exit`.  That skips `atexit`
     handlers and the close of every open file object: every file the CLI
     writes (`--out`, and any output file added later) must be written and
-    closed inside `main`, as the `with` blocks of `cmd_construct` and
-    `cmd_certify` do.  A flush that fails, such as on a pipe whose reader has
+    closed inside `main`, as `_write_out` does for `cmd_construct` and
+    `cmd_certify`.  A flush that fails, such as on a pipe whose reader has
     gone, turns the exit code into 3 with the `internal error:` line that
     the same failure gives inside `main`.  An exception that `main` lets
     through (KeyboardInterrupt) propagates, and the interpreter exits the

@@ -596,21 +596,22 @@ def rref(field: Field, rows):
     return [tuple(row) for row in mat[:r].tolist()], pivots
 
 
-def nullspace(field: Field, rows, ncols: int, *, reduced: bool = False):
+def nullspace(field: Field, rows, ncols: int, *, pivots=None):
     """Basis of {h : row . h = 0 for every row}, one vector per free column.
 
     With red the RREF of rows: H[:, free] = I and H[:, pivots] = -red[:, free]^T.
-    With `reduced`, `rows` are already that RREF and are not eliminated again.
+    Given `pivots`, `rows` are red as they stand: row j is e_j at column pivots[j].
     """
-    red, pivots = (rows, None) if reduced else rref(field, rows)
+    red, pivots = (rows, pivots) if pivots is not None else rref(field, rows)
     red = np.array(red, dtype=np.int64).reshape(len(red), ncols)
-    if reduced:
-        pivots = (red != 0).argmax(axis=1).tolist()
     is_free = np.ones(ncols, dtype=bool)
     is_free[pivots] = False
     free = np.flatnonzero(is_free)
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
-    if len(red):
-        basis[:, pivots] = array_mul(field)(red[:, free].T, field.p - 1)
-    return [tuple(row) for row in basis.tolist()]
+    basis = []
+    for f, column in zip(free.tolist(), array_mul(field)(red[:, free].T, field.p - 1).tolist()):
+        row = [0] * ncols
+        row[f] = 1
+        for c, x in zip(pivots, column):
+            row[c] = x
+        basis.append(tuple(row))
+    return basis

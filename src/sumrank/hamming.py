@@ -1,11 +1,11 @@
-"""Hamming-metric linear codes over extension fields.
+"""Hamming-metric linear codes over extension fields, each held as its parity.
 
-Covers the ingredient-code machinery: cyclic codes from cyclotomic
-cosets, standard families (Hamming, Reed-Solomon, BCH, trivial codes), the
-support search for d <= 4, and the covering radius read from the code's
-syndrome-space DP pass.  A `LinearCode` is a `SumRankCode` of n blocks of
-1 x 1, whose rank is [a != 0], so exact d of any code comes from
-`certify.sr_min_distance`, the same dispatch as in the sum-rank metric.
+Covers the ingredient-code machinery: cyclic codes from cyclotomic cosets,
+standard families (Hamming, Reed-Solomon, BCH, trivial codes), the support
+search for d <= 4, and the covering radius read from the syndrome-space DP.
+Builders write only the parity; `LinearCode` derives the generator where it
+is read.  It is a `SumRankCode` of n blocks of 1 x 1, of rank [a != 0], so
+exact d comes from `certify.sr_min_distance`, as in the sum-rank metric.
 """
 
 from __future__ import annotations
@@ -13,30 +13,45 @@ from __future__ import annotations
 import functools
 from math import comb, gcd
 
+import numpy as np
+
 # rref, nullspace, array_mul and INT16_ORDER live in `gf` and stay reachable here
 from .gf import INT16_ORDER, Field, array_mul, digit_add, nullspace, rref
 from .spaces import MatrixProfile
 from .syndrome import (ENUM_BUDGET, SYNDROME_BUDGET, WORK_BUDGET, BudgetExceeded,
                        SrDistance, SumRankCode, SyndromeDP)
 
+# The largest k * n of a generator that `LinearCode.generator` forms (2^25),
+# read only by descriptors and enumeration.  The 1.9 * 10^7-cell ingredients of
+# quasi-perfect-2xm q=4 m=2 u=4 fit; the 1.07 * 10^9 cells of Python ints of
+# distance-optimal-sxs q=2 s=3 m=5 are refused before any row is formed.
+DENSE_CELL_LIMIT = 1 << 25
+
 
 class LinearCode(SumRankCode):
     """An [n, k] linear code over an extension field: n blocks of 1 x 1.
 
-    G rows are a basis; H rows span the dual.  A symbol is its own packed
-    1 x 1 block, so G and H are also the packed generator rows and the flat
-    parity-check rows.  Cyclic metadata is attached when the code was built
-    from a defining set.
+    Builders give only the parity check H, whose row j has a column equal to
+    e_j, so the rows are independent and k = n - len(H).  G is derived on
+    first read as H's nullspace at the pivots, row j's being its last column
+    equal to e_j: the code's RREF (nullspace(RREF(H)) for Hamming codes).  A
+    symbol is its own packed 1 x 1 block, so G and H are also the packed
+    generator rows and the flat parity-check rows.
     """
 
-    def __init__(self, field: Field, n: int, generator: tuple[tuple[int, ...], ...],
-                 parity: tuple[tuple[int, ...], ...], family: str = "explicit",
-                 designed_distance: int | None = None,
+    def __init__(self, field: Field, n: int, parity: tuple[tuple[int, ...], ...],
+                 family: str = "explicit", designed_distance: int | None = None,
                  defining_set: tuple[int, ...] | None = None, notes: dict | None = None):
         self.field = field
         self.n = n
-        self.generator = generator
         self.parity = parity
+        H = np.array(parity, dtype=np.int64).reshape(len(parity), n)
+        units = np.flatnonzero(((H != 0).sum(axis=0) == 1) & (H.sum(axis=0) == 1))
+        rows, at = np.nonzero(H[:, units])
+        last = dict(zip(rows.tolist(), units[at].tolist()))  # row-major: the last unit wins
+        if len(last) < len(H):
+            raise ValueError("a parity row has no column equal to its unit vector")
+        self._pivots = [last[j] for j in range(len(H))]
         self.family = family
         self.designed_distance = designed_distance
         self.defining_set = defining_set
@@ -45,9 +60,17 @@ class LinearCode(SumRankCode):
 
     @property
     def dim(self) -> int:
-        return len(self.generator)
+        return self.n - len(self.parity)
 
     k = dim
+
+    @functools.cached_property
+    def generator(self) -> tuple[tuple[int, ...], ...]:
+        if self.k * self.n > DENSE_CELL_LIMIT:
+            raise ValueError(f"size gate: the {self.k} x {self.n} generator has k*n = "
+                             f"{self.k * self.n} cells, above DENSE_CELL_LIMIT = "
+                             f"{DENSE_CELL_LIMIT}")
+        return tuple(nullspace(self.field, self.parity, self.n, pivots=self._pivots))
 
     @property
     def base(self) -> Field:
@@ -112,30 +135,22 @@ def from_generator(field: Field, rows, *, family: str = "explicit",
     if not rows:
         raise ValueError("use zero_code for the trivial {0} code")
     n = len(rows[0])
-    red, _ = rref(field, rows)
+    red, pivots = rref(field, rows)
     if len(red) != len(rows):
         raise ValueError("generator matrix rows are dependent")
-    parity = tuple(nullspace(field, red, n, reduced=True))
-    return LinearCode(field, n, tuple(red), parity, family=family,
-                      designed_distance=designed_distance, **meta)
+    return LinearCode(field, n, tuple(nullspace(field, red, n, pivots=pivots)),
+                      family=family, designed_distance=designed_distance, **meta)
 
 
 def zero_code(field: Field, t: int) -> LinearCode:
     """The trivial {0} code of length t."""
     parity = tuple(tuple(1 if j == i else 0 for j in range(t)) for i in range(t))
-    return LinearCode(field, t, (), parity, family="zero")
+    return LinearCode(field, t, parity, family="zero")
 
 
 # ----------------------------------------------------------------------
 # cyclotomic cosets and cyclic codes
 # ----------------------------------------------------------------------
-
-# The largest k * n of a dense systematic generator that `cyclic_code` builds
-# (2^24).  Past it the code is refused before any table or matrix exists: a
-# length-32767 ingredient would need about 10^9 cells of Python ints, far past
-# a desk machine's memory.
-DENSE_CELL_LIMIT = 1 << 24
-
 
 def cyclotomic_coset(i: int, Q: int, n: int) -> tuple[int, ...]:
     """The Q-cyclotomic coset of i modulo n, sorted ascending."""
@@ -190,9 +205,6 @@ def cyclic_code(n: int, field: Field, generators) -> LinearCode:
     k = n - r
     if k == 0:
         raise ValueError("defining set covers all residues; code is trivial {0}")
-    if k * n > DENSE_CELL_LIMIT:
-        raise ValueError(f"size gate: the {k} x {n} generator has k*n = {k * n} cells, "
-                         f"above DENSE_CELL_LIMIT = {DENSE_CELL_LIMIT}")
     ext = field.extension(ell)
     beta = ext.pow(ext.generator, (ext.order - 1) // n)
     if ext.pow(beta, n) != 1 or (n > 1 and beta == 1):
@@ -209,10 +221,10 @@ def cyclic_code(n: int, field: Field, generators) -> LinearCode:
         gcoeffs = list(gpoly)
     else:
         gcoeffs = [_project_to(field, ext, c) for c in gpoly]
-    # Systematic form [I_k | P]: row j is x^j - x^k (x^(r+j) mod g(x)), a
-    # multiple of g(x) modulo x^n - 1 that is e_j on the first k positions,
-    # so [I_k | P] is the unique RREF of the code and [-P^T | I_r] its
-    # nullspace basis.  rems[j] holds the coefficients of x^(r+j) mod g(x).
+    # Parity [R^T | I_r], R[j] the coefficients of x^(r+j) mod g(x): each
+    # x^j - x^k (x^(r+j) mod g(x)) is a multiple of g(x) modulo x^n - 1 that
+    # is e_j on the first k positions, so the code's RREF is [I_k | -R],
+    # which is the generator `LinearCode` derives at the pivots k..n-1.
     rem = [field.neg(c) for c in gcoeffs[:r]]
     rems = []
     for _ in range(k):
@@ -220,14 +232,10 @@ def cyclic_code(n: int, field: Field, generators) -> LinearCode:
         top = rem[-1] if r else 0
         rem = [field.sub(rem[i - 1] if i else 0, field.mul(top, gcoeffs[i]))
                for i in range(r)]
-    gen = tuple(tuple(1 if c == j else 0 for c in range(k))
-                + tuple(field.neg(x) for x in rems[j]) for j in range(k))
     parity = tuple(tuple(rj[i] for rj in rems) + tuple(1 if c == i else 0 for c in range(r))
                    for i in range(r))
-    code = LinearCode(field, n, gen, parity, family="cyclic")
-    code.defining_set = T_sorted
-    code.notes["generator_polynomial"] = gcoeffs
-    return code
+    return LinearCode(field, n, parity, family="cyclic", defining_set=T_sorted,
+                      notes={"generator_polynomial": gcoeffs})
 
 
 def _project_to(field: Field, ext: Field, value: int) -> int:
@@ -263,9 +271,7 @@ def hamming_code(field: Field, u: int) -> LinearCode:
             cols.append(tuple(vec))
     assert len(cols) == t
     parity = tuple(tuple(col[r] for col in cols) for r in range(u))
-    gen = tuple(nullspace(field, parity, t))
-    code = LinearCode(field, t, gen, parity, family="hamming", designed_distance=3)
-    return code
+    return LinearCode(field, t, parity, family="hamming", designed_distance=3)
 
 
 def reed_solomon(field: Field, t: int, k: int) -> LinearCode:
@@ -293,20 +299,13 @@ def parity_check_code(field: Field, t: int) -> LinearCode:
     """Single-parity [t, t-1, 2]; cyclic with defining set {0} when gcd(t,Q)=1."""
     if t < 2:
         raise ValueError("length must be at least 2")
-    # rows e_i - e_{t-1} are already in RREF; the dual is spanned by all-ones
-    minus_one = field.neg(1)
-    gen = tuple(tuple(1 if j == i else minus_one if j == t - 1 else 0 for j in range(t))
-                for i in range(t - 1))
-    return LinearCode(field, t, gen, ((1,) * t,), family="parity", designed_distance=2,
+    return LinearCode(field, t, ((1,) * t,), family="parity", designed_distance=2,
                       defining_set=(0,) if gcd(t, field.order) == 1 else None)
 
 
 def full_code(field: Field, t: int) -> LinearCode:
-    rows = [tuple(1 if j == i else 0 for j in range(t)) for i in range(t)]
-    code = from_generator(field, rows, family="full", designed_distance=1)
-    if gcd(t, field.order) == 1:
-        code.defining_set = ()
-    return code
+    return LinearCode(field, t, (), family="full", designed_distance=1,
+                      defining_set=() if gcd(t, field.order) == 1 else None)
 
 
 def bch_binary(e: int, n: int) -> LinearCode:

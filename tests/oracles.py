@@ -21,9 +21,9 @@ def generator_parity(code) -> tuple[tuple[int, ...], ...]:
     form that `SumRankCode.flat_parity` reproduces from the parity checks.
     """
     rows = code.flat_rows(code._generator_rows_packed())
-    red, _ = rref(code.base, rows)
+    red, pivots = rref(code.base, rows)
     assert len(red) == len(rows), "dependent generator rows"
-    return tuple(nullspace(code.base, red, code.ambient_dim, reduced=True))
+    return tuple(nullspace(code.base, red, code.ambient_dim, pivots=pivots))
 
 
 def contains_packed(code, packed) -> bool:

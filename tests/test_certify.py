@@ -1,5 +1,6 @@
 """Exact invariants, bound evaluators, verdicts, and certificates."""
 
+import importlib.util
 import json
 import math
 from fractions import Fraction
@@ -604,3 +605,27 @@ def test_certify_jobs_never_build_the_flat_generator():
     with mock.patch.object(SumRankCode, "flat_generator", property(refuse)):
         for key in jobs:
             assert _certify_job(key) == expected[key], key
+
+
+def test_certify_paper_jobs_never_derive_an_ingredient_generator():
+    # without --out no descriptor is written, and every engine reads the
+    # ingredients' parity checks only
+    spec = importlib.util.spec_from_file_location("workloads", REFERENCE.parent / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    jobs = workloads.WORKLOADS["certify-paper"]
+    assert len(jobs) == 8
+
+    def certify(argv):
+        code = cs.build_recipe(argv[argv.index("--recipe") + 1],
+                               **parse_params([a for a in argv if "=" in a]))
+        cert = ct.certify_code(code, argv[1])
+        return cert.exit_code, cert.to_table()
+
+    expected = [certify(argv) for argv in jobs]
+
+    def refuse(code):
+        raise AssertionError("the certify path read a LinearCode generator")
+
+    with mock.patch.object(hm.LinearCode, "generator", property(refuse)):
+        assert [certify(argv) for argv in jobs] == expected

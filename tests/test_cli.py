@@ -73,6 +73,25 @@ def test_corrupted_descriptor_rejected(tmp_path, capsys):
     assert "descriptor mismatch" in err
 
 
+def test_descriptor_params_are_the_codes_own(tmp_path, capsys):
+    # the top-level recipe and params are the code's, defaults applied, as in
+    # the nested descriptor; a file without a default still reloads
+    desc = tmp_path / "code.json"
+    run(capsys, "construct", "distance-optimal-sxs", "q=3", "s=2", "m=1", "--out", str(desc))
+    saved = json.loads(desc.read_text())
+    assert saved["recipe"] == saved["descriptor"]["recipe"] == "distance-optimal-sxs"
+    assert saved["params"] == saved["descriptor"]["params"] == {"q": 3, "s": 2, "m": 1, "lam": 1}
+    direct = run(capsys, "certify", "quasi-perfect", "--recipe", "distance-optimal-sxs",
+                 "q=3", "s=2", "m=1")
+    del saved["params"]["lam"]
+    desc.write_text(json.dumps(saved))
+    assert run(capsys, "certify", "quasi-perfect", "--code", str(desc)) == direct
+    saved["descriptor"]["params"]["lam"] = 2
+    desc.write_text(json.dumps(saved))
+    code, _, err = run(capsys, "certify", "quasi-perfect", "--code", str(desc))
+    assert code == 3 and "descriptor mismatch" in err
+
+
 def test_code_takes_no_recipe_or_parameters(tmp_path, capsys, monkeypatch):
     from sumrank import construct as cs
 
@@ -182,18 +201,14 @@ def test_internal_error_names_the_exception(capsys, monkeypatch):
 
 
 def test_rank_deficient_ingredient_parity_is_internal_error(capsys, monkeypatch):
-    hamming_code = hm.hamming_code
-
-    def short_parity(field, u):  # one parity row too few: a kernel beyond the code
-        code = hamming_code(field, u)
-        return hm.LinearCode(code.field, code.n, code.generator, code.parity[1:],
-                             family=code.family, designed_distance=code.designed_distance)
-
-    monkeypatch.setattr(hm, "hamming_code", short_parity)
+    parity_rows = cs.IngredientSumRankCode._parity_rows
+    # one parity row too few: a kernel beyond the code
+    monkeypatch.setattr(cs.IngredientSumRankCode, "_parity_rows",
+                        lambda code: parity_rows(code)[1:])
     code, _, err = run(capsys, "certify", "quasi-perfect", "--recipe",
                        "quasi-perfect-2xm", "q=2", "m=2", "u=2")
     assert code == 3
-    assert err == ("internal error: RuntimeError: parity checks have rank 4, "
+    assert err == ("internal error: RuntimeError: parity checks have rank 5, "
                    "not the codimension 6\n")
 
 
@@ -439,26 +454,45 @@ def test_out_bytes_are_pinned(tmp_path, capsys, argv, sha256):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
-def test_dense_size_gate_refuses_before_building(capsys):
-    # the length-32767 cyclic ingredient over GF(8) would need a 32756 x 32767
-    # generator; the gate refuses it from k and n alone
+def test_dense_size_gate_refuses_only_the_descriptor(tmp_path, capsys):
+    # the length-32767 cyclic ingredient over GF(8) is built from its parity
+    # alone (3.2 s and a 15.6 MB peak under tracemalloc); only its descriptor
+    # would need the 32756 x 32767 generator, which the gate refuses from k and n
     tracemalloc.start()
     start = time.perf_counter()
     try:
-        code, _, err = run(capsys, "construct", "distance-optimal-sxs",
+        code, out, _ = run(capsys, "construct", "distance-optimal-sxs",
                            "q=2", "s=3", "m=5", "lam=1")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert code == 0 and "t = 32767 blocks of 3x3" in out
+    assert time.perf_counter() - start < 10
+    assert peak < 24 << 20
+    descriptor = tmp_path / "code.json"
+    code, _, err = run(capsys, "construct", "distance-optimal-sxs",
+                       "q=2", "s=3", "m=5", "lam=1", "--out", str(descriptor))
     assert code == 4
     assert f"{32756 * 32767} cells" in err and str(hm.DENSE_CELL_LIMIT) in err
-    assert time.perf_counter() - start < 5
-    assert peak < 8 << 20
+    assert not descriptor.exists()
+
+
+def test_failed_certificate_write_leaves_no_file(tmp_path, capsys, monkeypatch):
+    def to_json(cert, write):
+        write("{")
+        raise MemoryError()
+
+    monkeypatch.setattr(ct.Certificate, "to_json", to_json)
+    out = tmp_path / "cert.json"
+    code, _, err = run(capsys, "certify", "quasi-perfect", "--recipe", "quasi-perfect-2xm",
+                       "q=2", "m=2", "u=2", "--out", str(out))
+    assert code == 3 and err == "internal error: MemoryError\n"
+    assert not out.exists()
 
 
 def test_write_json_streams_a_descriptor():
     # json.dumps of this descriptor holds about 3.4 MB; the writer holds a few pieces
-    descriptor = cli._descriptor(cs.distance_optimal_2x2(4), "distance-optimal-2x2", {"q": 4})
+    descriptor = cli._descriptor(cs.distance_optimal_2x2(4))
     digest = hashlib.sha256()
     tracemalloc.start()
     try:

@@ -6,6 +6,7 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -257,15 +258,15 @@ def test_parity_first_equals_generator_nullspace(code):
 
 
 def test_rank_deficient_ingredient_parity_raises(f4):
-    hamming = hm.hamming_code(f4, 2)
-    short = hm.LinearCode(f4, 5, hamming.generator, hamming.parity[:1])  # kernel beyond the code
-    code = cs.sr_linearized([short, hm.parity_check_code(f4, 5)])
-    with pytest.raises(RuntimeError, match="parity checks have rank 4, not the codimension 6"):
-        code.flat_parity
-    extra = hm.LinearCode(f4, 5, hamming.generator,
-                          hamming.parity + ((1,) * 5,))  # excludes codewords
-    with pytest.raises(RuntimeError, match="rank 8, not the codimension 6"):
-        cs.sr_linearized([extra, hm.parity_check_code(f4, 5)]).flat_parity
+    for change, rank in (
+            (lambda rows: rows[1:], 5),  # a kernel beyond the code
+            (lambda rows: np.vstack([rows, np.ones_like(rows[:1])]), 7),  # excludes codewords
+    ):
+        code = cs.sr_linearized([hm.hamming_code(f4, 2), hm.parity_check_code(f4, 5)])
+        code._parity_rows = lambda rows=code._parity_rows(): change(rows)
+        with pytest.raises(RuntimeError,
+                           match=f"parity checks have rank {rank}, not the codimension 6"):
+            code.flat_parity
 
 
 def test_singular_block_map_raises(f4):

@@ -5,7 +5,7 @@ import random
 from math import gcd
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from oracles import contains_packed, hamming_weight, hartmann_tzeng_bound
 from test_syndrome import linear_codes
 
@@ -165,6 +165,90 @@ def test_systematic_cyclic_code_matches_rref(build):
     assert code.generator == oracle.generator
     assert code.parity == oracle.parity
     assert code.describe() == oracle.describe()
+
+
+# ----------------------------------------------------------------------
+# the generator derived from the parity
+# ----------------------------------------------------------------------
+
+@st.composite
+def independent_rows(draw):
+    """Over GF(2), GF(3), GF(4) or GF(9): 1 to 6 independent rows of length 1 to 9."""
+    field = draw(st.sampled_from([make_field(2, [1]), make_field(3, [1]),
+                                  make_field(2, [2]), make_field(3, [2])]))
+    n = draw(st.integers(1, 9))
+    entry = st.one_of(st.just(0), st.integers(0, field.order - 1))
+    rows = []
+    for _ in range(draw(st.integers(1, min(n, 6)))):
+        row = tuple(draw(st.lists(entry, min_size=n, max_size=n)))
+        if len(hm.rref(field, rows + [row])[0]) > len(rows):
+            rows.append(row)
+    assume(rows)
+    return field, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(independent_rows())
+def test_from_generator_derives_the_rref(case):
+    field, rows = case
+    assert hm.from_generator(field, rows).generator == tuple(hm.rref(field, rows)[0])
+
+
+def test_builders_derive_the_generators_they_built_before(f2, f3, f4, f9):
+    # each builder used to write its generator by its own formula: the RREF of
+    # the code, and nullspace(RREF(parity)) for the Hamming codes
+    for f in (f2, f3, f4, f9):
+        minus_one = f.neg(1)
+        for t in range(1, 8):
+            unit = [tuple(int(j == i) for j in range(t)) for i in range(t)]
+            assert hm.full_code(f, t).generator == tuple(unit)
+            assert hm.zero_code(f, t).generator == ()
+            assert hm.repetition_code(f, t).generator == ((1,) * t,)
+            if t >= 2:
+                assert hm.parity_check_code(f, t).generator == tuple(
+                    u[:-1] + (minus_one,) for u in unit[:-1])
+        for t in range(1, f.order + 2):
+            pts = list(range(min(t, f.order)))
+            for k in range(1, t + 1):
+                rows = [[f.pow(x, j) for x in pts] + ([int(j == k - 1)] if t > f.order else [])
+                        for j in range(k)]
+                assert hm.reed_solomon(f, t, k).generator == tuple(hm.rref(f, rows)[0])
+        for u in (2, 3):
+            code = hm.hamming_code(f, u)
+            assert code.generator == tuple(hm.nullspace(f, code.parity, code.n))
+        for n in range(2, 16):
+            if gcd(n, f.order) != 1 or f.order ** hm._multiplicative_order(f.order, n) > 1 << 12:
+                continue
+            for coset in hm.all_cyclotomic_cosets(f.order, n):
+                if len(coset) == n:
+                    continue
+                code = hm.cyclic_code(n, f, [coset[0]])
+                g = code.notes["generator_polynomial"]
+                banded = [(0,) * s + tuple(g) + (0,) * (n - len(g) - s) for s in range(code.k)]
+                assert code.generator == tuple(hm.rref(f, banded)[0])
+    for e, n in ((1, 3), (2, 4), (1, 5), (3, 5)):
+        code = hm.bch_binary(e, n)
+        g = code.notes["generator_polynomial"]
+        banded = [(0,) * s + tuple(g) + (0,) * (code.n - len(g) - s) for s in range(code.k)]
+        assert code.generator == tuple(hm.rref(f2, banded)[0])
+
+
+@pytest.mark.parametrize("parity", [
+    ((1, 1, 0), (1, 1, 0)),  # two equal rows: no column is e_0 or e_1
+    ((1, 1, 0), (1, 2, 1)),  # only row 1 has its unit column
+    ((2, 0, 2),),            # a column 2 * e_0 is not e_0
+], ids=["equal-rows", "no-unit-column", "scaled-unit"])
+def test_parity_without_unit_columns_raises(f3, parity):
+    with pytest.raises(ValueError, match="has no column equal to its unit vector"):
+        hm.LinearCode(f3, 3, parity)
+
+
+def test_size_gate_guards_the_generator_only(f2, monkeypatch):
+    monkeypatch.setattr(hm, "DENSE_CELL_LIMIT", 7 * 8 - 1)
+    code = hm.cyclic_code(15, f2, [1])  # [15, 11]: 165 cells
+    assert code.k == 11 and hm.covering_radius(code)[0] == 1
+    with pytest.raises(ValueError, match="k\\*n = 165 cells, above DENSE_CELL_LIMIT = 55"):
+        code.generator
 
 
 def test_bch_binary(f2):
@@ -394,7 +478,7 @@ def _assert_matches_oracle(field, rows, ncols):
     basis = hm.nullspace(field, rows, ncols)
     assert basis == _nullspace_oracle(field, rows, ncols)
     assert all(type(x) is int for row in basis for x in row)
-    assert hm.nullspace(field, red, ncols, reduced=True) == basis
+    assert hm.nullspace(field, red, ncols, pivots=pivots) == basis
 
 
 @settings(max_examples=200, deadline=None)
