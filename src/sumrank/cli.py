@@ -135,9 +135,13 @@ def _load_code(args):
 def cmd_certify(args) -> int:
     _check_out_dir(args.out)
     code = _load_code(args)
-    cert = ct.certify_code(code, args.claim, enum_budget=args.enum_budget,
-                           syndrome_budget=args.syndrome_budget,
-                           work_budget=args.sweep_budget)
+    try:
+        cert = ct.certify_code(code, args.claim, enum_budget=args.enum_budget,
+                               syndrome_budget=args.syndrome_budget,
+                               work_budget=args.sweep_budget)
+    except (ValueError, KeyError) as exc:  # the input was valid: an engine failed
+        _report_internal_error(exc)
+        return INTERNAL_ERROR
     print(cert.to_table())
     if args.out:
         _write_out(args.out, cert.to_json)
@@ -268,6 +272,9 @@ def cmd_selftest(args) -> int:
     d = ct.sr_min_distance(am)
     checks.append(("almost-MSRD d=4 defect=2",
                    d.value == 4 and ct.singleton_defect(am.profile, am.dim, 4) == 2))
+    dp = cs.quasi_perfect_2xm(5, 2, 2).budgeted_dp()  # p = 5: the doubled coset shifts
+    checks.append(("quasi-perfect 2x2 over GF(5) d=3 R=2 (syndrome DP)",
+                   (dp.distance, dp.radius) == (3, 2)))
     rep = cs.covering_repetition(2, 2, 3)
     for name, code in (("linearized", cs.quasi_perfect_2xm(3, 2, 2)),
                        ("Plotkin", cs.plotkin(rep, rep))):

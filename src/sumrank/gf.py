@@ -297,17 +297,36 @@ class Field:
 
         So mul indexes exp[log a + log b] with no modulo and no zero test.
         The generator search runs before the tables exist, so its products
-        come from _mul_raw.
+        come from _mul_raw.  Each power steps from the last by the map
+        v -> v g = sum_j v_j (g x^j), v_j the subfield digits of v: the
+        products c g x^j for every subfield value c are formed once, and a
+        step adds one per digit.  For p = 2 they stay packed and XOR adds
+        them; otherwise their base-p digits are summed mod p.
         """
-        g = self.generator
-        n = self.order - 1
+        g, n = self.generator, self.order - 1
+        q, p, width = self.subfield.order, self.p, self.dim_over_prime
+        times_g = [[self._mul_raw(c, self._mul_raw(g, q ** j)) for c in range(q)]
+                   for j in range(self.degree)]
+        places = [q ** j for j in range(self.degree)]
         exp = [1] * (2 * n) + [0] * (2 * n + 1)
         log = [2 * n] * self.order
         v = 1
-        for i in range(n):
-            exp[i] = exp[i + n] = v
-            log[v] = i
-            v = self._mul_raw(v, g)
+        if p == 2:
+            for i in range(n):
+                exp[i] = exp[i + n] = v
+                log[v] = i
+                w = 0
+                for row, place in zip(times_g, places):
+                    w ^= row[v // place % q]
+                v = w
+        else:
+            powers = [p ** k for k in range(width)]
+            digits_g = [[[x // pw % p for pw in powers] for x in row] for row in times_g]
+            for i in range(n):
+                exp[i] = exp[i + n] = v
+                log[v] = i
+                terms = [row[v // place % q] for row, place in zip(digits_g, places)]
+                v = sum(sum(col) % p * pw for col, pw in zip(zip(*terms), powers))
         self._exp, self._log = exp, log
 
     def np_table(self, kind: str) -> np.ndarray:

@@ -237,13 +237,36 @@ def hamming_ball_volume(n: int, r: int, q: int) -> int:
 
 
 def ball_volume_exact(profile: MatrixProfile, r: int) -> int:
-    """|{x : wt_sr(x) <= r}| by convolving per-block rank distributions.
-
-    The convolution stops at weight r: the count at weight w reads only the
-    counts at weights <= w.
-    """
+    """|{x : wt_sr(x) <= r}| by convolving per-block rank distributions."""
     if r < 0:
         raise ValueError("radius must be nonnegative")
+    return sum(_weight_counts(profile, r))
+
+
+def packing_radius(profile: MatrixProfile, codim: int, stop: int | None = None) -> int | None:
+    """The least r <= `stop` with V_sr(r) > q^codim, or None if there is none.
+
+    A code of codimension `codim` with d >= 2r + 1 would hold disjoint
+    radius-r balls around its q^(ambient_dim - codim) words, so such an r
+    proves d <= 2r.  `stop` defaults to the largest weight, where the ball
+    is the whole space: then None means the zero code, whose balls never
+    outgrow q^codim.
+    """
+    volume, room = 0, profile.q ** codim
+    for r, count in enumerate(_weight_counts(profile, profile.max_weight()
+                                             if stop is None else stop)):
+        volume += count
+        if volume > room:
+            return r
+    return None
+
+
+def _weight_counts(profile: MatrixProfile, r: int) -> list[int]:
+    """The number of words of each sum-rank weight 0 .. min(r, max weight).
+
+    The convolution of the per-block rank distributions stops at weight r:
+    the count at weight w reads only the counts at weights <= w.
+    """
     q = profile.q
     r = min(r, profile.max_weight())
     vol = [0] * (r + 1)
@@ -261,7 +284,7 @@ def ball_volume_exact(profile: MatrixProfile, r: int) -> int:
                 acc += cnt * vol[w - rk]
             new[w] = acc
         vol = new
-    return sum(vol)
+    return vol
 
 
 # ----------------------------------------------------------------------

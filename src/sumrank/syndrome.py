@@ -8,8 +8,11 @@ and a rank-r value is a sum of r rank-1 values: the nonzero points of the
 
     A <- min(A, 1 + min over lines u of min over x in U_u of A[s - syn(x)])
 
-give the block's values of rank <= n - 1, the inner coset-min taken by
-m*e sweeps of (p - 1) shift-mins over the line's generator syndromes.
+give the block's values of rank <= n - 1.  The inner coset-min takes m*e
+sweeps, one per generator syndrome g of the line, each the min over the p
+multiples of g by ceil(log2 p) gather-mins that double the shift: g, then
+2g, then 4g, the last step cut so as not to pass (p - 1)g.  The rounds
+write into three preallocated copies of the state, and allocate nothing.
 Rank n comes from one min over all block values of A as it was before
 the block, counted at weight n: a value of lower rank counted at n never
 wins, so this is exact.  A Hamming-metric code is the case of 1 x 1
@@ -33,9 +36,14 @@ gather before each block instead,
     b_zero[b] = min(b_zero[b - 1], min over v != 0 of A[-syn(v)] + rank(v)),
 
 and d = b_zero after the last block.  For the witness the DP records, per
-weight level w <= codim, the number of blocks after which A[s] first drops
-to <= w; A before block b is the number of levels not yet reached then.
-Both use syndrome indices, not a layout.
+weight level w, the number of blocks after which A[s] first drops to <= w;
+A before block b, capped at the top level, is the number of levels not yet
+reached then.  The backtrack compares A only with values <= d, and d <= 2r
+for the least r with V_sr(r) > q^codim (sphere packing,
+`spaces.packing_radius`), so the levels stop at w = min(codim, 2r).  The
+syndromes whose value fell in a block are indexed in pieces of at most
+`_LAYOUT_BYTES`, as many as their count needs.  Both use syndrome indices,
+not a layout.
 
 When the syndrome space is too large, `least_weight_word` settles d by
 enumerating the code in numpy chunks instead, in both metrics.
@@ -61,8 +69,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .gf import Field, digit_adder, make_field, rref
-from .spaces import (_CHUNK_BYTES, BRUTE_LIMIT, MatrixProfile, SumRankWord, rank_array,
-                     unpack_matrix)
+from .spaces import (_CHUNK_BYTES, BRUTE_LIMIT, MatrixProfile, SumRankWord, packing_radius,
+                     rank_array, unpack_matrix)
 
 ENUM_BUDGET = 1 << 22      # codewords an exhaustive enumeration may stream
 SYNDROME_BUDGET = 1 << 16  # syndromes (q^codim) the DP may hold
@@ -197,6 +205,26 @@ def _digit_sub(p: int, digits: int, a, b):
     return out
 
 
+def _moved(flat, before, cap: int):
+    """The indices s with flat[s] < before[s], in pieces of at most `cap`.
+
+    A range of syndromes holding more moved ones is cut into as many equal
+    ranges as the count asks for, so a block that moved few syndromes is one
+    piece, whatever the syndrome count.
+    """
+    ranges = [(0, len(flat))]
+    while ranges:
+        lo, hi = ranges.pop()
+        mask = flat[lo:hi] < before[lo:hi]
+        count = int(np.count_nonzero(mask))
+        if count > cap:
+            pieces = -(-count // cap)
+            ranges += [(lo + (hi - lo) * i // pieces, lo + (hi - lo) * (i + 1) // pieces)
+                       for i in range(pieces)]
+        elif count:
+            yield lo + np.flatnonzero(mask)
+
+
 class SyndromeDP(NamedTuple):
     """One DP pass: leader table A, distance d, and a weight-d codeword."""
 
@@ -231,22 +259,28 @@ def syndrome_dp(field, parity, shapes) -> SyndromeDP:
     def block_syn(b):
         return block_syndromes(field, columns[starts[b]:starts[b + 1]])
 
-    def coset_min(M, gens, rows):  # min of M[s - syn(x)] over the F_p-span of gens
+    def coset_min(M, gens, shifts, S, T):  # min of M[s - syn(x)] over the F_p-span of gens
         for j in gens:
-            acc = cur = M
-            for _ in range(p - 1):
-                cur = np.take(cur, rows[j], axis=0)
-                acc = np.minimum(acc, cur)
-            M = acc
+            covered = 1  # M is the min over the multiples 0 .. covered - 1 of gen j
+            while covered < p:
+                a = min(covered, p - covered)
+                np.take(M, shifts[a - 1][j], axis=0, out=T, mode="clip")
+                np.minimum(M, T, out=S)
+                M, covered = S, covered + a
         return M
 
     flat = np.full(p ** digits, _INF, dtype=np.int8)
     flat[0] = 0
     buf = np.empty_like(flat)  # the state in the current block's layout
     before = np.empty_like(flat)  # the state before the current block
+    # the rank-1 rounds' line min, coset min and shifted copy, in each layout
+    rounds = [np.empty_like(flat) for _ in range(3)] if any(n > 1 for n, _ in shapes) else []
     t = len(shapes)
+    # d <= 2r by sphere packing, and the backtrack compares A only with values <= d
+    r = packing_radius(MatrixProfile(field, tuple(shapes)), codim, codim // 2)
     # levels[w, s]: blocks after which A[s] is first <= w, else t + 1
-    levels = np.full((codim + 1, len(flat)), t + 1, dtype=np.uint8 if t < 255 else np.uint16)
+    levels = np.full((1 + (codim if r is None else min(codim, 2 * r)), len(flat)), t + 1,
+                     dtype=np.uint8 if t < 255 else np.uint16)
     levels[:, 0] = 0
     b_zero = []
     for b, (n, m) in enumerate(shapes):
@@ -270,23 +304,26 @@ def syndrome_dp(field, parity, shapes) -> SyndromeDP:
             # a shift by syndrome k moves row y to row y + (the pivot digits of k)
             ks_y = sum(ks // p ** at % p * p ** j for j, at in enumerate(pivots))
             rows = _digit_sub(p, len(pivots), np.arange(len(B)), np.reshape(ks_y, (-1, 1)))
+            shifts = [rows]  # shifts[a - 1][j]: the row map of the shift by a * ks[j]
+            for _ in range(p // 2 - 1):
+                shifts.append(np.take_along_axis(shifts[-1], rows, axis=1))
             lines = [[j for j in row if ks[j]] for row in js.reshape(gens.shape).tolist()]
+            C, S, T = (x.reshape(B.shape) for x in rounds)
             for _ in range(n - 1):
-                C = np.full_like(B, _INF)
+                C.fill(_INF)
                 for line in lines:
-                    np.minimum(C, coset_min(B, line, rows), out=C)
-                np.minimum(B, C + 1, out=B)
+                    np.minimum(C, coset_min(B, line, shifts, S, T), out=C)
+                np.add(C, 1, out=C)
+                np.minimum(B, C, out=B)
         np.minimum(B, top, out=B)
         np.copyto(before, flat)
         for part, idx in _layout_rows(head, lo):
             flat[idx] = B[part]
-        changed = np.flatnonzero(flat < before)
-        if not len(changed):
-            continue
-        new, old = flat[changed], before[changed]
-        # only the levels w with new <= w < old move
-        for w in range(int(new.min()), min(int(old.max()), codim + 1)):
-            levels[w, changed[(new <= w) & (old > w)]] = b + 1
+        for changed in _moved(flat, before, max(1, _LAYOUT_BYTES // 8)):
+            new, old = flat[changed], before[changed]
+            # only the levels w with new <= w < old move
+            for w in range(int(new.min()), min(int(old.max()), len(levels))):
+                levels[w, changed[(new <= w) & (old > w)]] = b + 1
     if int(flat.max()) >= _INF:
         raise RuntimeError("parity map is not onto: a syndrome is unreachable")
     distance = b_zero[-1] if b_zero[-1] < _INF else None

@@ -212,6 +212,24 @@ def test_rank_deficient_ingredient_parity_is_internal_error(capsys, monkeypatch)
                    "not the codimension 6\n")
 
 
+@pytest.mark.parametrize("exc", [ValueError("The truth value of an array is ambiguous"),
+                                 KeyError("levels")], ids=["ValueError", "KeyError"])
+def test_engine_value_error_is_internal_error(capsys, monkeypatch, exc):
+    from sumrank import syndrome as sd
+
+    def failing_dp(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(sd, "syndrome_dp", failing_dp)
+    argv = ("certify", "quasi-perfect", "--recipe", "quasi-perfect-2xm", "q=2", "m=2")
+    code, out, err = run(capsys, *argv, "u=2")
+    assert code == 3 and out == ""
+    assert err == f"internal error: {type(exc).__name__}: {exc}\n"
+    # a bad recipe parameter is still the user's: the code is never built
+    code, out, err = run(capsys, *argv, "u=0")
+    assert code == 4 and out == "" and err.startswith("error: ")
+
+
 def test_bounds_strong_bch(capsys):
     code, out, _ = run(capsys, "bounds", "strong-bch",
                        "m=2", "t=65535", "e=2", "n=16", "d=33")

@@ -175,6 +175,40 @@ def test_log_tables_above_1024(p, e):
         assert f.mul(a, b) == f._mul_raw(a, b)
 
 
+# (p, tower degrees, moduli) of every field with log tables that the tests
+# build, GF(4) to GF(9^5), prime subfields and towers, both parities of p
+LOG_TABLE_FIELDS = [
+    (2, [2], [[1, 1]]), (2, [3], [[1, 1, 0]]), (3, [2], [[1, 0]]),
+    (2, [2, 2], [[1, 1], [2, 1]]), (2, [4], [[1, 1, 0, 0]]), (5, [2], [[2, 0]]),
+    (3, [3], [[1, 2, 0]]), (2, [5], [[1, 0, 1, 0, 0]]), (7, [2], [[1, 0]]),
+    (2, [2, 3], [[1, 1], [2, 0, 0]]), (2, [6], [[1, 1, 0, 0, 0, 0]]),
+    (3, [2, 2], [[1, 0], [4, 0]]), (3, [4], [[2, 1, 0, 0]]), (2, [7], [[1, 1, 0, 0, 0, 0, 0]]),
+    (13, [2], [[2, 0]]), (3, [5], [[1, 2, 0, 0, 0]]), (2, [2, 2, 2], [[1, 1], [2, 1], [8, 1]]),
+    (2, [8], [[1, 1, 0, 1, 1, 0, 0, 0]]), (2, [2, 4], [[1, 1], [1, 2, 1, 0]]),
+    (3, [2, 3], [[1, 0], [3, 1, 0]]), (3, [6], [[2, 1, 0, 0, 0, 0]]),
+    (2, [10], [[1, 0, 0, 1, 0, 0, 0, 0, 0, 0]]), (2, [2, 5], [[1, 1], [2, 1, 0, 0, 0]]),
+    (2, [11], [[1, 0, 1] + [0] * 8]), (3, [7], [[2, 0, 1, 0, 0, 0, 0]]),
+    (2, [12], [[1, 0, 0, 1] + [0] * 8]), (2, [2, 6], [[1, 1], [2, 1, 1, 0, 0, 0]]),
+    (2, [3, 5], [[1, 1, 0], [1, 0, 1, 0, 0]]), (3, [2, 5], [[1, 0], [4, 1, 0, 0, 0]]),
+]
+
+
+@pytest.mark.parametrize("p,degrees,moduli", LOG_TABLE_FIELDS,
+                         ids=[f"{p}^{'x'.join(map(str, d))}" for p, d, _ in LOG_TABLE_FIELDS])
+def test_log_tables_equal_the_mul_raw_chain(p, degrees, moduli):
+    f = parse_field({"characteristic": p, "degrees": degrees, "moduli": moduli})
+    n, g = f.order - 1, f.generator
+    chain = [1]
+    for _ in range(n):
+        chain.append(f._mul_raw(chain[-1], g))
+    assert chain.pop() == 1
+    log = [2 * n] * f.order
+    for i, v in enumerate(chain):
+        log[v] = i
+    assert f._exp == chain * 2 + [0] * (2 * n + 1)
+    assert f._log == log
+
+
 def test_embed_project(f16_tower, f4):
     for a in f4.elements():
         assert f16_tower.project(f16_tower.embed(a)) == a

@@ -265,6 +265,8 @@ def _check_against_full_dp(field, parity, shapes):
 DP_SHAPES = {2: ((1, 1), (1, 3), (2, 2), (2, 3), (3, 3)),
              3: ((1, 1), (1, 2), (2, 2), (2, 3), (3, 3)),
              4: ((1, 1), (1, 2), (2, 2), (2, 3)),
+             5: ((1, 1), (1, 2), (2, 2)),
+             7: ((1, 1), (1, 2), (2, 2)),
              9: ((1, 1), (1, 2), (2, 2))}
 DP_SYNDROMES = 1 << 10  # q^codim the all-values oracle relaxes quickly
 
@@ -306,6 +308,9 @@ _NON_SPANNING_ROWS = np.random.default_rng(3).integers(0, 2, size=(4, 11)).tolis
 @example(_one_block(3, (2, 3)))
 @example(_one_block(4, (2, 2)))
 @example(_one_block(9, (1, 2)))
+# p = 5 and 7: the coset min doubles its shift (1, 2, 1 and 1, 2, 3 multiples)
+@example(_one_block(5, (2, 2)))
+@example(_one_block(7, (2, 2)))
 # codim 0: one syndrome, every block's span is {0}
 @example(_problem(2, [(2, 2), (1, 1)], []))
 @example(_problem(3, [(1, 2)], []))
@@ -321,6 +326,41 @@ _NON_SPANNING_ROWS = np.random.default_rng(3).integers(0, 2, size=(4, 11)).tolis
 @example(_problem(2, [(3, 3), (1, 1), (1, 1)], _NON_SPANNING_ROWS))
 def test_rank_one_dp_matches_full_dp(problem):
     _check_against_full_dp(*problem)
+
+
+@FAST
+@given(parity_problems())
+def test_packing_bound_is_above_the_exact_distance(problem):
+    """2r, for the least r with V_sr(r) > q^codim, bounds d from above at p = 2, 3, 5 and 7."""
+    field, parity, shapes = problem
+    distance = _full_dp_oracle(field, parity, shapes).distance
+    r = sp.packing_radius(sp.MatrixProfile(field, tuple(shapes)), len(parity))
+    assert (r is None) == (distance is None)  # only the zero code has no such r
+    assert r is None or distance <= 2 * r
+
+
+@pytest.mark.parametrize("q,shapes", [(2, [(2, 2), (1, 1)]), (3, [(1, 2), (2, 2)]),
+                                      (5, [(1, 1), (1, 1), (1, 2)])])
+def test_dp_of_the_zero_code_returns(q, shapes):
+    """codim = N: every radius's ball stays within q^codim, so the bound search must stop."""
+    cells = sum(n * m for n, m in shapes)
+    field, parity, shapes = _problem(q, shapes, np.eye(cells, dtype=int).tolist())
+    assert sp.packing_radius(sp.MatrixProfile(field, tuple(shapes)), cells) is None
+    _check_against_full_dp(field, parity, shapes)
+    assert sd.syndrome_dp(field, parity, shapes).distance is None
+
+
+@FAST
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=300),
+       st.integers(1, 9))
+def test_change_index_pieces_hold_every_move_once(pairs, cap):
+    flat, before = np.array(pairs, dtype=np.int8).T.copy()
+    moved = np.flatnonzero(flat < before)
+    pieces = list(sd._moved(flat, before, cap))
+    assert all(0 < len(piece) <= cap for piece in pieces)
+    assert np.array_equal(np.sort(np.concatenate(pieces)) if pieces else moved, moved)
+    if len(moved) <= cap:  # few moves are one piece, however many syndromes
+        assert len(pieces) == (len(moved) > 0)
 
 
 def test_witness_survives_uint16_level_record(f2):
@@ -421,6 +461,29 @@ def test_enumeration_memory_stays_within_the_chunk_bound():
         tracemalloc.stop()
     assert found[0] == 16
     assert peak < 3 << 19  # 1.5 MB; the whole 16 x 2^16 uint16 span is 2 MB
+
+
+def test_dp_memory_stays_within_the_packing_bound():
+    """At 3^10 syndromes and 80 blocks the DP keeps 5 level rows, not 11, and no full change index.
+
+    The level record is cut to w <= 4 (d <= 2r with r = 2), the change index
+    comes in pieces of `_LAYOUT_BYTES`, and the rank-1 rounds reuse three
+    preallocated copies of the state: about 1.1 MB at the peak, against 1.96 MB
+    with 11 level rows, a 472 KB change index and fresh arrays per shift.
+    """
+    code = cs.distance_optimal_2x2(3)
+    code.flat_parity, code.weight_blocks  # the parity and the rank tables are the code's
+    assert code.base.order ** code.codim == 3 ** 10
+    tracemalloc.start()
+    try:
+        dp = code.syndrome_dp
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (dp.distance, dp.radius) == (4, 3)  # d = 2r: the top kept level is read
+    assert contains_packed(code, dp.witness)
+    assert sp.sum_rank_weight(code.to_word(dp.witness)) == 4
+    assert peak < 1.4e6
 
 
 def _hamming_oracle(code):
