@@ -12,7 +12,11 @@ Two ingredient-based constructions are provided:
 Both write blocks in the power bases of GF(q^n) and GF(q^m) over GF(q), and
 phi is the power-basis digit embedding of GF(q^n) in GF(q^m): it keeps the
 digits, so it is the identity on element ints.  The base field GF(q) is the
-subfield of the ingredients' symbol field.
+subfield of the ingredients' symbol field.  The block map is GF(q)-linear,
+so `gf.linear_map` gives the block of any symbols alone in an ingredient
+row from the blocks of its base-p unit symbols: for the packed generator
+rows, for the unit images the parity checks invert, and for per-row tables
+of all q^m symbols, whose digit-wise sums make a position's block.
 
 On top of those sit the full-block extension and the Plotkin sum, plus the
 named parameterized recipes used by the CLI.  Each construction states its
@@ -24,13 +28,13 @@ from __future__ import annotations
 
 import inspect
 import itertools
-from functools import cached_property, wraps
+from functools import cached_property, reduce, wraps
 
 import numpy as np
 
-from .gf import Field, array_mul, digit_add, is_prime, make_field, rref
+from .gf import Field, array_mul, digit_add, digit_adder, is_prime, linear_map, make_field, rref
 from . import hamming as hm
-from .spaces import MatrixProfile, SumRankWord, pack_matrix
+from .spaces import MatrixProfile, SumRankWord, pack_matrix, unpack_matrix
 from .syndrome import ENUM_BUDGET, SumRankCode, least_weight_word
 
 
@@ -47,13 +51,6 @@ def field_of_order(q: int) -> Field:
     if v != 1 or not is_prime(p):
         raise ValueError(f"{q} is not a prime power")
     return make_field(p, [e] if e > 1 else [1])
-
-
-def _pack_symbols(symbols, Q: int) -> int:
-    v = 0
-    for s in reversed(symbols):
-        v = v * Q + s
-    return v
 
 
 class IngredientSumRankCode(SumRankCode):
@@ -126,34 +123,28 @@ class IngredientSumRankCode(SumRankCode):
             rows.append(ext.coords(acc))
         return tuple(rows)
 
+    def _lone_blocks(self, i: int, symbols) -> np.ndarray:
+        """The packed block of each of `symbols` alone in ingredient row i.
+
+        The block map is GF(q)-linear, so `linear_map` applies it from the
+        blocks of the base-p unit symbols: int64 while q^(nm) fits, else
+        Python ints in an object array.
+        """
+        base, n, p = self.base, self.rows, self.base.p
+        units = [pack_matrix(base, self.block_matrix([p ** j * (r == i) for r in range(n)]))
+                 for j in range(self.ext.dim_over_prime)]
+        return linear_map(p, units, n * self.m * base.dim_over_prime, symbols)
+
     @cached_property
-    def _block_pack_table(self):
-        """Packed block for every packed symbol tuple (small alphabets only)."""
-        Q = self.ext.order
-        total = Q ** self.rows
-        if total > 1 << 18:
-            return None
-        table = []
-        for packed in range(total):
-            syms, v = [], packed
-            for _ in range(self.rows):
-                v, r = divmod(v, Q)
-                syms.append(r)
-            table.append(pack_matrix(self.base, self.block_matrix(syms)))
-        return table
+    def _lone_tables(self) -> list[np.ndarray]:
+        """[i][s]: the packed block of symbol s alone in ingredient row i, for all q^m symbols."""
+        return [self._lone_blocks(i, range(self.ext.order)) for i in range(self.rows)]
 
     def packed_from_symbols(self, symbol_rows) -> tuple[int, ...]:
-        """Packed word from the tuple of ingredient codewords."""
-        Q = self.ext.order
-        table = self._block_pack_table
-        out = []
-        for pos in range(self.t):
-            syms = [symbol_rows[i][pos] for i in range(self.rows)]
-            if table is not None:
-                out.append(table[_pack_symbols(syms, Q)])
-            else:
-                out.append(pack_matrix(self.base, self.block_matrix(syms)))
-        return tuple(out)
+        """Packed word from the ingredient codewords: the digit-wise sum of their lone blocks."""
+        add = digit_adder(self.base.p, self.rows * self.m * self.base.dim_over_prime)
+        return tuple(reduce(add, [table[np.asarray(row, dtype=np.int64)]
+                                  for table, row in zip(self._lone_tables, symbol_rows)]).tolist())
 
     def encode(self, messages) -> SumRankWord:
         """Encode one message vector per ingredient code."""
@@ -188,18 +179,11 @@ class IngredientSumRankCode(SumRankCode):
         # beta * g over the power basis from high to low, the digit order of
         # the symbol coefficients that `enumerate_packed` counts up
         mul = array_mul(self.ext)
-        betas = np.array(self.ext.power_basis()[::-1], dtype=np.int64)[:, None, None]
-        dtype = np.int64 if self.base.order ** (self.rows * self.m) < 1 << 63 else object
+        betas = np.array(self.ext.power_basis()[::-1], dtype=np.int64)[:, None]
         rows = []
         for i, code in enumerate(self.ingredients):
-            gen = np.array(code.generator, dtype=np.int64).reshape(code.k, self.t)
-            symbols, at = np.unique(mul(betas, gen[None]), return_inverse=True)
-            zeros = [0] * self.rows
-            # the packed block of each symbol alone in ingredient row i
-            blocks = np.array([pack_matrix(self.base, self.block_matrix(
-                zeros[:i] + [s] + zeros[i + 1:])) for s in symbols.tolist()], dtype=dtype)
-            rows.append(blocks[at.reshape(len(betas), code.k, self.t)]
-                        .transpose(1, 0, 2).reshape(-1, self.t))
+            gen = np.array(code.generator, dtype=np.int64).reshape(code.k, 1, self.t)
+            rows.append(self._lone_blocks(i, mul(gen, betas).ravel()).reshape(-1, self.t))
         return [tuple(row) for row in np.concatenate(rows).tolist()]
 
     @cached_property
@@ -208,18 +192,15 @@ class IngredientSumRankCode(SumRankCode):
 
         L maps one position's ingredient symbols to its block.  It is
         GF(q)-linear; row (i, a) of its matrix is the block of x^a alone in
-        symbol i, so the rows of its inverse, read as digits over the power
-        basis, are the preimages.  L must be invertible, or the
-        construction would not be injective.
+        symbol i (`_lone_blocks`), so the rows of its inverse, read as digits
+        over the power basis, are the preimages.  L must be invertible, or
+        the construction would not be injective.
         """
         base, n, m = self.base, self.rows, self.m
         cells = n * m
-        images = []
-        for i in range(n):
-            for a in range(m):
-                syms = [0] * n
-                syms[i] = base.order ** a
-                images.append([x for row in self.block_matrix(syms) for x in row])
+        images = [[x for row in unpack_matrix(base, block, n, m) for x in row]
+                  for i in range(n)
+                  for block in self._lone_blocks(i, base.order ** np.arange(m)).tolist()]
         red, pivots = rref(base, np.hstack([np.array(images, dtype=np.int64),
                                             np.eye(cells, dtype=np.int64)]))
         if pivots != list(range(cells)):

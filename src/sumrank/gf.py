@@ -17,8 +17,9 @@ exp/log table pair built with the field; a larger one multiplies polynomials
 directly (`_mul_raw`).
 
 The same packed ints fill numpy arrays: `array_mul` and `digit_adder`
-multiply and add them elementwise, and `rref` / `nullspace` are the one
-Gaussian elimination the constructions and engines use.
+multiply and add them elementwise, `linear_map` applies any GF(p)-linear
+map of them (a product by g, a block's syndrome, a block map), and `rref` /
+`nullspace` are the one Gaussian elimination the constructions and engines use.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import numpy as np
 _LOG_LIMIT = 1 << 16
 # Automatic irreducible-polynomial search is offered up to this order.
 _AUTO_POLY_LIMIT = 1 << 20
+_CHUNK_BYTES = 1 << 20  # live bytes of one chunk of words, block values or ambient words
 
 
 def is_prime(n: int) -> bool:
@@ -297,37 +299,21 @@ class Field:
 
         So mul indexes exp[log a + log b] with no modulo and no zero test.
         The generator search runs before the tables exist, so its products
-        come from _mul_raw.  Each power steps from the last by the map
-        v -> v g = sum_j v_j (g x^j), v_j the subfield digits of v: the
-        products c g x^j for every subfield value c are formed once, and a
-        step adds one per digit.  For p = 2 they stay packed and XOR adds
-        them; otherwise their base-p digits are summed mod p.
+        come from _mul_raw.  The powers double: given g^0 .. g^(k-1) and the
+        images of the base-p unit digits under v -> v g^k, `linear_map`
+        gives g^k .. g^(2k-1) as the images of those powers, and the unit
+        images of v -> v g^(2k) as the images of its own.  log is exp's
+        inverse permutation.
         """
-        g, n = self.generator, self.order - 1
-        q, p, width = self.subfield.order, self.p, self.dim_over_prime
-        times_g = [[self._mul_raw(c, self._mul_raw(g, q ** j)) for c in range(q)]
-                   for j in range(self.degree)]
-        places = [q ** j for j in range(self.degree)]
-        exp = [1] * (2 * n) + [0] * (2 * n + 1)
-        log = [2 * n] * self.order
-        v = 1
-        if p == 2:
-            for i in range(n):
-                exp[i] = exp[i + n] = v
-                log[v] = i
-                w = 0
-                for row, place in zip(times_g, places):
-                    w ^= row[v // place % q]
-                v = w
-        else:
-            powers = [p ** k for k in range(width)]
-            digits_g = [[[x // pw % p for pw in powers] for x in row] for row in times_g]
-            for i in range(n):
-                exp[i] = exp[i + n] = v
-                log[v] = i
-                terms = [row[v // place % q] for row, place in zip(digits_g, places)]
-                v = sum(sum(col) % p * pw for col, pw in zip(zip(*terms), powers))
-        self._exp, self._log = exp, log
+        g, n, p, width = self.generator, self.order - 1, self.p, self.dim_over_prime
+        exp = np.ones(1, dtype=np.int64)
+        times = np.array([self._mul_raw(g, p ** i) for i in range(width)])  # v -> v g^len(exp)
+        while len(exp) < n:
+            exp = np.append(exp, linear_map(p, times, width, exp[:n - len(exp)]))
+            times = linear_map(p, times, width, times)
+        log = np.full(self.order, 2 * n, dtype=np.int64)
+        log[exp] = np.arange(n)
+        self._exp, self._log = exp.tolist() * 2 + [0] * (2 * n + 1), log.tolist()
 
     def np_table(self, kind: str) -> np.ndarray:
         """Vectorizable op tables: 'add'/'mul' are QxQ, 'neg' is Q, and
@@ -553,6 +539,31 @@ def digit_adder(p: int, digits: int):
         return out
 
     return add
+
+
+def linear_map(p: int, images, width: int, values) -> np.ndarray:
+    """The GF(p)-linear map of packed base-p values with unit images `images`, at `values`.
+
+    `images[i]` is the packed image, of `width` base-p digits, of the unit
+    digit p^i; `values` is a range or an int64 array of packed inputs of
+    len(images) digits.  One integer matrix product per chunk of values
+    applies the map, each chunk's int64 digits and products within
+    `_CHUNK_BYTES`, so a range is never held whole.  The images are int64
+    while p^width fits, else Python ints in an object array.
+    """
+    units = np.array([[x // p ** j % p for j in range(width)] for x in images],
+                     dtype=np.int64).reshape(len(images), width)
+    in_powers = p ** np.arange(len(images), dtype=np.int64)
+    dtype = np.int64 if p ** width <= 1 << 63 else object
+    out_powers = np.array([p ** j for j in range(width)], dtype=dtype)
+    out = np.empty(len(values), dtype=dtype)
+    step = max(1, _CHUNK_BYTES // (8 * (2 + len(images) + 2 * width)))
+    for lo in range(0, len(values), step):
+        chunk = values[lo:lo + step]
+        if isinstance(chunk, range):
+            chunk = np.arange(chunk.start, chunk.stop, dtype=np.int64)
+        out[lo:lo + len(chunk)] = (chunk[:, None] // in_powers % p) @ units % p @ out_powers
+    return out
 
 
 def array_mul(field: Field, dtype=np.int64):

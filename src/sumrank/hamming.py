@@ -15,8 +15,8 @@ from math import comb, gcd
 
 import numpy as np
 
-# rref, nullspace, array_mul and INT16_ORDER live in `gf` and stay reachable here
-from .gf import INT16_ORDER, Field, array_mul, digit_add, nullspace, rref
+# rref and nullspace live in `gf` and stay reachable here
+from .gf import Field, digit_add, nullspace, rref
 from .spaces import MatrixProfile
 from .syndrome import (ENUM_BUDGET, SYNDROME_BUDGET, WORK_BUDGET, BudgetExceeded,
                        SrDistance, SumRankCode, SyndromeDP)

@@ -14,10 +14,9 @@ from math import comb
 
 import numpy as np
 
-from .gf import Field, digit_adder
+from .gf import _CHUNK_BYTES, Field, digit_adder
 
 BRUTE_LIMIT = 1 << 24  # most values a rank table or an ambient sweep enumerates
-_CHUNK_BYTES = 1 << 20  # live bytes of one chunk of words, block values or ambient words
 
 
 class MatrixProfile:

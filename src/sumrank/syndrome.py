@@ -20,7 +20,9 @@ blocks.  After the last block R = max A and A is the coset-leader table.
 Every value is a small exact integer.
 
 A syndrome index concatenates the base-p digits of the syndrome entries,
-as GF(p^e) elements are packed, so subtraction is digit-wise mod p.  Each
+as GF(p^e) elements are packed, so subtraction is digit-wise mod p.  The
+syndromes of a block's values are a GF(p)-linear map of the packed value,
+tabulated by `gf.linear_map` from those of the base-p unit digits.  Each
 block runs on a copy of A in its own layout (`_layout`): the block's
 syndromes span a subspace G of dimension k, and cell (y, c) of the
 (p^k, p^(D - k)) copy holds the syndrome with pivot digits y (over an RREF
@@ -38,12 +40,13 @@ gather before each block instead,
 and d = b_zero after the last block.  For the witness the DP records, per
 weight level w, the number of blocks after which A[s] first drops to <= w;
 A before block b, capped at the top level, is the number of levels not yet
-reached then.  The backtrack compares A only with values <= d, and d <= 2r
-for the least r with V_sr(r) > q^codim (sphere packing,
-`spaces.packing_radius`), so the levels stop at w = min(codim, 2r).  The
-syndromes whose value fell in a block are indexed in pieces of at most
-`_LAYOUT_BYTES`, as many as their count needs.  Both use syndrome indices,
-not a layout.
+reached then.  The backtrack compares A only with values <= d - 1 (the
+first nonzero block value it picks weighs at least 1, and every later
+target is smaller), and d <= 2r for the least r with V_sr(r) > q^codim
+(sphere packing, `spaces.packing_radius`), so the levels stop at
+w = min(codim, 2r - 1).  The syndromes whose value fell in a block are
+indexed in pieces of at most `_LAYOUT_BYTES`, as many as their count needs.
+Both use syndrome indices, not a layout.
 
 When the syndrome space is too large, `least_weight_word` settles d by
 enumerating the code in numpy chunks instead, in both metrics.
@@ -68,7 +71,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gf import Field, digit_adder, make_field, rref
+from .gf import Field, digit_adder, linear_map, make_field, rref
 from .spaces import (_CHUNK_BYTES, BRUTE_LIMIT, MatrixProfile, SumRankWord, packing_radius,
                      rank_array, unpack_matrix)
 
@@ -99,26 +102,12 @@ def block_syndromes(field, columns) -> np.ndarray:
 
     `columns[j]` is the parity-check column of the block's j-th position in
     packing order.  The map is GF(p)-linear, so the syndromes of the base-p
-    unit digits fix it, and one integer matrix product per chunk of values
-    applies it, each chunk's int64 digits and products within `_CHUNK_BYTES`.
+    unit digits fix it, and `linear_map` applies it to the whole range.
     """
-    p, e = field.p, field.dim_over_prime
-    units = []  # syndrome digits of each base-p unit digit of the block
-    for col in columns:
-        for i in range(e):
-            img = [field.mul(p ** i, h) for h in col]
-            units.append([(x // p ** j) % p for x in img for j in range(e)])
-    unit_digits = np.array(units, dtype=np.int64).reshape(len(units), -1)
-    unit_powers = p ** np.arange(len(units), dtype=np.int64)
-    syn_powers = p ** np.arange(unit_digits.shape[1], dtype=np.int64)
-    size = field.order ** len(columns)
-    syn = np.empty(size, dtype=np.int64)
-    step = max(1, _CHUNK_BYTES // (8 * (2 + len(units) + 2 * unit_digits.shape[1])))
-    for lo in range(0, size, step):
-        values = np.arange(lo, min(lo + step, size), dtype=np.int64)
-        digits = (values[:, None] // unit_powers) % p
-        syn[lo:lo + len(values)] = (digits @ unit_digits) % p @ syn_powers
-    return syn
+    p, e, q = field.p, field.dim_over_prime, field.order
+    units = [sum(field.mul(p ** i, h) * q ** k for k, h in enumerate(col))
+             for col in columns for i in range(e)]
+    return linear_map(p, units, e * len(columns[0]), range(q ** len(columns)))
 
 
 @lru_cache(maxsize=None)
@@ -276,10 +265,12 @@ def syndrome_dp(field, parity, shapes) -> SyndromeDP:
     # the rank-1 rounds' line min, coset min and shifted copy, in each layout
     rounds = [np.empty_like(flat) for _ in range(3)] if any(n > 1 for n, _ in shapes) else []
     t = len(shapes)
-    # d <= 2r by sphere packing, and the backtrack compares A only with values <= d
+    # The backtrack compares A before a block only with values <= d - 1 (its first
+    # nonzero block value weighs >= 1, later targets are smaller), which A capped at
+    # level min(codim, 2r - 1) reads exactly: d <= 2r (packing), d <= codim + 1 (Singleton)
     r = packing_radius(MatrixProfile(field, tuple(shapes)), codim, codim // 2)
     # levels[w, s]: blocks after which A[s] is first <= w, else t + 1
-    levels = np.full((1 + (codim if r is None else min(codim, 2 * r)), len(flat)), t + 1,
+    levels = np.full((1 + (codim if r is None else min(codim, 2 * r - 1)), len(flat)), t + 1,
                      dtype=np.uint8 if t < 255 else np.uint16)
     levels[:, 0] = 0
     b_zero = []
@@ -574,12 +565,13 @@ class SumRankCode:
         """The cached `syndrome_dp`, where the budgets and the rank-table cap admit it.
 
         Every engine reaches the DP through here.  Raises BudgetExceeded,
-        naming the budget or cap, when the DP may not run.  A work unit
-        counts, per block, n rounds over the block's rank-1 lines of
-        m*e*(p - 1) shift passes over the q^codim syndromes each, plus one
-        read of each of the block's q^(nm) values for its syndromes, ranks
-        and d.  The DP makes n - 1 such rounds (a column min replaces the
-        last), so the count bounds its shift passes from above.
+        naming the budget or cap, when the DP may not run.  A work unit is
+        one pass over the q^codim syndromes or one read of a block value.
+        An n x m block is charged ((n - 1) L m e ceil(log2 p) + 1) q^codim
+        + q^(nm): n - 1 rank-1 rounds over its L = (q^n - 1)/(q - 1) lines,
+        m*e generators a line and ceil(log2 p) gather-mins a generator; the
+        column min that gives rank n; one read of each block value for its
+        syndromes, ranks and d.
         """
         q, e, p = self.base.order, self.base.dim_over_prime, self.base.p
         n_syn = q ** self.codim
@@ -589,8 +581,8 @@ class SumRankCode:
         stop = rank_table_stop(self.base, self.profile.blocks)
         if stop is not None:
             raise BudgetExceeded(stop)
-        work = sum(n * (q ** n - 1) // (q - 1) * m * e * (p - 1) * n_syn + q ** (n * m)
-                   for n, m in self.profile.blocks)
+        work = sum(((n - 1) * (q ** n - 1) // (q - 1) * m * e * (p - 1).bit_length() + 1)
+                   * n_syn + q ** (n * m) for n, m in self.profile.blocks)
         if work > work_budget:
             raise BudgetExceeded(f"sweep budget {work_budget} < {work} DP work units "
                                  "(shift passes x q^codim + block values)")

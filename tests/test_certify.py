@@ -493,9 +493,10 @@ def test_budget_stop_note_names_budget(qp_code):
     assert "syndrome budget 2 < 64 syndromes (q^codim)" in cert.notes
     work = ct.certify_code(qp_code, "quasi-perfect", work_budget=100)
     assert work.verdict == "inconclusive"
-    # 5 blocks of 2 x 2 over GF(2): 2 rounds x 3 rank-1 lines x 2 generators
-    # x 1 shift each, times q^codim = 64, plus 2^4 block values
-    assert work.notes == [f"sweep budget 100 < {5 * (12 * 64 + 16)} DP work units "
+    # 5 blocks of 2 x 2 over GF(2): 1 round x 3 rank-1 lines x 2 generators
+    # x 1 gather-min each, plus the column min, times q^codim = 64, plus 2^4
+    # block values
+    assert work.notes == [f"sweep budget 100 < {5 * (7 * 64 + 16)} DP work units "
                           "(shift passes x q^codim + block values)"]
 
 
@@ -524,11 +525,12 @@ def test_hamming_budget_stop_joins_both_notes(f4):
 
 
 def test_quasi_perfect_q4_u3_fits_the_default_budgets():
-    """273 blocks of 2 x 2 over GF(4) at codim 8: 2 rounds x 5 lines x 4
-    generators x 1 shift per block, 273 * (40 * 4^8 + 4^4) <= 2^30 work units."""
+    """273 blocks of 2 x 2 over GF(4) at codim 8: 1 round x 5 lines x 4
+    generators x 1 gather-min, plus the column min, per block,
+    273 * (21 * 4^8 + 4^4) <= 2^30 work units."""
     code = cs.quasi_perfect_2xm(4, 2, 3)
     assert (code.profile.t, code.codim) == (273, 8)
-    work = 273 * (40 * 4 ** 8 + 4 ** 4)
+    work = 273 * (21 * 4 ** 8 + 4 ** 4)
     assert work <= ct.WORK_BUDGET < 273 * 4 ** 4 * 4 ** 8  # block values x q^codim did not
     with pytest.raises(ct.BudgetExceeded) as stop:
         code.budgeted_dp(ct.SYNDROME_BUDGET, work - 1)

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 from pathlib import Path
 
 import numpy as np
@@ -463,3 +464,31 @@ def _generator_rows_oracle(code):
 def test_generator_rows_match_lone_symbol_loop(build):
     code = build()
     assert code._generator_rows_packed() == _generator_rows_oracle(code)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cs.covering_repetition(2, 2, 3),
+    lambda: cs.covering_repetition(3, 2, 2),       # odd p
+    lambda: cs.quasi_perfect_2xm(2, 2, 2),         # linearized, n = m
+    lambda: cs.almost_msrd_2x2(3, 9),              # linearized, odd p
+    lambda: cs.distance_optimal_sxs(2, 3, 1),      # linearized, 3 x 3
+    lambda: cs.sr_linearized([hm.reed_solomon(make_field(2, [3]), 5, 2)]),  # 1 row, m = 3
+    lambda: cs.sr_linearized([hm.reed_solomon(make_field(5, [2]), 6, 3)]),  # 1 row, odd p
+    lambda: cs.covering_repetition(2, 8, 2),       # 8 x 8 binary blocks reach 2^64
+])
+def test_packed_from_symbols_matches_block_matrix(build):
+    """Digit-wise sums of lone-symbol blocks equal the block built from the symbols."""
+    code = build()
+    rng = random.Random(code.ambient_dim)
+    for _ in range(20):
+        rows = [tuple(rng.randrange(code.ext.order) for _ in range(code.t))
+                for _ in range(code.rows)]
+        assert code.packed_from_symbols(rows) == tuple(
+            sp.pack_matrix(code.base, code.block_matrix([row[pos] for row in rows]))
+            for pos in range(code.t))
+
+
+def test_flat_parity_of_binary_8x8_blocks_matches_the_generator_path():
+    """Block values past 2^63 must not wrap anywhere between the tables and the parity."""
+    code = cs.covering_repetition(2, 8, 2)
+    assert code.flat_parity == generator_parity(code)

@@ -1,11 +1,14 @@
 """Field towers: construction, arithmetic axioms, coordinates, Frobenius."""
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sumrank.gf import (Field, is_irreducible, make_field, parse_field, poly_mod,
+from sumrank import gf
+from sumrank.gf import (Field, is_irreducible, linear_map, make_field, parse_field, poly_mod,
                         smallest_irreducible)
 
 PRIME_POWERS_64 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29,
@@ -267,3 +270,43 @@ def test_digitwise_add_neg_match_recursive_definition(field):
         assert field.neg(a) == _recursive_neg(field, a)
         for b in field.elements():
             assert field.add(a, b) == _recursive_add(field, a, b)
+
+
+def _linear_map_oracle(p, images, width, value):
+    """The image of a packed value, digit by digit with GF(p)'s add and mul."""
+    prime = make_field(p, [1])
+    out = 0
+    for j in range(width):
+        digit = 0
+        for i, image in enumerate(images):
+            digit = prime.add(digit, prime.mul(value // p ** i % p, image // p ** j % p))
+        out += digit * p ** j
+    return out
+
+
+@st.composite
+def linear_maps(draw):
+    """(p, images, width, values, chunk bytes): widths up to 70 digits pass p^63 for every p."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    k = draw(st.integers(0, 6))
+    width = draw(st.one_of(st.integers(0, 8), st.integers(20, 70)))
+    images = draw(st.lists(st.integers(0, p ** width - 1), min_size=k, max_size=k))
+    if draw(st.booleans()):
+        lo = draw(st.integers(0, p ** k))
+        values = range(lo, draw(st.integers(lo, min(p ** k, lo + 40))))
+    else:
+        values = np.array(draw(st.lists(st.integers(0, p ** k - 1), max_size=40)),
+                          dtype=np.int64)
+    chunk = draw(st.sampled_from([gf._CHUNK_BYTES, 1, 8 * (2 + k + 2 * width) * 3]))
+    return p, images, width, values, chunk
+
+
+@settings(max_examples=150, deadline=None)
+@given(linear_maps())
+def test_linear_map_matches_digitwise_field_arithmetic(case):
+    """Chunks of one value, of three and of all; ranges and arrays; int64 and object output."""
+    p, images, width, values, chunk = case
+    with mock.patch.object(gf, "_CHUNK_BYTES", chunk):
+        out = linear_map(p, images, width, values)
+    assert out.dtype == (np.int64 if p ** width <= 1 << 63 else object)
+    assert out.tolist() == [_linear_map_oracle(p, images, width, v) for v in map(int, values)]

@@ -438,7 +438,7 @@ def _nullspace_oracle(field, rows, ncols):
 
 
 # GF(181), GF(169) and GF(128) sit at the top of the int16 elimination
-# (hm.INT16_ORDER): the largest prime products, odd-p log sums and digit sums
+# (gf.INT16_ORDER): the largest prime products, odd-p log sums and digit sums
 RREF_FIELDS = [make_field(2, [1]), make_field(3, [1]), make_field(5, [1]),
                make_field(2, [2]), make_field(2, [3]), make_field(3, [2]),
                make_field(5, [2]), make_field(2, [2, 2]),
