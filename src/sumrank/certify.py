@@ -317,6 +317,8 @@ def size_bound_from_witness(q: int, m: int, t: int, R: int, hamming_K: int) -> B
 
 def entropy(Q: int, rho: float) -> float:
     """Entropy of the alphabet of size Q at rate rho, 0 <= rho <= 1 - 1/Q."""
+    if not isinstance(Q, int) or Q < 2:
+        raise ValueError(f"alphabet size Q = {Q!r} must be an integer >= 2")
     if rho < 0 or rho > 1 - 1 / Q + 1e-15:
         raise ValueError(f"rho = {rho} outside [0, 1 - 1/{Q}]")
     if rho == 0:

@@ -279,8 +279,8 @@ def cmd_selftest(args) -> int:
     for name, code in (("linearized", cs.quasi_perfect_2xm(3, 2, 2)),
                        ("Plotkin", cs.plotkin(rep, rep))):
         checks.append((f"{name} parity = nullspace(RREF(generator))",
-                       code.flat_parity == tuple(nullspace(code.base, code.flat_generator,
-                                                           code.ambient_dim))))
+                       code.flat_parity.tolist() == list(map(list, nullspace(
+                           code.base, code.flat_generator, code.ambient_dim)))))
     ok = True
     for name, passed in checks:
         print(f"[{'PASS' if passed else 'FAIL'}] {name}")

@@ -34,7 +34,7 @@ import numpy as np
 
 from .gf import Field, array_mul, digit_add, digit_adder, is_prime, linear_map, make_field, rref
 from . import hamming as hm
-from .spaces import MatrixProfile, SumRankWord, pack_matrix, unpack_matrix
+from .spaces import MatrixProfile, SumRankWord, pack_matrix
 from .syndrome import ENUM_BUDGET, SumRankCode, least_weight_word
 
 
@@ -196,17 +196,15 @@ class IngredientSumRankCode(SumRankCode):
         over the power basis, are the preimages.  L must be invertible, or
         the construction would not be injective.
         """
-        base, n, m = self.base, self.rows, self.m
+        base, n, m, q = self.base, self.rows, self.m, self.base.order
         cells = n * m
-        images = [[x for row in unpack_matrix(base, block, n, m) for x in row]
-                  for i in range(n)
-                  for block in self._lone_blocks(i, base.order ** np.arange(m)).tolist()]
-        red, pivots = rref(base, np.hstack([np.array(images, dtype=np.int64),
-                                            np.eye(cells, dtype=np.int64)]))
+        blocks = np.concatenate([self._lone_blocks(i, q ** np.arange(m)) for i in range(n)])
+        images = blocks[:, None] // q ** np.arange(cells, dtype=blocks.dtype) % q
+        red, pivots = rref(base, np.hstack([images, np.eye(cells, dtype=np.int64)]))
         if pivots != list(range(cells)):
             raise RuntimeError("construction is not injective: the block map is singular")
-        inverse = np.array(red, dtype=np.int64)[:, cells:].reshape(cells, n, m)
-        return (inverse @ base.order ** np.arange(m, dtype=np.int64)).T
+        inverse = red[:, cells:].reshape(cells, n, m)
+        return (inverse @ q ** np.arange(m, dtype=np.int64)).T
 
     def _parity_rows(self) -> np.ndarray:
         # row (i, j, k), column (block r, cell c): coordinate k over GF(q) of
@@ -215,8 +213,7 @@ class IngredientSumRankCode(SumRankCode):
         powers = q ** np.arange(self.m, dtype=np.int64)[:, None, None]
         rows = []
         for code, preimages in zip(self.ingredients, self._cell_preimages):
-            H = np.array(code.parity, dtype=np.int64).reshape(-1, self.t)
-            products = mul(H[:, None, :, None], preimages)
+            products = mul(code.parity[:, None, :, None], preimages)
             rows.append((products // powers % q).reshape(-1, self.ambient_dim))
         return np.concatenate(rows)
 
@@ -314,9 +311,8 @@ class ExtendedSumRankCode(SumRankCode):
         return rows
 
     def _parity_rows(self) -> np.ndarray:
-        inner = _parity_array(self.inner)
-        extra = np.zeros((len(inner), self.ambient_dim - inner.shape[1]), dtype=np.int64)
-        return np.hstack([inner, extra])
+        inner = self.inner.flat_parity
+        return np.pad(inner, ((0, 0), (0, self.ambient_dim - inner.shape[1])))
 
     def describe(self) -> dict:
         return {
@@ -326,11 +322,6 @@ class ExtendedSumRankCode(SumRankCode):
             "dimension": self.dim,
             "inner": self.inner.describe(),
         }
-
-
-def _parity_array(code: SumRankCode) -> np.ndarray:
-    """A part's flat parity, rank-checked, as one codim x ambient array."""
-    return np.array(code.flat_parity, dtype=np.int64).reshape(-1, code.ambient_dim)
 
 
 def extend_full_blocks(code: SumRankCode, extra: int) -> ExtendedSumRankCode:
@@ -372,7 +363,7 @@ class PlotkinSumRankCode(SumRankCode):
 
     def _parity_rows(self) -> np.ndarray:
         # (x | y) is (c1 | c1 + c2) exactly when H1 x = 0 and H2 (y - x) = 0
-        h1, h2 = _parity_array(self.first), _parity_array(self.second)
+        h1, h2 = self.first.flat_parity, self.second.flat_parity
         return np.block([[h1, np.zeros_like(h1)],
                          [self.base.np_table("neg")[h2], h2]])
 
@@ -601,4 +592,7 @@ def build_recipe(name: str, **params):
     missing = [a for a in required if a not in params]
     if missing:
         raise ValueError(f"missing parameters {missing} for recipe {name!r}")
+    for key, value in params.items():
+        if type(value) is not int:
+            raise ValueError(f"parameter {key}={value!r} of recipe {name!r} is not an integer")
     return RECIPES[name](**params)

@@ -19,7 +19,8 @@ directly (`_mul_raw`).
 The same packed ints fill numpy arrays: `array_mul` and `digit_adder`
 multiply and add them elementwise, `linear_map` applies any GF(p)-linear
 map of them (a product by g, a block's syndrome, a block map), and `rref` /
-`nullspace` are the one Gaussian elimination the constructions and engines use.
+`nullspace` are the one Gaussian elimination the constructions and engines use:
+`rref` returns its rows as one int64 array, `nullspace` its basis as row tuples.
 """
 
 from __future__ import annotations
@@ -541,6 +542,13 @@ def digit_adder(p: int, digits: int):
     return add
 
 
+def place_values(base: int, count: int) -> np.ndarray:
+    """base^0 .. base^(count - 1): int64 while base^count <= 2^63, so no packed
+    value wraps, else Python ints in an object array.  Packed arrays take this dtype."""
+    dtype = np.int64 if base ** count <= 1 << 63 else object
+    return np.array([base ** j for j in range(count)], dtype=dtype)
+
+
 def linear_map(p: int, images, width: int, values) -> np.ndarray:
     """The GF(p)-linear map of packed base-p values with unit images `images`, at `values`.
 
@@ -548,15 +556,14 @@ def linear_map(p: int, images, width: int, values) -> np.ndarray:
     digit p^i; `values` is a range or an int64 array of packed inputs of
     len(images) digits.  One integer matrix product per chunk of values
     applies the map, each chunk's int64 digits and products within
-    `_CHUNK_BYTES`, so a range is never held whole.  The images are int64
-    while p^width fits, else Python ints in an object array.
+    `_CHUNK_BYTES`, so a range is never held whole.  The images take the
+    dtype of `place_values(p, width)`.
     """
     units = np.array([[x // p ** j % p for j in range(width)] for x in images],
                      dtype=np.int64).reshape(len(images), width)
     in_powers = p ** np.arange(len(images), dtype=np.int64)
-    dtype = np.int64 if p ** width <= 1 << 63 else object
-    out_powers = np.array([p ** j for j in range(width)], dtype=dtype)
-    out = np.empty(len(values), dtype=dtype)
+    out_powers = place_values(p, width)
+    out = np.empty(len(values), dtype=out_powers.dtype)
     step = max(1, _CHUNK_BYTES // (8 * (2 + len(images) + 2 * width)))
     for lo in range(0, len(values), step):
         chunk = values[lo:lo + step]
@@ -586,7 +593,7 @@ INT16_ORDER = 181  # largest order whose products, log and digit sums fit int16
 
 
 def rref(field: Field, rows):
-    """Reduced row echelon form; returns (rows-without-zeros, pivot cols).
+    """Reduced row echelon form: (nonzero rows as one 2-D int64 array, pivot cols).
 
     One numpy elimination: for each column the first nonzero row at or
     below the current one is swapped up and scaled to a leading 1, and
@@ -598,14 +605,14 @@ def rref(field: Field, rows):
     may be any 2-D sequence, an ndarray included; it is copied, not changed.
     """
     dtype = np.int16 if field.order <= INT16_ORDER else np.int64
-    mat = np.array(rows, dtype=dtype)
-    if not len(mat):
-        return [], []
+    mat = np.array(rows, dtype=dtype, ndmin=2)
     mul, add = array_mul(field, dtype), digit_adder(field.p, field.dim_over_prime)
     minus_one = field.p - 1  # -1 of the prime field, as a packed element
     pivots = []
     r = 0
     for c in range(mat.shape[1]):
+        if r == len(mat):
+            break
         below = mat[r:, c].nonzero()[0]
         if not len(below):
             continue
@@ -621,9 +628,7 @@ def rref(field: Field, rows):
             mat[others, c:] = add(mat[others, c:], mul(f[:, None], row[None, :]))
         pivots.append(c)
         r += 1
-        if r == len(mat):
-            break
-    return [tuple(row) for row in mat[:r].tolist()], pivots
+    return mat[:r].astype(np.int64), pivots
 
 
 def nullspace(field: Field, rows, ncols: int, *, pivots=None):
@@ -631,9 +636,10 @@ def nullspace(field: Field, rows, ncols: int, *, pivots=None):
 
     With red the RREF of rows: H[:, free] = I and H[:, pivots] = -red[:, free]^T.
     Given `pivots`, `rows` are red as they stand: row j is e_j at column pivots[j].
+    The basis is row tuples, the form a descriptor serializes.
     """
     red, pivots = (rows, pivots) if pivots is not None else rref(field, rows)
-    red = np.array(red, dtype=np.int64).reshape(len(red), ncols)
+    red = np.asarray(red, dtype=np.int64).reshape(len(red), ncols)
     is_free = np.ones(ncols, dtype=bool)
     is_free[pivots] = False
     free = np.flatnonzero(is_free)

@@ -3,9 +3,10 @@
 Covers the ingredient-code machinery: cyclic codes from cyclotomic cosets,
 standard families (Hamming, Reed-Solomon, BCH, trivial codes), the support
 search for d <= 4, and the covering radius read from the syndrome-space DP.
-Builders write only the parity; `LinearCode` derives the generator where it
-is read.  It is a `SumRankCode` of n blocks of 1 x 1, of rank [a != 0], so
-exact d comes from `certify.sr_min_distance`, as in the sum-rank metric.
+Builders write only the parity, a read-only int64 array read as it stands;
+`LinearCode` derives the generator, as row tuples, where it is read.  It
+is a `SumRankCode` of n blocks of 1 x 1, of rank [a != 0], so exact d
+comes from `certify.sr_min_distance`, as in the sum-rank metric.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .gf import Field, digit_add, nullspace, rref
 from .spaces import MatrixProfile
 from .syndrome import (ENUM_BUDGET, SYNDROME_BUDGET, WORK_BUDGET, BudgetExceeded,
-                       SrDistance, SumRankCode, SyndromeDP)
+                       SrDistance, SumRankCode, SyndromeDP, scaled_syndromes)
 
 # The largest k * n of a generator that `LinearCode.generator` forms (2^25),
 # read only by descriptors and enumeration.  The 1.9 * 10^7-cell ingredients of
@@ -39,13 +40,13 @@ class LinearCode(SumRankCode):
     generator rows and the flat parity-check rows.
     """
 
-    def __init__(self, field: Field, n: int, parity: tuple[tuple[int, ...], ...],
-                 family: str = "explicit", designed_distance: int | None = None,
+    def __init__(self, field: Field, n: int, parity, family: str = "explicit",
+                 designed_distance: int | None = None,
                  defining_set: tuple[int, ...] | None = None, notes: dict | None = None):
         self.field = field
         self.n = n
-        self.parity = parity
-        H = np.array(parity, dtype=np.int64).reshape(len(parity), n)
+        self.parity = H = np.asarray(parity, dtype=np.int64).reshape(len(parity), n)
+        H.flags.writeable = False
         units = np.flatnonzero(((H != 0).sum(axis=0) == 1) & (H.sum(axis=0) == 1))
         rows, at = np.nonzero(H[:, units])
         last = dict(zip(rows.tolist(), units[at].tolist()))  # row-major: the last unit wins
@@ -81,7 +82,7 @@ class LinearCode(SumRankCode):
         return MatrixProfile(self.field, ((1, 1),) * self.n)
 
     @property
-    def flat_parity(self) -> tuple[tuple[int, ...], ...]:
+    def flat_parity(self) -> np.ndarray:
         return self.parity
 
     def _generator_rows_packed(self):
@@ -144,8 +145,7 @@ def from_generator(field: Field, rows, *, family: str = "explicit",
 
 def zero_code(field: Field, t: int) -> LinearCode:
     """The trivial {0} code of length t."""
-    parity = tuple(tuple(1 if j == i else 0 for j in range(t)) for i in range(t))
-    return LinearCode(field, t, parity, family="zero")
+    return LinearCode(field, t, np.eye(t, dtype=np.int64), family="zero")
 
 
 # ----------------------------------------------------------------------
@@ -180,7 +180,7 @@ def _multiplicative_order(Q: int, n: int) -> int:
     if gcd(Q, n) != 1:
         raise ValueError(f"gcd({n}, {Q}) must be 1 for a cyclic code")
     e, v = 1, Q % n
-    while v != 1:
+    while v != 1 % n:  # every Q has order 1 modulo 1
         v = (v * Q) % n
         e += 1
     return e
@@ -216,11 +216,7 @@ def cyclic_code(n: int, field: Field, generators) -> LinearCode:
         shifted = [0] + gpoly
         scaled = [ext.mul(ext.neg(root), c) for c in gpoly] + [0]
         gpoly = [ext.add(a, b) for a, b in zip(shifted, scaled)]
-    # project coefficients to the base field
-    if ell == 1:
-        gcoeffs = list(gpoly)
-    else:
-        gcoeffs = [_project_to(field, ext, c) for c in gpoly]
+    gcoeffs = [_project_to(field, ext, c) for c in gpoly]  # back in the base field
     # Parity [R^T | I_r], R[j] the coefficients of x^(r+j) mod g(x): each
     # x^j - x^k (x^(r+j) mod g(x)) is a multiple of g(x) modulo x^n - 1 that
     # is e_j on the first k positions, so the code's RREF is [I_k | -R],
@@ -232,8 +228,8 @@ def cyclic_code(n: int, field: Field, generators) -> LinearCode:
         top = rem[-1] if r else 0
         rem = [field.sub(rem[i - 1] if i else 0, field.mul(top, gcoeffs[i]))
                for i in range(r)]
-    parity = tuple(tuple(rj[i] for rj in rems) + tuple(1 if c == i else 0 for c in range(r))
-                   for i in range(r))
+    parity = np.hstack([np.array(rems, dtype=np.int64).reshape(k, r).T,
+                        np.eye(r, dtype=np.int64)])
     return LinearCode(field, n, parity, family="cyclic", defining_set=T_sorted,
                       notes={"generator_polynomial": gcoeffs})
 
@@ -259,19 +255,11 @@ def hamming_code(field: Field, u: int) -> LinearCode:
     if u < 2:
         raise ValueError("redundancy must be at least 2")
     Q = field.order
-    t = (Q ** u - 1) // (Q - 1)
-    cols = []
-    for packed in range(1, Q ** u):
-        vec, v = [], packed
-        for _ in range(u):
-            v, r = divmod(v, Q)
-            vec.append(r)
-        first = next(x for x in vec if x)
-        if first == 1:
-            cols.append(tuple(vec))
-    assert len(cols) == t
-    parity = tuple(tuple(col[r] for col in cols) for r in range(u))
-    return LinearCode(field, t, parity, family="hamming", designed_distance=3)
+    # the packed points, ascending, whose lowest nonzero digit (at k) is 1
+    points = np.sort(np.concatenate([Q ** k * (1 + Q * np.arange(Q ** (u - 1 - k)))
+                                     for k in range(u)]))
+    parity = points // Q ** np.arange(u)[:, None] % Q
+    return LinearCode(field, len(points), parity, family="hamming", designed_distance=3)
 
 
 def reed_solomon(field: Field, t: int, k: int) -> LinearCode:
@@ -304,7 +292,7 @@ def parity_check_code(field: Field, t: int) -> LinearCode:
 
 
 def full_code(field: Field, t: int) -> LinearCode:
-    return LinearCode(field, t, (), family="full", designed_distance=1,
+    return LinearCode(field, t, np.zeros((0, t), np.int64), family="full", designed_distance=1,
                       defining_set=() if gcd(t, field.order) == 1 else None)
 
 
@@ -353,14 +341,14 @@ def iter_low_weight(code: LinearCode, w: int, cap: int = 1 << 30):
     high half whose first coefficient is 1 looks up the negation of its own
     syndrome among the low halves that end before it starts, and every
     nonzero multiple of a match is yielded.  Syndromes are packed base-p
-    ints, sums of the weight-1 syndromes lam * h_j, each computed once.
+    ints, sums of the weight-1 syndromes lam * h_j (`scaled_syndromes`),
+    each computed once.
     """
     if not 1 <= w <= 4:
         raise ValueError("support search handles weights 1..4 only")
     f, n, nz = code.field, code.n, code.field.nonzero_elements()
     add = functools.partial(digit_add, f.p)
-    single = [[sum(f.mul(lam, row[j]) * f.order ** i for i, row in enumerate(code.parity))
-               for lam in f.elements()] for j in range(n)]
+    single = scaled_syndromes(f, code.parity, f.elements()).tolist()
     negated = [[syn[f.neg(lam)] for lam in f.elements()] for syn in single]
 
     def halves(size, heads, table):

@@ -22,7 +22,8 @@ Every value is a small exact integer.
 A syndrome index concatenates the base-p digits of the syndrome entries,
 as GF(p^e) elements are packed, so subtraction is digit-wise mod p.  The
 syndromes of a block's values are a GF(p)-linear map of the packed value,
-tabulated by `gf.linear_map` from those of the base-p unit digits.  Each
+tabulated by `gf.linear_map` from those of the base-p unit digits, which
+a pass forms for every position at once (`scaled_syndromes`).  Each
 block runs on a copy of A in its own layout (`_layout`): the block's
 syndromes span a subspace G of dimension k, and cell (y, c) of the
 (p^k, p^(D - k)) copy holds the syndrome with pivot digits y (over an RREF
@@ -51,7 +52,7 @@ Both use syndrome indices, not a layout.
 When the syndrome space is too large, `least_weight_word` settles d by
 enumerating the code in numpy chunks instead, in both metrics.
 `SumRankCode` is the code interface that supplies their inputs: the
-profile, the flat parity-check rows and the packed generator rows.  Its
+profile, the flat parity check (an int64 array) and the packed generator rows.  Its
 cached `syndrome_dp` is the one DP pass per code: d, its witness, R and
 the leader table of a sum-rank or a Hamming-metric code all come from it.
 
@@ -71,7 +72,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gf import Field, digit_adder, linear_map, make_field, rref
+from .gf import Field, array_mul, digit_adder, linear_map, make_field, place_values, rref
 from .spaces import (_CHUNK_BYTES, BRUTE_LIMIT, MatrixProfile, SumRankWord, packing_radius,
                      rank_array, unpack_matrix)
 
@@ -97,17 +98,22 @@ def rank_table_stop(field, shapes) -> str | None:
     return None
 
 
-def block_syndromes(field, columns) -> np.ndarray:
+def scaled_syndromes(field, parity: np.ndarray, scalars) -> np.ndarray:
+    """S[j, a] = sum_k (scalars[a] H[k, j]) q^k: the syndrome index of scalars[a]
+    alone at position j, for the (codim, N) parity H; dtype from `gf.place_values`."""
+    products = array_mul(field)(parity.T[:, None, :], np.asarray(scalars, dtype=np.int64)[:, None])
+    return products @ place_values(field.order, len(parity))
+
+
+def block_syndromes(field, units: np.ndarray, codim: int) -> np.ndarray:
     """Syndrome index of every packed value of one block.
 
-    `columns[j]` is the parity-check column of the block's j-th position in
-    packing order.  The map is GF(p)-linear, so the syndromes of the base-p
-    unit digits fix it, and `linear_map` applies it to the whole range.
+    `units[j, i]` is the syndrome of the unit digit p^i at the block's j-th
+    position in packing order (`scaled_syndromes`).  The map is GF(p)-linear,
+    so those fix it, and `linear_map` applies it to the whole range.
     """
-    p, e, q = field.p, field.dim_over_prime, field.order
-    units = [sum(field.mul(p ** i, h) * q ** k for k, h in enumerate(col))
-             for col in columns for i in range(e)]
-    return linear_map(p, units, e * len(columns[0]), range(q ** len(columns)))
+    return linear_map(field.p, units.ravel(), field.dim_over_prime * codim,
+                      range(field.order ** len(units)))
 
 
 @lru_cache(maxsize=None)
@@ -232,21 +238,21 @@ class SyndromeDP(NamedTuple):
 
 
 def syndrome_dp(field, parity, shapes) -> SyndromeDP:
-    """Run the DP for the code over `field` with parity-check rows `parity`.
+    """Run the DP for the code over `field` with the (codim, N) parity check `parity`.
 
     `shapes` lists each block's n x m shape, in order; a block value weighs
     its rank.  A weight-d codeword is recovered from the level record, from
     the last block back, taking the smallest block value at each tie so that
     the witness is reproducible.
     """
-    p, codim = field.p, len(parity)
-    digits = codim * field.dim_over_prime
+    p, codim, e = field.p, len(parity), field.dim_over_prime
+    digits = codim * e
     prime = make_field(p, [1])
-    columns = list(zip(*parity)) or [()] * sum(n * m for n, m in shapes)
+    units = scaled_syndromes(field, parity, p ** np.arange(e))  # every position's unit digits
     starts = np.cumsum([0] + [n * m for n, m in shapes])
 
     def block_syn(b):
-        return block_syndromes(field, columns[starts[b]:starts[b + 1]])
+        return block_syndromes(field, units[starts[b]:starts[b + 1]], codim)
 
     def coset_min(M, gens, shifts, S, T):  # min of M[s - syn(x)] over the F_p-span of gens
         for j in gens:
@@ -281,10 +287,9 @@ def syndrome_dp(field, parity, shapes) -> SyndromeDP:
         # A[-syn(v)] + rank(v) is the min over v of A[syn(v)] + rank(v)
         reach = flat[syn[1:]] + ranks[1:].astype(np.int16)
         b_zero.append(min(b_zero[-1] if b_zero else _INF, int(reach.min())))
-        units = syn[p ** np.arange(n * m * field.dim_over_prime)]  # unit digits' syndromes
-        basis, pivots = rref(prime, units[:, None] // p ** np.arange(digits) % p)
-        head, lo = _layout(p, np.array(basis, dtype=np.int64).reshape(len(pivots), digits),
-                           pivots)
+        block_units = units[starts[b]:starts[b + 1]].reshape(-1, 1)
+        basis, pivots = rref(prime, block_units // p ** np.arange(digits) % p)
+        head, lo = _layout(p, basis, pivots)
         B = buf.reshape(len(head), -1)
         for part, idx in _layout_rows(head, lo):
             B[part] = flat[idx]
@@ -453,7 +458,8 @@ class SumRankCode:
     A construction supplies its dimension, its packed generator rows (for
     enumeration) and `_parity_rows`, rows spanning its dual built from its
     parts' parity checks.  `flat_parity`, which every engine reads, is
-    derived from those rows alone.  `flat_generator` stays as the reference
+    derived from those rows alone, as a read-only int64 array that every
+    reader takes as it stands.  `flat_generator` stays as the reference
     the self-test compares `flat_parity` with, and as a name the benchmark's
     tracing wraps; no engine reads it.
     """
@@ -516,25 +522,25 @@ class SumRankCode:
         base-q digits in one numpy step.
         """
         q, blocks = self.base.order, self.profile.blocks
-        dtype = np.int64 if q ** max(n * m for n, m in blocks) < 1 << 63 else object
-        packed = np.array(words, dtype=dtype).reshape(len(words), len(blocks))
+        powers = place_values(q, max(n * m for n, m in blocks))
+        packed = np.array(words, dtype=powers.dtype).reshape(len(words), len(blocks))
         out = np.zeros((len(words), self.ambient_dim), dtype=np.int64)
         starts = np.cumsum([0] + [n * m for n, m in blocks])
         for b, (n, m) in enumerate(blocks):
-            powers = q ** np.arange(n * m, dtype=dtype)
-            out[:, starts[b]:starts[b + 1]] = packed[:, b, None] // powers % q
+            out[:, starts[b]:starts[b + 1]] = packed[:, b, None] // powers[:n * m] % q
         return out
 
     @cached_property
-    def flat_generator(self) -> tuple[tuple[int, ...], ...]:
+    def flat_generator(self) -> np.ndarray:
         rows = self.flat_rows(self._generator_rows_packed())
         red, _ = rref(self.base, rows)
         if len(red) != len(rows):
             raise RuntimeError("construction is not injective: dependent generators")
-        return tuple(red)
+        red.flags.writeable = False
+        return red
 
     @cached_property
-    def flat_parity(self) -> tuple[tuple[int, ...], ...]:
+    def flat_parity(self) -> np.ndarray:
         """The parity check in the nullspace form of RREF(flat generator).
 
         Built from `_parity_rows` by matroid duality: the free columns of
@@ -542,13 +548,15 @@ class SumRankCode:
         the columns are reversed, eliminated and reversed back, and the rows
         ordered by their identity column.  The rows must have rank codim:
         fewer would admit words outside the code, more would exclude
-        codewords.
+        codewords.  A read-only int64 array of shape (codim, N).
         """
         red, _ = rref(self.base, self._parity_rows()[:, ::-1])
         if len(red) != self.codim:
             raise RuntimeError(f"parity checks have rank {len(red)}, "
                                f"not the codimension {self.codim}")
-        return tuple(row[::-1] for row in reversed(red))
+        parity = red[::-1, ::-1]
+        parity.flags.writeable = False
+        return parity
 
     @property
     def weight_blocks(self) -> list:

@@ -14,16 +14,31 @@ def hamming_weight(vec) -> int:
     return sum(1 for v in vec if v)
 
 
-def generator_parity(code) -> tuple[tuple[int, ...], ...]:
+def generator_parity(code) -> np.ndarray:
     """The flat parity by the generator path: nullspace(RREF(flat generator rows)).
 
     The generator rows must be independent; the result is in the nullspace
-    form that `SumRankCode.flat_parity` reproduces from the parity checks.
+    form that `SumRankCode.flat_parity` reproduces from the parity checks,
+    and in its format, an int64 array of shape (codim, N).
     """
     rows = code.flat_rows(code._generator_rows_packed())
     red, pivots = rref(code.base, rows)
     assert len(red) == len(rows), "dependent generator rows"
-    return tuple(nullspace(code.base, red, code.ambient_dim, pivots=pivots))
+    basis = nullspace(code.base, red, code.ambient_dim, pivots=pivots)
+    return np.array(basis, dtype=np.int64).reshape(len(basis), code.ambient_dim)
+
+
+def unit_syndromes(field, parity, n: int) -> np.ndarray:
+    """U[j, i]: the syndrome index of the unit digit p^i alone at position j of n.
+
+    The per-position formula sum_k mul(p^i, H[k][j]) q^k, one field product
+    at a time, in Python ints; a parity with no rows gives n zero columns.
+    """
+    p, q = field.p, field.order
+    columns = list(zip(*parity)) or [()] * n
+    units = [[sum(field.mul(p ** i, int(h)) * q ** k for k, h in enumerate(col))
+              for i in range(field.dim_over_prime)] for col in columns]
+    return np.array(units, dtype=object).reshape(n, field.dim_over_prime)
 
 
 def contains_packed(code, packed) -> bool:

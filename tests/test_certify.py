@@ -7,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -438,6 +439,14 @@ SMALL_RECIPE_PARAMS = {
 
 
 @pytest.mark.parametrize("name", sorted(cs.RECIPES))
+def test_flat_parity_is_a_read_only_int64_array(name):
+    code = cs.build_recipe(name, **SMALL_RECIPE_PARAMS[name])
+    parity = code.flat_parity
+    assert isinstance(parity, np.ndarray) and parity.dtype == np.int64
+    assert parity.shape == (code.codim, code.ambient_dim) and not parity.flags.writeable
+
+
+@pytest.mark.parametrize("name", sorted(cs.RECIPES))
 def test_every_recipe_goes_through_certify_code(name):
     code = cs.build_recipe(name, **SMALL_RECIPE_PARAMS[name])
     cert = ct.certify_code(code, "sphere-packing")
@@ -458,7 +467,7 @@ def covering_ingredients(draw):
         rows = draw(st.lists(st.lists(st.integers(0, ext.order - 1), min_size=t, max_size=t),
                              min_size=1, max_size=t))
         red, _ = hm.rref(ext, rows)
-        assume(red)
+        assume(len(red))
         codes.append(hm.from_generator(ext, red))
     return codes
 

@@ -280,6 +280,32 @@ def test_unknown_parameter_is_named(capsys, argv, unknown, reads):
     assert err == f"error: {unknown}; it reads {reads}\n"
 
 
+@pytest.mark.parametrize("argv,error", [
+    (("construct", "quasi-perfect-2xm", "q=2", "m=2", "u=2.5"),
+     "parameter u=2.5 of recipe 'quasi-perfect-2xm' is not an integer"),
+    (("certify", "distance-optimal", "--recipe", "cyclic-d4", "q=two", "m=2"),
+     "parameter q='two' of recipe 'cyclic-d4' is not an integer"),
+    (("bounds", "entropy", "Q=1", "rho=0"), "alphabet size Q = 1 must be an integer >= 2"),
+])
+def test_malformed_values_are_usage_errors(capsys, argv, error):
+    code, out, err = run(capsys, *argv)
+    assert code == 4 and out == ""
+    assert err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("cyclic-d4", "q=2", "m=1"),
+    ("distance-optimal-sxs", "q=2", "s=2", "m=1", "lam=3"),
+], ids=["cyclic-d4", "sxs"])
+def test_cyclic_ingredient_of_length_one_is_a_usage_error(argv):
+    # the multiplicative order of Q modulo 1 is 1; a search waiting for
+    # Q^e = 1 mod 1 never ends, so the child gets a time limit
+    proc = subprocess.run([sys.executable, "-m", "sumrank.cli", "construct", *argv],
+                          env=_child_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert "defining set covers all residues" in proc.stderr
+
+
 def test_bounds_bch_radius_interval(capsys):
     code, out, _ = run(capsys, "bounds", "bch-radius-interval", "e=2", "n=16")
     assert code == 0 and out.strip() == "[3, 4]"

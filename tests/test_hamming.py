@@ -4,6 +4,7 @@ import math
 import random
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from oracles import contains_packed, hamming_weight, hartmann_tzeng_bound
@@ -122,7 +123,7 @@ def test_parity_check_code_matches_cyclic_oracle(f2, f3, f4, f9):
             oracle = hm.cyclic_code(t, f, [0])
             oracle.family, oracle.designed_distance = "parity", 2
             assert par.generator == oracle.generator
-            assert par.parity == oracle.parity
+            assert np.array_equal(par.parity, oracle.parity)
             assert par.describe() == oracle.describe()
             checked += 1
     assert checked > 40
@@ -134,7 +135,7 @@ def test_parity_check_code_builds_no_extension(f2, f3, f4, f9, monkeypatch):
     monkeypatch.setattr(Field, "extension", no_extension)
     par = hm.parity_check_code(f2, 13)
     assert (par.n, par.k, par.defining_set) == (13, 12, (0,))
-    assert par.parity == ((1,) * 13,)
+    assert par.parity.tolist() == [[1] * 13]
     for f in (f2, f3, f4, f9):
         for t in range(2, 40):
             par = hm.parity_check_code(f, t)
@@ -163,7 +164,7 @@ def test_systematic_cyclic_code_matches_rref(build):
                                designed_distance=code.designed_distance,
                                defining_set=code.defining_set)
     assert code.generator == oracle.generator
-    assert code.parity == oracle.parity
+    assert np.array_equal(code.parity, oracle.parity)
     assert code.describe() == oracle.describe()
 
 
@@ -187,11 +188,16 @@ def independent_rows(draw):
     return field, rows
 
 
+def _tuples(red):
+    """The rows of an `rref` array as a tuple of int tuples, a generator's form."""
+    return tuple(map(tuple, red.tolist()))
+
+
 @settings(max_examples=200, deadline=None)
 @given(independent_rows())
 def test_from_generator_derives_the_rref(case):
     field, rows = case
-    assert hm.from_generator(field, rows).generator == tuple(hm.rref(field, rows)[0])
+    assert hm.from_generator(field, rows).generator == _tuples(hm.rref(field, rows)[0])
 
 
 def test_builders_derive_the_generators_they_built_before(f2, f3, f4, f9):
@@ -212,7 +218,7 @@ def test_builders_derive_the_generators_they_built_before(f2, f3, f4, f9):
             for k in range(1, t + 1):
                 rows = [[f.pow(x, j) for x in pts] + ([int(j == k - 1)] if t > f.order else [])
                         for j in range(k)]
-                assert hm.reed_solomon(f, t, k).generator == tuple(hm.rref(f, rows)[0])
+                assert hm.reed_solomon(f, t, k).generator == _tuples(hm.rref(f, rows)[0])
         for u in (2, 3):
             code = hm.hamming_code(f, u)
             assert code.generator == tuple(hm.nullspace(f, code.parity, code.n))
@@ -225,12 +231,37 @@ def test_builders_derive_the_generators_they_built_before(f2, f3, f4, f9):
                 code = hm.cyclic_code(n, f, [coset[0]])
                 g = code.notes["generator_polynomial"]
                 banded = [(0,) * s + tuple(g) + (0,) * (n - len(g) - s) for s in range(code.k)]
-                assert code.generator == tuple(hm.rref(f, banded)[0])
+                assert code.generator == _tuples(hm.rref(f, banded)[0])
     for e, n in ((1, 3), (2, 4), (1, 5), (3, 5)):
         code = hm.bch_binary(e, n)
         g = code.notes["generator_polynomial"]
         banded = [(0,) * s + tuple(g) + (0,) * (code.n - len(g) - s) for s in range(code.k)]
-        assert code.generator == tuple(hm.rref(f2, banded)[0])
+        assert code.generator == _tuples(hm.rref(f2, banded)[0])
+
+
+def test_builders_write_read_only_int64_parity(f2, f3, f4, f9):
+    codes = [hm.zero_code(f4, 3), hm.full_code(f3, 4), hm.hamming_code(f4, 2),
+             hm.hamming_code(f3, 3), hm.cyclic_code(13, f3, [1]), hm.cyclic_code(1, f2, []),
+             hm.reed_solomon(f9, 5, 2), hm.repetition_code(f4, 3), hm.parity_check_code(f2, 5),
+             hm.bch_binary(2, 4), hm.search_634_ingredient(f4),
+             hm.field_extension_of_code(hm.hamming_code(f2, 3), f4),
+             hm.from_generator(f3, [(1, 2, 0)])]
+    for code in codes:
+        parity = code.parity
+        assert isinstance(parity, np.ndarray) and parity.dtype == np.int64, code
+        assert parity.shape == (code.n - code.k, code.n) and not parity.flags.writeable, code
+        assert code.flat_parity is parity
+
+
+def test_support_search_keeps_syndromes_past_int64(f2):
+    """At codim 68, q^codim > 2^63: the weight-1 syndromes are Python ints, none wraps."""
+    code = hm.from_generator(f2, [(1,) + (0,) * 68 + (1,), (0, 1, 1) + (0,) * 67])
+    assert code.n - code.k == 68
+    assert sd.scaled_syndromes(f2, code.parity, f2.elements()).dtype == object
+    words = {v for v in code.codeword_list() if any(v)}
+    for w in (2, 3, 4):
+        assert set(hm.iter_low_weight(code, w)) == {v for v in words if hamming_weight(v) == w}
+    assert hm.min_distance(code).value == 2
 
 
 @pytest.mark.parametrize("parity", [
@@ -472,8 +503,8 @@ def matrices(draw, fields=RREF_FIELDS):
 
 def _assert_matches_oracle(field, rows, ncols):
     red, pivots = hm.rref(field, rows)
-    assert (red, pivots) == _rref_oracle(field, rows)
-    assert all(type(x) is int for row in red for x in row)
+    assert (list(_tuples(red)), pivots) == _rref_oracle(field, rows)
+    assert red.dtype == np.int64 and red.ndim == 2
     assert all(type(c) is int for c in pivots)
     basis = hm.nullspace(field, rows, ncols)
     assert basis == _nullspace_oracle(field, rows, ncols)

@@ -26,7 +26,7 @@ from sumrank import hamming as hm
 from sumrank import spaces as sp
 from sumrank import syndrome as sd
 
-from oracles import contains_packed, generator_parity, hamming_weight
+from oracles import contains_packed, generator_parity, hamming_weight, unit_syndromes
 
 FAST = settings(max_examples=25, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -35,7 +35,7 @@ SMALL_CODE = 1 << 12  # largest |C| the exhaustive oracle streams here
 
 def _code_from_rows(field, rows, n):
     red, _ = hm.rref(field, rows)
-    return hm.from_generator(field, red) if red else hm.zero_code(field, n)
+    return hm.from_generator(field, red) if len(red) else hm.zero_code(field, n)
 
 
 @st.composite
@@ -205,9 +205,9 @@ def _full_dp_oracle(field, parity, shapes):
     every block; d = B[0], and the witness is walked back from the last
     block taking the smallest value at each tie.
     """
-    columns = list(zip(*parity)) or [()] * sum(n * m for n, m in shapes)
     starts = np.cumsum([0] + [n * m for n, m in shapes])
-    blocks = [(sd.block_syndromes(field, columns[a:b]), sp.rank_array(field, n, m))
+    units = unit_syndromes(field, parity, starts[-1])
+    blocks = [(sd.block_syndromes(field, units[a:b], len(parity)), sp.rank_array(field, n, m))
               for a, b, (n, m) in zip(starts, starts[1:], shapes)]
     p, digits = field.p, len(parity) * field.dim_over_prime
     low = digits // 2
@@ -250,6 +250,39 @@ def _full_dp_oracle(field, parity, shapes):
     return sd.SyndromeDP(A, distance, tuple(reversed(word)))
 
 
+@st.composite
+def block_parities(draw):
+    """GF(p^e) for p in {2, 3, 5, 7} and e in {1, 2}; a codim x cells parity, codim 0 to 4."""
+    field = cs.field_of_order(draw(st.sampled_from([2, 3, 5, 7])) ** draw(st.integers(1, 2)))
+    q = field.order
+    cells = draw(st.integers(1, int(math.log(1 << 12, q) + 1e-9)))
+    codim = draw(st.integers(0, 4))
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=cells, max_size=cells),
+                         min_size=codim, max_size=codim))
+    return field, np.array(rows, dtype=np.int64).reshape(codim, cells)
+
+
+@FAST
+@given(block_parities())
+@example((cs.field_of_order(9), np.zeros((0, 3), dtype=np.int64)))  # the full code
+@example((cs.field_of_order(2), np.zeros((0, 1), dtype=np.int64)))
+def test_unit_and_block_syndromes_match_the_per_position_formula(problem):
+    field, parity = problem
+    p, e, q = field.p, field.dim_over_prime, field.order
+    codim, cells = parity.shape
+    units = sd.scaled_syndromes(field, parity, p ** np.arange(e))
+    assert units.dtype == np.int64
+    assert np.array_equal(units, unit_syndromes(field, parity, cells))
+    want = []
+    for v in range(q ** cells):
+        syn = [0] * codim
+        for c in range(cells):
+            syn = [field.add(s, field.mul(v // q ** c % q, int(h)))
+                   for s, h in zip(syn, parity[:, c])]
+        want.append(sum(s * q ** k for k, s in enumerate(syn)))
+    assert sd.block_syndromes(field, units, codim).tolist() == want
+
+
 def _check_against_full_dp(field, parity, shapes):
     want = _full_dp_oracle(field, parity, shapes)
     for layout_bytes in (sd._LAYOUT_BYTES, 1):  # 1: each layout row's index formed alone
@@ -282,18 +315,19 @@ def parity_problems(draw):
     codim = draw(st.integers(0, min(ambient_dim, int(math.log(DP_SYNDROMES, q)))))
     rows = [draw(st.lists(st.integers(0, q - 1), min_size=ambient_dim,
                           max_size=ambient_dim)) for _ in range(codim)]
-    return field, hm.rref(field, rows)[0], shapes
+    return _problem(q, shapes, rows)
 
 
 def _one_block(q, shape):
     """One block whose cells are the syndrome digits: every leader is a rank."""
     cells = shape[0] * shape[1]
-    return cs.field_of_order(q), [tuple(int(i == j) for j in range(cells))
-                                  for i in range(cells)], [shape]
+    return cs.field_of_order(q), np.eye(cells, dtype=np.int64), [shape]
 
 
 def _problem(q, shapes, rows):
+    """The field, the (codim, N) RREF of `rows` and the shapes; codim may be 0."""
     field = cs.field_of_order(q)
+    rows = np.array(rows, dtype=np.int64).reshape(len(rows), sum(n * m for n, m in shapes))
     return field, hm.rref(field, rows)[0], list(shapes)
 
 
