@@ -259,6 +259,8 @@ def strong_singleton_bch(m: int, t: int, e: int, n: int, d_sr: int) -> StrongSin
     Case 2 (d = 4m^2 e): 2^(m^2 (t - ne + n)).
     The Singleton-like bound of the m x m profile is 2^(m(tm - d + 1)).
     """
+    if m < 1:
+        raise ValueError(f"matrix size m = {m} must be at least 1")
     singleton_exponent = m * (t * m - d_sr + 1)
     lo, hi = 4 * m * m * e, 4 * m * m * e + 4 * m * m - 1
     if t < 2 ** n - 1:
@@ -282,6 +284,8 @@ class BoundRecord(NamedTuple):
 
 def block_length_bound(q: int, m: int, u: int, R: int, c: float = 1.0) -> BoundRecord:
     """Advisory bound on the block length function at codimension uR + m^2."""
+    if R < 1:
+        raise ValueError(f"covering radius R = {R} must be at least 1")
     if u % (m * m) != 0:
         raise ValueError(f"divisibility gate failed: {m}^2 does not divide u = {u}")
     if R % m != 0:

@@ -1,9 +1,10 @@
 """Batch command-line front end.
 
 Subcommands: construct, certify, bounds, table, selftest.  Parameters are
-key=value tokens (ints where they parse); a config file of KEY=VALUE lines
-may supply defaults.  Exit codes: 0 certified/ok, 1 refuted, 2
-inconclusive, 3 internal error, 4 usage error.
+key=value tokens; a config file of KEY=VALUE lines may supply defaults.
+A recipe (`construct.RECIPES`) or a `bounds` or `table` kind (`KINDS`)
+binds them by its signature (`construct.bind_params`).  Exit codes: 0
+certified/ok, 1 refuted, 2 inconclusive, 3 internal error, 4 usage error.
 
 `run()` is the process entry point; Python callers use `main(argv)`, which
 returns the exit code and leaves the interpreter running.
@@ -37,34 +38,30 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_value(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
+    """An int where `text` parses as one, else a float, else the text."""
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
+    return text
 
 
 def parse_params(tokens, config_path: str | None = None) -> dict:
-    params: dict = {}
+    """key=value tokens, after the KEY=VALUE lines of the config file, which they override."""
+    pairs = []
     if config_path:
         with open(config_path, "r", encoding="utf-8") as fh:
             for line in fh:
                 line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
+                if line and "=" not in line:
                     raise ValueError(f"config line without '=': {line!r}")
-                key, val = line.split("=", 1)
-                params[key.strip()] = _parse_value(val.strip())
+                pairs += [line] if line else []
     for tok in tokens:
         if "=" not in tok:
             raise ValueError(f"expected key=value, got {tok!r}")
-        key, val = tok.split("=", 1)
-        params[key.strip()] = _parse_value(val.strip())
-    return params
+    return {key.strip(): _parse_value(val.strip())
+            for key, val in (pair.split("=", 1) for pair in pairs + list(tokens))}
 
 
 def _summarize(code) -> str:
@@ -149,143 +146,145 @@ def cmd_certify(args) -> int:
     return cert.exit_code
 
 
-def _profile(p: dict) -> MatrixProfile:
+KINDS: dict = {"bounds": {}, "table": {}}
+
+
+def _kind(fn):
+    """Register `fn`, named `command_kind`, in KINDS; its signature lists the kind's parameters."""
+    command, _, kind = fn.__name__.partition("_")
+    KINDS[command][kind.replace("_", "-")] = fn
+    return fn
+
+
+def _show(*lines, code: int = 0) -> int:
+    print(*lines, sep="\n")
+    return code
+
+
+def _list_param(name: str, text: str, form: str, item) -> list:
+    """`item` of each nonempty comma-separated piece of `text`; a refusal names the form."""
+    try:
+        return [item(piece) for piece in text.split(",") if piece]
+    except ValueError:
+        raise ValueError(f"parameter {name}={text!r} is not of the form {form}") from None
+
+
+def _profile(q: int, blocks: str) -> MatrixProfile:
     """The profile of `q=Q blocks=NxM[,NxM...]` over GF(Q)."""
-    blocks = tuple(tuple(map(int, b.split("x"))) for b in str(p["blocks"]).split(","))
-    return MatrixProfile(cs.field_of_order(p["q"]), blocks)
+    def shape(piece: str) -> tuple[int, int]:
+        n, m = map(int, piece.split("x"))
+        return n, m
+    shapes = _list_param("blocks", blocks, "NxM[,NxM...]", shape)
+    return MatrixProfile(cs.field_of_order(q), tuple(shapes))
 
 
-# The (required, optional) parameter names each kind reads, in the order a missing
-# one is named; `bounds condition` also reads its family's recipe parameters.
-BOUND_PARAMS = {
-    "singleton": (("q", "blocks", "d"), ()),
-    "strong-bch": (("m", "t", "e", "n", "d"), ()),
-    "strong-blf": (("q", "m", "u", "R", "t"), ("c",)),
-    "block-length": (("q", "m", "u", "R"), ("c",)),
-    "entropy": (("Q", "rho"), ()),
-    "volume": (("q", "blocks", "r"), ()),
-    "bch-radius-interval": (("e", "n"), ()),
-    "condition": (("family",), ()),
-}
-TABLE_PARAMS = {"strong-bch": (("m", "e", "n", "t"), ())}
+@_kind
+def bounds_singleton(q: int, blocks: str, d: int) -> int:
+    return _show(ct.singleton_like_bound(_profile(q, blocks), d))
 
 
-def _kind_params(args, declared: dict) -> dict:
-    """The parameters of `args`, refused unless its kind reads exactly those keys."""
-    p = parse_params(args.params, args.config)
-    required, optional = declared[args.kind]
-    if args.kind == "condition" and "family" in p:
-        if p["family"] not in ct.CONDITION_FAMILIES:
-            raise ValueError(f"{args.command} {args.kind}: no checks for family "
-                             f"{p['family']!r}; it checks {', '.join(ct.CONDITION_FAMILIES)}")
-        family_required, optional = cs.recipe_params(p["family"])
-        required += family_required
-    unknown = sorted(set(p) - set(required + optional))
-    if unknown:
-        raise ValueError(f"{args.command} {args.kind}: unknown parameters {unknown}; "
-                         f"it reads {', '.join(required + optional)}")
-    missing = [k for k in required if k not in p]
-    if missing:
-        raise ValueError(f"{args.command} {args.kind}: missing parameter {missing[0]}=")
-    return p
+@_kind
+def bounds_strong_bch(m: int, t: int, e: int, n: int, d: int) -> int:
+    rec = ct.strong_singleton_bch(m, t, e, n, d)
+    if not rec.applicable:
+        return _show(f"inapplicable: {rec.reason}", code=2)
+    return _show(f"case {rec.case}: bound {rec.bound}", f"singleton-like: {rec.singleton}",
+                 f"improves: {rec.improves}")
 
 
-def cmd_bounds(args) -> int:
-    p = _kind_params(args, BOUND_PARAMS)
-    kind = args.kind
-    if kind == "singleton":
-        print(ct.singleton_like_bound(_profile(p), p["d"]))
-        return 0
-    if kind == "strong-bch":
-        rec = ct.strong_singleton_bch(p["m"], p["t"], p["e"], p["n"], p["d"])
-        if not rec.applicable:
-            print(f"inapplicable: {rec.reason}")
-            return 2
-        print(f"case {rec.case}: bound {rec.bound}")
-        print(f"singleton-like: {rec.singleton}")
-        print(f"improves: {rec.improves}")
-        return 0
-    if kind == "strong-blf":
-        rec = ct.strong_singleton_blf(p["q"], p["m"], p["u"], p["R"], p["t"],
-                                      p.get("c", 1.0))
-        print(f"{rec.name} = {rec.value}")
-        for a in rec.assumptions:
-            print(f"  assumption: {a}")
-        return 0
-    if kind == "block-length":
-        rec = ct.block_length_bound(p["q"], p["m"], p["u"], p["R"], p.get("c", 1.0))
-        print(f"{rec.name} = {rec.value!r}")
-        for a in rec.assumptions:
-            print(f"  assumption: {a}")
-        return 0
-    if kind == "entropy":
-        print(repr(ct.entropy(p["Q"], p["rho"])))
-        return 0
-    if kind == "bch-radius-interval":
-        interval = hm.bch_covering_radius_interval(p["e"], p["n"])
-        if interval is None:
-            print("inapplicable: 2^n below (2e-1)^(4e+2)")
-            return 2
-        print(f"[{interval[0]}, {interval[1]}]")
-        return 0
-    if kind == "volume":
-        print(ball_volume_exact(_profile(p), p["r"]))
-        return 0
-    rec = ct.family_condition_checks(p.pop("family"), p)  # kind == "condition"
-    print(f"rational condition [{rec.rational_condition}]: {rec.rational_holds}")
-    print(f"exact criterion [{rec.exact_criterion}]: {rec.exact_holds} "
-          f"({rec.exact_lhs} vs {rec.exact_rhs})")
-    return 0 if (rec.rational_holds and rec.exact_holds) else 2
+def _show_record(rec: ct.BoundRecord) -> int:
+    return _show(f"{rec.name} = {rec.value!r}", *(f"  assumption: {a}" for a in rec.assumptions))
 
 
-def cmd_table(args) -> int:
-    p = _kind_params(args, TABLE_PARAMS)
-    m, e, n = p["m"], p["e"], p["n"]
-    ts = [int(x) for x in str(p["t"]).split(",") if x != ""]
+@_kind
+def bounds_strong_blf(q: int, m: int, u: int, R: int, t: int, c: float = 1.0) -> int:
+    return _show_record(ct.strong_singleton_blf(q, m, u, R, t, c))
+
+
+@_kind
+def bounds_block_length(q: int, m: int, u: int, R: int, c: float = 1.0) -> int:
+    return _show_record(ct.block_length_bound(q, m, u, R, c))
+
+
+@_kind
+def bounds_entropy(Q: int, rho: float) -> int:
+    return _show(repr(ct.entropy(Q, rho)))
+
+
+@_kind
+def bounds_volume(q: int, blocks: str, r: int) -> int:
+    return _show(ball_volume_exact(_profile(q, blocks), r))
+
+
+@_kind
+def bounds_bch_radius_interval(e: int, n: int) -> int:
+    interval = hm.bch_covering_radius_interval(e, n)
+    if interval is None:
+        return _show("inapplicable: 2^n below (2e-1)^(4e+2)", code=2)
+    return _show(f"[{interval[0]}, {interval[1]}]")
+
+
+@_kind
+def bounds_condition(family: str, **params) -> int:
+    """`cmd_kind` binds `family` and then that family's recipe parameters."""
+    rec = ct.family_condition_checks(family, params)
+    return _show(f"rational condition [{rec.rational_condition}]: {rec.rational_holds}",
+                 f"exact criterion [{rec.exact_criterion}]: {rec.exact_holds} "
+                 f"({rec.exact_lhs} vs {rec.exact_rhs})",
+                 code=0 if (rec.rational_holds and rec.exact_holds) else 2)
+
+
+@_kind
+def table_strong_bch(m: int, e: int, n: int, t: str) -> int:
+    # every record before the first line, so a refused parameter prints nothing
+    rows = [(length, d, ct.strong_singleton_bch(m, length, e, n, d))
+            for length in _list_param("t", t, "T[,T...]", int)
+            for d in range(4 * m * m * e - 1, 4 * m * m * (e + 1))]
     print(f"{'t':>8} {'d':>6} {'strong_exp':>12} {'singleton_exp':>14} winner")
-    for t in ts:
-        for i in range(-1, 4 * m * m):
-            d = 4 * m * m * e + i
-            rec = ct.strong_singleton_bch(m, t, e, n, d)
-            strong_exp = rec.exponent if rec.applicable else "n/a"
-            winner = "strong" if rec.improves else "singleton"
-            print(f"{t:>8} {d:>6} {strong_exp:>12} {rec.singleton_exponent:>14} {winner}")
+    for length, d, rec in rows:
+        strong_exp = rec.exponent if rec.applicable else "n/a"
+        winner = "strong" if rec.improves else "singleton"
+        print(f"{length:>8} {d:>6} {strong_exp:>12} {rec.singleton_exponent:>14} {winner}")
     return 0
 
 
+def cmd_kind(args) -> int:
+    """Run a `bounds` or `table` kind on the parameters its signature binds."""
+    fn, params = KINDS[args.command][args.kind], parse_params(args.params, args.config)
+    declared = cs.signature_params(fn)
+    if args.kind == "condition" and "family" in params:
+        if params["family"] not in ct.CONDITION_FAMILIES:
+            raise ValueError(f"bounds condition: no checks for family {params['family']!r}; "
+                             f"it checks {', '.join(ct.CONDITION_FAMILIES)}")
+        declared += cs.signature_params(cs.RECIPES[params["family"]])
+    return fn(**cs.bind_params(f"{args.command} {args.kind}", declared, params))
+
+
 def cmd_selftest(args) -> int:
-    checks = []
-    f4 = make_field(2, [2])
-    checks.append(("GF(4): w*w = w+1", f4.mul(2, 2) == 3))
-    checks.append(("rank count (2,2,1,2) = 9", count_rank_matrices(2, 2, 1, 2) == 9))
-    f3 = make_field(3, [1])
-    checks.append(("GF(3) 2x3 rank table = elimination",
-                   rank_array(f3, 2, 3).tolist()
-                   == [rank(f3, unpack_matrix(f3, v, 2, 3)) for v in range(3 ** 6)]))
-    f2 = make_field(2, [1])
-    prof = MatrixProfile(f2, ((2, 2), (2, 2)))
-    checks.append(("ball volume 112", ball_volume_exact(prof, 2) == 112))
-    h = hm.hamming_code(f4, 2)
-    checks.append(("Hamming [5,3,3]_4 d=3", ct.sr_min_distance(h).value == 3))
-    checks.append(("Hamming [5,3,3]_4 R=1", hm.covering_radius(h)[0] == 1))
-    am = cs.almost_msrd_2x2(2, 4)
-    d = ct.sr_min_distance(am)
-    checks.append(("almost-MSRD d=4 defect=2",
-                   d.value == 4 and ct.singleton_defect(am.profile, am.dim, 4) == 2))
+    f2, f3, f4 = make_field(2, [1]), make_field(3, [1]), make_field(2, [2])
+    h, am = hm.hamming_code(f4, 2), cs.almost_msrd_2x2(2, 4)
     dp = cs.quasi_perfect_2xm(5, 2, 2).budgeted_dp()  # p = 5: the doubled coset shifts
-    checks.append(("quasi-perfect 2x2 over GF(5) d=3 R=2 (syndrome DP)",
-                   (dp.distance, dp.radius) == (3, 2)))
     rep = cs.covering_repetition(2, 2, 3)
-    for name, code in (("linearized", cs.quasi_perfect_2xm(3, 2, 2)),
-                       ("Plotkin", cs.plotkin(rep, rep))):
-        checks.append((f"{name} parity = nullspace(RREF(generator))",
-                       code.flat_parity.tolist() == list(map(list, nullspace(
-                           code.base, code.flat_generator, code.ambient_dim)))))
-    ok = True
+    checks = [
+        ("GF(4): w*w = w+1", f4.mul(2, 2) == 3),
+        ("rank count (2,2,1,2) = 9", count_rank_matrices(2, 2, 1, 2) == 9),
+        ("GF(3) 2x3 rank table = elimination", rank_array(f3, 2, 3).tolist()
+         == [rank(f3, unpack_matrix(f3, v, 2, 3)) for v in range(3 ** 6)]),
+        ("ball volume 112", ball_volume_exact(MatrixProfile(f2, ((2, 2),) * 2), 2) == 112),
+        ("Hamming [5,3,3]_4 d=3", ct.sr_min_distance(h).value == 3),
+        ("Hamming [5,3,3]_4 R=1", hm.covering_radius(h)[0] == 1),
+        ("almost-MSRD d=4 defect=2", ct.sr_min_distance(am).value == 4
+         and ct.singleton_defect(am.profile, am.dim, 4) == 2),
+        ("quasi-perfect 2x2 over GF(5) d=3 R=2 (syndrome DP)",
+         (dp.distance, dp.radius) == (3, 2)),
+    ] + [(f"{name} parity = nullspace(RREF(generator))",
+          code.flat_parity.tolist() == list(map(list, nullspace(
+              code.base, code.flat_generator, code.ambient_dim))))
+         for name, code in (("linearized", cs.quasi_perfect_2xm(3, 2, 2)),
+                            ("Plotkin", cs.plotkin(rep, rep)))]
     for name, passed in checks:
         print(f"[{'PASS' if passed else 'FAIL'}] {name}")
-        ok = ok and passed
-    return 0 if ok else INTERNAL_ERROR
+    return 0 if all(passed for _, passed in checks) else INTERNAL_ERROR
 
 
 def build_parser() -> _Parser:
@@ -320,15 +319,12 @@ def build_parser() -> _Parser:
     add_common(z)
     z.set_defaults(fn=cmd_certify)
 
-    b = sub.add_parser("bounds", help="evaluate a bound or hypothesis check")
-    b.add_argument("kind", choices=list(BOUND_PARAMS))
-    add_common(b)
-    b.set_defaults(fn=cmd_bounds)
-
-    t = sub.add_parser("table", help="tabulate bound comparisons over a grid")
-    t.add_argument("kind", choices=list(TABLE_PARAMS))
-    add_common(t)
-    t.set_defaults(fn=cmd_table)
+    for command, text in (("bounds", "evaluate a bound or hypothesis check"),
+                          ("table", "tabulate bound comparisons over a grid")):
+        k = sub.add_parser(command, help=text)
+        k.add_argument("kind", choices=list(KINDS[command]))
+        add_common(k)
+        k.set_defaults(fn=cmd_kind)
 
     s = sub.add_parser("selftest", help="quick golden-value battery")
     s.set_defaults(fn=cmd_selftest)

@@ -32,7 +32,7 @@ from functools import cached_property, reduce, wraps
 
 import numpy as np
 
-from .gf import Field, array_mul, digit_add, digit_adder, is_prime, linear_map, make_field, rref
+from .gf import Field, array_mul, digit_add, digit_adder, linear_map, make_field, rref
 from . import hamming as hm
 from .spaces import MatrixProfile, SumRankWord, pack_matrix
 from .syndrome import ENUM_BUDGET, SumRankCode, least_weight_word
@@ -42,15 +42,13 @@ def field_of_order(q: int) -> Field:
     """GF(q) for a prime power q, as a one-step tower over its prime field."""
     if q < 2:
         raise ValueError("field order must be at least 2")
-    p = next((d for d in range(2, q + 1) if q % d == 0), q)
-    e = 0
-    v = q
-    while v % p == 0 and v > 1:
-        v //= p
+    p = next(d for d in range(2, q + 1) if q % d == 0)  # the least factor is prime
+    e = 1
+    while p ** e < q:
         e += 1
-    if v != 1 or not is_prime(p):
+    if p ** e != q:
         raise ValueError(f"{q} is not a prime power")
-    return make_field(p, [e] if e > 1 else [1])
+    return make_field(p, [e])
 
 
 class IngredientSumRankCode(SumRankCode):
@@ -114,14 +112,9 @@ class IngredientSumRankCode(SumRankCode):
         ext = self.ext
         if self.construction == "covering":
             return tuple(ext.coords(s) for s in symbols)
-        rows = []
-        for images in self._frobenius_images:
-            acc = 0
-            for c, img in zip(symbols, images):
-                if c:
-                    acc = ext.add(acc, ext.mul(c, img))
-            rows.append(ext.coords(acc))
-        return tuple(rows)
+        return tuple(
+            ext.coords(reduce(ext.add, (ext.mul(c, x) for c, x in zip(symbols, images) if c), 0))
+            for images in self._frobenius_images)
 
     def _lone_blocks(self, i: int, symbols) -> np.ndarray:
         """The packed block of each of `symbols` alone in ingredient row i.
@@ -150,18 +143,14 @@ class IngredientSumRankCode(SumRankCode):
         """Encode one message vector per ingredient code."""
         if len(messages) != self.rows:
             raise ValueError(f"expected {self.rows} message vectors")
-        ext = self.ext
+        mul, add = array_mul(self.ext), digit_adder(self.base.p, self.ext.dim_over_prime)
         symbol_rows = []
         for msg, code in zip(messages, self.ingredients):
             if len(msg) != code.k:
                 raise ValueError("message length does not match the ingredient dimension")
-            word = [0] * self.t
-            for coef, grow in zip(msg, code.generator):
-                if coef:
-                    for p in range(self.t):
-                        if grow[p]:
-                            word[p] = ext.add(word[p], ext.mul(coef, grow[p]))
-            symbol_rows.append(tuple(word))
+            gen = np.array(code.generator, dtype=np.int64).reshape(code.k, self.t)
+            terms = mul(np.array(msg, dtype=np.int64)[:, None], gen)
+            symbol_rows.append(reduce(add, terms, np.zeros(self.t, dtype=np.int64)))
         return self.to_word(self.packed_from_symbols(symbol_rows))
 
     @property
@@ -385,6 +374,34 @@ def plotkin(first: SumRankCode, second: SumRankCode) -> PlotkinSumRankCode:
 # named recipes
 # ----------------------------------------------------------------------
 
+# What a parameter of each annotation takes (a str one: a number as its text), and its name
+_TAKES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+          "str": ((str, int, float), "text")}
+
+
+def signature_params(fn) -> list[inspect.Parameter]:
+    """`fn`'s positional-or-keyword arguments, each annotated `int`, `float` or `str`."""
+    return [a for a in inspect.signature(fn).parameters.values()
+            if a.kind is a.POSITIONAL_OR_KEYWORD]
+
+
+def bind_params(where: str, declared, params: dict) -> dict:
+    """The keyword arguments that `params` gives the `declared` parameters; an unknown
+    name, a missing required one or a mistyped value is a ValueError after `where`."""
+    names = [a.name for a in declared]
+    unknown = sorted(set(params) - set(names))
+    if unknown:
+        raise ValueError(f"{where}: unknown parameters {unknown}; it reads {', '.join(names)}")
+    for a in declared:
+        takes, type_name = _TAKES[a.annotation]
+        if a.name not in params and a.default is a.empty:
+            raise ValueError(f"{where}: missing parameter {a.name}=")
+        if a.name in params and type(params[a.name]) not in takes:
+            raise ValueError(f"{where}: parameter {a.name}={params[a.name]!r} is not {type_name}")
+    return {a.name: str(params[a.name]) if a.annotation == "str" else params[a.name]
+            for a in declared if a.name in params}
+
+
 RECIPES: dict = {}
 
 
@@ -392,9 +409,10 @@ def _recipe(fn):
     """Register the decorated recipe in RECIPES, named as `fn` with hyphens for underscores.
 
     Every code it returns, built through RECIPES or called directly, carries
-    `recipe`, that name, and `params`, its `recipe_params` with defaults applied.
+    `recipe`, that name, and `params`, its `signature_params` with defaults applied.
     """
     name = fn.__name__.replace("_", "-")
+    names = [a.name for a in signature_params(fn)]
 
     @wraps(fn)
     def build(*args, **kwargs):
@@ -402,7 +420,7 @@ def _recipe(fn):
         bound.apply_defaults()
         code = fn(*args, **kwargs)
         code.recipe = name
-        code.params = {a: bound.arguments[a] for a in sum(recipe_params(name), ())}
+        code.params = {a: bound.arguments[a] for a in names}
         return code
 
     RECIPES[name] = build
@@ -476,6 +494,13 @@ def cyclic_d4_alt(q: int, m: int) -> hm.LinearCode:
     return code
 
 
+def _trivial_codes(ext, t: int, count: int, parities: int = 2) -> list[hm.LinearCode]:
+    """Up to `parities` parity-check codes, then full codes: `count` codes of length t."""
+    parities = min(parities, count)
+    return ([hm.parity_check_code(ext, t) for _ in range(parities)]
+            + [hm.full_code(ext, t) for _ in range(count - parities)])
+
+
 @_recipe
 def distance_optimal_sxs(q: int, s: int, m: int, lam: int = 1) -> IngredientSumRankCode:
     """s x s distance-4 family from a cyclic code plus trivial ingredients."""
@@ -489,12 +514,7 @@ def distance_optimal_sxs(q: int, s: int, m: int, lam: int = 1) -> IngredientSumR
     t = (Q ** m - 1) // lam
     c1 = hm.cyclic_code(t, ext, [0, 1, 2])
     c1.designed_distance = 4 if hm.bch_bound(c1.defining_set, t) >= 4 else None
-    ingredients = [c1]
-    for _ in range(min(2, s - 1)):
-        ingredients.append(hm.parity_check_code(ext, t))
-    while len(ingredients) < s:
-        ingredients.append(hm.full_code(ext, t))
-    return sr_linearized(ingredients, designed_distance=4)
+    return sr_linearized([c1, *_trivial_codes(ext, t, s - 1)], designed_distance=4)
 
 
 @_recipe
@@ -510,12 +530,7 @@ def distance_optimal_rect(q: int, s1: int, s2: int, m: int,
         raise ValueError(f"gate failed: {lam} does not divide q^(s2 m) - 1")
     t = (Q ** m - 1) // lam
     c1 = hm.cyclic_code(t, ext, [0, 1, 2])
-    ingredients = [c1]
-    for _ in range(min(2, s1 - 1)):
-        ingredients.append(hm.parity_check_code(ext, t))
-    while len(ingredients) < s1:
-        ingredients.append(hm.full_code(ext, t))
-    return sr_linearized(ingredients, designed_distance=4)
+    return sr_linearized([c1, *_trivial_codes(ext, t, s1 - 1)], designed_distance=4)
 
 
 @_recipe
@@ -553,11 +568,9 @@ def plotkin_distance_optimal(s: int, m: int) -> PlotkinSumRankCode:
     base = make_field(2, [1])
     ext = base.extension(s)
     t = 2 ** (s * m) - 1
-    ingredients = [hm.parity_check_code(ext, t)]
-    while len(ingredients) < s:
-        ingredients.append(hm.full_code(ext, t))
     # the second part is a recipe of its own and describes itself as one
-    return PlotkinSumRankCode(sr_linearized(ingredients, designed_distance=2),
+    return PlotkinSumRankCode(sr_linearized(_trivial_codes(ext, t, s, parities=1),
+                                            designed_distance=2),
                               distance_optimal_sxs(2, s, m))
 
 
@@ -571,28 +584,14 @@ def covering_repetition(q: int, m: int, t: int) -> IngredientSumRankCode:
 
 
 def recipe_params(name: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The recipe's required and optional parameter names, in signature order.
-
-    They are its positional-or-keyword arguments; a keyword-only one is not
-    a recipe parameter.
-    """
-    if name not in RECIPES:
-        raise ValueError(f"unknown recipe {name!r}; known: {sorted(RECIPES)}")
-    args = [a for a in inspect.signature(RECIPES[name]).parameters.values()
-            if a.kind is a.POSITIONAL_OR_KEYWORD]
+    """The recipe's required and optional parameter names, in signature order."""
+    args = signature_params(RECIPES[name])
     return (tuple(a.name for a in args if a.default is a.empty),
             tuple(a.name for a in args if a.default is not a.empty))
 
 
 def build_recipe(name: str, **params):
-    required, optional = recipe_params(name)
-    unknown = set(params) - set(required + optional)
-    if unknown:
-        raise ValueError(f"unexpected parameters {sorted(unknown)} for recipe {name!r}")
-    missing = [a for a in required if a not in params]
-    if missing:
-        raise ValueError(f"missing parameters {missing} for recipe {name!r}")
-    for key, value in params.items():
-        if type(value) is not int:
-            raise ValueError(f"parameter {key}={value!r} of recipe {name!r} is not an integer")
-    return RECIPES[name](**params)
+    if name not in RECIPES:
+        raise ValueError(f"unknown recipe {name!r}; known: {sorted(RECIPES)}")
+    fn = RECIPES[name]
+    return fn(**bind_params(f"recipe {name}", signature_params(fn), params))

@@ -211,6 +211,13 @@ def test_strong_singleton_bch():
     assert not short.applicable
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_strong_singleton_bch_refuses_matrix_size_below_one(m):
+    # m = 0 gave the empty range of distances [-1, -1] and a row with d = -1
+    with pytest.raises(ValueError, match=f"^matrix size m = {m} must be at least 1$"):
+        ct.strong_singleton_bch(m, 5, 2, 16, -1)
+
+
 def test_block_length_bound():
     rec = ct.block_length_bound(2, 2, 4, 2, 1.0)
     assert abs(rec.value - 16 * 2 * math.log(2)) < 1e-12
@@ -219,6 +226,15 @@ def test_block_length_bound():
         ct.block_length_bound(2, 2, 6, 2)
     with pytest.raises(ValueError, match="divisibility"):
         ct.block_length_bound(2, 2, 4, 3)
+
+
+@pytest.mark.parametrize("R", [0, -2])
+def test_block_length_bound_refuses_radius_below_one(R):
+    # R = 0 divided by zero, and R = -2 passed the divisibility gate and gave codim -4
+    with pytest.raises(ValueError, match=f"^covering radius R = {R} must be at least 1$"):
+        ct.block_length_bound(2, 2, 4, R)
+    with pytest.raises(ValueError, match=f"^covering radius R = {R} must be at least 1$"):
+        ct.strong_singleton_blf(2, 2, 4, R, 64)
 
 
 def test_blf_relation_and_witness(f4):
@@ -413,6 +429,22 @@ def test_certificate_writes_an_extended_descriptor():
     subject = json.loads(cert.to_json())["subject"]
     assert (subject["construction"], subject["extra_blocks"]) == ("extended", 1)
     assert subject["inner"] == json.loads(json.dumps(inner.describe()))
+
+
+@pytest.mark.parametrize("q,m,n,k", [(2, 2, 2, 1), (2, 3, 3, 2), (3, 2, 2, 1), (2, 3, 2, 1)])
+def test_gabidulin_codes_are_msrd(q, m, n, k):
+    """One n x m block: k full and n - k zero ingredients of length 1 give a Gabidulin code.
+
+    Its codewords are the linearized polynomials of q-degree below k, so
+    d = n - k + 1 and the Singleton defect is 0.
+    """
+    ext = cs.field_of_order(q).extension(m)
+    code = cs.sr_linearized([hm.full_code(ext, 1)] * k + [hm.zero_code(ext, 1)] * (n - k))
+    assert code.profile.blocks == ((n, m),) and code.dim == m * k
+    cert = ct.certify_code(code, "msrd")
+    values = {q["name"]: q["value"] for q in cert.quantities}
+    assert cert.verdict == "certified"
+    assert values["min_sum_rank_distance"] == n - k + 1 and values["singleton_defect"] == 0
 
 
 def test_mds_codes_are_msrd_as_1x1_blocks(f4):

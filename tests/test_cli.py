@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -282,15 +283,115 @@ def test_unknown_parameter_is_named(capsys, argv, unknown, reads):
 
 @pytest.mark.parametrize("argv,error", [
     (("construct", "quasi-perfect-2xm", "q=2", "m=2", "u=2.5"),
-     "parameter u=2.5 of recipe 'quasi-perfect-2xm' is not an integer"),
+     "recipe quasi-perfect-2xm: parameter u=2.5 is not an integer"),
     (("certify", "distance-optimal", "--recipe", "cyclic-d4", "q=two", "m=2"),
-     "parameter q='two' of recipe 'cyclic-d4' is not an integer"),
+     "recipe cyclic-d4: parameter q='two' is not an integer"),
     (("bounds", "entropy", "Q=1", "rho=0"), "alphabet size Q = 1 must be an integer >= 2"),
+    (("bounds", "volume", "q=2.5", "blocks=2x2", "r=1"),
+     "bounds volume: parameter q=2.5 is not an integer"),
+    (("bounds", "bch-radius-interval", "e=1.5", "n=16"),
+     "bounds bch-radius-interval: parameter e=1.5 is not an integer"),
+    (("bounds", "singleton", "q=4", "blocks=2x2", "d=2.0"),
+     "bounds singleton: parameter d=2.0 is not an integer"),
+    (("bounds", "strong-bch", "m=2", "t=65535", "e=2", "n=16", "d=33.5"),
+     "bounds strong-bch: parameter d=33.5 is not an integer"),
+    (("bounds", "entropy", "Q=4", "rho=abc"),
+     "bounds entropy: parameter rho='abc' is not a number"),
+    (("bounds", "condition", "family=cyclic-d4", "q=2.0", "m=3"),
+     "bounds condition: parameter q=2.0 is not an integer"),
+    (("bounds", "condition", "family=quasi-perfect-2xm", "q=2", "m=2", "u=2.5"),
+     "bounds condition: parameter u=2.5 is not an integer"),
+    (("bounds", "strong-blf", "q=2", "m=2", "u=4", "R=0", "t=64"),
+     "covering radius R = 0 must be at least 1"),
+    (("bounds", "block-length", "q=2", "m=2", "u=4", "R=0"),
+     "covering radius R = 0 must be at least 1"),
+    (("bounds", "block-length", "q=2", "m=2", "u=4", "R=-2"),
+     "covering radius R = -2 must be at least 1"),
+    (("table", "strong-bch", "m=0", "e=2", "n=16", "t=5"), "matrix size m = 0 must be at least 1"),
+    (("bounds", "volume", "q=4", "blocks=2", "r=1"),
+     "parameter blocks='2' is not of the form NxM[,NxM...]"),
+    (("bounds", "singleton", "q=4", "blocks=2x2x2", "d=2"),
+     "parameter blocks='2x2x2' is not of the form NxM[,NxM...]"),
+    (("table", "strong-bch", "m=2", "e=2", "n=16", "t=abc"),
+     "parameter t='abc' is not of the form T[,T...]"),
+    (("table", "strong-bch", "m=2", "e=2", "n=16", "t=65535,7e4"),
+     "parameter t='65535,7e4' is not of the form T[,T...]"),
 ])
 def test_malformed_values_are_usage_errors(capsys, argv, error):
     code, out, err = run(capsys, *argv)
     assert code == 4 and out == ""
     assert err == f"error: {error}\n"
+
+
+# Complete parameters for every registered kind, all valid but not all in range
+KIND_PARAMS = {
+    **{("construct", name): params for name, params in {
+        "quasi-perfect-2xm": {"q": 2, "m": 2, "u": 2},
+        "quasi-perfect-2x2": {"t": 6},
+        "cyclic-d4": {"q": 2, "m": 3, "lam": 1},
+        "cyclic-d4-alt": {"q": 3, "m": 2},
+        "distance-optimal-sxs": {"q": 3, "s": 2, "m": 1, "lam": 1},
+        "distance-optimal-rect": {"q": 2, "s1": 2, "s2": 3, "m": 1, "lam": 1},
+        "distance-optimal-2x2": {"q": 2},
+        "almost-msrd-2x2": {"q": 2, "t": 4},
+        "plotkin-distance-optimal": {"s": 3, "m": 1},
+        "covering-repetition": {"q": 2, "m": 2, "t": 3},
+    }.items()},
+    ("bounds", "singleton"): {"q": 4, "blocks": "2x2", "d": 2},
+    ("bounds", "strong-bch"): {"m": 2, "t": 65535, "e": 2, "n": 16, "d": 33},
+    ("bounds", "strong-blf"): {"q": 2, "m": 2, "u": 4, "R": 2, "t": 64, "c": 1.0},
+    ("bounds", "block-length"): {"q": 2, "m": 2, "u": 4, "R": 2, "c": 1.0},
+    ("bounds", "entropy"): {"Q": 4, "rho": 0.75},
+    ("bounds", "volume"): {"q": 2, "blocks": "2x2,2x2", "r": 2},
+    ("bounds", "bch-radius-interval"): {"e": 2, "n": 16},
+    **{("bounds", "condition", family): {"family": family, **params} for family, params in {
+        "cyclic-d4": {"q": 4, "m": 3, "lam": 1},
+        "quasi-perfect-2xm": {"q": 2, "m": 2, "u": 2},
+        "distance-optimal-sxs": {"q": 2, "s": 3, "m": 1, "lam": 1},
+        "distance-optimal-rect": {"q": 2, "s1": 2, "s2": 3, "m": 1, "lam": 1},
+        "plotkin-distance-optimal": {"s": 3, "m": 1},
+    }.items()},
+    ("table", "strong-bch"): {"m": 2, "e": 2, "n": 16, "t": "65535"},
+}
+
+
+def _kind_parameters(command, kind, *family):
+    """The declared parameters of a kind, as the CLI binds them."""
+    if command == "construct":
+        return cs.signature_params(cs.RECIPES[kind])
+    return (cs.signature_params(cli.KINDS[command][kind])
+            + [a for f in family for a in cs.signature_params(cs.RECIPES[f])])
+
+
+def test_kind_params_cover_every_registered_kind():
+    assert {k[:2] for k in KIND_PARAMS} == (
+        {("construct", name) for name in cs.RECIPES}
+        | {(command, kind) for command in cli.KINDS for kind in cli.KINDS[command]})
+    assert {k[2] for k in KIND_PARAMS if k[1] == "condition"} == set(ct.CONDITION_FAMILIES)
+    for key, params in KIND_PARAMS.items():
+        declared = _kind_parameters(*key)
+        assert [a.name for a in declared] == list(params), key
+        assert {a.annotation for a in declared} <= {"int", "float", "str"}, key
+
+
+@pytest.mark.parametrize("key,name", [
+    (key, a.name) for key in KIND_PARAMS for a in _kind_parameters(*key)
+    if a.annotation == "int"], ids=lambda v: "-".join(v) if isinstance(v, tuple) else v)
+@pytest.mark.parametrize("bad", ["2.5", "abc"])
+def test_int_parameters_take_only_integers(capsys, key, name, bad):
+    params = {**KIND_PARAMS[key], name: bad}
+    code, out, err = run(capsys, *key[:2], *(f"{k}={v}" for k, v in params.items()))
+    where = f"recipe {key[1]}" if key[0] == "construct" else f"{key[0]} {key[1]}"
+    value = repr(float(bad)) if bad == "2.5" else repr(bad)
+    assert code == 4 and out == ""
+    assert err == f"error: {where}: parameter {name}={value} is not an integer\n"
+
+
+@pytest.mark.parametrize("key", list(KIND_PARAMS), ids="-".join)
+def test_kind_params_bind(capsys, key):
+    """Every kind binds its complete parameters and exits 0, 1 or 2."""
+    code, _, err = run(capsys, *key[:2], *(f"{k}={v}" for k, v in KIND_PARAMS[key].items()))
+    assert code in (0, 1, 2), err
 
 
 @pytest.mark.parametrize("argv", [
@@ -350,6 +451,9 @@ def test_bounds_strong_blf_and_block_length(capsys):
         "  assumption: tolerance 1e-12"]
     code, out, err = run(capsys, "bounds", "strong-blf", "q=2", "m=2", "u=4", "R=2", "t=10")
     assert code == 4 and out == "" and "gate failed" in err
+    # a float parameter takes an integer token as it is
+    code, out, _ = run(capsys, "bounds", "block-length", "q=2", "m=2", "u=4", "R=2", "c=2")
+    assert code == 0 and "  assumption: universal constant c = 2 (non-rigorous)" in out
     code, out, err = run(capsys, "bounds", "block-length", "q=2", "m=2", "u=6", "R=2")
     assert code == 4 and out == "" and "divisibility gate failed" in err
 
@@ -378,6 +482,23 @@ def test_config_file(tmp_path, capsys):
     assert code == 0 and "t = 21" in out
 
 
+def _readme_cli_lines() -> list[list[str]]:
+    """The `sumrank ...` lines of the README's CLI `sh` block, split as a shell would."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("sumrank ")]
+
+
+def test_readme_cli_examples_run(tmp_path, capsys, monkeypatch):
+    # in order, since the second line reads the descriptor that the first writes
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_cli_lines()
+    assert len(lines) >= 8
+    for argv in lines:
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 1, 2), (argv, err)
+
+
 def test_parse_params():
     assert parse_params(["a=1", "b=x", "c=1.5"]) == {"a": 1, "b": "x", "c": 1.5}
     with pytest.raises(ValueError, match="key=value"):
@@ -399,9 +520,9 @@ def test_selftest_takes_no_parameters(tmp_path, capsys):
 
 
 def test_missing_recipe_parameter_is_usage_error(capsys):
-    code, _, err = run(capsys, "construct", "quasi-perfect-2xm", "q=2", "m=2")
-    assert code == 4
-    assert "missing parameters ['u']" in err and "internal" not in err
+    code, out, err = run(capsys, "construct", "quasi-perfect-2xm", "q=2", "m=2")
+    assert code == 4 and out == ""
+    assert err == "error: recipe quasi-perfect-2xm: missing parameter u=\n"
 
 
 def test_workers_option_removed(tmp_path, capsys):

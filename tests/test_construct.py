@@ -340,7 +340,8 @@ def test_build_recipe_dispatch():
     assert code.dim == 14
     with pytest.raises(ValueError, match="unknown recipe"):
         cs.build_recipe("nope")
-    with pytest.raises(ValueError, match="unexpected parameters"):
+    with pytest.raises(ValueError, match=r"^recipe quasi-perfect-2xm: unknown parameters "
+                                         r"\['z'\]; it reads q, m, u$"):
         cs.build_recipe("quasi-perfect-2xm", q=2, m=2, u=2, z=1)
 
 
