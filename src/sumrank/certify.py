@@ -3,8 +3,12 @@
 Minimum distance and covering radius come from the code's one syndrome-DP
 pass and, for the distance, from enumeration, the Hamming support search
 and composition rules, all under explicit budgets.  A Hamming-metric code
-is a sum-rank code of 1 x 1 blocks and takes the same dispatch.  Every
-bound evaluator validates its hypotheses before producing a value.
+is a sum-rank code of 1 x 1 blocks and takes the same dispatch.  Each
+comes as an `SrDistance`, a point or, past a budget, an interval.
+`certify_code` decides a claim by one rule on those intervals: an exact
+integer comparison at the end of d's interval that settles it for every d
+in between, else inconclusive (see `RULES`).  Every bound evaluator
+validates its hypotheses before producing a value.
 Quantities feeding a 'certified' verdict are exact big integers;
 transcendental bounds are advisory and carry their assumptions in the
 certificate.
@@ -26,8 +30,8 @@ from .spaces import (MatrixProfile, ball_volume_exact, brute_weight_array,
 from .construct import ExtendedSumRankCode, PlotkinSumRankCode, field_of_order
 from .gf import make_field
 from .syndrome import (ENUM_BUDGET, SYNDROME_BUDGET, WORK_BUDGET, BudgetExceeded,
-                       SrDistance, SumRankCode, SyndromeDP, least_weight_word,
-                       rank_table_stop)
+                       SrDistance, SumRankCode, least_weight_word, rank_table_stop)
+from .syndrome import covering_radius as sr_covering_radius
 
 TOOLCHAIN_VERSION = f"sumrank {__version__}"
 
@@ -102,24 +106,15 @@ def sr_min_distance(code: SumRankCode, budget: int = ENUM_BUDGET, *,
         hi, witness = min(options, key=lambda o: o[1])[1:]
         return SrDistance(lo, hi, "composition(plotkin)", witness if lo == hi else None,
                           note=_join_notes(d1.note, d2.note))
-    return SrDistance(1, code.profile.N, "budget stop", None,
+    # one block of one row: every nonzero word, the first generator row too, weighs 1
+    witness = code._generator_rows_packed()[0] if code.profile.N == 1 else None
+    return SrDistance(1, code.profile.N, "budget stop", witness,
                       note=_join_notes(dp_stop, enum_stop))
 
 
 # ----------------------------------------------------------------------
 # covering radius
 # ----------------------------------------------------------------------
-
-def sr_covering_radius(code: SumRankCode, *,
-                       syndrome_budget: int = SYNDROME_BUDGET,
-                       work_budget: int = WORK_BUDGET) -> tuple[int, SyndromeDP]:
-    """Exact covering radius and the code's cached syndrome-DP pass.
-
-    Raises BudgetExceeded, naming the budget, when the DP does not fit.
-    """
-    dp = code.budgeted_dp(syndrome_budget, work_budget)
-    return dp.radius, dp
-
 
 def sr_covering_radius_sweep(code: SumRankCode,
                              budget: int = 1 << 20) -> tuple[int, dict]:
@@ -259,8 +254,9 @@ def strong_singleton_bch(m: int, t: int, e: int, n: int, d_sr: int) -> StrongSin
     Case 2 (d = 4m^2 e): 2^(m^2 (t - ne + n)).
     The Singleton-like bound of the m x m profile is 2^(m(tm - d + 1)).
     """
-    if m < 1:
-        raise ValueError(f"matrix size m = {m} must be at least 1")
+    for name, value in (("matrix size m", m), ("BCH error count e", e), ("BCH field degree n", n)):
+        if value < 1:
+            raise ValueError(f"{name} = {value} must be at least 1")
     singleton_exponent = m * (t * m - d_sr + 1)
     lo, hi = 4 * m * m * e, 4 * m * m * e + 4 * m * m - 1
     if t < 2 ** n - 1:
@@ -426,9 +422,6 @@ def family_condition_checks(family: str, params: dict) -> ConditionRecord:
 
 VERDICT_EXIT = {"certified": 0, "refuted": 1, "inconclusive": 2}
 
-CLAIMS = ("perfect", "quasi-perfect", "distance-optimal", "msrd", "almost-msrd",
-          "sphere-packing", "singleton")
-
 
 def unlock_big_int_strings(digits: int = 1_000_000) -> None:
     """Raise the int->str conversion cap so exact bounds print in full."""
@@ -562,11 +555,81 @@ class Certificate:
         return "\n".join(lines)
 
 
+def _perfection_rule(cert: Certificate, dist: SrDistance, radius: SrDistance) -> None:
+    """Decided when e = floor((d - 1)/2) takes one value over d's interval and R is
+    known; equal verdicts at both ends decide nothing, as R - e may pass 1 and 0."""
+    if (dist.lo - 1) // 2 != (dist.hi - 1) // 2 or not radius.exact:
+        return
+    verdict_name = perfection_verdict(dist.lo, radius.value)
+    cert.add_quantity("perfection", verdict_name, "exact comparison")
+    sp = sphere_packing_check(cert.code.profile, cert.code.size, dist.lo)
+    if not sp.holds:
+        raise RuntimeError(f"sphere packing violated ({sp.lhs} > {sp.rhs}): implementation bug")
+    cert.add_bound("sphere_packing_lhs<=rhs", f"{sp.lhs} <= {sp.rhs}", ("sanity invariant",))
+    cert.verdict = "certified" if verdict_name == cert.claim else "refuted"
+
+
+def _distance_optimal_rule(cert: Certificate, dist: SrDistance, radius) -> None:
+    """At d_lo: certified there, no code of this size has d >= d_lo + 1, so d = d_lo."""
+    verdict, rec = distance_optimal_check(cert.code.profile, cert.code.size, dist.lo)
+    if verdict != "certified" and not dist.exact:
+        cert.notes.append("distance not settled exactly")
+        return
+    cert.add_bound("sphere_packing_refutation", f"{rec['lhs']} > {rec['rhs']}",
+                   (f"ball volume {rec['volume']} at radius {rec['volume_radius']}",))
+    cert.verdict = verdict
+    _attach_family_conditions(cert, cert.code)
+
+
+def _msrd_rule(cert: Certificate, dist: SrDistance, radius) -> None:
+    """Certified when the defect at d_lo is at most 0 (msrd) or 2 (almost-msrd), refuted
+    when it is above that at d_hi; never on a negative defect, as d_hi may pass Singleton."""
+    limit = 0 if cert.claim == "msrd" else 2
+    for d, holds in ((dist.lo, True), (dist.hi, False)):
+        name, defect = msrd_verdict(cert.code.profile, cert.code.dim, d)
+        if (defect <= limit) == holds:
+            cert.add_quantity("singleton_defect", defect, "exact")
+            cert.add_quantity("msrd_class", name, "exact")
+            cert.verdict = "certified" if holds else "refuted"
+            return
+
+
+def _sphere_packing_rule(cert: Certificate, dist: SrDistance, radius) -> None:
+    """Refuted when the check fails at d_lo, certified when it holds at d_hi, reached by
+    d -> 2d + 1 from d_lo: a check failing far below a large d_hi stops at a small ball."""
+    d, code = dist.lo, cert.code
+    sp = sphere_packing_check(code.profile, code.size, d)
+    while sp.holds and d < dist.hi:
+        d = min(2 * d + 1, dist.hi)
+        sp = sphere_packing_check(code.profile, code.size, d)
+    if sp.holds or d == dist.lo:
+        cert.add_bound("sphere_packing", f"{sp.lhs} <= {sp.rhs}", ())
+        cert.verdict = "certified" if sp.holds else "refuted"
+
+
+def _singleton_rule(cert: Certificate, dist: SrDistance, radius) -> None:
+    """Certified when the Singleton-like bound holds at d_hi, refuted when it fails at d_lo."""
+    for d, holds in ((dist.hi, True), (dist.lo, False)):
+        bound = singleton_like_bound(cert.code.profile, d)
+        if (cert.code.size <= bound) == holds:
+            cert.add_bound("singleton_like", bound, ())
+            cert.verdict = "certified" if holds else "refuted"
+            return
+
+
+# the rule deciding each claim from the intervals of d and R
+RULES = {"perfect": _perfection_rule, "quasi-perfect": _perfection_rule,
+         "distance-optimal": _distance_optimal_rule, "msrd": _msrd_rule,
+         "almost-msrd": _msrd_rule, "sphere-packing": _sphere_packing_rule,
+         "singleton": _singleton_rule}
+CLAIMS = tuple(RULES)
+
+
 def certify_code(code: SumRankCode, claim: str, *,
                  enum_budget: int = ENUM_BUDGET,
                  syndrome_budget: int = SYNDROME_BUDGET,
                  work_budget: int = WORK_BUDGET) -> Certificate:
-    """Run the exact engines needed for a claim and assemble the verdict."""
+    """Run the engines a claim needs and decide it on the intervals of d and R."""
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}")
     cert = Certificate(code, claim)
@@ -589,52 +652,18 @@ def certify_code(code: SumRankCode, claim: str, *,
                           [[list(row) for row in mat] for mat in word.matrices],
                           "row-major matrices per block")
 
+    radius = None
     if claim in ("perfect", "quasi-perfect"):
         try:
-            radius, _ = sr_covering_radius(code, syndrome_budget=syndrome_budget,
-                                           work_budget=work_budget)
-        except BudgetExceeded as exc:
+            r, _ = sr_covering_radius(code, syndrome_budget=syndrome_budget,
+                                      work_budget=work_budget)
+            radius = SrDistance(r, r, DP_METHOD)
+            cert.add_quantity("covering_radius", r, DP_METHOD)
+        except BudgetExceeded as exc:  # R <= codim: any syndrome is that of a word on codim cells
+            radius = SrDistance(0, code.codim, "budget stop", note=str(exc))
             if str(exc) not in (dist.note or "").split("; "):  # the d step named no such stop
                 cert.notes.append(str(exc))
-            return cert
-        cert.add_quantity("covering_radius", radius, DP_METHOD)
-
-    # every verdict below compares the exact d; an interval stays inconclusive
-    if not dist.exact:
-        if claim == "distance-optimal":
-            cert.notes.append("distance not settled exactly")
-        return cert
-
-    if claim in ("perfect", "quasi-perfect"):
-        verdict_name = perfection_verdict(dist.value, radius)
-        cert.add_quantity("perfection", verdict_name, "exact comparison")
-        sp = sphere_packing_check(code.profile, code.size, dist.value)
-        if not sp.holds:
-            raise RuntimeError(f"sphere packing violated ({sp.lhs} > {sp.rhs}): "
-                               "implementation bug")
-        cert.add_bound("sphere_packing_lhs<=rhs", f"{sp.lhs} <= {sp.rhs}",
-                       ("sanity invariant",))
-        cert.verdict = "certified" if verdict_name == claim else "refuted"
-    elif claim == "distance-optimal":
-        verdict, rec = distance_optimal_check(code.profile, code.size, dist.value)
-        cert.add_bound("sphere_packing_refutation",
-                       f"{rec['lhs']} > {rec['rhs']}",
-                       (f"ball volume {rec['volume']} at radius {rec['volume_radius']}",))
-        cert.verdict = verdict
-        _attach_family_conditions(cert, code)
-    elif claim in ("msrd", "almost-msrd"):
-        name, defect = msrd_verdict(code.profile, code.dim, dist.value)
-        cert.add_quantity("singleton_defect", defect, "exact")
-        cert.add_quantity("msrd_class", name, "exact")
-        want = "MSRD" if claim == "msrd" else "almost-MSRD"
-        cert.verdict = "certified" if (name == want or
-                                       (want == "almost-MSRD" and name == "MSRD")) else "refuted"
-    elif claim == "sphere-packing":
-        sp = sphere_packing_check(code.profile, code.size, dist.value)
-        cert.add_bound("sphere_packing", f"{sp.lhs} <= {sp.rhs}", ())
-        cert.verdict = "certified" if sp.holds else "refuted"
-    else:  # singleton
-        bound = singleton_like_bound(code.profile, dist.value)
-        cert.add_bound("singleton_like", bound, ())
-        cert.verdict = "certified" if code.size <= bound else "refuted"
+    RULES[claim](cert, dist, radius)
+    if not dist.exact and cert.verdict != "inconclusive":
+        cert.notes.append(f"{cert.verdict} for every d in [{dist.lo}, {dist.hi}]")
     return cert

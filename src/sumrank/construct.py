@@ -386,8 +386,8 @@ def signature_params(fn) -> list[inspect.Parameter]:
 
 
 def bind_params(where: str, declared, params: dict) -> dict:
-    """The keyword arguments that `params` gives the `declared` parameters; an unknown
-    name, a missing required one or a mistyped value is a ValueError after `where`."""
+    """The keyword arguments `params` gives the `declared` parameters; an unknown name, a
+    missing required one, a mistyped value or a non-finite float is a ValueError after `where`."""
     names = [a.name for a in declared]
     unknown = sorted(set(params) - set(names))
     if unknown:
@@ -398,6 +398,8 @@ def bind_params(where: str, declared, params: dict) -> dict:
             raise ValueError(f"{where}: missing parameter {a.name}=")
         if a.name in params and type(params[a.name]) not in takes:
             raise ValueError(f"{where}: parameter {a.name}={params[a.name]!r} is not {type_name}")
+        if a.annotation == "float" and not abs(params.get(a.name, 0)) < float("inf"):  # nan or inf
+            raise ValueError(f"{where}: parameter {a.name}={params[a.name]!r} is not finite")
     return {a.name: str(params[a.name]) if a.annotation == "str" else params[a.name]
             for a in declared if a.name in params}
 
@@ -581,13 +583,6 @@ def covering_repetition(q: int, m: int, t: int) -> IngredientSumRankCode:
     ext = base.extension(m)
     ingredients = [hm.repetition_code(ext, t) for _ in range(m)]
     return sr_covering(ingredients)
-
-
-def recipe_params(name: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The recipe's required and optional parameter names, in signature order."""
-    args = signature_params(RECIPES[name])
-    return (tuple(a.name for a in args if a.default is a.empty),
-            tuple(a.name for a in args if a.default is not a.empty))
 
 
 def build_recipe(name: str, **params):

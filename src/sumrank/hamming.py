@@ -19,8 +19,8 @@ import numpy as np
 # rref and nullspace live in `gf` and stay reachable here
 from .gf import Field, digit_add, nullspace, rref
 from .spaces import MatrixProfile
-from .syndrome import (ENUM_BUDGET, SYNDROME_BUDGET, WORK_BUDGET, BudgetExceeded,
-                       SrDistance, SumRankCode, SyndromeDP, scaled_syndromes)
+from .syndrome import (ENUM_BUDGET, BudgetExceeded, SrDistance, SumRankCode,
+                       covering_radius, scaled_syndromes)
 
 # The largest k * n of a generator that `LinearCode.generator` forms (2^25),
 # read only by descriptors and enumeration.  The 1.9 * 10^7-cell ingredients of
@@ -391,36 +391,23 @@ def min_distance(code: LinearCode, budget: int = ENUM_BUDGET) -> SrDistance:
     <= w and exhibits a weight witness.  When d > 4 the result is the
     interval [5, Singleton].  The search lists its half-words only while
     they fit `budget`; past it the result is the interval [w, Singleton],
-    with a note naming the budget.
+    with a note naming the budget.  A lower end of n - k + 1 is a point, and
+    the first generator row, a nullspace-basis row, weighs that much.
     """
     if code.k == 0:
         raise ValueError("the zero code has no nonzero codeword")
+    lo, singleton, note = 5, code.n - code.k + 1, None
     for w in range(1, 5):
         need = _half_words(code, w)
         if need > budget:
-            return SrDistance(w, code.n - code.k + 1, "support_test", None,
-                              note=f"enum budget {budget} < {need} half-words "
-                                   f"of the weight-{w} support search")
+            lo, note = w, (f"enum budget {budget} < {need} half-words "
+                           f"of the weight-{w} support search")
+            break
         witness = low_weight_search(code, w)
         if witness is not None:
             return SrDistance(w, w, "support_test", witness)
-    return SrDistance(5, code.n - code.k + 1, "support_test", None)
-
-
-# ----------------------------------------------------------------------
-# covering radius
-# ----------------------------------------------------------------------
-
-def covering_radius(code: LinearCode, *, syndrome_budget: int = SYNDROME_BUDGET,
-                    work_budget: int = WORK_BUDGET) -> tuple[int, SyndromeDP]:
-    """Exact covering radius and the code's cached syndrome-DP pass.
-
-    Each coordinate is a 1 x 1 block, whose rank is [a != 0]; the same pass
-    holds d and its witness.  Raises BudgetExceeded, naming the budget,
-    when the DP does not fit.
-    """
-    dp = code.budgeted_dp(syndrome_budget, work_budget)
-    return dp.radius, dp
+    return SrDistance(lo, singleton, "support_test",
+                      code.generator[0] if lo == singleton else None, note=note)
 
 
 # ----------------------------------------------------------------------

@@ -270,9 +270,9 @@ def _weight_counts(profile: MatrixProfile, r: int) -> list[int]:
     r = min(r, profile.max_weight())
     vol = [0] * (r + 1)
     vol[0] = 1
-    upto = 0
-    for n, m in profile.blocks:
-        dist = rank_distribution(n, m, q)
+    upto, dists = 0, {(n, m): rank_distribution(n, m, q) for n, m in set(profile.blocks)}
+    for shape in profile.blocks:
+        dist = dists[shape]
         upto += len(dist) - 1
         new = [0] * (r + 1)
         for w in range(min(upto, r) + 1):
@@ -345,11 +345,6 @@ def brute_rank_array(field: Field, n: int, m: int) -> np.ndarray:
     return ranks
 
 
-def brute_rank_counts(field: Field, n: int, m: int) -> list[int]:
-    ranks = brute_rank_array(field, n, m)
-    return [int((ranks == r).sum()) for r in range(min(n, m) + 1)]
-
-
 @lru_cache(maxsize=None)
 def _rank_array_cached(field: Field, n: int, m: int) -> np.ndarray:
     return brute_rank_array(field, n, m)
@@ -389,11 +384,6 @@ def brute_weight_array(profile: MatrixProfile) -> np.ndarray:
             out += ranks[np.remainder(rest, bs, out=digit)]
             rest //= bs
     return weights
-
-
-def brute_ball_volume(profile: MatrixProfile, r: int) -> int:
-    """Ball volume by full ambient enumeration (oracle for the DP path)."""
-    return int((brute_weight_array(profile) <= r).sum())
 
 
 def packed_word_weight(profile: MatrixProfile, packed) -> int:

@@ -430,7 +430,7 @@ def least_weight_word(field, rows, blocks) -> tuple[int, tuple[int, ...]] | None
 # ----------------------------------------------------------------------
 
 class SrDistance(NamedTuple):
-    """A minimum distance, exact or as a certified interval, with its method."""
+    """A minimum distance or covering radius, exact or as a certified interval, with its method."""
 
     lo: int | None
     hi: int | None
@@ -600,3 +600,11 @@ class SumRankCode:
         mats = tuple(unpack_matrix(self.base, pk, n, m)
                      for (n, m), pk in zip(self.profile.blocks, packed))
         return SumRankWord(self.profile, mats)
+
+
+def covering_radius(code: SumRankCode, *, syndrome_budget: int = SYNDROME_BUDGET,
+                    work_budget: int = WORK_BUDGET) -> tuple[int, SyndromeDP]:
+    """Exact covering radius and the code's cached DP pass, in either metric; raises
+    BudgetExceeded, naming the budget, when the DP does not fit."""
+    dp = code.budgeted_dp(syndrome_budget, work_budget)
+    return dp.radius, dp

@@ -7,6 +7,18 @@ import numpy as np
 
 from sumrank.certify import BoundRecord
 from sumrank.gf import array_mul, nullspace, rref
+from sumrank.spaces import brute_rank_array, brute_weight_array
+
+
+def brute_rank_counts(field, n: int, m: int) -> list[int]:
+    """The number of n x m matrices of each rank, counted from the elimination table."""
+    ranks = brute_rank_array(field, n, m)
+    return [int((ranks == r).sum()) for r in range(min(n, m) + 1)]
+
+
+def brute_ball_volume(profile, r: int) -> int:
+    """Ball volume by full ambient enumeration (oracle for the DP path)."""
+    return int((brute_weight_array(profile) <= r).sum())
 
 
 def hamming_weight(vec) -> int:

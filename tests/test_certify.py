@@ -1,10 +1,13 @@
 """Exact invariants, bound evaluators, verdicts, and certificates."""
 
+import hashlib
 import importlib.util
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -15,8 +18,8 @@ from sumrank import certify as ct
 from sumrank import construct as cs
 from sumrank import hamming as hm
 from sumrank import spaces as sp
-from sumrank.cli import parse_params
-from sumrank.syndrome import SumRankCode
+from sumrank.cli import main, parse_params
+from sumrank.syndrome import SrDistance, SumRankCode
 
 from oracles import blf_relation_check, contains_packed, generator_parity
 
@@ -485,7 +488,8 @@ def test_every_recipe_goes_through_certify_code(name):
     assert cert.verdict in ct.VERDICT_EXIT
     assert cert.subject == code.describe()
     # the code names its recipe and parameters, defaults applied, and they rebuild it
-    assert code.recipe == name and set(code.params) == set(sum(cs.recipe_params(name), ()))
+    assert code.recipe == name and list(code.params) == [
+        a.name for a in cs.signature_params(cs.RECIPES[name])]
     assert cs.build_recipe(name, **code.params).describe() == code.describe()
 
 
@@ -549,6 +553,78 @@ def test_certificates_share_no_list(qp_code):
     assert second.quantities == second.bounds == second.notes == []
     assert (second.verdict, second.seed, second.toolchain_version) == \
         ("inconclusive", None, ct.TOOLCHAIN_VERSION)
+
+
+def _possible(code, d) -> bool:
+    """Whether a code of this size may have minimum distance d: the Singleton-like
+    bound and sphere packing both allow it."""
+    return (code.size <= ct.singleton_like_bound(code.profile, d)
+            and ct.sphere_packing_check(code.profile, code.size, d).holds)
+
+
+def _exact_verdict(code, claim: str, d: int, radius: int) -> str:
+    """The verdict the exact comparisons give at an exact d and R."""
+    if claim in ("perfect", "quasi-perfect"):
+        holds = ct.perfection_verdict(d, radius) == claim
+    elif claim == "distance-optimal":
+        return ct.distance_optimal_check(code.profile, code.size, d)[0]
+    elif claim in ("msrd", "almost-msrd"):
+        name = ct.msrd_verdict(code.profile, code.dim, d)[0]
+        holds = name == "MSRD" or (claim == "almost-msrd" and name == "almost-MSRD")
+    elif claim == "sphere-packing":
+        holds = ct.sphere_packing_check(code.profile, code.size, d).holds
+    else:
+        holds = code.size <= ct.singleton_like_bound(code.profile, d)
+    return "certified" if holds else "refuted"
+
+
+def _stand_in(q: int, blocks, dim: int):
+    """What the rules read of a code: its profile, dimension, size and recipe."""
+    return SimpleNamespace(profile=sp.MatrixProfile(cs.field_of_order(q), blocks), dim=dim,
+                           size=q ** dim, recipe=None)
+
+
+@st.composite
+def interval_problems(draw):
+    """A stand-in code (a profile of equal column sizes and a dimension), a d it may
+    have, an R, and intervals of d and of R around them."""
+    q, m = draw(st.sampled_from([2, 3])), draw(st.integers(1, 3))
+    blocks = draw(st.lists(st.integers(1, m).map(lambda n: (n, m)), min_size=1, max_size=4))
+    profile = sp.MatrixProfile(cs.field_of_order(q), tuple(blocks))
+    d = draw(st.integers(1, profile.N))
+    # near the Singleton-like limit half the time, where msrd and almost-msrd turn
+    dim = draw(st.integers(1, profile.ambient_dim)
+               | st.integers(0, 3).map(lambda defect: m * (profile.N - d + 1) - defect))
+    assume(dim >= 1)
+    code = _stand_in(q, profile.blocks, dim)
+    assume(_possible(code, d))
+    # R near e = floor((d - 1)/2) half the time, where perfect and quasi-perfect turn
+    radius = draw(st.integers(0, profile.N) | st.integers(0, 1).map(lambda k: (d - 1) // 2 + k))
+    r_lo, r_hi = draw(st.just((radius, radius)) | st.tuples(st.integers(0, radius),
+                                                             st.integers(radius, profile.N)))
+    dist = SrDistance(draw(st.integers(1, d)), draw(st.integers(d, profile.N)), "interval")
+    return code, radius, dist, SrDistance(r_lo, r_hi, "interval")
+
+
+@settings(max_examples=300, deadline=None)
+@given(interval_problems(), st.sampled_from(ct.CLAIMS))
+# d = 5 and R = 2 make a perfect code, but "neither" holds at both ends of [1, 12]
+@example((_stand_in(2, ((3, 3),) * 4, 1), 2, SrDistance(1, 12, ""), SrDistance(2, 2, "")),
+         "perfect")
+# an MSRD code at d = 2, where the defect at the upper end 6 is -8
+@example((_stand_in(2, ((2, 2),) * 3, 10), 0, SrDistance(1, 6, ""), SrDistance(0, 0, "")),
+         "msrd")
+def test_rules_decide_only_what_every_possible_d_agrees_on(problem, claim):
+    """A verdict decided on the intervals is the exact verdict at every d of the
+    interval that a code of that size may have; at a point, it is the exact verdict."""
+    code, radius, dist, r_interval = problem
+    cert = ct.Certificate(code, claim)
+    ct.RULES[claim](cert, dist, r_interval)
+    if cert.verdict != "inconclusive":
+        possible = [d for d in range(dist.lo, dist.hi + 1) if _possible(code, d)]
+        assert {_exact_verdict(code, claim, d, radius) for d in possible} == {cert.verdict}
+    if dist.exact and r_interval.exact:
+        assert cert.verdict == _exact_verdict(code, claim, dist.lo, radius)
 
 
 def test_hamming_budget_stop_joins_both_notes(f4):
@@ -635,6 +711,64 @@ def _certify_job(key, parity=None):
     return ct.certify_code(code, argv[1]).to_json()
 
 
+def _workloads():
+    """The benchmark's job grids, `bench/workloads.py`."""
+    spec = importlib.util.spec_from_file_location("workloads", REFERENCE.parent / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+# exit code and SHA-256 of the `--out` file of every benchmark certify job,
+# its toolchain-version emptied: a change that claims to keep every
+# certificate but the version is checked here
+CERTIFICATE_SHA256 = {
+    "certify quasi-perfect --recipe quasi-perfect-2xm q=2 m=2 u=2":
+        (0, "06a26f34f2789339b764d7fb980390367fcee900740906e9932d87309a7fe591"),
+    "certify quasi-perfect --recipe quasi-perfect-2x2 t=6":
+        (0, "4b297211273cb84a3941acb7ff52c4c6c7259d73e94b9afd5422812fd78956a6"),
+    "certify distance-optimal --recipe distance-optimal-2x2 q=3":
+        (0, "249c3b65f34c5dcd38dfce234a095746efc3d6f7f33abcf01694b40f71f8f2e0"),
+    "certify quasi-perfect --recipe quasi-perfect-2xm q=4 m=2 u=2":
+        (0, "c0c2065f6110fc33ce4e530681917f0673b5184de4a0d2c5fea10234ccb539f3"),
+    "certify quasi-perfect --recipe almost-msrd-2x2 q=3 t=9":
+        (1, "b7ab507d9184b5e18fcc49fb103b9f7e686fa776e91bcb0c12cd323b952d6f2e"),
+    "certify quasi-perfect --recipe distance-optimal-sxs q=3 s=2 m=1":
+        (1, "83fbfc14cc84f3118e5d049281cf95d2dd9ec504488598f3becd3c41be5f3b74"),
+    "certify quasi-perfect --recipe quasi-perfect-2xm q=3 m=2 u=3":
+        (0, "1462541a0ba1577a9f664ddd56ca0624f88369279e72d4e35f7ae62e8e480e17"),
+    "certify quasi-perfect --recipe quasi-perfect-2xm q=5 m=2 u=2":
+        (0, "f1bb79c48aa7bdf93eb080a58e8dd8744fdd8eefe912e6af4a581fecc091bc75"),
+    "certify singleton --recipe covering-repetition q=2 m=4 t=8":
+        (0, "a38cde66bc27b98cb940dc766f1f96b82dc6bbc96def3ba67f70aad77258fe89"),
+    "certify msrd --recipe covering-repetition q=2 m=4 t=12":
+        (1, "dd0a2c835b96537ab7b8ce4c21ed56e9a5d6512f4ad54852de16c094b4059798"),
+    "certify sphere-packing --recipe covering-repetition q=2 m=4 t=16":
+        (0, "9cd4b26159e6a5c762e3a1679712b598340acfdd3635578df33aa1a3b1e08327"),
+    "certify msrd --recipe quasi-perfect-2x2 t=6":
+        (1, "5c62e4c3c37a44ec5776630052981a732ef4745d226e7c5e4805e55c952ccc5a"),
+    "certify almost-msrd --recipe almost-msrd-2x2 q=2 t=4":
+        (0, "e7f3e20383652327dcc1ee80155c3c5949427638e5308b829e3291eef1af274c"),
+    "certify distance-optimal --recipe plotkin-distance-optimal s=3 m=1":
+        (2, "28d94a5682446f4d940fc1a7bfe25ad8ef7985865fb4d6212957db4eaf5e264f"),
+}
+
+
+def test_every_certify_job_certificate_is_pinned(tmp_path, capsys):
+    workloads = _workloads()
+    jobs = [argv for grid in workloads.WORKLOADS.values() for argv in grid
+            if argv[0] == "certify"]
+    assert sorted(map(workloads.job_key, jobs)) == sorted(CERTIFICATE_SHA256)
+    out = tmp_path / "cert.json"
+    for argv in jobs:
+        code = main([*argv, "--out", str(out)])
+        capsys.readouterr()
+        text = re.sub(rb'"toolchain-version": "[^"]*"', b'"toolchain-version": ""',
+                      out.read_bytes())
+        assert (code, hashlib.sha256(text).hexdigest()) == \
+            CERTIFICATE_SHA256[workloads.job_key(argv)], argv
+
+
 def test_certify_jobs_never_build_the_flat_generator():
     # every benchmark certify job gives the bytes it gives on the generator
     # path's parity, with the dense flat generator out of reach
@@ -653,10 +787,7 @@ def test_certify_jobs_never_build_the_flat_generator():
 def test_certify_paper_jobs_never_derive_an_ingredient_generator():
     # without --out no descriptor is written, and every engine reads the
     # ingredients' parity checks only
-    spec = importlib.util.spec_from_file_location("workloads", REFERENCE.parent / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    jobs = workloads.WORKLOADS["certify-paper"]
+    jobs = _workloads().WORKLOADS["certify-paper"]
     assert len(jobs) == 8
 
     def certify(argv):

@@ -18,6 +18,7 @@ from sumrank import certify as ct
 from sumrank import cli
 from sumrank import construct as cs
 from sumrank import hamming as hm
+from sumrank import spaces as sp
 from sumrank.cli import main, parse_params
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -175,6 +176,23 @@ def test_blocks_past_the_rank_table_cap_stop_enumeration(tmp_path, capsys):
         f"rank table cap {1 << 24} < {1 << 25} values per 5 x 5 block (q^(nm))"]
 
 
+def test_sphere_packing_is_certified_from_the_interval_of_d(tmp_path, capsys):
+    """Past both budgets d is only known in [1, N] = [1, 32]; the check holds at
+    d = 32, where it is hardest, so it holds for every d in between."""
+    cert = tmp_path / "cert.json"
+    code, _, err = run(capsys, "certify", "sphere-packing", "--recipe", "covering-repetition",
+                       "q=2", "m=4", "t=8", "--enum-budget", "2", "--syndrome-budget", "2",
+                       "--out", str(cert))
+    assert (code, err) == (0, "")
+    doc = json.loads(cert.read_text())
+    d = next(q for q in doc["quantities"] if q["name"] == "min_sum_rank_distance")
+    assert (d["value"], d["method"]) == ([1, 32], "budget stop (interval)")
+    lhs = 2 ** 16 * sp.ball_volume_exact(sp.MatrixProfile(cs.field_of_order(2), ((4, 4),) * 8), 15)
+    assert doc["bounds"] == [{"name": "sphere_packing", "value": f"{lhs} <= {2 ** 128}",
+                              "assumptions": []}]
+    assert doc["notes"][-1] == "certified for every d in [1, 32]"
+
+
 def test_sphere_packing_violation_is_internal_error(capsys, monkeypatch):
     from sumrank import certify as ct
     monkeypatch.setattr(ct, "sphere_packing_check",
@@ -316,6 +334,15 @@ def test_unknown_parameter_is_named(capsys, argv, unknown, reads):
      "parameter t='abc' is not of the form T[,T...]"),
     (("table", "strong-bch", "m=2", "e=2", "n=16", "t=65535,7e4"),
      "parameter t='65535,7e4' is not of the form T[,T...]"),
+    (("table", "strong-bch", "m=2", "e=0", "n=16", "t=5"),
+     "BCH error count e = 0 must be at least 1"),
+    (("bounds", "strong-bch", "m=2", "t=5", "e=1", "n=0", "d=16"),
+     "BCH field degree n = 0 must be at least 1"),
+    (("bounds", "entropy", "Q=4", "rho=nan"), "bounds entropy: parameter rho=nan is not finite"),
+    (("bounds", "strong-blf", "q=2", "m=2", "u=4", "R=2", "t=3", "c=nan"),
+     "bounds strong-blf: parameter c=nan is not finite"),
+    (("bounds", "block-length", "q=2", "m=2", "u=4", "R=2", "c=inf"),
+     "bounds block-length: parameter c=inf is not finite"),
 ])
 def test_malformed_values_are_usage_errors(capsys, argv, error):
     code, out, err = run(capsys, *argv)
@@ -609,7 +636,7 @@ def test_missing_out_directory_refused_before_work(tmp_path, capsys, monkeypatch
     (("construct", "distance-optimal-2x2", "q=3"),
      "c3ed45fcb063272dafedbe3f89622ed3dc77f3cae8c1861caadeab9f8d5984bc"),
     (("certify", "quasi-perfect", "--recipe", "quasi-perfect-2xm", "q=2", "m=2", "u=2"),
-     "580965c6ac804131c330529beda189dd7bf3412c27782ddfd315c124110a26b1"),
+     "90c0a3d62b187d85798f5df91e2c241fc7989a0aa8f51400a0c7dc4074f89091"),
 ], ids=["descriptor", "certificate"])
 def test_out_bytes_are_pinned(tmp_path, capsys, argv, sha256):
     # the hashes are those of json.dump(s)(..., sort_keys=True, indent=2),

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from sumrank import spaces as sp
 from sumrank.construct import field_of_order
 
-from oracles import radius2_ball_lower_bound
+from oracles import brute_ball_volume, brute_rank_counts, radius2_ball_lower_bound
 
 
 def test_profile_validation(f2):
@@ -122,7 +122,7 @@ def test_rank_table_equals_elimination_on_every_matrix(q):
             with mock.patch.object(sp, "_TABLE_CHUNK", chunk):
                 table = sp.brute_rank_array(f, n, m)
             assert table.dtype == np.int8 and table.tolist() == expected, (n, m, chunk)
-        assert sp.brute_rank_counts(f, n, m) == sp.rank_distribution(n, m, q)
+        assert brute_rank_counts(f, n, m) == sp.rank_distribution(n, m, q)
 
 
 @pytest.mark.parametrize("q,n,m", [(2, 4, 4), (3, 2, 4)])
@@ -267,7 +267,7 @@ def test_brute_counts_match_formula_small(f2, f3, f4):
         for n, m in [(1, 1), (1, 3), (2, 2), (2, 3)]:
             if q ** (n * m) > 1 << 16:
                 continue
-            assert sp.brute_rank_counts(f, n, m) == sp.rank_distribution(n, m, q)
+            assert brute_rank_counts(f, n, m) == sp.rank_distribution(n, m, q)
 
 
 def test_ball_volume_golden(f2):
@@ -289,7 +289,7 @@ def test_ball_volume_heterogeneous_brute(f2, f3):
     ]
     for prof in profiles:
         for r in range(prof.N + 1):
-            assert sp.ball_volume_exact(prof, r) == sp.brute_ball_volume(prof, r)
+            assert sp.ball_volume_exact(prof, r) == brute_ball_volume(prof, r)
 
 
 def _ball_volume_full(profile, r):
@@ -367,7 +367,7 @@ def test_dp_volume_matches_brute(q, raw_blocks, r):
     prof = sp.MatrixProfile(f, blocks)
     if prof.ambient_size > 1 << 14:
         return
-    assert sp.ball_volume_exact(prof, r) == sp.brute_ball_volume(prof, r)
+    assert sp.ball_volume_exact(prof, r) == brute_ball_volume(prof, r)
 
 
 def test_packed_word_weight(f2):

@@ -429,6 +429,45 @@ def test_plotkin_rule_matches_dp(f2, f4):
     assert d.value == min(2 * d1.value, d2.value)
 
 
+@st.composite
+def composed_codes(draw):
+    """A covering or linearized code, its full-block extension, the Plotkin code of two
+    of them, or a Hamming-metric code of 1 x 1 blocks; over GF(2), GF(3), GF(4) or GF(5),
+    nonzero, with at most 2^16 syndromes; and an enumeration budget below its size."""
+    kind = draw(st.sampled_from(["ingredient", "extension", "plotkin", "hamming"]))
+    if kind == "hamming":
+        code = draw(linear_codes(cs.field_of_order(draw(st.sampled_from([2, 3, 4, 5]))),
+                                 draw(st.integers(1, 8))))
+    else:
+        shape = draw(ingredient_shapes().filter(
+            lambda s: kind != "extension" or s[2] != "linearized-thin"))
+        code = draw(ingredient_codes(shape))
+        if kind == "extension":
+            code = cs.extend_full_blocks(code, draw(st.integers(1, 2)))
+        elif kind == "plotkin":
+            code = cs.plotkin(code, draw(ingredient_codes(shape)))
+    assume(code.dim > 0 and code.base.order ** code.codim <= 1 << 16)
+    return code, draw(st.integers(1, min(code.size - 1, 1 << 12)))
+
+
+@FAST
+@given(composed_codes())
+def test_distance_interval_holds_the_dps_d(problem):
+    # with the DP off (no syndrome fits a budget of 0, not even the one of a
+    # full code) and enumeration off, the support search, the extension and
+    # Plotkin rules and the budget stop must still bracket d, and a point
+    # must come with a codeword of that weight
+    code, budget = problem
+    d = code.syndrome_dp.distance
+    res = ct.sr_min_distance(code, budget, syndrome_budget=0)
+    assert res.method != "syndrome-dp" and res.method != "exhaustive"
+    assert res.lo <= d <= res.hi
+    if res.exact:
+        assert res.witness is not None
+        assert sp.packed_word_weight(code.profile, res.witness) == d
+        assert contains_packed(code, res.witness)
+
+
 # ----------------------------------------------------------------------
 # the enumeration kernel
 # ----------------------------------------------------------------------
