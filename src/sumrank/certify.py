@@ -7,11 +7,11 @@ is a sum-rank code of 1 x 1 blocks and takes the same dispatch.  Each
 comes as an `SrDistance`, a point or, past a budget, an interval.
 `certify_code` decides a claim by one rule on those intervals: an exact
 integer comparison at the end of d's interval that settles it for every d
-in between, else inconclusive (see `RULES`).  Every bound evaluator
-validates its hypotheses before producing a value.
-Quantities feeding a 'certified' verdict are exact big integers;
-transcendental bounds are advisory and carry their assumptions in the
-certificate.
+in between, else inconclusive (see `RULES`); sphere packing compares both
+ends with one packing radius (`spaces.packing_radius`).  Every bound
+evaluator validates its hypotheses before producing a value.  Quantities
+feeding a 'certified' verdict are exact big integers; transcendental
+bounds are advisory and carry their assumptions in the certificate.
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ import numpy as np
 from . import __version__
 from . import hamming as hm
 from .spaces import (MatrixProfile, ball_volume_exact, brute_weight_array,
-                     hamming_ball_volume, rank_array)
-from .construct import ExtendedSumRankCode, PlotkinSumRankCode, field_of_order
-from .gf import make_field
+                     hamming_ball_volume, packing_radius, rank_array)
+from .construct import FAMILY_LENGTHS, ExtendedSumRankCode, PlotkinSumRankCode
 from .syndrome import (ENUM_BUDGET, SYNDROME_BUDGET, WORK_BUDGET, BudgetExceeded,
                        SrDistance, SumRankCode, least_weight_word, rank_table_stop)
 from .syndrome import covering_radius as sr_covering_radius
@@ -357,61 +356,45 @@ class ConditionRecord(NamedTuple):
     exact_rhs: int
 
 
-CONDITION_FAMILIES = ("cyclic-d4", "quasi-perfect-2xm", "distance-optimal-sxs",
-                      "distance-optimal-rect", "plotkin-distance-optimal")
+CONDITION_FAMILIES = tuple(FAMILY_LENGTHS)
 
 
 def family_condition_checks(family: str, params: dict) -> ConditionRecord:
-    """Evaluate a family's lambda-condition at epsilon = 0 as rationals,
-    alongside the exact finite volume criterion the proof reduces to."""
+    """Evaluate a family's lambda-condition at epsilon = 0 as rationals, alongside the
+    exact finite volume criterion the proof reduces to, after the recipe's gates."""
     if family not in CONDITION_FAMILIES:
         raise ValueError(f"no condition checks for family {family!r}; "
                          f"checkable: {', '.join(CONDITION_FAMILIES)}")
     p = dict(params)
+    base, t = FAMILY_LENGTHS[family](**p)
+    q, lam = base.order, p.get("lam", 1)
     if family == "cyclic-d4":
-        q, m, lam = p["q"], p["m"], p.get("lam", 1)
-        if (q ** m - 1) % lam != 0:
-            raise ValueError(f"{lam} does not divide q^m - 1")
+        m = p["m"]
         rat = 2 * q * lam * lam < (q - 1) ** 2
         rat_str = f"2*{q}*{lam}^2 < ({q}-1)^2"
-        n = (q ** m - 1) // lam
-        lhs, rhs = hamming_ball_volume(n, 2, q), q ** (2 * m + 1)
-        crit = f"V_H(q,2) at n={n} > q^(2m+1)"
+        rhs, crit = q ** (2 * m + 1), f"V_H(q,2) at n={t} > q^(2m+1)"
     elif family == "distance-optimal-sxs":
-        q, s, m, lam = p["q"], p["s"], p["m"], p.get("lam", 1)
-        if (q ** (s * m) - 1) % lam != 0:
-            raise ValueError(f"{lam} does not divide q^(sm) - 1")
+        s, m, shape = p["s"], p["m"], (p["s"], p["s"])
         rat = 2 * (q - 1) ** 2 * lam * lam < q ** s - 1
         rat_str = f"2*({q}-1)^2*{lam}^2 < {q}^{s} - 1"
-        t = (q ** (s * m) - 1) // lam
-        profile = MatrixProfile(field_of_order(q), tuple([(s, s)] * t))
-        lhs, rhs = ball_volume_exact(profile, 2), q ** (s * (2 * m + 3))
-        crit = f"V_sr(q,2) over {t} blocks {s}x{s} > q^(s(2m+3))"
+        rhs, crit = q ** (s * (2 * m + 3)), f"V_sr(q,2) over {t} blocks {s}x{s} > q^(s(2m+3))"
     elif family == "distance-optimal-rect":
-        q, s1, s2, m, lam = p["q"], p["s1"], p["s2"], p["m"], p.get("lam", 1)
-        if (q ** (s2 * m) - 1) % lam != 0:
-            raise ValueError(f"{lam} does not divide q^(s2 m) - 1")
+        s1, s2, m, shape = p["s1"], p["s2"], p["m"], (p["s1"], p["s2"])
         rat = 2 * q ** s2 * (q - 1) ** 2 * lam * lam < (q ** s1 - 1) ** 2
         rat_str = f"2*{q}^{s2}*({q}-1)^2*{lam}^2 < ({q}^{s1}-1)^2"
-        t = (q ** (s2 * m) - 1) // lam
-        profile = MatrixProfile(field_of_order(q), tuple([(s1, s2)] * t))
-        lhs, rhs = ball_volume_exact(profile, 2), q ** (s2 * (2 * m + 3))
+        rhs = q ** (s2 * (2 * m + 3))
         crit = f"V_sr(q,2) over {t} blocks {s1}x{s2} > q^(s2(2m+3))"
     elif family == "plotkin-distance-optimal":
-        s, m = p["s"], p["m"]
+        s, m, shape, t = p["s"], p["m"], (p["s"], p["s"]), 2 * t  # both halves
         rat = 2 * (2 ** s - 1) ** 4 >= 2 ** (4 * s)
         rat_str = f"2*(1 - 2^-{s})^4 >= 1"
-        t = 2 ** (s * m) - 1
-        profile = MatrixProfile(make_field(2, [1]), tuple([(s, s)] * (2 * t)))
-        lhs, rhs = ball_volume_exact(profile, 2), 2 ** (s * (2 * m + 4))
-        crit = f"V_sr(2,2) over {2 * t} blocks {s}x{s} > 2^(s(2m+4))"
+        rhs, crit = 2 ** (s * (2 * m + 4)), f"V_sr(2,2) over {t} blocks {s}x{s} > 2^(s(2m+4))"
     else:  # quasi-perfect-2xm
-        q, m, u = p["q"], p["m"], p["u"]
+        m, u, shape = p["m"], p["u"], (2, p["m"])
         rat, rat_str = True, "none (no lambda condition)"
-        t = (q ** (m * u) - 1) // (q ** m - 1)
-        profile = MatrixProfile(field_of_order(q), tuple([(2, m)] * t))
-        lhs, rhs = ball_volume_exact(profile, 2), q ** (m * (u + 1))
-        crit = f"V_sr(q,2) over {t} blocks 2x{m} > q^(m(u+1))"
+        rhs, crit = q ** (m * (u + 1)), f"V_sr(q,2) over {t} blocks 2x{m} > q^(m(u+1))"
+    lhs = (hamming_ball_volume(t, 2, q) if family == "cyclic-d4"  # no profile of t blocks 1 x 1
+           else ball_volume_exact(MatrixProfile(base, (shape,) * t), 2))
     return ConditionRecord(family, p, rat_str, bool(rat), crit,
                            bool(lhs > rhs), int(lhs), int(rhs))
 
@@ -595,14 +578,13 @@ def _msrd_rule(cert: Certificate, dist: SrDistance, radius) -> None:
 
 
 def _sphere_packing_rule(cert: Certificate, dist: SrDistance, radius) -> None:
-    """Refuted when the check fails at d_lo, certified when it holds at d_hi, reached by
-    d -> 2d + 1 from d_lo: a check failing far below a large d_hi stops at a small ball."""
-    d, code = dist.lo, cert.code
-    sp = sphere_packing_check(code.profile, code.size, d)
-    while sp.holds and d < dist.hi:
-        d = min(2 * d + 1, dist.hi)
-        sp = sphere_packing_check(code.profile, code.size, d)
-    if sp.holds or d == dist.lo:
+    """The check holds at d while (d - 1)//2 lies below the least r <= (d_hi - 1)//2 with
+    V_sr(r) > q^codim: certified at d_hi when there is none, refuted at d_lo when
+    r <= (d_lo - 1)//2, so the balls are counted once and no further than r."""
+    code = cert.code
+    r = packing_radius(code.profile, code.codim, (dist.hi - 1) // 2)
+    if r is None or r <= (dist.lo - 1) // 2:
+        sp = sphere_packing_check(code.profile, code.size, dist.hi if r is None else dist.lo)
         cert.add_bound("sphere_packing", f"{sp.lhs} <= {sp.rhs}", ())
         cert.verdict = "certified" if sp.holds else "refuted"
 

@@ -162,9 +162,9 @@ def _show(*lines, code: int = 0) -> int:
 
 
 def _list_param(name: str, text: str, form: str, item) -> list:
-    """`item` of each nonempty comma-separated piece of `text`; a refusal names the form."""
+    """`item` of each comma-separated piece of `text`, none empty; a refusal names the form."""
     try:
-        return [item(piece) for piece in text.split(",") if piece]
+        return [item(piece) for piece in text.split(",")]
     except ValueError:
         raise ValueError(f"parameter {name}={text!r} is not of the form {form}") from None
 

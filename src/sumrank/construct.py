@@ -429,16 +429,30 @@ def _recipe(fn):
     return build
 
 
+def _gate(holds: bool, failure: str) -> None:
+    """A recipe's hypothesis: a ValueError naming the `failure` unless it holds."""
+    if not holds:
+        raise ValueError(f"gate failed: {failure}")
+
+
+def _cyclic_length(q: int, e: int, lam: int, power: str) -> tuple[Field, int]:
+    """GF(q) and (q^e - 1)/lam, a cyclic family's block length; `power` names q^e."""
+    base, Q = field_of_order(q), q ** e
+    _gate(lam >= 1 and (Q - 1) % lam == 0, f"{lam} does not divide {power} - 1 = {Q - 1}")
+    return base, (Q - 1) // lam
+
+
+def _quasi_perfect_2xm_length(q: int, m: int, u: int) -> tuple[Field, int]:
+    _gate(u >= 2, "Hamming redundancy u must be at least 2")
+    _gate(m >= 2, "column size m must be at least 2")
+    return field_of_order(q), (q ** (m * u) - 1) // (q ** m - 1)
+
+
 @_recipe
 def quasi_perfect_2xm(q: int, m: int, u: int) -> IngredientSumRankCode:
     """2 x m quasi-perfect family: Hamming plus single-parity ingredients."""
-    if u < 2:
-        raise ValueError("gate failed: Hamming redundancy u must be at least 2")
-    if m < 2:
-        raise ValueError("gate failed: column size m must be at least 2")
-    base = field_of_order(q)
+    base, t = _quasi_perfect_2xm_length(q, m, u)
     ext = base.extension(m)
-    t = (ext.order ** u - 1) // (ext.order - 1)
     c1 = hm.hamming_code(ext, u)
     c2 = hm.parity_check_code(ext, t)
     return sr_linearized([c1, c2], designed_distance=3)
@@ -451,17 +465,14 @@ def quasi_perfect_2x2(t: int = 6, *, ingredient: hm.LinearCode | None = None
     base = make_field(2, [1])
     ext = base.extension(2)
     if ingredient is None:
-        if t != 6:
-            raise ValueError("gate failed: the built-in hexacode ingredient covers t = 6; "
-                             "pass an explicit [t,k,4]_4 code of covering radius 2")
+        _gate(t == 6, "the built-in hexacode ingredient covers t = 6; "
+                      "pass an explicit [t,k,4]_4 code of covering radius 2")
         ingredient = hm.search_634_ingredient(ext)
-    if ingredient.field != ext or ingredient.n != t:
-        raise ValueError("gate failed: ingredient must be a length-t code over GF(4)")
+    _gate(ingredient.field == ext and ingredient.n == t,
+          "ingredient must be a length-t code over GF(4)")
     radius, dp = hm.covering_radius(ingredient)
-    if dp.distance != 4:
-        raise ValueError("gate failed: ingredient minimum distance must be 4")
-    if radius != 2:
-        raise ValueError("gate failed: ingredient covering radius must be 2")
+    _gate(dp.distance == 4, "ingredient minimum distance must be 4")
+    _gate(radius == 2, "ingredient covering radius must be 2")
     c1 = hm.parity_check_code(ext, t)
     return sr_linearized([c1, ingredient], designed_distance=4)
 
@@ -469,10 +480,7 @@ def quasi_perfect_2x2(t: int = 6, *, ingredient: hm.LinearCode | None = None
 @_recipe
 def cyclic_d4(q: int, m: int, lam: int = 1) -> hm.LinearCode:
     """Distance-4 cyclic family over GF(q), defining set C0 u C1 u C2."""
-    base = field_of_order(q)
-    if lam < 1 or (q ** m - 1) % lam != 0:
-        raise ValueError(f"gate failed: {lam} does not divide q^m - 1 = {q ** m - 1}")
-    n = (q ** m - 1) // lam
+    base, n = _cyclic_length(q, m, lam, "q^m")
     code = hm.cyclic_code(n, base, [0, 1, 2])
     code.designed_distance = 4 if hm.bch_bound(code.defining_set, n) >= 4 else None
     return code
@@ -481,16 +489,11 @@ def cyclic_d4(q: int, m: int, lam: int = 1) -> hm.LinearCode:
 @_recipe
 def cyclic_d4_alt(q: int, m: int) -> hm.LinearCode:
     """Distance-4 ternary/quinary cyclic family with split defining sets."""
-    if q == 3:
-        gens = [0, 1, 5]
-    elif q == 5:
-        gens = [0, 1, 3]
-    else:
-        raise ValueError("gate failed: this family is defined for q in {3, 5}")
+    _gate(q in (3, 5), "this family is defined for q in {3, 5}")
+    gens = [0, 1, 5] if q == 3 else [0, 1, 3]
     base = field_of_order(q)
     n = q ** m - 1
-    if n <= max(gens):
-        raise ValueError(f"gate failed: length {n} is too short for the defining set")
+    _gate(n > max(gens), f"length {n} is too short for the defining set")
     code = hm.cyclic_code(n, base, gens)
     code.designed_distance = 4
     return code
@@ -503,34 +506,33 @@ def _trivial_codes(ext, t: int, count: int, parities: int = 2) -> list[hm.Linear
             + [hm.full_code(ext, t) for _ in range(count - parities)])
 
 
+def _distance_optimal_sxs_length(q: int, s: int, m: int, lam: int = 1) -> tuple[Field, int]:
+    _gate(s >= 2, "matrix size s must be at least 2")
+    return _cyclic_length(q, s * m, lam, "q^(sm)")
+
+
 @_recipe
 def distance_optimal_sxs(q: int, s: int, m: int, lam: int = 1) -> IngredientSumRankCode:
     """s x s distance-4 family from a cyclic code plus trivial ingredients."""
-    if s < 2:
-        raise ValueError("gate failed: matrix size s must be at least 2")
-    base = field_of_order(q)
+    base, t = _distance_optimal_sxs_length(q, s, m, lam)
     ext = base.extension(s)
-    Q = ext.order
-    if lam < 1 or (Q ** m - 1) % lam != 0:
-        raise ValueError(f"gate failed: {lam} does not divide q^(sm) - 1 = {Q ** m - 1}")
-    t = (Q ** m - 1) // lam
     c1 = hm.cyclic_code(t, ext, [0, 1, 2])
     c1.designed_distance = 4 if hm.bch_bound(c1.defining_set, t) >= 4 else None
     return sr_linearized([c1, *_trivial_codes(ext, t, s - 1)], designed_distance=4)
+
+
+def _distance_optimal_rect_length(q: int, s1: int, s2: int, m: int,
+                                  lam: int = 1) -> tuple[Field, int]:
+    _gate(1 < s1 < s2, "need 1 < s1 < s2")
+    return _cyclic_length(q, s2 * m, lam, "q^(s2 m)")
 
 
 @_recipe
 def distance_optimal_rect(q: int, s1: int, s2: int, m: int,
                           lam: int = 1) -> IngredientSumRankCode:
     """s1 x s2 (s1 < s2) distance-4 family over GF(q^(s2))."""
-    if not 1 < s1 < s2:
-        raise ValueError("gate failed: need 1 < s1 < s2")
-    base = field_of_order(q)
+    base, t = _distance_optimal_rect_length(q, s1, s2, m, lam)
     ext = base.extension(s2)
-    Q = ext.order
-    if lam < 1 or (Q ** m - 1) % lam != 0:
-        raise ValueError(f"gate failed: {lam} does not divide q^(s2 m) - 1")
-    t = (Q ** m - 1) // lam
     c1 = hm.cyclic_code(t, ext, [0, 1, 2])
     return sr_linearized([c1, *_trivial_codes(ext, t, s1 - 1)], designed_distance=4)
 
@@ -553,10 +555,8 @@ def almost_msrd_2x2(q: int, t: int) -> IngredientSumRankCode:
     """2 x 2 almost-MSRD family from a [t, t-3, 4] Reed-Solomon ingredient."""
     base = field_of_order(q)
     ext = base.extension(2)
-    if t > ext.order:
-        raise ValueError(f"gate failed: block length {t} exceeds q^2 = {ext.order}")
-    if t < 4:
-        raise ValueError("gate failed: block length must be at least 4")
+    _gate(t <= ext.order, f"block length {t} exceeds q^2 = {ext.order}")
+    _gate(t >= 4, "block length must be at least 4")
     c1 = hm.reed_solomon(ext, t, t - 3)
     c2 = hm.parity_check_code(ext, t)
     return sr_linearized([c1, c2], designed_distance=4)
@@ -565,11 +565,8 @@ def almost_msrd_2x2(q: int, t: int) -> IngredientSumRankCode:
 @_recipe
 def plotkin_distance_optimal(s: int, m: int) -> PlotkinSumRankCode:
     """Binary s x s distance-4 family by doubling the block length."""
-    if s < 2:
-        raise ValueError("gate failed: matrix size s must be at least 2")
-    base = make_field(2, [1])
+    base, t = _distance_optimal_sxs_length(2, s, m)  # the gates and length of each half
     ext = base.extension(s)
-    t = 2 ** (s * m) - 1
     # the second part is a recipe of its own and describes itself as one
     return PlotkinSumRankCode(sr_linearized(_trivial_codes(ext, t, s, parities=1),
                                             designed_distance=2),
@@ -583,6 +580,14 @@ def covering_repetition(q: int, m: int, t: int) -> IngredientSumRankCode:
     ext = base.extension(m)
     ingredients = [hm.repetition_code(ext, t) for _ in range(m)]
     return sr_covering(ingredients)
+
+
+# each condition family's gates, base field and block length (of a Plotkin half), code-free
+FAMILY_LENGTHS = {"cyclic-d4": lambda q, m, lam=1: _cyclic_length(q, m, lam, "q^m"),
+                  "quasi-perfect-2xm": _quasi_perfect_2xm_length,
+                  "distance-optimal-sxs": _distance_optimal_sxs_length,
+                  "distance-optimal-rect": _distance_optimal_rect_length,
+                  "plotkin-distance-optimal": lambda s, m: _distance_optimal_sxs_length(2, s, m)}
 
 
 def build_recipe(name: str, **params):

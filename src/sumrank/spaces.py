@@ -4,12 +4,16 @@ Block matrices are tuples of row tuples of field ints.  A block of shape
 n x m over GF(q) also has a packed form: entry (i, j) contributes
 value * q**(i*m + j), i.e. row-major little-endian digits.  Ambient words
 pack the same way, blocks in order, which keeps ambient sweeps, rank
-tables and parity-check columns mutually consistent.
+tables and parity-check columns mutually consistent.  Every ball volume
+reads a prefix of one stream of weight counts (`weight_counts`).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from collections import Counter
+from collections.abc import Iterator
+from functools import lru_cache, reduce
+from itertools import islice
 from math import comb
 
 import numpy as np
@@ -236,10 +240,10 @@ def hamming_ball_volume(n: int, r: int, q: int) -> int:
 
 
 def ball_volume_exact(profile: MatrixProfile, r: int) -> int:
-    """|{x : wt_sr(x) <= r}| by convolving per-block rank distributions."""
+    """|{x : wt_sr(x) <= r}|, the first r + 1 counts of `weight_counts`."""
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    return sum(_weight_counts(profile, r))
+    return sum(islice(weight_counts(profile), r + 1))
 
 
 def packing_radius(profile: MatrixProfile, codim: int, stop: int | None = None) -> int | None:
@@ -249,41 +253,49 @@ def packing_radius(profile: MatrixProfile, codim: int, stop: int | None = None) 
     radius-r balls around its q^(ambient_dim - codim) words, so such an r
     proves d <= 2r.  `stop` defaults to the largest weight, where the ball
     is the whole space: then None means the zero code, whose balls never
-    outgrow q^codim.
+    outgrow q^codim.  No count past r or `stop` is formed.
     """
     volume, room = 0, profile.q ** codim
-    for r, count in enumerate(_weight_counts(profile, profile.max_weight()
-                                             if stop is None else stop)):
+    for r, count in enumerate(islice(weight_counts(profile), None if stop is None else stop + 1)):
         volume += count
         if volume > room:
             return r
     return None
 
 
-def _weight_counts(profile: MatrixProfile, r: int) -> list[int]:
-    """The number of words of each sum-rank weight 0 .. min(r, max weight).
+def weight_counts(profile: MatrixProfile) -> Iterator[int]:
+    """Yield the number of words of sum-rank weight 0, 1, ..., the largest weight.
 
-    The convolution of the per-block rank distributions stops at weight r:
-    the count at weight w reads only the counts at weights <= w.
+    The t blocks of an n x m shape contribute F = P^t, P = sum_k P_k x^k the
+    shape's rank distribution (P_0 = 1).  Since x P F' = t x P' F, the
+    coefficients of F obey Miller's rule for powers of a power series,
+    w c_w = sum_{k=1..min(n,m)} (k (t + 1) - w) P_k c_{w-k}, an exact
+    multiple of w: min(n, m) products per weight at any t.  The shapes'
+    series are multiplied as the stream advances; the count at weight w
+    reads only those at weights <= w, so a reader stops the stream where
+    it stops reading.
     """
-    q = profile.q
-    r = min(r, profile.max_weight())
-    vol = [0] * (r + 1)
-    vol[0] = 1
-    upto, dists = 0, {(n, m): rank_distribution(n, m, q) for n, m in set(profile.blocks)}
-    for shape in profile.blocks:
-        dist = dists[shape]
-        upto += len(dist) - 1
-        new = [0] * (r + 1)
-        for w in range(min(upto, r) + 1):
-            acc = 0
-            for rk, cnt in enumerate(dist):
-                if rk > w:
-                    break
-                acc += cnt * vol[w - rk]
-            new[w] = acc
-        vol = new
-    return vol
+    top = profile.max_weight()
+    return reduce(_times, (_power_counts(rank_distribution(n, m, profile.q), t, top)
+                           for (n, m), t in Counter(profile.blocks).items()))
+
+
+def _power_counts(dist: list[int], t: int, top: int) -> Iterator[int]:
+    """Coefficients 0 .. top of (sum_k dist[k] x^k)^t by Miller's rule, 0 past its degree."""
+    c: list[int] = []
+    for w in range(top + 1):
+        c.append(sum((k * (t + 1) - w) * dist[k] * c[w - k]
+                     for k in range(1, min(len(dist) - 1, w) + 1)) // w if w else 1)
+        yield c[w]
+
+
+def _times(a: Iterator[int], b: Iterator[int]) -> Iterator[int]:
+    """Coefficients of the product of two series given as equally many coefficients."""
+    xs, ys = [], []
+    for x, y in zip(a, b):
+        xs.append(x)
+        ys.append(y)
+        yield sum(u * v for u, v in zip(xs, reversed(ys)))
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 
 from sumrank.certify import BoundRecord
 from sumrank.gf import array_mul, nullspace, rref
-from sumrank.spaces import brute_rank_array, brute_weight_array
+from sumrank.spaces import brute_rank_array, brute_weight_array, rank_distribution
 
 
 def brute_rank_counts(field, n: int, m: int) -> list[int]:
@@ -19,6 +19,17 @@ def brute_rank_counts(field, n: int, m: int) -> list[int]:
 def brute_ball_volume(profile, r: int) -> int:
     """Ball volume by full ambient enumeration (oracle for the DP path)."""
     return int((brute_weight_array(profile) <= r).sum())
+
+
+def convolved_weight_counts(profile) -> list[int]:
+    """The number of words of each sum-rank weight 0 .. N, by convolving the rank
+    distributions one block at a time (the reference for `spaces.weight_counts`)."""
+    counts = [1]
+    for n, m in profile.blocks:
+        dist = rank_distribution(n, m, profile.q)
+        counts = [sum(dist[k] * counts[w - k] for k in range(len(dist)) if 0 <= w - k < len(counts))
+                  for w in range(len(counts) + len(dist) - 1)]
+    return counts
 
 
 def hamming_weight(vec) -> int:

@@ -18,7 +18,8 @@ from sumrank import certify as ct
 from sumrank import construct as cs
 from sumrank import hamming as hm
 from sumrank import spaces as sp
-from sumrank.cli import main, parse_params
+from sumrank import cli
+from sumrank.cli import build_parser, main, parse_params
 from sumrank.syndrome import SrDistance, SumRankCode
 
 from oracles import blf_relation_check, contains_packed, generator_parity
@@ -579,9 +580,10 @@ def _exact_verdict(code, claim: str, d: int, radius: int) -> str:
 
 
 def _stand_in(q: int, blocks, dim: int):
-    """What the rules read of a code: its profile, dimension, size and recipe."""
-    return SimpleNamespace(profile=sp.MatrixProfile(cs.field_of_order(q), blocks), dim=dim,
-                           size=q ** dim, recipe=None)
+    """What the rules read of a code: its profile, dimension, size, codimension and recipe."""
+    profile = sp.MatrixProfile(cs.field_of_order(q), blocks)
+    return SimpleNamespace(profile=profile, dim=dim, size=q ** dim,
+                           codim=profile.ambient_dim - dim, recipe=None)
 
 
 @st.composite
@@ -767,6 +769,38 @@ def test_every_certify_job_certificate_is_pinned(tmp_path, capsys):
                       out.read_bytes())
         assert (code, hashlib.sha256(text).hexdigest()) == \
             CERTIFICATE_SHA256[workloads.job_key(argv)], argv
+
+
+# the same for sphere-packing jobs whose d is an interval, which the rule decides from
+# the least radius whose ball outgrows q^codim: two certified at d_hi, three that stop
+SPHERE_PACKING_SHA256 = {
+    "certify sphere-packing --recipe covering-repetition q=2 m=4 t=8 "
+    "--enum-budget 2 --syndrome-budget 2":
+        (0, "2fe6bf00f09591aaad34639941e8e6b66e9c6bc2fc3a80c79e48052632c6b3c5"),
+    "certify sphere-packing --recipe covering-repetition q=2 m=4 t=1000 "
+    "--enum-budget 2 --syndrome-budget 2":
+        (0, "3e566747cff7e7a31eef03a3d29ebac459de0106e28e0073ba3b4a0b6ce9c2b3"),
+    "certify sphere-packing --recipe quasi-perfect-2xm q=4 m=2 u=4 --syndrome-budget 2":
+        (2, "2c548506df4b859ecd3b9b9fb3653e6a3862ccc942a783fdcbcc4280cd9e3263"),
+    "certify sphere-packing --recipe almost-msrd-2x2 q=7 t=49":
+        (2, "292bfac8a79c6a6ec15855fb5cd2a291f9dfff3882c42e75269c8cfd6fa39494"),
+    "certify sphere-packing --recipe distance-optimal-sxs q=2 s=3 m=3":
+        (2, "9b1057958cc3e929787f35a9eb5cc8da58086b8da5d51bf7c213203c84ac7102"),
+}
+
+
+@pytest.mark.parametrize("key", SPHERE_PACKING_SHA256)
+def test_sphere_packing_certificates_are_pinned(key):
+    # the `--out` bytes, streamed into the hash: one descriptor runs to 570 MB
+    args, params = build_parser().parse_known_args(key.split())
+    args.params += params
+    cert = ct.certify_code(cli._load_code(args), args.claim, enum_budget=args.enum_budget,
+                           syndrome_budget=args.syndrome_budget, work_budget=args.sweep_budget)
+    cert.toolchain_version = ""
+    digest = hashlib.sha256()
+    cert.to_json(lambda text: digest.update(text.encode()))
+    digest.update(b"\n")
+    assert (cert.exit_code, digest.hexdigest()) == SPHERE_PACKING_SHA256[key]
 
 
 def test_certify_jobs_never_build_the_flat_generator():

@@ -299,6 +299,23 @@ def test_unknown_parameter_is_named(capsys, argv, unknown, reads):
     assert err == f"error: {unknown}; it reads {reads}\n"
 
 
+# `bounds condition` parameters that the family's recipe refuses, and its message
+CONDITION_REFUSALS = [
+    (("family=cyclic-d4", "q=4", "m=2", "lam=0"), "gate failed: 0 does not divide q^m - 1 = 15"),
+    (("family=cyclic-d4", "q=4", "m=2", "lam=-3"),
+     "gate failed: -3 does not divide q^m - 1 = 15"),
+    (("family=cyclic-d4", "q=6", "m=2"), "6 is not a prime power"),
+    (("family=distance-optimal-sxs", "q=2", "s=3", "m=1", "lam=0"),
+     "gate failed: 0 does not divide q^(sm) - 1 = 7"),
+    (("family=distance-optimal-rect", "q=2", "s1=2", "s2=3", "m=1", "lam=0"),
+     "gate failed: 0 does not divide q^(s2 m) - 1 = 7"),
+    (("family=quasi-perfect-2xm", "q=2", "m=2", "u=1"),
+     "gate failed: Hamming redundancy u must be at least 2"),
+    (("family=plotkin-distance-optimal", "s=1", "m=1"),
+     "gate failed: matrix size s must be at least 2"),
+]
+
+
 @pytest.mark.parametrize("argv,error", [
     (("construct", "quasi-perfect-2xm", "q=2", "m=2", "u=2.5"),
      "recipe quasi-perfect-2xm: parameter u=2.5 is not an integer"),
@@ -343,11 +360,20 @@ def test_unknown_parameter_is_named(capsys, argv, unknown, reads):
      "bounds strong-blf: parameter c=nan is not finite"),
     (("bounds", "block-length", "q=2", "m=2", "u=4", "R=2", "c=inf"),
      "bounds block-length: parameter c=inf is not finite"),
+    (("table", "strong-bch", "m=2", "e=2", "n=16", "t="),
+     "parameter t='' is not of the form T[,T...]"),
+    *[(("bounds", "condition", *params), error) for params, error in CONDITION_REFUSALS],
 ])
 def test_malformed_values_are_usage_errors(capsys, argv, error):
     code, out, err = run(capsys, *argv)
     assert code == 4 and out == ""
     assert err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("params,error", CONDITION_REFUSALS)
+def test_condition_refuses_what_its_recipe_refuses(capsys, params, error):
+    family = params[0].removeprefix("family=")
+    assert run(capsys, "construct", family, *params[1:]) == (4, "", f"error: {error}\n")
 
 
 # Complete parameters for every registered kind, all valid but not all in range
@@ -493,8 +519,7 @@ def test_table_strong_bch(capsys):
     assert len(lines) == 1 + 2 * (1 + 16)
     assert "n/a" in out and "strong" in out
     code, out, _ = run(capsys, "table", "strong-bch", "m=2", "e=2", "n=16", "t=")
-    assert code == 0
-    assert len(out.strip().splitlines()) == 1  # header only
+    assert code == 4 and out == ""  # a table of no lengths is refused, not printed empty
 
 
 def test_config_file(tmp_path, capsys):

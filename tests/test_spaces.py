@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from sumrank import spaces as sp
 from sumrank.construct import field_of_order
 
-from oracles import brute_ball_volume, brute_rank_counts, radius2_ball_lower_bound
+from oracles import (brute_ball_volume, brute_rank_counts, convolved_weight_counts,
+                     radius2_ball_lower_bound)
 
 
 def test_profile_validation(f2):
@@ -292,16 +293,6 @@ def test_ball_volume_heterogeneous_brute(f2, f3):
             assert sp.ball_volume_exact(prof, r) == brute_ball_volume(prof, r)
 
 
-def _ball_volume_full(profile, r):
-    """Ball volume from the per-block rank distributions convolved out to weight N."""
-    vol = [1]
-    for n, m in profile.blocks:
-        dist = sp.rank_distribution(n, m, profile.q)
-        vol = [sum(dist[k] * vol[w - k] for k in range(len(dist)) if 0 <= w - k < len(vol))
-               for w in range(len(vol) + len(dist) - 1)]
-    return sum(vol[:r + 1])
-
-
 BALL_SHAPES = {2: ((1, 1), (1, 2), (2, 2), (1, 3), (2, 3)), 3: ((1, 1), (1, 2), (2, 2))}
 
 
@@ -314,9 +305,42 @@ def test_ball_volume_stops_at_radius(shape, r):
     q, blocks = shape
     prof = sp.MatrixProfile(field_of_order(q), tuple(blocks))
     exact = sp.ball_volume_exact(prof, r)
-    assert exact == _ball_volume_full(prof, r)
+    assert exact == sum(convolved_weight_counts(prof)[:r + 1])
     if prof.ambient_size <= 1 << 14:
         assert exact == int((sp.brute_weight_array(prof) <= r).sum())
+
+
+STREAM_SHAPES = [(n, m) for m in range(1, 5) for n in range(1, m + 1)]
+
+
+@st.composite
+def stream_profiles(draw):
+    """A profile over GF(q), p = 2 or odd, of mixed shapes up to 4 x 4, and a stop radius."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    blocks = draw(st.lists(st.sampled_from(STREAM_SHAPES), min_size=1, max_size=8))
+    prof = sp.MatrixProfile(field_of_order(q), tuple(blocks))
+    return prof, draw(st.none() | st.integers(0, prof.max_weight() + 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(stream_profiles())
+def test_weight_stream_matches_the_convolution(problem):
+    """Every ball volume, and the packing radius at every codimension, read from the
+    weight-count stream, equal those of the per-block convolution, past the largest
+    weight too, and of the ambient sweep where it is small."""
+    prof, stop = problem
+    volumes = np.cumsum(np.array(convolved_weight_counts(prof), dtype=object)).tolist()
+    assert len(volumes) == prof.max_weight() + 1 and volumes[-1] == prof.ambient_size
+    for r in range(prof.max_weight() + 3):
+        assert sp.ball_volume_exact(prof, r) == volumes[min(r, len(volumes) - 1)]
+    for codim in range(prof.ambient_dim + 1):
+        least = next((r for r, v in enumerate(volumes) if v > prof.q ** codim), None)
+        assert sp.packing_radius(prof, codim) == least
+        assert sp.packing_radius(prof, codim, stop) == (
+            least if least is None or stop is None or least <= stop else None)
+    if prof.ambient_size <= 1 << 12:
+        weights = sp.brute_weight_array(prof)
+        assert volumes == [int((weights <= r).sum()) for r in range(len(volumes))]
 
 
 def test_radius2_lower_bound(f2):
