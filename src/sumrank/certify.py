@@ -42,7 +42,7 @@ DP_METHOD = "syndrome-dp"
 # ----------------------------------------------------------------------
 
 def _exhaustive_sr_distance(code: SumRankCode) -> SrDistance:
-    found = least_weight_word(code.base, code._generator_rows_packed(), code.weight_blocks)
+    found = least_weight_word(code.base, code._generator_rows_packed(), code.profile.blocks)
     if found is None:
         return SrDistance(None, None, "exhaustive", None, infinite=True)
     return SrDistance(found[0], found[0], "exhaustive", found[1])

@@ -32,7 +32,8 @@ from functools import cached_property, reduce, wraps
 
 import numpy as np
 
-from .gf import Field, array_mul, digit_add, digit_adder, linear_map, make_field, rref
+from .gf import (Field, _prime_factors, array_mul, digit_add, digit_adder, linear_map,
+                 make_field, rref)
 from . import hamming as hm
 from .spaces import MatrixProfile, SumRankWord, pack_matrix
 from .syndrome import ENUM_BUDGET, SumRankCode, least_weight_word
@@ -40,15 +41,13 @@ from .syndrome import ENUM_BUDGET, SumRankCode, least_weight_word
 
 def field_of_order(q: int) -> Field:
     """GF(q) for a prime power q, as a one-step tower over its prime field."""
-    if q < 2:
-        raise ValueError("field order must be at least 2")
-    p = next(d for d in range(2, q + 1) if q % d == 0)  # the least factor is prime
+    primes = _prime_factors(q)
+    if len(primes) != 1:
+        raise ValueError(f"{q} is not a prime power" if q >= 2 else "field order must be at least 2")
     e = 1
-    while p ** e < q:
+    while primes[0] ** e < q:
         e += 1
-    if p ** e != q:
-        raise ValueError(f"{q} is not a prime power")
-    return make_field(p, [e])
+    return make_field(primes[0], [e])
 
 
 class IngredientSumRankCode(SumRankCode):
@@ -232,7 +231,7 @@ def _ingredient_distance(code: hm.LinearCode) -> int:
     if code.k == 0:
         return code.n + 1
     if code.size <= 1 << 16:
-        value = least_weight_word(code.field, code.generator, code.weight_blocks)[0]
+        value = least_weight_word(code.field, code.generator, code.profile.blocks)[0]
     else:
         res = hm.min_distance(code)
         if not res.exact:
@@ -354,7 +353,7 @@ class PlotkinSumRankCode(SumRankCode):
         # (x | y) is (c1 | c1 + c2) exactly when H1 x = 0 and H2 (y - x) = 0
         h1, h2 = self.first.flat_parity, self.second.flat_parity
         return np.block([[h1, np.zeros_like(h1)],
-                         [self.base.np_table("neg")[h2], h2]])
+                         [array_mul(self.base)(h2, self.base.p - 1), h2]])
 
     def describe(self) -> dict:
         return {
@@ -435,11 +434,20 @@ def _gate(holds: bool, failure: str) -> None:
         raise ValueError(f"gate failed: {failure}")
 
 
-def _cyclic_length(q: int, e: int, lam: int, power: str) -> tuple[Field, int]:
-    """GF(q) and (q^e - 1)/lam, a cyclic family's block length; `power` names q^e."""
-    base, Q = field_of_order(q), q ** e
+def _cyclic_length(q: int, e: int, lam: int, power: str, k: int = 1) -> tuple[Field, int]:
+    """GF(q) and n = (q^e - 1)/lam, a cyclic family's block length; `power` names q^e.
+
+    The family's cyclic ingredient over GF(q^k) has the defining set
+    C_0 u C_1 u C_2, which must leave a residue modulo n out.
+    """
+    base = field_of_order(q)
+    _gate(e >= 1, f"block length ({power} - 1)/lam must be positive")
+    Q = q ** e
     _gate(lam >= 1 and (Q - 1) % lam == 0, f"{lam} does not divide {power} - 1 = {Q - 1}")
-    return base, (Q - 1) // lam
+    n = (Q - 1) // lam
+    _gate(len({r for g in (0, 1, 2) for r in hm.cyclotomic_coset(g, q ** k, n)}) < n,
+          "defining set covers all residues; code is trivial {0}")
+    return base, n
 
 
 def _quasi_perfect_2xm_length(q: int, m: int, u: int) -> tuple[Field, int]:
@@ -508,7 +516,7 @@ def _trivial_codes(ext, t: int, count: int, parities: int = 2) -> list[hm.Linear
 
 def _distance_optimal_sxs_length(q: int, s: int, m: int, lam: int = 1) -> tuple[Field, int]:
     _gate(s >= 2, "matrix size s must be at least 2")
-    return _cyclic_length(q, s * m, lam, "q^(sm)")
+    return _cyclic_length(q, s * m, lam, "q^(sm)", s)
 
 
 @_recipe
@@ -524,7 +532,7 @@ def distance_optimal_sxs(q: int, s: int, m: int, lam: int = 1) -> IngredientSumR
 def _distance_optimal_rect_length(q: int, s1: int, s2: int, m: int,
                                   lam: int = 1) -> tuple[Field, int]:
     _gate(1 < s1 < s2, "need 1 < s1 < s2")
-    return _cyclic_length(q, s2 * m, lam, "q^(s2 m)")
+    return _cyclic_length(q, s2 * m, lam, "q^(s2 m)", s2)
 
 
 @_recipe

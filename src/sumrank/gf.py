@@ -36,22 +36,8 @@ _AUTO_POLY_LIMIT = 1 << 20
 _CHUNK_BYTES = 1 << 20  # live bytes of one chunk of words, block values or ambient words
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending: [n] exactly when n is prime, [] for n < 2."""
     out = []
     d = 2
     while d * d <= n:
@@ -202,17 +188,7 @@ class Field:
         return digit_add(self.p, a, b)
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        if self.subfield is None:
-            return (-a) % self.p
-        p = self.p
-        v, pw = 0, 1
-        while a:
-            v += (-a) % p * pw
-            a //= p
-            pw *= p
-        return v
+        return self.mul(self.p - 1, a)  # p - 1 packs -1 of the prime field
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -317,7 +293,7 @@ class Field:
         self._exp, self._log = exp.tolist() * 2 + [0] * (2 * n + 1), log.tolist()
 
     def np_table(self, kind: str) -> np.ndarray:
-        """Vectorizable op tables: 'add'/'mul' are QxQ, 'neg' is Q, and
+        """Vectorizable op tables: 'add'/'mul' are QxQ, and
         'exp'/'log' are the exp/log pair of a field that has one."""
         if kind not in self._np_tables:
             q = self.order
@@ -327,8 +303,6 @@ class Field:
             elif kind == "mul":
                 t = np.fromiter((self.mul(a, b) for a in range(q) for b in range(q)),
                                 dtype=np.int64, count=q * q).reshape(q, q)
-            elif kind == "neg":
-                t = np.fromiter((self.neg(a) for a in range(q)), dtype=np.int64, count=q)
             elif kind in ("exp", "log") and self.has_log_tables:
                 t = np.array(self._exp if kind == "exp" else self._log, dtype=np.int64)
             else:
@@ -399,65 +373,41 @@ class Field:
 # polynomials over a Field (little-endian coefficient lists)
 # ----------------------------------------------------------------------
 
-def poly_eval(field: Field, coeffs, x: int) -> int:
-    acc = 0
-    for c in reversed(list(coeffs)):
-        acc = field.add(field.mul(acc, x), c)
-    return acc
-
-
-def poly_divmod(field: Field, a, b) -> tuple[list[int], list[int]]:
-    a = list(a)
-    db = len(b) - 1
-    while len(b) > 1 and b[-1] == 0:
-        b = b[:-1]
-        db -= 1
-    if b == [0] or not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = field.inv(b[-1])
-    quot = [0] * max(1, len(a) - db)
-    for k in range(len(a) - 1, db - 1, -1):
-        c = a[k]
-        if c == 0:
-            continue
-        f = field.mul(c, inv_lead)
-        quot[k - db] = f
-        for j in range(db + 1):
-            a[k - db + j] = field.sub(a[k - db + j], field.mul(f, b[j]))
-    rem = a[:db] if db else [0]
-    return quot, (rem or [0])
-
-
 def poly_mod(field: Field, a, b) -> list[int]:
-    return poly_divmod(field, a, b)[1]
+    """The remainder of a modulo b, little-endian coefficient lists ([0] for none)."""
+    a, b = list(a), list(b)
+    while b and b[-1] == 0:
+        b.pop()
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    db, inv_lead = len(b) - 1, field.inv(b[-1])
+    for k in range(len(a) - 1, db - 1, -1):
+        if a[k]:
+            f = field.mul(a[k], inv_lead)
+            for j in range(db + 1):
+                a[k - db + j] = field.sub(a[k - db + j], field.mul(f, b[j]))
+    return a[:db] or [0]
 
 
 def is_irreducible(field: Field, modulus: tuple[int, ...]) -> bool:
     """Exhaustive check that x^d + modulus(x) is irreducible over field.
 
-    Root check rules out degree <= 3; higher degrees are trial-divided by
-    every monic polynomial of degree 2..d//2 (desk scale only).
+    Trial division by every monic polynomial of degree 1..d//2 (desk scale
+    only); a degree-1 divisor x - c is a root c.
     """
     d = len(modulus)
     poly = list(modulus) + [1]
     if d == 0:
         return False
-    if d == 1:
-        return True
-    for x in field.elements():
-        if poly_eval(field, poly, x) == 0:
-            return False
-    if d <= 3:
-        return True
     q = field.order
-    for deg in range(2, d // 2 + 1):
+    for deg in range(1, d // 2 + 1):
         for packed in range(q ** deg):
             cand, v = [], packed
             for _ in range(deg):
                 v, r = divmod(v, q)
                 cand.append(r)
             cand.append(1)
-            if all(c == 0 for c in poly_mod(field, poly, cand)):
+            if not any(poly_mod(field, poly, cand)):
                 return False
     return True
 
@@ -495,7 +445,7 @@ def make_field(p: int, tower_degrees, polynomials=None) -> Field:
     coefficients (little-endian ints over the subfield) of a monic
     irreducible; omitted steps use the deterministic built-in choice.
     """
-    if not is_prime(p):
+    if _prime_factors(p) != [p]:
         raise ValueError(f"characteristic {p} is not prime")
     degrees = list(tower_degrees)
     if not degrees or any(d < 1 for d in degrees):
@@ -517,7 +467,8 @@ def parse_field(desc: dict) -> Field:
     if mods is not None:
         mods = [tuple(m) for m in mods]
         if len(mods) != len(degrees):
-            mods = None
+            raise ValueError(f"field description lists {len(mods)} moduli "
+                             f"for {len(degrees)} extension degrees {degrees}")
     return make_field(desc["characteristic"], degrees, mods)
 
 

@@ -176,16 +176,6 @@ def all_cyclotomic_cosets(Q: int, n: int) -> list[tuple[int, ...]]:
     return cosets
 
 
-def _multiplicative_order(Q: int, n: int) -> int:
-    if gcd(Q, n) != 1:
-        raise ValueError(f"gcd({n}, {Q}) must be 1 for a cyclic code")
-    e, v = 1, Q % n
-    while v != 1 % n:  # every Q has order 1 modulo 1
-        v = (v * Q) % n
-        e += 1
-    return e
-
-
 def cyclic_code(n: int, field: Field, generators) -> LinearCode:
     """Cyclic code of length n over the field with the given defining set.
 
@@ -196,7 +186,7 @@ def cyclic_code(n: int, field: Field, generators) -> LinearCode:
     Q = field.order
     if n < 1:
         raise ValueError("length must be positive")
-    ell = _multiplicative_order(Q, n)  # also validates gcd(n, Q) = 1
+    ell = len(cyclotomic_coset(1, Q, n))  # ord_n(Q); also validates gcd(n, Q) = 1
     T: set[int] = set()
     for g in generators:
         T.update(cyclotomic_coset(g, Q, n))

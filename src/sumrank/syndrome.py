@@ -401,20 +401,21 @@ def span_chunks(field, rows, cells):
         yield add(inner, shift[:, None]) if shift.any() else inner
 
 
-def least_weight_word(field, rows, blocks) -> tuple[int, tuple[int, ...]] | None:
+def least_weight_word(field, rows, shapes) -> tuple[int, tuple[int, ...]] | None:
     """The first word of least nonzero weight in the span of `rows`.
 
     `rows` are GF(q) generator rows of packed block values, in the order
-    that fixes the enumeration (see `span_chunks`); `blocks` lists each
-    block's number of GF(q) cells and its weight array, as for
-    `syndrome_dp`.  Every word is weighed by one table lookup per block.
-    Returns (weight, word), or None when the span has no nonzero word.
+    that fixes the enumeration (see `span_chunks`); `shapes` lists each
+    block's (n, m), as for `syndrome_dp`.  Every word is weighed by one
+    `rank_array` lookup per block.  Returns (weight, word), or None when
+    the span has no nonzero word.
     """
     top = np.iinfo(np.int64).max
     best, witness = None, None
-    for words in span_chunks(field, rows, [n for n, _ in blocks]):
+    tables = [rank_array(field, n, m) for n, m in shapes]
+    for words in span_chunks(field, rows, [n * m for n, m in shapes]):
         weight = np.zeros(words.shape[1], dtype=np.int64)
-        for (_, table), values in zip(blocks, words):
+        for table, values in zip(tables, words):
             weight += table[values]
         weight[weight == 0] = top
         i = int(np.argmin(weight))
@@ -557,11 +558,6 @@ class SumRankCode:
         parity = red[::-1, ::-1]
         parity.flags.writeable = False
         return parity
-
-    @property
-    def weight_blocks(self) -> list:
-        """Per block: its GF(q) cell count and the rank of every packed value."""
-        return [(n * m, rank_array(self.base, n, m)) for n, m in self.profile.blocks]
 
     @cached_property
     def syndrome_dp(self) -> SyndromeDP:

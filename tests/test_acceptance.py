@@ -324,7 +324,8 @@ def test_criterion_09_plotkin(f2, f4):
     register(pl, 4)
     # s = 2: the final inequality 2(1 - 1/4)^4 >= 1 fails; recorded, not certified
     assert Fraction(2) * Fraction(3, 4) ** 4 < 1
-    rec2 = ct.family_condition_checks("plotkin-distance-optimal", {"s": 2, "m": 1})
+    # (at m = 1 the cyclic half's defining set covers all 3 residues: refused)
+    rec2 = ct.family_condition_checks("plotkin-distance-optimal", {"s": 2, "m": 2})
     assert not rec2.rational_holds and not rec2.exact_holds
     report(9, time.monotonic() - t0, 60,
            "dim and min{2d1,d2} exact on 3 instances; s=3,m=1 pipeline "

@@ -313,7 +313,7 @@ def test_condition_checks_sxs_and_plotkin():
                                         {"q": 2, "s": 2, "m": 2, "lam": 1})
     assert not rec22.exact_holds
     assert (rec22.exact_lhs, rec22.exact_rhs) == (8731, 16384)
-    pl2 = ct.family_condition_checks("plotkin-distance-optimal", {"s": 2, "m": 1})
+    pl2 = ct.family_condition_checks("plotkin-distance-optimal", {"s": 2, "m": 2})
     assert not pl2.rational_holds      # 2 * (3/4)^4 < 1
     assert not pl2.exact_holds
     pl3 = ct.family_condition_checks("plotkin-distance-optimal", {"s": 3, "m": 1})

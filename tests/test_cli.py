@@ -313,6 +313,18 @@ CONDITION_REFUSALS = [
      "gate failed: Hamming redundancy u must be at least 2"),
     (("family=plotkin-distance-optimal", "s=1", "m=1"),
      "gate failed: matrix size s must be at least 2"),
+    (("family=cyclic-d4", "q=2", "m=2"),
+     "gate failed: defining set covers all residues; code is trivial {0}"),
+    (("family=distance-optimal-sxs", "q=2", "s=2", "m=1"),
+     "gate failed: defining set covers all residues; code is trivial {0}"),
+    (("family=cyclic-d4", "q=2", "m=1"),
+     "gate failed: defining set covers all residues; code is trivial {0}"),
+    (("family=distance-optimal-sxs", "q=2", "s=2", "m=0"),
+     "gate failed: block length (q^(sm) - 1)/lam must be positive"),
+    (("family=distance-optimal-rect", "q=2", "s1=2", "s2=3", "m=0"),
+     "gate failed: block length (q^(s2 m) - 1)/lam must be positive"),
+    (("family=plotkin-distance-optimal", "s=2", "m=0"),
+     "gate failed: block length (q^(sm) - 1)/lam must be positive"),
 ]
 
 

@@ -48,6 +48,43 @@ def test_non_prime_characteristic_rejected():
         make_field(4, [1])
 
 
+def test_make_field_accepts_exactly_the_primes_below_500():
+    sieve = [False, False] + [True] * 498
+    for i in range(2, 23):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(sieve[i * i::i])
+    for p in range(-2, 500):
+        try:
+            accepted = make_field(p, [1]).order == p
+        except ValueError:
+            accepted = False
+        assert accepted == (p >= 0 and sieve[p]), p
+
+
+def _mobius(n):
+    mu, k = 1, 2
+    while n > 1:
+        if n % k == 0:
+            n //= k
+            if n % k == 0:
+                return 0
+            mu = -mu
+        k += 1
+    return mu
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_irreducible_count_is_gauss_formula(q):
+    """Monic irreducibles of degree d over GF(q) number (1/d) sum_{k | d} mu(k) q^(d/k)
+    (Lidl and Niederreiter, Finite Fields, Thm 3.25), for every d with q^d < 4096."""
+    f, d = _field_of(q), 1
+    while q ** d < 4096:
+        count = sum(is_irreducible(f, tuple(v // q ** i % q for i in range(d)))
+                    for v in range(q ** d))
+        assert count * d == sum(_mobius(k) * q ** (d // k) for k in range(1, d + 1) if d % k == 0)
+        d += 1
+
+
 def test_tower_gf16(f16_tower, f4):
     assert f16_tower.order == 16
     assert f16_tower.subfield == f4
@@ -224,6 +261,14 @@ def test_describe_parse_roundtrip(f16_tower, f9):
         assert parse_field(f.describe()) == f
 
 
+def test_parse_field_refuses_moduli_that_miss_the_degrees():
+    # x^4 + x^3 + 1 with a stray modulus, which must not fall back to x^4 + x + 1
+    with pytest.raises(ValueError, match="lists 2 moduli for 1 extension degrees"):
+        parse_field({"characteristic": 2, "degrees": [4], "moduli": [[1, 0, 0, 1], [1, 1]]})
+    assert parse_field({"characteristic": 2, "degrees": [4],
+                        "moduli": [[1, 0, 0, 1]]}).modulus == (1, 0, 0, 1)
+
+
 def test_smallest_irreducible_deterministic():
     f2 = make_field(2, [1])
     assert smallest_irreducible(f2, 2) == (1, 1)
@@ -264,12 +309,19 @@ def _recursive_neg(f, a):
 
 
 @pytest.mark.parametrize("field", [make_field(3, [2]), make_field(3, [3]), make_field(5, [2]),
-                                   make_field(3, [2, 2])], ids=repr)
+                                   make_field(3, [2, 2]), make_field(2, [4])], ids=repr)
 def test_digitwise_add_neg_match_recursive_definition(field):
     for a in field.elements():
         assert field.neg(a) == _recursive_neg(field, a)
         for b in field.elements():
             assert field.add(a, b) == _recursive_add(field, a, b)
+
+
+def test_neg_matches_recursive_definition_past_the_log_tables():
+    field = make_field(3, [11])
+    assert field.order > gf._LOG_LIMIT and not field.has_log_tables  # products by _mul_raw
+    for a in [0, 1, 2, field.order - 1] + random.Random(11).sample(range(field.order), 200):
+        assert field.neg(a) == _recursive_neg(field, a)
 
 
 def _linear_map_oracle(p, images, width, value):

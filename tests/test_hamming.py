@@ -17,6 +17,15 @@ from sumrank import syndrome as sd
 from sumrank.gf import Field, make_field, poly_mod
 
 
+def test_coset_of_one_has_the_multiplicative_order():
+    """len(C_1) = ord_n(Q), the length of the splitting field GF(Q^l) of x^n - 1."""
+    for Q in range(2, 17):
+        for n in range(1, 257):
+            if gcd(n, Q) == 1:
+                order = next(e for e in range(1, n + 1) if pow(Q, e, n) == 1 % n)
+                assert len(hm.cyclotomic_coset(1, Q, n)) == order, (Q, n)
+
+
 def test_cyclotomic_cosets_golden():
     assert hm.cyclotomic_coset(0, 4, 15) == (0,)
     assert hm.cyclotomic_coset(1, 4, 15) == (1, 4)
@@ -117,7 +126,7 @@ def test_parity_check_code_matches_cyclic_oracle(f2, f3, f4, f9):
     checked = 0
     for f in (f2, f3, f4, f9):
         for t in range(2, 31):
-            if gcd(t, f.order) != 1 or f.order ** hm._multiplicative_order(f.order, t) > 1 << 16:
+            if gcd(t, f.order) != 1 or f.order ** len(hm.cyclotomic_coset(1, f.order, t)) > 1 << 16:
                 continue
             par = hm.parity_check_code(f, t)
             oracle = hm.cyclic_code(t, f, [0])
@@ -223,7 +232,7 @@ def test_builders_derive_the_generators_they_built_before(f2, f3, f4, f9):
             code = hm.hamming_code(f, u)
             assert code.generator == tuple(hm.nullspace(f, code.parity, code.n))
         for n in range(2, 16):
-            if gcd(n, f.order) != 1 or f.order ** hm._multiplicative_order(f.order, n) > 1 << 12:
+            if gcd(n, f.order) != 1 or f.order ** len(hm.cyclotomic_coset(1, f.order, n)) > 1 << 12:
                 continue
             for coset in hm.all_cyclotomic_cosets(f.order, n):
                 if len(coset) == n:
@@ -309,7 +318,7 @@ def test_min_distance_methods_agree(f4):
     for code in (hm.hamming_code(f4, 2), hm.cyclic_code(15, f4, [0, 1, 5]),
                  hm.parity_check_code(f4, 6), hm.reed_solomon(f4, 4, 2)):
         if code.size <= 1 << 14:
-            enum, _ = sd.least_weight_word(code.field, code.generator, code.weight_blocks)
+            enum, _ = sd.least_weight_word(code.field, code.generator, code.profile.blocks)
             supp = hm.min_distance(code)
             if supp.exact:
                 assert enum == supp.value

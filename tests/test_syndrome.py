@@ -524,11 +524,12 @@ def test_kernel_matches_enumeration_loop(code):
 def test_enumeration_memory_stays_within_the_chunk_bound():
     """Weighing 2^16 words of 16 blocks holds one chunk's live bytes, not the whole span."""
     code = cs.covering_repetition(2, 4, 16)
-    rows, blocks = code._generator_rows_packed(), code.weight_blocks
+    rows, shapes = code._generator_rows_packed(), code.profile.blocks
+    sp.rank_array(code.base, 4, 4)  # the rank table is built once per field and shape
     assert code.size == 1 << 16
     tracemalloc.start()
     try:
-        found = sd.least_weight_word(code.base, rows, blocks)
+        found = sd.least_weight_word(code.base, rows, shapes)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -545,7 +546,7 @@ def test_dp_memory_stays_within_the_packing_bound():
     with 11 level rows, a 472 KB change index and fresh arrays per shift.
     """
     code = cs.distance_optimal_2x2(3)
-    code.flat_parity, code.weight_blocks  # the parity and the rank tables are the code's
+    code.flat_parity, sp.rank_array(code.base, 2, 2)  # the parity and the rank table are the code's
     assert code.base.order ** code.codim == 3 ** 10
     tracemalloc.start()
     try:
@@ -578,15 +579,14 @@ def _hamming_oracle(code):
 def test_kernel_matches_codewords_loop_on_hamming_codes(code):
     best, witness = _hamming_oracle(code)
     if best is None:
-        assert sd.least_weight_word(code.field, code.generator,
-                                    code.weight_blocks) is None
+        assert sd.least_weight_word(code.field, code.generator, code.profile.blocks) is None
         return
     assert sd.least_weight_word(code.field, code.generator,
-                                code.weight_blocks) == (best, witness)
+                                code.profile.blocks) == (best, witness)
 
 
 def _assert_enumeration_order(code):
-    cells = [n for n, _ in code.weight_blocks]
+    cells = [n * m for n, m in code.profile.blocks]
     assert _kernel_words(code.base, code._generator_rows_packed(), cells) == \
         list(code.enumerate_packed())
 
