@@ -253,7 +253,8 @@ def strong_singleton_bch(m: int, t: int, e: int, n: int, d_sr: int) -> StrongSin
     Case 2 (d = 4m^2 e): 2^(m^2 (t - ne + n)).
     The Singleton-like bound of the m x m profile is 2^(m(tm - d + 1)).
     """
-    for name, value in (("matrix size m", m), ("BCH error count e", e), ("BCH field degree n", n)):
+    for name, value in (("matrix size m", m), ("block length t", t), ("BCH error count e", e),
+                        ("BCH field degree n", n)):
         if value < 1:
             raise ValueError(f"{name} = {value} must be at least 1")
     singleton_exponent = m * (t * m - d_sr + 1)
@@ -281,6 +282,8 @@ def block_length_bound(q: int, m: int, u: int, R: int, c: float = 1.0) -> BoundR
     """Advisory bound on the block length function at codimension uR + m^2."""
     if R < 1:
         raise ValueError(f"covering radius R = {R} must be at least 1")
+    if not c > 0:
+        raise ValueError(f"universal constant c = {c} must be positive")
     if u % (m * m) != 0:
         raise ValueError(f"divisibility gate failed: {m}^2 does not divide u = {u}")
     if R % m != 0:
@@ -429,7 +432,7 @@ def write_json(obj, write, default=None, _newline: str = "\n") -> None:
             write("[]")
             return
         inner = _newline + "  "
-        if all(type(x) is int for x in obj):
+        if set(map(type, obj)) == {int}:
             write("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + _newline + "]")
             return
         sep = "[" + inner

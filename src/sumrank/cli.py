@@ -47,6 +47,14 @@ def _parse_value(text: str):
     return text
 
 
+def budget(text: str) -> int:
+    """A budget option's value: an int >= 0, where 0 switches the engine off."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"budget {value} is negative")
+    return value
+
+
 def parse_params(tokens, config_path: str | None = None) -> dict:
     """key=value tokens, after the KEY=VALUE lines of the config file, which they override."""
     pairs = []
@@ -307,14 +315,14 @@ def build_parser() -> _Parser:
     z.add_argument("--recipe")
     z.add_argument("--code", help="descriptor JSON written by construct")
     z.add_argument("--out", help="write the certificate as JSON")
-    z.add_argument("--enum-budget", type=int, default=ct.ENUM_BUDGET,
+    z.add_argument("--enum-budget", type=budget, default=ct.ENUM_BUDGET,
                    help="most codewords an exhaustive distance enumeration may "
                         "stream, and most half-words per table of the Hamming "
                         "support search")
-    z.add_argument("--sweep-budget", type=int, default=ct.WORK_BUDGET,
+    z.add_argument("--sweep-budget", type=budget, default=ct.WORK_BUDGET,
                    help="most syndrome-DP work: shift passes x q^codim "
                         "plus block values, over all blocks")
-    z.add_argument("--syndrome-budget", type=int, default=ct.SYNDROME_BUDGET,
+    z.add_argument("--syndrome-budget", type=budget, default=ct.SYNDROME_BUDGET,
                    help="most syndromes (q^codim) the syndrome DP may hold")
     add_common(z)
     z.set_defaults(fn=cmd_certify)

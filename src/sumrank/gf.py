@@ -6,6 +6,7 @@ little-endian base-q digit string of the coordinate vector in the power
 basis {1, alpha, ..., alpha^(m-1)}, where alpha is a root of the defining
 polynomial.  Nested towers flatten consistently: the same int is also the
 little-endian base-p string of the coordinates over the prime field.
+`digits` and `undigits` are the one scalar codec of such packed ints.
 
 Defining polynomials may be supplied explicitly; otherwise the
 lexicographically smallest monic irreducible of the required degree is
@@ -49,6 +50,24 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def digits(value: int, base: int, count: int) -> list[int]:
+    """The `count` little-endian base-`base` digits of value: the one scalar
+    expansion of a packed int (a field element, a block, a polynomial)."""
+    out = []
+    for _ in range(count):
+        value, r = divmod(value, base)
+        out.append(r)
+    return out
+
+
+def undigits(digs, base: int) -> int:
+    """The int whose little-endian base-`base` digits are digs; inverts `digits`."""
+    v = 0
+    for d in reversed(digs):
+        v = v * base + d
+    return v
 
 
 def digit_add(p: int, a: int, b: int) -> int:
@@ -164,21 +183,7 @@ class Field:
         """Little-endian coordinates of a over the immediate subfield."""
         if self.subfield is None:
             return [a]
-        q = self.subfield.order
-        out = []
-        for _ in range(self.degree):
-            a, r = divmod(a, q)
-            out.append(r)
-        return out
-
-    def from_digits(self, digs) -> int:
-        if self.subfield is None:
-            return digs[0] % self.p
-        q = self.subfield.order
-        v = 0
-        for d in reversed(list(digs)):
-            v = v * q + d
-        return v
+        return digits(a, self.subfield.order, self.degree)
 
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
@@ -216,7 +221,7 @@ class Field:
             for j in range(self.degree):
                 prod[k - self.degree + j] = sub.sub(
                     prod[k - self.degree + j], sub.mul(c, mod[j]))
-        return self.from_digits(prod[:self.degree])
+        return undigits(prod[:self.degree], sub.order)
 
     def mul(self, a: int, b: int) -> int:
         if self._exp is not None:
@@ -296,13 +301,11 @@ class Field:
         """Vectorizable op tables: 'add'/'mul' are QxQ, and
         'exp'/'log' are the exp/log pair of a field that has one."""
         if kind not in self._np_tables:
-            q = self.order
+            a = np.arange(self.order, dtype=np.int64)
             if kind == "add":
-                t = np.fromiter((self.add(a, b) for a in range(q) for b in range(q)),
-                                dtype=np.int64, count=q * q).reshape(q, q)
+                t = digit_adder(self.p, self.dim_over_prime)(a[:, None], a[None, :])
             elif kind == "mul":
-                t = np.fromiter((self.mul(a, b) for a in range(q) for b in range(q)),
-                                dtype=np.int64, count=q * q).reshape(q, q)
+                t = array_mul(self)(a[:, None], a[None, :])
             elif kind in ("exp", "log") and self.has_log_tables:
                 t = np.array(self._exp if kind == "exp" else self._log, dtype=np.int64)
             else:
@@ -402,12 +405,7 @@ def is_irreducible(field: Field, modulus: tuple[int, ...]) -> bool:
     q = field.order
     for deg in range(1, d // 2 + 1):
         for packed in range(q ** deg):
-            cand, v = [], packed
-            for _ in range(deg):
-                v, r = divmod(v, q)
-                cand.append(r)
-            cand.append(1)
-            if not any(poly_mod(field, poly, cand)):
+            if not any(poly_mod(field, poly, digits(packed, q, deg) + [1])):
                 return False
     return True
 
@@ -420,12 +418,9 @@ def smallest_irreducible(field: Field, degree: int) -> tuple[int, ...]:
     """
     q = field.order
     for packed in range(q ** degree):
-        coeffs, v = [], packed
-        for _ in range(degree):
-            v, r = divmod(v, q)
-            coeffs.append(r)
-        if is_irreducible(field, tuple(coeffs)):
-            return tuple(coeffs)
+        coeffs = tuple(digits(packed, q, degree))
+        if is_irreducible(field, coeffs):
+            return coeffs
     raise RuntimeError(f"no irreducible of degree {degree} over {field!r}")
 
 
@@ -510,7 +505,7 @@ def linear_map(p: int, images, width: int, values) -> np.ndarray:
     `_CHUNK_BYTES`, so a range is never held whole.  The images take the
     dtype of `place_values(p, width)`.
     """
-    units = np.array([[x // p ** j % p for j in range(width)] for x in images],
+    units = np.array([digits(x, p, width) for x in images],
                      dtype=np.int64).reshape(len(images), width)
     in_powers = p ** np.arange(len(images), dtype=np.int64)
     out_powers = place_values(p, width)

@@ -270,6 +270,8 @@ def reed_solomon(field: Field, t: int, k: int) -> LinearCode:
 
 
 def repetition_code(field: Field, t: int) -> LinearCode:
+    if t < 1:
+        raise ValueError("length must be positive")
     return from_generator(field, [(1,) * t], family="repetition", designed_distance=t)
 
 

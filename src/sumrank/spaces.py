@@ -18,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-from .gf import _CHUNK_BYTES, Field, digit_adder
+from .gf import _CHUNK_BYTES, Field, digit_adder, digits, undigits
 
 BRUTE_LIMIT = 1 << 24  # most values a rank table or an ambient sweep enumerates
 
@@ -152,24 +152,12 @@ def word_sub(x: SumRankWord, y: SumRankWord) -> SumRankWord:
 
 
 def pack_matrix(field: Field, mat) -> int:
-    q = field.order
-    v = 0
-    for row in reversed(mat):
-        for entry in reversed(row):
-            v = v * q + field.check(entry)
-    return v
+    return undigits([field.check(x) for row in mat for x in row], field.order)
 
 
 def unpack_matrix(field: Field, packed: int, n: int, m: int):
-    q = field.order
-    rows = []
-    for _ in range(n):
-        row = []
-        for _ in range(m):
-            packed, r = divmod(packed, q)
-            row.append(r)
-        rows.append(tuple(row))
-    return tuple(rows)
+    cells = digits(packed, field.order, n * m)
+    return tuple(tuple(cells[i:i + m]) for i in range(0, n * m, m))
 
 
 # ----------------------------------------------------------------------

@@ -72,7 +72,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gf import Field, array_mul, digit_adder, linear_map, make_field, place_values, rref
+from .gf import (Field, array_mul, digit_adder, digits, linear_map, make_field, place_values,
+                 rref, undigits)
 from .spaces import (_CHUNK_BYTES, BRUTE_LIMIT, MatrixProfile, SumRankWord, packing_radius,
                      rank_array, unpack_matrix)
 
@@ -352,10 +353,7 @@ def syndrome_dp(field, parity, shapes) -> SyndromeDP:
 
 def _scale_block(field, c: int, value: int, cells: int) -> int:
     """c times every GF(q) cell of a packed block value."""
-    q, out = field.order, 0
-    for i in range(cells):
-        out += field.mul(c, value // q ** i % q) * q ** i
-    return out
+    return undigits([field.mul(c, x) for x in digits(value, field.order, cells)], field.order)
 
 
 def span_chunks(field, rows, cells):

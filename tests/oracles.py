@@ -32,6 +32,13 @@ def convolved_weight_counts(profile) -> list[int]:
     return counts
 
 
+def scalar_op_table(field, kind: str) -> np.ndarray:
+    """The Q x Q table of `field.add` or `field.mul`, one scalar call per cell
+    (the reference for `Field.np_table`)."""
+    op, q = getattr(field, kind), field.order
+    return np.array([[op(a, b) for b in range(q)] for a in range(q)], dtype=np.int64)
+
+
 def hamming_weight(vec) -> int:
     """Number of nonzero entries of a vector."""
     return sum(1 for v in vec if v)

@@ -281,9 +281,10 @@ def test_strong_singleton_blf():
     rec = ct.strong_singleton_blf(2, 2, 4, 2, 64, 1.0)
     assert rec.value == 2 ** (4 * 63 - 8)
     assert any("non-rigorous" in a for a in rec.assumptions)
-    # degenerate c = 0 makes the gate trivially true
-    rec0 = ct.strong_singleton_blf(2, 2, 4, 2, 3, 0.0)
-    assert rec0.value == 2 ** ((3 - 1) * 4 - 4 * 2)
+    # c <= 0 would make the gate trivially true; it is refused instead
+    for c in (0.0, -2.0):
+        with pytest.raises(ValueError, match=f"universal constant c = {c} must be positive"):
+            ct.strong_singleton_blf(2, 2, 4, 2, 3, c)
     with pytest.raises(ValueError, match="divisibility"):
         ct.strong_singleton_blf(2, 2, 4, 3, 64)
     with pytest.raises(ValueError, match="gate"):

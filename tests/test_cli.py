@@ -375,11 +375,36 @@ CONDITION_REFUSALS = [
     (("table", "strong-bch", "m=2", "e=2", "n=16", "t="),
      "parameter t='' is not of the form T[,T...]"),
     *[(("bounds", "condition", *params), error) for params, error in CONDITION_REFUSALS],
+    (("bounds", "strong-blf", "q=2", "m=2", "u=4", "R=2", "t=3", "c=0"),
+     "universal constant c = 0 must be positive"),
+    (("bounds", "strong-blf", "q=2", "m=2", "u=4", "R=2", "t=3", "c=-2"),
+     "universal constant c = -2 must be positive"),
+    (("bounds", "block-length", "q=2", "m=2", "u=4", "R=2", "c=0"),
+     "universal constant c = 0 must be positive"),
+    (("table", "strong-bch", "m=2", "e=1", "n=4", "t=0"), "block length t = 0 must be at least 1"),
+    (("bounds", "strong-bch", "m=2", "t=-1", "e=1", "n=4", "d=17"),
+     "block length t = -1 must be at least 1"),
+    (("construct", "covering-repetition", "q=2", "m=4", "t=0"), "length must be positive"),
 ])
 def test_malformed_values_are_usage_errors(capsys, argv, error):
     code, out, err = run(capsys, *argv)
     assert code == 4 and out == ""
     assert err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("option,value", [("--enum-budget", "-1"), ("--syndrome-budget", "-1"),
+                                          ("--sweep-budget", "-7")])
+def test_negative_budgets_are_usage_errors(capsys, option, value):
+    code, out, err = run(capsys, "certify", "singleton", "--recipe", "covering-repetition",
+                         "q=2", "m=4", "t=8", option, value)
+    assert code == 4 and out == ""
+    assert err.endswith(f"error: argument {option}: budget {value} is negative\n")
+
+
+def test_zero_budget_switches_its_engine_off(capsys):
+    code, out, _ = run(capsys, "certify", "singleton", "--recipe", "covering-repetition",
+                       "q=2", "m=4", "t=8", "--enum-budget", "0")
+    assert code == 2 and "enum budget 0 < 2^16 codewords (q^dim)" in out
 
 
 @pytest.mark.parametrize("params,error", CONDITION_REFUSALS)

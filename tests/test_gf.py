@@ -5,11 +5,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sumrank import gf
 from sumrank.gf import (Field, is_irreducible, linear_map, make_field, parse_field, poly_mod,
                         smallest_irreducible)
+
+from oracles import scalar_op_table
 
 PRIME_POWERS_64 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29,
                    31, 32, 37, 41, 43, 47, 49, 53, 59, 61, 64]
@@ -124,6 +126,35 @@ def test_axioms_exhaustive_order_le_64(q):
     assert (mul[a, a_bc] == add[mul[a, b], mul[a, c]]).all()
     aa = add[a, b]
     assert (add[aa, c] == add[a, add[b, c]]).all()
+
+
+@pytest.mark.parametrize("kind", ["add", "mul"])
+@pytest.mark.parametrize("p,degrees", [(2, [1]), (7, [1]), (3, [2]), (2, [4]), (5, [2]),
+                                       (2, [2, 2]), (2, [8])])
+def test_np_table_matches_the_scalar_ops(p, degrees, kind):
+    """The array-kernel tables equal one scalar add or mul per cell, towers included."""
+    field = make_field(p, degrees)
+    table = field.np_table(kind)
+    assert table.dtype == np.int64 and table.shape == (field.order, field.order)
+    assert (table == scalar_op_table(field, kind)).all()
+
+
+@st.composite
+def digit_strings(draw):
+    """(base, count, value) with value < base^count: up to 256^20 = 2^160."""
+    base, count = draw(st.integers(2, 256)), draw(st.integers(0, 20))
+    return base, count, draw(st.integers(0, base ** count - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(digit_strings())
+@example((256, 20, 256 ** 20 - 1)).via("the largest value")
+@example((16, 20, 2 ** 63 + 7)).via("past int64")
+def test_digits_round_trip(case):
+    base, count, value = case
+    digs = gf.digits(value, base, count)
+    assert len(digs) == count and all(0 <= d < base for d in digs)
+    assert gf.undigits(digs, base) == value
 
 
 @pytest.mark.parametrize("q", [3, 4, 8, 9])
