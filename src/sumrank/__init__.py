@@ -5,12 +5,12 @@ exact enumeration result with a stated method, or a bound evaluation
 whose hypotheses were verified before the number was produced.
 """
 
-__version__ = "0.2.3"
+__version__ = "0.2.4"
 
 import os
 
 # sumrank does only integer arithmetic: no code path calls BLAS, and every
-# integer `@` (gf.linear_map, syndrome._layout, spaces._row_multiples,
+# integer `@` (gf.linear_map, syndrome._layout, spaces.brute_rank_array,
 # construct's _cell_preimages) runs numpy's own loop.  Without this,
 # OpenBLAS starts a worker thread at `import numpy` that spins for about 0.13 s
 # of CPU per process and is never used.  It must precede the first numpy

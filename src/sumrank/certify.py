@@ -1,10 +1,11 @@
 """Exact sum-rank invariants and bound certification.
 
-Minimum distance and covering radius come from the code's one syndrome-DP
-pass and, for the distance, from enumeration, the Hamming support search
-and composition rules, all under explicit budgets.  A Hamming-metric code
-is a sum-rank code of 1 x 1 blocks and takes the same dispatch.  Each
-comes as an `SrDistance`, a point or, past a budget, an interval.
+Minimum distance and covering radius are each one intersection (`settle`)
+of interval sources, read cheapest first under explicit budgets: for d the
+zero code, the code's one syndrome-DP pass, enumeration, the code's own rule
+(`SumRankCode.distance_bounds`) and [1, N]; for R the DP and [0, codim].  A
+Hamming-metric code is a sum-rank code of 1 x 1 blocks and takes the same
+sources.  Each comes as an `SrDistance`, a point or, past a budget, an interval.
 `certify_code` decides a claim by one rule on those intervals: an exact
 integer comparison at the end of d's interval that settles it for every d
 in between, else inconclusive (see `RULES`); sphere packing compares both
@@ -24,12 +25,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from . import hamming as hm
+from .gf import _CHUNK_BYTES, array_digits, place_values
 from .spaces import (MatrixProfile, ball_volume_exact, brute_weight_array,
                      hamming_ball_volume, packing_radius, rank_array)
-from .construct import FAMILY_LENGTHS, ExtendedSumRankCode, PlotkinSumRankCode
-from .syndrome import (ENUM_BUDGET, SYNDROME_BUDGET, WORK_BUDGET, BudgetExceeded,
-                       SrDistance, SumRankCode, least_weight_word, rank_table_stop)
+from .construct import FAMILY_LENGTHS
+from .syndrome import (ENUM_BUDGET, SYNDROME_BUDGET, WORK_BUDGET, BudgetExceeded, SrDistance,
+                       SumRankCode, least_weight_word, rank_table_stop)
 from .syndrome import covering_radius as sr_covering_radius
 
 TOOLCHAIN_VERSION = f"sumrank {__version__}"
@@ -41,74 +42,60 @@ DP_METHOD = "syndrome-dp"
 # minimum sum-rank distance
 # ----------------------------------------------------------------------
 
-def _exhaustive_sr_distance(code: SumRankCode) -> SrDistance:
-    found = least_weight_word(code.base, code._generator_rows_packed(), code.profile.blocks)
-    if found is None:
-        return SrDistance(None, None, "exhaustive", None, infinite=True)
-    return SrDistance(found[0], found[0], "exhaustive", found[1])
-
-
-def _join_notes(*notes: str | None) -> str | None:
-    """The "; "-joined stop reasons of `notes`, each once, in order."""
+def settle(sources) -> SrDistance:
+    """Intersect interval sources, read cheapest first: lo is the greatest lower end and hi
+    the least upper end, an earlier source keeping a tied end; a str item is a stop.  The
+    first point ends the reading, with the witness of hi's source and no note (the zero
+    code's infinite point as it is).  An interval has no witness; its note joins the stops
+    met, then the notes of its ends' sources, which also name its method."""
+    stops, low, high = [], None, None
+    for src in sources:
+        if isinstance(src, str):
+            stops.append(src)
+            continue
+        if src.infinite:
+            return src
+        low = src if low is None or src.lo > low.lo else low
+        high = src if high is None or src.hi < high.hi else high
+        if low.lo >= high.hi:
+            break
+    if low.lo > high.hi:
+        raise RuntimeError(f"sources disagree: {low.method} {low.lo} > {high.method} {high.hi}")
+    method = low.method if low.method == high.method else f"{low.method} / {high.method}"
+    if low.lo == high.hi:
+        return SrDistance(low.lo, high.hi, method, high.witness)
+    notes = (*stops, low.note, high.note)  # "; "-joined, each reason once, in order
     reasons = dict.fromkeys(r for note in notes if note for r in note.split("; "))
-    return "; ".join(reasons) or None
+    return SrDistance(low.lo, high.hi, method, note="; ".join(reasons) or None)
 
 
 def sr_min_distance(code: SumRankCode, budget: int = ENUM_BUDGET, *,
                     syndrome_budget: int = SYNDROME_BUDGET,
                     work_budget: int = WORK_BUDGET) -> SrDistance:
-    """Exact minimum distance, or a certified interval.
-
-    Dispatch: the syndrome DP when the syndrome space and the DP work fit
-    their budgets; else exhaustive enumeration when |C| fits `budget`; else
-    the support search of a Hamming-metric code (whose half-word tables
-    `budget` also caps), or the extension and Plotkin composition rules,
-    whose parts dispatch the same way; else the interval [1, N], noting the
-    budgets that stopped it.  The DP and enumeration both weigh block values
-    by rank tables, so neither runs on a block past the rank-table cap.
-    """
-    try:
-        dp = code.budgeted_dp(syndrome_budget, work_budget)
-    except BudgetExceeded as exc:
-        dp_stop = str(exc)
-    else:
-        if dp.distance is None:
-            return SrDistance(None, None, DP_METHOD, None, infinite=True)
-        return SrDistance(dp.distance, dp.distance, DP_METHOD, dp.witness)
-    enum_stop = (f"enum budget {budget} < {code.base.order}^{code.dim} codewords (q^dim)"
-                 if code.size > budget else rank_table_stop(code.base, code.profile.blocks))
-    if enum_stop is None:
-        return _exhaustive_sr_distance(code)
-    if isinstance(code, hm.LinearCode):
-        res = hm.min_distance(code, budget)
-        if not res.exact:
-            res = res._replace(note=_join_notes(dp_stop, res.note))
-        return res
-    if isinstance(code, ExtendedSumRankCode):
-        # a single 1 at entry (0, 0) of an extra block, packed as 1, has rank 1
-        witness = (0,) * code.inner.profile.t + (1,) + (0,) * (code.extra - 1)
-        return SrDistance(1, 1, "composition(extension)", witness)
-    if isinstance(code, PlotkinSumRankCode):
-        # d = min(2 d1, d2), witnessed by (c1 | c1) or (0 | c2)
-        d1, d2 = (sr_min_distance(part, budget, syndrome_budget=syndrome_budget,
-                                  work_budget=work_budget)
-                  for part in (code.first, code.second))
-        options = []
-        if not d1.infinite:
-            options.append((2 * d1.lo, 2 * d1.hi, d1.witness and d1.witness + d1.witness))
-        if not d2.infinite:
-            zeros = (0,) * code.first.profile.t
-            options.append((d2.lo, d2.hi, d2.witness and zeros + d2.witness))
-        if not options:
-            return SrDistance(None, None, "composition(plotkin)", None, infinite=True)
-        lo = min(o[0] for o in options)
-        hi, witness = min(options, key=lambda o: o[1])[1:]
-        return SrDistance(lo, hi, "composition(plotkin)", witness if lo == hi else None,
-                          note=_join_notes(d1.note, d2.note))
-    # one block of one row: every nonzero word, the first generator row too, weighs 1
-    witness = code._generator_rows_packed()[0] if code.profile.N == 1 else None
-    return SrDistance(1, code.profile.N, "budget stop", witness,
-                      note=_join_notes(dp_stop, enum_stop))
+    """Exact minimum distance, or a certified interval: d's sources, `settle`d (see the
+    module docstring).  The DP and enumeration need rank tables, so neither runs on a block
+    past the rank-table cap; a source that may not run gives its stop instead."""
+    def sources():
+        if code.dim == 0:
+            yield SrDistance(None, None, "zero code", infinite=True)
+        try:
+            dp = code.budgeted_dp(syndrome_budget, work_budget)
+        except BudgetExceeded as exc:
+            yield str(exc)
+        else:
+            yield SrDistance(dp.distance, dp.distance, DP_METHOD, dp.witness)
+        stop = (f"enum budget {budget} < {code.base.order}^{code.dim} codewords (q^dim)"
+                if code.size > budget else rank_table_stop(code.base, code.profile.blocks))
+        if not stop:
+            weight, witness = least_weight_word(code.base, code._generator_rows_packed(),
+                                                code.profile.blocks)
+        yield stop or SrDistance(weight, weight, "exhaustive", witness)
+        yield from code.distance_bounds(budget, lambda part: sr_min_distance(
+            part, budget, syndrome_budget=syndrome_budget, work_budget=work_budget))
+        # one block of one row: every nonzero word, the first generator row too, weighs 1
+        yield SrDistance(1, code.profile.N, "budget stop",
+                         code._generator_rows_packed()[0] if code.profile.N == 1 else None)
+    return settle(sources())
 
 
 # ----------------------------------------------------------------------
@@ -141,16 +128,16 @@ def sr_covering_radius_sweep(code: SumRankCode,
             colkey = sum(H[r][pos] << r for r in range(codim))
             if colkey:
                 syn[((idx >> pos) & 1).astype(bool)] ^= colkey
-    else:
+    else:  # chunks of words whose int64 digits, syndrome digits and gathers fit _CHUNK_BYTES
         add, mul = base.np_table("add"), base.np_table("mul")
-        idx = np.arange(size, dtype=np.int64)
-        syn = np.zeros(size, dtype=np.int64)
-        for r, row in enumerate(H):
-            acc = np.zeros(size, dtype=np.int64)
-            for pos, h in enumerate(row):
-                if h:
-                    acc = add[acc, mul[(idx // q ** pos) % q, h]]
-            syn += acc * q ** r
+        syn = np.empty(size, dtype=np.int64)
+        step = max(1, _CHUNK_BYTES // (24 * (profile.ambient_dim + codim)))
+        for lo in range(0, size, step):
+            digs = array_digits(np.arange(lo, min(lo + step, size)), q, profile.ambient_dim)
+            acc = np.zeros((len(digs), codim), dtype=np.int64)
+            for pos, column in enumerate(H.T):
+                acc = add[acc, mul[digs[:, pos, None], column]]
+            syn[lo:lo + len(digs)] = acc @ place_values(q, codim)
     leader = np.full(q ** codim, np.iinfo(np.int16).max, dtype=np.int16)
     np.minimum.at(leader, syn, weights)
     return int(leader.max()), dict(enumerate(leader.tolist()))
@@ -463,18 +450,6 @@ def write_json(obj, write, default=None, _newline: str = "\n") -> None:
         raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
 
-def _attach_family_conditions(cert: "Certificate", code) -> None:
-    """Record the recipe family's hypothesis checks alongside the verdict."""
-    if code.recipe not in CONDITION_FAMILIES:
-        return
-    rec = family_condition_checks(code.recipe, code.params)
-    cert.add_bound(f"family_condition[{rec.rational_condition}]", rec.rational_holds,
-                   ("lambda condition evaluated at epsilon = 0, exact rationals",))
-    cert.add_bound(f"family_criterion[{rec.exact_criterion}]", rec.exact_holds,
-                   (f"exact comparison {rec.exact_lhs} vs {rec.exact_rhs} "
-                    "at the family's nominal codimension",))
-
-
 class Certificate:
     """A claim about a code: the quantities and bounds behind its verdict, and notes."""
 
@@ -561,10 +536,17 @@ def _distance_optimal_rule(cert: Certificate, dist: SrDistance, radius) -> None:
     if verdict != "certified" and not dist.exact:
         cert.notes.append("distance not settled exactly")
         return
-    cert.add_bound("sphere_packing_refutation", f"{rec['lhs']} > {rec['rhs']}",
+    relation = ">" if verdict == "certified" else "<="
+    cert.add_bound("sphere_packing_refutation", f"{rec['lhs']} {relation} {rec['rhs']}",
                    (f"ball volume {rec['volume']} at radius {rec['volume_radius']}",))
     cert.verdict = verdict
-    _attach_family_conditions(cert, cert.code)
+    if cert.code.recipe in CONDITION_FAMILIES:  # the recipe family's hypothesis checks
+        family = family_condition_checks(cert.code.recipe, cert.code.params)
+        cert.add_bound(f"family_condition[{family.rational_condition}]", family.rational_holds,
+                       ("lambda condition evaluated at epsilon = 0, exact rationals",))
+        cert.add_bound(f"family_criterion[{family.exact_criterion}]", family.exact_holds,
+                       (f"exact comparison {family.exact_lhs} vs {family.exact_rhs} "
+                        "at the family's nominal codimension",))
 
 
 def _msrd_rule(cert: Certificate, dist: SrDistance, radius) -> None:
@@ -621,8 +603,8 @@ def certify_code(code: SumRankCode, claim: str, *,
     cert.add_quantity("dimension", code.dim, "construction")
     cert.add_quantity("block_length", code.profile.t, "construction")
 
-    dist = sr_min_distance(code, enum_budget, syndrome_budget=syndrome_budget,
-                           work_budget=work_budget)
+    budgets = {"syndrome_budget": syndrome_budget, "work_budget": work_budget}
+    dist = sr_min_distance(code, enum_budget, **budgets)
     if dist.infinite:
         cert.notes.append("zero code: minimum distance undefined")
         return cert
@@ -639,15 +621,16 @@ def certify_code(code: SumRankCode, claim: str, *,
 
     radius = None
     if claim in ("perfect", "quasi-perfect"):
-        try:
-            r, _ = sr_covering_radius(code, syndrome_budget=syndrome_budget,
-                                      work_budget=work_budget)
-            radius = SrDistance(r, r, DP_METHOD)
-            cert.add_quantity("covering_radius", r, DP_METHOD)
-        except BudgetExceeded as exc:  # R <= codim: any syndrome is that of a word on codim cells
-            radius = SrDistance(0, code.codim, "budget stop", note=str(exc))
-            if str(exc) not in (dist.note or "").split("; "):  # the d step named no such stop
-                cert.notes.append(str(exc))
+        try:  # R's sources: the DP, then R <= codim (a syndrome is that of a word on codim cells)
+            r, _ = sr_covering_radius(code, **budgets)
+            dp = SrDistance(r, r, DP_METHOD)
+        except BudgetExceeded as exc:
+            dp = str(exc)
+        radius = settle([dp, SrDistance(0, code.codim, "R <= codim")])
+        if radius.exact:
+            cert.add_quantity("covering_radius", radius.value, radius.method)
+        if radius.note and radius.note not in (dist.note or "").split("; "):  # named by d
+            cert.notes.append(radius.note)
     RULES[claim](cert, dist, radius)
     if not dist.exact and cert.verdict != "inconclusive":
         cert.notes.append(f"{cert.verdict} for every d in [{dist.lo}, {dist.hi}]")

@@ -32,11 +32,11 @@ from functools import cached_property, reduce, wraps
 
 import numpy as np
 
-from .gf import (Field, _prime_factors, array_mul, digit_add, digit_adder, linear_map,
-                 make_field, rref)
+from .gf import (Field, _prime_factors, array_digits, array_mul, digit_add, digit_adder,
+                 linear_map, make_field, rref)
 from . import hamming as hm
 from .spaces import MatrixProfile, SumRankWord, pack_matrix
-from .syndrome import ENUM_BUDGET, SumRankCode, least_weight_word
+from .syndrome import ENUM_BUDGET, SrDistance, SumRankCode, least_weight_word
 
 
 def field_of_order(q: int) -> Field:
@@ -187,8 +187,8 @@ class IngredientSumRankCode(SumRankCode):
         base, n, m, q = self.base, self.rows, self.m, self.base.order
         cells = n * m
         blocks = np.concatenate([self._lone_blocks(i, q ** np.arange(m)) for i in range(n)])
-        images = blocks[:, None] // q ** np.arange(cells, dtype=blocks.dtype) % q
-        red, pivots = rref(base, np.hstack([images, np.eye(cells, dtype=np.int64)]))
+        red, pivots = rref(base, np.hstack([array_digits(blocks, q, cells),
+                                            np.eye(cells, dtype=np.int64)]))
         if pivots != list(range(cells)):
             raise RuntimeError("construction is not injective: the block map is singular")
         inverse = red[:, cells:].reshape(cells, n, m)
@@ -198,11 +198,10 @@ class IngredientSumRankCode(SumRankCode):
         # row (i, j, k), column (block r, cell c): coordinate k over GF(q) of
         # H_i[j, r] * U[i, c], since L^-1 of a block is sum_c b_c U[:, c]
         mul, q = array_mul(self.ext), self.base.order
-        powers = q ** np.arange(self.m, dtype=np.int64)[:, None, None]
         rows = []
         for code, preimages in zip(self.ingredients, self._cell_preimages):
-            products = mul(code.parity[:, None, :, None], preimages)
-            rows.append((products // powers % q).reshape(-1, self.ambient_dim))
+            coords = array_digits(mul(code.parity[:, :, None], preimages), q, self.m)
+            rows.append(np.moveaxis(coords, -1, 1).reshape(-1, self.ambient_dim))
         return np.concatenate(rows)
 
     def composition_lower_bound(self) -> int:
@@ -302,6 +301,11 @@ class ExtendedSumRankCode(SumRankCode):
         inner = self.inner.flat_parity
         return np.pad(inner, ((0, 0), (0, self.ambient_dim - inner.shape[1])))
 
+    def distance_bounds(self, budget, distance):
+        # d = 1: a single 1 at entry (0, 0) of an extra block, packed as 1, has rank 1
+        yield SrDistance(1, 1, "composition(extension)",
+                         (0,) * self.inner.profile.t + (1,) + (0,) * (self.extra - 1))
+
     def describe(self) -> dict:
         return {
             "construction": "extended",
@@ -354,6 +358,16 @@ class PlotkinSumRankCode(SumRankCode):
         h1, h2 = self.first.flat_parity, self.second.flat_parity
         return np.block([[h1, np.zeros_like(h1)],
                          [array_mul(self.base)(h2, self.base.p - 1), h2]])
+
+    def distance_bounds(self, budget, distance):
+        # d = min(2 d1, d2), witnessed by (c1 | c1) or (0 | c2); a zero part has no word
+        d1, d2 = distance(self.first), distance(self.second)
+        yield from filter(None, (d1.note, d2.note))  # the parts' stops
+        ends = [] if d1.infinite else [(2 * d1.lo, 2 * d1.hi, d1.witness and d1.witness * 2)]
+        if not d2.infinite:
+            ends.append((d2.lo, d2.hi, d2.witness and (0,) * self.first.profile.t + d2.witness))
+        hi, witness = min(ends, key=lambda end: end[1])[1:]
+        yield SrDistance(min(end[0] for end in ends), hi, "composition(plotkin)", witness)
 
     def describe(self) -> dict:
         return {

@@ -495,6 +495,12 @@ def place_values(base: int, count: int) -> np.ndarray:
     return np.array([base ** j for j in range(count)], dtype=dtype)
 
 
+def array_digits(values, base: int, count: int) -> np.ndarray:
+    """The array twin of `digits`: D[..., j] = values // base^j % base, j < count, over
+    `place_values`, so int64 values keep int64 while base^count fits it."""
+    return np.asarray(values)[..., None] // place_values(base, count) % base
+
+
 def linear_map(p: int, images, width: int, values) -> np.ndarray:
     """The GF(p)-linear map of packed base-p values with unit images `images`, at `values`.
 
@@ -507,7 +513,6 @@ def linear_map(p: int, images, width: int, values) -> np.ndarray:
     """
     units = np.array([digits(x, p, width) for x in images],
                      dtype=np.int64).reshape(len(images), width)
-    in_powers = p ** np.arange(len(images), dtype=np.int64)
     out_powers = place_values(p, width)
     out = np.empty(len(values), dtype=out_powers.dtype)
     step = max(1, _CHUNK_BYTES // (8 * (2 + len(images) + 2 * width)))
@@ -515,7 +520,7 @@ def linear_map(p: int, images, width: int, values) -> np.ndarray:
         chunk = values[lo:lo + step]
         if isinstance(chunk, range):
             chunk = np.arange(chunk.start, chunk.stop, dtype=np.int64)
-        out[lo:lo + len(chunk)] = (chunk[:, None] // in_powers % p) @ units % p @ out_powers
+        out[lo:lo + len(chunk)] = array_digits(chunk, p, len(images)) @ units % p @ out_powers
     return out
 
 

@@ -88,6 +88,9 @@ class LinearCode(SumRankCode):
     def _generator_rows_packed(self):
         return self.generator
 
+    def distance_bounds(self, budget, distance):
+        yield min_distance(self, budget)  # the support search, for d <= 4
+
     def __repr__(self) -> str:
         d = self.designed_distance
         tail = f",{d}" if d is not None else ""

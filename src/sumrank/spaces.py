@@ -18,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-from .gf import _CHUNK_BYTES, Field, digit_adder, digits, undigits
+from .gf import _CHUNK_BYTES, Field, array_digits, digit_adder, digits, place_values, undigits
 
 BRUTE_LIMIT = 1 << 24  # most values a rank table or an ambient sweep enumerates
 
@@ -293,14 +293,6 @@ def _times(a: Iterator[int], b: Iterator[int]) -> Iterator[int]:
 _TABLE_CHUNK = 1 << 16  # rank-table cells filled per step
 
 
-def _row_multiples(field: Field, m: int) -> np.ndarray:
-    """T[c, r]: the scalar c times the packed length-m row r, for every c and r."""
-    q = field.order
-    powers = q ** np.arange(m, dtype=np.int64)
-    digits = np.arange(q ** m, dtype=np.int64)[:, None] // powers % q
-    return field.np_table("mul")[:, digits] @ powers
-
-
 def brute_rank_array(field: Field, n: int, m: int) -> np.ndarray:
     """Rank of every packed n x m matrix over the field, as one int8 table.
 
@@ -324,7 +316,8 @@ def brute_rank_array(field: Field, n: int, m: int) -> np.ndarray:
         raise ValueError("profiles require n <= m")
     width = q ** m  # packed values of one row
     if n > 1:  # rows to combine; then width <= 2^12 under the cap
-        times = _row_multiples(field, m)
+        # times[c, r]: the scalar c times the packed row r, for every c and r
+        times = field.np_table("mul")[:, array_digits(np.arange(width), q, m)] @ place_values(q, m)
         add = digit_adder(field.p, field.dim_over_prime * m)
     ranks = np.zeros(1, dtype=np.int8)  # the one matrix of no rows
     for k in range(1, n + 1):  # matrices of the last k rows, from those of k - 1

@@ -72,8 +72,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gf import (Field, array_mul, digit_adder, digits, linear_map, make_field, place_values,
-                 rref, undigits)
+from .gf import (Field, array_digits, array_mul, digit_adder, digits, linear_map, make_field,
+                 place_values, rref, undigits)
 from .spaces import (_CHUNK_BYTES, BRUTE_LIMIT, MatrixProfile, SumRankWord, packing_radius,
                      rank_array, unpack_matrix)
 
@@ -120,7 +120,7 @@ def block_syndromes(field, units: np.ndarray, codim: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _digit_rows(p: int, width: int) -> np.ndarray:
     """The base-p digits of 0 .. p^width - 1, one row each, least significant first."""
-    rows = np.arange(p ** width, dtype=np.int64)[:, None] // p ** np.arange(width) % p
+    rows = array_digits(np.arange(p ** width, dtype=np.int64), p, width)
     rows.flags.writeable = False  # shared by every caller through the cache
     return rows
 
@@ -288,8 +288,7 @@ def syndrome_dp(field, parity, shapes) -> SyndromeDP:
         # A[-syn(v)] + rank(v) is the min over v of A[syn(v)] + rank(v)
         reach = flat[syn[1:]] + ranks[1:].astype(np.int16)
         b_zero.append(min(b_zero[-1] if b_zero else _INF, int(reach.min())))
-        block_units = units[starts[b]:starts[b + 1]].reshape(-1, 1)
-        basis, pivots = rref(prime, block_units // p ** np.arange(digits) % p)
+        basis, pivots = rref(prime, array_digits(units[starts[b]:starts[b + 1]].ravel(), p, digits))
         head, lo = _layout(p, basis, pivots)
         B = buf.reshape(len(head), -1)
         for part, idx in _layout_rows(head, lo):
@@ -512,21 +511,22 @@ class SumRankCode:
     def describe(self) -> dict:
         raise NotImplementedError
 
+    def distance_bounds(self, budget: int, distance):
+        """The code's own sources of d for `certify.settle`, `distance(part)` a part's: none."""
+        return ()
+
     # -- flattened GF(q) linear-code view ------------------------------
 
     def flat_rows(self, words) -> np.ndarray:
-        """Row-major GF(q) coordinates of packed words, blocks in order.
-
-        One int64 row per word; each block's packed values are split into
-        base-q digits in one numpy step.
-        """
+        """Row-major GF(q) coordinates of packed words, blocks in order: one int64 row
+        per word, each block's packed values split into base-q digits in one numpy step."""
         q, blocks = self.base.order, self.profile.blocks
-        powers = place_values(q, max(n * m for n, m in blocks))
-        packed = np.array(words, dtype=powers.dtype).reshape(len(words), len(blocks))
+        dtype = place_values(q, max(n * m for n, m in blocks)).dtype
+        packed = np.array(words, dtype=dtype).reshape(len(words), len(blocks))
         out = np.zeros((len(words), self.ambient_dim), dtype=np.int64)
         starts = np.cumsum([0] + [n * m for n, m in blocks])
         for b, (n, m) in enumerate(blocks):
-            out[:, starts[b]:starts[b + 1]] = packed[:, b, None] // powers[:n * m] % q
+            out[:, starts[b]:starts[b + 1]] = array_digits(packed[:, b], q, n * m)
         return out
 
     @cached_property

@@ -67,6 +67,72 @@ def test_sr_min_distance_zero_code(f4):
         _ = res.value
 
 
+@pytest.mark.parametrize("build", [
+    lambda f4: cs.sr_covering([hm.zero_code(f4, 2)] * 2),
+    lambda f4: hm.zero_code(f4, 3),
+    lambda f4: cs.plotkin(*[cs.sr_covering([hm.zero_code(f4, 2)] * 2)] * 2),
+], ids=["covering", "linear", "plotkin"])
+def test_zero_code_is_infinite_at_every_budget(f4, build):
+    """With both engines off the zero code is still the infinite point: no budget stop,
+    no [1, N] interval, and every claim is inconclusive with the same note."""
+    code = build(f4)
+    budgets = ((0, 0), (ct.ENUM_BUDGET, ct.SYNDROME_BUDGET))  # both engines off, defaults
+    for enum, syndrome in budgets:
+        dist = ct.sr_min_distance(code, enum, syndrome_budget=syndrome)
+        assert dist.infinite and dist.note is None
+    for claim in ct.CLAIMS:
+        off, default = (ct.certify_code(code, claim, enum_budget=enum, syndrome_budget=syndrome)
+                        for enum, syndrome in budgets)
+        assert off.verdict == default.verdict == "inconclusive"
+        assert off.notes == default.notes == ["zero code: minimum distance undefined"]
+
+
+@st.composite
+def interval_sources(draw):
+    """A true value, and a stream of stops and intervals around it ending in an interval."""
+    true = draw(st.integers(0, 12))
+
+    def interval(i):
+        lo, hi = draw(st.integers(0, true)), draw(st.integers(true, 12))
+        return SrDistance(lo, hi, f"source {i}", draw(st.none() | st.just((i,))),
+                          note=draw(st.none() | st.just(f"note {i}")))
+    items = [draw(st.sampled_from(["stop a", "stop b"])) if draw(st.booleans()) else interval(i)
+             for i in range(draw(st.integers(0, 6)))]
+    return true, items + [interval(len(items))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(interval_sources())
+def test_settle_intersects_interval_sources(problem):
+    true, items = problem
+    read = []
+
+    def stream():
+        for item in items:
+            read.append(item)
+            yield item
+    res = ct.settle(stream())
+    intervals = [item for item in items if not isinstance(item, str)]
+    assert res.lo <= true <= res.hi
+    assert res.hi - res.lo <= min(s.hi - s.lo for s in intervals)
+    assert res.witness is None or res.lo == res.hi
+    # the reading ends at the first item that makes a point, or at the end
+    ends = [j + 1 for j in range(len(items)) if not isinstance(items[j], str)
+            and max(s.lo for s in items[:j + 1] if not isinstance(s, str))
+            == min(s.hi for s in items[:j + 1] if not isinstance(s, str))]
+    assert read == items[:ends[0] if ends else len(items)]
+    seen = [item for item in read if not isinstance(item, str)]
+    assert (res.lo, res.hi) == (max(s.lo for s in seen), min(s.hi for s in seen))
+    high = min(seen, key=lambda s: s.hi)  # the earliest of the least upper ends
+    if res.lo == res.hi:  # a point keeps hi's witness and no note
+        assert (res.witness, res.note) == (high.witness, None)
+    else:
+        low = max(seen, key=lambda s: s.lo)
+        stops = [item for item in read if isinstance(item, str)]  # each reason once, in order
+        assert res.note == ("; ".join(dict.fromkeys(
+            note for note in (*stops, low.note, high.note) if note)) or None)
+
+
 def test_sr_distance_matches_raw_enumeration(am_code):
     """Independent recount: stream codewords, weigh blocks by elimination."""
     best = min(w for w in (sp.sum_rank_weight(am_code.to_word(p))
@@ -631,13 +697,15 @@ def test_rules_decide_only_what_every_possible_d_agrees_on(problem, claim):
 
 
 def test_hamming_budget_stop_joins_both_notes(f4):
-    """A Hamming code past every budget keeps the DP stop and the support search's note."""
+    """A Hamming code past every budget keeps the DP and enumeration stops, then the
+    support search's note."""
     code = hm.hamming_code(f4, 3)  # [21, 18, 3]_4: 4^3 syndromes, 4^18 codewords
     d = ct.sr_min_distance(code, budget=30, syndrome_budget=2)
     assert (d.lo, d.hi, d.method, d.witness) == (2, 4, "support_test", None)
     assert d.note == ("syndrome budget 2 < 64 syndromes (q^codim); "
+                      "enum budget 30 < 4^18 codewords (q^dim); "
                       "enum budget 30 < 63 half-words of the weight-2 support search")
-    assert hm.min_distance(code, 30).note == d.note.split("; ")[1]
+    assert hm.min_distance(code, 30).note == d.note.split("; ")[2]
     with pytest.raises(AttributeError):
         d.note = None
     settled = ct.sr_min_distance(code, syndrome_budget=2)  # the support search settles d
@@ -753,7 +821,7 @@ CERTIFICATE_SHA256 = {
     "certify almost-msrd --recipe almost-msrd-2x2 q=2 t=4":
         (0, "e7f3e20383652327dcc1ee80155c3c5949427638e5308b829e3291eef1af274c"),
     "certify distance-optimal --recipe plotkin-distance-optimal s=3 m=1":
-        (2, "28d94a5682446f4d940fc1a7bfe25ad8ef7985865fb4d6212957db4eaf5e264f"),
+        (2, "ef89bc9fb0d9529513ed03b663a5e56e97e83d3c75cd88d7a5b2c2e3207d2977"),
 }
 
 
@@ -770,6 +838,19 @@ def test_every_certify_job_certificate_is_pinned(tmp_path, capsys):
                       out.read_bytes())
         assert (code, hashlib.sha256(text).hexdigest()) == \
             CERTIFICATE_SHA256[workloads.job_key(argv)], argv
+        refutations = [b["value"] for b in json.loads(text)["bounds"]
+                       if b["name"] == "sphere_packing_refutation"]
+        if workloads.job_key(argv) in STATED_REFUTATIONS:
+            assert len(refutations) == 1, argv
+        for stated in refutations:  # the relation the bound states holds
+            lhs, relation, rhs = stated.split()
+            assert {">": int(lhs) > int(rhs), "<=": int(lhs) <= int(rhs)}[relation], argv
+            assert (relation == ">") == (code == 0), argv
+
+
+# distance-optimal jobs whose sphere-packing refutation is stated: one certified, one not
+STATED_REFUTATIONS = ("certify distance-optimal --recipe distance-optimal-2x2 q=3",
+                      "certify distance-optimal --recipe plotkin-distance-optimal s=3 m=1")
 
 
 # the same for sphere-packing jobs whose d is an interval, which the rule decides from

@@ -159,7 +159,25 @@ def test_certify_hamming_support_search_budget_stop(capsys):
                        "q=4", "m=3", "--enum-budget", "1000", "--syndrome-budget", "1000")
     assert code == 2
     assert "min_sum_rank_distance    = [3, 8]" in out
-    assert "enum budget 1000 < 5859 half-words of the weight-3 support search" in out
+    # the DP's and enumeration's stops, then the support search's note
+    assert ("  note: syndrome budget 1000 < 16384 syndromes (q^codim); "
+            "enum budget 1000 < 4^56 codewords (q^dim); "
+            "enum budget 1000 < 5859 half-words of the weight-3 support search\n") in out
+
+
+def test_plotkin_interval_note_names_its_own_stops_first(tmp_path, capsys):
+    """The Plotkin sum's own DP and enumeration stops, then those of its two parts."""
+    stops = ("syndrome budget 2 < 262144 syndromes (q^codim); "
+             "enum budget 2 < 2^108 codewords (q^dim); "
+             "syndrome budget 2 < 8 syndromes (q^codim); enum budget 2 < 2^60 codewords (q^dim); "
+             "syndrome budget 2 < 32768 syndromes (q^codim); enum budget 2 < 2^48 codewords (q^dim)")
+    cert = tmp_path / "cert.json"
+    code, out, _ = run(capsys, "certify", "distance-optimal", "--recipe",
+                       "plotkin-distance-optimal", "s=3", "m=1", "--syndrome-budget", "2",
+                       "--enum-budget", "2", "--out", str(cert))
+    assert code == 2
+    assert json.loads(cert.read_text())["notes"] == [stops, "distance not settled exactly"]
+    assert f"  note: {stops}\n" in out
 
 
 def test_blocks_past_the_rank_table_cap_stop_enumeration(tmp_path, capsys):
@@ -698,11 +716,12 @@ def test_missing_out_directory_refused_before_work(tmp_path, capsys, monkeypatch
     (("construct", "distance-optimal-2x2", "q=3"),
      "c3ed45fcb063272dafedbe3f89622ed3dc77f3cae8c1861caadeab9f8d5984bc"),
     (("certify", "quasi-perfect", "--recipe", "quasi-perfect-2xm", "q=2", "m=2", "u=2"),
-     "90c0a3d62b187d85798f5df91e2c241fc7989a0aa8f51400a0c7dc4074f89091"),
+     "6964b640e8c6e4f07aa6b4b693f6de49312a363f1f7be62d8f1886e540cc6878"),
 ], ids=["descriptor", "certificate"])
 def test_out_bytes_are_pinned(tmp_path, capsys, argv, sha256):
     # the hashes are those of json.dump(s)(..., sort_keys=True, indent=2),
-    # which wrote both kinds of --out file before the streaming writer
+    # which wrote both kinds of --out file before the streaming writer; the
+    # certificate's includes its toolchain-version, sumrank 0.2.4
     out = tmp_path / "out.json"
     assert run(capsys, *argv, "--out", str(out))[0] == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
