@@ -281,29 +281,6 @@ def block_length_bound(q: int, m: int, u: int, R: int, c: float = 1.0) -> BoundR
         (f"universal constant c = {c} (non-rigorous)", "tolerance 1e-12"))
 
 
-def blf_witness(code: SumRankCode, radius: int) -> BoundRecord:
-    """A constructed covering code witnesses blf(codim, radius) <= t."""
-    ms = {m for _, m in code.profile.blocks}
-    ns = {n for n, _ in code.profile.blocks}
-    if len(ms) != 1 or ms != ns:
-        raise ValueError("block length functions concern homogeneous m x m profiles")
-    m = ms.pop()
-    return BoundRecord(
-        f"blf(q={code.base.order},m={m},{code.codim},{radius}) <= {code.profile.t}",
-        code.profile.t,
-        (f"witnessed by a constructed code of codimension {code.codim} "
-         f"with exact covering radius {radius}",))
-
-
-def size_bound_from_witness(q: int, m: int, t: int, R: int, hamming_K: int) -> BoundRecord:
-    """K_{q,m}(t, R) <= K_{q^m}(t, R/m)^m given a witnessed Hamming value."""
-    if R % m != 0:
-        raise ValueError(f"divisibility gate failed: {m} does not divide R = {R}")
-    return BoundRecord(f"K(q={q},m={m};t={t},R={R})", hamming_K ** m,
-                       (f"from a Hamming covering code witnessing "
-                        f"K_(q^m)(t,{R // m}) <= {hamming_K}",))
-
-
 def entropy(Q: int, rho: float) -> float:
     """Entropy of the alphabet of size Q at rate rho, 0 <= rho <= 1 - 1/Q."""
     if not isinstance(Q, int) or Q < 2:

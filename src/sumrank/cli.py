@@ -55,6 +55,16 @@ def budget(text: str) -> int:
     return value
 
 
+def file_path(text: str) -> str:
+    """A file option's value, checked before any work: not a directory, in one that exists."""
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text} is a directory, not a file")
+    directory = os.path.dirname(os.path.abspath(text))
+    if not os.path.isdir(directory):
+        raise argparse.ArgumentTypeError(f"{text}: no directory {directory}")
+    return text
+
+
 def parse_params(tokens, config_path: str | None = None) -> dict:
     """key=value tokens, after the KEY=VALUE lines of the config file, which they override."""
     pairs = []
@@ -101,16 +111,7 @@ def _write_out(path: str, write) -> None:
         raise
 
 
-def _check_out_dir(path: str | None) -> None:
-    """Refuse an --out path whose directory does not exist, before any work."""
-    if path:
-        directory = os.path.dirname(os.path.abspath(path))
-        if not os.path.isdir(directory):
-            raise FileNotFoundError(f"--out {path}: no directory {directory}")
-
-
 def cmd_construct(args) -> int:
-    _check_out_dir(args.out)
     code = cs.build_recipe(args.recipe, **parse_params(args.params, args.config))
     print(_summarize(code))
     if args.out:
@@ -127,6 +128,10 @@ def _load_code(args):
             raise ValueError(f"--code takes no recipe or parameters; got {' '.join(given)}")
         with open(args.code, "r", encoding="utf-8") as fh:
             saved = json.load(fh)
+        if not (isinstance(saved, dict) and isinstance(saved.get("recipe"), str)
+                and isinstance(saved.get("params"), dict) and "descriptor" in saved):
+            raise ValueError(f"--code {args.code} is not a code descriptor: an object with "
+                             "a string 'recipe', an object 'params' and a 'descriptor'")
         code = cs.build_recipe(saved["recipe"], **saved["params"])
         if (json.dumps(saved["descriptor"], sort_keys=True)
                 != json.dumps(code.describe(), sort_keys=True)):
@@ -138,7 +143,6 @@ def _load_code(args):
 
 
 def cmd_certify(args) -> int:
-    _check_out_dir(args.out)
     code = _load_code(args)
     try:
         cert = ct.certify_code(code, args.claim, enum_budget=args.enum_budget,
@@ -301,20 +305,20 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sp):
-        sp.add_argument("--config", help="KEY=VALUE config file merged into params")
+        sp.add_argument("--config", type=file_path, help="KEY=VALUE config file merged into params")
         sp.add_argument("params", nargs="*", help="key=value parameters")
 
     c = sub.add_parser("construct", help="build a named recipe")
     c.add_argument("recipe")
-    c.add_argument("--out", help="write the code descriptor as JSON")
+    c.add_argument("--out", type=file_path, help="write the code descriptor as JSON")
     add_common(c)
     c.set_defaults(fn=cmd_construct)
 
     z = sub.add_parser("certify", help="run a certification job")
     z.add_argument("claim", choices=ct.CLAIMS)
     z.add_argument("--recipe")
-    z.add_argument("--code", help="descriptor JSON written by construct")
-    z.add_argument("--out", help="write the certificate as JSON")
+    z.add_argument("--code", type=file_path, help="descriptor JSON written by construct")
+    z.add_argument("--out", type=file_path, help="write the certificate as JSON")
     z.add_argument("--enum-budget", type=budget, default=ct.ENUM_BUDGET,
                    help="most codewords an exhaustive distance enumeration may "
                         "stream, and most half-words per table of the Hamming "

@@ -35,7 +35,7 @@ import numpy as np
 from .gf import (Field, _prime_factors, array_digits, array_mul, digit_add, digit_adder,
                  linear_map, make_field, rref)
 from . import hamming as hm
-from .spaces import MatrixProfile, SumRankWord, pack_matrix
+from .spaces import MatrixProfile, pack_matrix
 from .syndrome import ENUM_BUDGET, SrDistance, SumRankCode, least_weight_word
 
 
@@ -137,20 +137,6 @@ class IngredientSumRankCode(SumRankCode):
         add = digit_adder(self.base.p, self.rows * self.m * self.base.dim_over_prime)
         return tuple(reduce(add, [table[np.asarray(row, dtype=np.int64)]
                                   for table, row in zip(self._lone_tables, symbol_rows)]).tolist())
-
-    def encode(self, messages) -> SumRankWord:
-        """Encode one message vector per ingredient code."""
-        if len(messages) != self.rows:
-            raise ValueError(f"expected {self.rows} message vectors")
-        mul, add = array_mul(self.ext), digit_adder(self.base.p, self.ext.dim_over_prime)
-        symbol_rows = []
-        for msg, code in zip(messages, self.ingredients):
-            if len(msg) != code.k:
-                raise ValueError("message length does not match the ingredient dimension")
-            gen = np.array(code.generator, dtype=np.int64).reshape(code.k, self.t)
-            terms = mul(np.array(msg, dtype=np.int64)[:, None], gen)
-            symbol_rows.append(reduce(add, terms, np.zeros(self.t, dtype=np.int64)))
-        return self.to_word(self.packed_from_symbols(symbol_rows))
 
     @property
     def dim(self) -> int:

@@ -156,14 +156,6 @@ class Field:
             "moduli": list(reversed(mods)),
         }
 
-    def contains_field(self, other: Field) -> bool:
-        f = self
-        while f is not None:
-            if f == other:
-                return True
-            f = f.subfield
-        return False
-
     def elements(self) -> range:
         return range(self.order)
 
@@ -328,15 +320,9 @@ class Field:
         the base-q digits of the int encoding."""
         return tuple(self.digits(self.check(a)))
 
-    def embed(self, a: int) -> int:
-        """Embed a subfield element: the int encoding is unchanged."""
-        if self.subfield is None:
-            return self.check(a)
-        self.subfield.check(a)
-        return a
-
     def project(self, a: int) -> int:
-        """Inverse of embed; error if a is not in the immediate subfield."""
+        """a as an element of the immediate subfield, whose elements keep their int
+        encoding in the extension; error if a is not in the subfield."""
         digs = self.digits(a)
         if any(digs[1:]):
             raise ValueError(f"{a} of {self!r} does not lie in the subfield")

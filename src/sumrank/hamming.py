@@ -168,17 +168,6 @@ def cyclotomic_coset(i: int, Q: int, n: int) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def all_cyclotomic_cosets(Q: int, n: int) -> list[tuple[int, ...]]:
-    seen: set[int] = set()
-    cosets = []
-    for i in range(n):
-        if i not in seen:
-            c = cyclotomic_coset(i, Q, n)
-            seen.update(c)
-            cosets.append(c)
-    return cosets
-
-
 def cyclic_code(n: int, field: Field, generators) -> LinearCode:
     """Cyclic code of length n over the field with the given defining set.
 
@@ -209,7 +198,8 @@ def cyclic_code(n: int, field: Field, generators) -> LinearCode:
         shifted = [0] + gpoly
         scaled = [ext.mul(ext.neg(root), c) for c in gpoly] + [0]
         gpoly = [ext.add(a, b) for a, b in zip(shifted, scaled)]
-    gcoeffs = [_project_to(field, ext, c) for c in gpoly]  # back in the base field
+    # g's coefficients lie in the base field, one tower step below the extension
+    gcoeffs = gpoly if ext is field else [ext.project(c) for c in gpoly]
     # Parity [R^T | I_r], R[j] the coefficients of x^(r+j) mod g(x): each
     # x^j - x^k (x^(r+j) mod g(x)) is a multiple of g(x) modulo x^n - 1 that
     # is e_j on the first k positions, so the code's RREF is [I_k | -R],
@@ -225,18 +215,6 @@ def cyclic_code(n: int, field: Field, generators) -> LinearCode:
                         np.eye(r, dtype=np.int64)])
     return LinearCode(field, n, parity, family="cyclic", defining_set=T_sorted,
                       notes={"generator_polynomial": gcoeffs})
-
-
-def _project_to(field: Field, ext: Field, value: int) -> int:
-    """Map an element of a tower extension back into `field`."""
-    cur = ext
-    v = value
-    while cur != field:
-        v = cur.project(v)
-        cur = cur.subfield
-        if cur is None:
-            raise ValueError("field is not below the extension")
-    return v
 
 
 # ----------------------------------------------------------------------
@@ -304,14 +282,6 @@ def bch_binary(e: int, n: int) -> LinearCode:
     code.family = "bch"
     code.designed_distance = 2 * e + 1
     return code
-
-
-def field_extension_of_code(code: LinearCode, target: Field) -> LinearCode:
-    """Read the generator matrix over a larger field of the same tower."""
-    if not target.contains_field(code.field):
-        raise ValueError(f"{target!r} does not extend {code.field!r}")
-    return from_generator(target, code.generator, family="extension",
-                          designed_distance=code.designed_distance)
 
 
 # ----------------------------------------------------------------------

@@ -114,33 +114,9 @@ class SumRankWord:
     def __repr__(self):
         return f"SumRankWord(profile={self.profile!r}, matrices={self.matrices!r})"
 
-    def packed_blocks(self) -> tuple[int, ...]:
-        f = self.profile.field
-        return tuple(pack_matrix(f, mat) for mat in self.matrices)
-
-
-def zero_matrix(n: int, m: int) -> tuple[tuple[int, ...], ...]:
-    return tuple((0,) * m for _ in range(n))
-
-
-def zero_word(profile: MatrixProfile) -> SumRankWord:
-    return SumRankWord(profile, tuple(zero_matrix(n, m) for n, m in profile.blocks))
-
-
-def matrix_add(field: Field, a, b):
-    return tuple(tuple(field.add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
 
 def matrix_sub(field: Field, a, b):
     return tuple(tuple(field.sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def word_add(x: SumRankWord, y: SumRankWord) -> SumRankWord:
-    if x.profile != y.profile:
-        raise ValueError("profile mismatch")
-    f = x.profile.field
-    return SumRankWord(x.profile, tuple(
-        matrix_add(f, a, b) for a, b in zip(x.matrices, y.matrices)))
 
 
 def word_sub(x: SumRankWord, y: SumRankWord) -> SumRankWord:
@@ -378,10 +354,3 @@ def brute_weight_array(profile: MatrixProfile) -> np.ndarray:
             rest //= bs
     return weights
 
-
-def packed_word_weight(profile: MatrixProfile, packed) -> int:
-    """Sum-rank weight of a word given as per-block packed ints."""
-    total = 0
-    for (n, m), pk in zip(profile.blocks, packed):
-        total += int(rank_array(profile.field, n, m)[pk])
-    return total

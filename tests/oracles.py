@@ -1,12 +1,13 @@
 """Brute-force oracles shared by the test modules."""
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 
 import numpy as np
 
 from sumrank.certify import BoundRecord
-from sumrank.gf import array_mul, nullspace, rref
+from sumrank.gf import array_mul, digit_adder, nullspace, rref
 from sumrank.spaces import brute_rank_array, brute_weight_array, rank_distribution
 
 
@@ -85,6 +86,19 @@ def contains_packed(code, packed) -> bool:
     return not (digits.sum(axis=1) % f.p).any()
 
 
+def encode(code, messages) -> tuple[int, ...]:
+    """The packed word of an ingredient code (`construct.IngredientSumRankCode`)
+    from one message vector per ingredient, each encoded by its generator."""
+    assert list(map(len, messages)) == [c.k for c in code.ingredients]
+    mul, add = array_mul(code.ext), digit_adder(code.base.p, code.ext.dim_over_prime)
+    symbol_rows = []
+    for msg, ingredient in zip(messages, code.ingredients):
+        gen = np.array(ingredient.generator, dtype=np.int64).reshape(ingredient.k, code.t)
+        terms = mul(np.array(msg, dtype=np.int64)[:, None], gen)
+        symbol_rows.append(reduce(add, terms, np.zeros(code.t, dtype=np.int64)))
+    return code.packed_from_symbols(symbol_rows)
+
+
 def radius2_ball_lower_bound(t: int, s: int, q: int) -> Fraction:
     """Lower bound t(t-1)(q^s-1)^4 / (2(q-1)^2) for the radius-2 ball."""
     if t < 2:
@@ -125,3 +139,26 @@ def blf_relation_check(q: int, m: int, r: int, R: int) -> BoundRecord:
     return BoundRecord(
         f"blf(q={q},m={m},{r},{R}) <= blf(q^{m},{r // (m * m)},{R // m})", True,
         ("reduction to the Hamming-metric length function",))
+
+
+def blf_witness(code, radius: int) -> BoundRecord:
+    """A constructed covering code witnesses blf(codim, radius) <= t."""
+    ms = {m for _, m in code.profile.blocks}
+    ns = {n for n, _ in code.profile.blocks}
+    if len(ms) != 1 or ms != ns:
+        raise ValueError("block length functions concern homogeneous m x m profiles")
+    m = ms.pop()
+    return BoundRecord(
+        f"blf(q={code.base.order},m={m},{code.codim},{radius}) <= {code.profile.t}",
+        code.profile.t,
+        (f"witnessed by a constructed code of codimension {code.codim} "
+         f"with exact covering radius {radius}",))
+
+
+def size_bound_from_witness(q: int, m: int, t: int, R: int, hamming_K: int) -> BoundRecord:
+    """K_{q,m}(t, R) <= K_{q^m}(t, R/m)^m given a witnessed Hamming value."""
+    if R % m != 0:
+        raise ValueError(f"divisibility gate failed: {m} does not divide R = {R}")
+    return BoundRecord(f"K(q={q},m={m};t={t},R={R})", hamming_K ** m,
+                       (f"from a Hamming covering code witnessing "
+                        f"K_(q^m)(t,{R // m}) <= {hamming_K}",))

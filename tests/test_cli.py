@@ -410,6 +410,33 @@ def test_malformed_values_are_usage_errors(capsys, argv, error):
     assert err == f"error: {error}\n"
 
 
+NOT_A_DESCRIPTOR = ("is not a code descriptor: an object with a string 'recipe', an object "
+                    "'params' and a 'descriptor'")
+
+
+@pytest.mark.parametrize("option,content,error", [
+    ("--code", "[1, 2]", NOT_A_DESCRIPTOR),
+    ("--code", '{"recipe": "almost-msrd-2x2", "params": [1], "descriptor": {}}',
+     NOT_A_DESCRIPTOR),
+    ("--code", '{"recipe": "almost-msrd-2x2", "descriptor": {}}', NOT_A_DESCRIPTOR),
+    ("--code", None, "is a directory, not a file"),
+    ("--config", None, "is a directory, not a file"),
+    ("--out", None, "is a directory, not a file"),
+], ids=["list", "params-list", "no-params", "code-dir", "config-dir", "out-dir"])
+def test_malformed_user_files_are_usage_errors(tmp_path, capsys, option, content, error):
+    """A file the user names (`content`) or a directory (None) in its place exits 4 and
+    names the option, before any code is built."""
+    path = tmp_path
+    if content is not None:
+        path = tmp_path / "file.json"
+        path.write_text(content)
+    argv = (("certify", "singleton") if option == "--code"
+            else ("construct", "almost-msrd-2x2", "q=2", "t=4"))
+    code, out, err = run(capsys, *argv, option, str(path))
+    assert code == 4 and out == ""
+    assert option in err and err.endswith(f"{path} {error}\n")
+
+
 @pytest.mark.parametrize("option,value", [("--enum-budget", "-1"), ("--syndrome-budget", "-1"),
                                           ("--sweep-budget", "-7")])
 def test_negative_budgets_are_usage_errors(capsys, option, value):

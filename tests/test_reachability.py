@@ -1,0 +1,120 @@
+"""Every function and class in src/sumrank is reached from production.
+
+The roots are the CLI entry points, the `@_recipe` and `@_kind`
+registrations, dunder methods, `sumrank.__all__`, the statements a module
+runs on import, and every name that the benchmark or its tests (`bench/`)
+read, as an attribute, an import or a dotted string such as a span name.
+From a reached definition the walk follows each Name and Attribute in its
+body; docstrings and other strings are not followed.  A name reaches every
+definition of that name, in any module or class, so the walk can only
+over-approximate what runs.  Test-only helpers belong in `tests/oracles.py`.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "sumrank"
+
+# Public constructors that no production path calls yet.
+RESERVED = {"hamming.zero_code", "hamming.bch_binary"}
+
+ENTRY_POINTS = {"cli.main", "cli.run"}
+REGISTRARS = {"_recipe", "_kind"}
+
+
+def _modules() -> list[tuple[str, ast.Module]]:
+    return [(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+            for path in sorted(SRC.glob("*.py"))]
+
+
+def _definitions(modules):
+    """(qualified name, simple name, node) of each module-level or class-level def."""
+    for module, tree in modules:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield f"{module}.{node.name}", node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        yield f"{module}.{node.name}.{item.name}", item.name, item
+
+
+def _names(nodes) -> set[str]:
+    """The Name ids and Attribute names read anywhere under `nodes`."""
+    out = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                out.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                out.add(sub.attr)
+    return out
+
+
+def _import_time_statements(modules):
+    """Statements outside any def: module bodies and class bodies, which run on import."""
+    for _, tree in modules:
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                yield from node.decorator_list
+                yield from node.bases
+                yield from (item for item in node.body if not isinstance(item, ast.FunctionDef))
+            elif isinstance(node, ast.FunctionDef):
+                yield from node.decorator_list
+            else:
+                yield node
+
+
+def _bench_names() -> set[str]:
+    """Every identifier that `bench/` reads: attributes, imports and words of its strings."""
+    out = set()
+    for path in sorted((ROOT / "bench").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        out |= _names([tree])
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                out |= {part for alias in node.names for part in alias.name.split(".")}
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                out |= set(re.findall(r"[A-Za-z_]\w*", node.value))
+    return out
+
+
+def _exported(modules) -> set[str]:
+    tree = dict(modules)["__init__"]
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    raise AssertionError("sumrank.__init__ has no __all__")
+
+
+def unreached() -> set[str]:
+    """Qualified names of the defs in src/sumrank that no root reaches."""
+    modules = _modules()
+    defs = list(_definitions(modules))
+    by_name: dict[str, list[int]] = {}
+    for i, (_, name, _) in enumerate(defs):
+        by_name.setdefault(name, []).append(i)
+    registered = {i for i, (_, _, node) in enumerate(defs)
+                  if _names(node.decorator_list) & REGISTRARS}
+    dunders = {i for i, (_, name, _) in enumerate(defs)
+               if name.startswith("__") and name.endswith("__")}
+    entry = {i for i, (qual, _, _) in enumerate(defs) if qual in ENTRY_POINTS}
+    named = _names(_import_time_statements(modules)) | _exported(modules) | _bench_names()
+    todo = list(registered | dunders | entry) + [i for n in named for i in by_name.get(n, ())]
+    seen: set[int] = set()
+    while todo:
+        i = todo.pop()
+        if i in seen:
+            continue
+        seen.add(i)
+        node = defs[i][2]
+        if isinstance(node, ast.FunctionDef):  # a class body runs on import: it is a root
+            todo += [j for n in _names([node]) for j in by_name.get(n, ())]
+    return {qual for i, (qual, _, _) in enumerate(defs) if i not in seen}
+
+
+def test_src_holds_only_reached_code():
+    assert unreached() == RESERVED

@@ -464,7 +464,7 @@ def test_distance_interval_holds_the_dps_d(problem):
     assert res.lo <= d <= res.hi
     if res.exact:
         assert res.witness is not None
-        assert sp.packed_word_weight(code.profile, res.witness) == d
+        assert sp.sum_rank_weight(code.to_word(res.witness)) == d
         assert contains_packed(code, res.witness)
 
 
