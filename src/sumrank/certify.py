@@ -26,9 +26,10 @@ import numpy as np
 
 from . import __version__
 from .gf import _CHUNK_BYTES, array_digits, place_values
-from .spaces import (MatrixProfile, ball_volume_exact, brute_weight_array,
-                     hamming_ball_volume, packing_radius, rank_array)
+from .spaces import (MatrixProfile, Shapes, ball_volume, ball_volume_exact, brute_weight_array,
+                     packing_radius, rank_array)
 from .construct import FAMILY_LENGTHS
+from .hamming import bch_covering_radius_interval
 from .syndrome import (ENUM_BUDGET, SYNDROME_BUDGET, WORK_BUDGET, BudgetExceeded, SrDistance,
                        SumRankCode, least_weight_word, rank_table_stop)
 from .syndrome import covering_radius as sr_covering_radius
@@ -147,29 +148,32 @@ def sr_covering_radius_sweep(code: SumRankCode,
 # bounds
 # ----------------------------------------------------------------------
 
+def singleton_like_exponent(shapes: Shapes, d: int) -> int:
+    """log_q of the Singleton-like size bound, one step per shape: with the blocks ordered
+    by m, then n, both descending, d - 1 is the rows of the first j blocks plus delta <
+    n_(j+1), and the exponent the area of the blocks from j + 1 on less m_(j+1) delta."""
+    N = sum(n * count for (n, _), count in shapes.items())
+    if not 1 <= d <= N:
+        raise ValueError(f"distance {d} out of range 1..{N}")
+    area, owed = sum(n * m * count for (n, m), count in shapes.items()), d - 1
+    for (n, m), count in sorted(shapes.items(), key=lambda s: (-s[0][1], -s[0][0])):
+        if owed < n * count:  # reached, as owed < N
+            break
+        area, owed = area - n * m * count, owed - n * count
+    return area - m * owed
+
+
 def singleton_like_bound(profile: MatrixProfile, d: int) -> int:
-    """Size bound from the unique decomposition d = sum n_i + delta + 1."""
-    if not 1 <= d <= profile.N:
-        raise ValueError(f"distance {d} out of range 1..{profile.N}")
-    blocks = sorted(profile.blocks, key=lambda nm: (-nm[1], -nm[0]))
-    prefix = 0
-    for j, (n, m) in enumerate(blocks):
-        delta = d - 1 - prefix
-        if delta <= n - 1:
-            exponent = sum(ni * mi for ni, mi in blocks[j:]) - m * delta
-            return profile.q ** exponent
-        prefix += n
-    raise AssertionError("unreachable for d <= N")
+    """Size bound q^`singleton_like_exponent` of the profile's blocks."""
+    return profile.q ** singleton_like_exponent(profile.shape_counts(), d)
 
 
 def singleton_defect(profile: MatrixProfile, dim: int, d: int) -> int:
-    """m(N - d + 1) - log_q|C| for homogeneous column size m."""
-    ms = {m for _, m in profile.blocks}
-    if len(ms) != 1:
+    """m(N - d + 1) - log_q|C| for equal column sizes m: the Singleton-like exponent - dim."""
+    if len({m for _, m in profile.blocks}) != 1:
         raise ValueError("the defect is defined for equal column sizes only; "
                          "compare against the general bound instead")
-    m = ms.pop()
-    return m * (profile.N - d + 1) - dim
+    return singleton_like_exponent(profile.shape_counts(), d) - dim
 
 
 def msrd_verdict(profile: MatrixProfile, dim: int, d: int) -> tuple[str, int]:
@@ -196,11 +200,9 @@ def sphere_packing_check(profile: MatrixProfile, size: int, d: int) -> SpherePac
 
 def distance_optimal_check(profile: MatrixProfile, size: int, d: int) -> tuple[str, dict]:
     """Sufficient sphere-packing refutation of any (size, d+1) code."""
-    vol = ball_volume_exact(profile, d // 2)
-    rhs = profile.ambient_size
-    lhs = size * vol
-    verdict = "certified" if lhs > rhs else "inconclusive"
-    return verdict, {"volume_radius": d // 2, "volume": vol, "lhs": lhs, "rhs": rhs}
+    sp = sphere_packing_check(profile, size, d + 1)
+    return ("inconclusive" if sp.holds else "certified",
+            {"volume_radius": d // 2, "volume": sp.lhs // size, "lhs": sp.lhs, "rhs": sp.rhs})
 
 
 def perfection_verdict(d: int, radius: int) -> str:
@@ -238,17 +240,17 @@ def strong_singleton_bch(m: int, t: int, e: int, n: int, d_sr: int) -> StrongSin
 
     Case 1 (d = 4m^2 e + i, 1 <= i <= 4m^2 - 1): 2^(m^2 (t - ne)).
     Case 2 (d = 4m^2 e): 2^(m^2 (t - ne + n)).
-    The Singleton-like bound of the m x m profile is 2^(m(tm - d + 1)).
+    The Singleton-like bound is that of t blocks m x m, which refuses d outside 1..tm.
     """
     for name, value in (("matrix size m", m), ("block length t", t), ("BCH error count e", e),
                         ("BCH field degree n", n)):
         if value < 1:
             raise ValueError(f"{name} = {value} must be at least 1")
-    singleton_exponent = m * (t * m - d_sr + 1)
+    singleton_exponent = singleton_like_exponent({(m, m): t}, d_sr)
     lo, hi = 4 * m * m * e, 4 * m * m * e + 4 * m * m - 1
     if t < 2 ** n - 1:
         reason = f"block length {t} below 2^{n} - 1"
-    elif 2 ** n < (2 * e - 1) ** (4 * e + 2):
+    elif bch_covering_radius_interval(e, n) is None:
         reason = f"2^{n} < (2e-1)^(4e+2) = {(2 * e - 1) ** (4 * e + 2)}"
     elif not lo <= d_sr <= hi:
         reason = f"distance {d_sr} outside [{lo}, {hi}]"
@@ -336,7 +338,7 @@ def family_condition_checks(family: str, params: dict) -> ConditionRecord:
     base, t = FAMILY_LENGTHS[family](**p)
     q, lam = base.order, p.get("lam", 1)
     if family == "cyclic-d4":
-        m = p["m"]
+        m, shape = p["m"], (1, 1)
         rat = 2 * q * lam * lam < (q - 1) ** 2
         rat_str = f"2*{q}*{lam}^2 < ({q}-1)^2"
         rhs, crit = q ** (2 * m + 1), f"V_H(q,2) at n={t} > q^(2m+1)"
@@ -349,8 +351,7 @@ def family_condition_checks(family: str, params: dict) -> ConditionRecord:
         s1, s2, m, shape = p["s1"], p["s2"], p["m"], (p["s1"], p["s2"])
         rat = 2 * q ** s2 * (q - 1) ** 2 * lam * lam < (q ** s1 - 1) ** 2
         rat_str = f"2*{q}^{s2}*({q}-1)^2*{lam}^2 < ({q}^{s1}-1)^2"
-        rhs = q ** (s2 * (2 * m + 3))
-        crit = f"V_sr(q,2) over {t} blocks {s1}x{s2} > q^(s2(2m+3))"
+        rhs, crit = q ** (s2 * (2 * m + 3)), f"V_sr(q,2) over {t} blocks {s1}x{s2} > q^(s2(2m+3))"
     elif family == "plotkin-distance-optimal":
         s, m, shape, t = p["s"], p["m"], (p["s"], p["s"]), 2 * t  # both halves
         rat = 2 * (2 ** s - 1) ** 4 >= 2 ** (4 * s)
@@ -360,8 +361,7 @@ def family_condition_checks(family: str, params: dict) -> ConditionRecord:
         m, u, shape = p["m"], p["u"], (2, p["m"])
         rat, rat_str = True, "none (no lambda condition)"
         rhs, crit = q ** (m * (u + 1)), f"V_sr(q,2) over {t} blocks 2x{m} > q^(m(u+1))"
-    lhs = (hamming_ball_volume(t, 2, q) if family == "cyclic-d4"  # no profile of t blocks 1 x 1
-           else ball_volume_exact(MatrixProfile(base, (shape,) * t), 2))
+    lhs = ball_volume(q, {shape: t}, 2)
     return ConditionRecord(family, p, rat_str, bool(rat), crit,
                            bool(lhs > rhs), int(lhs), int(rhs))
 
@@ -381,8 +381,8 @@ def unlock_big_int_strings(digits: int = 1_000_000) -> None:
         pass
 
 
-def write_json(obj, write, default=None, _newline: str = "\n") -> None:
-    """Write `json.dumps(obj, sort_keys=True, indent=2, default=default)` through `write`.
+def write_json(obj, write, _newline: str = "\n") -> None:
+    """Write `json.dumps(obj, sort_keys=True, indent=2)` through `write`.
 
     The same bytes, piece by piece, so a descriptor streams to its file
     instead of being built whole in memory: this lays out the lists and
@@ -402,7 +402,7 @@ def write_json(obj, write, default=None, _newline: str = "\n") -> None:
         sep = "[" + inner
         for item in obj:
             write(sep)
-            write_json(item, write, default, inner)
+            write_json(item, write, inner)
             sep = "," + inner
         write(_newline + "]")
     elif isinstance(obj, dict):
@@ -416,13 +416,11 @@ def write_json(obj, write, default=None, _newline: str = "\n") -> None:
                 raise TypeError(f"keys must be str, int, float, bool or None, "
                                 f"not {key.__class__.__name__}")
             write(sep + json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": ")
-            write_json(value, write, default, inner)
+            write_json(value, write, inner)
             sep = "," + inner
         write(_newline + "}")
     elif isinstance(obj, (str, int, float)) or obj is None:
         write(json.dumps(obj))
-    elif default is not None:
-        write_json(default(obj), write, default, _newline)
     else:
         raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
@@ -457,7 +455,7 @@ class Certificate:
         return VERDICT_EXIT.get(self.verdict, 3)
 
     def to_json(self, write=None) -> str | None:
-        """The certificate as `json.dumps(..., sort_keys=True, indent=2, default=str)`.
+        """The certificate as `json.dumps(..., sort_keys=True, indent=2)`.
 
         With `write`, the text goes to it piece by piece and None is returned.
         """
@@ -473,10 +471,10 @@ class Certificate:
             "toolchain-version": self.toolchain_version,
         }
         if write is not None:
-            write_json(payload, write, default=str)
+            write_json(payload, write)
             return None
         pieces: list[str] = []
-        write_json(payload, pieces.append, default=str)
+        write_json(payload, pieces.append)
         return "".join(pieces)
 
     def to_table(self) -> str:
@@ -544,7 +542,8 @@ def _sphere_packing_rule(cert: Certificate, dist: SrDistance, radius) -> None:
     V_sr(r) > q^codim: certified at d_hi when there is none, refuted at d_lo when
     r <= (d_lo - 1)//2, so the balls are counted once and no further than r."""
     code = cert.code
-    r = packing_radius(code.profile, code.codim, (dist.hi - 1) // 2)
+    r = packing_radius(code.profile.q, code.profile.shape_counts(), code.codim,
+                       (dist.hi - 1) // 2)
     if r is None or r <= (dist.lo - 1) // 2:
         sp = sphere_packing_check(code.profile, code.size, dist.hi if r is None else dist.lo)
         cert.add_bound("sphere_packing", f"{sp.lhs} <= {sp.rhs}", ())

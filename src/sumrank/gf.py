@@ -191,9 +191,7 @@ class Field:
         return self.add(a, self.neg(b))
 
     def _mul_raw(self, a: int, b: int) -> int:
-        """Polynomial multiply-and-reduce; no tables."""
-        if self.subfield is None:
-            return (a * b) % self.p
+        """Polynomial multiply-and-reduce over the subfield (extension fields only); no tables."""
         sub = self.subfield
         da, db = self.digits(a), self.digits(b)
         prod = [0] * (2 * self.degree - 1)

@@ -5,7 +5,7 @@ n x m over GF(q) also has a packed form: entry (i, j) contributes
 value * q**(i*m + j), i.e. row-major little-endian digits.  Ambient words
 pack the same way, blocks in order, which keeps ambient sweeps, rank
 tables and parity-check columns mutually consistent.  Every ball volume
-reads a prefix of one stream of weight counts (`weight_counts`).
+reads a prefix of one stream of weight counts (`weight_counts`) of `Shapes`.
 """
 
 from __future__ import annotations
@@ -13,14 +13,14 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterator
 from functools import lru_cache, reduce
-from itertools import islice
-from math import comb
+from itertools import accumulate, islice
 
 import numpy as np
 
 from .gf import _CHUNK_BYTES, Field, array_digits, digit_adder, digits, place_values, undigits
 
 BRUTE_LIMIT = 1 << 24  # most values a rank table or an ambient sweep enumerates
+Shapes = dict[tuple[int, int], int]  # {(n, m): count}, the blocks the counting bounds read
 
 
 class MatrixProfile:
@@ -80,8 +80,8 @@ class MatrixProfile:
     def block_space_sizes(self) -> tuple[int, ...]:
         return tuple(self.q ** (n * m) for n, m in self.blocks)
 
-    def max_weight(self) -> int:
-        return sum(min(n, m) for n, m in self.blocks)
+    def shape_counts(self) -> Shapes:
+        return Counter(self.blocks)
 
     def describe(self) -> dict:
         return {"field": self.field.describe(), "blocks": [list(b) for b in self.blocks]}
@@ -198,20 +198,26 @@ def rank_distribution(n: int, m: int, q: int) -> list[int]:
 
 
 def hamming_ball_volume(n: int, r: int, q: int) -> int:
+    """|{x in GF(q)^n : wt_H(x) <= r}|: the ball of n blocks of shape 1 x 1."""
     if r < 0 or r > n:
         raise ValueError(f"radius {r} out of range for length {n}")
-    return sum(comb(n, i) * (q - 1) ** i for i in range(r + 1))
+    return ball_volume(q, {(1, 1): n}, r)
+
+
+def ball_volume(q: int, shapes: Shapes, r: int) -> int:
+    """|{x : wt_sr(x) <= r}| over GF(q) blocks `shapes`, the first r + 1 `weight_counts`."""
+    if r < 0:
+        raise ValueError("radius must be nonnegative")
+    return sum(islice(weight_counts(q, shapes), r + 1))
 
 
 def ball_volume_exact(profile: MatrixProfile, r: int) -> int:
-    """|{x : wt_sr(x) <= r}|, the first r + 1 counts of `weight_counts`."""
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    return sum(islice(weight_counts(profile), r + 1))
+    """`ball_volume` of the profile's blocks."""
+    return ball_volume(profile.q, profile.shape_counts(), r)
 
 
-def packing_radius(profile: MatrixProfile, codim: int, stop: int | None = None) -> int | None:
-    """The least r <= `stop` with V_sr(r) > q^codim, or None if there is none.
+def packing_radius(q: int, shapes: Shapes, codim: int, stop: int | None = None) -> int | None:
+    """The least r <= `stop` with V_sr(r) > q^codim over `shapes`, or None if there is none.
 
     A code of codimension `codim` with d >= 2r + 1 would hold disjoint
     radius-r balls around its q^(ambient_dim - codim) words, so such an r
@@ -219,16 +225,12 @@ def packing_radius(profile: MatrixProfile, codim: int, stop: int | None = None) 
     is the whole space: then None means the zero code, whose balls never
     outgrow q^codim.  No count past r or `stop` is formed.
     """
-    volume, room = 0, profile.q ** codim
-    for r, count in enumerate(islice(weight_counts(profile), None if stop is None else stop + 1)):
-        volume += count
-        if volume > room:
-            return r
-    return None
+    volumes = accumulate(islice(weight_counts(q, shapes), None if stop is None else stop + 1))
+    return next((r for r, volume in enumerate(volumes) if volume > q ** codim), None)
 
 
-def weight_counts(profile: MatrixProfile) -> Iterator[int]:
-    """Yield the number of words of sum-rank weight 0, 1, ..., the largest weight.
+def weight_counts(q: int, shapes: Shapes) -> Iterator[int]:
+    """Yield the number of words of sum-rank weight 0, 1, ..., the largest, over GF(q) `shapes`.
 
     The t blocks of an n x m shape contribute F = P^t, P = sum_k P_k x^k the
     shape's rank distribution (P_0 = 1).  Since x P F' = t x P' F, the
@@ -239,9 +241,9 @@ def weight_counts(profile: MatrixProfile) -> Iterator[int]:
     reads only those at weights <= w, so a reader stops the stream where
     it stops reading.
     """
-    top = profile.max_weight()
-    return reduce(_times, (_power_counts(rank_distribution(n, m, profile.q), t, top)
-                           for (n, m), t in Counter(profile.blocks).items()))
+    top = sum(min(n, m) * t for (n, m), t in shapes.items())
+    return reduce(_times, (_power_counts(rank_distribution(n, m, q), t, top)
+                           for (n, m), t in shapes.items()))
 
 
 def _power_counts(dist: list[int], t: int, top: int) -> Iterator[int]:

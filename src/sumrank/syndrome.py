@@ -67,6 +67,7 @@ the square of the block count.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -275,7 +276,7 @@ def syndrome_dp(field, parity, shapes) -> SyndromeDP:
     # The backtrack compares A before a block only with values <= d - 1 (its first
     # nonzero block value weighs >= 1, later targets are smaller), which A capped at
     # level min(codim, 2r - 1) reads exactly: d <= 2r (packing), d <= codim + 1 (Singleton)
-    r = packing_radius(MatrixProfile(field, tuple(shapes)), codim, codim // 2)
+    r = packing_radius(field.order, Counter(shapes), codim, codim // 2)
     # levels[w, s]: blocks after which A[s] is first <= w, else t + 1
     levels = np.full((1 + (codim if r is None else min(codim, 2 * r - 1)), len(flat)), t + 1,
                      dtype=np.uint8 if t < 255 else np.uint16)

@@ -33,6 +33,23 @@ def convolved_weight_counts(profile) -> list[int]:
     return counts
 
 
+def singleton_walk(blocks, d: int) -> int:
+    """The Singleton-like exponent by a walk over the blocks one at a time (the reference
+    for `certify.singleton_like_exponent`): sorted by m, then n, both descending,
+    d = n_1 + ... + n_j + delta + 1 with delta < n_(j+1) decides it as the area of the
+    blocks from j + 1 on less m_(j+1) delta."""
+    if not 1 <= d <= sum(n for n, _ in blocks):
+        raise ValueError(f"distance {d} out of range")
+    blocks = sorted(blocks, key=lambda nm: (-nm[1], -nm[0]))
+    prefix = 0
+    for j, (n, m) in enumerate(blocks):
+        delta = d - 1 - prefix
+        if delta <= n - 1:
+            return sum(ni * mi for ni, mi in blocks[j:]) - m * delta
+        prefix += n
+    raise AssertionError("unreachable for d <= N")
+
+
 def scalar_op_table(field, kind: str) -> np.ndarray:
     """The Q x Q table of `field.add` or `field.mul`, one scalar call per cell
     (the reference for `Field.np_table`)."""

@@ -23,7 +23,7 @@ from sumrank.cli import build_parser, main, parse_params
 from sumrank.syndrome import SrDistance, SumRankCode
 
 from oracles import (blf_relation_check, blf_witness, contains_packed, generator_parity,
-                     size_bound_from_witness)
+                     singleton_walk, size_bound_from_witness)
 
 
 @pytest.fixture(scope="module")
@@ -215,6 +215,31 @@ def test_singleton_like_bound(f2):
         assert ct.singleton_like_bound(het, d) == ct.singleton_like_bound(het2, d)
 
 
+SINGLETON_SHAPES = [(n, m) for m in range(1, 6) for n in range(1, m + 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(SINGLETON_SHAPES), min_size=1, max_size=12))
+@example([(1, 3), (3, 3), (2, 3), (1, 1), (2, 2), (1, 3)])
+def test_singleton_exponent_from_shape_counts_matches_the_walk(blocks):
+    """One step per shape equals the per-block walk at every d in 1..N, on mixed profiles
+    of n < m and n = m blocks, and refuses d = 0 and d = N + 1."""
+    shapes = sp.MatrixProfile(cs.field_of_order(2), tuple(blocks)).shape_counts()
+    N = sum(n for n, _ in blocks)
+    for d in range(1, N + 1):
+        assert ct.singleton_like_exponent(shapes, d) == singleton_walk(blocks, d)
+    for d in (0, N + 1):
+        with pytest.raises(ValueError, match=f"^distance {d} out of range 1..{N}$"):
+            ct.singleton_like_exponent(shapes, d)
+
+
+def test_singleton_exponent_at_a_trillion_blocks():
+    """m(tm - d + 1) for t blocks m x m, from one shape count, and the bound's exponent."""
+    t = 2 ** 40 - 1
+    assert ct.singleton_like_exponent({(2, 2): t}, 33) == 2 * (2 * t - 33 + 1)
+    assert ct.strong_singleton_bch(2, t, 2, 16, 33).singleton_exponent == 2 * (2 * t - 32)
+
+
 def test_singleton_defect_and_msrd(f2, am_code):
     assert ct.singleton_defect(am_code.profile, am_code.dim, 4) == 2
     assert ct.msrd_verdict(am_code.profile, am_code.dim, 4)[0] == "almost-MSRD"
@@ -280,6 +305,9 @@ def test_strong_singleton_bch():
     assert not low_d.applicable
     short = ct.strong_singleton_bch(2, 100, 2, 16, 33)
     assert not short.applicable
+    # the Singleton-like exponent refuses a distance past the tm rows, as `bounds singleton` does
+    with pytest.raises(ValueError, match="^distance 16 out of range 1..2$"):
+        ct.strong_singleton_bch(2, 1, 1, 1, 16)
 
 
 @pytest.mark.parametrize("m", [0, -1])
@@ -421,19 +449,18 @@ def test_certificate_json_streams_the_bytes_of_json_dumps(qp_code):
                "quantities": cert.quantities, "bounds": cert.bounds,
                "verdict": cert.verdict, "notes": cert.notes, "seed": cert.seed,
                "toolchain-version": cert.toolchain_version}
-    expected = json.dumps(payload, sort_keys=True, indent=2, default=str)
+    expected = json.dumps(payload, sort_keys=True, indent=2)
     assert len(pieces) > 1 and "".join(pieces) == expected == cert.to_json()
 
 
 # JSON-like trees: int lists with bools among the ints (the writer's join
 # path), tuples, empty and nested containers, dict keys of every kind json
 # converts (one comparable kind per dict, as sort_keys needs), escapes and
-# non-ASCII text, nan/inf, ints past the 4300-digit str cap, and Fractions,
-# which only `default` can write
+# non-ASCII text, nan/inf and ints past the 4300-digit str cap
 _BIG_INTS = st.builds(lambda e, s, r: s * (10 ** e + r), st.integers(4300, 4400),
                       st.sampled_from([1, -1]), st.integers(0, 10 ** 6))
 _LEAVES = (st.none() | st.booleans() | st.integers() | _BIG_INTS | st.floats()
-           | st.text() | st.fractions())
+           | st.text())
 _KEYS = (st.text(), st.integers() | st.floats() | st.booleans(), st.none())
 
 
@@ -451,12 +478,12 @@ def _json_trees():
 @example([1, True, 2, False])
 @example({"a": [], "b": {}, "c": ((),)})
 @example({1.5: [0], 2: [-1], True: None})
-@example(["\u00e9\n\"\\\x00", float("nan"), float("inf"), -float("inf"), Fraction(1, 3)])
+@example(["\u00e9\n\"\\\x00", float("nan"), float("inf"), -float("inf")])
 def test_write_json_matches_json_dumps(tree):
     ct.unlock_big_int_strings()
     pieces = []
-    ct.write_json(tree, pieces.append, default=str)
-    assert "".join(pieces) == json.dumps(tree, sort_keys=True, indent=2, default=str)
+    ct.write_json(tree, pieces.append)
+    assert "".join(pieces) == json.dumps(tree, sort_keys=True, indent=2)
 
 
 def test_write_json_without_default_refuses_what_json_refuses():
@@ -465,6 +492,16 @@ def test_write_json_without_default_refuses_what_json_refuses():
             json.dumps(bad, sort_keys=True, indent=2)
         with pytest.raises(TypeError):
             ct.write_json(bad, [].append)
+
+
+def test_certificate_with_a_numpy_quantity_raises(am_code):
+    """A quantity json cannot write is an error (exit 3 from the CLI), not a string."""
+    cert = ct.certify_code(am_code, "almost-msrd")
+    cert.add_quantity("rank", np.int64(3), "numpy")
+    with pytest.raises(TypeError, match="int64 is not JSON serializable"):
+        cert.to_json()
+    with pytest.raises(TypeError, match="int64 is not JSON serializable"):
+        cert.to_json([].append)
 
 
 def test_certificate_verdicts(am_code):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -403,6 +404,9 @@ CONDITION_REFUSALS = [
     (("bounds", "strong-bch", "m=2", "t=-1", "e=1", "n=4", "d=17"),
      "block length t = -1 must be at least 1"),
     (("construct", "covering-repetition", "q=2", "m=4", "t=0"), "length must be positive"),
+    # a distance past the N = tm rows of the blocks is refused as `bounds singleton` refuses it
+    (("bounds", "strong-bch", "m=2", "t=1", "e=1", "n=1", "d=16"), "distance 16 out of range 1..2"),
+    (("table", "strong-bch", "m=2", "e=1", "n=1", "t=1"), "distance 15 out of range 1..2"),
 ])
 def test_malformed_values_are_usage_errors(capsys, argv, error):
     code, out, err = run(capsys, *argv)
@@ -557,6 +561,25 @@ def test_bounds_condition(capsys):
                        "family=cyclic-d4", "q=4", "m=2", "lam=1")
     assert code == 2
     assert "991" in out
+    code, out, _ = run(capsys, "bounds", "condition",
+                       "family=distance-optimal-sxs", "q=2", "s=2", "m=8")
+    assert code == 2
+    assert out.splitlines()[1] == ("exact criterion [V_sr(q,2) over 65535 blocks 2x2 > "
+                                   "q^(s(2m+3))]: False (173939195971 vs 274877906944)")
+
+
+def test_bounds_condition_reads_shape_counts_not_blocks():
+    """sxs s=2 m=20 has 2^40 - 1 blocks: the criterion reads one shape count, so it is
+    answered (exit 2) quickly, by a child held to 2 GB of address space."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    argv = ["bounds", "condition", "family=distance-optimal-sxs", "q=2", "s=2", "m=20"]
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "sumrank.cli", *argv], env=_child_env(),
+                          capture_output=True, text=True, timeout=60, preexec_fn=limit)
+    assert proc.returncode == 2, proc.stderr
+    assert "over 1099511627775 blocks 2x2" in proc.stdout
+    assert time.perf_counter() - start < 5
 
 
 @pytest.mark.parametrize("family", ["cyclic-d4-alt", "bogus"])

@@ -2,12 +2,14 @@
 
 The roots are the CLI entry points, the `@_recipe` and `@_kind`
 registrations, dunder methods, `sumrank.__all__`, the statements a module
-runs on import, and every name that the benchmark or its tests (`bench/`)
-read, as an attribute, an import or a dotted string such as a span name.
-From a reached definition the walk follows each Name and Attribute in its
-body; docstrings and other strings are not followed.  A name reaches every
-definition of that name, in any module or class, so the walk can only
-over-approximate what runs.  Test-only helpers belong in `tests/oracles.py`.
+runs on import, every name that the benchmark or its tests (`bench/`) read
+as an attribute or an import, and each definition whose `module.qualname`
+is a whole string there (the span and counter targets); a word inside
+other text, such as a docstring, roots nothing.  From a reached definition
+the walk follows each Name and Attribute in its body; docstrings and other
+strings are not followed.  A name reaches every definition of that name,
+in any module or class, so the walk can only over-approximate what runs.
+Test-only helpers belong in `tests/oracles.py`.
 """
 
 import ast
@@ -67,18 +69,20 @@ def _import_time_statements(modules):
                 yield node
 
 
-def _bench_names() -> set[str]:
-    """Every identifier that `bench/` reads: attributes, imports and words of its strings."""
-    out = set()
+def _bench_roots() -> tuple[set[str], set[str]]:
+    """What `bench/` reads: the identifiers of its attributes and imports, and its
+    strings that are a whole dotted `module.qualname`."""
+    names, quals = set(), set()
     for path in sorted((ROOT / "bench").rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        out |= _names([tree])
+        names |= _names([tree])
         for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
-                out |= {part for alias in node.names for part in alias.name.split(".")}
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                out |= set(re.findall(r"[A-Za-z_]\w*", node.value))
-    return out
+                names |= {part for alias in node.names for part in alias.name.split(".")}
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+", node.value)):
+                quals.add(node.value)
+    return names, quals
 
 
 def _exported(modules) -> set[str]:
@@ -101,8 +105,9 @@ def unreached() -> set[str]:
                   if _names(node.decorator_list) & REGISTRARS}
     dunders = {i for i, (_, name, _) in enumerate(defs)
                if name.startswith("__") and name.endswith("__")}
-    entry = {i for i, (qual, _, _) in enumerate(defs) if qual in ENTRY_POINTS}
-    named = _names(_import_time_statements(modules)) | _exported(modules) | _bench_names()
+    bench_names, bench_quals = _bench_roots()
+    entry = {i for i, (qual, _, _) in enumerate(defs) if qual in ENTRY_POINTS | bench_quals}
+    named = _names(_import_time_statements(modules)) | _exported(modules) | bench_names
     todo = list(registered | dunders | entry) + [i for n in named for i in by_name.get(n, ())]
     seen: set[int] = set()
     while todo:

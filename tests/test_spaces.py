@@ -1,5 +1,6 @@
 """Matrix profiles, rank counting, ball volumes, and the metric axioms."""
 
+import math
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -318,7 +319,7 @@ def stream_profiles(draw):
     q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
     blocks = draw(st.lists(st.sampled_from(STREAM_SHAPES), min_size=1, max_size=8))
     prof = sp.MatrixProfile(field_of_order(q), tuple(blocks))
-    return prof, draw(st.none() | st.integers(0, prof.max_weight() + 2))
+    return prof, draw(st.none() | st.integers(0, prof.N + 2))
 
 
 @settings(max_examples=80, deadline=None)
@@ -329,13 +330,13 @@ def test_weight_stream_matches_the_convolution(problem):
     weight too, and of the ambient sweep where it is small."""
     prof, stop = problem
     volumes = np.cumsum(np.array(convolved_weight_counts(prof), dtype=object)).tolist()
-    assert len(volumes) == prof.max_weight() + 1 and volumes[-1] == prof.ambient_size
-    for r in range(prof.max_weight() + 3):
+    assert len(volumes) == prof.N + 1 and volumes[-1] == prof.ambient_size
+    for r in range(prof.N + 3):
         assert sp.ball_volume_exact(prof, r) == volumes[min(r, len(volumes) - 1)]
     for codim in range(prof.ambient_dim + 1):
         least = next((r for r, v in enumerate(volumes) if v > prof.q ** codim), None)
-        assert sp.packing_radius(prof, codim) == least
-        assert sp.packing_radius(prof, codim, stop) == (
+        assert sp.packing_radius(prof.q, prof.shape_counts(), codim) == least
+        assert sp.packing_radius(prof.q, prof.shape_counts(), codim, stop) == (
             least if least is None or stop is None or least <= stop else None)
     if prof.ambient_size <= 1 << 12:
         weights = sp.brute_weight_array(prof)
@@ -369,6 +370,11 @@ def test_hamming_ball_volume():
     assert sp.hamming_ball_volume(15, 0, 4) == 1
     assert sp.hamming_ball_volume(15, 2, 4) == 991
     assert sp.hamming_ball_volume(63, 2, 4) == 17767
+    # the 1 x 1 case of the weight stream is the closed form sum_i C(n, i) (q - 1)^i
+    for n, q in ((1, 2), (7, 3), (20, 4), (40, 9)):
+        for r in range(n + 1):
+            assert sp.hamming_ball_volume(n, r, q) == sum(
+                math.comb(n, i) * (q - 1) ** i for i in range(r + 1))
     with pytest.raises(ValueError):
         sp.hamming_ball_volume(5, 6, 2)
 

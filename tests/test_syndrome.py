@@ -14,6 +14,7 @@ least-weight witness and the same word order as those loops and as
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -368,7 +369,7 @@ def test_packing_bound_is_above_the_exact_distance(problem):
     """2r, for the least r with V_sr(r) > q^codim, bounds d from above at p = 2, 3, 5 and 7."""
     field, parity, shapes = problem
     distance = _full_dp_oracle(field, parity, shapes).distance
-    r = sp.packing_radius(sp.MatrixProfile(field, tuple(shapes)), len(parity))
+    r = sp.packing_radius(field.order, Counter(shapes), len(parity))
     assert (r is None) == (distance is None)  # only the zero code has no such r
     assert r is None or distance <= 2 * r
 
@@ -379,7 +380,7 @@ def test_dp_of_the_zero_code_returns(q, shapes):
     """codim = N: every radius's ball stays within q^codim, so the bound search must stop."""
     cells = sum(n * m for n, m in shapes)
     field, parity, shapes = _problem(q, shapes, np.eye(cells, dtype=int).tolist())
-    assert sp.packing_radius(sp.MatrixProfile(field, tuple(shapes)), cells) is None
+    assert sp.packing_radius(field.order, Counter(shapes), cells) is None
     _check_against_full_dp(field, parity, shapes)
     assert sd.syndrome_dp(field, parity, shapes).distance is None
 
