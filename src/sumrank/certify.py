@@ -28,7 +28,7 @@ from . import __version__
 from .gf import _CHUNK_BYTES, array_digits, place_values
 from .spaces import (MatrixProfile, Shapes, ball_volume, ball_volume_exact, brute_weight_array,
                      packing_radius, rank_array)
-from .construct import FAMILY_LENGTHS
+from .construct import FAMILIES, condition_family
 from .hamming import bch_covering_radius_interval
 from .syndrome import (ENUM_BUDGET, SYNDROME_BUDGET, WORK_BUDGET, BudgetExceeded, SrDistance,
                        SumRankCode, least_weight_word, rank_table_stop)
@@ -315,55 +315,22 @@ def strong_singleton_blf(q: int, m: int, u: int, R: int, t: int,
 # ----------------------------------------------------------------------
 
 class ConditionRecord(NamedTuple):
-    family: str
-    params: dict
-    rational_condition: str
     rational_holds: bool
-    exact_criterion: str
+    rational_condition: str
     exact_holds: bool
+    exact_criterion: str
     exact_lhs: int
     exact_rhs: int
 
 
-CONDITION_FAMILIES = tuple(FAMILY_LENGTHS)
-
-
 def family_condition_checks(family: str, params: dict) -> ConditionRecord:
-    """Evaluate a family's lambda-condition at epsilon = 0 as rationals, alongside the
-    exact finite volume criterion the proof reduces to, after the recipe's gates."""
-    if family not in CONDITION_FAMILIES:
-        raise ValueError(f"no condition checks for family {family!r}; "
-                         f"checkable: {', '.join(CONDITION_FAMILIES)}")
-    p = dict(params)
-    base, t = FAMILY_LENGTHS[family](**p)
-    q, lam = base.order, p.get("lam", 1)
-    if family == "cyclic-d4":
-        m, shape = p["m"], (1, 1)
-        rat = 2 * q * lam * lam < (q - 1) ** 2
-        rat_str = f"2*{q}*{lam}^2 < ({q}-1)^2"
-        rhs, crit = q ** (2 * m + 1), f"V_H(q,2) at n={t} > q^(2m+1)"
-    elif family == "distance-optimal-sxs":
-        s, m, shape = p["s"], p["m"], (p["s"], p["s"])
-        rat = 2 * (q - 1) ** 2 * lam * lam < q ** s - 1
-        rat_str = f"2*({q}-1)^2*{lam}^2 < {q}^{s} - 1"
-        rhs, crit = q ** (s * (2 * m + 3)), f"V_sr(q,2) over {t} blocks {s}x{s} > q^(s(2m+3))"
-    elif family == "distance-optimal-rect":
-        s1, s2, m, shape = p["s1"], p["s2"], p["m"], (p["s1"], p["s2"])
-        rat = 2 * q ** s2 * (q - 1) ** 2 * lam * lam < (q ** s1 - 1) ** 2
-        rat_str = f"2*{q}^{s2}*({q}-1)^2*{lam}^2 < ({q}^{s1}-1)^2"
-        rhs, crit = q ** (s2 * (2 * m + 3)), f"V_sr(q,2) over {t} blocks {s1}x{s2} > q^(s2(2m+3))"
-    elif family == "plotkin-distance-optimal":
-        s, m, shape, t = p["s"], p["m"], (p["s"], p["s"]), 2 * t  # both halves
-        rat = 2 * (2 ** s - 1) ** 4 >= 2 ** (4 * s)
-        rat_str = f"2*(1 - 2^-{s})^4 >= 1"
-        rhs, crit = 2 ** (s * (2 * m + 4)), f"V_sr(2,2) over {t} blocks {s}x{s} > 2^(s(2m+4))"
-    else:  # quasi-perfect-2xm
-        m, u, shape = p["m"], p["u"], (2, p["m"])
-        rat, rat_str = True, "none (no lambda condition)"
-        rhs, crit = q ** (m * (u + 1)), f"V_sr(q,2) over {t} blocks 2x{m} > q^(m(u+1))"
-    lhs = ball_volume(q, {shape: t}, 2)
-    return ConditionRecord(family, p, rat_str, bool(rat), crit,
-                           bool(lhs > rhs), int(lhs), int(rhs))
+    """A family's lambda-condition and the exact criterion the proof reduces to, V_sr(2) >
+    q^codim at the codim its recipe builds, after the recipe's gates (`construct.FAMILIES`)."""
+    fam = condition_family("family_condition_checks", family)(**params)
+    (n, m), q = fam.shape, fam.base.order
+    lhs, rhs = ball_volume(q, {fam.shape: fam.t}, 2), q ** fam.codim
+    return ConditionRecord(*fam.condition, lhs > rhs,
+                           f"V_sr(q,2) over {fam.t} blocks {n}x{m} > q^{fam.codim}", lhs, rhs)
 
 
 # ----------------------------------------------------------------------
@@ -515,13 +482,11 @@ def _distance_optimal_rule(cert: Certificate, dist: SrDistance, radius) -> None:
     cert.add_bound("sphere_packing_refutation", f"{rec['lhs']} {relation} {rec['rhs']}",
                    (f"ball volume {rec['volume']} at radius {rec['volume_radius']}",))
     cert.verdict = verdict
-    if cert.code.recipe in CONDITION_FAMILIES:  # the recipe family's hypothesis checks
-        family = family_condition_checks(cert.code.recipe, cert.code.params)
-        cert.add_bound(f"family_condition[{family.rational_condition}]", family.rational_holds,
+    # the family's lambda-condition; its exact criterion at d = 4 is the refutation above
+    if cert.code.recipe in FAMILIES:
+        holds, text = FAMILIES[cert.code.recipe](**cert.code.params).condition
+        cert.add_bound(f"family_condition[{text}]", holds,
                        ("lambda condition evaluated at epsilon = 0, exact rationals",))
-        cert.add_bound(f"family_criterion[{family.exact_criterion}]", family.exact_holds,
-                       (f"exact comparison {family.exact_lhs} vs {family.exact_rhs} "
-                        "at the family's nominal codimension",))
 
 
 def _msrd_rule(cert: Certificate, dist: SrDistance, radius) -> None:

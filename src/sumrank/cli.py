@@ -263,13 +263,10 @@ def table_strong_bch(m: int, e: int, n: int, t: str) -> int:
 def cmd_kind(args) -> int:
     """Run a `bounds` or `table` kind on the parameters its signature binds."""
     fn, params = KINDS[args.command][args.kind], parse_params(args.params, args.config)
-    declared = cs.signature_params(fn)
+    where, declared = f"{args.command} {args.kind}", cs.signature_params(fn)
     if args.kind == "condition" and "family" in params:
-        if params["family"] not in ct.CONDITION_FAMILIES:
-            raise ValueError(f"bounds condition: no checks for family {params['family']!r}; "
-                             f"it checks {', '.join(ct.CONDITION_FAMILIES)}")
-        declared += cs.signature_params(cs.RECIPES[params["family"]])
-    return fn(**cs.bind_params(f"{args.command} {args.kind}", declared, params))
+        declared += cs.signature_params(cs.condition_family(where, params["family"]))
+    return fn(**cs.bind_params(where, declared, params))
 
 
 def cmd_selftest(args) -> int:

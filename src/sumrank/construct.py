@@ -19,9 +19,9 @@ rows, for the unit images the parity checks invert, and for per-row tables
 of all q^m symbols, whose digit-wise sums make a position's block.
 
 On top of those sit the full-block extension and the Plotkin sum, plus the
-named parameterized recipes used by the CLI.  Each construction states its
-parity checks through its parts' (`_parity_rows`), so the engines never
-need the code's generator.
+named recipes of the CLI, some built from their `FAMILIES` entry.  Each
+construction states its parity checks through its parts' (`_parity_rows`),
+so the engines never need the code's generator.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 import inspect
 import itertools
 from functools import cached_property, reduce, wraps
+from typing import NamedTuple
 
 import numpy as np
 
@@ -434,36 +435,56 @@ def _gate(holds: bool, failure: str) -> None:
         raise ValueError(f"gate failed: {failure}")
 
 
-def _cyclic_length(q: int, e: int, lam: int, power: str, k: int = 1) -> tuple[Field, int]:
-    """GF(q) and n = (q^e - 1)/lam, a cyclic family's block length; `power` names q^e.
+class Family(NamedTuple):
+    """A condition family's code, code-free: t blocks of one shape over `base`, the codim the
+    recipe builds over it, and the paper's lambda-condition at epsilon = 0, (holds, text)."""
+    base: Field
+    shape: tuple[int, int]
+    t: int
+    codim: int
+    condition: tuple[bool, str]
 
-    The family's cyclic ingredient over GF(q^k) has the defining set
-    C_0 u C_1 u C_2, which must leave a residue modulo n out.
-    """
+
+def _cyclic_length(q: int, e: int, lam: int, power: str, k: int = 1) -> tuple[Field, int, int]:
+    """GF(q), the block length n = (q^e - 1)/lam (`power` names q^e) and |T|, the codim over
+    GF(q^k) of the cyclic ingredient, whose defining set T = C_0 u C_1 u C_2 misses a residue."""
     base = field_of_order(q)
     _gate(e >= 1, f"block length ({power} - 1)/lam must be positive")
     Q = q ** e
     _gate(lam >= 1 and (Q - 1) % lam == 0, f"{lam} does not divide {power} - 1 = {Q - 1}")
     n = (Q - 1) // lam
-    _gate(len({r for g in (0, 1, 2) for r in hm.cyclotomic_coset(g, q ** k, n)}) < n,
-          "defining set covers all residues; code is trivial {0}")
-    return base, n
+    size = len({r for g in (0, 1, 2) for r in hm.cyclotomic_coset(g, q ** k, n)})
+    _gate(size < n, "defining set covers all residues; code is trivial {0}")
+    return base, n, size
 
 
-def _quasi_perfect_2xm_length(q: int, m: int, u: int) -> tuple[Field, int]:
+def _parity_count(count: int, parities: int = 2) -> int:
+    """How many of `_trivial_codes`' codes are parity checks (codim 1; a full code has 0)."""
+    return min(parities, count)
+
+
+def _trivial_codes(ext, t: int, count: int, parities: int = 2) -> list[hm.LinearCode]:
+    """Up to `parities` parity-check codes, then full codes: `count` codes of length t."""
+    parities = _parity_count(count, parities)
+    return ([hm.parity_check_code(ext, t) for _ in range(parities)]
+            + [hm.full_code(ext, t) for _ in range(count - parities)])
+
+
+def _quasi_perfect_2xm_family(q: int, m: int, u: int) -> Family:
     _gate(u >= 2, "Hamming redundancy u must be at least 2")
     _gate(m >= 2, "column size m must be at least 2")
-    return field_of_order(q), (q ** (m * u) - 1) // (q ** m - 1)
+    # a Hamming code of redundancy u and one parity check over GF(q^m)
+    return Family(field_of_order(q), (2, m), (q ** (m * u) - 1) // (q ** m - 1), m * (u + 1),
+                  (True, "none (no lambda condition)"))
 
 
 @_recipe
 def quasi_perfect_2xm(q: int, m: int, u: int) -> IngredientSumRankCode:
     """2 x m quasi-perfect family: Hamming plus single-parity ingredients."""
-    base, t = _quasi_perfect_2xm_length(q, m, u)
-    ext = base.extension(m)
-    c1 = hm.hamming_code(ext, u)
-    c2 = hm.parity_check_code(ext, t)
-    return sr_linearized([c1, c2], designed_distance=3)
+    fam = _quasi_perfect_2xm_family(q, m, u)
+    ext = fam.base.extension(m)
+    return sr_linearized([hm.hamming_code(ext, u), hm.parity_check_code(ext, fam.t)],
+                         designed_distance=3)
 
 
 @_recipe
@@ -485,12 +506,18 @@ def quasi_perfect_2x2(t: int = 6, *, ingredient: hm.LinearCode | None = None
     return sr_linearized([c1, ingredient], designed_distance=4)
 
 
+def _cyclic_d4_family(q: int, m: int, lam: int = 1) -> Family:
+    base, n, size = _cyclic_length(q, m, lam, "q^m")
+    return Family(base, (1, 1), n, size,
+                  (2 * q * lam * lam < (q - 1) ** 2, f"2*{q}*{lam}^2 < ({q}-1)^2"))
+
+
 @_recipe
 def cyclic_d4(q: int, m: int, lam: int = 1) -> hm.LinearCode:
     """Distance-4 cyclic family over GF(q), defining set C0 u C1 u C2."""
-    base, n = _cyclic_length(q, m, lam, "q^m")
-    code = hm.cyclic_code(n, base, [0, 1, 2])
-    code.designed_distance = 4 if hm.bch_bound(code.defining_set, n) >= 4 else None
+    fam = _cyclic_d4_family(q, m, lam)
+    code = hm.cyclic_code(fam.t, fam.base, [0, 1, 2])
+    code.designed_distance = 4 if hm.bch_bound(code.defining_set, fam.t) >= 4 else None
     return code
 
 
@@ -507,42 +534,39 @@ def cyclic_d4_alt(q: int, m: int) -> hm.LinearCode:
     return code
 
 
-def _trivial_codes(ext, t: int, count: int, parities: int = 2) -> list[hm.LinearCode]:
-    """Up to `parities` parity-check codes, then full codes: `count` codes of length t."""
-    parities = min(parities, count)
-    return ([hm.parity_check_code(ext, t) for _ in range(parities)]
-            + [hm.full_code(ext, t) for _ in range(count - parities)])
-
-
-def _distance_optimal_sxs_length(q: int, s: int, m: int, lam: int = 1) -> tuple[Field, int]:
+def _distance_optimal_sxs_family(q: int, s: int, m: int, lam: int = 1) -> Family:
     _gate(s >= 2, "matrix size s must be at least 2")
-    return _cyclic_length(q, s * m, lam, "q^(sm)", s)
+    base, t, size = _cyclic_length(q, s * m, lam, "q^(sm)", s)
+    return Family(base, (s, s), t, s * (size + _parity_count(s - 1)),
+                  (2 * (q - 1) ** 2 * lam * lam < q ** s - 1, f"2*({q}-1)^2*{lam}^2 < {q}^{s} - 1"))
 
 
 @_recipe
 def distance_optimal_sxs(q: int, s: int, m: int, lam: int = 1) -> IngredientSumRankCode:
     """s x s distance-4 family from a cyclic code plus trivial ingredients."""
-    base, t = _distance_optimal_sxs_length(q, s, m, lam)
-    ext = base.extension(s)
-    c1 = hm.cyclic_code(t, ext, [0, 1, 2])
-    c1.designed_distance = 4 if hm.bch_bound(c1.defining_set, t) >= 4 else None
-    return sr_linearized([c1, *_trivial_codes(ext, t, s - 1)], designed_distance=4)
+    fam = _distance_optimal_sxs_family(q, s, m, lam)
+    ext = fam.base.extension(s)
+    c1 = hm.cyclic_code(fam.t, ext, [0, 1, 2])
+    c1.designed_distance = 4 if hm.bch_bound(c1.defining_set, fam.t) >= 4 else None
+    return sr_linearized([c1, *_trivial_codes(ext, fam.t, s - 1)], designed_distance=4)
 
 
-def _distance_optimal_rect_length(q: int, s1: int, s2: int, m: int,
-                                  lam: int = 1) -> tuple[Field, int]:
+def _distance_optimal_rect_family(q: int, s1: int, s2: int, m: int, lam: int = 1) -> Family:
     _gate(1 < s1 < s2, "need 1 < s1 < s2")
-    return _cyclic_length(q, s2 * m, lam, "q^(s2 m)", s2)
+    base, t, size = _cyclic_length(q, s2 * m, lam, "q^(s2 m)", s2)
+    return Family(base, (s1, s2), t, s2 * (size + _parity_count(s1 - 1)),
+                  (2 * q ** s2 * (q - 1) ** 2 * lam * lam < (q ** s1 - 1) ** 2,
+                   f"2*{q}^{s2}*({q}-1)^2*{lam}^2 < ({q}^{s1}-1)^2"))
 
 
 @_recipe
 def distance_optimal_rect(q: int, s1: int, s2: int, m: int,
                           lam: int = 1) -> IngredientSumRankCode:
     """s1 x s2 (s1 < s2) distance-4 family over GF(q^(s2))."""
-    base, t = _distance_optimal_rect_length(q, s1, s2, m, lam)
-    ext = base.extension(s2)
-    c1 = hm.cyclic_code(t, ext, [0, 1, 2])
-    return sr_linearized([c1, *_trivial_codes(ext, t, s1 - 1)], designed_distance=4)
+    fam = _distance_optimal_rect_family(q, s1, s2, m, lam)
+    ext = fam.base.extension(s2)
+    c1 = hm.cyclic_code(fam.t, ext, [0, 1, 2])
+    return sr_linearized([c1, *_trivial_codes(ext, fam.t, s1 - 1)], designed_distance=4)
 
 
 @_recipe
@@ -570,14 +594,21 @@ def almost_msrd_2x2(q: int, t: int) -> IngredientSumRankCode:
     return sr_linearized([c1, c2], designed_distance=4)
 
 
+def _plotkin_distance_optimal_family(s: int, m: int) -> Family:
+    half = _distance_optimal_sxs_family(2, s, m)  # the gates and blocks of the second part
+    # the first part, s trivial codes of which one is a parity check, adds its codimension
+    return half._replace(t=2 * half.t, codim=half.codim + s * _parity_count(s, parities=1),
+                         condition=(2 * (2 ** s - 1) ** 4 >= 2 ** (4 * s),
+                                    f"2*(1 - 2^-{s})^4 >= 1"))
+
+
 @_recipe
 def plotkin_distance_optimal(s: int, m: int) -> PlotkinSumRankCode:
     """Binary s x s distance-4 family by doubling the block length."""
-    base, t = _distance_optimal_sxs_length(2, s, m)  # the gates and length of each half
-    ext = base.extension(s)
+    half = _distance_optimal_sxs_family(2, s, m)
+    first = _trivial_codes(half.base.extension(s), half.t, s, parities=1)
     # the second part is a recipe of its own and describes itself as one
-    return PlotkinSumRankCode(sr_linearized(_trivial_codes(ext, t, s, parities=1),
-                                            designed_distance=2),
+    return PlotkinSumRankCode(sr_linearized(first, designed_distance=2),
                               distance_optimal_sxs(2, s, m))
 
 
@@ -590,12 +621,18 @@ def covering_repetition(q: int, m: int, t: int) -> IngredientSumRankCode:
     return sr_covering(ingredients)
 
 
-# each condition family's gates, base field and block length (of a Plotkin half), code-free
-FAMILY_LENGTHS = {"cyclic-d4": lambda q, m, lam=1: _cyclic_length(q, m, lam, "q^m"),
-                  "quasi-perfect-2xm": _quasi_perfect_2xm_length,
-                  "distance-optimal-sxs": _distance_optimal_sxs_length,
-                  "distance-optimal-rect": _distance_optimal_rect_length,
-                  "plotkin-distance-optimal": lambda s, m: _distance_optimal_sxs_length(2, s, m)}
+# each condition family's `Family`, called with its recipe's parameters
+FAMILIES = {"cyclic-d4": _cyclic_d4_family, "quasi-perfect-2xm": _quasi_perfect_2xm_family,
+            "distance-optimal-sxs": _distance_optimal_sxs_family,
+            "distance-optimal-rect": _distance_optimal_rect_family,
+            "plotkin-distance-optimal": _plotkin_distance_optimal_family}
+
+
+def condition_family(where: str, name: str):
+    """The `FAMILIES` entry `name`; any other name is a ValueError after `where`."""
+    if name not in FAMILIES:
+        raise ValueError(f"{where}: no checks for family {name!r}; it checks {', '.join(FAMILIES)}")
+    return FAMILIES[name]
 
 
 def build_recipe(name: str, **params):

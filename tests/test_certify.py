@@ -394,10 +394,14 @@ def test_condition_checks_cyclic_d4():
     rec3 = ct.family_condition_checks("cyclic-d4", {"q": 4, "m": 3, "lam": 1})
     assert rec3.exact_holds            # 17767 > 16384
     assert (rec3.exact_lhs, rec3.exact_rhs) == (17767, 16384)
+    assert rec3.exact_criterion == "V_sr(q,2) over 63 blocks 1x1 > q^7"
     rec_bad = ct.family_condition_checks("cyclic-d4", {"q": 5, "m": 2, "lam": 4})
     assert not rec_bad.rational_holds  # 160 >= 16
     with pytest.raises(ValueError, match="divide"):
         ct.family_condition_checks("cyclic-d4", {"q": 4, "m": 2, "lam": 7})
+    # binary: C_2 = C_1, so T = C_0 u C_1 and the code has codim m + 1, not 2m + 1
+    rec_bin = ct.family_condition_checks("cyclic-d4", {"q": 2, "m": 4, "lam": 1})
+    assert (rec_bin.exact_lhs, rec_bin.exact_rhs, rec_bin.exact_holds) == (121, 32, True)
 
 
 def test_condition_checks_sxs_and_plotkin():
@@ -405,13 +409,16 @@ def test_condition_checks_sxs_and_plotkin():
                                       {"q": 2, "s": 3, "m": 1, "lam": 1})
     assert rec.rational_holds and rec.exact_holds
     assert (rec.exact_lhs, rec.exact_rhs) == (52823, 32768)
+    # s = 2: one parity ingredient, so codim s(|T| + 1) = 2 (5 + 1) = 12
     rec22 = ct.family_condition_checks("distance-optimal-sxs",
                                         {"q": 2, "s": 2, "m": 2, "lam": 1})
-    assert not rec22.exact_holds
-    assert (rec22.exact_lhs, rec22.exact_rhs) == (8731, 16384)
+    assert rec22.exact_holds
+    assert (rec22.exact_lhs, rec22.exact_rhs) == (8731, 4096)
+    assert rec22.exact_criterion == "V_sr(q,2) over 15 blocks 2x2 > q^12"
     pl2 = ct.family_condition_checks("plotkin-distance-optimal", {"s": 2, "m": 2})
     assert not pl2.rational_holds      # 2 * (3/4)^4 < 1
-    assert not pl2.exact_holds
+    assert pl2.exact_holds             # 35686 > 2^14: codim 12 + s, the built one
+    assert (pl2.exact_lhs, pl2.exact_rhs) == (35686, 16384)
     pl3 = ct.family_condition_checks("plotkin-distance-optimal", {"s": 3, "m": 1})
     assert pl3.rational_holds
     assert not pl3.exact_holds         # 223294 < 262144 at m = 1
@@ -423,10 +430,91 @@ def test_condition_checks_rect_and_unknown_family():
                                       {"q": 2, "s1": 2, "s2": 3, "m": 1, "lam": 1})
     _, r1, r2 = sp.rank_distribution(2, 3, 2)  # 7 blocks 2 x 3: t = 2^3 - 1
     assert rec.exact_lhs == 1 + 7 * r1 + math.comb(7, 2) * r1 ** 2 + 7 * r2 == 9703
-    assert rec.exact_rhs == 2 ** 15 and not rec.exact_holds
+    assert rec.exact_rhs == 2 ** 12 and rec.exact_holds  # codim s2 (|{0, 1, 2}| + 1)
     assert not rec.rational_holds      # 16 < 9
-    with pytest.raises(ValueError, match="checkable: cyclic-d4, quasi-perfect-2xm"):
+    with pytest.raises(ValueError, match="no checks for family 'cyclic-d4-alt'; "
+                                         "it checks cyclic-d4, quasi-perfect-2xm"):
         ct.family_condition_checks("cyclic-d4-alt", {"q": 2, "m": 3})
+
+
+_LAMS = (1, 2, 3, 5)
+# recipe points of every condition family, each at lam in _LAMS where it has one; the
+# gates refuse some of them, most for a lam that does not divide q^e - 1
+FAMILY_POINTS = [
+    *(("cyclic-d4", dict(q=q, m=m, lam=lam)) for q, m in [
+        (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (5, 2), (5, 3),
+        (7, 2), (8, 2), (9, 2)] for lam in _LAMS),
+    *(("quasi-perfect-2xm", dict(q=q, m=m, u=u)) for q, m, u in [
+        (2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 3, 2), (2, 3, 3), (3, 2, 2), (3, 2, 3), (3, 3, 2),
+        (4, 2, 2), (4, 2, 3), (5, 2, 2), (7, 2, 2)]),
+    *(("distance-optimal-sxs", dict(q=q, s=s, m=m, lam=lam)) for q, s, m in [
+        (2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 2, 5), (2, 3, 1), (2, 3, 2), (2, 3, 3), (2, 4, 1),
+        (2, 4, 2), (3, 2, 1), (3, 2, 2), (3, 2, 3), (3, 3, 1), (3, 3, 2), (3, 4, 1), (4, 2, 1),
+        (4, 2, 2), (4, 3, 1), (5, 2, 1), (5, 2, 2), (5, 3, 1), (7, 2, 1)] for lam in _LAMS),
+    *(("distance-optimal-rect", dict(q=q, s1=s1, s2=s2, m=m, lam=lam)) for q, s1, s2, m in [
+        (2, 2, 3, 1), (2, 2, 3, 2), (2, 2, 4, 1), (2, 2, 4, 2), (2, 3, 4, 1), (2, 3, 4, 2),
+        (2, 2, 5, 1), (2, 3, 5, 1), (3, 2, 3, 1), (3, 2, 3, 2), (3, 2, 4, 1), (3, 3, 4, 1),
+        (4, 2, 3, 1), (4, 3, 4, 1), (5, 2, 3, 1)] for lam in _LAMS),
+    *(("plotkin-distance-optimal", dict(s=s, m=m)) for s, m in [
+        (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)]),
+]
+
+
+def _point_id(point):
+    family, params = point
+    return "-".join([family, *(f"{k}={v}" for k, v in params.items())])
+
+
+def _built(family, params):
+    """The recipe's code at `params`, or the message of its gate's refusal."""
+    try:
+        return cs.build_recipe(family, **params)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_family_points_cover_the_grid():
+    built = [(family, params) for family, params in FAMILY_POINTS
+             if not isinstance(_built(family, params), str)]
+    assert len(built) >= 100
+    assert any(params.get("lam", 1) > 1 for _, params in built)
+    assert {params["s"] for family, params in built if family == "plotkin-distance-optimal"
+            } == {params["s"] for family, params in built if family == "distance-optimal-sxs"
+                  } == {2, 3, 4}
+    assert {params["s1"] for family, params in built if family == "distance-optimal-rect"
+            } == {2, 3}
+    assert {params["q"] % 2 for _, params in built if "q" in params} == {0, 1}
+
+
+@pytest.mark.parametrize("family,params", FAMILY_POINTS, ids=map(_point_id, FAMILY_POINTS))
+def test_family_table_describes_the_built_code(family, params):
+    """The table's code-free shape is that of the code the recipe builds; a point the
+    recipe refuses, the table refuses with the same message."""
+    code = _built(family, params)
+    if isinstance(code, str):
+        with pytest.raises(ValueError) as exc:
+            cs.FAMILIES[family](**params)
+        assert str(exc.value) == code
+        return
+    fam = cs.FAMILIES[family](**params)
+    assert (fam.base, {fam.shape: fam.t}, fam.codim) == (
+        code.base, code.profile.shape_counts(), code.codim)
+
+
+@pytest.mark.parametrize("family,params", FAMILY_POINTS, ids=map(_point_id, FAMILY_POINTS))
+def test_family_criterion_is_the_distance_optimal_check(family, params):
+    """The exact criterion compares the radius-2 ball with q^codim of the built code: at
+    d = 4 it is the certificate's sphere-packing refutation with both sides divided by |C|.
+    A point the recipe refuses, the checks refuse with the same message."""
+    code = _built(family, params)
+    if isinstance(code, str):
+        with pytest.raises(ValueError, match=f"^{re.escape(code)}$"):
+            ct.family_condition_checks(family, params)
+        return
+    rec = ct.family_condition_checks(family, params)
+    verdict, refutation = ct.distance_optimal_check(code.profile, code.size, 4)
+    assert (rec.exact_lhs, rec.exact_rhs) == (refutation["volume"], code.base.order ** code.codim)
+    assert rec.exact_holds == (verdict == "certified")
 
 
 def test_certificate_json_deterministic(qp_code):
@@ -877,7 +965,7 @@ CERTIFICATE_SHA256 = {
     "certify almost-msrd --recipe almost-msrd-2x2 q=2 t=4":
         (0, "e7f3e20383652327dcc1ee80155c3c5949427638e5308b829e3291eef1af274c"),
     "certify distance-optimal --recipe plotkin-distance-optimal s=3 m=1":
-        (2, "ef89bc9fb0d9529513ed03b663a5e56e97e83d3c75cd88d7a5b2c2e3207d2977"),
+        (2, "b9ca45c60c4e05a95eed5c2280c6f2a0a97ebb5b1781f516a330adadc7b044b0"),
 }
 
 

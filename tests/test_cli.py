@@ -139,12 +139,13 @@ def test_certify_hamming_recipe(tmp_path, capsys):
     _, condition, _ = run(capsys, "bounds", "condition",
                           "family=cyclic-d4", "q=4", "m=3", "lam=1")
     assert condition == ("rational condition [2*4*1^2 < (4-1)^2]: True\n"
-                         "exact criterion [V_H(q,2) at n=63 > q^(2m+1)]: True (17767 vs 16384)\n")
+                         "exact criterion [V_sr(q,2) over 63 blocks 1x1 > q^7]: True "
+                         "(17767 vs 16384)\n")
     bounds = {b["name"]: b for b in json.loads(cert.read_text())["bounds"]}
     assert bounds["family_condition[2*4*1^2 < (4-1)^2]"]["value"] is True
-    criterion = bounds["family_criterion[V_H(q,2) at n=63 > q^(2m+1)]"]
-    assert criterion["value"] is True
-    assert criterion["assumptions"][0].startswith("exact comparison 17767 vs 16384 ")
+    # the exact criterion is the sphere-packing refutation, both sides over |C| = 4^56
+    assert not any(name.startswith("family_criterion") for name in bounds)
+    assert bounds["sphere_packing_refutation"]["value"] == f"{17767 * 4 ** 56} > {4 ** 63}"
 
 
 def test_certify_hamming_budget_stop_is_inconclusive(capsys):
@@ -506,7 +507,7 @@ def test_kind_params_cover_every_registered_kind():
     assert {k[:2] for k in KIND_PARAMS} == (
         {("construct", name) for name in cs.RECIPES}
         | {(command, kind) for command in cli.KINDS for kind in cli.KINDS[command]})
-    assert {k[2] for k in KIND_PARAMS if k[1] == "condition"} == set(ct.CONDITION_FAMILIES)
+    assert {k[2] for k in KIND_PARAMS if k[1] == "condition"} == set(cs.FAMILIES)
     for key, params in KIND_PARAMS.items():
         declared = _kind_parameters(*key)
         assert [a.name for a in declared] == list(params), key
@@ -563,21 +564,44 @@ def test_bounds_condition(capsys):
     assert "991" in out
     code, out, _ = run(capsys, "bounds", "condition",
                        "family=distance-optimal-sxs", "q=2", "s=2", "m=8")
-    assert code == 2
+    assert code == 0
     assert out.splitlines()[1] == ("exact criterion [V_sr(q,2) over 65535 blocks 2x2 > "
-                                   "q^(s(2m+3))]: False (173939195971 vs 274877906944)")
+                                   "q^36]: True (173939195971 vs 68719476736)")
+
+
+# one point per condition family, each but quasi-perfect-2xm at a codimension that
+# differs from the hand-written s(2m+3), s2(2m+3), 2m+1 or s(2m+4): the built one
+@pytest.mark.parametrize("params,lines,exit_code", [
+    (("family=cyclic-d4", "q=2", "m=4"),  # binary: C_2 = C_1
+     ("rational condition [2*2*1^2 < (2-1)^2]: False",
+      "exact criterion [V_sr(q,2) over 15 blocks 1x1 > q^5]: True (121 vs 32)"), 2),
+    (("family=quasi-perfect-2xm", "q=3", "m=2", "u=2"),
+     ("rational condition [none (no lambda condition)]: True",
+      "exact criterion [V_sr(q,2) over 10 blocks 2x2 > q^6]: True (46881 vs 729)"), 0),
+    (("family=distance-optimal-sxs", "q=2", "s=2", "m=2"),
+     ("rational condition [2*(2-1)^2*1^2 < 2^2 - 1]: True",
+      "exact criterion [V_sr(q,2) over 15 blocks 2x2 > q^12]: True (8731 vs 4096)"), 0),
+    (("family=distance-optimal-rect", "q=2", "s1=2", "s2=3", "m=1"),
+     ("rational condition [2*2^3*(2-1)^2*1^2 < (2^2-1)^2]: False",
+      "exact criterion [V_sr(q,2) over 7 blocks 2x3 > q^12]: True (9703 vs 4096)"), 2),
+    (("family=plotkin-distance-optimal", "s=2", "m=2"),
+     ("rational condition [2*(1 - 2^-2)^4 >= 1]: False",
+      "exact criterion [V_sr(q,2) over 30 blocks 2x2 > q^14]: True (35686 vs 16384)"), 2),
+], ids=["cyclic-d4", "quasi-perfect-2xm", "sxs", "rect", "plotkin"])
+def test_bounds_condition_reads_the_built_codimension(capsys, params, lines, exit_code):
+    assert run(capsys, "bounds", "condition", *params) == (exit_code, "\n".join(lines) + "\n", "")
 
 
 def test_bounds_condition_reads_shape_counts_not_blocks():
     """sxs s=2 m=20 has 2^40 - 1 blocks: the criterion reads one shape count, so it is
-    answered (exit 2) quickly, by a child held to 2 GB of address space."""
+    answered (exit 0) quickly, by a child held to 2 GB of address space."""
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
     argv = ["bounds", "condition", "family=distance-optimal-sxs", "q=2", "s=2", "m=20"]
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "sumrank.cli", *argv], env=_child_env(),
                           capture_output=True, text=True, timeout=60, preexec_fn=limit)
-    assert proc.returncode == 2, proc.stderr
+    assert proc.returncode == 0, proc.stderr
     assert "over 1099511627775 blocks 2x2" in proc.stdout
     assert time.perf_counter() - start < 5
 
@@ -766,12 +790,12 @@ def test_missing_out_directory_refused_before_work(tmp_path, capsys, monkeypatch
     (("construct", "distance-optimal-2x2", "q=3"),
      "c3ed45fcb063272dafedbe3f89622ed3dc77f3cae8c1861caadeab9f8d5984bc"),
     (("certify", "quasi-perfect", "--recipe", "quasi-perfect-2xm", "q=2", "m=2", "u=2"),
-     "6964b640e8c6e4f07aa6b4b693f6de49312a363f1f7be62d8f1886e540cc6878"),
+     "5386afe7c7a2d06a5ef1c2734b599aa8e12a5da7e1c2d0cfa2184baea6807d81"),
 ], ids=["descriptor", "certificate"])
 def test_out_bytes_are_pinned(tmp_path, capsys, argv, sha256):
     # the hashes are those of json.dump(s)(..., sort_keys=True, indent=2),
     # which wrote both kinds of --out file before the streaming writer; the
-    # certificate's includes its toolchain-version, sumrank 0.2.4
+    # certificate's includes its toolchain-version, sumrank 0.2.5
     out = tmp_path / "out.json"
     assert run(capsys, *argv, "--out", str(out))[0] == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256

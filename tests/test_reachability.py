@@ -3,9 +3,10 @@
 The roots are the CLI entry points, the `@_recipe` and `@_kind`
 registrations, dunder methods, `sumrank.__all__`, the statements a module
 runs on import, every name that the benchmark or its tests (`bench/`) read
-as an attribute or an import, and each definition whose `module.qualname`
-is a whole string there (the span and counter targets); a word inside
-other text, such as a docstring, roots nothing.  From a reached definition
+as a name, an attribute or an import, and each definition whose
+`module.qualname` is a whole string there (the span and counter targets); a
+word inside other text, such as a docstring, roots nothing, and neither does
+an attribute that a builtin type has (`text.encode()` roots no `encode`).  From a reached definition
 the walk follows each Name and Attribute in its body; docstrings and other
 strings are not followed.  A name reaches every definition of that name,
 in any module or class, so the walk can only over-approximate what runs.
@@ -24,6 +25,9 @@ RESERVED = {"hamming.zero_code", "hamming.bch_binary"}
 
 ENTRY_POINTS = {"cli.main", "cli.run"}
 REGISTRARS = {"_recipe", "_kind"}
+# attributes of the builtin types, which bench reads on its own values
+BUILTIN_ATTRS = {name for kind in (str, bytes, dict, list, set, tuple, int, float, object)
+                 for name in dir(kind)}
 
 
 def _modules() -> list[tuple[str, ast.Module]]:
@@ -70,14 +74,17 @@ def _import_time_statements(modules):
 
 
 def _bench_roots() -> tuple[set[str], set[str]]:
-    """What `bench/` reads: the identifiers of its attributes and imports, and its
-    strings that are a whole dotted `module.qualname`."""
+    """What `bench/` reads: its names, its attributes that no builtin type has, the
+    identifiers of its imports, and its strings that are a whole dotted `module.qualname`."""
     names, quals = set(), set()
     for path in sorted((ROOT / "bench").rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        names |= _names([tree])
         for node in ast.walk(tree):
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and node.attr not in BUILTIN_ATTRS:
+                names.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 names |= {part for alias in node.names for part in alias.name.split(".")}
             elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
                   and re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+", node.value)):
@@ -94,9 +101,9 @@ def _exported(modules) -> set[str]:
     raise AssertionError("sumrank.__init__ has no __all__")
 
 
-def unreached() -> set[str]:
-    """Qualified names of the defs in src/sumrank that no root reaches."""
-    modules = _modules()
+def unreached(modules=None) -> set[str]:
+    """Qualified names of the defs in `modules` (default: src/sumrank's) that no root reaches."""
+    modules = _modules() if modules is None else modules
     defs = list(_definitions(modules))
     by_name: dict[str, list[int]] = {}
     for i, (_, name, _) in enumerate(defs):
@@ -123,3 +130,10 @@ def unreached() -> set[str]:
 
 def test_src_holds_only_reached_code():
     assert unreached() == RESERVED
+
+
+def test_a_builtin_attribute_roots_nothing():
+    """bench's `text.encode()` reaches no src def named `encode`; bench's own names do."""
+    probe = ast.parse("def encode(words):\n    pass\n\n\ndef digest(doc):\n    pass\n")
+    assert {"probe.encode", "probe.digest"} & unreached([*_modules(), ("probe", probe)]) == {
+        "probe.encode"}
