@@ -84,9 +84,7 @@ def parse_params(tokens, config_path: str | None = None) -> dict:
 
 def _summarize(code) -> str:
     if isinstance(code, hm.LinearCode):
-        d = code.designed_distance
-        return (f"linear code [{code.n},{code.k}{',' + str(d) if d else ''}]_"
-                f"{code.field.order}"
+        return (f"linear code {code!r}"
                 + (f"  defining set {list(code.defining_set)}" if code.defining_set else ""))
     prof = code.profile
     shapes = sorted(set(prof.blocks))

@@ -37,7 +37,7 @@ from .gf import (Field, _prime_factors, array_digits, array_mul, digit_add, digi
                  linear_map, make_field, rref)
 from . import hamming as hm
 from .spaces import MatrixProfile, pack_matrix
-from .syndrome import ENUM_BUDGET, SrDistance, SumRankCode, least_weight_word
+from .syndrome import ENUM_BUDGET, SrDistance, SumRankCode
 
 
 def field_of_order(q: int) -> Field:
@@ -191,12 +191,33 @@ class IngredientSumRankCode(SumRankCode):
             rows.append(np.moveaxis(coords, -1, 1).reshape(-1, self.ambient_dim))
         return np.concatenate(rows)
 
-    def composition_lower_bound(self) -> int:
-        """Distance lower bound from the ingredient distances."""
-        dists = [_ingredient_distance(c) for c in self.ingredients]
-        if self.construction == "linearized":
-            return min((i + 1) * d for i, d in enumerate(dists))
-        return min(dists)
+    def composition_lower_bound(self, dists) -> int:
+        """d >= this, from lower ends `dists` of the ingredients' distances (inf when k = 0).
+
+        A word comes from ingredient words c_i, and block r is L(c_0r, ..., c_(n-1)r).  Let P
+        be the i with c_i != 0 (a k = 0 ingredient has none) and S the union of their
+        supports: |S| >= max_(i in P) d_i, and L is injective, so each block in S has rank >= 1.
+        * Covering: row i of block r holds c_ir, so the weight is >= |S|: d >= min_i d_i.
+        * Linearized: for P = {i}, block r is z -> c_ir phi(z^(q^i)), of full rank n, so the
+          weight is >= n d_i; for |P| >= 2 it is >= |S| >= max(d_i, d_j), i < j in P.  When
+          n = m, block r is the q-polynomial sum_i c_ir x^(q^i), whose kernel has dimension
+          <= max P - min P (root bound, Lidl and Niederreiter, Finite Fields, ch. 3), so the
+          weight is >= max_P d_i (m - max P + min P): over P of extremes i < j, least at {i, j}.
+        """
+        if self.construction == "covering":
+            return min(dists)
+        n, m, pairs = self.rows, self.m, itertools.combinations(enumerate(dists), 2)
+        return min([n * d for d in dists]
+                   + [max(a, b) * (m - (j - i) if n == m else 1) for (i, a), (j, b) in pairs])
+
+    def distance_bounds(self, budget, distance):
+        ends = [_ingredient_end(code, distance) for code in self.ingredients]
+        yield from (note for _, _, note in ends if note)  # the ingredients' stops
+        lo, N = self.composition_lower_bound([d for d, _, _ in ends]), self.profile.N
+        sources = ", ".join(f"{d} {source}" for d, source, _ in ends)
+        # a point at N: every nonzero word, the first generator row too, weighs N
+        yield SrDistance(lo, N, f"composition({self.construction}: {sources})",
+                         self._generator_rows_packed()[0] if lo == N else None)
 
     def describe(self) -> dict:
         return {
@@ -212,21 +233,22 @@ class IngredientSumRankCode(SumRankCode):
         }
 
 
-def _ingredient_distance(code: hm.LinearCode) -> int:
-    """Exact d by enumeration up to 2^16 codewords, else by the support search."""
+def _ingredient_end(code: hm.LinearCode, distance) -> tuple[float, str, str | None]:
+    """A lower end of an ingredient's d (inf if k = 0), its source and its stops: the family's
+    theorem, else the BCH bound; below the stamped design, or without one, the engines' too."""
     if code.k == 0:
-        return code.n + 1
-    if code.size <= 1 << 16:
-        value = least_weight_word(code.field, code.generator, code.profile.blocks)[0]
-    else:
-        res = hm.min_distance(code)
-        if not res.exact:
-            raise ValueError("ingredient distance could not be settled exactly")
-        value = res.value
-    if code.designed_distance is not None and code.designed_distance != value:
-        raise RuntimeError(f"designed distance {code.designed_distance} "
-                           f"contradicts the exact value {value}")
-    return value
+        return float("inf"), "zero code", None
+    lo, source, design = 0, None, code.designed_distance
+    if code.family in ("hamming", "parity", "full", "reed-solomon", "repetition"):
+        lo, source = 3 if code.family == "hamming" else code.n - code.k + 1, code.family
+    elif code.defining_set is not None:
+        lo, source = hm.bch_bound(code.defining_set, code.n), "bch"
+    if design is not None and lo >= design:
+        return lo, source, None
+    res = distance(code)
+    if res.exact and design is not None and res.value != design:
+        raise RuntimeError(f"designed distance {design} contradicts the exact value {res.value}")
+    return (lo, source, res.note) if lo >= res.lo else (res.lo, res.method, res.note)
 
 
 def sr_covering(ingredients, **meta) -> IngredientSumRankCode:
@@ -506,6 +528,13 @@ def quasi_perfect_2x2(t: int = 6, *, ingredient: hm.LinearCode | None = None
     return sr_linearized([c1, ingredient], designed_distance=4)
 
 
+def _cyclic_d4_code(n: int, field: Field) -> hm.LinearCode:
+    """The cyclic code of defining set C0 u C1 u C2, stamped 4 where the BCH bound gives 4."""
+    code = hm.cyclic_code(n, field, [0, 1, 2])
+    code.designed_distance = 4 if hm.bch_bound(code.defining_set, n) >= 4 else None
+    return code
+
+
 def _cyclic_d4_family(q: int, m: int, lam: int = 1) -> Family:
     base, n, size = _cyclic_length(q, m, lam, "q^m")
     return Family(base, (1, 1), n, size,
@@ -516,9 +545,7 @@ def _cyclic_d4_family(q: int, m: int, lam: int = 1) -> Family:
 def cyclic_d4(q: int, m: int, lam: int = 1) -> hm.LinearCode:
     """Distance-4 cyclic family over GF(q), defining set C0 u C1 u C2."""
     fam = _cyclic_d4_family(q, m, lam)
-    code = hm.cyclic_code(fam.t, fam.base, [0, 1, 2])
-    code.designed_distance = 4 if hm.bch_bound(code.defining_set, fam.t) >= 4 else None
-    return code
+    return _cyclic_d4_code(fam.t, fam.base)
 
 
 @_recipe
@@ -546,9 +573,8 @@ def distance_optimal_sxs(q: int, s: int, m: int, lam: int = 1) -> IngredientSumR
     """s x s distance-4 family from a cyclic code plus trivial ingredients."""
     fam = _distance_optimal_sxs_family(q, s, m, lam)
     ext = fam.base.extension(s)
-    c1 = hm.cyclic_code(fam.t, ext, [0, 1, 2])
-    c1.designed_distance = 4 if hm.bch_bound(c1.defining_set, fam.t) >= 4 else None
-    return sr_linearized([c1, *_trivial_codes(ext, fam.t, s - 1)], designed_distance=4)
+    return sr_linearized([_cyclic_d4_code(fam.t, ext), *_trivial_codes(ext, fam.t, s - 1)],
+                         designed_distance=4)
 
 
 def _distance_optimal_rect_family(q: int, s1: int, s2: int, m: int, lam: int = 1) -> Family:
@@ -565,8 +591,8 @@ def distance_optimal_rect(q: int, s1: int, s2: int, m: int,
     """s1 x s2 (s1 < s2) distance-4 family over GF(q^(s2))."""
     fam = _distance_optimal_rect_family(q, s1, s2, m, lam)
     ext = fam.base.extension(s2)
-    c1 = hm.cyclic_code(fam.t, ext, [0, 1, 2])
-    return sr_linearized([c1, *_trivial_codes(ext, fam.t, s1 - 1)], designed_distance=4)
+    return sr_linearized([_cyclic_d4_code(fam.t, ext), *_trivial_codes(ext, fam.t, s1 - 1)],
+                         designed_distance=4)
 
 
 @_recipe

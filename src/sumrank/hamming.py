@@ -89,7 +89,10 @@ class LinearCode(SumRankCode):
         return self.generator
 
     def distance_bounds(self, budget, distance):
-        yield min_distance(self, budget)  # the support search, for d <= 4
+        yield (res := min_distance(self, budget))  # the support search, for d <= 4
+        if self.defining_set is not None:  # a point at Singleton: the first row weighs that
+            bch = bch_bound(self.defining_set, self.n)
+            yield SrDistance(bch, res.hi, "bch", self.generator[0] if bch == res.hi else None)
 
     def __repr__(self) -> str:
         d = self.designed_distance

@@ -6,7 +6,7 @@ from math import gcd
 
 import numpy as np
 
-from sumrank.certify import BoundRecord
+from sumrank.certify import ENUM_BUDGET, BoundRecord, sr_min_distance
 from sumrank.gf import array_mul, digit_adder, nullspace, rref
 from sumrank.spaces import brute_rank_array, brute_weight_array, rank_distribution
 
@@ -114,6 +114,13 @@ def encode(code, messages) -> tuple[int, ...]:
         terms = mul(np.array(msg, dtype=np.int64)[:, None], gen)
         symbol_rows.append(reduce(add, terms, np.zeros(code.t, dtype=np.int64)))
     return code.packed_from_symbols(symbol_rows)
+
+
+def composition_source(code):
+    """The composition source's interval of d for an ingredient code: its ingredients'
+    ends from their theorems or from `sr_min_distance`, and no engine on the code itself."""
+    return next(s for s in code.distance_bounds(ENUM_BUDGET, sr_min_distance)
+                if not isinstance(s, str))
 
 
 def radius2_ball_lower_bound(t: int, s: int, q: int) -> Fraction:

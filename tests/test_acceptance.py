@@ -22,8 +22,8 @@ from sumrank import spaces as sp
 from sumrank.construct import field_of_order
 from sumrank.gf import make_field
 
-from oracles import (blf_witness, brute_rank_counts, contains_packed, hamming_weight,
-                     hartmann_tzeng_bound, radius2_ball_lower_bound)
+from oracles import (blf_witness, brute_rank_counts, composition_source, contains_packed,
+                     hamming_weight, hartmann_tzeng_bound, radius2_ball_lower_bound)
 
 PRIME_POWERS_32 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
 
@@ -167,7 +167,9 @@ def test_criterion_04_distance_optimal_2x2(f2, f4):
     assert contains_packed(c1, d1.witness)
     assert code.dim == 50
     # d_sr = 4: composition lower bound plus a weight-4 witness
-    assert code.composition_lower_bound() == 4
+    assert code.composition_lower_bound([d1.value, 2]) == 4
+    source = composition_source(code)  # the ingredients' ends: c1's DP, the parity theorem
+    assert (source.lo, source.method) == (4, "composition(linearized: 4 syndrome-dp, 2 parity)")
     dist = ct.sr_min_distance(code)
     assert dist.exact and dist.value == 4
     assert elimination_weight(code, dist.witness) == 4

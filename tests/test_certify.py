@@ -54,7 +54,9 @@ def test_sr_min_distance_exhaustive_below_syndrome_budget(qp_code):
 
 def test_sr_min_distance_interval_names_budgets(qp_code):
     d = ct.sr_min_distance(qp_code, budget=10, syndrome_budget=2)
-    assert (d.lo, d.hi) == (1, qp_code.profile.N) and not d.exact
+    # past both budgets, the ingredients' theorems give the lower end
+    assert (d.lo, d.hi) == (3, qp_code.profile.N) and not d.exact
+    assert d.method == "composition(linearized: 3 hamming, 2 parity)"
     assert d.note == ("syndrome budget 2 < 64 syndromes (q^codim); "
                       "enum budget 10 < 2^14 codewords (q^dim)")
 
@@ -1002,16 +1004,16 @@ STATED_REFUTATIONS = ("certify distance-optimal --recipe distance-optimal-2x2 q=
 SPHERE_PACKING_SHA256 = {
     "certify sphere-packing --recipe covering-repetition q=2 m=4 t=8 "
     "--enum-budget 2 --syndrome-budget 2":
-        (0, "2fe6bf00f09591aaad34639941e8e6b66e9c6bc2fc3a80c79e48052632c6b3c5"),
+        (0, "a7644da5850983059b0b99f24caa12d32dc854dcfd11c45c00f0a877e182dcef"),
     "certify sphere-packing --recipe covering-repetition q=2 m=4 t=1000 "
     "--enum-budget 2 --syndrome-budget 2":
-        (0, "3e566747cff7e7a31eef03a3d29ebac459de0106e28e0073ba3b4a0b6ce9c2b3"),
+        (0, "f1ad58022da114418ee71cd391547e86c500fed96339eea6b73cec4cb65fca7a"),
     "certify sphere-packing --recipe quasi-perfect-2xm q=4 m=2 u=4 --syndrome-budget 2":
-        (2, "2c548506df4b859ecd3b9b9fb3653e6a3862ccc942a783fdcbcc4280cd9e3263"),
+        (2, "08af27d4a0a88191e31c34e0f16ca3fa33a7163f306e945bbc3a4676d4ec3920"),
     "certify sphere-packing --recipe almost-msrd-2x2 q=7 t=49":
-        (2, "292bfac8a79c6a6ec15855fb5cd2a291f9dfff3882c42e75269c8cfd6fa39494"),
+        (2, "a6c716cf32946ba086ef475e5d7a6409ff1d38d36edd12fbf21490e7fc0721e0"),
     "certify sphere-packing --recipe distance-optimal-sxs q=2 s=3 m=3":
-        (2, "9b1057958cc3e929787f35a9eb5cc8da58086b8da5d51bf7c213203c84ac7102"),
+        (2, "c70cab560fd97f5c5593a55f4d1bae2bc4cb857d2a53a98d6b6dbd2ea66c8438"),
 }
 
 

@@ -156,11 +156,12 @@ def test_certify_hamming_budget_stop_is_inconclusive(capsys):
 
 
 def test_certify_hamming_support_search_budget_stop(capsys):
-    """Weight 3 of the [63,56]_4 code needs C(63,2) * 3 = 5859 half-words."""
+    """Weight 3 of the [63,56]_4 code needs C(63,2) * 3 = 5859 half-words; the BCH bound
+    of its defining set raises the stopped search's [3, 8] to [4, 8], which certifies."""
     code, out, _ = run(capsys, "certify", "distance-optimal", "--recipe", "cyclic-d4",
                        "q=4", "m=3", "--enum-budget", "1000", "--syndrome-budget", "1000")
-    assert code == 2
-    assert "min_sum_rank_distance    = [3, 8]" in out
+    assert code == 0
+    assert "min_sum_rank_distance    = [4, 8]   [bch / support_test (interval)]" in out
     # the DP's and enumeration's stops, then the support search's note
     assert ("  note: syndrome budget 1000 < 16384 syndromes (q^codim); "
             "enum budget 1000 < 4^56 codewords (q^dim); "
@@ -184,21 +185,23 @@ def test_plotkin_interval_note_names_its_own_stops_first(tmp_path, capsys):
 
 def test_blocks_past_the_rank_table_cap_stop_enumeration(tmp_path, capsys):
     """One 5 x 5 binary block: its 2^25 codewords fit the enum budget, but its
-    values do not fit a rank table, so d is a budget-stop interval."""
+    values do not fit a rank table, so d is the interval the composition gives."""
     cert = tmp_path / "cert.json"
     code, _, err = run(capsys, "certify", "sphere-packing", "--recipe", "covering-repetition",
                        "q=2", "m=5", "t=1", "--enum-budget", str(1 << 26), "--out", str(cert))
     assert (code, err) == (2, "")
     doc = json.loads(cert.read_text())
     d = next(q for q in doc["quantities"] if q["name"] == "min_sum_rank_distance")
-    assert (d["value"], d["method"]) == ([1, 5], "budget stop (interval)")
+    assert (d["value"], d["method"]) == (
+        [1, 5], "composition(covering: " + ", ".join(["1 repetition"] * 5) + ") (interval)")
     assert doc["notes"] == [
         f"rank table cap {1 << 24} < {1 << 25} values per 5 x 5 block (q^(nm))"]
 
 
 def test_sphere_packing_is_certified_from_the_interval_of_d(tmp_path, capsys):
-    """Past both budgets d is only known in [1, N] = [1, 32]; the check holds at
-    d = 32, where it is hardest, so it holds for every d in between."""
+    """Past both budgets d is known in [8, 32] from the composition of its [8, 1, 8]
+    ingredients; the check holds at d = 32, where it is hardest, so it holds for every d
+    in between."""
     cert = tmp_path / "cert.json"
     code, _, err = run(capsys, "certify", "sphere-packing", "--recipe", "covering-repetition",
                        "q=2", "m=4", "t=8", "--enum-budget", "2", "--syndrome-budget", "2",
@@ -206,11 +209,47 @@ def test_sphere_packing_is_certified_from_the_interval_of_d(tmp_path, capsys):
     assert (code, err) == (0, "")
     doc = json.loads(cert.read_text())
     d = next(q for q in doc["quantities"] if q["name"] == "min_sum_rank_distance")
-    assert (d["value"], d["method"]) == ([1, 32], "budget stop (interval)")
+    assert (d["value"], d["method"]) == (
+        [8, 32], "composition(covering: " + ", ".join(["8 repetition"] * 4) + ") (interval)")
     lhs = 2 ** 16 * sp.ball_volume_exact(sp.MatrixProfile(cs.field_of_order(2), ((4, 4),) * 8), 15)
     assert doc["bounds"] == [{"name": "sphere_packing", "value": f"{lhs} <= {2 ** 128}",
                               "assumptions": []}]
-    assert doc["notes"][-1] == "certified for every d in [1, 32]"
+    assert doc["notes"][-1] == "certified for every d in [8, 32]"
+
+
+@pytest.mark.parametrize("argv", [
+    ("distance-optimal", "--recipe", "distance-optimal-sxs", "q=2", "s=3", "m=5"),
+    ("almost-msrd", "--recipe", "almost-msrd-2x2", "q=7", "t=49"),
+], ids=["sxs-m5", "almost-msrd-2x2-q7"])
+def test_paper_rows_are_certified_from_the_ingredients(argv):
+    """Past the DP and enumeration, d >= 4 comes from the ingredients' theorems and BCH
+    bound, with no engine on them: certified at the default budgets, quickly, by a child
+    held to 2 GB of address space."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "sumrank.cli", "certify", *argv],
+                          env=_child_env(), capture_output=True, text=True, timeout=60,
+                          preexec_fn=limit)
+    assert proc.returncode == 0, proc.stderr
+    assert time.perf_counter() - start < 5
+    d = next(line for line in proc.stdout.splitlines() if "min_sum_rank_distance" in line)
+    assert "= [4, " in d and "[composition(linearized: " in d, d
+
+
+def test_a_misstamped_ingredient_is_an_internal_error(capsys, monkeypatch):
+    """A parity ingredient stamped 3 is above its theorem's 2, so its own engines run, find
+    d = 2 exactly and contradict the stamp."""
+    parity = hm.parity_check_code
+
+    def misstamped(field, t):
+        code = parity(field, t)
+        code.designed_distance = 3
+        return code
+    monkeypatch.setattr(hm, "parity_check_code", misstamped)
+    assert run(capsys, "certify", "almost-msrd", "--recipe", "almost-msrd-2x2", "q=7",
+               "t=49") == (3, "", "internal error: RuntimeError: designed distance 3 "
+                               "contradicts the exact value 2\n")
 
 
 def test_sphere_packing_violation_is_internal_error(capsys, monkeypatch):
@@ -790,12 +829,12 @@ def test_missing_out_directory_refused_before_work(tmp_path, capsys, monkeypatch
     (("construct", "distance-optimal-2x2", "q=3"),
      "c3ed45fcb063272dafedbe3f89622ed3dc77f3cae8c1861caadeab9f8d5984bc"),
     (("certify", "quasi-perfect", "--recipe", "quasi-perfect-2xm", "q=2", "m=2", "u=2"),
-     "5386afe7c7a2d06a5ef1c2734b599aa8e12a5da7e1c2d0cfa2184baea6807d81"),
+     "6afa8e55814a97ef1ce57fac1eca17389d3bcd124b85152dcc18f1d63cb1a7a8"),
 ], ids=["descriptor", "certificate"])
 def test_out_bytes_are_pinned(tmp_path, capsys, argv, sha256):
     # the hashes are those of json.dump(s)(..., sort_keys=True, indent=2),
     # which wrote both kinds of --out file before the streaming writer; the
-    # certificate's includes its toolchain-version, sumrank 0.2.5
+    # certificate's includes its toolchain-version, sumrank 0.2.6
     out = tmp_path / "out.json"
     assert run(capsys, *argv, "--out", str(out))[0] == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256

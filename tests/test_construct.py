@@ -18,7 +18,8 @@ from sumrank import spaces as sp
 from sumrank.cli import main, parse_params
 from sumrank.gf import make_field
 
-from oracles import contains_packed, encode, generator_parity, hamming_weight
+from oracles import (composition_source, contains_packed, encode, generator_parity,
+                     hamming_weight)
 from test_syndrome import linear_codes
 
 
@@ -101,27 +102,21 @@ def test_enumeration_is_injective(f2, f4):
 
 
 def test_composition_lower_bound_holds(f2, f4):
-    """Exhaustive d_sr >= min{i * d_i} on small linearized instances."""
-    cases = [
-        [hm.hamming_code(f4, 2), hm.parity_check_code(f4, 5)],
-        [hm.repetition_code(f4, 3), hm.parity_check_code(f4, 3)],
-        [hm.parity_check_code(f4, 3), hm.repetition_code(f4, 3)],
-        [hm.reed_solomon(f4, 4, 2), hm.full_code(f4, 4)],
-    ]
-    for ingredients in cases:
-        code = cs.sr_linearized(ingredients)
-        lower = code.composition_lower_bound()
-        assert _exact_d(code) >= lower
-    # rectangular blocks obey the same composition rule
+    """The composition source's lower end is the exhaustive d_sr on small linearized
+    instances, square and rectangular, p = 2."""
     f8 = make_field(2, [3])
-    rect_cases = [
-        [hm.repetition_code(f8, 2), hm.full_code(f8, 2)],
-        [hm.parity_check_code(f8, 3), hm.parity_check_code(f8, 3)],
+    cases = [
+        ([hm.hamming_code(f4, 2), hm.parity_check_code(f4, 5)], 3),
+        ([hm.repetition_code(f4, 3), hm.parity_check_code(f4, 3)], 3),
+        ([hm.parity_check_code(f4, 3), hm.repetition_code(f4, 3)], 3),
+        ([hm.reed_solomon(f4, 4, 2), hm.full_code(f4, 4)], 2),
+        # rectangular 2 x 3 blocks, where no q-polynomial factor applies
+        ([hm.repetition_code(f8, 2), hm.full_code(f8, 2)], 2),
+        ([hm.parity_check_code(f8, 3), hm.parity_check_code(f8, 3)], 2),
     ]
-    for ingredients in rect_cases:
+    for ingredients, d in cases:
         code = cs.sr_linearized(ingredients)
-        assert code.profile.blocks[0] == (2, 3)
-        assert _exact_d(code) >= code.composition_lower_bound()
+        assert _exact_d(code) == composition_source(code).lo == d
 
 
 def test_rectangular_linearized(f2):
@@ -330,6 +325,10 @@ def test_recipe_golden_parameters():
     rect = cs.distance_optimal_rect(2, 2, 3, 1)
     assert rect.profile.blocks == ((2, 3),) * 7
     assert rect.dim == 3 * (4 + 6)
+    # the cyclic ingredient of cyclic-d4, sxs and rect is stamped 4 where the BCH bound is 4
+    sxs = cs.distance_optimal_sxs(2, 3, 1)
+    assert [code.designed_distance for code in (c, sxs.ingredients[0], rect.ingredients[0])] \
+        == [4, 4, 4]
 
 
 def test_build_recipe_dispatch():

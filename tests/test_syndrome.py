@@ -27,7 +27,8 @@ from sumrank import hamming as hm
 from sumrank import spaces as sp
 from sumrank import syndrome as sd
 
-from oracles import contains_packed, generator_parity, hamming_weight, unit_syndromes
+from oracles import (composition_source, contains_packed, generator_parity, hamming_weight,
+                     unit_syndromes)
 
 FAST = settings(max_examples=25, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -40,8 +41,8 @@ def _code_from_rows(field, rows, n):
 
 
 @st.composite
-def linear_codes(draw, field, n, max_k=None):
-    k = draw(st.integers(0, n if max_k is None else min(n, max_k)))
+def linear_codes(draw, field, n, max_k=None, min_k=0):
+    k = draw(st.integers(min_k, n if max_k is None else min(n, max_k)))
     rows = [draw(st.lists(st.integers(0, field.order - 1), min_size=n, max_size=n))
             for _ in range(k)]
     return _code_from_rows(field, rows, n)
@@ -416,8 +417,51 @@ def test_witness_survives_uint16_level_record(f2):
     lambda: cs.quasi_perfect_2x2(6),
 ])
 def test_composition_lower_bound_below_dp(build):
+    # on these paper families the ingredients' ends give d itself
     code = build()
-    assert code.composition_lower_bound() <= ct.sr_min_distance(code).value
+    source = composition_source(code)
+    assert source.lo == ct.sr_min_distance(code).value <= source.hi
+
+
+# (q, m, n, construction): p = 2 and odd p, n = m, and n < m with pairs over GF(8) and
+# GF(27), listed first, where Hypothesis draws most
+COMPOSITION_SHAPES = [
+    (2, 3, 2, "linearized"), (3, 3, 2, "linearized"), (3, 2, 1, "linearized"),
+    (2, 3, 1, "linearized"), (2, 2, 2, "linearized"), (2, 2, 2, "covering"),
+    (3, 2, 2, "linearized"), (3, 2, 2, "covering"), (4, 2, 2, "linearized"),
+    (5, 2, 2, "linearized"), (2, 3, 3, "linearized"), (2, 3, 3, "covering"),
+    (3, 3, 3, "linearized"), (3, 3, 3, "covering")]
+
+
+@st.composite
+def composition_codes(draw):
+    """A covering or linearized code of n ingredients over GF(q^m), a zero ingredient among
+    them at times, with at most 2^16 syndromes."""
+    q, m, n, construction = draw(st.sampled_from(COMPOSITION_SHAPES))
+    ext = cs.field_of_order(q).extension(m)
+    t = draw(st.integers(1, 4))
+    spare = int(AMBIENT_BITS / (m * math.log2(q)))  # redundancy left within 2^16 syndromes
+    ingredients = []
+    for _ in range(n):
+        ingredients.append(draw(linear_codes(ext, t, min_k=max(0, t - max(spare, 0)))))
+        spare -= t - ingredients[-1].k
+    code = cs.IngredientSumRankCode(construction, ingredients)
+    assume(code.dim > 0 and q ** code.codim <= 1 << 16)
+    return code
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(composition_codes())
+def test_composition_bound_holds_the_dps_d(code):
+    # the rule on the ingredients' exact distances (inf with no word) is a lower end of the
+    # DP's d, and the source reads those distances from the ingredients' own engines
+    d = code.syndrome_dp.distance
+    exact = [math.inf if c.k == 0 else ct.sr_min_distance(c).value for c in code.ingredients]
+    source = composition_source(code)
+    assert source.lo == code.composition_lower_bound(exact) <= d <= source.hi
+    if source.exact:  # at N: every nonzero word weighs N
+        assert sp.sum_rank_weight(code.to_word(source.witness)) == d
 
 
 def test_plotkin_rule_matches_dp(f2, f4):
