@@ -5,7 +5,7 @@ exact enumeration result with a stated method, or a bound evaluation
 whose hypotheses were verified before the number was produced.
 """
 
-__version__ = "0.2.6"
+__version__ = "0.2.7"
 
 import os
 
@@ -26,7 +26,7 @@ from .hamming import (LinearCode, covering_radius, cyclic_code,
 from .construct import (SumRankCode, build_recipe, extend_full_blocks,
                         plotkin, sr_covering, sr_linearized)
 from .certify import (Certificate, certify_code, perfection_verdict,
-                      singleton_defect, singleton_like_bound,
+                      singleton_defect, singleton_like_exponent,
                       sphere_packing_check, sr_covering_radius,
                       sr_min_distance)
 
@@ -39,6 +39,6 @@ __all__ = [
     "SumRankCode", "build_recipe", "extend_full_blocks", "plotkin",
     "sr_covering", "sr_linearized",
     "Certificate", "certify_code", "perfection_verdict", "singleton_defect",
-    "singleton_like_bound", "sphere_packing_check", "sr_covering_radius",
+    "singleton_like_exponent", "sphere_packing_check", "sr_covering_radius",
     "sr_min_distance",
 ]

@@ -10,24 +10,25 @@ sources.  Each comes as an `SrDistance`, a point or, past a budget, an interval.
 integer comparison at the end of d's interval that settles it for every d
 in between, else inconclusive (see `RULES`); sphere packing compares both
 ends with one packing radius (`spaces.packing_radius`).  Every bound
-evaluator validates its hypotheses before producing a value.  Quantities
-feeding a 'certified' verdict are exact big integers; transcendental
-bounds are advisory and carry their assumptions in the certificate.
+evaluator validates its hypotheses before producing a value.  Counting
+bounds on |C| = q^dim compare exponents, V_sr(r) with q^codim and dim with
+the Singleton-like exponent, and print each power of q as `q^e`: no q^N
+or q^dim is formed.  Transcendental bounds are advisory and carry their
+assumptions in the certificate.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import sys
 from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .gf import _CHUNK_BYTES, array_digits, place_values
-from .spaces import (MatrixProfile, Shapes, ball_volume, ball_volume_exact, brute_weight_array,
-                     packing_radius, rank_array)
+from .spaces import (MatrixProfile, Shapes, ball_volume, brute_weight_array, packing_radius,
+                     rank_array)
 from .construct import FAMILIES, condition_family
 from .hamming import bch_covering_radius_interval
 from .syndrome import (ENUM_BUDGET, SYNDROME_BUDGET, WORK_BUDGET, BudgetExceeded, SrDistance,
@@ -85,8 +86,7 @@ def sr_min_distance(code: SumRankCode, budget: int = ENUM_BUDGET, *,
             yield str(exc)
         else:
             yield SrDistance(dp.distance, dp.distance, DP_METHOD, dp.witness)
-        stop = (f"enum budget {budget} < {code.base.order}^{code.dim} codewords (q^dim)"
-                if code.size > budget else rank_table_stop(code.base, code.profile.blocks))
+        stop = code.enum_stop(budget) or rank_table_stop(code.base, code.profile.blocks)
         if not stop:
             weight, witness = least_weight_word(code.base, code._generator_rows_packed(),
                                                 code.profile.blocks)
@@ -163,11 +163,6 @@ def singleton_like_exponent(shapes: Shapes, d: int) -> int:
     return area - m * owed
 
 
-def singleton_like_bound(profile: MatrixProfile, d: int) -> int:
-    """Size bound q^`singleton_like_exponent` of the profile's blocks."""
-    return profile.q ** singleton_like_exponent(profile.shape_counts(), d)
-
-
 def singleton_defect(profile: MatrixProfile, dim: int, d: int) -> int:
     """m(N - d + 1) - log_q|C| for equal column sizes m: the Singleton-like exponent - dim."""
     if len({m for _, m in profile.blocks}) != 1:
@@ -186,32 +181,34 @@ def msrd_verdict(profile: MatrixProfile, dim: int, d: int) -> tuple[str, int]:
 
 
 class SpherePackingRecord(NamedTuple):
-    lhs: int
-    rhs: int
+    """The ball volume V_sr(radius) against q^codim; its text states the relation that holds."""
+    radius: int
+    volume: int
+    q: int
+    codim: int
     holds: bool
-    equality: bool
+
+    def __str__(self) -> str:
+        return f"{self.volume} {'<=' if self.holds else '>'} {self.q}^{self.codim}"
 
 
-def sphere_packing_check(profile: MatrixProfile, size: int, d: int) -> SpherePackingRecord:
-    lhs = size * ball_volume_exact(profile, (d - 1) // 2)
-    rhs = profile.ambient_size
-    return SpherePackingRecord(lhs, rhs, lhs <= rhs, lhs == rhs)
+def sphere_packing_check(q: int, shapes: Shapes, codim: int, d: int) -> SpherePackingRecord:
+    """Sphere packing, |C| V_sr(r) <= q^N at r = floor((d - 1)/2), in the form V_sr(r) <=
+    q^codim of a code of codimension `codim` over GF(q) blocks `shapes`: |C| = q^(N - codim)."""
+    volume = ball_volume(q, shapes, (d - 1) // 2)
+    return SpherePackingRecord((d - 1) // 2, volume, q, codim, volume <= q ** codim)
 
 
-def distance_optimal_check(profile: MatrixProfile, size: int, d: int) -> tuple[str, dict]:
-    """Sufficient sphere-packing refutation of any (size, d+1) code."""
-    sp = sphere_packing_check(profile, size, d + 1)
-    return ("inconclusive" if sp.holds else "certified",
-            {"volume_radius": d // 2, "volume": sp.lhs // size, "lhs": sp.lhs, "rhs": sp.rhs})
+def distance_optimal_check(q: int, shapes: Shapes, codim: int,
+                           d: int) -> tuple[str, SpherePackingRecord]:
+    """Sufficient sphere-packing refutation of d + 1 at this codimension."""
+    sp = sphere_packing_check(q, shapes, codim, d + 1)
+    return "inconclusive" if sp.holds else "certified", sp
 
 
 def perfection_verdict(d: int, radius: int) -> str:
-    errors = (d - 1) // 2
-    if radius == errors:
-        return "perfect"
-    if radius == errors + 1:
-        return "quasi-perfect"
-    return "neither"
+    """Perfect when R = e = floor((d - 1)/2), quasi-perfect when R = e + 1, else neither."""
+    return {0: "perfect", 1: "quasi-perfect"}.get(radius - (d - 1) // 2, "neither")
 
 
 class StrongSingletonBch(NamedTuple):
@@ -328,9 +325,9 @@ def family_condition_checks(family: str, params: dict) -> ConditionRecord:
     q^codim at the codim its recipe builds, after the recipe's gates (`construct.FAMILIES`)."""
     fam = condition_family("family_condition_checks", family)(**params)
     (n, m), q = fam.shape, fam.base.order
-    lhs, rhs = ball_volume(q, {fam.shape: fam.t}, 2), q ** fam.codim
-    return ConditionRecord(*fam.condition, lhs > rhs,
-                           f"V_sr(q,2) over {fam.t} blocks {n}x{m} > q^{fam.codim}", lhs, rhs)
+    _, sp = distance_optimal_check(q, {fam.shape: fam.t}, fam.codim, 4)
+    return ConditionRecord(*fam.condition, not sp.holds, f"V_sr(q,2) over {fam.t} blocks "
+                           f"{n}x{m} > q^{fam.codim}", sp.volume, q ** fam.codim)
 
 
 # ----------------------------------------------------------------------
@@ -338,14 +335,6 @@ def family_condition_checks(family: str, params: dict) -> ConditionRecord:
 # ----------------------------------------------------------------------
 
 VERDICT_EXIT = {"certified": 0, "refuted": 1, "inconclusive": 2}
-
-
-def unlock_big_int_strings(digits: int = 1_000_000) -> None:
-    """Raise the int->str conversion cap so exact bounds print in full."""
-    try:
-        sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), digits))
-    except AttributeError:
-        pass
 
 
 def write_json(obj, write, _newline: str = "\n") -> None:
@@ -426,7 +415,6 @@ class Certificate:
 
         With `write`, the text goes to it piece by piece and None is returned.
         """
-        unlock_big_int_strings()
         payload = {
             "subject": self.subject,
             "property": self.claim,
@@ -445,7 +433,6 @@ class Certificate:
         return "".join(pieces)
 
     def to_table(self) -> str:
-        unlock_big_int_strings()
         lines = [f"property : {self.claim}", f"verdict  : {self.verdict}"]
         for qrec in self.quantities:
             lines.append(f"  {qrec['name']:<24} = {qrec['value']}   [{qrec['method']}]")
@@ -458,6 +445,11 @@ class Certificate:
         return "\n".join(lines)
 
 
+def _counts(code: SumRankCode) -> tuple[int, Shapes, int]:
+    """What the counting bounds read of a code: q, its block shapes and its codimension."""
+    return code.profile.q, code.profile.shape_counts(), code.codim
+
+
 def _perfection_rule(cert: Certificate, dist: SrDistance, radius: SrDistance) -> None:
     """Decided when e = floor((d - 1)/2) takes one value over d's interval and R is
     known; equal verdicts at both ends decide nothing, as R - e may pass 1 and 0."""
@@ -465,22 +457,20 @@ def _perfection_rule(cert: Certificate, dist: SrDistance, radius: SrDistance) ->
         return
     verdict_name = perfection_verdict(dist.lo, radius.value)
     cert.add_quantity("perfection", verdict_name, "exact comparison")
-    sp = sphere_packing_check(cert.code.profile, cert.code.size, dist.lo)
+    sp = sphere_packing_check(*_counts(cert.code), dist.lo)
     if not sp.holds:
-        raise RuntimeError(f"sphere packing violated ({sp.lhs} > {sp.rhs}): implementation bug")
-    cert.add_bound("sphere_packing_lhs<=rhs", f"{sp.lhs} <= {sp.rhs}", ("sanity invariant",))
+        raise RuntimeError(f"sphere packing violated ({sp}): implementation bug")
+    cert.add_bound("sphere_packing_lhs<=rhs", str(sp), ("sanity invariant",))
     cert.verdict = "certified" if verdict_name == cert.claim else "refuted"
 
 
 def _distance_optimal_rule(cert: Certificate, dist: SrDistance, radius) -> None:
-    """At d_lo: certified there, no code of this size has d >= d_lo + 1, so d = d_lo."""
-    verdict, rec = distance_optimal_check(cert.code.profile, cert.code.size, dist.lo)
+    """At d_lo: certified there, no code of this codimension has d >= d_lo + 1, so d = d_lo."""
+    verdict, sp = distance_optimal_check(*_counts(cert.code), dist.lo)
     if verdict != "certified" and not dist.exact:
         cert.notes.append("distance not settled exactly")
         return
-    relation = ">" if verdict == "certified" else "<="
-    cert.add_bound("sphere_packing_refutation", f"{rec['lhs']} {relation} {rec['rhs']}",
-                   (f"ball volume {rec['volume']} at radius {rec['volume_radius']}",))
+    cert.add_bound("sphere_packing_refutation", str(sp), (f"ball volume at radius {sp.radius}",))
     cert.verdict = verdict
     # the family's lambda-condition; its exact criterion at d = 4 is the refutation above
     if cert.code.recipe in FAMILIES:
@@ -504,23 +494,23 @@ def _msrd_rule(cert: Certificate, dist: SrDistance, radius) -> None:
 
 def _sphere_packing_rule(cert: Certificate, dist: SrDistance, radius) -> None:
     """The check holds at d while (d - 1)//2 lies below the least r <= (d_hi - 1)//2 with
-    V_sr(r) > q^codim: certified at d_hi when there is none, refuted at d_lo when
-    r <= (d_lo - 1)//2, so the balls are counted once and no further than r."""
-    code = cert.code
-    r = packing_radius(code.profile.q, code.profile.shape_counts(), code.codim,
-                       (dist.hi - 1) // 2)
-    if r is None or r <= (dist.lo - 1) // 2:
-        sp = sphere_packing_check(code.profile, code.size, dist.hi if r is None else dist.lo)
-        cert.add_bound("sphere_packing", f"{sp.lhs} <= {sp.rhs}", ())
+    V_sr(r) > q^codim: certified at d_hi when there is none, refuted when r <= (d_lo - 1)//2
+    and stated at r, so no ball past r is counted."""
+    counts = _counts(cert.code)
+    r = packing_radius(*counts, (dist.hi - 1) // 2)
+    if r is None or r <= (dist.lo - 1) // 2:  # V_sr(r) > q^codim refutes every d > 2r
+        sp = sphere_packing_check(*counts, dist.hi if r is None else 2 * r + 1)
+        cert.add_bound("sphere_packing", str(sp), (f"ball volume at radius {sp.radius}",))
         cert.verdict = "certified" if sp.holds else "refuted"
 
 
 def _singleton_rule(cert: Certificate, dist: SrDistance, radius) -> None:
-    """Certified when the Singleton-like bound holds at d_hi, refuted when it fails at d_lo."""
+    """Certified when dim <= the Singleton-like exponent at d_hi, refuted when > it at d_lo."""
+    q, shapes, _ = _counts(cert.code)
     for d, holds in ((dist.hi, True), (dist.lo, False)):
-        bound = singleton_like_bound(cert.code.profile, d)
-        if (cert.code.size <= bound) == holds:
-            cert.add_bound("singleton_like", bound, ())
+        exponent = singleton_like_exponent(shapes, d)
+        if (cert.code.dim <= exponent) == holds:
+            cert.add_bound("singleton_like", f"{q}^{exponent}", ())
             cert.verdict = "certified" if holds else "refuted"
             return
 

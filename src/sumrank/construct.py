@@ -144,8 +144,8 @@ class IngredientSumRankCode(SumRankCode):
         return self.m * sum(c.k for c in self.ingredients)
 
     def enumerate_packed(self, budget: int = ENUM_BUDGET):
-        if self.size > budget:
-            raise hm.BudgetExceeded(f"{self.size} codewords exceed budget {budget}")
+        if stop := self.enum_stop(budget):
+            raise hm.BudgetExceeded(stop)
         streams = [c.codeword_list(budget) for c in self.ingredients]
         for combo in itertools.product(*streams):
             yield self.packed_from_symbols(combo)
@@ -212,7 +212,8 @@ class IngredientSumRankCode(SumRankCode):
 
     def distance_bounds(self, budget, distance):
         ends = [_ingredient_end(code, distance) for code in self.ingredients]
-        yield from (note for _, _, note in ends if note)  # the ingredients' stops
+        yield from (_part_stops(f"ingredient {i} ({code.family})", note)  # each one's stops
+                    for i, (code, (_, _, note)) in enumerate(zip(self.ingredients, ends)) if note)
         lo, N = self.composition_lower_bound([d for d, _, _ in ends]), self.profile.N
         sources = ", ".join(f"{d} {source}" for d, source, _ in ends)
         # a point at N: every nonzero word, the first generator row too, weighs N
@@ -231,6 +232,11 @@ class IngredientSumRankCode(SumRankCode):
             "designed_distance": self.designed_distance,
             "ingredients": [c.describe() for c in self.ingredients],
         }
+
+
+def _part_stops(part: str, note: str) -> str:
+    """A part's "; "-joined budget stops, each prefixed by the part's name."""
+    return "; ".join(f"{part}: {stop}" for stop in note.split("; "))
 
 
 def _ingredient_end(code: hm.LinearCode, distance) -> tuple[float, str, str | None]:
@@ -285,8 +291,8 @@ class ExtendedSumRankCode(SumRankCode):
         return self.inner.dim + self.extra * n * m
 
     def enumerate_packed(self, budget: int = ENUM_BUDGET):
-        if self.size > budget:
-            raise hm.BudgetExceeded(f"{self.size} codewords exceed budget {budget}")
+        if stop := self.enum_stop(budget):
+            raise hm.BudgetExceeded(stop)
         n, m = self.block_shape
         bs = self.base.order ** (n * m)
         for inner_packed in self.inner.enumerate_packed(budget):
@@ -347,8 +353,8 @@ class PlotkinSumRankCode(SumRankCode):
         return self.first.dim + self.second.dim
 
     def enumerate_packed(self, budget: int = ENUM_BUDGET):
-        if self.size > budget:
-            raise hm.BudgetExceeded(f"{self.size} codewords exceed budget {budget}")
+        if stop := self.enum_stop(budget):
+            raise hm.BudgetExceeded(stop)
         seconds = list(self.second.enumerate_packed(budget))
         p = self.base.p
         for c1 in self.first.enumerate_packed(budget):
@@ -371,7 +377,8 @@ class PlotkinSumRankCode(SumRankCode):
     def distance_bounds(self, budget, distance):
         # d = min(2 d1, d2), witnessed by (c1 | c1) or (0 | c2); a zero part has no word
         d1, d2 = distance(self.first), distance(self.second)
-        yield from filter(None, (d1.note, d2.note))  # the parts' stops
+        yield from (_part_stops(part, d.note)  # the parts' stops
+                    for part, d in (("first part", d1), ("second part", d2)) if d.note)
         ends = [] if d1.infinite else [(2 * d1.lo, 2 * d1.hi, d1.witness and d1.witness * 2)]
         if not d2.infinite:
             ends.append((d2.lo, d2.hi, d2.witness and (0,) * self.first.profile.t + d2.witness))

@@ -101,8 +101,8 @@ class LinearCode(SumRankCode):
 
     def codewords(self, budget: int = ENUM_BUDGET):
         """Stream every codeword exactly once (streaming span walk)."""
-        if self.size > budget:
-            raise BudgetExceeded(f"enumerating {self.size} codewords exceeds {budget}")
+        if stop := self.enum_stop(budget):
+            raise BudgetExceeded(stop)
         f = self.field
         scaled = [[tuple(f.mul(lam, g) for g in row) for lam in f.elements()]
                   for row in self.generator]

@@ -90,14 +90,18 @@ class BudgetExceeded(RuntimeError):
     """An exact computation would overrun the configured budget."""
 
 
+def budget_stop(name: str, budget: int, q: int, e: int, items: str) -> str | None:
+    """The stop "`name` `budget` < q^e `items`" when q^e items exceed the budget, else None.
+    Exact with no power past q^(bit length of budget): q >= 2, so q^e is above it from there."""
+    over = q ** min(e, budget.bit_length()) > budget
+    return f"{name} {budget} < {q}^{e} {items}" if over else None
+
+
 def rank_table_stop(field, shapes) -> str | None:
     """Why a block of these shapes has no rank table, or None if every block has one."""
-    q = field.order
-    for n, m in dict.fromkeys(shapes):
-        if q ** (n * m) > BRUTE_LIMIT:
-            return (f"rank table cap {BRUTE_LIMIT} < {q ** (n * m)} values "
-                    f"per {n} x {m} block (q^(nm))")
-    return None
+    return next(filter(None, (budget_stop("rank table cap", BRUTE_LIMIT, field.order, n * m,
+                                          f"values per {n} x {m} block (q^(nm))")
+                              for n, m in dict.fromkeys(shapes))), None)
 
 
 def scaled_syndromes(field, parity: np.ndarray, scalars) -> np.ndarray:
@@ -476,12 +480,12 @@ class SumRankCode:
         raise NotImplementedError
 
     @property
-    def size(self) -> int:
-        return self.base.order ** self.dim
-
-    @property
     def ambient_dim(self) -> int:
         return self.profile.ambient_dim
+
+    def enum_stop(self, budget: int) -> str | None:
+        """Why the q^dim codewords may not be enumerated within `budget`, or None."""
+        return budget_stop("enum budget", budget, self.base.order, self.dim, "codewords (q^dim)")
 
     @property
     def codim(self) -> int:
@@ -577,15 +581,12 @@ class SumRankCode:
         syndromes, ranks and d.
         """
         q, e, p = self.base.order, self.base.dim_over_prime, self.base.p
-        n_syn = q ** self.codim
-        if n_syn > syndrome_budget:
-            raise BudgetExceeded(f"syndrome budget {syndrome_budget} < {n_syn} syndromes "
-                                 "(q^codim)")
-        stop = rank_table_stop(self.base, self.profile.blocks)
+        stop = budget_stop("syndrome budget", syndrome_budget, q, self.codim,
+                           "syndromes (q^codim)") or rank_table_stop(self.base, self.profile.blocks)
         if stop is not None:
             raise BudgetExceeded(stop)
         work = sum(((n - 1) * (q ** n - 1) // (q - 1) * m * e * (p - 1).bit_length() + 1)
-                   * n_syn + q ** (n * m) for n, m in self.profile.blocks)
+                   * q ** self.codim + q ** (n * m) for n, m in self.profile.blocks)
         if work > work_budget:
             raise BudgetExceeded(f"sweep budget {work_budget} < {work} DP work units "
                                  "(shift passes x q^codim + block values)")

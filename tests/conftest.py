@@ -8,6 +8,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from sumrank.gf import make_field  # noqa: E402
 
 
+@pytest.fixture(autouse=True)
+def int_str_digits():
+    """Each test starts at CPython's default int->str cap, and whatever the test sets (a
+    `cli.main` call raises it) is undone after it, so no test runs on another's cap."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield sys.int_info.default_max_str_digits
+    sys.set_int_max_str_digits(before)
+
+
 @pytest.fixture(scope="session")
 def f2():
     return make_field(2, [1])

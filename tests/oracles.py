@@ -50,6 +50,28 @@ def singleton_walk(blocks, d: int) -> int:
     raise AssertionError("unreachable for d <= N")
 
 
+def counting(code) -> tuple:
+    """What the counting checks read of a code: q, its block shape counts and its codim."""
+    return code.profile.q, code.profile.shape_counts(), code.codim
+
+
+def code_size(code) -> int:
+    """|C| = q^dim, formed in full."""
+    return code.base.order ** code.dim
+
+
+def sphere_packing_full(profile, size: int, d: int) -> bool:
+    """Sphere packing in its full-size form, |C| V_sr(floor((d - 1)/2)) <= q^N, the ball
+    counted by convolution (the reference for `certify.sphere_packing_check`)."""
+    return size * sum(convolved_weight_counts(profile)[:(d - 1) // 2 + 1]) <= profile.ambient_size
+
+
+def singleton_full(profile, size: int, d: int) -> bool:
+    """The Singleton-like bound in its full-size form, |C| <= q^e, with e by the block walk
+    (the reference for the `singleton` rule's exponent comparison)."""
+    return size <= profile.q ** singleton_walk(profile.blocks, d)
+
+
 def scalar_op_table(field, kind: str) -> np.ndarray:
     """The Q x Q table of `field.add` or `field.mul`, one scalar call per cell
     (the reference for `Field.np_table`)."""

@@ -22,8 +22,9 @@ from sumrank import spaces as sp
 from sumrank.construct import field_of_order
 from sumrank.gf import make_field
 
-from oracles import (blf_witness, brute_rank_counts, composition_source, contains_packed,
-                     hamming_weight, hartmann_tzeng_bound, radius2_ball_lower_bound)
+from oracles import (blf_witness, brute_rank_counts, code_size, composition_source,
+                     contains_packed, counting, hamming_weight, hartmann_tzeng_bound,
+                     radius2_ball_lower_bound, singleton_full, sphere_packing_full)
 
 PRIME_POWERS_32 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
 
@@ -177,9 +178,11 @@ def test_criterion_04_distance_optimal_2x2(f2, f4):
     # volume recount by the closed form 1 + 15*9 + 15*6 + C(15,2)*81
     recount = 1 + 15 * 9 + 15 * 6 + 105 * 81
     assert recount == sp.ball_volume_exact(code.profile, 2) == 8731
-    verdict, rec = ct.distance_optimal_check(code.profile, code.size, 4)
+    verdict, rec = ct.distance_optimal_check(*counting(code), 4)
     assert verdict == "certified"
-    assert rec["lhs"] == code.size * 8731 and rec["rhs"] == 2 ** 60
+    assert (rec.volume, rec.q, rec.codim) == (8731, 2, 10)
+    # the full-size form: |C| * 8731 = 2^50 * 8731 > 2^60, the same as 8731 > 2^10
+    assert not sphere_packing_full(code.profile, code_size(code), 5)
     assert 8731 > 1024
     assert ct.singleton_defect(code.profile, code.dim, 4) == 4
     register(code, 4)
@@ -230,7 +233,7 @@ def test_criterion_06_binary_2x2_quasi_perfect(qp_2x2, f2, f4):
     assert ct.perfection_verdict(4, 2) == "quasi-perfect"
     # even minimum distance: quasi-perfect implies distance-optimal; the
     # sphere-packing criterion certifies it independently here
-    verdict, _ = ct.distance_optimal_check(code.profile, code.size, 4)
+    verdict, _ = ct.distance_optimal_check(*counting(code), 4)
     assert verdict == "certified"
     register(code, 4)
     report(6, time.monotonic() - t0, 600,
@@ -319,9 +322,9 @@ def test_criterion_09_plotkin(f2, f4):
     assert pl.profile.t == 14 and pl.dim == 108
     d = ct.sr_min_distance(pl)
     assert d.exact and d.value == 4
-    verdict, rec = ct.distance_optimal_check(pl.profile, pl.size, 4)
+    verdict, rec = ct.distance_optimal_check(*counting(pl), 4)
     assert verdict in ("certified", "inconclusive")
-    assert rec["volume"] == 223294 and rec["rhs"] == 2 ** 126
+    assert str(rec) == "223294 <= 2^18"
     assert verdict == "inconclusive"  # 223294 < 2^18 at m = 1
     register(pl, 4)
     # s = 2: the final inequality 2(1 - 1/4)^4 >= 1 fails; recorded, not certified
@@ -354,8 +357,8 @@ def test_criterion_10_cyclic_families(f4):
     assert v63 == sp.hamming_ball_volume(63, 2, 4) == 17767
     assert not 991 > 1024
     assert 17767 > 16384
-    assert ct.distance_optimal_check(c15.profile, c15.size, 4)[0] == "inconclusive"
-    assert ct.distance_optimal_check(c63.profile, c63.size, 4)[0] == "certified"
+    assert ct.distance_optimal_check(*counting(c15), 4)[0] == "inconclusive"
+    assert ct.distance_optimal_check(*counting(c63), 4)[0] == "certified"
     # ternary and quinary split-defining-set codes at the smallest lengths
     c26 = cs.cyclic_d4_alt(3, 3)
     assert (c26.n, c26.k) == (26, 19)
@@ -395,9 +398,10 @@ def test_criterion_12_sanity_invariants():
     t0 = time.monotonic()
     assert REGISTRY, "earlier criteria populate the registry"
     for code, d in REGISTRY:
-        rec = ct.sphere_packing_check(code.profile, code.size, d)
+        rec = ct.sphere_packing_check(*counting(code), d)
         assert rec.holds, f"sphere packing violated on {code.describe()}"
-        assert code.size <= ct.singleton_like_bound(code.profile, d)
+        assert sphere_packing_full(code.profile, code_size(code), d)
+        assert singleton_full(code.profile, code_size(code), d)
     report(12, time.monotonic() - t0, 60,
            f"sphere packing and Singleton-like hold on all "
            f"{len(REGISTRY)} constructed codes")

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -20,10 +21,11 @@ from sumrank import hamming as hm
 from sumrank import spaces as sp
 from sumrank import cli
 from sumrank.cli import build_parser, main, parse_params
-from sumrank.syndrome import SrDistance, SumRankCode
+from sumrank.syndrome import SrDistance, SumRankCode, budget_stop
 
-from oracles import (blf_relation_check, blf_witness, contains_packed, generator_parity,
-                     singleton_walk, size_bound_from_witness)
+from oracles import (blf_relation_check, blf_witness, code_size, contains_packed, counting,
+                     generator_parity, singleton_full, singleton_walk, size_bound_from_witness,
+                     sphere_packing_full)
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +59,7 @@ def test_sr_min_distance_interval_names_budgets(qp_code):
     # past both budgets, the ingredients' theorems give the lower end
     assert (d.lo, d.hi) == (3, qp_code.profile.N) and not d.exact
     assert d.method == "composition(linearized: 3 hamming, 2 parity)"
-    assert d.note == ("syndrome budget 2 < 64 syndromes (q^codim); "
+    assert d.note == ("syndrome budget 2 < 2^6 syndromes (q^codim); "
                       "enum budget 10 < 2^14 codewords (q^dim)")
 
 
@@ -203,18 +205,19 @@ def test_extension_witness_needs_no_rank_table():
                         "msrd": "refuted"}
 
 
-def test_singleton_like_bound(f2):
+def test_singleton_like_exponent(f2):
     prof = sp.MatrixProfile(f2, tuple([(2, 2)] * 4))
-    assert ct.singleton_like_bound(prof, 4) == 2 ** 10
-    assert ct.singleton_like_bound(prof, 1) == prof.ambient_size
+    assert ct.singleton_like_exponent(prof.shape_counts(), 4) == 10
+    assert ct.singleton_like_exponent(prof.shape_counts(), 1) == prof.ambient_dim
     het = sp.MatrixProfile(f2, ((2, 3), (2, 2)))
-    assert ct.singleton_like_bound(het, 3) == 2 ** 4
+    assert ct.singleton_like_exponent(het.shape_counts(), 3) == 4
     with pytest.raises(ValueError, match="out of range"):
-        ct.singleton_like_bound(prof, 9)
+        ct.singleton_like_exponent(prof.shape_counts(), 9)
     # block order does not change the bound
     het2 = sp.MatrixProfile(f2, ((2, 2), (2, 3)))
     for d in range(1, 5):
-        assert ct.singleton_like_bound(het, d) == ct.singleton_like_bound(het2, d)
+        assert (ct.singleton_like_exponent(het.shape_counts(), d)
+                == ct.singleton_like_exponent(het2.shape_counts(), d))
 
 
 SINGLETON_SHAPES = [(n, m) for m in range(1, 6) for n in range(1, m + 1)]
@@ -260,8 +263,8 @@ def test_singleton_defect_and_msrd(f2, am_code):
 
 def test_sphere_packing_and_perfection(f4):
     full = cs.sr_covering([hm.full_code(f4, 2), hm.full_code(f4, 2)])
-    rec = ct.sphere_packing_check(full.profile, full.size, 1)
-    assert rec.holds and rec.equality
+    rec = ct.sphere_packing_check(*counting(full), 1)
+    assert rec.holds and (rec.volume, rec.q, rec.codim) == (1, 2, 0) and str(rec) == "1 <= 2^0"
     assert ct.perfection_verdict(1, 0) == "perfect"
     assert ct.perfection_verdict(3, 2) == "quasi-perfect"
     assert ct.perfection_verdict(3, 1) == "perfect"
@@ -270,28 +273,27 @@ def test_sphere_packing_and_perfection(f4):
 
 def test_sphere_packing_sanity_on_known_codes(qp_code, am_code):
     for code, d in ((qp_code, 3), (am_code, 4)):
-        rec = ct.sphere_packing_check(code.profile, code.size, d)
-        assert rec.holds
-        assert code.size <= ct.singleton_like_bound(code.profile, d)
+        assert ct.sphere_packing_check(*counting(code), d).holds
+        assert code.dim <= ct.singleton_like_exponent(code.profile.shape_counts(), d)
 
 
 def test_distance_optimal_check(f2):
     do = cs.distance_optimal_2x2(2)
-    verdict, rec = ct.distance_optimal_check(do.profile, do.size, 4)
+    verdict, rec = ct.distance_optimal_check(*counting(do), 4)
     assert verdict == "certified"
-    assert rec["volume"] == 8731 and rec["rhs"] == 2 ** 60
+    assert (rec.radius, rec.volume, str(rec)) == (2, 8731, "8731 > 2^10")
     # [distance 5 would need a larger volume]
     small = cs.distance_optimal_sxs(2, 3, 1, 1)
-    verdict_s, rec_s = ct.distance_optimal_check(small.profile, small.size, 4)
-    assert verdict_s == "certified" and rec_s["volume"] == 52823
+    verdict_s, rec_s = ct.distance_optimal_check(*counting(small), 4)
+    assert verdict_s == "certified" and rec_s.volume == 52823
 
 
 def test_distance_optimal_check_hamming(f4):
     """A Hamming ball is the sum-rank ball of 1 x 1 blocks."""
-    v15, r15 = ct.distance_optimal_check(sp.MatrixProfile(f4, ((1, 1),) * 15), 4 ** 10, 4)
-    assert v15 == "inconclusive" and r15["volume"] == 991
-    v63, r63 = ct.distance_optimal_check(sp.MatrixProfile(f4, ((1, 1),) * 63), 4 ** 56, 4)
-    assert v63 == "certified" and r63["volume"] == 17767
+    v15, r15 = ct.distance_optimal_check(4, {(1, 1): 15}, 5, 4)
+    assert v15 == "inconclusive" and str(r15) == "991 <= 4^5"
+    v63, r63 = ct.distance_optimal_check(4, {(1, 1): 63}, 7, 4)
+    assert v63 == "certified" and str(r63) == "17767 > 4^7"
 
 
 def test_strong_singleton_bch():
@@ -354,7 +356,7 @@ def test_size_bound_from_witness(f4):
     ham = hm.hamming_code(f4, 2)
     radius, _ = hm.covering_radius(ham)
     assert radius == 1
-    k_witness = ham.size  # 4^3 = 64 codewords cover radius 1
+    k_witness = code_size(ham)  # 4^3 = 64 codewords cover radius 1
     rec = size_bound_from_witness(2, 2, 5, 2, k_witness)
     assert rec.value == 4096
     with pytest.raises(ValueError, match="divisibility"):
@@ -506,16 +508,16 @@ def test_family_table_describes_the_built_code(family, params):
 @pytest.mark.parametrize("family,params", FAMILY_POINTS, ids=map(_point_id, FAMILY_POINTS))
 def test_family_criterion_is_the_distance_optimal_check(family, params):
     """The exact criterion compares the radius-2 ball with q^codim of the built code: at
-    d = 4 it is the certificate's sphere-packing refutation with both sides divided by |C|.
-    A point the recipe refuses, the checks refuse with the same message."""
+    d = 4 it is the certificate's sphere-packing refutation.  A point the recipe refuses,
+    the checks refuse with the same message."""
     code = _built(family, params)
     if isinstance(code, str):
         with pytest.raises(ValueError, match=f"^{re.escape(code)}$"):
             ct.family_condition_checks(family, params)
         return
     rec = ct.family_condition_checks(family, params)
-    verdict, refutation = ct.distance_optimal_check(code.profile, code.size, 4)
-    assert (rec.exact_lhs, rec.exact_rhs) == (refutation["volume"], code.base.order ** code.codim)
+    verdict, refutation = ct.distance_optimal_check(*counting(code), 4)
+    assert (rec.exact_lhs, rec.exact_rhs) == (refutation.volume, code.base.order ** code.codim)
     assert rec.exact_holds == (verdict == "certified")
 
 
@@ -570,7 +572,7 @@ def _json_trees():
 @example({1.5: [0], 2: [-1], True: None})
 @example(["\u00e9\n\"\\\x00", float("nan"), float("inf"), -float("inf")])
 def test_write_json_matches_json_dumps(tree):
-    ct.unlock_big_int_strings()
+    sys.set_int_max_str_digits(0)  # json writes ints past the cap; the fixture restores it
     pieces = []
     ct.write_json(tree, pieces.append)
     assert "".join(pieces) == json.dumps(tree, sort_keys=True, indent=2)
@@ -738,8 +740,8 @@ def test_certify_perfect_full_space(f4):
     full = cs.sr_covering([hm.full_code(f4, 2), hm.full_code(f4, 2)])
     cert = ct.certify_code(full, "perfect")
     assert cert.verdict == "certified"
-    rec = ct.sphere_packing_check(full.profile, full.size, 1)
-    assert rec.equality  # perfect <=> equality in sphere packing
+    rec = ct.sphere_packing_check(*counting(full), 1)
+    assert rec.volume == full.base.order ** full.codim  # perfect <=> equality in sphere packing
 
 
 def test_certify_budget_degrades_to_inconclusive(qp_code):
@@ -749,7 +751,7 @@ def test_certify_budget_degrades_to_inconclusive(qp_code):
 
 def test_budget_stop_note_names_budget(qp_code):
     cert = ct.certify_code(qp_code, "quasi-perfect", syndrome_budget=2)
-    assert "syndrome budget 2 < 64 syndromes (q^codim)" in cert.notes
+    assert "syndrome budget 2 < 2^6 syndromes (q^codim)" in cert.notes
     work = ct.certify_code(qp_code, "quasi-perfect", work_budget=100)
     assert work.verdict == "inconclusive"
     # 5 blocks of 2 x 2 over GF(2): 1 round x 3 rank-1 lines x 2 generators
@@ -771,31 +773,34 @@ def test_certificates_share_no_list(qp_code):
 
 def _possible(code, d) -> bool:
     """Whether a code of this size may have minimum distance d: the Singleton-like
-    bound and sphere packing both allow it."""
-    return (code.size <= ct.singleton_like_bound(code.profile, d)
-            and ct.sphere_packing_check(code.profile, code.size, d).holds)
+    bound and sphere packing both allow it, in their full-size forms."""
+    size = code_size(code)
+    return singleton_full(code.profile, size, d) and sphere_packing_full(code.profile, size, d)
 
 
 def _exact_verdict(code, claim: str, d: int, radius: int) -> str:
-    """The verdict the exact comparisons give at an exact d and R."""
+    """The verdict the exact comparisons give at an exact d and R, the counting bounds in
+    their full-size forms: |C| V_sr(r) against q^N and |C| against q^e."""
     if claim in ("perfect", "quasi-perfect"):
         holds = ct.perfection_verdict(d, radius) == claim
-    elif claim == "distance-optimal":
-        return ct.distance_optimal_check(code.profile, code.size, d)[0]
+    elif claim == "distance-optimal":  # no code of this size has d + 1
+        holds = not sphere_packing_full(code.profile, code_size(code), d + 1)
+        return "certified" if holds else "inconclusive"
     elif claim in ("msrd", "almost-msrd"):
         name = ct.msrd_verdict(code.profile, code.dim, d)[0]
         holds = name == "MSRD" or (claim == "almost-msrd" and name == "almost-MSRD")
     elif claim == "sphere-packing":
-        holds = ct.sphere_packing_check(code.profile, code.size, d).holds
+        holds = sphere_packing_full(code.profile, code_size(code), d)
     else:
-        holds = code.size <= ct.singleton_like_bound(code.profile, d)
+        holds = singleton_full(code.profile, code_size(code), d)
     return "certified" if holds else "refuted"
 
 
 def _stand_in(q: int, blocks, dim: int):
-    """What the rules read of a code: its profile, dimension, size, codimension and recipe."""
+    """What the rules read of a code: its profile, dimension, base field, codimension and
+    recipe."""
     profile = sp.MatrixProfile(cs.field_of_order(q), blocks)
-    return SimpleNamespace(profile=profile, dim=dim, size=q ** dim,
+    return SimpleNamespace(profile=profile, dim=dim, base=profile.field,
                            codim=profile.ambient_dim - dim, recipe=None)
 
 
@@ -842,13 +847,120 @@ def test_rules_decide_only_what_every_possible_d_agrees_on(problem, claim):
         assert cert.verdict == _exact_verdict(code, claim, dist.lo, radius)
 
 
+COUNTING_SHAPES = [(n, m) for m in range(1, 4) for n in range(1, m + 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 4]), st.lists(st.sampled_from(COUNTING_SHAPES), min_size=1,
+                                             max_size=3), st.integers(0, 2))
+@example(2, [(1, 1), (2, 3), (2, 2)], 1)
+def test_counting_checks_match_their_full_size_forms(q, blocks, excess):
+    """At every dim from 0 to the ambient dimension and every d in 1..N, the exponent-form
+    checks and the counting rules at a point of d give the full-size comparisons' answers,
+    |C| V_sr(floor((d - 1)/2)) <= q^N and |C| <= q^e, on mixed block shapes; a refuted
+    sphere-packing states the least radius whose ball outgrows q^codim.  Where a code may
+    have that d, every other rule (R = e + `excess`) gives their verdict too; where sphere
+    packing fails, the perfection rules' sanity check raises."""
+    profile = sp.MatrixProfile(cs.field_of_order(q), tuple(blocks))
+    equal_m = len({m for _, m in blocks}) == 1  # the defect is defined for these only
+    counting_rules = ("sphere-packing", "singleton", "distance-optimal")
+    for dim in range(profile.ambient_dim + 1):
+        code = _stand_in(q, profile.blocks, dim)
+        for d in range(1, profile.N + 1):
+            packs = sphere_packing_full(profile, q ** dim, d)
+            assert ct.sphere_packing_check(*counting(code), d).holds == packs
+            assert ct.distance_optimal_check(*counting(code), d)[0] == _exact_verdict(
+                code, "distance-optimal", d, 0)
+            point, radius = SrDistance(d, d, "point"), (d - 1) // 2 + excess
+            r_point = SrDistance(radius, radius, "point")
+            for claim in ct.CLAIMS:
+                cert = ct.Certificate(code, claim)
+                if claim in ("perfect", "quasi-perfect") and not packs:
+                    with pytest.raises(RuntimeError, match="sphere packing violated"):
+                        ct.RULES[claim](cert, point, r_point)
+                elif claim in counting_rules or _possible(code, d) and (
+                        equal_m or claim not in ("msrd", "almost-msrd")):
+                    ct.RULES[claim](cert, point, r_point)
+                    assert cert.verdict == _exact_verdict(code, claim, d, radius), (claim, dim, d)
+                    if claim == "sphere-packing" and cert.verdict == "refuted":  # the least r
+                        r = int(cert.bounds[0]["assumptions"][0].split()[-1])
+                        assert not sphere_packing_full(profile, q ** dim, 2 * r + 1)
+                        assert r == 0 or sphere_packing_full(profile, q ** dim, 2 * r - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 9), st.integers(0, 40), st.data())
+@example(2, 16, None)  # q^e = budget
+@example(3, 0, None)
+def test_budget_stop_is_the_exact_exponent_test(q, e, data):
+    """A stop exactly when q^e > budget: budgets drawn around q^e (equal, one off), 0, and
+    at random; e = 0 gives the one word, which only budget 0 refuses."""
+    budgets = [0, 1, q ** e - 1, q ** e, q ** e + 1]
+    if data is not None:
+        budgets.append(data.draw(st.integers(0, 1 << 80)))
+    for budget in budgets:
+        stop = budget_stop("enum budget", budget, q, e, "codewords (q^dim)")
+        assert (stop is not None) == (q ** e > budget), (q, e, budget)
+        assert stop in (None, f"enum budget {budget} < {q}^{e} codewords (q^dim)")
+
+
+class _Order(int):
+    """A field order whose powers are refused past q^17, the bit length of 2^16."""
+
+    def __pow__(self, e):
+        assert e <= 17, f"q^{e} formed"
+        return int(self) ** e
+
+
+def test_budget_stop_forms_no_power_past_the_budget():
+    """q^(10^12) could not be held; the test stops at the budget's bit length."""
+    assert budget_stop("syndrome budget", 1 << 16, _Order(2), 10 ** 12, "syndromes") == (
+        f"syndrome budget {1 << 16} < 2^{10 ** 12} syndromes")
+    assert budget_stop("enum budget", 0, 3, 0, "codewords") == "enum budget 0 < 3^0 codewords"
+    assert budget_stop("enum budget", 1, 3, 0, "codewords") is None
+
+
+def test_certify_through_the_api_stays_under_the_str_digit_cap(int_str_digits, monkeypatch):
+    """sxs q=2 s=3 m=4 has |C| = 2^36822 and q^N = 2^12285: at CPython's default cap of
+    4300 digits, set by the fixture, certify_code, the table and the JSON state every
+    bound in q^e form, which the full-size forms could not print.  The descriptor is a stub:
+    its 4084 x 4095 generator takes seconds to write and holds only small ints."""
+    assert sys.get_int_max_str_digits() == int_str_digits == 4300
+    code = cs.build_recipe("distance-optimal-sxs", q=2, s=3, m=4)
+    monkeypatch.setattr(code, "describe", lambda: {"recipe": code.recipe})
+    cert = ct.certify_code(code, "distance-optimal")
+    table = cert.to_table()
+    assert cert.verdict == "certified" and len(table) < 2048
+    doc = json.loads(cert.to_json())
+    assert doc["bounds"][0] == {"name": "sphere_packing_refutation",
+                                "value": "20127703051 > 2^33",
+                                "assumptions": ["ball volume at radius 2"]}
+    assert doc["notes"][0] == ("syndrome budget 65536 < 2^33 syndromes (q^codim); "
+                               "enum budget 4194304 < 2^36822 codewords (q^dim)")
+
+
+def test_a_parts_budget_stops_are_named_by_the_part():
+    """At the default budgets distance-optimal-2x2 q=5 stops its own DP and its cyclic
+    ingredient's: the ingredient's stops carry its index and family, so the two syndrome
+    budget stops are told apart."""
+    dist = ct.sr_min_distance(cs.distance_optimal_2x2(5))
+    assert (dist.lo, dist.hi) == (3, 1248)
+    assert dist.note.split("; ") == [
+        "syndrome budget 65536 < 5^10 syndromes (q^codim)",
+        "enum budget 4194304 < 5^2486 codewords (q^dim)",
+        "ingredient 0 (cyclic): syndrome budget 65536 < 25^4 syndromes (q^codim)",
+        "ingredient 0 (cyclic): enum budget 4194304 < 25^620 codewords (q^dim)",
+        "ingredient 0 (cyclic): enum budget 4194304 < 4665024 half-words of the weight-3 "
+        "support search"]
+
+
 def test_hamming_budget_stop_joins_both_notes(f4):
     """A Hamming code past every budget keeps the DP and enumeration stops, then the
     support search's note."""
     code = hm.hamming_code(f4, 3)  # [21, 18, 3]_4: 4^3 syndromes, 4^18 codewords
     d = ct.sr_min_distance(code, budget=30, syndrome_budget=2)
     assert (d.lo, d.hi, d.method, d.witness) == (2, 4, "support_test", None)
-    assert d.note == ("syndrome budget 2 < 64 syndromes (q^codim); "
+    assert d.note == ("syndrome budget 2 < 4^3 syndromes (q^codim); "
                       "enum budget 30 < 4^18 codewords (q^dim); "
                       "enum budget 30 < 63 half-words of the weight-2 support search")
     assert hm.min_distance(code, 30).note == d.note.split("; ")[2]
@@ -877,7 +989,7 @@ def test_dp_budget_stop_is_noted_once():
     """7^6 syndromes stop the DP for both d and R; the note names the stop once."""
     cert = ct.certify_code(cs.quasi_perfect_2xm(7, 2, 2), "quasi-perfect")
     assert cert.exit_code == 2
-    assert cert.notes == ["syndrome budget 65536 < 117649 syndromes (q^codim); "
+    assert cert.notes == ["syndrome budget 65536 < 7^6 syndromes (q^codim); "
                           "enum budget 4194304 < 7^194 codewords (q^dim)"]
 
 
@@ -889,8 +1001,7 @@ def test_blocks_past_the_rank_table_cap_stop_the_dp():
     assert (first.profile.t, first.codim) == (31, 5)
     with pytest.raises(ct.BudgetExceeded) as stop:
         first.budgeted_dp()
-    assert str(stop.value) == (
-        f"rank table cap {1 << 24} < {1 << 25} values per 5 x 5 block (q^(nm))")
+    assert str(stop.value) == f"rank table cap {1 << 24} < 2^25 values per 5 x 5 block (q^(nm))"
 
 
 def test_certificate_records_witness(qp_code):
@@ -910,9 +1021,10 @@ def test_verdicts_stable_under_block_permutation(f2):
     for r in range(a.N + 1):
         assert sp.ball_volume_exact(a, r) == sp.ball_volume_exact(b, r)
     for d in range(1, a.N + 1):
-        assert ct.singleton_like_bound(a, d) == ct.singleton_like_bound(b, d)
-        assert (ct.distance_optimal_check(a, 2 ** 6, d)
-                == ct.distance_optimal_check(b, 2 ** 6, d))
+        assert (ct.singleton_like_exponent(a.shape_counts(), d)
+                == ct.singleton_like_exponent(b.shape_counts(), d))
+        assert (ct.distance_optimal_check(2, a.shape_counts(), a.ambient_dim - 6, d)
+                == ct.distance_optimal_check(2, b.shape_counts(), b.ambient_dim - 6, d))
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
@@ -941,33 +1053,33 @@ def _workloads():
 # certificate but the version is checked here
 CERTIFICATE_SHA256 = {
     "certify quasi-perfect --recipe quasi-perfect-2xm q=2 m=2 u=2":
-        (0, "06a26f34f2789339b764d7fb980390367fcee900740906e9932d87309a7fe591"),
+        (0, "bd04a2bfdec4789aa71b0abaa429c4415713059f2976201114e293101da81526"),
     "certify quasi-perfect --recipe quasi-perfect-2x2 t=6":
-        (0, "4b297211273cb84a3941acb7ff52c4c6c7259d73e94b9afd5422812fd78956a6"),
+        (0, "f00dfd95a415da79765c9305ec68a1a114e7718e047ab084f2ae37a78fcb425e"),
     "certify distance-optimal --recipe distance-optimal-2x2 q=3":
-        (0, "249c3b65f34c5dcd38dfce234a095746efc3d6f7f33abcf01694b40f71f8f2e0"),
+        (0, "52fb67a162dbd3f89e2dab7641ad953a91f6d23fab477a8eeaf1f161b05df111"),
     "certify quasi-perfect --recipe quasi-perfect-2xm q=4 m=2 u=2":
-        (0, "c0c2065f6110fc33ce4e530681917f0673b5184de4a0d2c5fea10234ccb539f3"),
+        (0, "fd74d7b0fc46174732a4df6409d3017c949ea7654c8c057180b6d7429e128b2e"),
     "certify quasi-perfect --recipe almost-msrd-2x2 q=3 t=9":
-        (1, "b7ab507d9184b5e18fcc49fb103b9f7e686fa776e91bcb0c12cd323b952d6f2e"),
+        (1, "d365f93a6006ae1a92ae04c1639ea81a3dd962224e64bcc6f2bdd6f76bf0de40"),
     "certify quasi-perfect --recipe distance-optimal-sxs q=3 s=2 m=1":
-        (1, "83fbfc14cc84f3118e5d049281cf95d2dd9ec504488598f3becd3c41be5f3b74"),
+        (1, "9d0bd9525b179bb6816114217aafe3f41f1e60f265a48481e7b05bc54d056c03"),
     "certify quasi-perfect --recipe quasi-perfect-2xm q=3 m=2 u=3":
-        (0, "1462541a0ba1577a9f664ddd56ca0624f88369279e72d4e35f7ae62e8e480e17"),
+        (0, "1922fe3ed59303c65071b6c1f3a91b4aef06071de4cac0434d344e128d4cd8fd"),
     "certify quasi-perfect --recipe quasi-perfect-2xm q=5 m=2 u=2":
-        (0, "f1bb79c48aa7bdf93eb080a58e8dd8744fdd8eefe912e6af4a581fecc091bc75"),
+        (0, "6a9c76e95b4da73f69f1fee169c040174ebb5f2daaec0b303e21bb0464eebe97"),
     "certify singleton --recipe covering-repetition q=2 m=4 t=8":
-        (0, "a38cde66bc27b98cb940dc766f1f96b82dc6bbc96def3ba67f70aad77258fe89"),
+        (0, "87fe3e963c7e701d883d9c90317ee7bba11b7b64108dbb8cafaed4685da7839d"),
     "certify msrd --recipe covering-repetition q=2 m=4 t=12":
         (1, "dd0a2c835b96537ab7b8ce4c21ed56e9a5d6512f4ad54852de16c094b4059798"),
     "certify sphere-packing --recipe covering-repetition q=2 m=4 t=16":
-        (0, "9cd4b26159e6a5c762e3a1679712b598340acfdd3635578df33aa1a3b1e08327"),
+        (0, "d5e0b71ff4e97c4e74ee3a2aba2f5705f9ab816db0d94eb28f1339d72e02d374"),
     "certify msrd --recipe quasi-perfect-2x2 t=6":
         (1, "5c62e4c3c37a44ec5776630052981a732ef4745d226e7c5e4805e55c952ccc5a"),
     "certify almost-msrd --recipe almost-msrd-2x2 q=2 t=4":
         (0, "e7f3e20383652327dcc1ee80155c3c5949427638e5308b829e3291eef1af274c"),
     "certify distance-optimal --recipe plotkin-distance-optimal s=3 m=1":
-        (2, "b9ca45c60c4e05a95eed5c2280c6f2a0a97ebb5b1781f516a330adadc7b044b0"),
+        (2, "ad231122861751056a8184cee57081a722cecc1b270aa20ecca427798fe6b99c"),
 }
 
 
@@ -988,9 +1100,11 @@ def test_every_certify_job_certificate_is_pinned(tmp_path, capsys):
                        if b["name"] == "sphere_packing_refutation"]
         if workloads.job_key(argv) in STATED_REFUTATIONS:
             assert len(refutations) == 1, argv
-        for stated in refutations:  # the relation the bound states holds
+        for stated in refutations:  # the relation the bound states holds, V_sr(r) vs q^codim
             lhs, relation, rhs = stated.split()
-            assert {">": int(lhs) > int(rhs), "<=": int(lhs) <= int(rhs)}[relation], argv
+            q, codim = map(int, rhs.split("^"))
+            rhs = q ** codim
+            assert {">": int(lhs) > rhs, "<=": int(lhs) <= rhs}[relation], argv
             assert (relation == ">") == (code == 0), argv
 
 
@@ -1004,16 +1118,16 @@ STATED_REFUTATIONS = ("certify distance-optimal --recipe distance-optimal-2x2 q=
 SPHERE_PACKING_SHA256 = {
     "certify sphere-packing --recipe covering-repetition q=2 m=4 t=8 "
     "--enum-budget 2 --syndrome-budget 2":
-        (0, "a7644da5850983059b0b99f24caa12d32dc854dcfd11c45c00f0a877e182dcef"),
+        (0, "9a4ffcc049264400859a6582cff32c02712a4e909327bedf24b837f09010b6a8"),
     "certify sphere-packing --recipe covering-repetition q=2 m=4 t=1000 "
     "--enum-budget 2 --syndrome-budget 2":
-        (0, "f1ad58022da114418ee71cd391547e86c500fed96339eea6b73cec4cb65fca7a"),
+        (0, "fd903051ea8eddcb9333b1b584983409393048a08fc74d4bf6fa85fdce64e558"),
     "certify sphere-packing --recipe quasi-perfect-2xm q=4 m=2 u=4 --syndrome-budget 2":
-        (2, "08af27d4a0a88191e31c34e0f16ca3fa33a7163f306e945bbc3a4676d4ec3920"),
+        (2, "5dbbf269211926f97b50ea2a860e7f8f7b4948f5485b442de9677ef27eea01b4"),
     "certify sphere-packing --recipe almost-msrd-2x2 q=7 t=49":
-        (2, "a6c716cf32946ba086ef475e5d7a6409ff1d38d36edd12fbf21490e7fc0721e0"),
+        (2, "a44a920df49051896fe36a0cd2522b0b2aace3667df6f5b38faccae4844b3970"),
     "certify sphere-packing --recipe distance-optimal-sxs q=2 s=3 m=3":
-        (2, "c70cab560fd97f5c5593a55f4d1bae2bc4cb857d2a53a98d6b6dbd2ea66c8438"),
+        (2, "0fc182065a9b4394a78ebb12cf84753a2c7cfa9fb2c9d8f9131f62024c894fd6"),
 }
 
 

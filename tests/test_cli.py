@@ -143,16 +143,16 @@ def test_certify_hamming_recipe(tmp_path, capsys):
                          "(17767 vs 16384)\n")
     bounds = {b["name"]: b for b in json.loads(cert.read_text())["bounds"]}
     assert bounds["family_condition[2*4*1^2 < (4-1)^2]"]["value"] is True
-    # the exact criterion is the sphere-packing refutation, both sides over |C| = 4^56
+    # the exact criterion is the sphere-packing refutation, V_sr(2) against q^codim
     assert not any(name.startswith("family_criterion") for name in bounds)
-    assert bounds["sphere_packing_refutation"]["value"] == f"{17767 * 4 ** 56} > {4 ** 63}"
+    assert bounds["sphere_packing_refutation"]["value"] == "17767 > 4^7"
 
 
 def test_certify_hamming_budget_stop_is_inconclusive(capsys):
     code, out, _ = run(capsys, "certify", "quasi-perfect", "--recipe", "cyclic-d4",
                        "q=2", "m=3", "--syndrome-budget", "2")
     assert code == 2
-    assert "syndrome budget 2 < 16 syndromes (q^codim)" in out
+    assert "syndrome budget 2 < 2^4 syndromes (q^codim)" in out
 
 
 def test_certify_hamming_support_search_budget_stop(capsys):
@@ -163,17 +163,20 @@ def test_certify_hamming_support_search_budget_stop(capsys):
     assert code == 0
     assert "min_sum_rank_distance    = [4, 8]   [bch / support_test (interval)]" in out
     # the DP's and enumeration's stops, then the support search's note
-    assert ("  note: syndrome budget 1000 < 16384 syndromes (q^codim); "
+    assert ("  note: syndrome budget 1000 < 4^7 syndromes (q^codim); "
             "enum budget 1000 < 4^56 codewords (q^dim); "
             "enum budget 1000 < 5859 half-words of the weight-3 support search\n") in out
 
 
 def test_plotkin_interval_note_names_its_own_stops_first(tmp_path, capsys):
-    """The Plotkin sum's own DP and enumeration stops, then those of its two parts."""
-    stops = ("syndrome budget 2 < 262144 syndromes (q^codim); "
+    """The Plotkin sum's own DP and enumeration stops, then those of its two parts, each
+    named by its part."""
+    stops = ("syndrome budget 2 < 2^18 syndromes (q^codim); "
              "enum budget 2 < 2^108 codewords (q^dim); "
-             "syndrome budget 2 < 8 syndromes (q^codim); enum budget 2 < 2^60 codewords (q^dim); "
-             "syndrome budget 2 < 32768 syndromes (q^codim); enum budget 2 < 2^48 codewords (q^dim)")
+             "first part: syndrome budget 2 < 2^3 syndromes (q^codim); "
+             "first part: enum budget 2 < 2^60 codewords (q^dim); "
+             "second part: syndrome budget 2 < 2^15 syndromes (q^codim); "
+             "second part: enum budget 2 < 2^48 codewords (q^dim)")
     cert = tmp_path / "cert.json"
     code, out, _ = run(capsys, "certify", "distance-optimal", "--recipe",
                        "plotkin-distance-optimal", "s=3", "m=1", "--syndrome-budget", "2",
@@ -194,8 +197,7 @@ def test_blocks_past_the_rank_table_cap_stop_enumeration(tmp_path, capsys):
     d = next(q for q in doc["quantities"] if q["name"] == "min_sum_rank_distance")
     assert (d["value"], d["method"]) == (
         [1, 5], "composition(covering: " + ", ".join(["1 repetition"] * 5) + ") (interval)")
-    assert doc["notes"] == [
-        f"rank table cap {1 << 24} < {1 << 25} values per 5 x 5 block (q^(nm))"]
+    assert doc["notes"] == [f"rank table cap {1 << 24} < 2^25 values per 5 x 5 block (q^(nm))"]
 
 
 def test_sphere_packing_is_certified_from_the_interval_of_d(tmp_path, capsys):
@@ -211,9 +213,9 @@ def test_sphere_packing_is_certified_from_the_interval_of_d(tmp_path, capsys):
     d = next(q for q in doc["quantities"] if q["name"] == "min_sum_rank_distance")
     assert (d["value"], d["method"]) == (
         [8, 32], "composition(covering: " + ", ".join(["8 repetition"] * 4) + ") (interval)")
-    lhs = 2 ** 16 * sp.ball_volume_exact(sp.MatrixProfile(cs.field_of_order(2), ((4, 4),) * 8), 15)
-    assert doc["bounds"] == [{"name": "sphere_packing", "value": f"{lhs} <= {2 ** 128}",
-                              "assumptions": []}]
+    volume = sp.ball_volume_exact(sp.MatrixProfile(cs.field_of_order(2), ((4, 4),) * 8), 15)
+    assert doc["bounds"] == [{"name": "sphere_packing", "value": f"{volume} <= 2^112",
+                              "assumptions": ["ball volume at radius 15"]}]
     assert doc["notes"][-1] == "certified for every d in [8, 32]"
 
 
@@ -255,7 +257,7 @@ def test_a_misstamped_ingredient_is_an_internal_error(capsys, monkeypatch):
 def test_sphere_packing_violation_is_internal_error(capsys, monkeypatch):
     from sumrank import certify as ct
     monkeypatch.setattr(ct, "sphere_packing_check",
-                        lambda profile, size, d: ct.SpherePackingRecord(2, 1, False, False))
+                        lambda q, shapes, codim, d: ct.SpherePackingRecord(1, 2, 2, 0, False))
     code, _, err = run(capsys, "certify", "quasi-perfect", "--recipe",
                        "quasi-perfect-2xm", "q=2", "m=2", "u=2")
     assert code == 3
@@ -829,12 +831,12 @@ def test_missing_out_directory_refused_before_work(tmp_path, capsys, monkeypatch
     (("construct", "distance-optimal-2x2", "q=3"),
      "c3ed45fcb063272dafedbe3f89622ed3dc77f3cae8c1861caadeab9f8d5984bc"),
     (("certify", "quasi-perfect", "--recipe", "quasi-perfect-2xm", "q=2", "m=2", "u=2"),
-     "6afa8e55814a97ef1ce57fac1eca17389d3bcd124b85152dcc18f1d63cb1a7a8"),
+     "9b4b46b4ed2f15a44b3d0741556d112f6be2269a5c1568bd5054a0a94e33a08d"),
 ], ids=["descriptor", "certificate"])
 def test_out_bytes_are_pinned(tmp_path, capsys, argv, sha256):
     # the hashes are those of json.dump(s)(..., sort_keys=True, indent=2),
     # which wrote both kinds of --out file before the streaming writer; the
-    # certificate's includes its toolchain-version, sumrank 0.2.6
+    # certificate's includes its toolchain-version, sumrank 0.2.7
     out = tmp_path / "out.json"
     assert run(capsys, *argv, "--out", str(out))[0] == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256

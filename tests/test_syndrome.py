@@ -27,8 +27,8 @@ from sumrank import hamming as hm
 from sumrank import spaces as sp
 from sumrank import syndrome as sd
 
-from oracles import (composition_source, contains_packed, generator_parity, hamming_weight,
-                     unit_syndromes)
+from oracles import (code_size, composition_source, contains_packed, generator_parity,
+                     hamming_weight, unit_syndromes)
 
 FAST = settings(max_examples=25, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -147,7 +147,7 @@ def _enumeration_oracle(code):
 def _check_against_oracles(code):
     dp = ct.sr_min_distance(code)
     assert dp.method == ("zero code" if code.dim == 0 else "syndrome-dp")
-    if code.size <= SMALL_CODE:
+    if code_size(code) <= SMALL_CODE:
         best, _ = _enumeration_oracle(code)
         assert dp.infinite == (best is None)
         assert dp.infinite or dp.value == best
@@ -492,7 +492,7 @@ def composed_codes(draw):
         elif kind == "plotkin":
             code = cs.plotkin(code, draw(ingredient_codes(shape)))
     assume(code.dim > 0 and code.base.order ** code.codim <= 1 << 16)
-    return code, draw(st.integers(1, min(code.size - 1, 1 << 12)))
+    return code, draw(st.integers(1, min(code_size(code) - 1, 1 << 12)))
 
 
 @FAST
@@ -555,7 +555,7 @@ def plotkin_codes(draw):
 @st.composite
 def small_mixed_codes(draw):
     code = draw(mixed_codes())
-    assume(code.size <= SMALL_CODE)
+    assume(code_size(code) <= SMALL_CODE)
     return code
 
 
@@ -571,7 +571,7 @@ def test_enumeration_memory_stays_within_the_chunk_bound():
     code = cs.covering_repetition(2, 4, 16)
     rows, shapes = code._generator_rows_packed(), code.profile.blocks
     sp.rank_array(code.base, 4, 4)  # the rank table is built once per field and shape
-    assert code.size == 1 << 16
+    assert code_size(code) == 1 << 16
     tracemalloc.start()
     try:
         found = sd.least_weight_word(code.base, rows, shapes)
