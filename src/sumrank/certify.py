@@ -48,15 +48,13 @@ def settle(sources) -> SrDistance:
     """Intersect interval sources, read cheapest first: lo is the greatest lower end and hi
     the least upper end, an earlier source keeping a tied end; a str item is a stop.  The
     first point ends the reading, with the witness of hi's source and no note (the zero
-    code's infinite point as it is).  An interval has no witness; its note joins the stops
-    met, then the notes of its ends' sources, which also name its method."""
+    code's is [inf, inf]).  An interval has no witness; its note joins the stops met, then
+    the notes of its ends' sources, which also name its method."""
     stops, low, high = [], None, None
     for src in sources:
         if isinstance(src, str):
             stops.append(src)
             continue
-        if src.infinite:
-            return src
         low = src if low is None or src.lo > low.lo else low
         high = src if high is None or src.hi < high.hi else high
         if low.lo >= high.hi:
@@ -79,7 +77,7 @@ def sr_min_distance(code: SumRankCode, budget: int = ENUM_BUDGET, *,
     past the rank-table cap; a source that may not run gives its stop instead."""
     def sources():
         if code.dim == 0:
-            yield SrDistance(None, None, "zero code", infinite=True)
+            yield SrDistance(math.inf, math.inf, "zero code")
         try:
             dp = code.budgeted_dp(syndrome_budget, work_budget)
         except BudgetExceeded as exc:
@@ -534,11 +532,11 @@ def certify_code(code: SumRankCode, claim: str, *,
     cert.add_quantity("dimension", code.dim, "construction")
     cert.add_quantity("block_length", code.profile.t, "construction")
 
-    budgets = {"syndrome_budget": syndrome_budget, "work_budget": work_budget}
-    dist = sr_min_distance(code, enum_budget, **budgets)
-    if dist.infinite:
+    if code.dim == 0:
         cert.notes.append("zero code: minimum distance undefined")
         return cert
+    budgets = {"syndrome_budget": syndrome_budget, "work_budget": work_budget}
+    dist = sr_min_distance(code, enum_budget, **budgets)
     cert.add_quantity("min_sum_rank_distance",
                       dist.value if dist.exact else [dist.lo, dist.hi],
                       dist.method if dist.exact else dist.method + " (interval)")

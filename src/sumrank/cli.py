@@ -146,7 +146,7 @@ def cmd_certify(args) -> int:
         cert = ct.certify_code(code, args.claim, enum_budget=args.enum_budget,
                                syndrome_budget=args.syndrome_budget,
                                work_budget=args.sweep_budget)
-    except (ValueError, KeyError) as exc:  # the input was valid: an engine failed
+    except ValueError as exc:  # the input was valid: an engine failed
         _report_internal_error(exc)
         return INTERNAL_ERROR
     print(cert.to_table())
@@ -354,7 +354,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as exc:  # noqa: BLE001 - report and keep the >2 contract

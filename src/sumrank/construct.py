@@ -241,14 +241,12 @@ def _part_stops(part: str, note: str) -> str:
 
 def _ingredient_end(code: hm.LinearCode, distance) -> tuple[float, str, str | None]:
     """A lower end of an ingredient's d (inf if k = 0), its source and its stops: the family's
-    theorem, else the BCH bound; below the stamped design, or without one, the engines' too."""
-    if code.k == 0:
-        return float("inf"), "zero code", None
+    theorem, else `hm.bch_bound`; below the stamped design, or without one, the engines' too."""
     lo, source, design = 0, None, code.designed_distance
     if code.family in ("hamming", "parity", "full", "reed-solomon", "repetition"):
         lo, source = 3 if code.family == "hamming" else code.n - code.k + 1, code.family
     elif code.defining_set is not None:
-        lo, source = hm.bch_bound(code.defining_set, code.n), "bch"
+        lo, source = hm.bch_bound(code.defining_set, code.n)
     if design is not None and lo >= design:
         return lo, source, None
     res = distance(code)
@@ -375,13 +373,12 @@ class PlotkinSumRankCode(SumRankCode):
                          [array_mul(self.base)(h2, self.base.p - 1), h2]])
 
     def distance_bounds(self, budget, distance):
-        # d = min(2 d1, d2), witnessed by (c1 | c1) or (0 | c2); a zero part has no word
+        # d = min(2 d1, d2), witnessed by (c1 | c1) or (0 | c2); a zero part's d is inf
         d1, d2 = distance(self.first), distance(self.second)
         yield from (_part_stops(part, d.note)  # the parts' stops
                     for part, d in (("first part", d1), ("second part", d2)) if d.note)
-        ends = [] if d1.infinite else [(2 * d1.lo, 2 * d1.hi, d1.witness and d1.witness * 2)]
-        if not d2.infinite:
-            ends.append((d2.lo, d2.hi, d2.witness and (0,) * self.first.profile.t + d2.witness))
+        ends = [(2 * d1.lo, 2 * d1.hi, d1.witness and d1.witness * 2),
+                (d2.lo, d2.hi, d2.witness and (0,) * self.first.profile.t + d2.witness)]
         hi, witness = min(ends, key=lambda end: end[1])[1:]
         yield SrDistance(min(end[0] for end in ends), hi, "composition(plotkin)", witness)
 
@@ -536,9 +533,9 @@ def quasi_perfect_2x2(t: int = 6, *, ingredient: hm.LinearCode | None = None
 
 
 def _cyclic_d4_code(n: int, field: Field) -> hm.LinearCode:
-    """The cyclic code of defining set C0 u C1 u C2, stamped 4 where the BCH bound gives 4."""
+    """The cyclic code of defining set C0 u C1 u C2, stamped 4 where `hm.bch_bound` gives 4."""
     code = hm.cyclic_code(n, field, [0, 1, 2])
-    code.designed_distance = 4 if hm.bch_bound(code.defining_set, n) >= 4 else None
+    code.designed_distance = 4 if hm.bch_bound(code.defining_set, n)[0] >= 4 else None
     return code
 
 

@@ -91,8 +91,8 @@ class LinearCode(SumRankCode):
     def distance_bounds(self, budget, distance):
         yield (res := min_distance(self, budget))  # the support search, for d <= 4
         if self.defining_set is not None:  # a point at Singleton: the first row weighs that
-            bch = bch_bound(self.defining_set, self.n)
-            yield SrDistance(bch, res.hi, "bch", self.generator[0] if bch == res.hi else None)
+            lo, source = bch_bound(self.defining_set, self.n)
+            yield SrDistance(lo, res.hi, source, self.generator[0] if lo == res.hi else None)
 
     def __repr__(self) -> str:
         d = self.designed_distance
@@ -382,21 +382,27 @@ def min_distance(code: LinearCode, budget: int = ENUM_BUDGET) -> SrDistance:
 # designed-distance bounds for cyclic codes
 # ----------------------------------------------------------------------
 
-def bch_bound(T, n: int) -> int:
-    """Largest run of consecutive residues in T, plus one."""
-    Ts = set(x % n for x in T)
+def bch_bound(T, n: int) -> tuple[int, str]:
+    """The Hartmann-Tzeng bound of the defining set T mod n, and its source, "bch" when a run
+    alone attains it: d >= L + 1 + s if T holds a + i + jb for all i < L and j <= s, with
+    gcd(b, n) <= L (Hartmann and Tzeng, Inform. Control 20, 1972); BCH is its case s = 0.
+    Each run from a tries the steps b in T - a, so the cost does not grow with n; s stays
+    below the order of b, or T would hold every residue, whose bound is n + 1."""
+    Ts = {x % n for x in T}
     if len(Ts) == n:
-        return n + 1
-    best = 0
-    for start in Ts:
-        if (start - 1) % n in Ts:
-            continue
-        run, cur = 1, start
-        while (cur + 1) % n in Ts:
-            run += 1
-            cur = (cur + 1) % n
-        best = max(best, run)
-    return best + 1
+        return n + 1, "bch"
+    bch = ht = 1
+    for a in Ts:
+        L = 0
+        while (a + L) % n in Ts:
+            L += 1
+            bch = max(bch, L + 1)
+            for b in {(x - a) % n for x in Ts if gcd(x - a, n) <= L}:  # x = a: gcd n > L
+                s = 0
+                while s < n and all((a + i + (s + 1) * b) % n in Ts for i in range(L)):
+                    s += 1
+                ht = max(ht, L + 1 + s)
+    return (bch, "bch") if bch >= ht else (ht, "hartmann-tzeng")
 
 
 def bch_covering_radius_interval(e: int, n: int):

@@ -435,20 +435,19 @@ def least_weight_word(field, rows, shapes) -> tuple[int, tuple[int, ...]] | None
 class SrDistance(NamedTuple):
     """A minimum distance or covering radius, exact or as a certified interval, with its method."""
 
-    lo: int | None
-    hi: int | None
+    lo: float  # an int, or inf for the zero code's d
+    hi: float
     method: str
     witness: tuple[int, ...] | None = None  # packed block values
-    infinite: bool = False
     note: str | None = None  # the budget stops behind an interval
 
     @property
     def exact(self) -> bool:
-        return self.infinite or self.lo == self.hi
+        return self.lo == self.hi
 
     @property
     def value(self) -> int:
-        if self.infinite:
+        if self.lo == float("inf"):
             raise ValueError("the zero code has no minimum distance")
         if not self.exact:
             raise ValueError(f"distance only known in [{self.lo}, {self.hi}]")

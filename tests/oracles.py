@@ -155,9 +155,10 @@ def radius2_ball_lower_bound(t: int, s: int, q: int) -> Fraction:
 
 
 def hartmann_tzeng_bound(T, n: int, A, B, b: int, s: int) -> int:
-    """Certified bound delta + s after verifying every hypothesis."""
+    """Certified bound delta + s after verifying every hypothesis; A is listed in run order,
+    so a run may wrap past n - 1 to 0."""
     Ts = set(x % n for x in T)
-    A = sorted(x % n for x in A)
+    A = [x % n for x in A]
     delta = len(A) + 1
     for prev, cur in zip(A, A[1:]):
         if (prev + 1) % n != cur % n:

@@ -169,8 +169,11 @@ def test_criterion_04_distance_optimal_2x2(f2, f4):
     assert code.dim == 50
     # d_sr = 4: composition lower bound plus a weight-4 witness
     assert code.composition_lower_bound([d1.value, 2]) == 4
-    source = composition_source(code)  # the ingredients' ends: c1's DP, the parity theorem
-    assert (source.lo, source.method) == (4, "composition(linearized: 4 syndrome-dp, 2 parity)")
+    # the ingredients' ends: c1's Hartmann-Tzeng bound, the parity theorem; c1's DP never runs
+    source = composition_source(code)
+    assert (source.lo, source.method) == (4, "composition(linearized: 4 hartmann-tzeng, 2 parity)")
+    assert hm.bch_bound(c1.defining_set, 15) == (4, "hartmann-tzeng")
+    assert "syndrome_dp" not in c1.__dict__
     dist = ct.sr_min_distance(code)
     assert dist.exact and dist.value == 4
     assert elimination_weight(code, dist.witness) == 4

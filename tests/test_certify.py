@@ -67,8 +67,8 @@ def test_sr_min_distance_zero_code(f4):
     z = hm.zero_code(f4, 3)
     code = cs.sr_covering([z, z])
     res = ct.sr_min_distance(code)
-    assert res.infinite
-    with pytest.raises(ValueError):
+    assert res == (math.inf, math.inf, "zero code", None, None) and res.exact
+    with pytest.raises(ValueError, match="the zero code has no minimum distance"):
         _ = res.value
 
 
@@ -84,7 +84,7 @@ def test_zero_code_is_infinite_at_every_budget(f4, build):
     budgets = ((0, 0), (ct.ENUM_BUDGET, ct.SYNDROME_BUDGET))  # both engines off, defaults
     for enum, syndrome in budgets:
         dist = ct.sr_min_distance(code, enum, syndrome_budget=syndrome)
-        assert dist.infinite and dist.note is None
+        assert dist == (math.inf, math.inf, "zero code", None, None)
     for claim in ct.CLAIMS:
         off, default = (ct.certify_code(code, claim, enum_budget=enum, syndrome_budget=syndrome)
                         for enum, syndrome in budgets)
@@ -940,18 +940,38 @@ def test_certify_through_the_api_stays_under_the_str_digit_cap(int_str_digits, m
 
 
 def test_a_parts_budget_stops_are_named_by_the_part():
-    """At the default budgets distance-optimal-2x2 q=5 stops its own DP and its cyclic
-    ingredient's: the ingredient's stops carry its index and family, so the two syndrome
-    budget stops are told apart."""
-    dist = ct.sr_min_distance(cs.distance_optimal_2x2(5))
-    assert (dist.lo, dist.hi) == (3, 1248)
+    """quasi-perfect-2x2's hexacode ingredient has no theorem, so past every budget it runs
+    its own engines: their stops carry its index and family, so the two syndrome budget
+    stops are told apart.  distance-optimal-2x2 q=5's cyclic ingredient ends at its
+    Hartmann-Tzeng bound, and its note names only the code's own stops."""
+    dist = ct.sr_min_distance(cs.quasi_perfect_2x2(6), budget=1, syndrome_budget=1)
+    assert (dist.lo, dist.hi) == (2, 12)
     assert dist.note.split("; ") == [
-        "syndrome budget 65536 < 5^10 syndromes (q^codim)",
-        "enum budget 4194304 < 5^2486 codewords (q^dim)",
-        "ingredient 0 (cyclic): syndrome budget 65536 < 25^4 syndromes (q^codim)",
-        "ingredient 0 (cyclic): enum budget 4194304 < 25^620 codewords (q^dim)",
-        "ingredient 0 (cyclic): enum budget 4194304 < 4665024 half-words of the weight-3 "
-        "support search"]
+        "syndrome budget 1 < 2^8 syndromes (q^codim)",
+        "enum budget 1 < 2^16 codewords (q^dim)",
+        "ingredient 1 (explicit): syndrome budget 1 < 4^3 syndromes (q^codim)",
+        "ingredient 1 (explicit): enum budget 1 < 4^3 codewords (q^dim)",
+        "ingredient 1 (explicit): enum budget 1 < 6 half-words of the weight-1 support search"]
+    dist = ct.sr_min_distance(cs.distance_optimal_2x2(5))
+    assert (dist.lo, dist.hi, dist.method) == (
+        4, 1248, "composition(linearized: 4 hartmann-tzeng, 2 parity)")
+    assert dist.note.split("; ") == ["syndrome budget 65536 < 5^10 syndromes (q^codim)",
+                                     "enum budget 4194304 < 5^2486 codewords (q^dim)"]
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+def test_distance_optimal_2x2_reads_its_ingredient_from_the_defining_set(q, monkeypatch):
+    """The cyclic ingredient's T = {0, 1, Q, Q+1}, Q = q^2, gives d >= 4 by Hartmann-Tzeng
+    (run {0, 1}, step Q), its stamped design, so neither its DP nor its support search runs
+    (at q = 4 its 4^8 syndromes would fit the DP), and the code is distance-optimal."""
+    monkeypatch.setattr(hm, "min_distance", lambda *a: pytest.fail("support search ran"))
+    code = cs.distance_optimal_2x2(q)
+    cert = ct.certify_code(code, "distance-optimal")
+    assert cert.verdict == "certified"
+    assert cert.quantities[2] == {
+        "name": "min_sum_rank_distance", "value": [4, 2 * (q ** 4 - 1)],
+        "method": "composition(linearized: 4 hartmann-tzeng, 2 parity) (interval)"}
+    assert "syndrome_dp" not in code.ingredients[0].__dict__
 
 
 def test_hamming_budget_stop_joins_both_notes(f4):

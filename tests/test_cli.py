@@ -310,6 +310,19 @@ def test_engine_value_error_is_internal_error(capsys, monkeypatch, exc):
     assert code == 4 and out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ("construct", "almost-msrd-2x2", "q=2", "t=4"),
+    ("certify", "singleton", "--recipe", "almost-msrd-2x2", "q=2", "t=4"),
+], ids=["construct", "certify"])
+def test_key_error_from_a_builder_is_internal_error(capsys, monkeypatch, argv):
+    # no parameter check raises KeyError, so one from past them is a bug, not a usage error
+    def build_recipe(name, **params):
+        raise KeyError("levels")
+
+    monkeypatch.setattr(cs, "build_recipe", build_recipe)
+    assert run(capsys, *argv) == (3, "", "internal error: KeyError: 'levels'\n")
+
+
 def test_bounds_strong_bch(capsys):
     code, out, _ = run(capsys, "bounds", "strong-bch",
                        "m=2", "t=65535", "e=2", "n=16", "d=33")
@@ -542,6 +555,19 @@ def _kind_parameters(command, kind, *family):
         return cs.signature_params(cs.RECIPES[kind])
     return (cs.signature_params(cli.KINDS[command][kind])
             + [a for f in family for a in cs.signature_params(cs.RECIPES[f])])
+
+
+@pytest.mark.parametrize("recipe", sorted(cs.RECIPES))
+def test_every_recipe_round_trips_through_its_descriptor(tmp_path, capsys, recipe):
+    """`construct NAME --out F`, then `certify --code F`, prints what `certify --recipe NAME`
+    prints, with the same exit code."""
+    assert ("construct", recipe) in KIND_PARAMS
+    params = [f"{k}={v}" for k, v in KIND_PARAMS["construct", recipe].items()]
+    desc = tmp_path / "code.json"
+    assert run(capsys, "construct", recipe, *params, "--out", str(desc))[0] == 0
+    from_file = run(capsys, "certify", "singleton", "--code", str(desc))
+    assert from_file == run(capsys, "certify", "singleton", "--recipe", recipe, *params)
+    assert from_file[0] == 0 and "verdict  : certified" in from_file[1]
 
 
 def test_kind_params_cover_every_registered_kind():
@@ -831,12 +857,12 @@ def test_missing_out_directory_refused_before_work(tmp_path, capsys, monkeypatch
     (("construct", "distance-optimal-2x2", "q=3"),
      "c3ed45fcb063272dafedbe3f89622ed3dc77f3cae8c1861caadeab9f8d5984bc"),
     (("certify", "quasi-perfect", "--recipe", "quasi-perfect-2xm", "q=2", "m=2", "u=2"),
-     "9b4b46b4ed2f15a44b3d0741556d112f6be2269a5c1568bd5054a0a94e33a08d"),
+     "de738085e8b5d7f48ea6aef4dea88fa33738fa52f3485a915138fd42b8039b5b"),
 ], ids=["descriptor", "certificate"])
 def test_out_bytes_are_pinned(tmp_path, capsys, argv, sha256):
     # the hashes are those of json.dump(s)(..., sort_keys=True, indent=2),
     # which wrote both kinds of --out file before the streaming writer; the
-    # certificate's includes its toolchain-version, sumrank 0.2.7
+    # certificate's includes its toolchain-version, sumrank 0.2.8
     out = tmp_path / "out.json"
     assert run(capsys, *argv, "--out", str(out))[0] == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256

@@ -377,17 +377,82 @@ def test_covering_radius_budget(f4):
 
 
 def test_bch_bound():
-    assert hm.bch_bound((0, 1, 2, 4, 8), 15) == 4
-    assert hm.bch_bound((0, 2, 8), 15) == 2
-    assert hm.bch_bound((), 15) == 1
-    assert hm.bch_bound((14, 0, 1), 15) == 4  # wraparound run
-    assert hm.bch_bound(tuple(range(15)), 15) == 16
+    assert hm.bch_bound((0, 1, 2, 4, 8), 15) == (4, "bch")
+    assert hm.bch_bound((0, 2, 8), 15) == (3, "hartmann-tzeng")  # run {0}, unit step 2
+    assert hm.bch_bound((), 15) == (1, "bch")
+    assert hm.bch_bound((14, 0, 1), 15) == (4, "bch")  # wraparound run
+    assert hm.bch_bound(tuple(range(15)), 15) == (16, "bch")
+    # distance-optimal-2x2's T = {0, 1, Q, Q+1} mod Q^2 - 1: run {0, 1}, step Q
+    for q in (2, 3, 4, 5, 7, 8, 9, 11):
+        Q = q * q
+        assert hm.bch_bound((0, 1, Q, Q + 1), Q * Q - 1) == (4, "hartmann-tzeng")
+
+
+def _splitting_lengths(q: int) -> list[int]:
+    """Lengths 2..21 coprime to q whose splitting field GF(q^ord_n(q)) has <= 2^12 elements."""
+    return [n for n in range(2, 22) if gcd(n, q) == 1
+            and q ** len(hm.cyclotomic_coset(1, q, n)) <= 1 << 12]
+
+
+@st.composite
+def coset_unions(draw):
+    """(q, n, generators, T): T the union of the q-cyclotomic cosets mod n of `generators`."""
+    q = draw(st.sampled_from([2, 3, 4, 5]))
+    n = draw(st.sampled_from(_splitting_lengths(q)))
+    cosets = sorted({hm.cyclotomic_coset(i, q, n) for i in range(n)})
+    chosen = draw(st.lists(st.sampled_from(cosets), unique=True))
+    return q, n, [c[0] for c in chosen], tuple(sorted(set().union(*chosen)))
+
+
+def _brute_hartmann_tzeng(T, n: int) -> tuple[int, int]:
+    """(the largest bound, the largest with s = 0 and b = 1): every run A of T, every step b
+    in 1..n-1 and every s that `hartmann_tzeng_bound` certifies."""
+    if len(T) == n:
+        return n + 1, n + 1
+    best = run = 1
+    for a in T:
+        for L in range(1, n):
+            A = [(a + i) % n for i in range(L)]
+            if not set(A) <= set(T):
+                break
+            run = max(run, hartmann_tzeng_bound(T, n, A, [0], 1, 0))
+            for b in range(1, n):
+                for s in range(n):
+                    try:
+                        best = max(best, hartmann_tzeng_bound(
+                            T, n, A, [j * b for j in range(s + 1)], b, s))
+                    except ValueError:
+                        break
+    return best, run
+
+
+@given(coset_unions())
+@settings(max_examples=150, deadline=None)
+@example((3, 2, [0], (0,)))  # a step of gcd L + 1 would repeat the run forever
+@example((4, 15, [0, 1, 5], (0, 1, 4, 5)))  # distance-optimal-2x2 q=2
+@example((4, 15, [0, 2], (0, 2, 8)))  # run {0}, step 2
+def test_bch_bound_is_the_hartmann_tzeng_search(case):
+    """The search equals the brute-force maximum over every (A, b, s) the oracle certifies,
+    is at least the run bound, is labelled `bch` exactly when a run attains it, and is at
+    most the exact d of the cyclic code, where it builds and its q^codim fits the DP."""
+    q, n, generators, T = case
+    bound, source = hm.bch_bound(T, n)
+    best, run = _brute_hartmann_tzeng(T, n)
+    assert bound == best >= run
+    assert source == ("bch" if run == bound else "hartmann-tzeng")
+    if len(T) < n and q ** len(T) <= 1 << 16:
+        code = hm.cyclic_code(n, cs.field_of_order(q), generators)
+        assert code.defining_set == T
+        assert bound <= code.syndrome_dp.distance
 
 
 def test_hartmann_tzeng():
     assert hartmann_tzeng_bound((0, 1, 4, 5), 15, [0, 1], [0, 4], 4, 1) == 4
+    assert hartmann_tzeng_bound((14, 0, 1), 15, [14, 0, 1], [0], 1, 0) == 4  # wraparound run
     with pytest.raises(ValueError, match="consecutive"):
         hartmann_tzeng_bound((0, 1, 4, 5), 15, [0, 4], [0], 1, 0)
+    with pytest.raises(ValueError, match="consecutive"):
+        hartmann_tzeng_bound((0, 1, 14), 15, [0, 1, 14], [0], 1, 0)  # not in run order
     with pytest.raises(ValueError, match="defining set"):
         hartmann_tzeng_bound((0, 1, 4, 5), 15, [0, 1], [0, 2], 2, 1)
     with pytest.raises(ValueError, match="gcd"):

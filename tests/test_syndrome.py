@@ -149,9 +149,9 @@ def _check_against_oracles(code):
     assert dp.method == ("zero code" if code.dim == 0 else "syndrome-dp")
     if code_size(code) <= SMALL_CODE:
         best, _ = _enumeration_oracle(code)
-        assert dp.infinite == (best is None)
-        assert dp.infinite or dp.value == best
-    if not dp.infinite:
+        assert (dp.lo == math.inf) == (best is None)
+        assert dp.lo == math.inf or dp.value == best
+    if dp.lo != math.inf:
         assert contains_packed(code, dp.witness)
         assert sp.sum_rank_weight(code.to_word(dp.witness)) == dp.value
     radius, table = ct.sr_covering_radius(code)
