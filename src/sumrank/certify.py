@@ -1,20 +1,19 @@
 """Exact sum-rank invariants and bound certification.
 
-Minimum distance and covering radius are each one intersection (`settle`)
-of interval sources, read cheapest first under explicit budgets: for d the
-zero code, the code's one syndrome-DP pass, enumeration, the code's own rule
-(`SumRankCode.distance_bounds`) and [1, N]; for R the DP and [0, codim].  A
-Hamming-metric code is a sum-rank code of 1 x 1 blocks and takes the same
-sources.  Each comes as an `SrDistance`, a point or, past a budget, an interval.
-`certify_code` decides a claim by one rule on those intervals: an exact
-integer comparison at the end of d's interval that settles it for every d
-in between, else inconclusive (see `RULES`); sphere packing compares both
-ends with one packing radius (`spaces.packing_radius`).  Every bound
-evaluator validates its hypotheses before producing a value.  Counting
-bounds on |C| = q^dim compare exponents, V_sr(r) with q^codim and dim with
-the Singleton-like exponent, and print each power of q as `q^e`: no q^N
-or q^dim is formed.  Transcendental bounds are advisory and carry their
-assumptions in the certificate.
+Minimum distance and covering radius are each one intersection (`settle`) of interval
+sources, read cheapest first under explicit budgets: for d the zero code, the code's one
+syndrome-DP pass, enumeration, the code's own rule (`SumRankCode.distance_bounds`), sphere
+packing (d <= 2r, V_sr(r) > q^codim) and [1, N]; for R the DP, the code's own rule
+(`SumRankCode.radius_bounds`), sphere covering (R >= r, V_sr(r) >= q^codim) and [0, codim].
+A Hamming-metric code is a sum-rank code of 1 x 1 blocks and takes the same sources.  Each
+comes as an `SrDistance`, a point or, past a budget, an interval.  `certify_code` decides a
+claim by one rule on the intervals of d and R: exact integer comparisons at their ends that
+settle it for every value in between, else inconclusive (see `RULES`); sphere packing
+compares both ends of d with one packing radius (`spaces.packing_radius`).  Every bound
+evaluator validates its hypotheses before producing a value.  Counting bounds on |C| =
+q^dim compare exponents, V_sr(r) with q^codim and dim with the Singleton-like exponent, and
+print each power of q as `q^e`: no q^N or q^dim is formed.  Transcendental bounds are
+advisory and carry their assumptions in the certificate.
 """
 
 from __future__ import annotations
@@ -64,9 +63,12 @@ def settle(sources) -> SrDistance:
     method = low.method if low.method == high.method else f"{low.method} / {high.method}"
     if low.lo == high.hi:
         return SrDistance(low.lo, high.hi, method, high.witness)
-    notes = (*stops, low.note, high.note)  # "; "-joined, each reason once, in order
-    reasons = dict.fromkeys(r for note in notes if note for r in note.split("; "))
-    return SrDistance(low.lo, high.hi, method, note="; ".join(reasons) or None)
+    return SrDistance(low.lo, high.hi, method, note=join_notes(*stops, low.note, high.note))
+
+
+def join_notes(*notes) -> str | None:
+    """The "; "-joined reasons of `notes`, each once and in order, or None."""
+    return "; ".join(dict.fromkeys(r for note in notes if note for r in note.split("; "))) or None
 
 
 def sr_min_distance(code: SumRankCode, budget: int = ENUM_BUDGET, *,
@@ -91,6 +93,8 @@ def sr_min_distance(code: SumRankCode, budget: int = ENUM_BUDGET, *,
         yield stop or SrDistance(weight, weight, "exhaustive", witness)
         yield from code.distance_bounds(budget, lambda part: sr_min_distance(
             part, budget, syndrome_budget=syndrome_budget, work_budget=work_budget))
+        r = packing_radius(*_counts(code), (code.profile.N - 1) // 2)  # d <= 2r
+        yield from [SrDistance(1, 2 * r, "sphere packing")] if r else []
         # one block of one row: every nonzero word, the first generator row too, weighs 1
         yield SrDistance(1, code.profile.N, "budget stop",
                          code._generator_rows_packed()[0] if code.profile.N == 1 else None)
@@ -100,6 +104,20 @@ def sr_min_distance(code: SumRankCode, budget: int = ENUM_BUDGET, *,
 # ----------------------------------------------------------------------
 # covering radius
 # ----------------------------------------------------------------------
+
+def sr_radius(code: SumRankCode, **budgets) -> SrDistance:
+    """Exact covering radius, or a certified interval: R's sources `settle`d (module docstring)."""
+    def sources():
+        try:  # the DP, under `budgets`, through the name the benchmark's tracing wraps
+            radius, _ = sr_covering_radius(code, **budgets)
+            yield SrDistance(radius, radius, DP_METHOD)
+        except BudgetExceeded as exc:
+            yield str(exc)
+        yield from code.radius_bounds()
+        yield SrDistance(packing_radius(*_counts(code), covering=True), math.inf, "sphere covering")
+        yield SrDistance(0, code.codim, "R <= codim")  # a syndrome is that of a word on codim cells
+    return settle(sources())
+
 
 def sr_covering_radius_sweep(code: SumRankCode,
                              budget: int = 1 << 20) -> tuple[int, dict]:
@@ -395,6 +413,11 @@ class Certificate:
     def add_quantity(self, name: str, value, method: str):
         self.quantities.append({"name": name, "value": value, "method": method})
 
+    def add_interval(self, name: str, value: SrDistance):
+        """A point as its value and method, an interval as [lo, hi] and its method (interval)."""
+        self.add_quantity(name, value.value if value.exact else [value.lo, value.hi],
+                          value.method if value.exact else value.method + " (interval)")
+
     def add_bound(self, name: str, value, assumptions=()):
         self.bounds.append({"name": name, "value": value,
                             "assumptions": list(assumptions)})
@@ -449,17 +472,18 @@ def _counts(code: SumRankCode) -> tuple[int, Shapes, int]:
 
 
 def _perfection_rule(cert: Certificate, dist: SrDistance, radius: SrDistance) -> None:
-    """Decided when e = floor((d - 1)/2) takes one value over d's interval and R is
-    known; equal verdicts at both ends decide nothing, as R - e may pass 1 and 0."""
-    if (dist.lo - 1) // 2 != (dist.hi - 1) // 2 or not radius.exact:
+    """R = e + k, e = floor((d - 1)/2), k = 0 (perfect) or 1 (quasi-perfect): certified when d
+    fixes e and R is a point that meets it, refuted when R - e misses k over both intervals."""
+    k, e_lo, e_hi = int(cert.claim == "quasi-perfect"), (dist.lo - 1) // 2, (dist.hi - 1) // 2
+    if e_lo == e_hi and radius.exact:
+        cert.add_quantity("perfection", perfection_verdict(dist.lo, radius.lo), "exact comparison")
+    elif radius.lo - e_hi <= k <= radius.hi - e_lo:
         return
-    verdict_name = perfection_verdict(dist.lo, radius.value)
-    cert.add_quantity("perfection", verdict_name, "exact comparison")
     sp = sphere_packing_check(*_counts(cert.code), dist.lo)
     if not sp.holds:
         raise RuntimeError(f"sphere packing violated ({sp}): implementation bug")
     cert.add_bound("sphere_packing_lhs<=rhs", str(sp), ("sanity invariant",))
-    cert.verdict = "certified" if verdict_name == cert.claim else "refuted"
+    cert.verdict = "certified" if radius.lo - e_hi == k == radius.hi - e_lo else "refuted"
 
 
 def _distance_optimal_rule(cert: Certificate, dist: SrDistance, radius) -> None:
@@ -537,29 +561,16 @@ def certify_code(code: SumRankCode, claim: str, *,
         return cert
     budgets = {"syndrome_budget": syndrome_budget, "work_budget": work_budget}
     dist = sr_min_distance(code, enum_budget, **budgets)
-    cert.add_quantity("min_sum_rank_distance",
-                      dist.value if dist.exact else [dist.lo, dist.hi],
-                      dist.method if dist.exact else dist.method + " (interval)")
-    if dist.note:
-        cert.notes.append(dist.note)
+    cert.add_interval("min_sum_rank_distance", dist)
     if dist.witness is not None:
-        word = code.to_word(dist.witness)
-        cert.add_quantity("distance_witness",
-                          [[list(row) for row in mat] for mat in word.matrices],
+        matrices = code.to_word(dist.witness).matrices
+        cert.add_quantity("distance_witness", [[list(row) for row in mat] for mat in matrices],
                           "row-major matrices per block")
-
-    radius = None
-    if claim in ("perfect", "quasi-perfect"):
-        try:  # R's sources: the DP, then R <= codim (a syndrome is that of a word on codim cells)
-            r, _ = sr_covering_radius(code, **budgets)
-            dp = SrDistance(r, r, DP_METHOD)
-        except BudgetExceeded as exc:
-            dp = str(exc)
-        radius = settle([dp, SrDistance(0, code.codim, "R <= codim")])
-        if radius.exact:
-            cert.add_quantity("covering_radius", radius.value, radius.method)
-        if radius.note and radius.note not in (dist.note or "").split("; "):  # named by d
-            cert.notes.append(radius.note)
+    radius = sr_radius(code, **budgets) if claim in ("perfect", "quasi-perfect") else None
+    if radius is not None:
+        cert.add_interval("covering_radius", radius)
+    if note := join_notes(dist.note, radius and radius.note):  # each stop once
+        cert.notes.append(note)
     RULES[claim](cert, dist, radius)
     if not dist.exact and cert.verdict != "inconclusive":
         cert.notes.append(f"{cert.verdict} for every d in [{dist.lo}, {dist.hi}]")

@@ -39,6 +39,9 @@ from . import hamming as hm
 from .spaces import MatrixProfile, pack_matrix
 from .syndrome import ENUM_BUDGET, SrDistance, SumRankCode
 
+# Ingredient families of MDS codes: d = t - k + 1, and any t - k parity columns are independent
+_MDS = ("parity", "full", "reed-solomon", "repetition")
+
 
 def field_of_order(q: int) -> Field:
     """GF(q) for a prime power q, as a one-step tower over its prime field."""
@@ -220,6 +223,23 @@ class IngredientSumRankCode(SumRankCode):
         yield SrDistance(lo, N, f"composition({self.construction}: {sources})",
                          self._generator_rows_packed()[0] if lo == N else None)
 
+    def radius_bounds(self):
+        """R <= this rule when each family fixes its ingredient's R_H: a Hamming code is perfect,
+        R_H = 1, and an MDS code of redundancy rho = t - k has a coset leader inside any rho
+        positions, as any rho parity columns are independent.  A word of blocks L(a_0r, ...,
+        a_(n-1)r) is at distance sum_r rank L(e_0r, ..., e_(n-1)r) from the codeword of any c_i
+        in C_i, e_i = a_i - c_i.  Covering: row i of block r is e_ir, so R <= sum_i R_H(C_i).
+        Linearized: a block has n rows, so the distance is at most n |U|, U the union of the
+        supports.  Each general C_i has an e_i of support <= R_H(C_i); with their union listed
+        first, each MDS C_i has one in the first rho_i: R <= n max(sum_gen R_H, max_MDS rho_i)."""
+        if all(c.family in ("hamming", *_MDS) for c in self.ingredients):
+            ends = [1 if c.family == "hamming" else c.n - c.k for c in self.ingredients]
+            rhos = [r for r, c in zip(ends, self.ingredients) if c.family in _MDS]
+            hi = sum(ends) if self.construction == "covering" else self.rows * max(
+                [self.rows - len(rhos), *rhos])  # sum_general R_H: 1 per Hamming code
+            sources = ", ".join(f"{r} {c.family}" for r, c in zip(ends, self.ingredients))
+            yield SrDistance(0, hi, f"composition({self.construction}: {sources})")
+
     def describe(self) -> dict:
         return {
             "construction": self.construction,
@@ -243,7 +263,7 @@ def _ingredient_end(code: hm.LinearCode, distance) -> tuple[float, str, str | No
     """A lower end of an ingredient's d (inf if k = 0), its source and its stops: the family's
     theorem, else `hm.bch_bound`; below the stamped design, or without one, the engines' too."""
     lo, source, design = 0, None, code.designed_distance
-    if code.family in ("hamming", "parity", "full", "reed-solomon", "repetition"):
+    if code.family in ("hamming", *_MDS):
         lo, source = 3 if code.family == "hamming" else code.n - code.k + 1, code.family
     elif code.defining_set is not None:
         lo, source = hm.bch_bound(code.defining_set, code.n)

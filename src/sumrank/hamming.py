@@ -386,22 +386,20 @@ def bch_bound(T, n: int) -> tuple[int, str]:
     """The Hartmann-Tzeng bound of the defining set T mod n, and its source, "bch" when a run
     alone attains it: d >= L + 1 + s if T holds a + i + jb for all i < L and j <= s, with
     gcd(b, n) <= L (Hartmann and Tzeng, Inform. Control 20, 1972); BCH is its case s = 0.
-    Each run from a tries the steps b in T - a, so the cost does not grow with n; s stays
-    below the order of b, or T would hold every residue, whose bound is n + 1."""
+    With run[x] the length of T's run from x, each start a and step b in T - a walk j = 1, 2,
+    ... once while L = min(run[a + ib] : i <= j) >= gcd(b, n), each L + 1 + j a bound, and j
+    stays below the order of b unless T is every residue: the cost does not grow with n."""
     Ts = {x % n for x in T}
     if len(Ts) == n:
         return n + 1, "bch"
-    bch = ht = 1
-    for a in Ts:
-        L = 0
-        while (a + L) % n in Ts:
-            L += 1
-            bch = max(bch, L + 1)
-            for b in {(x - a) % n for x in Ts if gcd(x - a, n) <= L}:  # x = a: gcd n > L
-                s = 0
-                while s < n and all((a + i + (s + 1) * b) % n in Ts for i in range(L)):
-                    s += 1
-                ht = max(ht, L + 1 + s)
+    z, run = next(x for x in range(n) if x not in Ts), {}
+    for x in sorted(Ts, key=lambda x: (z - x) % n):  # backwards from z, which T misses
+        run[x] = run.get((x + 1) % n, 0) + 1
+    bch, ht = 1 + max(run.values(), default=0), 1
+    for a, b in {(a, (x - a) % n) for a in Ts for x in Ts}:  # x = a: step 0, gcd n > L
+        L, j = run[a], 1
+        while (L := min(L, run.get((a + j * b) % n, 0))) >= gcd(b, n):
+            ht, j = max(ht, L + 1 + j), j + 1
     return (bch, "bch") if bch >= ht else (ht, "hartmann-tzeng")
 
 

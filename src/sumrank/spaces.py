@@ -216,17 +216,18 @@ def ball_volume_exact(profile: MatrixProfile, r: int) -> int:
     return ball_volume(profile.q, profile.shape_counts(), r)
 
 
-def packing_radius(q: int, shapes: Shapes, codim: int, stop: int | None = None) -> int | None:
+def packing_radius(q: int, shapes: Shapes, codim: int, stop: int | None = None, *,
+                   covering: bool = False) -> int | None:
     """The least r <= `stop` with V_sr(r) > q^codim over `shapes`, or None if there is none.
 
-    A code of codimension `codim` with d >= 2r + 1 would hold disjoint
-    radius-r balls around its q^(ambient_dim - codim) words, so such an r
-    proves d <= 2r.  `stop` defaults to the largest weight, where the ball
-    is the whole space: then None means the zero code, whose balls never
-    outgrow q^codim.  No count past r or `stop` is formed.
+    A code of codimension `codim` with d >= 2r + 1 would hold disjoint radius-r balls
+    around its q^(ambient_dim - codim) words, so such an r proves d <= 2r.  `stop` defaults
+    to the largest weight, where the ball is the whole space: then None means the zero
+    code, whose balls never outgrow q^codim.  With `covering`, V_sr(r) >= q^codim: smaller
+    balls around the words miss a word, so R >= r.  No count past r or `stop` is formed.
     """
     volumes = accumulate(islice(weight_counts(q, shapes), None if stop is None else stop + 1))
-    return next((r for r, volume in enumerate(volumes) if volume > q ** codim), None)
+    return next((r for r, volume in enumerate(volumes) if volume > q ** codim - covering), None)
 
 
 def weight_counts(q: int, shapes: Shapes) -> Iterator[int]:

@@ -519,6 +519,10 @@ class SumRankCode:
         """The code's own sources of d for `certify.settle`, `distance(part)` a part's: none."""
         return ()
 
+    def radius_bounds(self):
+        """The code's own sources of R for `certify.settle`: none."""
+        return ()
+
     # -- flattened GF(q) linear-code view ------------------------------
 
     def flat_rows(self, words) -> np.ndarray:

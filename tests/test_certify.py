@@ -56,9 +56,10 @@ def test_sr_min_distance_exhaustive_below_syndrome_budget(qp_code):
 
 def test_sr_min_distance_interval_names_budgets(qp_code):
     d = ct.sr_min_distance(qp_code, budget=10, syndrome_budget=2)
-    # past both budgets, the ingredients' theorems give the lower end
-    assert (d.lo, d.hi) == (3, qp_code.profile.N) and not d.exact
-    assert d.method == "composition(linearized: 3 hamming, 2 parity)"
+    # past both budgets, the ingredients' theorems give the lower end and sphere packing,
+    # V_sr(2) > 2^6, the upper end 4
+    assert (d.lo, d.hi) == (3, 4) and not d.exact
+    assert d.method == "composition(linearized: 3 hamming, 2 parity) / sphere packing"
     assert d.note == ("syndrome budget 2 < 2^6 syndromes (q^codim); "
                       "enum budget 10 < 2^14 codewords (q^dim)")
 
@@ -736,6 +737,48 @@ def test_covering_construction_bounds_from_ingredients(ingredients):
     assert d_sr >= min(ct.sr_min_distance(c).value for c in ingredients)
 
 
+@st.composite
+def theorem_ingredient_codes(draw):
+    """A covering or linearized code from ingredients whose families fix d and R_H: Hamming,
+    parity, full, Reed-Solomon and repetition codes of one length t over GF(q^m), for p = 2
+    and odd p, n < m and n = m rows, at q^codim <= 2^12.  A Hamming code of redundancy 2 has
+    length Q + 1, Q = q^m, the longest Reed-Solomon length."""
+    q, m = draw(st.sampled_from([(2, 2), (2, 3), (3, 2)]))
+    ext = cs.field_of_order(q).extension(m)
+    construction = draw(st.sampled_from(["covering", "linearized"]))
+    rows = m if construction == "covering" else draw(st.integers(1, m))
+    t = draw(st.sampled_from([ext.order + 1, draw(st.integers(2, ext.order + 1))]))
+    builders = {"parity": lambda: hm.parity_check_code(ext, t),
+                "full": lambda: hm.full_code(ext, t),
+                "reed-solomon": lambda: hm.reed_solomon(ext, t, t - draw(st.integers(
+                    0, min(3, t - 1)))),
+                "repetition": lambda: hm.repetition_code(ext, t)}
+    if t == ext.order + 1:
+        builders["hamming"] = lambda: hm.hamming_code(ext, 2)
+    families = draw(st.lists(st.sampled_from(sorted(builders)), min_size=rows, max_size=rows))
+    assume(families.count("repetition") * (t - 1) <= 12)  # rho = t - 1 each
+    code = cs.IngredientSumRankCode(construction, [builders[f]() for f in families])
+    assume(q ** code.codim <= 1 << 12)
+    return code
+
+
+@settings(max_examples=80, deadline=None)
+@given(theorem_ingredient_codes())
+@example(cs.quasi_perfect_2xm(2, 2, 2))
+@example(cs.almost_msrd_2x2(2, 4))
+def test_exact_d_and_r_lie_in_the_intervals_the_rules_give(code):
+    """With the DP and enumeration at budget 0, d comes from the composition and sphere
+    packing and R from the ingredient rule, sphere covering and codim; the DP's exact d and
+    R lie inside those intervals, and the rule's end is at least the DP's R."""
+    dp = code.syndrome_dp
+    d = ct.sr_min_distance(code, 0, syndrome_budget=0)
+    radius = ct.sr_radius(code, syndrome_budget=0)
+    assert d.lo <= dp.distance <= d.hi, (d, dp.distance)
+    assert radius.lo <= dp.radius <= radius.hi, (radius, dp.radius)
+    (rule,) = code.radius_bounds()
+    assert dp.radius <= rule.hi
+
+
 def test_certify_perfect_full_space(f4):
     full = cs.sr_covering([hm.full_code(f4, 2), hm.full_code(f4, 2)])
     cert = ct.certify_code(full, "perfect")
@@ -744,20 +787,27 @@ def test_certify_perfect_full_space(f4):
     assert rec.volume == full.base.order ** full.codim  # perfect <=> equality in sphere packing
 
 
-def test_certify_budget_degrades_to_inconclusive(qp_code):
-    cert = ct.certify_code(qp_code, "quasi-perfect", syndrome_budget=2)
+@pytest.fixture(scope="module")
+def hexacode_code():
+    """quasi-perfect-2x2: its hexacode ingredient's family fixes no R_H, so no rule bounds R
+    from above past the DP."""
+    return cs.quasi_perfect_2x2(6)
+
+
+def test_certify_budget_degrades_to_inconclusive(hexacode_code):
+    cert = ct.certify_code(hexacode_code, "quasi-perfect", syndrome_budget=2)
     assert cert.verdict == "inconclusive" and cert.exit_code == 2
 
 
-def test_budget_stop_note_names_budget(qp_code):
-    cert = ct.certify_code(qp_code, "quasi-perfect", syndrome_budget=2)
-    assert "syndrome budget 2 < 2^6 syndromes (q^codim)" in cert.notes
-    work = ct.certify_code(qp_code, "quasi-perfect", work_budget=100)
+def test_budget_stop_note_names_budget(hexacode_code):
+    cert = ct.certify_code(hexacode_code, "quasi-perfect", syndrome_budget=2)
+    assert "syndrome budget 2 < 2^8 syndromes (q^codim)" in cert.notes
+    work = ct.certify_code(hexacode_code, "quasi-perfect", work_budget=100)
     assert work.verdict == "inconclusive"
-    # 5 blocks of 2 x 2 over GF(2): 1 round x 3 rank-1 lines x 2 generators
-    # x 1 gather-min each, plus the column min, times q^codim = 64, plus 2^4
+    # 6 blocks of 2 x 2 over GF(2): 1 round x 3 rank-1 lines x 2 generators
+    # x 1 gather-min each, plus the column min, times q^codim = 256, plus 2^4
     # block values
-    assert work.notes == [f"sweep budget 100 < {5 * (7 * 64 + 16)} DP work units "
+    assert work.notes == [f"sweep budget 100 < {6 * (7 * 256 + 16)} DP work units "
                           "(shift passes x q^codim + block values)"]
 
 
@@ -935,17 +985,20 @@ def test_certify_through_the_api_stays_under_the_str_digit_cap(int_str_digits, m
     assert doc["bounds"][0] == {"name": "sphere_packing_refutation",
                                 "value": "20127703051 > 2^33",
                                 "assumptions": ["ball volume at radius 2"]}
-    assert doc["notes"][0] == ("syndrome budget 65536 < 2^33 syndromes (q^codim); "
-                               "enum budget 4194304 < 2^36822 codewords (q^dim)")
+    # d = 4 from the composition's 4 and sphere packing's V_sr(2) > 2^33: a point, no stop noted
+    assert doc["quantities"][2] == {
+        "name": "min_sum_rank_distance", "value": 4,
+        "method": "composition(linearized: 4 bch, 2 parity, 2 parity) / sphere packing"}
+    assert doc["notes"] == []
 
 
 def test_a_parts_budget_stops_are_named_by_the_part():
     """quasi-perfect-2x2's hexacode ingredient has no theorem, so past every budget it runs
     its own engines: their stops carry its index and family, so the two syndrome budget
     stops are told apart.  distance-optimal-2x2 q=5's cyclic ingredient ends at its
-    Hartmann-Tzeng bound, and its note names only the code's own stops."""
+    Hartmann-Tzeng bound, and sphere packing closes d there: a point, which notes no stop."""
     dist = ct.sr_min_distance(cs.quasi_perfect_2x2(6), budget=1, syndrome_budget=1)
-    assert (dist.lo, dist.hi) == (2, 12)
+    assert (dist.lo, dist.hi) == (2, 4)
     assert dist.note.split("; ") == [
         "syndrome budget 1 < 2^8 syndromes (q^codim)",
         "enum budget 1 < 2^16 codewords (q^dim)",
@@ -954,23 +1007,45 @@ def test_a_parts_budget_stops_are_named_by_the_part():
         "ingredient 1 (explicit): enum budget 1 < 6 half-words of the weight-1 support search"]
     dist = ct.sr_min_distance(cs.distance_optimal_2x2(5))
     assert (dist.lo, dist.hi, dist.method) == (
-        4, 1248, "composition(linearized: 4 hartmann-tzeng, 2 parity)")
-    assert dist.note.split("; ") == ["syndrome budget 65536 < 5^10 syndromes (q^codim)",
-                                     "enum budget 4194304 < 5^2486 codewords (q^dim)"]
+        4, 4, "composition(linearized: 4 hartmann-tzeng, 2 parity) / sphere packing")
+    assert dist.note is None
+
+
+def test_plotkin_interval_note_names_its_own_stops_first(hexacode_code):
+    """The Plotkin sum's own DP and enumeration stops, then those of its two parts, each
+    named by its part.  Its parts are quasi-perfect-2x2 codes, whose hexacode ingredient has
+    no theorem: past every budget each part's d stays [2, 4], and so does the sum's."""
+    part = ("syndrome budget 1 < 2^8 syndromes (q^codim); "
+            "enum budget 1 < 2^16 codewords (q^dim); "
+            "ingredient 1 (explicit): syndrome budget 1 < 4^3 syndromes (q^codim); "
+            "ingredient 1 (explicit): enum budget 1 < 4^3 codewords (q^dim); "
+            "ingredient 1 (explicit): enum budget 1 < 6 half-words of the weight-1 support search")
+    stops = "; ".join(["syndrome budget 1 < 2^16 syndromes (q^codim)",
+                       "enum budget 1 < 2^32 codewords (q^dim)"]
+                      + [f"{name} part: {stop}" for name in ("first", "second")
+                         for stop in part.split("; ")])
+    cert = ct.certify_code(cs.plotkin(hexacode_code, hexacode_code), "distance-optimal",
+                           enum_budget=1, syndrome_budget=1)
+    assert cert.exit_code == 2
+    assert cert.quantities[2] == {"name": "min_sum_rank_distance", "value": [2, 4],
+                                  "method": "composition(plotkin) (interval)"}
+    assert json.loads(cert.to_json())["notes"] == [stops, "distance not settled exactly"]
+    assert f"  note: {stops}\n" in cert.to_table()
 
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
 def test_distance_optimal_2x2_reads_its_ingredient_from_the_defining_set(q, monkeypatch):
     """The cyclic ingredient's T = {0, 1, Q, Q+1}, Q = q^2, gives d >= 4 by Hartmann-Tzeng
     (run {0, 1}, step Q), its stamped design, so neither its DP nor its support search runs
-    (at q = 4 its 4^8 syndromes would fit the DP), and the code is distance-optimal."""
+    (at q = 4 its 4^8 syndromes would fit the DP), and the code is distance-optimal:
+    V_sr(2) > q^codim makes d = 4 by sphere packing."""
     monkeypatch.setattr(hm, "min_distance", lambda *a: pytest.fail("support search ran"))
     code = cs.distance_optimal_2x2(q)
     cert = ct.certify_code(code, "distance-optimal")
     assert cert.verdict == "certified"
     assert cert.quantities[2] == {
-        "name": "min_sum_rank_distance", "value": [4, 2 * (q ** 4 - 1)],
-        "method": "composition(linearized: 4 hartmann-tzeng, 2 parity) (interval)"}
+        "name": "min_sum_rank_distance", "value": 4,
+        "method": "composition(linearized: 4 hartmann-tzeng, 2 parity) / sphere packing"}
     assert "syndrome_dp" not in code.ingredients[0].__dict__
 
 
@@ -1005,12 +1080,13 @@ def test_quasi_perfect_q4_u3_fits_the_default_budgets():
     assert code.budgeted_dp() is code.syndrome_dp
 
 
-def test_dp_budget_stop_is_noted_once():
-    """7^6 syndromes stop the DP for both d and R; the note names the stop once."""
-    cert = ct.certify_code(cs.quasi_perfect_2xm(7, 2, 2), "quasi-perfect")
+def test_dp_budget_stop_is_noted_once(hexacode_code):
+    """2^8 syndromes over budget 1 stop the DP for both d and R: enumeration settles d, whose
+    point notes nothing, and R's interval names the stop, once.  The hexacode's family fixes
+    no R_H, so R stays [2, 8] and nothing decides."""
+    cert = ct.certify_code(hexacode_code, "quasi-perfect", syndrome_budget=1)
     assert cert.exit_code == 2
-    assert cert.notes == ["syndrome budget 65536 < 7^6 syndromes (q^codim); "
-                          "enum budget 4194304 < 7^194 codewords (q^dim)"]
+    assert cert.notes == ["syndrome budget 1 < 2^8 syndromes (q^codim)"]
 
 
 def test_blocks_past_the_rank_table_cap_stop_the_dp():
@@ -1133,8 +1209,9 @@ STATED_REFUTATIONS = ("certify distance-optimal --recipe distance-optimal-2x2 q=
                       "certify distance-optimal --recipe plotkin-distance-optimal s=3 m=1")
 
 
-# the same for sphere-packing jobs whose d is an interval, which the rule decides from
-# the least radius whose ball outgrows q^codim: two certified at d_hi, three that stop
+# the same for sphere-packing jobs past the DP and enumeration, which the rule decides from
+# the least radius whose ball outgrows q^codim: certified at d_hi, which is at most 2r once
+# d's sphere-packing end applies (the last three stopped before it, with d up to N)
 SPHERE_PACKING_SHA256 = {
     "certify sphere-packing --recipe covering-repetition q=2 m=4 t=8 "
     "--enum-budget 2 --syndrome-budget 2":
@@ -1143,11 +1220,11 @@ SPHERE_PACKING_SHA256 = {
     "--enum-budget 2 --syndrome-budget 2":
         (0, "fd903051ea8eddcb9333b1b584983409393048a08fc74d4bf6fa85fdce64e558"),
     "certify sphere-packing --recipe quasi-perfect-2xm q=4 m=2 u=4 --syndrome-budget 2":
-        (2, "5dbbf269211926f97b50ea2a860e7f8f7b4948f5485b442de9677ef27eea01b4"),
+        (0, "1ecf603a27e920c91811c815a916523d4dd8c093e15eb76660d1e8ff39f111b4"),
     "certify sphere-packing --recipe almost-msrd-2x2 q=7 t=49":
-        (2, "a44a920df49051896fe36a0cd2522b0b2aace3667df6f5b38faccae4844b3970"),
+        (0, "87373c84524e61814fc85c3362bf363bf1a59dab6cfa1f0b280ddecd32b8a053"),
     "certify sphere-packing --recipe distance-optimal-sxs q=2 s=3 m=3":
-        (2, "0fc182065a9b4394a78ebb12cf84753a2c7cfa9fb2c9d8f9131f62024c894fd6"),
+        (0, "152aaf1006f10486a079109ea483a6e83687e9d27bbb0900290e654b2cb414e3"),
 }
 
 

@@ -156,48 +156,34 @@ def test_certify_hamming_budget_stop_is_inconclusive(capsys):
 
 
 def test_certify_hamming_support_search_budget_stop(capsys):
-    """Weight 3 of the [63,56]_4 code needs C(63,2) * 3 = 5859 half-words; the BCH bound
-    of its defining set raises the stopped search's [3, 8] to [4, 8], which certifies."""
-    code, out, _ = run(capsys, "certify", "distance-optimal", "--recipe", "cyclic-d4",
-                       "q=4", "m=3", "--enum-budget", "1000", "--syndrome-budget", "1000")
+    """Weight 3 of the [15,10]_4 code needs C(15,2) * 3 = 315 half-words; the BCH bound
+    of its defining set raises the stopped search's [3, 6] to [4, 6], which certifies the
+    Singleton-like bound.  V_sr(2) = 991 <= 4^5, so sphere packing leaves the upper end."""
+    code, out, _ = run(capsys, "certify", "singleton", "--recipe", "cyclic-d4",
+                       "q=4", "m=2", "--enum-budget", "100", "--syndrome-budget", "100")
     assert code == 0
-    assert "min_sum_rank_distance    = [4, 8]   [bch / support_test (interval)]" in out
+    assert "min_sum_rank_distance    = [4, 6]   [bch / support_test (interval)]" in out
     # the DP's and enumeration's stops, then the support search's note
-    assert ("  note: syndrome budget 1000 < 4^7 syndromes (q^codim); "
-            "enum budget 1000 < 4^56 codewords (q^dim); "
-            "enum budget 1000 < 5859 half-words of the weight-3 support search\n") in out
-
-
-def test_plotkin_interval_note_names_its_own_stops_first(tmp_path, capsys):
-    """The Plotkin sum's own DP and enumeration stops, then those of its two parts, each
-    named by its part."""
-    stops = ("syndrome budget 2 < 2^18 syndromes (q^codim); "
-             "enum budget 2 < 2^108 codewords (q^dim); "
-             "first part: syndrome budget 2 < 2^3 syndromes (q^codim); "
-             "first part: enum budget 2 < 2^60 codewords (q^dim); "
-             "second part: syndrome budget 2 < 2^15 syndromes (q^codim); "
-             "second part: enum budget 2 < 2^48 codewords (q^dim)")
-    cert = tmp_path / "cert.json"
-    code, out, _ = run(capsys, "certify", "distance-optimal", "--recipe",
-                       "plotkin-distance-optimal", "s=3", "m=1", "--syndrome-budget", "2",
-                       "--enum-budget", "2", "--out", str(cert))
-    assert code == 2
-    assert json.loads(cert.read_text())["notes"] == [stops, "distance not settled exactly"]
-    assert f"  note: {stops}\n" in out
+    assert ("  note: syndrome budget 100 < 4^5 syndromes (q^codim); "
+            "enum budget 100 < 4^10 codewords (q^dim); "
+            "enum budget 100 < 315 half-words of the weight-3 support search\n") in out
 
 
 def test_blocks_past_the_rank_table_cap_stop_enumeration(tmp_path, capsys):
     """One 5 x 5 binary block: its 2^25 codewords fit the enum budget, but its
-    values do not fit a rank table, so d is the interval the composition gives."""
+    values do not fit a rank table, so d is the interval the composition and sphere
+    packing give (V_sr(1) > 2^0), on which the check holds at d = 2."""
     cert = tmp_path / "cert.json"
     code, _, err = run(capsys, "certify", "sphere-packing", "--recipe", "covering-repetition",
                        "q=2", "m=5", "t=1", "--enum-budget", str(1 << 26), "--out", str(cert))
-    assert (code, err) == (2, "")
+    assert (code, err) == (0, "")
     doc = json.loads(cert.read_text())
     d = next(q for q in doc["quantities"] if q["name"] == "min_sum_rank_distance")
     assert (d["value"], d["method"]) == (
-        [1, 5], "composition(covering: " + ", ".join(["1 repetition"] * 5) + ") (interval)")
-    assert doc["notes"] == [f"rank table cap {1 << 24} < 2^25 values per 5 x 5 block (q^(nm))"]
+        [1, 2], "composition(covering: " + ", ".join(["1 repetition"] * 5)
+        + ") / sphere packing (interval)")
+    assert doc["notes"] == [f"rank table cap {1 << 24} < 2^25 values per 5 x 5 block (q^(nm))",
+                            "certified for every d in [1, 2]"]
 
 
 def test_sphere_packing_is_certified_from_the_interval_of_d(tmp_path, capsys):
@@ -219,24 +205,81 @@ def test_sphere_packing_is_certified_from_the_interval_of_d(tmp_path, capsys):
     assert doc["notes"][-1] == "certified for every d in [8, 32]"
 
 
+def _limited_child(*argv) -> tuple[subprocess.CompletedProcess, float]:
+    """`python -m sumrank.cli argv` in a child held to 2 GB of address space, and its seconds."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "sumrank.cli", *argv], env=_child_env(),
+                          capture_output=True, text=True, timeout=60, preexec_fn=limit)
+    return proc, time.perf_counter() - start
+
+
 @pytest.mark.parametrize("argv", [
     ("distance-optimal", "--recipe", "distance-optimal-sxs", "q=2", "s=3", "m=5"),
     ("almost-msrd", "--recipe", "almost-msrd-2x2", "q=7", "t=49"),
 ], ids=["sxs-m5", "almost-msrd-2x2-q7"])
 def test_paper_rows_are_certified_from_the_ingredients(argv):
     """Past the DP and enumeration, d >= 4 comes from the ingredients' theorems and BCH
-    bound, with no engine on them: certified at the default budgets, quickly, by a child
-    held to 2 GB of address space."""
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-    start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "sumrank.cli", "certify", *argv],
-                          env=_child_env(), capture_output=True, text=True, timeout=60,
-                          preexec_fn=limit)
+    bound, with no engine on them, and d <= 4 from sphere packing: certified at the default
+    budgets, quickly, by a child held to 2 GB of address space."""
+    proc, seconds = _limited_child("certify", *argv)
     assert proc.returncode == 0, proc.stderr
-    assert time.perf_counter() - start < 5
+    assert seconds < 5
     d = next(line for line in proc.stdout.splitlines() if "min_sum_rank_distance" in line)
-    assert "= [4, " in d and "[composition(linearized: " in d, d
+    assert "= 4   [composition(linearized: " in d and d.endswith(" / sphere packing]"), d
+
+
+# (q, m, u) of quasi-perfect-2xm past the DP: 7^6 to 7^12 syndromes, 50 to 117993 blocks
+QUASI_PERFECT_ROWS = [(7, 2, 2), (4, 2, 4), (4, 3, 3), (5, 2, 4), (3, 3, 4), (2, 2, 8),
+                      (4, 2, 5), (7, 3, 3)]
+
+
+@pytest.mark.parametrize("claim, q, m, u", [("quasi-perfect", *row) for row in QUASI_PERFECT_ROWS]
+                         + [("perfect", 7, 2, 2)],
+                         ids=[f"q{q}-m{m}-u{u}" for q, m, u in QUASI_PERFECT_ROWS] + ["perfect"])
+def test_quasi_perfect_family_is_certified_from_its_ingredients(claim, q, m, u):
+    """The paper's quasi-perfect 2 x m family past the DP: R <= 2 max(1, 1) from the
+    Hamming (R_H = 1) and parity (rho = 1) ingredients and R >= 2 by sphere covering,
+    V_sr(1) < q^codim; d in [3, 4] from the composition and sphere packing, V_sr(2) >
+    q^codim.  So e = 1 and R = e + 1: quasi-perfect, and refuted as perfect, at the default
+    budgets, quickly, by a child held to 2 GB of address space."""
+    proc, seconds = _limited_child("certify", claim, "--recipe", "quasi-perfect-2xm",
+                                   f"q={q}", f"m={m}", f"u={u}")
+    assert proc.returncode == {"quasi-perfect": 0, "perfect": 1}[claim], proc.stderr
+    assert seconds < 5
+    lines = proc.stdout.splitlines()
+    assert ("  min_sum_rank_distance    = [3, 4]   [composition(linearized: 3 hamming, "
+            "2 parity) / sphere packing (interval)]") in lines
+    assert ("  covering_radius          = 2   [sphere covering / composition(linearized: "
+            "1 hamming, 1 parity)]") in lines
+    assert "  perfection               = quasi-perfect   [exact comparison]" in lines
+
+
+def test_a_budget_stop_that_no_rule_decides_states_both_intervals(tmp_path, capsys):
+    """quasi-perfect-2x2 past every budget: its hexacode ingredient has no theorem and its
+    own engines stop, so d is [2, 4] (the composition of 2 and the stopped search's 1, and
+    sphere packing) and R is [2, 8] (sphere covering, and codim): nothing decides.  The DP's
+    stop, which stops both, is named once, in the one note."""
+    cert = tmp_path / "cert.json"
+    code, out, _ = run(capsys, "certify", "quasi-perfect", "--recipe", "quasi-perfect-2x2",
+                       "t=6", "--syndrome-budget", "1", "--enum-budget", "1", "--out", str(cert))
+    assert code == 2
+    doc = json.loads(cert.read_text())
+    assert doc["quantities"][2:] == [
+        {"name": "min_sum_rank_distance", "value": [2, 4],
+         "method": "composition(linearized: 2 parity, 1 support_test) / sphere packing "
+                   "(interval)"},
+        {"name": "covering_radius", "value": [2, 8],
+         "method": "sphere covering / R <= codim (interval)"}]
+    assert doc["notes"] == ["syndrome budget 1 < 2^8 syndromes (q^codim); "
+                            "enum budget 1 < 2^16 codewords (q^dim); "
+                            "ingredient 1 (explicit): syndrome budget 1 < 4^3 syndromes "
+                            "(q^codim); "
+                            "ingredient 1 (explicit): enum budget 1 < 4^3 codewords (q^dim); "
+                            "ingredient 1 (explicit): enum budget 1 < 6 half-words of the "
+                            "weight-1 support search"]
+    assert out.count("syndrome budget 1 < 2^8") == 1
 
 
 def test_a_misstamped_ingredient_is_an_internal_error(capsys, monkeypatch):
@@ -857,12 +900,12 @@ def test_missing_out_directory_refused_before_work(tmp_path, capsys, monkeypatch
     (("construct", "distance-optimal-2x2", "q=3"),
      "c3ed45fcb063272dafedbe3f89622ed3dc77f3cae8c1861caadeab9f8d5984bc"),
     (("certify", "quasi-perfect", "--recipe", "quasi-perfect-2xm", "q=2", "m=2", "u=2"),
-     "de738085e8b5d7f48ea6aef4dea88fa33738fa52f3485a915138fd42b8039b5b"),
+     "b6a001260fb378b68c41bf971c0a9fe44354949e85d37a2ecb6ca685c0c89bc7"),
 ], ids=["descriptor", "certificate"])
 def test_out_bytes_are_pinned(tmp_path, capsys, argv, sha256):
     # the hashes are those of json.dump(s)(..., sort_keys=True, indent=2),
     # which wrote both kinds of --out file before the streaming writer; the
-    # certificate's includes its toolchain-version, sumrank 0.2.8
+    # certificate's includes its toolchain-version, sumrank 0.2.9
     out = tmp_path / "out.json"
     assert run(capsys, *argv, "--out", str(out))[0] == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256

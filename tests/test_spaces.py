@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumrank import spaces as sp
-from sumrank.construct import field_of_order
+from sumrank.construct import FAMILIES, field_of_order
 
 from oracles import (brute_ball_volume, brute_rank_counts, convolved_weight_counts,
                      radius2_ball_lower_bound)
@@ -397,3 +397,23 @@ def test_dp_volume_matches_brute(q, raw_blocks, r):
     if prof.ambient_size > 1 << 14:
         return
     assert sp.ball_volume_exact(prof, r) == brute_ball_volume(prof, r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3, 4, 5, 7, 8, 9]), st.integers(2, 5), st.integers(2, 6))
+def test_quasi_perfect_family_balls_have_closed_forms(q, m, u):
+    """quasi-perfect-2xm has t = (Y - 1)/(X - 1) blocks of 2 x m, X = q^m and Y = q^(mu), at
+    codim m(u + 1): V_sr(1) = 1 + (q + 1)(Y - 1), as a 2 x m block has (q + 1)(X - 1) values
+    of rank 1, and V_sr(2) = 1 + (X + 1)(Y - 1) + (q + 1)^2 (Y - 1)(Y - X)/2, adding the
+    X^2 - 1 nonzero values of one block and the pairs of rank-1 values.  So V_sr(1) <
+    q^codim = XY < V_sr(2), as Y > X >= q^2 > q + 1: R >= 2 and d <= 4 on every member."""
+    X, Y = q ** m, q ** (m * u)
+    fam = FAMILIES["quasi-perfect-2xm"](q, m, u)
+    shapes = {fam.shape: fam.t}
+    assert (fam.shape, fam.t, fam.codim) == ((2, m), (Y - 1) // (X - 1), m * (u + 1))
+    one, two = sp.ball_volume(q, shapes, 1), sp.ball_volume(q, shapes, 2)
+    assert one == 1 + (q + 1) * (Y - 1)
+    assert 2 * (two - 1 - (X + 1) * (Y - 1)) == (q + 1) ** 2 * (Y - 1) * (Y - X)
+    assert one < q ** fam.codim == X * Y < two
+    assert sp.packing_radius(q, shapes, fam.codim) == 2
+    assert sp.packing_radius(q, shapes, fam.codim, covering=True) == 2
