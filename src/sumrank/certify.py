@@ -6,14 +6,15 @@ syndrome-DP pass, enumeration, the code's own rule (`SumRankCode.distance_bounds
 packing (d <= 2r, V_sr(r) > q^codim) and [1, N]; for R the DP, the code's own rule
 (`SumRankCode.radius_bounds`), sphere covering (R >= r, V_sr(r) >= q^codim) and [0, codim].
 A Hamming-metric code is a sum-rank code of 1 x 1 blocks and takes the same sources.  Each
-comes as an `SrDistance`, a point or, past a budget, an interval.  `certify_code` decides a
-claim by one rule on the intervals of d and R: exact integer comparisons at their ends that
-settle it for every value in between, else inconclusive (see `RULES`); sphere packing
-compares both ends of d with one packing radius (`spaces.packing_radius`).  Every bound
-evaluator validates its hypotheses before producing a value.  Counting bounds on |C| =
-q^dim compare exponents, V_sr(r) with q^codim and dim with the Singleton-like exponent, and
-print each power of q as `q^e`: no q^N or q^dim is formed.  Transcendental bounds are
-advisory and carry their assumptions in the certificate.
+comes as an `SrDistance`, a point or, past a budget, an interval; a point of d carries a
+codeword of its weight.  `certify_code` decides a claim by one rule on the intervals of d
+and R: exact integer comparisons at their ends that settle it for every value in between,
+else inconclusive (see `RULES`); sphere packing compares both ends of d with one packing
+radius (`spaces.packing_radius`).  Every bound evaluator validates its hypotheses before
+producing a value.  Counting bounds on |C| = q^dim compare exponents, V_sr(r) with q^codim
+and dim with the Singleton-like exponent, and print each power of q as `q^e`: no q^N or
+q^dim is formed.  Transcendental bounds are advisory and carry their assumptions in the
+certificate.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from . import __version__
 from .gf import _CHUNK_BYTES, array_digits, place_values
 from .spaces import (MatrixProfile, Shapes, ball_volume, brute_weight_array, packing_radius,
-                     rank_array)
+                     rank_array, singleton_like_exponent)
 from .construct import FAMILIES, condition_family
 from .hamming import bch_covering_radius_interval
 from .syndrome import (ENUM_BUDGET, SYNDROME_BUDGET, WORK_BUDGET, BudgetExceeded, SrDistance,
@@ -43,21 +44,26 @@ DP_METHOD = "syndrome-dp"
 # minimum sum-rank distance
 # ----------------------------------------------------------------------
 
-def settle(sources) -> SrDistance:
+def settle(sources, witnessed: bool = False) -> SrDistance:
     """Intersect interval sources, read cheapest first: lo is the greatest lower end and hi
-    the least upper end, an earlier source keeping a tied end; a str item is a stop.  The
-    first point ends the reading, with the witness of hi's source and no note (the zero
-    code's is [inf, inf]).  An interval has no witness; its note joins the stops met, then
-    the notes of its ends' sources, which also name its method."""
-    stops, low, high = [], None, None
+    the least upper end, an earlier source keeping a tied end; a str item is a stop.  With
+    `witnessed` (d), an end at lo counts only with its word, or at inf (the zero code).  The
+    first point ends the reading, with the witness of hi's source and no note.  An interval
+    has no witness; its note joins the stops met, then the notes of its ends' sources,
+    which also name its method."""
+    stops, ends = [], []
     for src in sources:
         if isinstance(src, str):
             stops.append(src)
             continue
-        low = src if low is None or src.lo > low.lo else low
-        high = src if high is None or src.hi < high.hi else high
-        if low.lo >= high.hi:
+        ends.append(src)
+        low = max(ends, key=lambda s: s.lo)  # max and min keep the first of tied ends
+        high = min((s for s in ends if not witnessed or s.hi != low.lo
+                    or s.witness is not None or s.hi == math.inf), key=lambda s: s.hi, default=None)
+        if high and low.lo >= high.hi:
             break
+    if high is None:
+        raise RuntimeError(f"no word closes d at {low.method} {low.lo}")
     if low.lo > high.hi:
         raise RuntimeError(f"sources disagree: {low.method} {low.lo} > {high.method} {high.hi}")
     method = low.method if low.method == high.method else f"{low.method} / {high.method}"
@@ -98,7 +104,7 @@ def sr_min_distance(code: SumRankCode, budget: int = ENUM_BUDGET, *,
         # one block of one row: every nonzero word, the first generator row too, weighs 1
         yield SrDistance(1, code.profile.N, "budget stop",
                          code._generator_rows_packed()[0] if code.profile.N == 1 else None)
-    return settle(sources())
+    return settle(sources(), witnessed=True)
 
 
 # ----------------------------------------------------------------------
@@ -163,21 +169,6 @@ def sr_covering_radius_sweep(code: SumRankCode,
 # ----------------------------------------------------------------------
 # bounds
 # ----------------------------------------------------------------------
-
-def singleton_like_exponent(shapes: Shapes, d: int) -> int:
-    """log_q of the Singleton-like size bound, one step per shape: with the blocks ordered
-    by m, then n, both descending, d - 1 is the rows of the first j blocks plus delta <
-    n_(j+1), and the exponent the area of the blocks from j + 1 on less m_(j+1) delta."""
-    N = sum(n * count for (n, _), count in shapes.items())
-    if not 1 <= d <= N:
-        raise ValueError(f"distance {d} out of range 1..{N}")
-    area, owed = sum(n * m * count for (n, m), count in shapes.items()), d - 1
-    for (n, m), count in sorted(shapes.items(), key=lambda s: (-s[0][1], -s[0][0])):
-        if owed < n * count:  # reached, as owed < N
-            break
-        area, owed = area - n * m * count, owed - n * count
-    return area - m * owed
-
 
 def singleton_defect(profile: MatrixProfile, dim: int, d: int) -> int:
     """m(N - d + 1) - log_q|C| for equal column sizes m: the Singleton-like exponent - dim."""
@@ -515,15 +506,14 @@ def _msrd_rule(cert: Certificate, dist: SrDistance, radius) -> None:
 
 
 def _sphere_packing_rule(cert: Certificate, dist: SrDistance, radius) -> None:
-    """The check holds at d while (d - 1)//2 lies below the least r <= (d_hi - 1)//2 with
-    V_sr(r) > q^codim: certified at d_hi when there is none, refuted when r <= (d_lo - 1)//2
-    and stated at r, so no ball past r is counted."""
+    """The check fails at d exactly when (d - 1)//2 >= r, the least r <= (d_hi - 1)//2 with
+    V_sr(r) > q^codim, which proves d <= 2r: refuted when r <= (d_lo - 1)//2, stated at 2r + 1,
+    else certified, stated at 2r (< d_hi), or at d_hi when there is no r; no ball past r."""
     counts = _counts(cert.code)
     r = packing_radius(*counts, (dist.hi - 1) // 2)
-    if r is None or r <= (dist.lo - 1) // 2:  # V_sr(r) > q^codim refutes every d > 2r
-        sp = sphere_packing_check(*counts, dist.hi if r is None else 2 * r + 1)
-        cert.add_bound("sphere_packing", str(sp), (f"ball volume at radius {sp.radius}",))
-        cert.verdict = "certified" if sp.holds else "refuted"
+    sp = sphere_packing_check(*counts, dist.hi if r is None else 2 * r + (r <= (dist.lo - 1) // 2))
+    cert.add_bound("sphere_packing", str(sp), (f"ball volume at radius {sp.radius}",))
+    cert.verdict = "certified" if sp.holds else "refuted"
 
 
 def _singleton_rule(cert: Certificate, dist: SrDistance, radius) -> None:

@@ -214,14 +214,18 @@ class IngredientSumRankCode(SumRankCode):
                    + [max(a, b) * (m - (j - i) if n == m else 1) for (i, a), (j, b) in pairs])
 
     def distance_bounds(self, budget, distance):
+        """The composition bound, up to the lightest word c of one ingredient i alone, of weight
+        n wt_H(c) (z -> c_r phi(z^(q^i)) is injective) or, covering, wt_H(c) (one row)."""
         ends = [_ingredient_end(code, distance) for code in self.ingredients]
         yield from (_part_stops(f"ingredient {i} ({code.family})", note)  # each one's stops
-                    for i, (code, (_, _, note)) in enumerate(zip(self.ingredients, ends)) if note)
-        lo, N = self.composition_lower_bound([d for d, _, _ in ends]), self.profile.N
-        sources = ", ".join(f"{d} {source}" for d, source, _ in ends)
-        # a point at N: every nonzero word, the first generator row too, weighs N
-        yield SrDistance(lo, N, f"composition({self.construction}: {sources})",
-                         self._generator_rows_packed()[0] if lo == N else None)
+                    for i, (code, (*_, note, _)) in enumerate(zip(self.ingredients, ends)) if note)
+        lo = self.composition_lower_bound([d for d, *_ in ends])
+        sources = ", ".join(f"{d} {source}" for d, source, *_ in ends)
+        rank = self.rows if self.construction == "linearized" else 1
+        hi, i, word = min((rank * (len(word) - word.count(0)), i, word)  # i breaks every tie
+                          for i, (*_, word) in enumerate(ends) if word)
+        yield SrDistance(lo, hi, f"composition({self.construction}: {sources})",
+                         tuple(self._lone_blocks(i, word).tolist()))
 
     def radius_bounds(self):
         """R <= this rule when each family fixes its ingredient's R_H: a Hamming code is perfect,
@@ -259,20 +263,22 @@ def _part_stops(part: str, note: str) -> str:
     return "; ".join(f"{part}: {stop}" for stop in note.split("; "))
 
 
-def _ingredient_end(code: hm.LinearCode, distance) -> tuple[float, str, str | None]:
-    """A lower end of an ingredient's d (inf if k = 0), its source and its stops: the family's
-    theorem, else `hm.bch_bound`; below the stamped design, or without one, the engines' too."""
+def _ingredient_end(code: hm.LinearCode, distance) -> tuple[float, str, str | None, tuple | None]:
+    """A lower end of an ingredient's d (inf if k = 0), its source, its stops and a word: the
+    family's theorem, else `hm.bch_bound`; below the stamped design, or without one, the
+    engines' too, whose witness is then the word; else the word is `first_row`."""
     lo, source, design = 0, None, code.designed_distance
     if code.family in ("hamming", *_MDS):
-        lo, source = 3 if code.family == "hamming" else code.n - code.k + 1, code.family
+        lo, source = 3 if code.family == "hamming" else code.singleton, code.family
     elif code.defining_set is not None:
         lo, source = hm.bch_bound(code.defining_set, code.n)
     if design is not None and lo >= design:
-        return lo, source, None
+        return lo, source, None, code.first_row
     res = distance(code)
     if res.exact and design is not None and res.value != design:
         raise RuntimeError(f"designed distance {design} contradicts the exact value {res.value}")
-    return (lo, source, res.note) if lo >= res.lo else (res.lo, res.method, res.note)
+    word = res.witness or code.first_row
+    return (lo, source, res.note, word) if lo >= res.lo else (res.lo, res.method, res.note, word)
 
 
 def sr_covering(ingredients, **meta) -> IngredientSumRankCode:

@@ -18,7 +18,7 @@ import numpy as np
 
 # rref and nullspace live in `gf` and stay reachable here
 from .gf import Field, digit_add, nullspace, rref
-from .spaces import MatrixProfile
+from .spaces import MatrixProfile, singleton_like_exponent
 from .syndrome import (ENUM_BUDGET, BudgetExceeded, SrDistance, SumRankCode,
                        covering_radius, scaled_syndromes)
 
@@ -74,6 +74,23 @@ class LinearCode(SumRankCode):
         return tuple(nullspace(self.field, self.parity, self.n, pivots=self._pivots))
 
     @property
+    def first_row(self) -> tuple[int, ...] | None:
+        """`generator[0]` from one parity column, None if k = 0: 1 at the first free column f
+        and -H[j, f] at pivot j, so it weighs at most n - k + 1 (exactly d if MDS)."""
+        if self.k == 0:
+            return None
+        f, row = min(set(range(len(self.parity) + 1)) - set(self._pivots)), [0] * self.n
+        row[f] = 1
+        for j, c in enumerate(self._pivots):
+            row[c] = self.field.neg(int(self.parity[j, f]))
+        return tuple(row)
+
+    @property
+    def singleton(self) -> int:
+        """The Singleton end n - k + 1 (k >= 1): the 1 x 1 exponent n - d + 1 read at d = k."""
+        return singleton_like_exponent({(1, 1): self.n}, self.k)
+
+    @property
     def base(self) -> Field:
         return self.field
 
@@ -92,7 +109,7 @@ class LinearCode(SumRankCode):
         yield (res := min_distance(self, budget))  # the support search, for d <= 4
         if self.defining_set is not None:  # a point at Singleton: the first row weighs that
             lo, source = bch_bound(self.defining_set, self.n)
-            yield SrDistance(lo, res.hi, source, self.generator[0] if lo == res.hi else None)
+            yield SrDistance(lo, res.hi, source, self.first_row if lo == res.hi else None)
 
     def __repr__(self) -> str:
         d = self.designed_distance
@@ -359,12 +376,12 @@ def min_distance(code: LinearCode, budget: int = ENUM_BUDGET) -> SrDistance:
     <= w and exhibits a weight witness.  When d > 4 the result is the
     interval [5, Singleton].  The search lists its half-words only while
     they fit `budget`; past it the result is the interval [w, Singleton],
-    with a note naming the budget.  A lower end of n - k + 1 is a point, and
-    the first generator row, a nullspace-basis row, weighs that much.
+    with a note naming the budget.  A lower end at Singleton is a point,
+    witnessed by `first_row`, which weighs at most that much.
     """
     if code.k == 0:
         raise ValueError("the zero code has no nonzero codeword")
-    lo, singleton, note = 5, code.n - code.k + 1, None
+    lo, singleton, note = 5, code.singleton, None
     for w in range(1, 5):
         need = _half_words(code, w)
         if need > budget:
@@ -374,8 +391,8 @@ def min_distance(code: LinearCode, budget: int = ENUM_BUDGET) -> SrDistance:
         witness = low_weight_search(code, w)
         if witness is not None:
             return SrDistance(w, w, "support_test", witness)
-    return SrDistance(lo, singleton, "support_test",
-                      code.generator[0] if lo == singleton else None, note=note)
+    return SrDistance(lo, singleton, "support_test", code.first_row if lo == singleton else None,
+                      note=note)
 
 
 # ----------------------------------------------------------------------

@@ -230,6 +230,21 @@ def packing_radius(q: int, shapes: Shapes, codim: int, stop: int | None = None, 
     return next((r for r, volume in enumerate(volumes) if volume > q ** codim - covering), None)
 
 
+def singleton_like_exponent(shapes: Shapes, d: int) -> int:
+    """log_q of the Singleton-like size bound, one step per shape: with the blocks ordered
+    by m, then n, both descending, d - 1 is the rows of the first j blocks plus delta <
+    n_(j+1), and the exponent the area of the blocks from j + 1 on less m_(j+1) delta."""
+    N = sum(n * count for (n, _), count in shapes.items())
+    if not 1 <= d <= N:
+        raise ValueError(f"distance {d} out of range 1..{N}")
+    area, owed = sum(n * m * count for (n, m), count in shapes.items()), d - 1
+    for (n, m), count in sorted(shapes.items(), key=lambda s: (-s[0][1], -s[0][0])):
+        if owed < n * count:  # reached, as owed < N
+            break
+        area, owed = area - n * m * count, owed - n * count
+    return area - m * owed
+
+
 def weight_counts(q: int, shapes: Shapes) -> Iterator[int]:
     """Yield the number of words of sum-rank weight 0, 1, ..., the largest, over GF(q) `shapes`.
 

@@ -24,8 +24,8 @@ from sumrank.cli import build_parser, main, parse_params
 from sumrank.syndrome import SrDistance, SumRankCode, budget_stop
 
 from oracles import (blf_relation_check, blf_witness, code_size, contains_packed, counting,
-                     generator_parity, singleton_full, singleton_walk, size_bound_from_witness,
-                     sphere_packing_full)
+                     generator_parity, hamming_weight, singleton_full, singleton_walk,
+                     size_bound_from_witness, sphere_packing_full)
 
 
 @pytest.fixture(scope="module")
@@ -56,10 +56,13 @@ def test_sr_min_distance_exhaustive_below_syndrome_budget(qp_code):
 
 def test_sr_min_distance_interval_names_budgets(qp_code):
     d = ct.sr_min_distance(qp_code, budget=10, syndrome_budget=2)
-    # past both budgets, the ingredients' theorems give the lower end and sphere packing,
-    # V_sr(2) > 2^6, the upper end 4
-    assert (d.lo, d.hi) == (3, 4) and not d.exact
-    assert d.method == "composition(linearized: 3 hamming, 2 parity) / sphere packing"
+    # past both budgets, the ingredients' theorems give the lower end, and the upper end 4 is
+    # the parity ingredient's weight-2 word alone in its row, 2 rows of rank 2 per position,
+    # which sphere packing's V_sr(2) > 2^6 ties after it
+    parity = qp_code.ingredients[1]
+    assert (d.lo, d.hi) == (3, 2 * hamming_weight(parity.generator[0])) == (3, 4)
+    assert not d.exact
+    assert d.method == "composition(linearized: 3 hamming, 2 parity)"
     assert d.note == ("syndrome budget 2 < 2^6 syndromes (q^codim); "
                       "enum budget 10 < 2^14 codewords (q^dim)")
 
@@ -137,6 +140,33 @@ def test_settle_intersects_interval_sources(problem):
         stops = [item for item in read if isinstance(item, str)]  # each reason once, in order
         assert res.note == ("; ".join(dict.fromkeys(
             note for note in (*stops, low.note, high.note) if note)) or None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(interval_sources())
+def test_settle_closes_d_only_on_a_word(problem):
+    """For d, an upper end that meets lo with no word does not close the interval, and hi
+    is the least other end (a last [0, 13] source stands in for [1, N]): every point
+    carries its source's word, the true value stays inside, and the reading ends at the
+    first point so closed."""
+    true, items = problem
+    items = items + [SrDistance(0, 13, "budget stop")]
+    read = []
+
+    def stream():
+        for item in items:
+            read.append(item)
+            yield item
+    res = ct.settle(stream(), witnessed=True)
+    seen = [item for item in read if not isinstance(item, str)]
+    lo = max(s.lo for s in seen)
+    closing = [s for s in seen if s.hi != lo or s.witness is not None]
+    assert res.lo == lo <= true <= res.hi == min(s.hi for s in closing)
+    assert (res.witness is not None) == res.exact
+    if res.exact:
+        assert res.witness == min(closing, key=lambda s: s.hi).witness
+    else:
+        assert read == items
 
 
 def test_sr_distance_matches_raw_enumeration(am_code):
@@ -985,18 +1015,23 @@ def test_certify_through_the_api_stays_under_the_str_digit_cap(int_str_digits, m
     assert doc["bounds"][0] == {"name": "sphere_packing_refutation",
                                 "value": "20127703051 > 2^33",
                                 "assumptions": ["ball volume at radius 2"]}
-    # d = 4 from the composition's 4 and sphere packing's V_sr(2) > 2^33: a point, no stop noted
+    # d >= 4 from the composition; sphere packing's V_sr(2) > 2^33 gives d <= 4 with no word,
+    # so the upper end is the lightest one-ingredient word, a parity word of weight 2 in one of
+    # 3 rows: 3 * 2
     assert doc["quantities"][2] == {
-        "name": "min_sum_rank_distance", "value": 4,
-        "method": "composition(linearized: 4 bch, 2 parity, 2 parity) / sphere packing"}
-    assert doc["notes"] == []
+        "name": "min_sum_rank_distance", "value": [4, 3 * 2],
+        "method": "composition(linearized: 4 bch, 2 parity, 2 parity) (interval)"}
+    assert doc["notes"] == [f"syndrome budget {ct.SYNDROME_BUDGET} < 2^33 syndromes (q^codim); "
+                            f"enum budget {ct.ENUM_BUDGET} < 2^36822 codewords (q^dim)",
+                            "certified for every d in [4, 6]"]
 
 
 def test_a_parts_budget_stops_are_named_by_the_part():
     """quasi-perfect-2x2's hexacode ingredient has no theorem, so past every budget it runs
     its own engines: their stops carry its index and family, so the two syndrome budget
     stops are told apart.  distance-optimal-2x2 q=5's cyclic ingredient ends at its
-    Hartmann-Tzeng bound, and sphere packing closes d there: a point, which notes no stop."""
+    Hartmann-Tzeng bound, and its parity ingredient's weight-2 word, alone in its row, weighs
+    2 * 2 = 4 there: a point with that word, which notes no stop."""
     dist = ct.sr_min_distance(cs.quasi_perfect_2x2(6), budget=1, syndrome_budget=1)
     assert (dist.lo, dist.hi) == (2, 4)
     assert dist.note.split("; ") == [
@@ -1005,10 +1040,13 @@ def test_a_parts_budget_stops_are_named_by_the_part():
         "ingredient 1 (explicit): syndrome budget 1 < 4^3 syndromes (q^codim)",
         "ingredient 1 (explicit): enum budget 1 < 4^3 codewords (q^dim)",
         "ingredient 1 (explicit): enum budget 1 < 6 half-words of the weight-1 support search"]
-    dist = ct.sr_min_distance(cs.distance_optimal_2x2(5))
+    code = cs.distance_optimal_2x2(5)
+    dist = ct.sr_min_distance(code)
     assert (dist.lo, dist.hi, dist.method) == (
-        4, 4, "composition(linearized: 4 hartmann-tzeng, 2 parity) / sphere packing")
+        4, 4, "composition(linearized: 4 hartmann-tzeng, 2 parity)")
     assert dist.note is None
+    assert sp.sum_rank_weight(code.to_word(dist.witness)) == 4
+    assert contains_packed(code, dist.witness)
 
 
 def test_plotkin_interval_note_names_its_own_stops_first(hexacode_code):
@@ -1037,15 +1075,19 @@ def test_plotkin_interval_note_names_its_own_stops_first(hexacode_code):
 def test_distance_optimal_2x2_reads_its_ingredient_from_the_defining_set(q, monkeypatch):
     """The cyclic ingredient's T = {0, 1, Q, Q+1}, Q = q^2, gives d >= 4 by Hartmann-Tzeng
     (run {0, 1}, step Q), its stamped design, so neither its DP nor its support search runs
-    (at q = 4 its 4^8 syndromes would fit the DP), and the code is distance-optimal:
-    V_sr(2) > q^codim makes d = 4 by sphere packing."""
+    (at q = 4 its 4^8 syndromes would fit the DP), and the code is distance-optimal,
+    V_sr(2) > q^codim: d = 4, witnessed by the parity ingredient's weight-2 word alone in
+    its row, of rank 2 at each of its 2 positions."""
     monkeypatch.setattr(hm, "min_distance", lambda *a: pytest.fail("support search ran"))
     code = cs.distance_optimal_2x2(q)
     cert = ct.certify_code(code, "distance-optimal")
     assert cert.verdict == "certified"
     assert cert.quantities[2] == {
         "name": "min_sum_rank_distance", "value": 4,
-        "method": "composition(linearized: 4 hartmann-tzeng, 2 parity) / sphere packing"}
+        "method": "composition(linearized: 4 hartmann-tzeng, 2 parity)"}
+    assert cert.quantities[3]["name"] == "distance_witness"
+    witness = ct.sr_min_distance(code).witness
+    assert sp.sum_rank_weight(code.to_word(witness)) == 4 and contains_packed(code, witness)
     assert "syndrome_dp" not in code.ingredients[0].__dict__
 
 
@@ -1210,21 +1252,24 @@ STATED_REFUTATIONS = ("certify distance-optimal --recipe distance-optimal-2x2 q=
 
 
 # the same for sphere-packing jobs past the DP and enumeration, which the rule decides from
-# the least radius whose ball outgrows q^codim: certified at d_hi, which is at most 2r once
-# d's sphere-packing end applies (the last three stopped before it, with d up to N)
+# the least radius r whose ball outgrows q^codim, if any, and which proves d <= 2r:
+# certified at d_hi or at 2r.  The two covering-repetition codes and almost-msrd-2x2 state d
+# as a point with the word of one ingredient alone (enumeration at the default budgets, or
+# the DP at raised ones for almost-msrd-2x2, gives the same d); the quasi-perfect-2xm and
+# sxs codes keep an interval, [3, 4] and [4, 6], whose upper end is such a word
 SPHERE_PACKING_SHA256 = {
     "certify sphere-packing --recipe covering-repetition q=2 m=4 t=8 "
     "--enum-budget 2 --syndrome-budget 2":
-        (0, "9a4ffcc049264400859a6582cff32c02712a4e909327bedf24b837f09010b6a8"),
+        (0, "966af427d12e0f12d7bd92b2544493395f86670d4b2da550914deae939b8644d"),
     "certify sphere-packing --recipe covering-repetition q=2 m=4 t=1000 "
     "--enum-budget 2 --syndrome-budget 2":
-        (0, "fd903051ea8eddcb9333b1b584983409393048a08fc74d4bf6fa85fdce64e558"),
+        (0, "d413ff9a0471702b4316a7114efc1d3a18cec38cd49294159ff18c07981c703e"),
     "certify sphere-packing --recipe quasi-perfect-2xm q=4 m=2 u=4 --syndrome-budget 2":
-        (0, "1ecf603a27e920c91811c815a916523d4dd8c093e15eb76660d1e8ff39f111b4"),
+        (0, "a4ad477de1659e3d5dfc768301a07ec9493df6aa0b34c88aa1471a750dcc6b0b"),
     "certify sphere-packing --recipe almost-msrd-2x2 q=7 t=49":
-        (0, "87373c84524e61814fc85c3362bf363bf1a59dab6cfa1f0b280ddecd32b8a053"),
+        (0, "da0bdfd705165e9aa9024d21ab06c32470b0eba24d3bc17ee119001665874550"),
     "certify sphere-packing --recipe distance-optimal-sxs q=2 s=3 m=3":
-        (0, "152aaf1006f10486a079109ea483a6e83687e9d27bbb0900290e654b2cb414e3"),
+        (0, "fb0f4ecd61cf0705bcea75911b639ad2e5a38c03754a574714772652630e4a0b"),
 }
 
 

@@ -20,6 +20,7 @@ from sumrank import cli
 from sumrank import construct as cs
 from sumrank import hamming as hm
 from sumrank import spaces as sp
+from sumrank import syndrome as sd
 from sumrank.cli import main, parse_params
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -171,38 +172,47 @@ def test_certify_hamming_support_search_budget_stop(capsys):
 
 def test_blocks_past_the_rank_table_cap_stop_enumeration(tmp_path, capsys):
     """One 5 x 5 binary block: its 2^25 codewords fit the enum budget, but its
-    values do not fit a rank table, so d is the interval the composition and sphere
-    packing give (V_sr(1) > 2^0), on which the check holds at d = 2."""
+    values do not fit a rank table, so neither the DP nor enumeration runs and d is the
+    composition's point 1, witnessed by the [1, 1, 1] repetition word alone in one row, a
+    block of rank 1 weighed with no rank table; the check holds at d = 1."""
     cert = tmp_path / "cert.json"
     code, _, err = run(capsys, "certify", "sphere-packing", "--recipe", "covering-repetition",
                        "q=2", "m=5", "t=1", "--enum-budget", str(1 << 26), "--out", str(cert))
     assert (code, err) == (0, "")
     doc = json.loads(cert.read_text())
-    d = next(q for q in doc["quantities"] if q["name"] == "min_sum_rank_distance")
+    quantities = {q["name"]: q for q in doc["quantities"]}
+    d = quantities["min_sum_rank_distance"]
     assert (d["value"], d["method"]) == (
-        [1, 2], "composition(covering: " + ", ".join(["1 repetition"] * 5)
-        + ") / sphere packing (interval)")
-    assert doc["notes"] == [f"rank table cap {1 << 24} < 2^25 values per 5 x 5 block (q^(nm))",
-                            "certified for every d in [1, 2]"]
+        1, "composition(covering: " + ", ".join(["1 repetition"] * 5) + ")")
+    (witness,) = quantities["distance_witness"]["value"]
+    assert sp.rank(cs.field_of_order(2), witness) == 1
+    # a point notes no stop: the cap that stops both engines is the code's own
+    built = cs.covering_repetition(2, 5, 1)
+    assert sd.rank_table_stop(built.base, built.profile.blocks) == (
+        f"rank table cap {1 << 24} < 2^25 values per 5 x 5 block (q^(nm))")
+    assert doc["notes"] == []
 
 
 def test_sphere_packing_is_certified_from_the_interval_of_d(tmp_path, capsys):
-    """Past both budgets d is known in [8, 32] from the composition of its [8, 1, 8]
-    ingredients; the check holds at d = 32, where it is hardest, so it holds for every d
-    in between."""
+    """quasi-perfect-2x2 past every budget: d is known in [2, 4], from the composition of its
+    parity ingredient's 2 and its hexacode ingredient's stopped search (1), up to the parity
+    word of weight 2 alone in one of 2 rows (the DP's d, 4, lies inside).  No ball up to
+    radius (4 - 1)//2 = 1 outgrows 2^8, so the check holds at d = 4, where it is hardest,
+    and so for every d in between."""
     cert = tmp_path / "cert.json"
-    code, _, err = run(capsys, "certify", "sphere-packing", "--recipe", "covering-repetition",
-                       "q=2", "m=4", "t=8", "--enum-budget", "2", "--syndrome-budget", "2",
-                       "--out", str(cert))
+    code, _, err = run(capsys, "certify", "sphere-packing", "--recipe", "quasi-perfect-2x2",
+                       "t=6", "--enum-budget", "1", "--syndrome-budget", "1", "--out", str(cert))
     assert (code, err) == (0, "")
     doc = json.loads(cert.read_text())
     d = next(q for q in doc["quantities"] if q["name"] == "min_sum_rank_distance")
     assert (d["value"], d["method"]) == (
-        [8, 32], "composition(covering: " + ", ".join(["8 repetition"] * 4) + ") (interval)")
-    volume = sp.ball_volume_exact(sp.MatrixProfile(cs.field_of_order(2), ((4, 4),) * 8), 15)
-    assert doc["bounds"] == [{"name": "sphere_packing", "value": f"{volume} <= 2^112",
-                              "assumptions": ["ball volume at radius 15"]}]
-    assert doc["notes"][-1] == "certified for every d in [8, 32]"
+        [2, 2 * 2], "composition(linearized: 2 parity, 1 support_test) (interval)")
+    assert 2 <= cs.quasi_perfect_2x2(6).syndrome_dp.distance <= 4
+    volume = sp.ball_volume_exact(sp.MatrixProfile(cs.field_of_order(2), ((2, 2),) * 6), 1)
+    assert volume <= 2 ** 8
+    assert doc["bounds"] == [{"name": "sphere_packing", "value": f"{volume} <= 2^8",
+                              "assumptions": ["ball volume at radius 1"]}]
+    assert doc["notes"][-1] == "certified for every d in [2, 4]"
 
 
 def _limited_child(*argv) -> tuple[subprocess.CompletedProcess, float]:
@@ -215,19 +225,24 @@ def _limited_child(*argv) -> tuple[subprocess.CompletedProcess, float]:
     return proc, time.perf_counter() - start
 
 
-@pytest.mark.parametrize("argv", [
-    ("distance-optimal", "--recipe", "distance-optimal-sxs", "q=2", "s=3", "m=5"),
-    ("almost-msrd", "--recipe", "almost-msrd-2x2", "q=7", "t=49"),
+@pytest.mark.parametrize("argv, d", [
+    (("distance-optimal", "--recipe", "distance-optimal-sxs", "q=2", "s=3", "m=5"),
+     "[4, 6]   [composition(linearized: 4 bch, 2 parity, 2 parity) (interval)]"),
+    (("almost-msrd", "--recipe", "almost-msrd-2x2", "q=7", "t=49"),
+     "4   [composition(linearized: 4 reed-solomon, 2 parity)]"),
 ], ids=["sxs-m5", "almost-msrd-2x2-q7"])
-def test_paper_rows_are_certified_from_the_ingredients(argv):
+def test_paper_rows_are_certified_from_the_ingredients(argv, d):
     """Past the DP and enumeration, d >= 4 comes from the ingredients' theorems and BCH
-    bound, with no engine on them, and d <= 4 from sphere packing: certified at the default
+    bound, with no engine on them, and d is at most the weight of a parity word of weight 2
+    alone in one row: 3 * 2 for sxs (s = 3 rows), whose d <= 4 by sphere packing has no word,
+    and 2 * 2 = 4 for almost-msrd-2x2, a point with that word.  Certified at the default
     budgets, quickly, by a child held to 2 GB of address space."""
     proc, seconds = _limited_child("certify", *argv)
     assert proc.returncode == 0, proc.stderr
     assert seconds < 5
-    d = next(line for line in proc.stdout.splitlines() if "min_sum_rank_distance" in line)
-    assert "= 4   [composition(linearized: " in d and d.endswith(" / sphere packing]"), d
+    lines = proc.stdout.splitlines()
+    assert f"  min_sum_rank_distance    = {d}" in lines
+    assert any(line.startswith("  distance_witness ") for line in lines) == d.startswith("4 ")
 
 
 # (q, m, u) of quasi-perfect-2xm past the DP: 7^6 to 7^12 syndromes, 50 to 117993 blocks
@@ -241,16 +256,17 @@ QUASI_PERFECT_ROWS = [(7, 2, 2), (4, 2, 4), (4, 3, 3), (5, 2, 4), (3, 3, 4), (2,
 def test_quasi_perfect_family_is_certified_from_its_ingredients(claim, q, m, u):
     """The paper's quasi-perfect 2 x m family past the DP: R <= 2 max(1, 1) from the
     Hamming (R_H = 1) and parity (rho = 1) ingredients and R >= 2 by sphere covering,
-    V_sr(1) < q^codim; d in [3, 4] from the composition and sphere packing, V_sr(2) >
-    q^codim.  So e = 1 and R = e + 1: quasi-perfect, and refuted as perfect, at the default
-    budgets, quickly, by a child held to 2 GB of address space."""
+    V_sr(1) < q^codim; d in [3, 4] from the composition, up to the parity word of weight 2
+    alone in one of 2 rows (sphere packing's V_sr(2) > q^codim ties it).  So e = 1 and
+    R = e + 1: quasi-perfect, and refuted as perfect, at the default budgets, quickly, by a
+    child held to 2 GB of address space."""
     proc, seconds = _limited_child("certify", claim, "--recipe", "quasi-perfect-2xm",
                                    f"q={q}", f"m={m}", f"u={u}")
     assert proc.returncode == {"quasi-perfect": 0, "perfect": 1}[claim], proc.stderr
     assert seconds < 5
     lines = proc.stdout.splitlines()
     assert ("  min_sum_rank_distance    = [3, 4]   [composition(linearized: 3 hamming, "
-            "2 parity) / sphere packing (interval)]") in lines
+            "2 parity) (interval)]") in lines
     assert ("  covering_radius          = 2   [sphere covering / composition(linearized: "
             "1 hamming, 1 parity)]") in lines
     assert "  perfection               = quasi-perfect   [exact comparison]" in lines
@@ -258,8 +274,9 @@ def test_quasi_perfect_family_is_certified_from_its_ingredients(claim, q, m, u):
 
 def test_a_budget_stop_that_no_rule_decides_states_both_intervals(tmp_path, capsys):
     """quasi-perfect-2x2 past every budget: its hexacode ingredient has no theorem and its
-    own engines stop, so d is [2, 4] (the composition of 2 and the stopped search's 1, and
-    sphere packing) and R is [2, 8] (sphere covering, and codim): nothing decides.  The DP's
+    own engines stop, so d is [2, 4] (the composition of 2 and the stopped search's 1, up to
+    the parity word of weight 2 alone in one of 2 rows) and R is [2, 8] (sphere covering,
+    and codim): nothing decides.  The DP's
     stop, which stops both, is named once, in the one note."""
     cert = tmp_path / "cert.json"
     code, out, _ = run(capsys, "certify", "quasi-perfect", "--recipe", "quasi-perfect-2x2",
@@ -268,8 +285,7 @@ def test_a_budget_stop_that_no_rule_decides_states_both_intervals(tmp_path, caps
     doc = json.loads(cert.read_text())
     assert doc["quantities"][2:] == [
         {"name": "min_sum_rank_distance", "value": [2, 4],
-         "method": "composition(linearized: 2 parity, 1 support_test) / sphere packing "
-                   "(interval)"},
+         "method": "composition(linearized: 2 parity, 1 support_test) (interval)"},
         {"name": "covering_radius", "value": [2, 8],
          "method": "sphere covering / R <= codim (interval)"}]
     assert doc["notes"] == ["syndrome budget 1 < 2^8 syndromes (q^codim); "
@@ -549,9 +565,12 @@ def test_negative_budgets_are_usage_errors(capsys, option, value):
 
 
 def test_zero_budget_switches_its_engine_off(capsys):
-    code, out, _ = run(capsys, "certify", "singleton", "--recipe", "covering-repetition",
-                       "q=2", "m=4", "t=8", "--enum-budget", "0")
+    # quasi-perfect-2x2, whose hexacode ingredient has no theorem: no rule decides it with
+    # its engines off, so the zero budgets' stops are what the inconclusive verdict names
+    code, out, _ = run(capsys, "certify", "quasi-perfect", "--recipe", "quasi-perfect-2x2",
+                       "t=6", "--syndrome-budget", "0", "--enum-budget", "0")
     assert code == 2 and "enum budget 0 < 2^16 codewords (q^dim)" in out
+    assert "syndrome budget 0 < 2^8 syndromes (q^codim)" in out
 
 
 @pytest.mark.parametrize("params,error", CONDITION_REFUSALS)
@@ -900,12 +919,12 @@ def test_missing_out_directory_refused_before_work(tmp_path, capsys, monkeypatch
     (("construct", "distance-optimal-2x2", "q=3"),
      "c3ed45fcb063272dafedbe3f89622ed3dc77f3cae8c1861caadeab9f8d5984bc"),
     (("certify", "quasi-perfect", "--recipe", "quasi-perfect-2xm", "q=2", "m=2", "u=2"),
-     "b6a001260fb378b68c41bf971c0a9fe44354949e85d37a2ecb6ca685c0c89bc7"),
+     "0147b88553ba5bc45b123a67d044653c7e1eefe4ebee54f91e22bb1eb3a0dfd0"),
 ], ids=["descriptor", "certificate"])
 def test_out_bytes_are_pinned(tmp_path, capsys, argv, sha256):
     # the hashes are those of json.dump(s)(..., sort_keys=True, indent=2),
     # which wrote both kinds of --out file before the streaming writer; the
-    # certificate's includes its toolchain-version, sumrank 0.2.9
+    # certificate's includes its toolchain-version, sumrank 0.2.10
     out = tmp_path / "out.json"
     assert run(capsys, *argv, "--out", str(out))[0] == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256

@@ -321,12 +321,43 @@ def test_min_distance_support_witness(f4):
     assert contains_packed(c, res.witness)
 
 
+def test_a_singleton_point_forms_no_generator():
+    """The [8193, 8192, 2]_4 parity code is cyclic with T = {0}.  With every engine off, the
+    support search stops at weight 1 below its Singleton end 2, which the BCH bound meets:
+    a point witnessed by `first_row`, of weight 2, with no 8192 x 8193 generator formed (the
+    size gate refuses it)."""
+    code = hm.parity_check_code(cs.field_of_order(4), 8193)
+    start = time.perf_counter()
+    res = ct.sr_min_distance(code, 0, syndrome_budget=0)
+    assert time.perf_counter() - start < 1
+    assert (res.lo, res.hi, res.method) == (2, 2, "bch")
+    assert hamming_weight(res.witness) == 2 and contains_packed(code, res.witness)
+    assert "generator" not in code.__dict__
+    with pytest.raises(ValueError, match="size gate"):
+        _ = code.generator
+
+
 @st.composite
 def small_codes(draw, max_size=4096):
     """Codes of length <= 8 over GF(2), GF(3), GF(4), GF(5), codim 0 to n, Q^k <= max_size."""
     field = cs.field_of_order(draw(st.sampled_from([2, 3, 4, 5])))
     n = draw(st.integers(1, 8))
     return draw(linear_codes(field, n, int(math.log(max_size, field.order) + 1e-9)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_codes())
+@example(hm.zero_code(cs.field_of_order(2), 3))
+@example(hm.reed_solomon(cs.field_of_order(9), 10, 4))
+def test_first_row_is_the_generators_first_row(code):
+    """`first_row`, from one parity column, is `generator[0]` (None for the zero code): a
+    codeword of weight at most n - k + 1, and exactly that in an MDS code."""
+    row = code.first_row
+    assert row == (code.generator[0] if code.k else None)
+    if code.k:
+        assert contains_packed(code, row) and hamming_weight(row) <= code.singleton
+    if code.family == "reed-solomon":
+        assert hamming_weight(row) == code.n - code.k + 1
 
 
 @settings(max_examples=150, deadline=None)

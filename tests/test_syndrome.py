@@ -460,8 +460,56 @@ def test_composition_bound_holds_the_dps_d(code):
     exact = [math.inf if c.k == 0 else ct.sr_min_distance(c).value for c in code.ingredients]
     source = composition_source(code)
     assert source.lo == code.composition_lower_bound(exact) <= d <= source.hi
-    if source.exact:  # at N: every nonzero word weighs N
-        assert sp.sum_rank_weight(code.to_word(source.witness)) == d
+    # the upper end is the weight of the source's word, a codeword: d itself at a point
+    assert sp.sum_rank_weight(code.to_word(source.witness)) == source.hi
+    assert contains_packed(code, source.witness)
+
+
+# the ingredient families with a theorem on d, and random ingredients
+WORD_FAMILIES = ("parity", "full", "reed-solomon", "repetition", "hamming", "random")
+
+
+@st.composite
+def word_codes(draw):
+    """A covering or linearized code over GF(q^m), p = 2 and odd p, n < m and n = m rows,
+    from MDS (parity, full, Reed-Solomon, repetition), Hamming and random ingredients of one
+    length t (a zero code among the random ones at times), with at most 2^12 syndromes.  A
+    Hamming code of redundancy 2 has length Q + 1, Q = q^m, the longest Reed-Solomon one."""
+    q, m = draw(st.sampled_from([(2, 2), (2, 3), (3, 2)]))
+    ext = cs.field_of_order(q).extension(m)
+    construction = draw(st.sampled_from(["covering", "linearized"]))
+    rows = m if construction == "covering" else draw(st.integers(1, m))
+    t = draw(st.sampled_from([ext.order + 1, draw(st.integers(2, 5))]))
+    builders = {"parity": lambda: hm.parity_check_code(ext, t),
+                "full": lambda: hm.full_code(ext, t),
+                "reed-solomon": lambda: hm.reed_solomon(ext, t, draw(st.integers(
+                    max(1, t - 3), t))),
+                "repetition": lambda: hm.repetition_code(ext, t),
+                "hamming": lambda: hm.hamming_code(ext, 2),
+                "random": lambda: draw(linear_codes(ext, t, min_k=max(0, t - 2)))}
+    families = draw(st.lists(st.sampled_from(WORD_FAMILIES if t == ext.order + 1
+                                             else WORD_FAMILIES[:-2] + ("random",)),
+                             min_size=rows, max_size=rows))
+    assume(families.count("repetition") * (t - 1) * m <= 12)
+    code = cs.IngredientSumRankCode(construction, [builders[f]() for f in families])
+    assume(code.dim > 0 and q ** code.codim <= 1 << 12)
+    return code
+
+
+@FAST
+@given(word_codes())
+@example(cs.quasi_perfect_2xm(2, 2, 2))
+@example(cs.almost_msrd_2x2(3, 9))
+def test_composition_word_is_a_codeword_of_its_stated_weight(code):
+    """The composition's upper end is the lightest word of one ingredient alone in its row:
+    a codeword whose sum-rank weight is that end, at least the DP's d; each ingredient's
+    `first_row` is its `generator[0]`."""
+    source = composition_source(code)
+    assert contains_packed(code, source.witness)
+    assert sp.sum_rank_weight(code.to_word(source.witness)) == source.hi
+    assert source.hi >= code.syndrome_dp.distance
+    for ingredient in code.ingredients:
+        assert ingredient.first_row == (ingredient.generator[0] if ingredient.k else None)
 
 
 def test_plotkin_rule_matches_dp(f2, f4):
@@ -495,8 +543,16 @@ def composed_codes(draw):
     return code, draw(st.integers(1, min(code_size(code) - 1, 1 << 12)))
 
 
+_F4, _F8 = cs.field_of_order(2).extension(2), cs.field_of_order(2).extension(3)
+
+
 @FAST
 @given(composed_codes())
+# two points of d once settled with no word: the composition's lower end 2 met by sphere
+# packing's 2r alone, on a covering code of two [2, 1, 2] ingredients and on a linearized
+# code of a zero ingredient and two [1, 1, 1] ones
+@example((cs.sr_covering([_code_from_rows(_F4, [[1, 2]], 2)] * 2), 3))
+@example((cs.sr_linearized([_code_from_rows(_F8, rows, 1) for rows in ([], [[1]], [[1]])]), 7))
 def test_distance_interval_holds_the_dps_d(problem):
     # with the DP off (no syndrome fits a budget of 0, not even the one of a
     # full code) and enumeration off, the support search, the extension and
