@@ -477,12 +477,13 @@ def _perfection_rule(cert: Certificate, dist: SrDistance, radius: SrDistance) ->
     cert.verdict = "certified" if radius.lo - e_hi == k == radius.hi - e_lo else "refuted"
 
 
-def _distance_optimal_rule(cert: Certificate, dist: SrDistance, radius) -> None:
-    """At d_lo: certified there, no code of this codimension has d >= d_lo + 1, so d = d_lo."""
+def _distance_optimal_rule(cert: Certificate, dist: SrDistance, radius) -> int | None:
+    """At d_lo: certified there, no code of this codimension has d >= d_lo + 1, so d = d_lo:
+    V_sr(r) > q^codim at r = d_lo // 2 proves d <= 2r, which it returns."""
     verdict, sp = distance_optimal_check(*_counts(cert.code), dist.lo)
     if verdict != "certified" and not dist.exact:
         cert.notes.append("distance not settled exactly")
-        return
+        return None
     cert.add_bound("sphere_packing_refutation", str(sp), (f"ball volume at radius {sp.radius}",))
     cert.verdict = verdict
     # the family's lambda-condition; its exact criterion at d = 4 is the refutation above
@@ -490,6 +491,7 @@ def _distance_optimal_rule(cert: Certificate, dist: SrDistance, radius) -> None:
         holds, text = FAMILIES[cert.code.recipe](**cert.code.params).condition
         cert.add_bound(f"family_condition[{text}]", holds,
                        ("lambda condition evaluated at epsilon = 0, exact rationals",))
+    return None if sp.holds else 2 * sp.radius
 
 
 def _msrd_rule(cert: Certificate, dist: SrDistance, radius) -> None:
@@ -505,15 +507,17 @@ def _msrd_rule(cert: Certificate, dist: SrDistance, radius) -> None:
             return
 
 
-def _sphere_packing_rule(cert: Certificate, dist: SrDistance, radius) -> None:
+def _sphere_packing_rule(cert: Certificate, dist: SrDistance, radius) -> int | None:
     """The check fails at d exactly when (d - 1)//2 >= r, the least r <= (d_hi - 1)//2 with
-    V_sr(r) > q^codim, which proves d <= 2r: refuted when r <= (d_lo - 1)//2, stated at 2r + 1,
-    else certified, stated at 2r (< d_hi), or at d_hi when there is no r; no ball past r."""
+    V_sr(r) > q^codim, which proves d <= 2r, returned: refuted when r <= (d_lo - 1)//2, stated
+    at 2r + 1, else certified, stated at 2r (< d_hi), or at d_hi when there is no r; no ball
+    past r."""
     counts = _counts(cert.code)
     r = packing_radius(*counts, (dist.hi - 1) // 2)
     sp = sphere_packing_check(*counts, dist.hi if r is None else 2 * r + (r <= (dist.lo - 1) // 2))
     cert.add_bound("sphere_packing", str(sp), (f"ball volume at radius {sp.radius}",))
     cert.verdict = "certified" if sp.holds else "refuted"
+    return None if r is None else 2 * r
 
 
 def _singleton_rule(cert: Certificate, dist: SrDistance, radius) -> None:
@@ -527,7 +531,8 @@ def _singleton_rule(cert: Certificate, dist: SrDistance, radius) -> None:
             return
 
 
-# the rule deciding each claim from the intervals of d and R
+# the rule deciding each claim from the intervals of d and R; a rule that proves d <= 2r,
+# from a ball of radius r that outgrows q^codim, returns 2r
 RULES = {"perfect": _perfection_rule, "quasi-perfect": _perfection_rule,
          "distance-optimal": _distance_optimal_rule, "msrd": _msrd_rule,
          "almost-msrd": _msrd_rule, "sphere-packing": _sphere_packing_rule,
@@ -561,7 +566,8 @@ def certify_code(code: SumRankCode, claim: str, *,
         cert.add_interval("covering_radius", radius)
     if note := join_notes(dist.note, radius and radius.note):  # each stop once
         cert.notes.append(note)
-    RULES[claim](cert, dist, radius)
+    proved_hi = RULES[claim](cert, dist, radius)
     if not dist.exact and cert.verdict != "inconclusive":
-        cert.notes.append(f"{cert.verdict} for every d in [{dist.lo}, {dist.hi}]")
+        hi = dist.hi if proved_hi is None else min(dist.hi, proved_hi)
+        cert.notes.append(f"{cert.verdict} for every d in [{dist.lo}, {hi}]")
     return cert

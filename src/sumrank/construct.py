@@ -540,22 +540,12 @@ def quasi_perfect_2xm(q: int, m: int, u: int) -> IngredientSumRankCode:
 
 
 @_recipe
-def quasi_perfect_2x2(t: int = 6, *, ingredient: hm.LinearCode | None = None
-                      ) -> IngredientSumRankCode:
-    """Binary 2 x 2 quasi-perfect family from a [t,k,4]_4 covering-2 code."""
-    base = make_field(2, [1])
-    ext = base.extension(2)
-    if ingredient is None:
-        _gate(t == 6, "the built-in hexacode ingredient covers t = 6; "
-                      "pass an explicit [t,k,4]_4 code of covering radius 2")
-        ingredient = hm.search_634_ingredient(ext)
-    _gate(ingredient.field == ext and ingredient.n == t,
-          "ingredient must be a length-t code over GF(4)")
-    radius, dp = hm.covering_radius(ingredient)
-    _gate(dp.distance == 4, "ingredient minimum distance must be 4")
-    _gate(radius == 2, "ingredient covering radius must be 2")
-    c1 = hm.parity_check_code(ext, t)
-    return sr_linearized([c1, ingredient], designed_distance=4)
+def quasi_perfect_2x2(t: int = 6) -> IngredientSumRankCode:
+    """Binary 2 x 2 quasi-perfect family from the hexacode, a [6,3,4]_4 covering-2 code."""
+    _gate(t == 6, "the hexacode ingredient has length 6, so t must be 6")
+    ext = make_field(2, [1]).extension(2)
+    return sr_linearized([hm.parity_check_code(ext, t), hm.search_634_ingredient(ext)],
+                         designed_distance=4)
 
 
 def _cyclic_d4_code(n: int, field: Field) -> hm.LinearCode:

@@ -508,40 +508,36 @@ def linear_map(p: int, images, width: int, values) -> np.ndarray:
     return out
 
 
-def array_mul(field: Field, dtype=np.int64):
-    """Elementwise product of `dtype` arrays of field elements.
+def array_mul(field: Field):
+    """Elementwise product of int64 arrays of field elements, as an int64 array.
 
-    The products a * b of a prime field and the log sums of a log-table
-    field are formed in `dtype` too, so it must hold them.
+    A prime field below 2^31 multiplies mod p, whose products fit int64; a
+    log-table field adds logs in its int64 exp/log tables; a larger field
+    calls `Field.mul` on each pair.
     """
     if field.is_prime_field and field.p < 1 << 31:
         p = field.p
         return lambda a, b: a * b % p
     if field.has_log_tables:
-        exp, log = (field.np_table(kind).astype(dtype) for kind in ("exp", "log"))
+        exp, log = field.np_table("exp"), field.np_table("log")
         return lambda a, b: exp[log[a] + log[b]]
     mul = np.frompyfunc(field.mul, 2, 1)
-    return lambda a, b: mul(a, b).astype(dtype)
-
-
-INT16_ORDER = 181  # largest order whose products, log and digit sums fit int16
+    return lambda a, b: mul(a, b).astype(np.int64)
 
 
 def rref(field: Field, rows):
     """Reduced row echelon form: (nonzero rows as one 2-D int64 array, pivot cols).
 
-    One numpy elimination: for each column the first nonzero row at or
-    below the current one is swapped up and scaled to a leading 1, and
+    One numpy elimination in int64: for each column the first nonzero row at
+    or below the current one is swapped up and scaled to a leading 1, and
     every other row nonzero in that column is cleared in one update,
     row_i + (-f_i) * pivot_row, on the columns from the pivot on (the pivot
     row is zero before it).  Products come from `array_mul`; sums are
-    digit-wise mod p on the packed base-p values.  Fields of order at most
-    `INT16_ORDER` are eliminated in int16, larger ones in int64.  `rows`
+    digit-wise mod p on the packed base-p values.  `rows`
     may be any 2-D sequence, an ndarray included; it is copied, not changed.
     """
-    dtype = np.int16 if field.order <= INT16_ORDER else np.int64
-    mat = np.array(rows, dtype=dtype, ndmin=2)
-    mul, add = array_mul(field, dtype), digit_adder(field.p, field.dim_over_prime)
+    mat = np.array(rows, dtype=np.int64, ndmin=2)
+    mul, add = array_mul(field), digit_adder(field.p, field.dim_over_prime)
     minus_one = field.p - 1  # -1 of the prime field, as a packed element
     pivots = []
     r = 0
@@ -563,7 +559,7 @@ def rref(field: Field, rows):
             mat[others, c:] = add(mat[others, c:], mul(f[:, None], row[None, :]))
         pivots.append(c)
         r += 1
-    return mat[:r].astype(np.int64), pivots
+    return mat[:r], pivots
 
 
 def nullspace(field: Field, rows, ncols: int, *, pivots=None):

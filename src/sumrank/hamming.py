@@ -154,7 +154,7 @@ class LinearCode(SumRankCode):
 
 
 def from_generator(field: Field, rows, *, family: str = "explicit",
-                   designed_distance: int | None = None, **meta) -> LinearCode:
+                   designed_distance: int | None = None) -> LinearCode:
     rows = [tuple(field.check(x) for x in r) for r in rows]
     if not rows:
         raise ValueError("use zero_code for the trivial {0} code")
@@ -163,7 +163,7 @@ def from_generator(field: Field, rows, *, family: str = "explicit",
     if len(red) != len(rows):
         raise ValueError("generator matrix rows are dependent")
     return LinearCode(field, n, tuple(nullspace(field, red, n, pivots=pivots)),
-                      family=family, designed_distance=designed_distance, **meta)
+                      family=family, designed_distance=designed_distance)
 
 
 def zero_code(field: Field, t: int) -> LinearCode:
@@ -449,8 +449,7 @@ def search_634_ingredient(field4: Field) -> LinearCode:
     """The hexacode, a [6,3,4] code over GF(4) of covering radius 2.
 
     The generator is [I | A] with A = [[1, 1, 1], [1, w, w^2], [1, w^2, w]],
-    w = 2.  The rows are fixed data, not searched for: the
-    `quasi-perfect-2x2` gate certifies d = 4 and R = 2 on the code it receives.
+    w = 2.  The rows are fixed data, not searched for.
     """
     if field4.order != 4:
         raise ValueError("the hexacode lives over GF(4)")

@@ -284,9 +284,6 @@ def _times(a: Iterator[int], b: Iterator[int]) -> Iterator[int]:
 # rank tables: the production weights of every block value
 # ----------------------------------------------------------------------
 
-_TABLE_CHUNK = 1 << 16  # rank-table cells filled per step
-
-
 def brute_rank_array(field: Field, n: int, m: int) -> np.ndarray:
     """Rank of every packed n x m matrix over the field, as one int8 table.
 
@@ -299,8 +296,9 @@ def brute_rank_array(field: Field, n: int, m: int) -> np.ndarray:
     order, so the q^m matrices that share H fill consecutive cells: all are
     set to rank H + 1, then the q^(n-1) combinations y^T H, formed on packed
     rows from a q x q^m table of scalar multiples with XOR (p = 2) or
-    digit-wise addition mod p, are set to rank H.  `_TABLE_CHUNK` cells are
-    filled per step, so only the int8 output grows with q^(nm).
+    digit-wise addition mod p, are set to rank H.  A row's int64 span sums,
+    scalar multiples and indices take at most 16 bytes a cell, so a step
+    fills `_CHUNK_BYTES` / 16 cells and only the int8 output grows with q^(nm).
     """
     q = field.order
     size = q ** (n * m)
@@ -316,7 +314,7 @@ def brute_rank_array(field: Field, n: int, m: int) -> np.ndarray:
     ranks = np.zeros(1, dtype=np.int8)  # the one matrix of no rows
     for k in range(1, n + 1):  # matrices of the last k rows, from those of k - 1
         high, ranks = ranks, np.empty(len(ranks) * width, dtype=np.int8)
-        step = max(1, _TABLE_CHUNK // width)
+        step = max(1, _CHUNK_BYTES // (16 * width))
         for lo in range(0, len(high), step):
             hi = min(lo + step, len(high))
             cells = ranks[lo * width:hi * width].reshape(hi - lo, width)

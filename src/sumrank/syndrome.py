@@ -83,7 +83,11 @@ SYNDROME_BUDGET = 1 << 16  # syndromes (q^codim) the DP may hold
 WORK_BUDGET = 1 << 30      # DP work units, as `SumRankCode.budgeted_dp` counts them
 
 _INF = 100                 # int8 sentinel above every leader weight
-_LAYOUT_BYTES = 1 << 16    # bytes of layout indices formed at once
+# Bytes of layout indices formed at once: kept below `_CHUNK_BYTES` because 1 MB pieces raise
+# the peak RSS of `certify distance-optimal --recipe distance-optimal-2x2 q=3` from 31.6 to
+# 32.9 MB (+4%, near the benchmark's 5% peak_rss_mb bound) and save no time beyond the
+# 10 ms spread of its 0.35 s (3 runs each, shared 2-core VM, Python 3.11, numpy 2.4).
+_LAYOUT_BYTES = 1 << 16
 
 
 class BudgetExceeded(RuntimeError):

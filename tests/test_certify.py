@@ -1023,7 +1023,23 @@ def test_certify_through_the_api_stays_under_the_str_digit_cap(int_str_digits, m
         "method": "composition(linearized: 4 bch, 2 parity, 2 parity) (interval)"}
     assert doc["notes"] == [f"syndrome budget {ct.SYNDROME_BUDGET} < 2^33 syndromes (q^codim); "
                             f"enum budget {ct.ENUM_BUDGET} < 2^36822 codewords (q^dim)",
-                            "certified for every d in [4, 6]"]
+                            "certified for every d in [4, 4]"]
+
+
+@pytest.mark.parametrize("claim, proved_hi", [
+    ("sphere-packing", 4), ("distance-optimal", 4), ("singleton", 6)])
+def test_a_deciding_note_names_the_range_its_rule_proved(claim, proved_hi):
+    """sxs q=2 s=3 m=3 past the DP states d in [4, 6].  V_sr(2) > 2^27 proves d <= 4, so the
+    sphere-packing and distance-optimal notes name [4, 4]: the sphere-packing check fails at
+    d = 5 and 6.  The Singleton rule proves no upper end of d, and its check holds at
+    d_hi = 6, so its note keeps [4, 6]."""
+    code = cs.build_recipe("distance-optimal-sxs", q=2, s=3, m=3)
+    cert = ct.certify_code(code, claim)
+    d = next(q for q in cert.quantities if q["name"] == "min_sum_rank_distance")
+    assert (cert.verdict, d["value"]) == ("certified", [4, 6])
+    assert cert.notes[-1] == f"certified for every d in [4, {proved_hi}]"
+    checks = {d: ct.sphere_packing_check(*counting(code), d).holds for d in (4, 5, 6)}
+    assert checks == {4: True, 5: False, 6: False}
 
 
 def test_a_parts_budget_stops_are_named_by_the_part():
@@ -1269,7 +1285,7 @@ SPHERE_PACKING_SHA256 = {
     "certify sphere-packing --recipe almost-msrd-2x2 q=7 t=49":
         (0, "da0bdfd705165e9aa9024d21ab06c32470b0eba24d3bc17ee119001665874550"),
     "certify sphere-packing --recipe distance-optimal-sxs q=2 s=3 m=3":
-        (0, "fb0f4ecd61cf0705bcea75911b639ad2e5a38c03754a574714772652630e4a0b"),
+        (0, "2bcf3d3662e09d50020a199e2d3f715f927c7929fd3ad08dd501a34b6060929e"),
 }
 
 

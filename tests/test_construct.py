@@ -281,13 +281,13 @@ def test_covering_vs_linearized_not_assumed_equivalent(f2, f4):
     assert len(set(lin.enumerate_packed())) == code_size(lin)
 
 
-@pytest.mark.parametrize("t, ingredient, message", [
-    (6, lambda f4: hm.parity_check_code(f4, 6), "minimum distance must be 4"),  # d = 2
-    (4, lambda f4: hm.reed_solomon(f4, 4, 1), "covering radius must be 2"),     # d = 4, R = 3
-])
-def test_quasi_perfect_2x2_gate_refuses_ingredient(f4, t, ingredient, message):
-    with pytest.raises(ValueError, match=message):
-        cs.quasi_perfect_2x2(t, ingredient=ingredient(f4))
+def test_quasi_perfect_2x2_builds_without_running_an_engine():
+    """The recipe only builds: no DP pass runs on either ingredient, the hexacode's d = 4 and
+    R = 2 are pinned by `test_search_634_ingredient`, and t is the one parameter it reads."""
+    code = cs.quasi_perfect_2x2(6)
+    assert [c.family for c in code.ingredients] == ["parity", "explicit"]
+    assert not any("syndrome_dp" in c.__dict__ for c in (code, *code.ingredients))
+    assert code.params == {"t": 6}
 
 
 def test_recipe_gates():

@@ -171,8 +171,8 @@ def test_systematic_cyclic_code_matches_rref(build):
     g = code.notes["generator_polynomial"]
     banded = [(0,) * s + tuple(g) + (0,) * (code.n - len(g) - s) for s in range(code.k)]
     oracle = hm.from_generator(code.field, banded, family=code.family,
-                               designed_distance=code.designed_distance,
-                               defining_set=code.defining_set)
+                               designed_distance=code.designed_distance)
+    oracle.defining_set = code.defining_set  # from_generator takes no defining set
     assert code.generator == oracle.generator
     assert np.array_equal(code.parity, oracle.parity)
     assert code.describe() == oracle.describe()
@@ -577,8 +577,8 @@ def _nullspace_oracle(field, rows, ncols):
     return basis
 
 
-# GF(181), GF(169) and GF(128) sit at the top of the int16 elimination
-# (gf.INT16_ORDER): the largest prime products, odd-p log sums and digit sums
+# GF(181), GF(169) and GF(128) are the largest orders drawn: they give the int64
+# elimination its largest prime products, odd-p log sums and digit sums
 RREF_FIELDS = [make_field(2, [1]), make_field(3, [1]), make_field(5, [1]),
                make_field(2, [2]), make_field(2, [3]), make_field(3, [2]),
                make_field(5, [2]), make_field(2, [2, 2]),

@@ -120,20 +120,21 @@ def test_rank_table_equals_elimination_on_every_matrix(q):
     shapes = [(n, m) for n in range(1, 5) for m in range(n, 5) if q ** (n * m) <= 1 << 12]
     for n, m in shapes:
         expected = [sp.rank(f, sp.unpack_matrix(f, v, n, m)) for v in range(q ** (n * m))]
-        for chunk in (sp._TABLE_CHUNK, 1):
-            with mock.patch.object(sp, "_TABLE_CHUNK", chunk):
+        for chunk in (sp._CHUNK_BYTES, 1):  # 1 byte: one row of cells a step
+            with mock.patch.object(sp, "_CHUNK_BYTES", chunk):
                 table = sp.brute_rank_array(f, n, m)
             assert table.dtype == np.int8 and table.tolist() == expected, (n, m, chunk)
         assert brute_rank_counts(f, n, m) == sp.rank_distribution(n, m, q)
 
 
 @pytest.mark.parametrize("q,n,m", [(2, 4, 4), (3, 2, 4)])
-@pytest.mark.parametrize("chunk", [256, sp._TABLE_CHUNK])
+@pytest.mark.parametrize("chunk", [256, sp._CHUNK_BYTES // 16])
 def test_rank_table_memory_is_the_output_plus_one_chunk(q, n, m, chunk):
-    """The int8 table twice, 16 bytes per chunk cell and the scalar-multiple table's build."""
+    """The int8 table twice, 16 bytes per chunk cell and the scalar-multiple table's build;
+    a step fills `_CHUNK_BYTES` / 16 cells."""
     f = field_of_order(q)
     sp.brute_rank_array(f, n, m)  # the field's mul table is built once, outside the trace
-    with mock.patch.object(sp, "_TABLE_CHUNK", chunk):
+    with mock.patch.object(sp, "_CHUNK_BYTES", 16 * chunk):
         tracemalloc.start()
         try:
             sp.brute_rank_array(f, n, m)
