@@ -39,9 +39,6 @@ from . import hamming as hm
 from .spaces import MatrixProfile, pack_matrix
 from .syndrome import ENUM_BUDGET, SrDistance, SumRankCode
 
-# Ingredient families of MDS codes: d = t - k + 1, and any t - k parity columns are independent
-_MDS = ("parity", "full", "reed-solomon", "repetition")
-
 
 def field_of_order(q: int) -> Field:
     """GF(q) for a prime power q, as a one-step tower over its prime field."""
@@ -228,21 +225,19 @@ class IngredientSumRankCode(SumRankCode):
                          tuple(self._lone_blocks(i, word).tolist()))
 
     def radius_bounds(self):
-        """R <= this rule when each family fixes its ingredient's R_H: a Hamming code is perfect,
-        R_H = 1, and an MDS code of redundancy rho = t - k has a coset leader inside any rho
-        positions, as any rho parity columns are independent.  A word of blocks L(a_0r, ...,
-        a_(n-1)r) is at distance sum_r rank L(e_0r, ..., e_(n-1)r) from the codeword of any c_i
-        in C_i, e_i = a_i - c_i.  Covering: row i of block r is e_ir, so R <= sum_i R_H(C_i).
-        Linearized: a block has n rows, so the distance is at most n |U|, U the union of the
-        supports.  Each general C_i has an e_i of support <= R_H(C_i); with their union listed
-        first, each MDS C_i has one in the first rho_i: R <= n max(sum_gen R_H, max_MDS rho_i)."""
-        if all(c.family in ("hamming", *_MDS) for c in self.ingredients):
-            ends = [1 if c.family == "hamming" else c.n - c.k for c in self.ingredients]
-            rhos = [r for r, c in zip(ends, self.ingredients) if c.family in _MDS]
-            hi = sum(ends) if self.construction == "covering" else self.rows * max(
-                [self.rows - len(rhos), *rhos])  # sum_general R_H: 1 per Hamming code
-            sources = ", ".join(f"{r} {c.family}" for r, c in zip(ends, self.ingredients))
-            yield SrDistance(0, hi, f"composition({self.construction}: {sources})")
+        """R <= this rule from any upper ends of the ingredients' R_H (`LinearCode.proven`).  A
+        word of blocks L(a_0r, ..., a_(n-1)r) is at distance sum_r rank L(e_0r, ..., e_(n-1)r)
+        from the codeword of any c_i in C_i, e_i = a_i - c_i.  Covering: row i of block r is
+        e_ir, so R <= sum_i R_H(C_i).  Linearized: the distance is at most n |U|, U the union of
+        the supports.  Each general C_i has an e_i of support <= R_H(C_i); with their union
+        listed first, each MDS C_i, of redundancy rho_i = t - k_i, has one in the first rho_i:
+        R <= n max(sum_gen R_H, max_MDS rho_i).  An MDS code with a lower end counts as general."""
+        ends = [c.proven.radius_hi for c in self.ingredients]
+        rhos = [end for c, end in zip(self.ingredients, ends) if c.proven.mds and end == c.n - c.k]
+        hi = sum(ends) if self.construction == "covering" else self.rows * max(
+            [sum(ends) - sum(rhos), *rhos])  # sum_general R_H, max_MDS rho_i
+        sources = ", ".join(f"{end} {c.family}" for end, c in zip(ends, self.ingredients))
+        yield SrDistance(0, hi, f"composition({self.construction}: {sources})")
 
     def describe(self) -> dict:
         return {
@@ -264,21 +259,16 @@ def _part_stops(part: str, note: str) -> str:
 
 
 def _ingredient_end(code: hm.LinearCode, distance) -> tuple[float, str, str | None, tuple | None]:
-    """A lower end of an ingredient's d (inf if k = 0), its source, its stops and a word: the
-    family's theorem, else `hm.bch_bound`; below the stamped design, or without one, the
-    engines' too, whose witness is then the word; else the word is `first_row`."""
-    lo, source, design = 0, None, code.designed_distance
-    if code.family in ("hamming", *_MDS):
-        lo, source = 3 if code.family == "hamming" else code.singleton, code.family
-    elif code.defining_set is not None:
-        lo, source = hm.bch_bound(code.defining_set, code.n)
+    """A lower end of an ingredient's d (inf if k = 0), its source, its stops and a word: what
+    its structure proves (`LinearCode.proven`), or, below the stamped design or without one, its
+    engines' end, which includes that; the word is their witness, else `first_row`."""
+    lo, source, design = code.proven.d_lo, code.proven.source, code.designed_distance
     if design is not None and lo >= design:
         return lo, source, None, code.first_row
     res = distance(code)
     if res.exact and design is not None and res.value != design:
         raise RuntimeError(f"designed distance {design} contradicts the exact value {res.value}")
-    word = res.witness or code.first_row
-    return (lo, source, res.note, word) if lo >= res.lo else (res.lo, res.method, res.note, word)
+    return res.lo, source if lo == res.lo else res.method, res.note, res.witness or code.first_row
 
 
 def sr_covering(ingredients, **meta) -> IngredientSumRankCode:
@@ -548,10 +538,10 @@ def quasi_perfect_2x2(t: int = 6) -> IngredientSumRankCode:
                          designed_distance=4)
 
 
-def _cyclic_d4_code(n: int, field: Field) -> hm.LinearCode:
-    """The cyclic code of defining set C0 u C1 u C2, stamped 4 where `hm.bch_bound` gives 4."""
-    code = hm.cyclic_code(n, field, [0, 1, 2])
-    code.designed_distance = 4 if hm.bch_bound(code.defining_set, n)[0] >= 4 else None
+def _cyclic_d4_code(n: int, field: Field, generators=(0, 1, 2)) -> hm.LinearCode:
+    """The cyclic code of the cosets of `generators`, stamped 4 where its proven end is 4."""
+    code = hm.cyclic_code(n, field, generators)
+    code.designed_distance = 4 if code.proven.d_lo >= 4 else None
     return code
 
 
@@ -618,14 +608,10 @@ def distance_optimal_rect(q: int, s1: int, s2: int, m: int,
 @_recipe
 def distance_optimal_2x2(q: int) -> IngredientSumRankCode:
     """2 x 2 distance-4 family of block length q^4 - 1."""
-    base = field_of_order(q)
-    ext = base.extension(2)
-    Q = ext.order
+    ext = field_of_order(q).extension(2)
     t = q ** 4 - 1
-    c1 = hm.cyclic_code(t, ext, [0, 1, Q + 1])
-    c1.designed_distance = 4
-    c2 = hm.parity_check_code(ext, t)
-    return sr_linearized([c1, c2], designed_distance=4)
+    return sr_linearized([_cyclic_d4_code(t, ext, [0, 1, ext.order + 1]),
+                          hm.parity_check_code(ext, t)], designed_distance=4)
 
 
 @_recipe

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 from math import comb, gcd
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +30,13 @@ from .syndrome import (ENUM_BUDGET, BudgetExceeded, SrDistance, SumRankCode,
 DENSE_CELL_LIMIT = 1 << 25
 
 
+class Proven(NamedTuple):  # what a code's structure proves (`LinearCode.proven`)
+    d_lo: int  # d >= d_lo, 0 when nothing proves more
+    source: str | None  # the theorem or bound behind d_lo
+    mds: bool  # d_lo = n - k + 1, k >= 1: any n - k parity columns are independent
+    radius_hi: int  # R_H <= radius_hi
+
+
 class LinearCode(SumRankCode):
     """An [n, k] linear code over an extension field: n blocks of 1 x 1.
 
@@ -43,7 +51,7 @@ class LinearCode(SumRankCode):
     def __init__(self, field: Field, n: int, parity, family: str = "explicit",
                  designed_distance: int | None = None,
                  defining_set: tuple[int, ...] | None = None, notes: dict | None = None):
-        self.field = field
+        self.field = self.base = field
         self.n = n
         self.parity = H = np.asarray(parity, dtype=np.int64).reshape(len(parity), n)
         H.flags.writeable = False
@@ -90,10 +98,6 @@ class LinearCode(SumRankCode):
         """The Singleton end n - k + 1 (k >= 1): the 1 x 1 exponent n - d + 1 read at d = k."""
         return singleton_like_exponent({(1, 1): self.n}, self.k)
 
-    @property
-    def base(self) -> Field:
-        return self.field
-
     @functools.cached_property
     def profile(self) -> MatrixProfile:
         return MatrixProfile(self.field, ((1, 1),) * self.n)
@@ -105,11 +109,24 @@ class LinearCode(SumRankCode):
     def _generator_rows_packed(self):
         return self.generator
 
+    @functools.cached_property
+    def proven(self) -> Proven:
+        """d >= the builder's theorem, 3 for a Hamming code and n - k + 1 for the MDS families,
+        else `bch_bound` of the defining set; R_H <= 1 for a Hamming code, which is perfect,
+        else n - k, as every syndrome is a combination of n - k independent columns."""
+        lo, source = 0, None
+        if self.family in ("hamming", "parity", "full", "reed-solomon", "repetition"):
+            lo, source = 3 if self.family == "hamming" else self.singleton, self.family
+        elif self.defining_set is not None:
+            lo, source = bch_bound(self.defining_set, self.n)
+        return Proven(lo, source, self.k >= 1 and lo == self.singleton,
+                      1 if self.family == "hamming" else self.n - self.k)
+
     def distance_bounds(self, budget, distance):
         yield (res := min_distance(self, budget))  # the support search, for d <= 4
-        if self.defining_set is not None:  # a point at Singleton: the first row weighs that
-            lo, source = bch_bound(self.defining_set, self.n)
-            yield SrDistance(lo, res.hi, source, self.first_row if lo == res.hi else None)
+        if (proven := self.proven).source:  # MDS: a point, which the first row weighs
+            yield SrDistance(proven.d_lo, res.hi, proven.source,
+                             self.first_row if proven.mds else None)
 
     def __repr__(self) -> str:
         d = self.designed_distance
@@ -199,10 +216,7 @@ def cyclic_code(n: int, field: Field, generators) -> LinearCode:
     if n < 1:
         raise ValueError("length must be positive")
     ell = len(cyclotomic_coset(1, Q, n))  # ord_n(Q); also validates gcd(n, Q) = 1
-    T: set[int] = set()
-    for g in generators:
-        T.update(cyclotomic_coset(g, Q, n))
-    T_sorted = tuple(sorted(T))
+    T_sorted = tuple(sorted({r for g in generators for r in cyclotomic_coset(g, Q, n)}))
     r = len(T_sorted)
     k = n - r
     if k == 0:

@@ -769,22 +769,44 @@ def test_covering_construction_bounds_from_ingredients(ingredients):
 
 @st.composite
 def theorem_ingredient_codes(draw):
-    """A covering or linearized code from ingredients whose families fix d and R_H: Hamming,
-    parity, full, Reed-Solomon and repetition codes of one length t over GF(q^m), for p = 2
-    and odd p, n < m and n = m rows, at q^codim <= 2^12.  A Hamming code of redundancy 2 has
-    length Q + 1, Q = q^m, the longest Reed-Solomon length."""
+    """A covering or linearized code from ingredients of one length t over GF(q^m), for p = 2
+    and odd p, n < m and n = m rows, at q^codim <= 2^12.  Families that fix d and R_H
+    (Hamming, parity, full, Reed-Solomon, repetition) mix with general ones: a random
+    `hm.from_generator` code of redundancy <= 2 and, where gcd(t, Q) = 1, a random
+    `hm.cyclic_code`, which for t | Q - 1 includes T = {0, 1, 2}, MDS by its BCH run.  A
+    Hamming code of redundancy 2 has length Q + 1, Q = q^m, the longest Reed-Solomon length."""
     q, m = draw(st.sampled_from([(2, 2), (2, 3), (3, 2)]))
     ext = cs.field_of_order(q).extension(m)
+    Q = ext.order
     construction = draw(st.sampled_from(["covering", "linearized"]))
     rows = m if construction == "covering" else draw(st.integers(1, m))
-    t = draw(st.sampled_from([ext.order + 1, draw(st.integers(2, ext.order + 1))]))
+    t = draw(st.sampled_from([Q + 1, *(n for n in range(4, Q) if (Q - 1) % n == 0),
+                              draw(st.integers(2, Q + 1))]))
+
+    def explicit():
+        rho = draw(st.integers(0, min(2, t - 1)))
+        cols = draw(st.permutations(range(t)))
+        gen = [[int(j == i) for j in range(t - rho)]
+               + draw(st.lists(st.integers(0, Q - 1), min_size=rho, max_size=rho))
+               for i in range(t - rho)]
+        return hm.from_generator(ext, [[row[c] for c in cols] for row in gen])
+
+    def cyclic():
+        T = {0, 1, 2} if (Q - 1) % t == 0 and draw(st.booleans()) else set(draw(st.lists(
+            st.integers(0, t - 1), min_size=1, max_size=2)))
+        assume(len({r for g in T for r in hm.cyclotomic_coset(g, Q, t)}) < t)
+        return hm.cyclic_code(t, ext, sorted(T))
+
     builders = {"parity": lambda: hm.parity_check_code(ext, t),
                 "full": lambda: hm.full_code(ext, t),
                 "reed-solomon": lambda: hm.reed_solomon(ext, t, t - draw(st.integers(
                     0, min(3, t - 1)))),
-                "repetition": lambda: hm.repetition_code(ext, t)}
-    if t == ext.order + 1:
+                "repetition": lambda: hm.repetition_code(ext, t),
+                "explicit": explicit}
+    if t == Q + 1:
         builders["hamming"] = lambda: hm.hamming_code(ext, 2)
+    if math.gcd(t, Q) == 1:
+        builders["cyclic"] = cyclic
     families = draw(st.lists(st.sampled_from(sorted(builders)), min_size=rows, max_size=rows))
     assume(families.count("repetition") * (t - 1) <= 12)  # rho = t - 1 each
     code = cs.IngredientSumRankCode(construction, [builders[f]() for f in families])
@@ -799,14 +821,20 @@ def theorem_ingredient_codes(draw):
 def test_exact_d_and_r_lie_in_the_intervals_the_rules_give(code):
     """With the DP and enumeration at budget 0, d comes from the composition and sphere
     packing and R from the ingredient rule, sphere covering and codim; the DP's exact d and
-    R lie inside those intervals, and the rule's end is at least the DP's R."""
+    R lie inside those intervals, and the rule's end is at least the DP's R.  Each
+    ingredient's proven ends hold at its own DP: d >= d_lo, d = n - k + 1 when it is called
+    MDS, and R_H <= radius_hi."""
     dp = code.syndrome_dp
     d = ct.sr_min_distance(code, 0, syndrome_budget=0)
     radius = ct.sr_radius(code, syndrome_budget=0)
     assert d.lo <= dp.distance <= d.hi, (d, dp.distance)
     assert radius.lo <= dp.radius <= radius.hi, (radius, dp.radius)
     (rule,) = code.radius_bounds()
-    assert dp.radius <= rule.hi
+    assert dp.radius <= rule.hi, (rule, dp.radius)
+    for c in code.ingredients:
+        proven, own = c.proven, c.syndrome_dp
+        assert proven.d_lo <= own.distance and own.radius <= proven.radius_hi, (c, proven)
+        assert not proven.mds or own.distance == c.n - c.k + 1, (c, proven)
 
 
 def test_certify_perfect_full_space(f4):
@@ -819,8 +847,8 @@ def test_certify_perfect_full_space(f4):
 
 @pytest.fixture(scope="module")
 def hexacode_code():
-    """quasi-perfect-2x2: its hexacode ingredient's family fixes no R_H, so no rule bounds R
-    from above past the DP."""
+    """quasi-perfect-2x2: nothing proves its hexacode ingredient's R_H below n - k = 3, so
+    past the DP the ingredient rule bounds R by 2 max(3, 1) = 6, above sphere covering's 2."""
     return cs.quasi_perfect_2x2(6)
 
 
@@ -1109,14 +1137,18 @@ def test_distance_optimal_2x2_reads_its_ingredient_from_the_defining_set(q, monk
 
 def test_hamming_budget_stop_joins_both_notes(f4):
     """A Hamming code past every budget keeps the DP and enumeration stops, then the
-    support search's note."""
+    support search's note; its builder's theorem gives the lower end 3, the search the
+    Singleton end 4, also at budget 0, where the search alone stops at weight 1."""
     code = hm.hamming_code(f4, 3)  # [21, 18, 3]_4: 4^3 syndromes, 4^18 codewords
     d = ct.sr_min_distance(code, budget=30, syndrome_budget=2)
-    assert (d.lo, d.hi, d.method, d.witness) == (2, 4, "support_test", None)
+    assert (d.lo, d.hi, d.method, d.witness) == (3, 4, "hamming / support_test", None)
     assert d.note == ("syndrome budget 2 < 4^3 syndromes (q^codim); "
                       "enum budget 30 < 4^18 codewords (q^dim); "
                       "enum budget 30 < 63 half-words of the weight-2 support search")
     assert hm.min_distance(code, 30).note == d.note.split("; ")[2]
+    off = ct.sr_min_distance(code, 0, syndrome_budget=0)
+    assert (off.lo, off.hi, off.method, hm.min_distance(code, 0).lo) == (
+        3, 4, "hamming / support_test", 1)
     with pytest.raises(AttributeError):
         d.note = None
     settled = ct.sr_min_distance(code, syndrome_budget=2)  # the support search settles d
@@ -1140,8 +1172,8 @@ def test_quasi_perfect_q4_u3_fits_the_default_budgets():
 
 def test_dp_budget_stop_is_noted_once(hexacode_code):
     """2^8 syndromes over budget 1 stop the DP for both d and R: enumeration settles d, whose
-    point notes nothing, and R's interval names the stop, once.  The hexacode's family fixes
-    no R_H, so R stays [2, 8] and nothing decides."""
+    point notes nothing, and R's interval names the stop, once.  The ingredient rule reads
+    the hexacode's R_H at n - k = 3, so R stays [2, 6] and nothing decides."""
     cert = ct.certify_code(hexacode_code, "quasi-perfect", syndrome_budget=1)
     assert cert.exit_code == 2
     assert cert.notes == ["syndrome budget 1 < 2^8 syndromes (q^codim)"]

@@ -275,9 +275,10 @@ def test_quasi_perfect_family_is_certified_from_its_ingredients(claim, q, m, u):
 def test_a_budget_stop_that_no_rule_decides_states_both_intervals(tmp_path, capsys):
     """quasi-perfect-2x2 past every budget: its hexacode ingredient has no theorem and its
     own engines stop, so d is [2, 4] (the composition of 2 and the stopped search's 1, up to
-    the parity word of weight 2 alone in one of 2 rows) and R is [2, 8] (sphere covering,
-    and codim): nothing decides.  The DP's
-    stop, which stops both, is named once, in the one note."""
+    the parity word of weight 2 alone in one of 2 rows) and R is [2, 6] (sphere covering,
+    and the ingredient rule 2 max(3, 1) from the hexacode's n - k = 3 and the parity code's
+    rho = 1): nothing decides.  The DP's stop, which stops both, is named once, in the one
+    note."""
     cert = tmp_path / "cert.json"
     code, out, _ = run(capsys, "certify", "quasi-perfect", "--recipe", "quasi-perfect-2x2",
                        "t=6", "--syndrome-budget", "1", "--enum-budget", "1", "--out", str(cert))
@@ -286,8 +287,8 @@ def test_a_budget_stop_that_no_rule_decides_states_both_intervals(tmp_path, caps
     assert doc["quantities"][2:] == [
         {"name": "min_sum_rank_distance", "value": [2, 4],
          "method": "composition(linearized: 2 parity, 1 support_test) (interval)"},
-        {"name": "covering_radius", "value": [2, 8],
-         "method": "sphere covering / R <= codim (interval)"}]
+        {"name": "covering_radius", "value": [2, 6],
+         "method": "sphere covering / composition(linearized: 1 parity, 3 explicit) (interval)"}]
     assert doc["notes"] == ["syndrome budget 1 < 2^8 syndromes (q^codim); "
                             "enum budget 1 < 2^16 codewords (q^dim); "
                             "ingredient 1 (explicit): syndrome budget 1 < 4^3 syndromes "
@@ -296,6 +297,22 @@ def test_a_budget_stop_that_no_rule_decides_states_both_intervals(tmp_path, caps
                             "ingredient 1 (explicit): enum budget 1 < 6 half-words of the "
                             "weight-1 support search"]
     assert out.count("syndrome budget 1 < 2^8") == 1
+
+
+@pytest.mark.parametrize("recipe, radius", [
+    (("distance-optimal-sxs", "q=5", "s=2", "m=1"), "[2, 6]   [sphere covering / "
+     "composition(linearized: 3 cyclic, 1 parity) (interval)]"),
+    (("distance-optimal-2x2", "q=5"), "[2, 8]   [sphere covering / "
+     "composition(linearized: 4 cyclic, 1 parity) (interval)]"),
+], ids=["sxs-q5", "2x2-q5"])
+def test_the_ingredient_rule_bounds_r_past_the_dp_for_cyclic_ingredients(capsys, recipe, radius):
+    """Past the DP, R <= 2 max(rho_cyc, 1) for the distance-4 families over GF(25): the cyclic
+    code of sxs q=5 has T = {0, 1, 2} mod 24, which Hartmann-Tzeng proves MDS, so its
+    rho = 3 enters the max; the 2x2 one, of T = {0, 1, 25, 26} mod 624, is general, at
+    R_H <= n - k = 4.  Sphere covering gives R >= 2, so nothing decides."""
+    code, out, _ = run(capsys, "certify", "quasi-perfect", "--recipe", *recipe)
+    assert code == 2
+    assert f"  covering_radius          = {radius}" in out.splitlines()
 
 
 def test_a_misstamped_ingredient_is_an_internal_error(capsys, monkeypatch):
@@ -919,12 +936,12 @@ def test_missing_out_directory_refused_before_work(tmp_path, capsys, monkeypatch
     (("construct", "distance-optimal-2x2", "q=3"),
      "c3ed45fcb063272dafedbe3f89622ed3dc77f3cae8c1861caadeab9f8d5984bc"),
     (("certify", "quasi-perfect", "--recipe", "quasi-perfect-2xm", "q=2", "m=2", "u=2"),
-     "e563a2a57dc91ae3f51549be1cda43ceedc0d2f765cd71df1389f6b60cac6a75"),
+     "445bc11f49b1eabda5048e37beb18b1c9086d747bd59a501f92bd329faa7dae1"),
 ], ids=["descriptor", "certificate"])
 def test_out_bytes_are_pinned(tmp_path, capsys, argv, sha256):
     # the hashes are those of json.dump(s)(..., sort_keys=True, indent=2),
     # which wrote both kinds of --out file before the streaming writer; the
-    # certificate's includes its toolchain-version, sumrank 0.2.11
+    # certificate's includes its toolchain-version, sumrank 0.2.12
     out = tmp_path / "out.json"
     assert run(capsys, *argv, "--out", str(out))[0] == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256

@@ -323,14 +323,14 @@ def test_min_distance_support_witness(f4):
 
 def test_a_singleton_point_forms_no_generator():
     """The [8193, 8192, 2]_4 parity code is cyclic with T = {0}.  With every engine off, the
-    support search stops at weight 1 below its Singleton end 2, which the BCH bound meets:
-    a point witnessed by `first_row`, of weight 2, with no 8192 x 8193 generator formed (the
-    size gate refuses it)."""
+    support search stops at weight 1 below its Singleton end 2, which the parity family's
+    theorem meets before the BCH bound is read: a point witnessed by `first_row`, of weight
+    2, with no 8192 x 8193 generator formed (the size gate refuses it)."""
     code = hm.parity_check_code(cs.field_of_order(4), 8193)
     start = time.perf_counter()
     res = ct.sr_min_distance(code, 0, syndrome_budget=0)
     assert time.perf_counter() - start < 1
-    assert (res.lo, res.hi, res.method) == (2, 2, "bch")
+    assert (res.lo, res.hi, res.method) == (2, 2, "parity")
     assert hamming_weight(res.witness) == 2 and contains_packed(code, res.witness)
     assert "generator" not in code.__dict__
     with pytest.raises(ValueError, match="size gate"):
