@@ -1,20 +1,19 @@
 """Exact sum-rank invariants and bound certification.
 
 Minimum distance and covering radius are each one intersection (`settle`) of interval
-sources, read cheapest first under explicit budgets: for d the zero code, the code's one
-syndrome-DP pass, enumeration, the code's own rule (`SumRankCode.distance_bounds`), sphere
-packing (d <= 2r, V_sr(r) > q^codim) and [1, N]; for R the DP, the code's own rule
-(`SumRankCode.radius_bounds`), sphere covering (R >= r, V_sr(r) >= q^codim) and [0, codim].
-A Hamming-metric code is a sum-rank code of 1 x 1 blocks and takes the same sources.  Each
-comes as an `SrDistance`, a point or, past a budget, an interval; a point of d carries a
-codeword of its weight.  `certify_code` decides a claim by one rule on the intervals of d
-and R: exact integer comparisons at their ends that settle it for every value in between,
-else inconclusive (see `RULES`); sphere packing compares both ends of d with one packing
-radius (`spaces.packing_radius`).  Every bound evaluator validates its hypotheses before
-producing a value.  Counting bounds on |C| = q^dim compare exponents, V_sr(r) with q^codim
-and dim with the Singleton-like exponent, and print each power of q as `q^e`: no q^N or
-q^dim is formed.  Transcendental bounds are advisory and carry their assumptions in the
-certificate.
+sources, read in the order set here, under explicit budgets.  d reads the zero code, what
+the code's structure proves (`SumRankCode.distance_bounds`, no engine), the engines (the
+syndrome DP, enumeration, then the code's own search, `SumRankCode.distance_searches`: a
+Hamming-metric code's support search), sphere packing (d <= 2r, V_sr(r) > q^codim) and
+[1, N].  R reads the DP, the code's rule (`SumRankCode.radius_bounds`), sphere covering
+(R >= r, V_sr(r) >= q^codim) and [0, codim].  A Hamming-metric code is a sum-rank code of
+1 x 1 blocks.  Each source is an `SrDistance`, a point or an interval; a point of d carries
+a codeword of its weight.  `certify_code` decides a claim by one rule on the intervals of d
+and R (`RULES`): exact integer comparisons at their ends that settle it for every value in
+between, else inconclusive.  Bound evaluators validate their hypotheses first.  Counting
+bounds on |C| = q^dim compare exponents (V_sr(r) with q^codim, dim with the Singleton-like
+exponent) and print powers of q as `q^e`: no q^N or q^dim is formed.  Transcendental bounds
+are advisory and carry their assumptions in the certificate.
 """
 
 from __future__ import annotations
@@ -37,20 +36,18 @@ from .syndrome import covering_radius as sr_covering_radius
 
 TOOLCHAIN_VERSION = f"sumrank {__version__}"
 
-DP_METHOD = "syndrome-dp"
-
 
 # ----------------------------------------------------------------------
 # minimum sum-rank distance
 # ----------------------------------------------------------------------
 
 def settle(sources, witnessed: bool = False) -> SrDistance:
-    """Intersect interval sources, read cheapest first: lo is the greatest lower end and hi
-    the least upper end, an earlier source keeping a tied end; a str item is a stop.  With
-    `witnessed` (d), an end at lo counts only with its word, or at inf (the zero code).  The
-    first point ends the reading, with the witness of hi's source and no note.  An interval
-    has no witness; its note joins the stops met, then the notes of its ends' sources,
-    which also name its method."""
+    """Intersect interval sources in their order (module docstring): lo is the greatest lower
+    end and hi the least upper end, an earlier source keeping a tied end; a str item is a
+    stop.  With `witnessed` (d), an end at lo counts only with its word, or at inf (the zero
+    code).  The first point ends the reading, with the witness of hi's source and no note.  An
+    interval has no witness; its note joins the stops met, then the notes of the sources read,
+    and its ends' sources name its method."""
     stops, ends = [], []
     for src in sources:
         if isinstance(src, str):
@@ -69,7 +66,7 @@ def settle(sources, witnessed: bool = False) -> SrDistance:
     method = low.method if low.method == high.method else f"{low.method} / {high.method}"
     if low.lo == high.hi:
         return SrDistance(low.lo, high.hi, method, high.witness)
-    return SrDistance(low.lo, high.hi, method, note=join_notes(*stops, low.note, high.note))
+    return SrDistance(low.lo, high.hi, method, note=join_notes(*stops, *(s.note for s in ends)))
 
 
 def join_notes(*notes) -> str | None:
@@ -80,25 +77,26 @@ def join_notes(*notes) -> str | None:
 def sr_min_distance(code: SumRankCode, budget: int = ENUM_BUDGET, *,
                     syndrome_budget: int = SYNDROME_BUDGET,
                     work_budget: int = WORK_BUDGET) -> SrDistance:
-    """Exact minimum distance, or a certified interval: d's sources, `settle`d (see the
-    module docstring).  The DP and enumeration need rank tables, so neither runs on a block
+    """Exact minimum distance, or a certified interval: d's sources in their order (module
+    docstring), `settle`d.  The DP and enumeration need rank tables, so neither runs on a block
     past the rank-table cap; a source that may not run gives its stop instead."""
     def sources():
         if code.dim == 0:
             yield SrDistance(math.inf, math.inf, "zero code")
+        yield from code.distance_bounds(budget, lambda part: sr_min_distance(
+            part, budget, syndrome_budget=syndrome_budget, work_budget=work_budget))
         try:
             dp = code.budgeted_dp(syndrome_budget, work_budget)
         except BudgetExceeded as exc:
             yield str(exc)
         else:
-            yield SrDistance(dp.distance, dp.distance, DP_METHOD, dp.witness)
+            yield SrDistance(dp.distance, dp.distance, "syndrome-dp", dp.witness)
         stop = code.enum_stop(budget) or rank_table_stop(code.base, code.profile.blocks)
         if not stop:
             weight, witness = least_weight_word(code.base, code._generator_rows_packed(),
                                                 code.profile.blocks)
         yield stop or SrDistance(weight, weight, "exhaustive", witness)
-        yield from code.distance_bounds(budget, lambda part: sr_min_distance(
-            part, budget, syndrome_budget=syndrome_budget, work_budget=work_budget))
+        yield from code.distance_searches(budget)
         r = packing_radius(*_counts(code), (code.profile.N - 1) // 2)  # d <= 2r
         yield from [SrDistance(1, 2 * r, "sphere packing")] if r else []
         # one block of one row: every nonzero word, the first generator row too, weighs 1
@@ -116,7 +114,7 @@ def sr_radius(code: SumRankCode, **budgets) -> SrDistance:
     def sources():
         try:  # the DP, under `budgets`, through the name the benchmark's tracing wraps
             radius, _ = sr_covering_radius(code, **budgets)
-            yield SrDistance(radius, radius, DP_METHOD)
+            yield SrDistance(radius, radius, "syndrome-dp")
         except BudgetExceeded as exc:
             yield str(exc)
         yield from code.radius_bounds()

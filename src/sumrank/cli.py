@@ -278,9 +278,9 @@ def cmd_selftest(args) -> int:
         ("GF(3) 2x3 rank table = elimination", rank_array(f3, 2, 3).tolist()
          == [rank(f3, unpack_matrix(f3, v, 2, 3)) for v in range(3 ** 6)]),
         ("ball volume 112", ball_volume_exact(MatrixProfile(f2, ((2, 2),) * 2), 2) == 112),
-        ("Hamming [5,3,3]_4 d=3", ct.sr_min_distance(h).value == 3),
+        ("Hamming [5,3,3]_4 d=3 (syndrome DP)", h.budgeted_dp().distance == 3),
         ("Hamming [5,3,3]_4 R=1", hm.covering_radius(h)[0] == 1),
-        ("almost-MSRD d=4 defect=2", ct.sr_min_distance(am).value == 4
+        ("almost-MSRD d=4 defect=2 (syndrome DP)", am.budgeted_dp().distance == 4
          and ct.singleton_defect(am.profile, am.dim, 4) == 2),
         ("quasi-perfect 2x2 over GF(5) d=3 R=2 (syndrome DP)",
          (dp.distance, dp.radius) == (3, 2)),

@@ -214,15 +214,15 @@ class IngredientSumRankCode(SumRankCode):
         """The composition bound, up to the lightest word c of one ingredient i alone, of weight
         n wt_H(c) (z -> c_r phi(z^(q^i)) is injective) or, covering, wt_H(c) (one row)."""
         ends = [_ingredient_end(code, distance) for code in self.ingredients]
-        yield from (_part_stops(f"ingredient {i} ({code.family})", note)  # each one's stops
-                    for i, (code, (*_, note, _)) in enumerate(zip(self.ingredients, ends)) if note)
+        stops = _part_stops((f"ingredient {i} ({code.family})", note)  # each one's stops
+                            for i, (code, (*_, note, _)) in enumerate(zip(self.ingredients, ends)))
         lo = self.composition_lower_bound([d for d, *_ in ends])
         sources = ", ".join(f"{d} {source}" for d, source, *_ in ends)
         rank = self.rows if self.construction == "linearized" else 1
         hi, i, word = min((rank * (len(word) - word.count(0)), i, word)  # i breaks every tie
                           for i, (*_, word) in enumerate(ends) if word)
         yield SrDistance(lo, hi, f"composition({self.construction}: {sources})",
-                         tuple(self._lone_blocks(i, word).tolist()))
+                         tuple(self._lone_blocks(i, word).tolist()), stops)
 
     def radius_bounds(self):
         """R <= this rule from any upper ends of the ingredients' R_H (`LinearCode.proven`).  A
@@ -253,9 +253,10 @@ class IngredientSumRankCode(SumRankCode):
         }
 
 
-def _part_stops(part: str, note: str) -> str:
-    """A part's "; "-joined budget stops, each prefixed by the part's name."""
-    return "; ".join(f"{part}: {stop}" for stop in note.split("; "))
+def _part_stops(parts) -> str | None:
+    """The "; "-joined budget stops of (part, note) pairs, each prefixed by its part's name."""
+    return "; ".join(f"{part}: {stop}" for part, note in parts if note
+                     for stop in note.split("; ")) or None
 
 
 def _ingredient_end(code: hm.LinearCode, distance) -> tuple[float, str, str | None, tuple | None]:
@@ -391,12 +392,11 @@ class PlotkinSumRankCode(SumRankCode):
     def distance_bounds(self, budget, distance):
         # d = min(2 d1, d2), witnessed by (c1 | c1) or (0 | c2); a zero part's d is inf
         d1, d2 = distance(self.first), distance(self.second)
-        yield from (_part_stops(part, d.note)  # the parts' stops
-                    for part, d in (("first part", d1), ("second part", d2)) if d.note)
         ends = [(2 * d1.lo, 2 * d1.hi, d1.witness and d1.witness * 2),
                 (d2.lo, d2.hi, d2.witness and (0,) * self.first.profile.t + d2.witness)]
         hi, witness = min(ends, key=lambda end: end[1])[1:]
-        yield SrDistance(min(end[0] for end in ends), hi, "composition(plotkin)", witness)
+        yield SrDistance(min(end[0] for end in ends), hi, "composition(plotkin)", witness,
+                         _part_stops((("first part", d1.note), ("second part", d2.note))))
 
     def describe(self) -> dict:
         return {

@@ -122,11 +122,13 @@ class LinearCode(SumRankCode):
         return Proven(lo, source, self.k >= 1 and lo == self.singleton,
                       1 if self.family == "hamming" else self.n - self.k)
 
-    def distance_bounds(self, budget, distance):
-        yield (res := min_distance(self, budget))  # the support search, for d <= 4
+    def distance_bounds(self, budget, distance):  # structure only: [d_lo, Singleton] of `proven`
         if (proven := self.proven).source:  # MDS: a point, which the first row weighs
-            yield SrDistance(proven.d_lo, res.hi, proven.source,
+            yield SrDistance(proven.d_lo, self.singleton, proven.source,
                              self.first_row if proven.mds else None)
+
+    def distance_searches(self, budget):
+        return [min_distance(self, budget)]  # the support search, for d <= 4
 
     def __repr__(self) -> str:
         d = self.designed_distance
@@ -384,15 +386,11 @@ def _half_words(code: LinearCode, w: int) -> int:
 
 
 def min_distance(code: LinearCode, budget: int = ENUM_BUDGET) -> SrDistance:
-    """Minimum distance by the support search, for d <= 4.
-
-    Certifies d >= w + 1 by the absence of dependent column sets of size
-    <= w and exhibits a weight witness.  When d > 4 the result is the
-    interval [5, Singleton].  The search lists its half-words only while
-    they fit `budget`; past it the result is the interval [w, Singleton],
-    with a note naming the budget.  A lower end at Singleton is a point,
-    witnessed by `first_row`, which weighs at most that much.
-    """
+    """The support search for d <= 4, read by `certify` after the DP and enumeration: no
+    dependent set of <= w columns proves d >= w + 1, and a word of weight w is the witness;
+    [5, Singleton] when d > 4.  It lists its half-words only while they fit `budget`; past it
+    the result is [w, Singleton], noting the budget.  A lower end at Singleton is a point,
+    witnessed by `first_row`, which weighs at most that much."""
     if code.k == 0:
         raise ValueError("the zero code has no nonzero codeword")
     lo, singleton, note = 5, code.singleton, None

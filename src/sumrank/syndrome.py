@@ -520,7 +520,11 @@ class SumRankCode:
         raise NotImplementedError
 
     def distance_bounds(self, budget: int, distance):
-        """The code's own sources of d for `certify.settle`, `distance(part)` a part's: none."""
+        """What the code's structure proves of d (no engine), `distance(part)` a part's: none."""
+        return ()
+
+    def distance_searches(self, budget: int):
+        """The code's own engine for d, read after the DP and enumeration: none."""
         return ()
 
     def radius_bounds(self):

@@ -135,9 +135,12 @@ def test_criterion_03_quasi_perfect_2xm(qp_2xm, f2):
     assert code.profile.t == 5 and code.dim == 14
     validate_rank_tables(f2, {(2, 2)})
     # syndrome-DP distance over the 64 syndromes, weights by validated tables
+    dp = code.budgeted_dp()
+    assert dp.distance == 3 and elimination_weight(code, dp.witness) == 3
+    # the composition's [3, 4] is read first, and the DP closes it with its word
     dist = ct.sr_min_distance(code)
-    assert dist.method == "syndrome-dp" and dist.value == 3
-    assert elimination_weight(code, dist.witness) == 3
+    assert dist.method == "composition(linearized: 3 hamming, 2 parity) / syndrome-dp"
+    assert (dist.value, dist.witness) == (3, dp.witness)
     # exact covering radius: 64-syndrome DP over the 2^20 ambient
     radius, table = ct.sr_covering_radius(code)
     assert radius == 2 and len(table.leader_weight) == 64
@@ -225,9 +228,12 @@ def test_criterion_06_binary_2x2_quasi_perfect(qp_2x2, f2, f4):
     assert ct.sr_covering_radius_sweep(ingredient)[0] == 2
     # syndrome-DP d_sr over the 256 syndromes
     validate_rank_tables(f2, {(2, 2)})
+    dp = code.budgeted_dp()
+    assert dp.distance == 4 and elimination_weight(code, dp.witness) == 4
+    # the composition, read first, closes d with the parity word alone in its row
     dist = ct.sr_min_distance(code)
-    assert dist.method == "syndrome-dp" and dist.value == 4
-    assert elimination_weight(code, dist.witness) == 4
+    assert dist.method == "composition(linearized: 2 parity, 4 syndrome-dp)"
+    assert dist.value == 4 and elimination_weight(code, dist.witness) == 4
     # exact R_sr: syndrome DP, then the full 2^24 ambient sweep oracle
     radius, table = ct.sr_covering_radius(code)
     assert radius == 2 and len(table.leader_weight) == 2 ** code.codim

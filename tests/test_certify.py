@@ -21,7 +21,7 @@ from sumrank import hamming as hm
 from sumrank import spaces as sp
 from sumrank import cli
 from sumrank.cli import build_parser, main, parse_params
-from sumrank.syndrome import SrDistance, SumRankCode, budget_stop
+from sumrank.syndrome import SrDistance, SumRankCode, budget_stop, least_weight_word
 
 from oracles import (blf_relation_check, blf_witness, code_size, contains_packed, counting,
                      generator_parity, hamming_weight, singleton_full, singleton_walk,
@@ -39,19 +39,28 @@ def am_code():
 
 
 def test_sr_min_distance_exhaustive(qp_code, am_code):
+    """The DP's own d and word; `sr_min_distance` reads the composition's [3, 4] first, and
+    the DP closes it at 3."""
+    dp = qp_code.budgeted_dp()
+    assert dp.distance == 3
+    assert sp.sum_rank_weight(qp_code.to_word(dp.witness)) == 3
     d = ct.sr_min_distance(qp_code)
-    assert d.value == 3 and d.method == "syndrome-dp"
-    assert sp.sum_rank_weight(qp_code.to_word(d.witness)) == 3
-    d2 = ct.sr_min_distance(am_code)
-    assert d2.value == 4
+    assert (d.value, d.method, d.witness) == (
+        3, "composition(linearized: 3 hamming, 2 parity) / syndrome-dp", dp.witness)
+    assert am_code.budgeted_dp().distance == ct.sr_min_distance(am_code).value == 4
 
 
 def test_sr_min_distance_exhaustive_below_syndrome_budget(qp_code):
-    """A syndrome budget below q^codim = 64 sends d to exhaustive enumeration."""
+    """A syndrome budget below q^codim = 64 sends d to exhaustive enumeration, which closes
+    the composition's [3, 4] at 3 with the first least-weight word."""
+    weight, word = least_weight_word(qp_code.base, qp_code._generator_rows_packed(),
+                                     qp_code.profile.blocks)
+    assert weight == 3
+    assert sp.sum_rank_weight(qp_code.to_word(word)) == 3
+    assert contains_packed(qp_code, word)
     d = ct.sr_min_distance(qp_code, syndrome_budget=63)
-    assert d.method == "exhaustive" and d.value == 3
-    assert sp.sum_rank_weight(qp_code.to_word(d.witness)) == 3
-    assert contains_packed(qp_code, d.witness)
+    assert (d.value, d.method, d.witness) == (
+        3, "composition(linearized: 3 hamming, 2 parity) / exhaustive", word)
 
 
 def test_sr_min_distance_interval_names_budgets(qp_code):
@@ -136,10 +145,12 @@ def test_settle_intersects_interval_sources(problem):
     if res.lo == res.hi:  # a point keeps hi's witness and no note
         assert (res.witness, res.note) == (high.witness, None)
     else:
-        low = max(seen, key=lambda s: s.lo)
-        stops = [item for item in read if isinstance(item, str)]  # each reason once, in order
+        low = max(seen, key=lambda s: s.lo)  # the earliest of the greatest lower ends
+        assert res.method == (low.method if low is high else f"{low.method} / {high.method}")
+        # the stops, then every source's note: each reason once, in order
+        stops = [item for item in read if isinstance(item, str)]
         assert res.note == ("; ".join(dict.fromkeys(
-            note for note in (*stops, low.note, high.note) if note)) or None)
+            note for note in (*stops, *(s.note for s in seen)) if note)) or None)
 
 
 @settings(max_examples=200, deadline=None)
@@ -177,10 +188,15 @@ def test_sr_distance_matches_raw_enumeration(am_code):
 
 
 def test_sr_min_distance_composed(f2, f4):
+    """The DP's d and word, and the composition's point, read first, which agrees."""
     code = cs.distance_optimal_2x2(2)
+    dp = code.budgeted_dp()
+    assert dp.distance == 4
+    assert sp.sum_rank_weight(code.to_word(dp.witness)) == 4
+    assert contains_packed(code, dp.witness)
     res = ct.sr_min_distance(code)
     assert res.exact and res.value == 4
-    assert res.method == "syndrome-dp"
+    assert res.method == "composition(linearized: 4 hartmann-tzeng, 2 parity)"
     assert sp.sum_rank_weight(code.to_word(res.witness)) == 4
     assert contains_packed(code, res.witness)
 
@@ -1078,6 +1094,7 @@ def test_a_parts_budget_stops_are_named_by_the_part():
     2 * 2 = 4 there: a point with that word, which notes no stop."""
     dist = ct.sr_min_distance(cs.quasi_perfect_2x2(6), budget=1, syndrome_budget=1)
     assert (dist.lo, dist.hi) == (2, 4)
+    assert dist.method == "composition(linearized: 2 parity, 1 support_test)"
     assert dist.note.split("; ") == [
         "syndrome budget 1 < 2^8 syndromes (q^codim)",
         "enum budget 1 < 2^16 codewords (q^dim)",
@@ -1137,22 +1154,22 @@ def test_distance_optimal_2x2_reads_its_ingredient_from_the_defining_set(q, monk
 
 def test_hamming_budget_stop_joins_both_notes(f4):
     """A Hamming code past every budget keeps the DP and enumeration stops, then the
-    support search's note; its builder's theorem gives the lower end 3, the search the
-    Singleton end 4, also at budget 0, where the search alone stops at weight 1."""
+    support search's note; its builder's theorem gives the lower end 3 and the Singleton
+    end 4, read before any engine, also at budget 0, where the search alone stops at
+    weight 1."""
     code = hm.hamming_code(f4, 3)  # [21, 18, 3]_4: 4^3 syndromes, 4^18 codewords
     d = ct.sr_min_distance(code, budget=30, syndrome_budget=2)
-    assert (d.lo, d.hi, d.method, d.witness) == (3, 4, "hamming / support_test", None)
+    assert (d.lo, d.hi, d.method, d.witness) == (3, 4, "hamming", None)
     assert d.note == ("syndrome budget 2 < 4^3 syndromes (q^codim); "
                       "enum budget 30 < 4^18 codewords (q^dim); "
                       "enum budget 30 < 63 half-words of the weight-2 support search")
     assert hm.min_distance(code, 30).note == d.note.split("; ")[2]
     off = ct.sr_min_distance(code, 0, syndrome_budget=0)
-    assert (off.lo, off.hi, off.method, hm.min_distance(code, 0).lo) == (
-        3, 4, "hamming / support_test", 1)
+    assert (off.lo, off.hi, off.method, hm.min_distance(code, 0).lo) == (3, 4, "hamming", 1)
     with pytest.raises(AttributeError):
         d.note = None
     settled = ct.sr_min_distance(code, syndrome_budget=2)  # the support search settles d
-    assert (settled.value, settled.note) == (3, None)
+    assert (settled.value, settled.method, settled.note) == (3, "hamming / support_test", None)
 
 
 def test_quasi_perfect_q4_u3_fits_the_default_budgets():
@@ -1239,31 +1256,31 @@ def _workloads():
 # certificate but the version is checked here
 CERTIFICATE_SHA256 = {
     "certify quasi-perfect --recipe quasi-perfect-2xm q=2 m=2 u=2":
-        (0, "bd04a2bfdec4789aa71b0abaa429c4415713059f2976201114e293101da81526"),
+        (0, "441a63046c91556efb98fbf779dda15a03066764ab18f4f52b45eb9f92cde96c"),
     "certify quasi-perfect --recipe quasi-perfect-2x2 t=6":
-        (0, "f00dfd95a415da79765c9305ec68a1a114e7718e047ab084f2ae37a78fcb425e"),
+        (0, "4d0504f7d35d130a485ba6f35d58db923bb7e51e98dbdc80ac8d321e73db3419"),
     "certify distance-optimal --recipe distance-optimal-2x2 q=3":
-        (0, "52fb67a162dbd3f89e2dab7641ad953a91f6d23fab477a8eeaf1f161b05df111"),
+        (0, "2a5b7604befce3e97d5357b54db3caaf00b88d1c57c710a09bb233dfc707fa20"),
     "certify quasi-perfect --recipe quasi-perfect-2xm q=4 m=2 u=2":
-        (0, "fd74d7b0fc46174732a4df6409d3017c949ea7654c8c057180b6d7429e128b2e"),
+        (0, "71f8eaf2ae7259f02b1aec3bb676fb8fe00c46c5861dead9eeb29a58eeabfde2"),
     "certify quasi-perfect --recipe almost-msrd-2x2 q=3 t=9":
-        (1, "d365f93a6006ae1a92ae04c1639ea81a3dd962224e64bcc6f2bdd6f76bf0de40"),
+        (1, "c119a988a2ce70e31d853788cdff6a6d9bde22989fbde7855670bd4d17309315"),
     "certify quasi-perfect --recipe distance-optimal-sxs q=3 s=2 m=1":
-        (1, "9d0bd9525b179bb6816114217aafe3f41f1e60f265a48481e7b05bc54d056c03"),
+        (1, "c02e3204667ed2de6363ff668ade7ba4bc6072ca45fc45fa611634b11e9a68fb"),
     "certify quasi-perfect --recipe quasi-perfect-2xm q=3 m=2 u=3":
-        (0, "1922fe3ed59303c65071b6c1f3a91b4aef06071de4cac0434d344e128d4cd8fd"),
+        (0, "dfb22ebeb58cabf4f52727952fbd588b859184ff28de539292e3029c5180e5db"),
     "certify quasi-perfect --recipe quasi-perfect-2xm q=5 m=2 u=2":
-        (0, "6a9c76e95b4da73f69f1fee169c040174ebb5f2daaec0b303e21bb0464eebe97"),
+        (0, "b8ad4ce625a6f7dfdfb5b681b13cb3f34e85fb716fbcfb2a880a8819172b62b5"),
     "certify singleton --recipe covering-repetition q=2 m=4 t=8":
-        (0, "87fe3e963c7e701d883d9c90317ee7bba11b7b64108dbb8cafaed4685da7839d"),
+        (0, "e985ccfd33479c665b2a6ab39eccdb972904d42b4756d4c8cefa39a5755b80e2"),
     "certify msrd --recipe covering-repetition q=2 m=4 t=12":
-        (1, "dd0a2c835b96537ab7b8ce4c21ed56e9a5d6512f4ad54852de16c094b4059798"),
+        (1, "e135961884881d5cc4f3d8a06a7e0d289f20c071764a57278dda35adba6f5239"),
     "certify sphere-packing --recipe covering-repetition q=2 m=4 t=16":
-        (0, "d5e0b71ff4e97c4e74ee3a2aba2f5705f9ab816db0d94eb28f1339d72e02d374"),
+        (0, "ba2cfe3aa60233f4ec9bcc03468db6a6cf2ea78d3e86e844d88cfddd99ac036f"),
     "certify msrd --recipe quasi-perfect-2x2 t=6":
-        (1, "5c62e4c3c37a44ec5776630052981a732ef4745d226e7c5e4805e55c952ccc5a"),
+        (1, "7df316495817199d62f8f5cdcc5d44cce87483365dcce8ce375b6e01909c39c6"),
     "certify almost-msrd --recipe almost-msrd-2x2 q=2 t=4":
-        (0, "e7f3e20383652327dcc1ee80155c3c5949427638e5308b829e3291eef1af274c"),
+        (0, "eda0bb329c5ba6fa53d49ea30aec9dd4d885ba7b08f1f0b76c5c7f877ea5bd6f"),
     "certify distance-optimal --recipe plotkin-distance-optimal s=3 m=1":
         (2, "ad231122861751056a8184cee57081a722cecc1b270aa20ecca427798fe6b99c"),
 }

@@ -135,7 +135,8 @@ def test_certify_hamming_recipe(tmp_path, capsys):
     code, out, _ = run(capsys, "certify", "distance-optimal",
                        "--recipe", "cyclic-d4", "q=4", "m=3", "lam=1", "--out", str(cert))
     assert code == 0
-    assert "min_sum_rank_distance    = 4   [syndrome-dp]" in out
+    # the BCH bound, read first, gives d >= 4, and the DP closes d there with its word
+    assert "min_sum_rank_distance    = 4   [bch / syndrome-dp]" in out
     # the certificate carries the family's checks as `bounds condition` evaluates them
     _, condition, _ = run(capsys, "bounds", "condition",
                           "family=cyclic-d4", "q=4", "m=3", "lam=1")
@@ -158,12 +159,13 @@ def test_certify_hamming_budget_stop_is_inconclusive(capsys):
 
 def test_certify_hamming_support_search_budget_stop(capsys):
     """Weight 3 of the [15,10]_4 code needs C(15,2) * 3 = 315 half-words; the BCH bound
-    of its defining set raises the stopped search's [3, 6] to [4, 6], which certifies the
-    Singleton-like bound.  V_sr(2) = 991 <= 4^5, so sphere packing leaves the upper end."""
+    of its defining set, read before any engine, gives [4, 6] (the stopped search's [3, 6]
+    lies around it), which certifies the Singleton-like bound.  V_sr(2) = 991 <= 4^5, so
+    sphere packing leaves the upper end."""
     code, out, _ = run(capsys, "certify", "singleton", "--recipe", "cyclic-d4",
                        "q=4", "m=2", "--enum-budget", "100", "--syndrome-budget", "100")
     assert code == 0
-    assert "min_sum_rank_distance    = [4, 6]   [bch / support_test (interval)]" in out
+    assert "min_sum_rank_distance    = [4, 6]   [bch (interval)]" in out
     # the DP's and enumeration's stops, then the support search's note
     assert ("  note: syndrome budget 100 < 4^5 syndromes (q^codim); "
             "enum budget 100 < 4^10 codewords (q^dim); "
@@ -874,48 +876,103 @@ def test_construct_over_log_table_fields(capsys):
     assert code == 0 and "[89,77,4]_2" in out
 
 
-@pytest.mark.parametrize("params,t,block", [
-    (("q=2", "m=4", "t=8"), 8, [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]),
-    (("q=3", "m=2", "t=9"), 9, [[0, 0], [1, 0]]),
-])
-def test_enumeration_witness_is_pinned(tmp_path, capsys, params, t, block):
+@pytest.mark.parametrize("params,t,block,method,cert_block", [
+    (("q=2", "m=4", "t=8"), 8, [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]],
+     "composition(covering: 8 repetition, 8 repetition, 8 repetition, 8 repetition)",
+     [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
+    (("q=3", "m=2", "t=9"), 9, [[0, 0], [1, 0]],
+     "composition(covering: 9 repetition, 9 repetition)", [[1, 0], [0, 0]]),
+], ids=["params0-8-block0", "params1-9-block1"])
+def test_enumeration_witness_is_pinned(tmp_path, capsys, params, t, block, method,
+                                       cert_block):
     # the witness is the first least-weight word of the enumeration order;
-    # another order would pick another weight-t word and change the certificate
+    # another order would pick another weight-t word.  The certificate takes d
+    # and its word from the composition, read before enumeration, which agrees
+    built = cs.build_recipe("covering-repetition", **parse_params(list(params)))
+    weight, word = sd.least_weight_word(built.base, built._generator_rows_packed(),
+                                        built.profile.blocks)
+    assert weight == t
+    assert [[list(row) for row in mat] for mat in built.to_word(word).matrices] == [block] * t
     cert = tmp_path / "cert.json"
     code, _, _ = run(capsys, "certify", "singleton", "--recipe", "covering-repetition",
                      *params, "--out", str(cert))
     assert code == 0
     quantities = {q["name"]: q for q in json.loads(cert.read_text())["quantities"]}
     assert quantities["min_sum_rank_distance"]["value"] == t
-    assert quantities["min_sum_rank_distance"]["method"] == "exhaustive"
-    assert quantities["distance_witness"]["value"] == [block] * t
+    assert quantities["min_sum_rank_distance"]["method"] == method
+    assert quantities["distance_witness"]["value"] == [cert_block] * t
 
 
 ZERO_2X2 = [[0, 0], [0, 0]]
 
 
-@pytest.mark.parametrize("claim,recipe,params,exit_code,d,witness", [
+@pytest.mark.parametrize("claim,recipe,params,exit_code,d,witness,method,cert_witness", [
     ("quasi-perfect", "quasi-perfect-2xm", ("q=2", "m=2", "u=2"), 0, 3,
+     [[[0, 0], [1, 1]], [[0, 1], [0, 1]], [[1, 0], [0, 0]]] + [ZERO_2X2] * 2,
+     "composition(linearized: 3 hamming, 2 parity) / syndrome-dp",
      [[[0, 0], [1, 1]], [[0, 1], [0, 1]], [[1, 0], [0, 0]]] + [ZERO_2X2] * 2),
     ("quasi-perfect", "quasi-perfect-2x2", ("t=6",), 0, 4,
-     [[[1, 1], [1, 0]], [[1, 1], [1, 0]]] + [ZERO_2X2] * 4),
+     [[[1, 1], [1, 0]], [[1, 1], [1, 0]]] + [ZERO_2X2] * 4,
+     "composition(linearized: 2 parity, 4 syndrome-dp)",
+     [[[1, 0], [0, 1]]] + [ZERO_2X2] * 4 + [[[1, 0], [0, 1]]]),
     ("quasi-perfect", "almost-msrd-2x2", ("q=3", "t=9"), 1, 4,
-     [[[0, 2], [2, 0]], [[0, 1], [1, 0]]] + [ZERO_2X2] * 7),
+     [[[0, 2], [2, 0]], [[0, 1], [1, 0]]] + [ZERO_2X2] * 7,
+     "composition(linearized: 4 reed-solomon, 2 parity)",
+     [[[1, 0], [0, 2]]] + [ZERO_2X2] * 7 + [[[2, 0], [0, 1]]]),
     ("quasi-perfect", "distance-optimal-sxs", ("q=3", "s=2", "m=1"), 1, 4,
-     [[[0, 2], [2, 0]], [[0, 1], [1, 0]]] + [ZERO_2X2] * 6),
+     [[[0, 2], [2, 0]], [[0, 1], [1, 0]]] + [ZERO_2X2] * 6,
+     "composition(linearized: 4 bch, 2 parity)",
+     [[[1, 0], [0, 2]]] + [ZERO_2X2] * 6 + [[[2, 0], [0, 1]]]),
 ], ids=["quasi-perfect-2xm", "quasi-perfect-2x2", "almost-msrd-2x2", "distance-optimal-sxs"])
 def test_dp_witness_is_pinned(tmp_path, capsys, claim, recipe, params, exit_code, d,
-                              witness):
+                              witness, method, cert_witness):
     # the DP walks back from the last block, taking the smallest block value
-    # at each tie; another walk would pick another weight-d word
+    # at each tie; another walk would pick another weight-d word.  The
+    # certificate's d is the DP's; its method and word are those of the source
+    # that closes d first
+    built = cs.build_recipe(recipe, **parse_params(list(params)))
+    dp = built.budgeted_dp()
+    assert dp.distance == d
+    assert [[list(row) for row in mat] for mat in built.to_word(dp.witness).matrices] == witness
     cert = tmp_path / "cert.json"
     code, _, _ = run(capsys, "certify", claim, "--recipe", recipe, *params,
                      "--out", str(cert))
     assert code == exit_code
     quantities = {q["name"]: q for q in json.loads(cert.read_text())["quantities"]}
     assert quantities["min_sum_rank_distance"]["value"] == d
-    assert quantities["min_sum_rank_distance"]["method"] == "syndrome-dp"
-    assert quantities["distance_witness"]["value"] == witness
+    assert quantities["min_sum_rank_distance"]["method"] == method
+    assert quantities["distance_witness"]["value"] == cert_witness
+
+
+@pytest.mark.parametrize("argv, dp_passes, support_searches, d", [
+    (("distance-optimal", "--recipe", "distance-optimal-2x2", "q=3"), 0, 0,
+     "4   [composition(linearized: 4 hartmann-tzeng, 2 parity)]"),
+    (("almost-msrd", "--recipe", "almost-msrd-2x2", "q=7", "t=49",
+      "--syndrome-budget", "10000000", "--sweep-budget", "100000000000"), 0, 0,
+     "4   [composition(linearized: 4 reed-solomon, 2 parity)]"),
+    (("distance-optimal", "--recipe", "cyclic-d4", "q=2", "m=10"), 1, 0,
+     "4   [bch / syndrome-dp]"),
+], ids=["2x2-q3", "almost-msrd-q7-raised", "cyclic-d4-m10"])
+def test_structure_is_read_before_any_engine(capsys, monkeypatch, argv, dp_passes,
+                                             support_searches, d):
+    """What a code's structure proves is read before any engine, and an engine runs only
+    where it is needed: the composition closes d = 4 on distance-optimal-2x2 q=3 and, at
+    budgets the DP's 7^8 syndromes fit, on almost-msrd-2x2 q=7 t=49, with no DP pass; on
+    cyclic-d4 q=2 m=10 the BCH bound gives d >= 4 and the DP, read before the support
+    search, closes d with its word, so no support search runs."""
+    calls = {"dp": 0, "search": 0}
+
+    def counted(name, engine):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return engine(*args, **kwargs)
+        return call
+    monkeypatch.setattr(sd, "syndrome_dp", counted("dp", sd.syndrome_dp))
+    monkeypatch.setattr(hm, "low_weight_search", counted("search", hm.low_weight_search))
+    code, out, _ = run(capsys, "certify", *argv)
+    assert code == 0
+    assert f"  min_sum_rank_distance    = {d}" in out.splitlines()
+    assert (calls["dp"], calls["search"]) == (dp_passes, support_searches)
 
 
 @pytest.mark.parametrize("argv", [
@@ -936,12 +993,12 @@ def test_missing_out_directory_refused_before_work(tmp_path, capsys, monkeypatch
     (("construct", "distance-optimal-2x2", "q=3"),
      "c3ed45fcb063272dafedbe3f89622ed3dc77f3cae8c1861caadeab9f8d5984bc"),
     (("certify", "quasi-perfect", "--recipe", "quasi-perfect-2xm", "q=2", "m=2", "u=2"),
-     "445bc11f49b1eabda5048e37beb18b1c9086d747bd59a501f92bd329faa7dae1"),
+     "3e9f62d06434d61e3366d393708a7a041afb60cc60c9f4438a657e6cf357eeb8"),
 ], ids=["descriptor", "certificate"])
 def test_out_bytes_are_pinned(tmp_path, capsys, argv, sha256):
     # the hashes are those of json.dump(s)(..., sort_keys=True, indent=2),
     # which wrote both kinds of --out file before the streaming writer; the
-    # certificate's includes its toolchain-version, sumrank 0.2.12
+    # certificate's includes its toolchain-version, sumrank 0.2.13
     out = tmp_path / "out.json"
     assert run(capsys, *argv, "--out", str(out))[0] == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256

@@ -145,15 +145,14 @@ def _enumeration_oracle(code):
 
 
 def _check_against_oracles(code):
-    dp = ct.sr_min_distance(code)
-    assert dp.method == ("zero code" if code.dim == 0 else "syndrome-dp")
+    dp = code.budgeted_dp()  # the DP itself, not the first source `sr_min_distance` settles on
+    assert (dp.distance is None) == (dp.witness is None) == (code.dim == 0)
     if code_size(code) <= SMALL_CODE:
         best, _ = _enumeration_oracle(code)
-        assert (dp.lo == math.inf) == (best is None)
-        assert dp.lo == math.inf or dp.value == best
-    if dp.lo != math.inf:
+        assert dp.distance == best
+    if dp.distance is not None:
         assert contains_packed(code, dp.witness)
-        assert sp.sum_rank_weight(code.to_word(dp.witness)) == dp.value
+        assert sp.sum_rank_weight(code.to_word(dp.witness)) == dp.distance
     radius, table = ct.sr_covering_radius(code)
     sweep_radius, sweep_table = ct.sr_covering_radius_sweep(code, budget=1 << 16)
     assert radius == sweep_radius
@@ -512,25 +511,46 @@ def test_composition_word_is_a_codeword_of_its_stated_weight(code):
         assert ingredient.first_row == (ingredient.generator[0] if ingredient.k else None)
 
 
+@FAST
+@given(word_codes())
+@example(cs.almost_msrd_2x2(3, 9))
+@example(cs.quasi_perfect_2xm(2, 2, 2))
+def test_a_rule_that_closes_d_runs_no_engine_on_the_code(code):
+    """Structure first: when the composition closes d, a point with its word, that point is
+    d and no DP pass runs on the code itself; otherwise an engine closes d at the DP's d."""
+    source = composition_source(code)
+    res = ct.sr_min_distance(code)
+    if source.exact:
+        assert res == source
+        assert "syndrome_dp" not in code.__dict__
+    assert res.value == code.syndrome_dp.distance
+
+
 def test_plotkin_rule_matches_dp(f2, f4):
     first = cs.sr_linearized([hm.parity_check_code(f4, 3), hm.full_code(f4, 3)])
     second = cs.sr_linearized([hm.repetition_code(f4, 3),
                                hm.parity_check_code(f4, 3)])
     code = cs.plotkin(first, second)
-    d1, d2, d = (ct.sr_min_distance(c) for c in (first, second, code))
-    assert d.method == "syndrome-dp"
-    assert d.value == min(2 * d1.value, d2.value)
+    d1, d2, d = (c.budgeted_dp().distance for c in (first, second, code))
+    assert d == min(2 * d1, d2)
+    rule = ct.sr_min_distance(code)  # the rule, read before the DP, closes d with its word
+    assert (rule.value, rule.method) == (d, "composition(plotkin)")
+    assert sp.sum_rank_weight(code.to_word(rule.witness)) == d
+    assert contains_packed(code, rule.witness)
 
 
 @st.composite
 def composed_codes(draw):
     """A covering or linearized code, its full-block extension, the Plotkin code of two
-    of them, or a Hamming-metric code of 1 x 1 blocks; over GF(2), GF(3), GF(4) or GF(5),
-    nonzero, with at most 2^16 syndromes; and an enumeration budget below its size."""
-    kind = draw(st.sampled_from(["ingredient", "extension", "plotkin", "hamming"]))
+    of them, a Hamming-metric code of 1 x 1 blocks, or an explicit code of mixed block
+    shapes; over GF(2), GF(3), GF(4) or GF(5), nonzero, with at most 2^16 syndromes; and an
+    enumeration budget below its size."""
+    kind = draw(st.sampled_from(["ingredient", "extension", "plotkin", "hamming", "mixed"]))
     if kind == "hamming":
         code = draw(linear_codes(cs.field_of_order(draw(st.sampled_from([2, 3, 4, 5]))),
                                  draw(st.integers(1, 8))))
+    elif kind == "mixed":
+        code = draw(mixed_codes())
     else:
         shape = draw(ingredient_shapes().filter(
             lambda s: kind != "extension" or s[2] != "linearized-thin"))
@@ -555,16 +575,19 @@ _F4, _F8 = cs.field_of_order(2).extension(2), cs.field_of_order(2).extension(3)
 @example((cs.sr_linearized([_code_from_rows(_F8, rows, 1) for rows in ([], [[1]], [[1]])]), 7))
 def test_distance_interval_holds_the_dps_d(problem):
     # with the DP off (no syndrome fits a budget of 0, not even the one of a
-    # full code) and enumeration off, the support search, the extension and
-    # Plotkin rules and the budget stop must still bracket d, and a point
-    # must come with a codeword of that weight
+    # full code) and enumeration off, the code's rule, sphere packing, the
+    # support search and the budget stop must still bracket d; with the DP on,
+    # whichever source closes d first, d is a point.  Every point must be the
+    # DP's d and come with a codeword of that weight
     code, budget = problem
     d = code.syndrome_dp.distance
-    res = ct.sr_min_distance(code, budget, syndrome_budget=0)
-    assert res.method != "syndrome-dp" and res.method != "exhaustive"
-    assert res.lo <= d <= res.hi
-    if res.exact:
-        assert res.witness is not None
+    off = ct.sr_min_distance(code, budget, syndrome_budget=0)
+    assert not off.method.endswith(("syndrome-dp", "exhaustive"))  # the code's own are off
+    assert off.lo <= d <= off.hi
+    on = ct.sr_min_distance(code, budget)
+    assert on.exact
+    for res in (off, on) if off.exact else (on,):
+        assert res.value == d and res.witness is not None
         assert sp.sum_rank_weight(code.to_word(res.witness)) == d
         assert contains_packed(code, res.witness)
 
