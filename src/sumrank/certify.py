@@ -45,9 +45,9 @@ def settle(sources, witnessed: bool = False) -> SrDistance:
     """Intersect interval sources in their order (module docstring): lo is the greatest lower
     end and hi the least upper end, an earlier source keeping a tied end; a str item is a
     stop.  With `witnessed` (d), an end at lo counts only with its word, or at inf (the zero
-    code).  The first point ends the reading, with the witness of hi's source and no note.  An
-    interval has no witness; its note joins the stops met, then the notes of the sources read,
-    and its ends' sources name its method."""
+    code).  The first point ends the reading, with the witness of hi's source and no stops.  An
+    interval has no witness; its stops are those met, then those of the sources read, each
+    once and in order, and its ends' sources name its method."""
     stops, ends = [], []
     for src in sources:
         if isinstance(src, str):
@@ -66,12 +66,8 @@ def settle(sources, witnessed: bool = False) -> SrDistance:
     method = low.method if low.method == high.method else f"{low.method} / {high.method}"
     if low.lo == high.hi:
         return SrDistance(low.lo, high.hi, method, high.witness)
-    return SrDistance(low.lo, high.hi, method, note=join_notes(*stops, *(s.note for s in ends)))
-
-
-def join_notes(*notes) -> str | None:
-    """The "; "-joined reasons of `notes`, each once and in order, or None."""
-    return "; ".join(dict.fromkeys(r for note in notes if note for r in note.split("; "))) or None
+    return SrDistance(low.lo, high.hi, method,
+                      stops=tuple(dict.fromkeys((*stops, *(r for s in ends for r in s.stops)))))
 
 
 def sr_min_distance(code: SumRankCode, budget: int = ENUM_BUDGET, *,
@@ -83,7 +79,7 @@ def sr_min_distance(code: SumRankCode, budget: int = ENUM_BUDGET, *,
     def sources():
         if code.dim == 0:
             yield SrDistance(math.inf, math.inf, "zero code")
-        yield from code.distance_bounds(budget, lambda part: sr_min_distance(
+        yield from code.distance_bounds(lambda part: sr_min_distance(
             part, budget, syndrome_budget=syndrome_budget, work_budget=work_budget))
         try:
             dp = code.budgeted_dp(syndrome_budget, work_budget)
@@ -562,8 +558,8 @@ def certify_code(code: SumRankCode, claim: str, *,
     radius = sr_radius(code, **budgets) if claim in ("perfect", "quasi-perfect") else None
     if radius is not None:
         cert.add_interval("covering_radius", radius)
-    if note := join_notes(dist.note, radius and radius.note):  # each stop once
-        cert.notes.append(note)
+    if stops := dict.fromkeys((*dist.stops, *(radius.stops if radius else ()))):  # each once
+        cert.notes.append("; ".join(stops))
     proved_hi = RULES[claim](cert, dist, radius)
     if not dist.exact and cert.verdict != "inconclusive":
         hi = dist.hi if proved_hi is None else min(dist.hi, proved_hi)

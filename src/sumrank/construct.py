@@ -210,12 +210,12 @@ class IngredientSumRankCode(SumRankCode):
         return min([n * d for d in dists]
                    + [max(a, b) * (m - (j - i) if n == m else 1) for (i, a), (j, b) in pairs])
 
-    def distance_bounds(self, budget, distance):
+    def distance_bounds(self, distance):
         """The composition bound, up to the lightest word c of one ingredient i alone, of weight
         n wt_H(c) (z -> c_r phi(z^(q^i)) is injective) or, covering, wt_H(c) (one row)."""
         ends = [_ingredient_end(code, distance) for code in self.ingredients]
-        stops = _part_stops((f"ingredient {i} ({code.family})", note)  # each one's stops
-                            for i, (code, (*_, note, _)) in enumerate(zip(self.ingredients, ends)))
+        stops = _part_stops((f"ingredient {i} ({code.family})", end[2])  # each one's stops
+                            for i, (code, end) in enumerate(zip(self.ingredients, ends)))
         lo = self.composition_lower_bound([d for d, *_ in ends])
         sources = ", ".join(f"{d} {source}" for d, source, *_ in ends)
         rank = self.rows if self.construction == "linearized" else 1
@@ -253,23 +253,22 @@ class IngredientSumRankCode(SumRankCode):
         }
 
 
-def _part_stops(parts) -> str | None:
-    """The "; "-joined budget stops of (part, note) pairs, each prefixed by its part's name."""
-    return "; ".join(f"{part}: {stop}" for part, note in parts if note
-                     for stop in note.split("; ")) or None
+def _part_stops(parts) -> tuple[str, ...]:
+    """The budget stops of (part, stops) pairs, each prefixed by its part's name."""
+    return tuple(f"{part}: {stop}" for part, stops in parts for stop in stops)
 
 
-def _ingredient_end(code: hm.LinearCode, distance) -> tuple[float, str, str | None, tuple | None]:
+def _ingredient_end(code: hm.LinearCode, distance) -> tuple[float, str, tuple, tuple | None]:
     """A lower end of an ingredient's d (inf if k = 0), its source, its stops and a word: what
     its structure proves (`LinearCode.proven`), or, below the stamped design or without one, its
     engines' end, which includes that; the word is their witness, else `first_row`."""
     lo, source, design = code.proven.d_lo, code.proven.source, code.designed_distance
     if design is not None and lo >= design:
-        return lo, source, None, code.first_row
+        return lo, source, (), code.first_row
     res = distance(code)
     if res.exact and design is not None and res.value != design:
         raise RuntimeError(f"designed distance {design} contradicts the exact value {res.value}")
-    return res.lo, source if lo == res.lo else res.method, res.note, res.witness or code.first_row
+    return res.lo, source if lo == res.lo else res.method, res.stops, res.witness or code.first_row
 
 
 def sr_covering(ingredients, **meta) -> IngredientSumRankCode:
@@ -284,8 +283,6 @@ def sr_linearized(ingredients, **meta) -> IngredientSumRankCode:
 
 class ExtendedSumRankCode(SumRankCode):
     """Direct sum with extra full matrix blocks; covering radius unchanged."""
-
-    construction = "extended"
 
     def __init__(self, inner: SumRankCode, extra: int):
         if extra <= 0:
@@ -331,7 +328,7 @@ class ExtendedSumRankCode(SumRankCode):
         inner = self.inner.flat_parity
         return np.pad(inner, ((0, 0), (0, self.ambient_dim - inner.shape[1])))
 
-    def distance_bounds(self, budget, distance):
+    def distance_bounds(self, distance):
         # d = 1: a single 1 at entry (0, 0) of an extra block, packed as 1, has rank 1
         yield SrDistance(1, 1, "composition(extension)",
                          (0,) * self.inner.profile.t + (1,) + (0,) * (self.extra - 1))
@@ -352,8 +349,6 @@ def extend_full_blocks(code: SumRankCode, extra: int) -> ExtendedSumRankCode:
 
 class PlotkinSumRankCode(SumRankCode):
     """(c1 | c1 + c2) over a shared profile; block length doubles."""
-
-    construction = "plotkin"
 
     def __init__(self, first: SumRankCode, second: SumRankCode):
         if first.profile != second.profile:
@@ -389,14 +384,14 @@ class PlotkinSumRankCode(SumRankCode):
         return np.block([[h1, np.zeros_like(h1)],
                          [array_mul(self.base)(h2, self.base.p - 1), h2]])
 
-    def distance_bounds(self, budget, distance):
+    def distance_bounds(self, distance):
         # d = min(2 d1, d2), witnessed by (c1 | c1) or (0 | c2); a zero part's d is inf
         d1, d2 = distance(self.first), distance(self.second)
         ends = [(2 * d1.lo, 2 * d1.hi, d1.witness and d1.witness * 2),
                 (d2.lo, d2.hi, d2.witness and (0,) * self.first.profile.t + d2.witness)]
         hi, witness = min(ends, key=lambda end: end[1])[1:]
         yield SrDistance(min(end[0] for end in ends), hi, "composition(plotkin)", witness,
-                         _part_stops((("first part", d1.note), ("second part", d2.note))))
+                         _part_stops((("first part", d1.stops), ("second part", d2.stops))))
 
     def describe(self) -> dict:
         return {

@@ -92,7 +92,9 @@ class Field:
 
     Do not instantiate directly; use :func:`make_field` or
     :meth:`Field.extension` so that construction-time validation and
-    caching apply.
+    caching apply.  Each field is built once, a prime field by `_prime_field`
+    and an extension by its parent's per-(degree, modulus) cache, so two equal
+    fields are the same object and a field's identity is its equality.
     """
 
     def __init__(self, p: int, subfield: Field | None = None,
@@ -127,17 +129,6 @@ class Field:
     @property
     def has_log_tables(self) -> bool:
         return self._exp is not None
-
-    def cache_key(self) -> tuple:
-        if self.subfield is None:
-            return (self.p,)
-        return self.subfield.cache_key() + (self.degree, self.modulus)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Field) and self.cache_key() == other.cache_key()
-
-    def __hash__(self) -> int:
-        return hash(self.cache_key())
 
     def __repr__(self) -> str:
         return f"GF({self.order})"

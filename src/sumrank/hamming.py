@@ -122,7 +122,7 @@ class LinearCode(SumRankCode):
         return Proven(lo, source, self.k >= 1 and lo == self.singleton,
                       1 if self.family == "hamming" else self.n - self.k)
 
-    def distance_bounds(self, budget, distance):  # structure only: [d_lo, Singleton] of `proven`
+    def distance_bounds(self, distance):  # structure only: [d_lo, Singleton] of `proven`
         if (proven := self.proven).source:  # MDS: a point, which the first row weighs
             yield SrDistance(proven.d_lo, self.singleton, proven.source,
                              self.first_row if proven.mds else None)
@@ -388,23 +388,24 @@ def _half_words(code: LinearCode, w: int) -> int:
 def min_distance(code: LinearCode, budget: int = ENUM_BUDGET) -> SrDistance:
     """The support search for d <= 4, read by `certify` after the DP and enumeration: no
     dependent set of <= w columns proves d >= w + 1, and a word of weight w is the witness;
-    [5, Singleton] when d > 4.  It lists its half-words only while they fit `budget`; past it
-    the result is [w, Singleton], noting the budget.  A lower end at Singleton is a point,
-    witnessed by `first_row`, which weighs at most that much."""
+    [5, Singleton] when d > 4.  It starts at the weight the structure proves
+    (`LinearCode.proven`), as no lighter word exists.  It lists its half-words only while they
+    fit `budget`; past it the result is [w, Singleton], stopped on the budget.  A lower end at
+    Singleton is a point, witnessed by `first_row`, which weighs at most that much."""
     if code.k == 0:
         raise ValueError("the zero code has no nonzero codeword")
-    lo, singleton, note = 5, code.singleton, None
-    for w in range(1, 5):
+    lo, singleton, stops = 5, code.singleton, ()
+    for w in range(max(1, code.proven.d_lo), 5):
         need = _half_words(code, w)
         if need > budget:
-            lo, note = w, (f"enum budget {budget} < {need} half-words "
-                           f"of the weight-{w} support search")
+            lo, stops = w, (f"enum budget {budget} < {need} half-words "
+                            f"of the weight-{w} support search",)
             break
         witness = low_weight_search(code, w)
         if witness is not None:
             return SrDistance(w, w, "support_test", witness)
     return SrDistance(lo, singleton, "support_test", code.first_row if lo == singleton else None,
-                      note=note)
+                      stops)
 
 
 # ----------------------------------------------------------------------

@@ -443,7 +443,7 @@ class SrDistance(NamedTuple):
     hi: float
     method: str
     witness: tuple[int, ...] | None = None  # packed block values
-    note: str | None = None  # the budget stops behind an interval
+    stops: tuple[str, ...] = ()  # the budget stops behind an interval
 
     @property
     def exact(self) -> bool:
@@ -470,7 +470,6 @@ class SumRankCode:
     tracing wraps; no engine reads it.
     """
 
-    construction: str = "explicit"
     recipe: str | None = None  # the recipe and parameters `construct`'s registry stamps
     params: dict = {}
 
@@ -519,7 +518,7 @@ class SumRankCode:
     def describe(self) -> dict:
         raise NotImplementedError
 
-    def distance_bounds(self, budget: int, distance):
+    def distance_bounds(self, distance):
         """What the code's structure proves of d (no engine), `distance(part)` a part's: none."""
         return ()
 

@@ -6,7 +6,7 @@ from math import gcd
 
 import numpy as np
 
-from sumrank.certify import ENUM_BUDGET, BoundRecord, sr_min_distance
+from sumrank.certify import BoundRecord, sr_min_distance
 from sumrank.gf import array_mul, digit_adder, nullspace, rref
 from sumrank.spaces import brute_rank_array, brute_weight_array, rank_distribution
 
@@ -141,7 +141,7 @@ def encode(code, messages) -> tuple[int, ...]:
 def composition_source(code):
     """The composition source's interval of d for an ingredient code: its ingredients'
     ends from their theorems or from `sr_min_distance`, and no engine on the code itself."""
-    return next(s for s in code.distance_bounds(ENUM_BUDGET, sr_min_distance)
+    return next(s for s in code.distance_bounds(sr_min_distance)
                 if not isinstance(s, str))
 
 

@@ -72,15 +72,15 @@ def test_sr_min_distance_interval_names_budgets(qp_code):
     assert (d.lo, d.hi) == (3, 2 * hamming_weight(parity.generator[0])) == (3, 4)
     assert not d.exact
     assert d.method == "composition(linearized: 3 hamming, 2 parity)"
-    assert d.note == ("syndrome budget 2 < 2^6 syndromes (q^codim); "
-                      "enum budget 10 < 2^14 codewords (q^dim)")
+    assert d.stops == ("syndrome budget 2 < 2^6 syndromes (q^codim)",
+                       "enum budget 10 < 2^14 codewords (q^dim)")
 
 
 def test_sr_min_distance_zero_code(f4):
     z = hm.zero_code(f4, 3)
     code = cs.sr_covering([z, z])
     res = ct.sr_min_distance(code)
-    assert res == (math.inf, math.inf, "zero code", None, None) and res.exact
+    assert res == (math.inf, math.inf, "zero code", None, ()) and res.exact
     with pytest.raises(ValueError, match="the zero code has no minimum distance"):
         _ = res.value
 
@@ -97,7 +97,7 @@ def test_zero_code_is_infinite_at_every_budget(f4, build):
     budgets = ((0, 0), (ct.ENUM_BUDGET, ct.SYNDROME_BUDGET))  # both engines off, defaults
     for enum, syndrome in budgets:
         dist = ct.sr_min_distance(code, enum, syndrome_budget=syndrome)
-        assert dist == (math.inf, math.inf, "zero code", None, None)
+        assert dist == (math.inf, math.inf, "zero code", None, ())
     for claim in ct.CLAIMS:
         off, default = (ct.certify_code(code, claim, enum_budget=enum, syndrome_budget=syndrome)
                         for enum, syndrome in budgets)
@@ -113,7 +113,7 @@ def interval_sources(draw):
     def interval(i):
         lo, hi = draw(st.integers(0, true)), draw(st.integers(true, 12))
         return SrDistance(lo, hi, f"source {i}", draw(st.none() | st.just((i,))),
-                          note=draw(st.none() | st.just(f"note {i}")))
+                          stops=draw(st.just(()) | st.just((f"note {i}",))))
     items = [draw(st.sampled_from(["stop a", "stop b"])) if draw(st.booleans()) else interval(i)
              for i in range(draw(st.integers(0, 6)))]
     return true, items + [interval(len(items))]
@@ -142,15 +142,14 @@ def test_settle_intersects_interval_sources(problem):
     seen = [item for item in read if not isinstance(item, str)]
     assert (res.lo, res.hi) == (max(s.lo for s in seen), min(s.hi for s in seen))
     high = min(seen, key=lambda s: s.hi)  # the earliest of the least upper ends
-    if res.lo == res.hi:  # a point keeps hi's witness and no note
-        assert (res.witness, res.note) == (high.witness, None)
+    if res.lo == res.hi:  # a point keeps hi's witness and no stops
+        assert (res.witness, res.stops) == (high.witness, ())
     else:
         low = max(seen, key=lambda s: s.lo)  # the earliest of the greatest lower ends
         assert res.method == (low.method if low is high else f"{low.method} / {high.method}")
-        # the stops, then every source's note: each reason once, in order
+        # the stream's stops, then every source's stops: each once, in order
         stops = [item for item in read if isinstance(item, str)]
-        assert res.note == ("; ".join(dict.fromkeys(
-            note for note in (*stops, *(s.note for s in seen)) if note)) or None)
+        assert res.stops == tuple(dict.fromkeys((*stops, *(r for s in seen for r in s.stops))))
 
 
 @settings(max_examples=200, deadline=None)
@@ -1095,17 +1094,17 @@ def test_a_parts_budget_stops_are_named_by_the_part():
     dist = ct.sr_min_distance(cs.quasi_perfect_2x2(6), budget=1, syndrome_budget=1)
     assert (dist.lo, dist.hi) == (2, 4)
     assert dist.method == "composition(linearized: 2 parity, 1 support_test)"
-    assert dist.note.split("; ") == [
+    assert dist.stops == (
         "syndrome budget 1 < 2^8 syndromes (q^codim)",
         "enum budget 1 < 2^16 codewords (q^dim)",
         "ingredient 1 (explicit): syndrome budget 1 < 4^3 syndromes (q^codim)",
         "ingredient 1 (explicit): enum budget 1 < 4^3 codewords (q^dim)",
-        "ingredient 1 (explicit): enum budget 1 < 6 half-words of the weight-1 support search"]
+        "ingredient 1 (explicit): enum budget 1 < 6 half-words of the weight-1 support search")
     code = cs.distance_optimal_2x2(5)
     dist = ct.sr_min_distance(code)
     assert (dist.lo, dist.hi, dist.method) == (
         4, 4, "composition(linearized: 4 hartmann-tzeng, 2 parity)")
-    assert dist.note is None
+    assert dist.stops == ()
     assert sp.sum_rank_weight(code.to_word(dist.witness)) == 4
     assert contains_packed(code, dist.witness)
 
@@ -1154,22 +1153,22 @@ def test_distance_optimal_2x2_reads_its_ingredient_from_the_defining_set(q, monk
 
 def test_hamming_budget_stop_joins_both_notes(f4):
     """A Hamming code past every budget keeps the DP and enumeration stops, then the
-    support search's note; its builder's theorem gives the lower end 3 and the Singleton
-    end 4, read before any engine, also at budget 0, where the search alone stops at
-    weight 1."""
+    support search's stop; its builder's theorem gives the lower end 3 and the Singleton
+    end 4, read before any engine, also at budget 0, where the search alone starts and
+    stops at that weight 3."""
     code = hm.hamming_code(f4, 3)  # [21, 18, 3]_4: 4^3 syndromes, 4^18 codewords
     d = ct.sr_min_distance(code, budget=30, syndrome_budget=2)
     assert (d.lo, d.hi, d.method, d.witness) == (3, 4, "hamming", None)
-    assert d.note == ("syndrome budget 2 < 4^3 syndromes (q^codim); "
-                      "enum budget 30 < 4^18 codewords (q^dim); "
-                      "enum budget 30 < 63 half-words of the weight-2 support search")
-    assert hm.min_distance(code, 30).note == d.note.split("; ")[2]
+    assert d.stops == ("syndrome budget 2 < 4^3 syndromes (q^codim)",
+                       "enum budget 30 < 4^18 codewords (q^dim)",
+                       "enum budget 30 < 630 half-words of the weight-3 support search")
+    assert hm.min_distance(code, 30).stops == d.stops[2:]
     off = ct.sr_min_distance(code, 0, syndrome_budget=0)
-    assert (off.lo, off.hi, off.method, hm.min_distance(code, 0).lo) == (3, 4, "hamming", 1)
+    assert (off.lo, off.hi, off.method, hm.min_distance(code, 0).lo) == (3, 4, "hamming", 3)
     with pytest.raises(AttributeError):
-        d.note = None
+        d.stops = ()
     settled = ct.sr_min_distance(code, syndrome_budget=2)  # the support search settles d
-    assert (settled.value, settled.method, settled.note) == (3, "hamming / support_test", None)
+    assert (settled.value, settled.method, settled.stops) == (3, "hamming / support_test", ())
 
 
 def test_quasi_perfect_q4_u3_fits_the_default_budgets():

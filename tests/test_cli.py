@@ -158,18 +158,18 @@ def test_certify_hamming_budget_stop_is_inconclusive(capsys):
 
 
 def test_certify_hamming_support_search_budget_stop(capsys):
-    """Weight 3 of the [15,10]_4 code needs C(15,2) * 3 = 315 half-words; the BCH bound
-    of its defining set, read before any engine, gives [4, 6] (the stopped search's [3, 6]
-    lies around it), which certifies the Singleton-like bound.  V_sr(2) = 991 <= 4^5, so
+    """The BCH bound of the [15,10]_4 code's defining set, read before any engine, gives
+    [4, 6], which certifies the Singleton-like bound; the support search starts at weight 4,
+    whose C(15,2) * 3^2 = 945 low halves pass the budget.  V_sr(2) = 991 <= 4^5, so
     sphere packing leaves the upper end."""
     code, out, _ = run(capsys, "certify", "singleton", "--recipe", "cyclic-d4",
                        "q=4", "m=2", "--enum-budget", "100", "--syndrome-budget", "100")
     assert code == 0
     assert "min_sum_rank_distance    = [4, 6]   [bch (interval)]" in out
-    # the DP's and enumeration's stops, then the support search's note
+    # the DP's and enumeration's stops, then the support search's
     assert ("  note: syndrome budget 100 < 4^5 syndromes (q^codim); "
             "enum budget 100 < 4^10 codewords (q^dim); "
-            "enum budget 100 < 315 half-words of the weight-3 support search\n") in out
+            "enum budget 100 < 945 half-words of the weight-4 support search\n") in out
 
 
 def test_blocks_past_the_rank_table_cap_stop_enumeration(tmp_path, capsys):
@@ -993,12 +993,12 @@ def test_missing_out_directory_refused_before_work(tmp_path, capsys, monkeypatch
     (("construct", "distance-optimal-2x2", "q=3"),
      "c3ed45fcb063272dafedbe3f89622ed3dc77f3cae8c1861caadeab9f8d5984bc"),
     (("certify", "quasi-perfect", "--recipe", "quasi-perfect-2xm", "q=2", "m=2", "u=2"),
-     "3e9f62d06434d61e3366d393708a7a041afb60cc60c9f4438a657e6cf357eeb8"),
+     "6a78e2e1e3c4bc5df8c26b12b4bbfd2afe99f021d8c2ba3956a080c117a2c3e3"),
 ], ids=["descriptor", "certificate"])
 def test_out_bytes_are_pinned(tmp_path, capsys, argv, sha256):
     # the hashes are those of json.dump(s)(..., sort_keys=True, indent=2),
     # which wrote both kinds of --out file before the streaming writer; the
-    # certificate's includes its toolchain-version, sumrank 0.2.13
+    # certificate's includes its toolchain-version, sumrank 0.2.14
     out = tmp_path / "out.json"
     assert run(capsys, *argv, "--out", str(out))[0] == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sumrank import gf
+from sumrank.construct import field_of_order
 from sumrank.gf import (Field, is_irreducible, linear_map, make_field, parse_field, poly_mod,
                         smallest_irreducible)
 
@@ -290,6 +291,20 @@ def test_embed_project(f16_tower, f4):
 def test_describe_parse_roundtrip(f16_tower, f9):
     for f in (f16_tower, f9):
         assert parse_field(f.describe()) == f
+
+
+def test_a_field_is_built_once():
+    """Every path to a field returns the one object its construction caches hold, so a
+    field's identity is its equality; distinct towers of one order stay distinct."""
+    for p, degrees in ((2, [1]), (2, [2]), (3, [2]), (2, [2, 2]), (5, [3])):
+        f = make_field(p, degrees)
+        assert f.subfield is None or f.subfield.extension(f.degree, f.modulus) is f
+        assert parse_field(f.describe()) is f and make_field(p, degrees) is f
+    # the explicit moduli the automatic choice picks: x^2 + 1 over GF(3), x^2 + x + 1 over GF(2)
+    assert field_of_order(9) is make_field(3, [2]) is make_field(3, [1]).extension(2, (1, 0))
+    assert field_of_order(4) is make_field(2, [2]) is make_field(2, [1]).extension(2, (1, 1))
+    assert make_field(2, [2, 2]) != make_field(2, [4])
+    assert len({make_field(2, [2, 2]), make_field(2, [4]), make_field(2, [4, 1])}) == 2
 
 
 def test_parse_field_refuses_moduli_that_miss_the_degrees():

@@ -321,11 +321,27 @@ def test_min_distance_support_witness(f4):
     assert contains_packed(c, res.witness)
 
 
+def test_support_search_starts_at_the_proven_weight(monkeypatch):
+    """No word is lighter than the structure proves, so the search lists no half-words below
+    it: the [15,10]_4 cyclic-d4 code (BCH end 4) is searched at weight 4 only, and the binary
+    BCH code of designed distance 5 at no weight."""
+    weights, search = [], hm.low_weight_search
+    monkeypatch.setattr(hm, "low_weight_search",
+                        lambda code, w: weights.append(w) or search(code, w))
+    code = cs.cyclic_d4(4, 2)
+    assert code.proven.d_lo == 4 and hm.min_distance(code).value == 4
+    assert weights == [4]
+    weights.clear()
+    bch = hm.bch_binary(2, 4)
+    assert bch.proven.d_lo == 5
+    assert (hm.min_distance(bch).lo, weights) == (5, [])
+
+
 def test_a_singleton_point_forms_no_generator():
     """The [8193, 8192, 2]_4 parity code is cyclic with T = {0}.  With every engine off, the
-    support search stops at weight 1 below its Singleton end 2, which the parity family's
-    theorem meets before the BCH bound is read: a point witnessed by `first_row`, of weight
-    2, with no 8192 x 8193 generator formed (the size gate refuses it)."""
+    parity family's theorem states its Singleton end 2 before any engine or the BCH bound is
+    read: a point witnessed by `first_row`, of weight 2, with no 8192 x 8193 generator formed
+    (the size gate refuses it)."""
     code = hm.parity_check_code(cs.field_of_order(4), 8193)
     start = time.perf_counter()
     res = ct.sr_min_distance(code, 0, syndrome_budget=0)
