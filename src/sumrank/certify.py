@@ -190,7 +190,10 @@ class SpherePackingRecord(NamedTuple):
     holds: bool
 
     def __str__(self) -> str:
-        return f"{self.volume} {'<=' if self.holds else '>'} {self.q}^{self.codim}"
+        # Decimal prints V_sr(r) in full past CPython's int->str cap; imported here, as
+        # no job start-up should load it
+        from decimal import Decimal
+        return f"{Decimal(self.volume)} {'<=' if self.holds else '>'} {self.q}^{self.codim}"
 
 
 def sphere_packing_check(q: int, shapes: Shapes, codim: int, d: int) -> SpherePackingRecord:

@@ -29,9 +29,9 @@ syndromes span a subspace G of dimension k, and cell (y, c) of the
 (p^k, p^(D - k)) copy holds the syndrome with pivot digits y (over an RREF
 basis of G) and other digits c plus those of the basis combination y.
 Every shift by a syndrome in G is then a row gather, and the min over all
-of G is a column min.  A is gathered into the layout and scattered back
-once per block, a few rows at a time, so the layout's index is never held
-whole.
+of G is a column min.  A is gathered into the layout once per block, a
+few rows at a time, so the layout's index is never held whole; the same
+chunks of rows then write back only the syndromes whose value fell.
 
 Rank-1 rounds would count x + (-x) as a nonzero word, so d comes from a
 gather before each block instead,
@@ -45,9 +45,10 @@ reached then.  The backtrack compares A only with values <= d - 1 (the
 first nonzero block value it picks weighs at least 1, and every later
 target is smaller), and d <= 2r for the least r with V_sr(r) > q^codim
 (sphere packing, `spaces.packing_radius`), so the levels stop at
-w = min(codim, 2r - 1).  The syndromes whose value fell in a block are
-indexed in pieces of at most `_LAYOUT_BYTES`, as many as their count needs.
-Both use syndrome indices, not a layout.
+w = min(codim, 2r - 1).  The syndromes that fell in a block reach A and
+the record chunk by chunk, so their index, like the layout's, takes at most
+`_LAYOUT_BYTES` at a time.  The record and the backtrack use syndrome
+indices, not a layout.
 
 When the syndrome space is too large, `least_weight_word` settles d by
 enumerating the code in numpy chunks instead, in both metrics.
@@ -210,26 +211,6 @@ def _digit_sub(p: int, digits: int, a, b):
     return out
 
 
-def _moved(flat, before, cap: int):
-    """The indices s with flat[s] < before[s], in pieces of at most `cap`.
-
-    A range of syndromes holding more moved ones is cut into as many equal
-    ranges as the count asks for, so a block that moved few syndromes is one
-    piece, whatever the syndrome count.
-    """
-    ranges = [(0, len(flat))]
-    while ranges:
-        lo, hi = ranges.pop()
-        mask = flat[lo:hi] < before[lo:hi]
-        count = int(np.count_nonzero(mask))
-        if count > cap:
-            pieces = -(-count // cap)
-            ranges += [(lo + (hi - lo) * i // pieces, lo + (hi - lo) * (i + 1) // pieces)
-                       for i in range(pieces)]
-        elif count:
-            yield lo + np.flatnonzero(mask)
-
-
 class SyndromeDP(NamedTuple):
     """One DP pass: leader table A, distance d, and a weight-d codeword."""
 
@@ -277,7 +258,7 @@ def syndrome_dp(field, parity, shapes) -> SyndromeDP:
     flat = np.full(p ** digits, _INF, dtype=np.int8)
     flat[0] = 0
     buf = np.empty_like(flat)  # the state in the current block's layout
-    before = np.empty_like(flat)  # the state before the current block
+    before = np.empty_like(flat)  # the state before the current block, in its layout
     # the rank-1 rounds' line min, coset min and shifted copy, in each layout
     rounds = [np.empty_like(flat) for _ in range(3)] if any(n > 1 for n, _ in shapes) else []
     t = len(shapes)
@@ -299,20 +280,19 @@ def syndrome_dp(field, parity, shapes) -> SyndromeDP:
         b_zero.append(min(b_zero[-1] if b_zero else _INF, int(reach.min())))
         basis, pivots = rref(prime, array_digits(units[starts[b]:starts[b + 1]].ravel(), p, digits))
         head, lo = _layout(p, basis, pivots)
-        B = buf.reshape(len(head), -1)
+        B, old = buf.reshape(len(head), -1), before.reshape(len(head), -1)
         for part, idx in _layout_rows(head, lo):
-            B[part] = flat[idx]
+            B[part] = old[part] = flat[idx]
         top = B.min(axis=0) + np.int8(n)  # any block value, counted at weight n
         if n > 1:
-            gens = syn[_line_generators(field, n, m)]  # generator syndromes per line
-            ks, js = np.unique(gens, return_inverse=True)
-            # a shift by syndrome k moves row y to row y + (the pivot digits of k)
-            ks_y = sum(ks // p ** at % p * p ** j for j, at in enumerate(pivots))
-            rows = _digit_sub(p, len(pivots), np.arange(len(B)), np.reshape(ks_y, (-1, 1)))
-            shifts = [rows]  # shifts[a - 1][j]: the row map of the shift by a * ks[j]
+            gens = syn[_line_generators(field, n, m)]  # generator syndromes, a row per line
+            # a shift by generator syndrome g moves row y to row y + (the pivot digits of g)
+            gens_y = array_digits(gens.ravel(), p, digits)[:, pivots] @ p ** np.arange(len(pivots))
+            rows = _digit_sub(p, len(pivots), np.arange(len(B)), gens_y[:, None])
+            shifts = [rows]  # shifts[a - 1][j]: the row map of the shift by a times generator j
             for _ in range(p // 2 - 1):
                 shifts.append(np.take_along_axis(shifts[-1], rows, axis=1))
-            lines = [[j for j in row if ks[j]] for row in js.reshape(gens.shape).tolist()]
+            lines = np.arange(gens.size).reshape(gens.shape)  # a zero shift is a no-op min
             C, S, T = (x.reshape(B.shape) for x in rounds)
             for _ in range(n - 1):
                 C.fill(_INF)
@@ -321,14 +301,13 @@ def syndrome_dp(field, parity, shapes) -> SyndromeDP:
                 np.add(C, 1, out=C)
                 np.minimum(B, C, out=B)
         np.minimum(B, top, out=B)
-        np.copyto(before, flat)
-        for part, idx in _layout_rows(head, lo):
-            flat[idx] = B[part]
-        for changed in _moved(flat, before, max(1, _LAYOUT_BYTES // 8)):
-            new, old = flat[changed], before[changed]
-            # only the levels w with new <= w < old move
-            for w in range(int(new.min()), min(int(old.max()), len(levels))):
-                levels[w, changed[(new <= w) & (old > w)]] = b + 1
+        for part, idx in _layout_rows(head, lo):  # write back only the syndromes that fell
+            fell = B[part] < old[part]
+            changed, new, was = idx[fell], B[part][fell], old[part][fell]
+            flat[changed] = new
+            # only the levels w with new <= w < was move
+            for w in range(int(new.min(initial=_INF)), min(int(was.max(initial=0)), len(levels))):
+                levels[w, changed[(new <= w) & (was > w)]] = b + 1
     if int(flat.max()) >= _INF:
         raise RuntimeError("parity map is not onto: a syndrome is unreachable")
     distance = b_zero[-1] if b_zero[-1] < _INF else None

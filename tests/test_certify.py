@@ -1069,6 +1069,18 @@ def test_certify_through_the_api_stays_under_the_str_digit_cap(int_str_digits, m
                             "certified for every d in [4, 4]"]
 
 
+def test_sphere_packing_text_states_a_volume_past_the_str_digit_cap(int_str_digits):
+    """V_sr(75) of one 150 x 150 block over GF(2) has 5081 digits, past the default cap of
+    4300 that the fixture sets: the record states it in full and leaves the cap as it was."""
+    assert str(ct.SpherePackingRecord(2, 10 ** 5000, 2, 16610, True)) == \
+        "1" + "0" * 5000 + " <= 2^16610"
+    rec = ct.sphere_packing_check(2, {(150, 150): 1}, 16900, 151)
+    text = str(rec)
+    assert sys.get_int_max_str_digits() == int_str_digits == 4300
+    sys.set_int_max_str_digits(0)  # the oracle's own str(); the fixture restores the cap
+    assert (rec.radius, rec.holds, text) == (75, True, f"{rec.volume} <= 2^16900")
+
+
 @pytest.mark.parametrize("claim, proved_hi", [
     ("sphere-packing", 4), ("distance-optimal", 4), ("singleton", 6)])
 def test_a_deciding_note_names_the_range_its_rule_proved(claim, proved_hi):

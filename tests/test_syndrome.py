@@ -11,6 +11,7 @@ least-weight witness and the same word order as those loops and as
 `LinearCode.codewords`.
 """
 
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -349,7 +350,8 @@ _NON_SPANNING_ROWS = np.random.default_rng(3).integers(0, 2, size=(4, 11)).tolis
 # codim 0: one syndrome, every block's span is {0}
 @example(_problem(2, [(2, 2), (1, 1)], []))
 @example(_problem(3, [(1, 2)], []))
-# odd D = 3; the 2 x 2 block's 4 unit syndromes span only 2 dimensions
+# odd D = 3; the 2 x 2 block's 4 unit syndromes span only 2 dimensions, and the
+# generator of its line u = (0, 1) at the second column has syndrome 0: a no-op shift
 @example(_problem(2, [(2, 2), (1, 1)], [[1, 0, 1, 0, 0], [0, 1, 1, 0, 0], [0, 0, 0, 0, 1]]))
 # a block spanning the whole syndrome space (one layout column), then a
 # block whose syndromes are all zero; p = 2 and p = 3
@@ -385,19 +387,6 @@ def test_dp_of_the_zero_code_returns(q, shapes):
     assert sd.syndrome_dp(field, parity, shapes).distance is None
 
 
-@FAST
-@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=300),
-       st.integers(1, 9))
-def test_change_index_pieces_hold_every_move_once(pairs, cap):
-    flat, before = np.array(pairs, dtype=np.int8).T.copy()
-    moved = np.flatnonzero(flat < before)
-    pieces = list(sd._moved(flat, before, cap))
-    assert all(0 < len(piece) <= cap for piece in pieces)
-    assert np.array_equal(np.sort(np.concatenate(pieces)) if pieces else moved, moved)
-    if len(moved) <= cap:  # few moves are one piece, however many syndromes
-        assert len(pieces) == (len(moved) > 0)
-
-
 def test_witness_survives_uint16_level_record(f2):
     """Past 254 blocks the level record is uint16; leaders, d and witness stay."""
     t, codim = 300, 5
@@ -405,6 +394,42 @@ def test_witness_survives_uint16_level_record(f2):
     parity = hm.rref(f2, rows)[0]
     assert len(parity) == codim
     _check_against_full_dp(f2, parity, [(1, 1)] * t)
+
+
+# The DP of every certify-paper job that runs one, past the oracle's 2^10 syndromes (up to
+# 3^8 and 5^6): sha256 of the leader table's bytes, then d, R and the witness
+BENCH_DPS = [
+    ("quasi-perfect-2xm", dict(q=2, m=2, u=2),
+     "c5e9a0cf9eb5d96e94190480a2dd38d5b4357eade0bf443ce64b4e5ee0ac82ef",
+     (3, 2, (12, 10, 1) + (0,) * 2)),
+    ("quasi-perfect-2xm", dict(q=4, m=2, u=2),
+     "838f024bd532f941a1faaad08531f594a17e8e3e002e08653c18b0e99bd6f083",
+     (3, 2, (80, 107, 0, 1) + (0,) * 13)),
+    ("quasi-perfect-2xm", dict(q=3, m=2, u=3),
+     "e84253b89abcab07cabd52aa2ffb7a6dfba2e4167fd1be5435fd56749a34fec5",
+     (3, 2, (54, 54, 1) + (0,) * 88)),
+    ("quasi-perfect-2xm", dict(q=5, m=2, u=2),
+     "25f4c21ec164667faa647250c6995b1bd17b574d0d8db488cc0c204a1cdb2255",
+     (3, 2, (238, 168, 1) + (0,) * 23)),
+    ("quasi-perfect-2x2", dict(t=6),
+     "89f9d4d4796b89cd60cdc295c109729abb200ff182f731a84383431702981830",
+     (4, 2, (7, 7) + (0,) * 4)),
+    ("almost-msrd-2x2", dict(q=3, t=9),
+     "315bdf90442d4190a6588c8e4fb0e41cd66a86e6e92abb308ff4003c793013a3",
+     (4, 3, (24, 12) + (0,) * 7)),
+    ("distance-optimal-sxs", dict(q=3, s=2, m=1),
+     "c84f5d06f1e06b45e5322b2f21a54812413d66acf72d12f79f8b2f5d0cc3bfe9",
+     (4, 3, (24, 12) + (0,) * 6)),
+]
+
+
+@pytest.mark.parametrize("recipe, params, leaders_sha256, want", BENCH_DPS,
+                         ids=[f"{r} {p}" for r, p, _, _ in BENCH_DPS])
+def test_dp_at_benchmark_sizes_is_pinned(recipe, params, leaders_sha256, want):
+    code = cs.build_recipe(recipe, **params)
+    dp = sd.syndrome_dp(code.base, code.flat_parity, code.profile.blocks)
+    assert hashlib.sha256(dp.leaders.tobytes()).hexdigest() == leaders_sha256
+    assert (dp.distance, dp.radius, dp.witness) == want
 
 
 @pytest.mark.parametrize("build", [
@@ -662,12 +687,13 @@ def test_enumeration_memory_stays_within_the_chunk_bound():
 
 
 def test_dp_memory_stays_within_the_packing_bound():
-    """At 3^10 syndromes and 80 blocks the DP keeps 5 level rows, not 11, and no full change index.
+    """At 3^10 syndromes and 80 blocks the DP keeps 5 level rows, not 11, and no full index.
 
-    The level record is cut to w <= 4 (d <= 2r with r = 2), the change index
-    comes in pieces of `_LAYOUT_BYTES`, and the rank-1 rounds reuse three
-    preallocated copies of the state: about 1.1 MB at the peak, against 1.96 MB
-    with 11 level rows, a 472 KB change index and fresh arrays per shift.
+    The level record is cut to w <= 4 (d <= 2r with r = 2), a block's layout
+    index and the syndromes that fell in it come one chunk of `_LAYOUT_BYTES`
+    of layout rows at a time, and the rank-1 rounds reuse three preallocated
+    copies of the state: about 1.0 MB at the peak, against 1.96 MB with 11
+    level rows, a 472 KB change index and fresh arrays per shift.
     """
     code = cs.distance_optimal_2x2(3)
     code.flat_parity, sp.rank_array(code.base, 2, 2)  # the parity and the rank table are the code's
