@@ -17,7 +17,7 @@ import os
 # import; a value the user has set is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .gf import Field, make_field
+from .gf import Field, UsageError, make_field
 from .spaces import (MatrixProfile, SumRankWord, ball_volume_exact,
                      count_rank_matrices, hamming_ball_volume, rank,
                      sum_rank_distance, sum_rank_weight)
@@ -31,7 +31,7 @@ from .certify import (Certificate, certify_code, perfection_verdict,
                       sr_min_distance)
 
 __all__ = [
-    "Field", "make_field",
+    "Field", "UsageError", "make_field",
     "MatrixProfile", "SumRankWord", "ball_volume_exact", "count_rank_matrices",
     "hamming_ball_volume", "rank", "sum_rank_distance", "sum_rank_weight",
     "LinearCode", "covering_radius", "cyclic_code", "cyclotomic_coset",

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .gf import _CHUNK_BYTES, array_digits, place_values
+from .gf import _CHUNK_BYTES, UsageError, array_digits, place_values, prime_power
 from .spaces import (MatrixProfile, Shapes, ball_volume, brute_weight_array, packing_radius,
                      rank_array, singleton_like_exponent)
 from .construct import FAMILIES, condition_family
@@ -190,10 +190,16 @@ class SpherePackingRecord(NamedTuple):
     holds: bool
 
     def __str__(self) -> str:
-        # Decimal prints V_sr(r) in full past CPython's int->str cap; imported here, as
-        # no job start-up should load it
+        return f"{self._digits()} {'<=' if self.holds else '>'} {self.q}^{self.codim}"
+
+    def __repr__(self) -> str:
+        return (f"SpherePackingRecord(radius={self.radius}, volume={self._digits()}, q={self.q}, "
+                f"codim={self.codim}, holds={self.holds})")
+
+    def _digits(self) -> str:
+        """V_sr(r) in full past CPython's int->str cap; Decimal loads here, at no job start-up."""
         from decimal import Decimal
-        return f"{Decimal(self.volume)} {'<=' if self.holds else '>'} {self.q}^{self.codim}"
+        return str(Decimal(self.volume))
 
 
 def sphere_packing_check(q: int, shapes: Shapes, codim: int, d: int) -> SpherePackingRecord:
@@ -241,12 +247,14 @@ def strong_singleton_bch(m: int, t: int, e: int, n: int, d_sr: int) -> StrongSin
 
     Case 1 (d = 4m^2 e + i, 1 <= i <= 4m^2 - 1): 2^(m^2 (t - ne)).
     Case 2 (d = 4m^2 e): 2^(m^2 (t - ne + n)).
-    The Singleton-like bound is that of t blocks m x m, which refuses d outside 1..tm.
+    The Singleton-like bound is that of t blocks m x m; d outside 1..tm is refused.
     """
     for name, value in (("matrix size m", m), ("block length t", t), ("BCH error count e", e),
                         ("BCH field degree n", n)):
         if value < 1:
-            raise ValueError(f"{name} = {value} must be at least 1")
+            raise UsageError(f"{name} = {value} must be at least 1")
+    if not 1 <= d_sr <= t * m:
+        raise UsageError(f"distance {d_sr} out of range 1..{t * m}")
     singleton_exponent = singleton_like_exponent({(m, m): t}, d_sr)
     lo, hi = 4 * m * m * e, 4 * m * m * e + 4 * m * m - 1
     if t < 2 ** n - 1:
@@ -270,14 +278,17 @@ class BoundRecord(NamedTuple):
 
 def block_length_bound(q: int, m: int, u: int, R: int, c: float = 1.0) -> BoundRecord:
     """Advisory bound on the block length function at codimension uR + m^2."""
+    prime_power(q)
+    if m < 1:
+        raise UsageError(f"matrix size m = {m} must be at least 1")
     if R < 1:
-        raise ValueError(f"covering radius R = {R} must be at least 1")
+        raise UsageError(f"covering radius R = {R} must be at least 1")
     if not c > 0:
-        raise ValueError(f"universal constant c = {c} must be positive")
+        raise UsageError(f"universal constant c = {c} must be positive")
     if u % (m * m) != 0:
-        raise ValueError(f"divisibility gate failed: {m}^2 does not divide u = {u}")
+        raise UsageError(f"divisibility gate failed: {m}^2 does not divide u = {u}")
     if R % m != 0:
-        raise ValueError(f"divisibility gate failed: {m} does not divide R = {R}")
+        raise UsageError(f"divisibility gate failed: {m} does not divide R = {R}")
     value = c * q ** (((u - m) * R + m * m) / R) * (m * math.log(q)) ** (m / R)
     return BoundRecord(
         f"block_length_bound(q={q},m={m},codim={u * R + m * m},R={R})", value,
@@ -287,9 +298,9 @@ def block_length_bound(q: int, m: int, u: int, R: int, c: float = 1.0) -> BoundR
 def entropy(Q: int, rho: float) -> float:
     """Entropy of the alphabet of size Q at rate rho, 0 <= rho <= 1 - 1/Q."""
     if not isinstance(Q, int) or Q < 2:
-        raise ValueError(f"alphabet size Q = {Q!r} must be an integer >= 2")
+        raise UsageError(f"alphabet size Q = {Q!r} must be an integer >= 2")
     if rho < 0 or rho > 1 - 1 / Q + 1e-15:
-        raise ValueError(f"rho = {rho} outside [0, 1 - 1/{Q}]")
+        raise UsageError(f"rho = {rho} outside [0, 1 - 1/{Q}]")
     if rho == 0:
         return 0.0
     out = rho * math.log(Q - 1, Q) - rho * math.log(rho, Q)
@@ -303,7 +314,7 @@ def strong_singleton_blf(q: int, m: int, u: int, R: int, t: int,
     """Size bound q^((t-1)m^2 - uR) for d = 2R + 1, gated on the block length."""
     gate = block_length_bound(q, m, u, R, c).value
     if t < gate:
-        raise ValueError(f"gate failed: block length {t} below {gate:.6g}")
+        raise UsageError(f"gate failed: block length {t} below {gate:.6g}")
     bound = q ** ((t - 1) * m * m - u * R)
     return BoundRecord(
         f"strong_singleton_blf(q={q},m={m},u={u},R={R},t={t})", bound,

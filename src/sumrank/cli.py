@@ -4,7 +4,8 @@ Subcommands: construct, certify, bounds, table, selftest.  Parameters are
 key=value tokens; a config file of KEY=VALUE lines may supply defaults.
 A recipe (`construct.RECIPES`) or a `bounds` or `table` kind (`KINDS`)
 binds them by its signature (`construct.bind_params`).  Exit codes: 0
-certified/ok, 1 refuted, 2 inconclusive, 3 internal error, 4 usage error.
+certified/ok, 1 refuted, 2 inconclusive, 4 usage error (a `gf.UsageError`,
+or an input file missing or unreadable), 3 internal error (any other).
 
 `run()` is the process entry point; Python callers use `main(argv)`, which
 returns the exit code and leaves the interpreter running.
@@ -22,9 +23,9 @@ from typing import NoReturn
 from . import certify as ct
 from . import construct as cs
 from . import hamming as hm
-from .spaces import (MatrixProfile, ball_volume_exact, count_rank_matrices, rank, rank_array,
-                     unpack_matrix)
-from .gf import make_field, nullspace
+from .spaces import (MatrixProfile, Shapes, ball_volume, ball_volume_exact, block_counts,
+                     count_rank_matrices, rank, rank_array, unpack_matrix)
+from .gf import UsageError, make_field, nullspace, prime_power
 
 USAGE_ERROR = 4
 INTERNAL_ERROR = 3
@@ -33,8 +34,7 @@ INTERNAL_ERROR = 3
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        sys.stderr.write(f"error: {message}\n")
-        raise SystemExit(USAGE_ERROR)
+        raise UsageError(message)
 
 
 def _parse_value(text: str):
@@ -73,11 +73,11 @@ def parse_params(tokens, config_path: str | None = None) -> dict:
             for line in fh:
                 line = line.split("#", 1)[0].strip()
                 if line and "=" not in line:
-                    raise ValueError(f"config line without '=': {line!r}")
+                    raise UsageError(f"config line without '=': {line!r}")
                 pairs += [line] if line else []
     for tok in tokens:
         if "=" not in tok:
-            raise ValueError(f"expected key=value, got {tok!r}")
+            raise UsageError(f"expected key=value, got {tok!r}")
     return {key.strip(): _parse_value(val.strip())
             for key, val in (pair.split("=", 1) for pair in pairs + list(tokens))}
 
@@ -123,12 +123,12 @@ def _load_code(args):
         given = [f"{o} {v}" for o, v in (("--recipe", args.recipe), ("--config", args.config))
                  if v] + args.params
         if given:
-            raise ValueError(f"--code takes no recipe or parameters; got {' '.join(given)}")
+            raise UsageError(f"--code takes no recipe or parameters; got {' '.join(given)}")
         with open(args.code, "r", encoding="utf-8") as fh:
             saved = json.load(fh)
         if not (isinstance(saved, dict) and isinstance(saved.get("recipe"), str)
                 and isinstance(saved.get("params"), dict) and "descriptor" in saved):
-            raise ValueError(f"--code {args.code} is not a code descriptor: an object with "
+            raise UsageError(f"--code {args.code} is not a code descriptor: an object with "
                              "a string 'recipe', an object 'params' and a 'descriptor'")
         code = cs.build_recipe(saved["recipe"], **saved["params"])
         if (json.dumps(saved["descriptor"], sort_keys=True)
@@ -136,19 +136,13 @@ def _load_code(args):
             raise RuntimeError("descriptor mismatch: reload does not reproduce the code")
         return code
     if not args.recipe:
-        raise ValueError("either --code FILE or --recipe NAME is required")
+        raise UsageError("either --code FILE or --recipe NAME is required")
     return cs.build_recipe(args.recipe, **parse_params(args.params, args.config))
 
 
 def cmd_certify(args) -> int:
-    code = _load_code(args)
-    try:
-        cert = ct.certify_code(code, args.claim, enum_budget=args.enum_budget,
-                               syndrome_budget=args.syndrome_budget,
-                               work_budget=args.sweep_budget)
-    except ValueError as exc:  # the input was valid: an engine failed
-        _report_internal_error(exc)
-        return INTERNAL_ERROR
+    cert = ct.certify_code(_load_code(args), args.claim, enum_budget=args.enum_budget,
+                           syndrome_budget=args.syndrome_budget, work_budget=args.sweep_budget)
     print(cert.to_table())
     if args.out:
         _write_out(args.out, cert.to_json)
@@ -176,21 +170,26 @@ def _list_param(name: str, text: str, form: str, item) -> list:
     try:
         return [item(piece) for piece in text.split(",")]
     except ValueError:
-        raise ValueError(f"parameter {name}={text!r} is not of the form {form}") from None
+        raise UsageError(f"parameter {name}={text!r} is not of the form {form}") from None
 
 
-def _profile(q: int, blocks: str) -> MatrixProfile:
-    """The profile of `q=Q blocks=NxM[,NxM...]` over GF(Q)."""
+def _shapes(q: int, blocks: str) -> Shapes:
+    """The blocks of `q=Q blocks=NxM[,NxM...]`, for a prime power Q; no field is built."""
     def shape(piece: str) -> tuple[int, int]:
         n, m = map(int, piece.split("x"))
         return n, m
     shapes = _list_param("blocks", blocks, "NxM[,NxM...]", shape)
-    return MatrixProfile(cs.field_of_order(q), tuple(shapes))
+    prime_power(q)
+    return block_counts(shapes)
 
 
 @_kind
 def bounds_singleton(q: int, blocks: str, d: int) -> int:
-    return _show(q ** ct.singleton_like_exponent(_profile(q, blocks).shape_counts(), d))
+    shapes = _shapes(q, blocks)
+    N = sum(n * count for (n, _), count in shapes.items())
+    if not 1 <= d <= N:
+        raise UsageError(f"distance {d} out of range 1..{N}")
+    return _show(q ** ct.singleton_like_exponent(shapes, d))
 
 
 @_kind
@@ -223,7 +222,9 @@ def bounds_entropy(Q: int, rho: float) -> int:
 
 @_kind
 def bounds_volume(q: int, blocks: str, r: int) -> int:
-    return _show(ball_volume_exact(_profile(q, blocks), r))
+    if r < 0:
+        raise UsageError("radius must be nonnegative")
+    return _show(ball_volume(q, _shapes(q, blocks), r))
 
 
 @_kind
@@ -354,7 +355,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    except (ValueError, FileNotFoundError) as exc:
+    except (UsageError, FileNotFoundError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as exc:  # noqa: BLE001 - report and keep the >2 contract

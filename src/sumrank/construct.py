@@ -33,8 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gf import (Field, _prime_factors, array_digits, array_mul, digit_add, digit_adder,
-                 linear_map, make_field, rref)
+from .gf import (Field, UsageError, array_digits, array_mul, digit_add, digit_adder,
+                 linear_map, make_field, prime_power, rref)
 from . import hamming as hm
 from .spaces import MatrixProfile, pack_matrix
 from .syndrome import ENUM_BUDGET, SrDistance, SumRankCode
@@ -42,13 +42,8 @@ from .syndrome import ENUM_BUDGET, SrDistance, SumRankCode
 
 def field_of_order(q: int) -> Field:
     """GF(q) for a prime power q, as a one-step tower over its prime field."""
-    primes = _prime_factors(q)
-    if len(primes) != 1:
-        raise ValueError(f"{q} is not a prime power" if q >= 2 else "field order must be at least 2")
-    e = 1
-    while primes[0] ** e < q:
-        e += 1
-    return make_field(primes[0], [e])
+    p, e = prime_power(q)
+    return make_field(p, [e])
 
 
 class IngredientSumRankCode(SumRankCode):
@@ -67,7 +62,7 @@ class IngredientSumRankCode(SumRankCode):
             raise ValueError("at least one ingredient code is required")
         ext = ingredients[0].field
         if ext.subfield is None:
-            raise ValueError(f"ingredients over the prime field {ext!r} have no base "
+            raise UsageError(f"ingredients over the prime field {ext!r} have no base "
                              "field: the symbol field must be an extension GF(q^m)")
         base = ext.subfield
         t = ingredients[0].n
@@ -424,19 +419,19 @@ def signature_params(fn) -> list[inspect.Parameter]:
 
 def bind_params(where: str, declared, params: dict) -> dict:
     """The keyword arguments `params` gives the `declared` parameters; an unknown name, a
-    missing required one, a mistyped value or a non-finite float is a ValueError after `where`."""
+    missing required one, a mistyped value or a non-finite float is a UsageError after `where`."""
     names = [a.name for a in declared]
     unknown = sorted(set(params) - set(names))
     if unknown:
-        raise ValueError(f"{where}: unknown parameters {unknown}; it reads {', '.join(names)}")
+        raise UsageError(f"{where}: unknown parameters {unknown}; it reads {', '.join(names)}")
     for a in declared:
         takes, type_name = _TAKES[a.annotation]
         if a.name not in params and a.default is a.empty:
-            raise ValueError(f"{where}: missing parameter {a.name}=")
+            raise UsageError(f"{where}: missing parameter {a.name}=")
         if a.name in params and type(params[a.name]) not in takes:
-            raise ValueError(f"{where}: parameter {a.name}={params[a.name]!r} is not {type_name}")
+            raise UsageError(f"{where}: parameter {a.name}={params[a.name]!r} is not {type_name}")
         if a.annotation == "float" and not abs(params.get(a.name, 0)) < float("inf"):  # nan or inf
-            raise ValueError(f"{where}: parameter {a.name}={params[a.name]!r} is not finite")
+            raise UsageError(f"{where}: parameter {a.name}={params[a.name]!r} is not finite")
     return {a.name: str(params[a.name]) if a.annotation == "str" else params[a.name]
             for a in declared if a.name in params}
 
@@ -467,9 +462,9 @@ def _recipe(fn):
 
 
 def _gate(holds: bool, failure: str) -> None:
-    """A recipe's hypothesis: a ValueError naming the `failure` unless it holds."""
+    """A recipe's hypothesis: a UsageError naming the `failure` unless it holds."""
     if not holds:
-        raise ValueError(f"gate failed: {failure}")
+        raise UsageError(f"gate failed: {failure}")
 
 
 class Family(NamedTuple):
@@ -656,14 +651,14 @@ FAMILIES = {"cyclic-d4": _cyclic_d4_family, "quasi-perfect-2xm": _quasi_perfect_
 
 
 def condition_family(where: str, name: str):
-    """The `FAMILIES` entry `name`; any other name is a ValueError after `where`."""
+    """The `FAMILIES` entry `name`; any other name is a UsageError after `where`."""
     if name not in FAMILIES:
-        raise ValueError(f"{where}: no checks for family {name!r}; it checks {', '.join(FAMILIES)}")
+        raise UsageError(f"{where}: no checks for family {name!r}; it checks {', '.join(FAMILIES)}")
     return FAMILIES[name]
 
 
 def build_recipe(name: str, **params):
     if name not in RECIPES:
-        raise ValueError(f"unknown recipe {name!r}; known: {sorted(RECIPES)}")
+        raise UsageError(f"unknown recipe {name!r}; known: {sorted(RECIPES)}")
     fn = RECIPES[name]
     return fn(**bind_params(f"recipe {name}", signature_params(fn), params))

@@ -37,6 +37,10 @@ _AUTO_POLY_LIMIT = 1 << 20
 _CHUNK_BYTES = 1 << 20  # live bytes of one chunk of words, block values or ambient words
 
 
+class UsageError(ValueError):
+    """A value, input file or size limit refused: the caller's to change (CLI exit 4)."""
+
+
 def _prime_factors(n: int) -> list[int]:
     """The distinct primes dividing n, ascending: [n] exactly when n is prime, [] for n < 2."""
     out = []
@@ -50,6 +54,14 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, e) with q = p^e; any other q is a UsageError."""
+    primes = _prime_factors(q)
+    if len(primes) != 1:
+        raise UsageError(f"{q} is not a prime power" if q >= 2 else "field order must be at least 2")
+    return primes[0], next(e for e in range(1, q) if primes[0] ** e >= q)
 
 
 def digits(value: int, base: int, count: int) -> list[int]:
@@ -324,12 +336,12 @@ class Field:
     def extension(self, degree: int, modulus: tuple[int, ...] | None = None) -> Field:
         """Degree-`degree` extension of this field (degree 1 returns self)."""
         if degree < 1:
-            raise ValueError("extension degree must be positive")
+            raise UsageError("extension degree must be positive")
         if degree == 1:
             return self
         if modulus is None:
             if self.order ** degree > _AUTO_POLY_LIMIT:
-                raise ValueError(
+                raise UsageError(
                     f"order {self.order ** degree} exceeds the built-in polynomial "
                     "table; supply an explicit irreducible modulus")
             modulus = smallest_irreducible(self, degree)

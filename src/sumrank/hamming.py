@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 # rref and nullspace live in `gf` and stay reachable here
-from .gf import Field, digit_add, nullspace, rref
+from .gf import Field, UsageError, digit_add, nullspace, rref
 from .spaces import MatrixProfile, singleton_like_exponent
 from .syndrome import (ENUM_BUDGET, BudgetExceeded, SrDistance, SumRankCode,
                        covering_radius, scaled_syndromes)
@@ -50,7 +50,7 @@ class LinearCode(SumRankCode):
 
     def __init__(self, field: Field, n: int, parity, family: str = "explicit",
                  designed_distance: int | None = None,
-                 defining_set: tuple[int, ...] | None = None, notes: dict | None = None):
+                 defining_set: tuple[int, ...] | None = None):
         self.field = self.base = field
         self.n = n
         self.parity = H = np.asarray(parity, dtype=np.int64).reshape(len(parity), n)
@@ -64,7 +64,6 @@ class LinearCode(SumRankCode):
         self.family = family
         self.designed_distance = designed_distance
         self.defining_set = defining_set
-        self.notes = {} if notes is None else notes
         self._codeword_cache: list | None = None
 
     @property
@@ -76,7 +75,7 @@ class LinearCode(SumRankCode):
     @functools.cached_property
     def generator(self) -> tuple[tuple[int, ...], ...]:
         if self.k * self.n > DENSE_CELL_LIMIT:
-            raise ValueError(f"size gate: the {self.k} x {self.n} generator has k*n = "
+            raise UsageError(f"size gate: the {self.k} x {self.n} generator has k*n = "
                              f"{self.k * self.n} cells, above DENSE_CELL_LIMIT = "
                              f"{DENSE_CELL_LIMIT}")
         return tuple(nullspace(self.field, self.parity, self.n, pivots=self._pivots))
@@ -226,7 +225,7 @@ def cyclic_code(n: int, field: Field, generators) -> LinearCode:
     ext = field.extension(ell)
     beta = ext.pow(ext.generator, (ext.order - 1) // n)
     if ext.pow(beta, n) != 1 or (n > 1 and beta == 1):
-        raise ValueError("failed to construct a primitive n-th root of unity")
+        raise RuntimeError("failed to construct a primitive n-th root of unity")
     # g(x) = prod_{i in T} (x - beta^i), expanded over the extension
     gpoly = [1]
     for i in T_sorted:
@@ -249,8 +248,7 @@ def cyclic_code(n: int, field: Field, generators) -> LinearCode:
                for i in range(r)]
     parity = np.hstack([np.array(rems, dtype=np.int64).reshape(k, r).T,
                         np.eye(r, dtype=np.int64)])
-    return LinearCode(field, n, parity, family="cyclic", defining_set=T_sorted,
-                      notes={"generator_polynomial": gcoeffs})
+    return LinearCode(field, n, parity, family="cyclic", defining_set=T_sorted)
 
 
 # ----------------------------------------------------------------------
@@ -288,7 +286,7 @@ def reed_solomon(field: Field, t: int, k: int) -> LinearCode:
 
 def repetition_code(field: Field, t: int) -> LinearCode:
     if t < 1:
-        raise ValueError("length must be positive")
+        raise UsageError("length must be positive")
     return from_generator(field, [(1,) * t], family="repetition", designed_distance=t)
 
 
@@ -439,7 +437,7 @@ def bch_covering_radius_interval(e: int, n: int):
     Applies only under the exact big-integer hypothesis 2^n >= (2e-1)^(4e+2).
     """
     if e < 1 or n < 1:
-        raise ValueError("need positive e and n")
+        raise UsageError("need positive e and n")
     if 2 ** n < (2 * e - 1) ** (4 * e + 2):
         return None
     return (2 * e - 1, 2 * e)

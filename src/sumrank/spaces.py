@@ -17,7 +17,8 @@ from itertools import accumulate, islice
 
 import numpy as np
 
-from .gf import _CHUNK_BYTES, Field, array_digits, digit_adder, digits, place_values, undigits
+from .gf import (_CHUNK_BYTES, Field, UsageError, array_digits, digit_adder, digits,
+                 place_values, undigits)
 
 BRUTE_LIMIT = 1 << 24  # most values a rank table or an ambient sweep enumerates
 Shapes = dict[tuple[int, int], int]  # {(n, m): count}, the blocks the counting bounds read
@@ -30,13 +31,7 @@ class MatrixProfile:
     """
 
     def __init__(self, field: Field, blocks: tuple[tuple[int, int], ...]):
-        if not blocks:
-            raise ValueError("a profile needs at least one block")
-        for n, m in blocks:
-            if n < 1 or m < 1:
-                raise ValueError("block dimensions must be positive")
-            if n > m:
-                raise ValueError(f"block shape {n}x{m} violates n <= m")
+        block_counts(blocks)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "blocks", tuple((int(n), int(m)) for n, m in blocks))
 
@@ -81,10 +76,22 @@ class MatrixProfile:
         return tuple(self.q ** (n * m) for n, m in self.blocks)
 
     def shape_counts(self) -> Shapes:
-        return Counter(self.blocks)
+        return block_counts(self.blocks)
 
     def describe(self) -> dict:
         return {"field": self.field.describe(), "blocks": [list(b) for b in self.blocks]}
+
+
+def block_counts(blocks) -> Shapes:
+    """The `Shapes` of `blocks`, at least one, each n x m with 1 <= n <= m; else a UsageError."""
+    if not blocks:
+        raise UsageError("a profile needs at least one block")
+    for n, m in blocks:
+        if n < 1 or m < 1:
+            raise UsageError("block dimensions must be positive")
+        if n > m:
+            raise UsageError(f"block shape {n}x{m} violates n <= m")
+    return Counter(blocks)
 
 
 class SumRankWord:
@@ -205,10 +212,11 @@ def hamming_ball_volume(n: int, r: int, q: int) -> int:
 
 
 def ball_volume(q: int, shapes: Shapes, r: int) -> int:
-    """|{x : wt_sr(x) <= r}| over GF(q) blocks `shapes`, the first r + 1 `weight_counts`."""
+    """|{x : wt_sr(x) <= r}| over GF(q) blocks `shapes`, the first r + 1 `weight_counts` (all
+    of them, the whole space, for r at or past the largest weight, however large r is)."""
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    return sum(islice(weight_counts(q, shapes), r + 1))
+    return sum(count for _, count in zip(range(r + 1), weight_counts(q, shapes)))
 
 
 def ball_volume_exact(profile: MatrixProfile, r: int) -> int:

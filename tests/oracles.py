@@ -98,6 +98,18 @@ def generator_parity(code) -> np.ndarray:
     return np.array(basis, dtype=np.int64).reshape(len(basis), code.ambient_dim)
 
 
+def generator_polynomial(code) -> list[int]:
+    """g(x) = prod_(i in T) (x - beta^i) of a cyclic code, little-endian, from its defining
+    set T alone: beta = gamma^((Q^l - 1)/n) for the generator gamma of GF(Q^l), l = ord_n(Q)."""
+    f, n = code.field, code.n
+    ext = f.extension(next(ell for ell in range(1, n + 1) if (f.order ** ell - 1) % n == 0))
+    beta = ext.pow(ext.generator, (ext.order - 1) // n)
+    g = [1]
+    for i in code.defining_set:  # g(x) (x - beta^i), coefficient j: g_(j-1) - beta^i g_j
+        g = [ext.sub(a, ext.mul(ext.pow(beta, i), b)) for a, b in zip([0] + g, g + [0])]
+    return g if ext is f else [ext.project(c) for c in g]
+
+
 def unit_syndromes(field, parity, n: int) -> np.ndarray:
     """U[j, i]: the syndrome index of the unit digit p^i alone at position j of n.
 

@@ -1081,6 +1081,17 @@ def test_sphere_packing_text_states_a_volume_past_the_str_digit_cap(int_str_digi
     assert (rec.radius, rec.holds, text) == (75, True, f"{rec.volume} <= 2^16900")
 
 
+def test_sphere_packing_repr_states_a_volume_past_the_str_digit_cap(int_str_digits):
+    """repr prints the fields as a NamedTuple does, the volume through the same Decimal path
+    as str, so a volume past the default cap of 4300 digits is stated in full."""
+    assert repr(ct.SpherePackingRecord(1, 5, 2, 3, False)) == (
+        "SpherePackingRecord(radius=1, volume=5, q=2, codim=3, holds=False)")
+    rec = ct.SpherePackingRecord(2, 10 ** 5000, 2, 16610, True)
+    assert repr(rec) == ("SpherePackingRecord(radius=2, volume=1" + "0" * 5000
+                         + ", q=2, codim=16610, holds=True)")
+    assert sys.get_int_max_str_digits() == int_str_digits == 4300
+
+
 @pytest.mark.parametrize("claim, proved_hi", [
     ("sphere-packing", 4), ("distance-optimal", 4), ("singleton", 6)])
 def test_a_deciding_note_names_the_range_its_rule_proved(claim, proved_hi):

@@ -372,20 +372,42 @@ def test_rank_deficient_ingredient_parity_is_internal_error(capsys, monkeypatch)
 
 @pytest.mark.parametrize("exc", [ValueError("The truth value of an array is ambiguous"),
                                  KeyError("levels")], ids=["ValueError", "KeyError"])
-def test_engine_value_error_is_internal_error(capsys, monkeypatch, exc):
-    from sumrank import syndrome as sd
-
-    def failing_dp(*args, **kwargs):
+def test_engine_value_error_is_internal_error(tmp_path, capsys, monkeypatch, exc):
+    """Only a `UsageError` is the user's: the same exception from the DP, a builder step, a
+    descriptor or a bound evaluator is an internal error (a ValueError from the last three
+    exited 4 while `cli.main` sent every ValueError to 4)."""
+    def fail(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(sd, "syndrome_dp", failing_dp)
     argv = ("certify", "quasi-perfect", "--recipe", "quasi-perfect-2xm", "q=2", "m=2")
-    code, out, err = run(capsys, *argv, "u=2")
-    assert code == 3 and out == ""
-    assert err == f"internal error: {type(exc).__name__}: {exc}\n"
+    desc = tmp_path / "code.json"
+    for owner, name, job in [
+            (sd, "syndrome_dp", (*argv, "u=2")),
+            (hm, "hamming_code", ("construct", "quasi-perfect-2xm", "q=2", "m=2", "u=2")),
+            (cs.IngredientSumRankCode, "describe",
+             ("construct", "quasi-perfect-2xm", "q=2", "m=2", "u=2", "--out", str(desc))),
+            (ct, "entropy", ("bounds", "entropy", "Q=4", "rho=0.5"))]:
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, fail)
+            code, out, err = run(capsys, *job)
+        assert code == 3 and err == f"internal error: {type(exc).__name__}: {exc}\n", name
+        assert out == ("" if "--out" not in job else  # the summary precedes the descriptor
+                       "sum-rank code over GF(2): t = 5 blocks of 2x2, dim 14, |C| = 2^14, "
+                       "ambient dim 20\n")
+    assert not desc.exists()
     # a bad recipe parameter is still the user's: the code is never built
     code, out, err = run(capsys, *argv, "u=0")
     assert code == 4 and out == "" and err.startswith("error: ")
+
+
+def test_engine_distance_out_of_range_is_internal_error(capsys, monkeypatch):
+    """A d past N from an engine is sumrank's fault: the Singleton-like exponent's range
+    check stays a plain ValueError, and only the bounds kinds refuse the user's d."""
+    monkeypatch.setattr(ct, "sr_min_distance", lambda *a, **k: sd.SrDistance(11, 11, "bad"))
+    code, out, err = run(capsys, "certify", "singleton", "--recipe", "quasi-perfect-2xm",
+                         "q=2", "m=2", "u=2")
+    assert (code, out) == (3, "")
+    assert err == "internal error: ValueError: distance 11 out of range 1..10\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -416,6 +438,27 @@ def test_bounds_entropy_and_volume(capsys):
     assert code == 0 and abs(float(out.strip()) - 1.0) < 1e-12
     code, out, _ = run(capsys, "bounds", "volume", "q=2", "blocks=2x2,2x2", "r=2")
     assert code == 0 and out.strip() == "112"
+
+
+def test_bounds_volume_and_singleton_build_no_field(capsys, monkeypatch):
+    """They read q and the block shapes only, so q past the built-in polynomial table
+    (2^21, 3^13) and a radius past sys.maxsize are answered; no field is built."""
+    def build(*args, **kwargs):
+        raise AssertionError("a field was built")
+
+    monkeypatch.setattr(cs, "make_field", build)
+    q = 2 ** 21  # V(1) of one 2 x 2 block: 1 + (q^2 - 1)(q^2 - q)/(q - 1)
+    assert run(capsys, "bounds", "volume", f"q={q}", "blocks=2x2", "r=1") == (
+        0, f"{1 + (q * q - 1) * (q + 1)}\n", "")
+    assert (q * q - 1) * (q + 1) + 1 == 9223376434899189760
+    assert run(capsys, "bounds", "singleton", "q=1594323", "blocks=2x2", "d=2") == (
+        0, f"{3 ** 26}\n", "")
+    assert 3 ** 26 == 2541865828329
+    assert run(capsys, "bounds", "volume", "q=65536", "blocks=2x2", "r=1")[:2] == (
+        0, f"{1 + (2 ** 32 - 1) * (2 ** 16 + 1)}\n")
+    # a ball at or past the largest weight is the whole space
+    assert run(capsys, "bounds", "volume", "q=2", "blocks=1x1", f"r={10 ** 20}") == (0, "2\n", "")
+    assert run(capsys, "bounds", "volume", "q=3", "blocks=2x2,1x2", "r=3") == (0, f"{3 ** 6}\n", "")
 
 
 def test_bounds_singleton(capsys):
@@ -630,6 +673,43 @@ KIND_PARAMS = {
 }
 
 
+# a value just past a gate of every recipe and every `bounds` or `table` kind, over the
+# complete parameters of KIND_PARAMS
+REFUSED_VALUES = [
+    (("construct", "quasi-perfect-2xm"), {"q": 1}),
+    (("construct", "quasi-perfect-2xm"), {"q": 6}),
+    (("construct", "quasi-perfect-2xm"), {"u": 1}),
+    (("construct", "quasi-perfect-2x2"), {"t": 5}),
+    (("construct", "cyclic-d4"), {"lam": 2}),  # 2 does not divide 2^3 - 1
+    (("construct", "cyclic-d4-alt"), {"q": 7}),
+    (("construct", "distance-optimal-sxs"), {"s": 1}),
+    (("construct", "distance-optimal-rect"), {"s1": 3}),  # s1 = s2
+    (("construct", "distance-optimal-2x2"), {"q": 6}),
+    (("construct", "almost-msrd-2x2"), {"t": 5}),  # past q^2 = 4
+    (("construct", "plotkin-distance-optimal"), {"s": 1}),
+    (("construct", "covering-repetition"), {"m": 1}),  # the prime field has no subfield
+    (("construct", "covering-repetition"), {"m": 0}),
+    (("construct", "covering-repetition"), {"t": 0}),
+    (("bounds", "singleton"), {"d": 0}),
+    (("bounds", "singleton"), {"blocks": "3x2"}),
+    (("bounds", "singleton"), {"q": 6}),
+    (("bounds", "strong-bch"), {"e": 0}),
+    (("bounds", "strong-bch"), {"d": 0}),
+    (("bounds", "strong-blf"), {"c": 0}),
+    (("bounds", "strong-blf"), {"q": 0}),
+    (("bounds", "block-length"), {"c": 0}),
+    (("bounds", "block-length"), {"m": 0}),
+    (("bounds", "entropy"), {"rho": 0.8}),  # past 1 - 1/Q = 0.75
+    (("bounds", "volume"), {"r": -1}),
+    (("bounds", "volume"), {"blocks": "3x2"}),
+    (("bounds", "volume"), {"q": 1}),
+    (("bounds", "bch-radius-interval"), {"e": 0}),
+    (("bounds", "condition", "cyclic-d4"), {"lam": 2}),  # 2 does not divide 4^3 - 1
+    (("table", "strong-bch"), {"e": 0}),
+    (("table", "strong-bch"), {"t": "0"}),
+]
+
+
 def _kind_parameters(command, kind, *family):
     """The declared parameters of a kind, as the CLI binds them."""
     if command == "construct":
@@ -652,7 +732,7 @@ def test_every_recipe_round_trips_through_its_descriptor(tmp_path, capsys, recip
 
 
 def test_kind_params_cover_every_registered_kind():
-    assert {k[:2] for k in KIND_PARAMS} == (
+    assert {k[:2] for k in KIND_PARAMS} == {k[:2] for k, _ in REFUSED_VALUES} == (
         {("construct", name) for name in cs.RECIPES}
         | {(command, kind) for command in cli.KINDS for kind in cli.KINDS[command]})
     assert {k[2] for k in KIND_PARAMS if k[1] == "condition"} == set(cs.FAMILIES)
@@ -673,6 +753,26 @@ def test_int_parameters_take_only_integers(capsys, key, name, bad):
     value = repr(float(bad)) if bad == "2.5" else repr(bad)
     assert code == 4 and out == ""
     assert err == f"error: {where}: parameter {name}={value} is not an integer\n"
+
+
+@pytest.mark.parametrize("key,value", REFUSED_VALUES + [
+    (("certify", "singleton", "--code"), b"not json"),
+    (("construct", "almost-msrd-2x2", "--config"), b"q = 2  # caf\xe9\n")],
+    ids=lambda v: "-".join(v) if isinstance(v, tuple) else
+    ",".join(f"{k}={x}" for k, x in v.items()) if isinstance(v, dict) else "file")
+def test_every_refused_value_exits_4(tmp_path, capsys, key, value):
+    """A value just past a gate, a --code file that is not JSON and a --config file that is
+    not UTF-8 each exit 4 with an `error:` line, not as an internal error."""
+    if isinstance(value, bytes):
+        path = tmp_path / "file"
+        path.write_bytes(value)
+        argv = (*key, str(path))
+    else:
+        params = {**KIND_PARAMS[key], **value}
+        argv = (*key[:2], *(f"{k}={v}" for k, v in params.items()))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (4, ""), err
+    assert err.splitlines()[-1].startswith("error: ") and "internal error" not in err
 
 
 @pytest.mark.parametrize("key", list(KIND_PARAMS), ids="-".join)

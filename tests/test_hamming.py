@@ -8,7 +8,8 @@ from math import gcd
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from oracles import code_size, contains_packed, hamming_weight, hartmann_tzeng_bound
+from oracles import (code_size, contains_packed, generator_polynomial, hamming_weight,
+                     hartmann_tzeng_bound)
 from test_syndrome import linear_codes
 
 from sumrank import certify as ct
@@ -67,10 +68,12 @@ def test_cyclic_code_golden(f4):
 def test_generator_polynomial_divides_xn_minus_1(f4):
     for gens in ([0, 1, 2], [0, 1, 5], [1]):
         c = hm.cyclic_code(15, f4, gens)
-        g = c.notes["generator_polynomial"]
+        g = generator_polynomial(c)
         xn_1 = [f4.neg(1)] + [0] * 14 + [1]
         assert all(x == 0 for x in poly_mod(f4, xn_1, g))
         assert len(g) - 1 == len(c.defining_set)
+        # the parity is [R^T | I_r], column 0 the coefficients of x^r mod g = -(g_0..g_(r-1))
+        assert [f4.neg(int(x)) for x in c.parity[:, 0]] + [1] == g
 
 
 def test_cyclic_code_parity_and_shifts(f4):
@@ -168,7 +171,7 @@ def test_parity_check_code_builds_no_extension(f2, f3, f4, f9, monkeypatch):
 def test_systematic_cyclic_code_matches_rref(build):
     # the banded shifts of g(x), reduced by from_generator, are the oracle
     code = build()
-    g = code.notes["generator_polynomial"]
+    g = generator_polynomial(code)
     banded = [(0,) * s + tuple(g) + (0,) * (code.n - len(g) - s) for s in range(code.k)]
     oracle = hm.from_generator(code.field, banded, family=code.family,
                                designed_distance=code.designed_distance)
@@ -239,12 +242,12 @@ def test_builders_derive_the_generators_they_built_before(f2, f3, f4, f9):
                 if len(coset) == n:
                     continue
                 code = hm.cyclic_code(n, f, [coset[0]])
-                g = code.notes["generator_polynomial"]
+                g = generator_polynomial(code)
                 banded = [(0,) * s + tuple(g) + (0,) * (n - len(g) - s) for s in range(code.k)]
                 assert code.generator == _tuples(hm.rref(f, banded)[0])
     for e, n in ((1, 3), (2, 4), (1, 5), (3, 5)):
         code = hm.bch_binary(e, n)
-        g = code.notes["generator_polynomial"]
+        g = generator_polynomial(code)
         banded = [(0,) * s + tuple(g) + (0,) * (code.n - len(g) - s) for s in range(code.k)]
         assert code.generator == _tuples(hm.rref(f2, banded)[0])
 
