@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .gf import _CHUNK_BYTES, UsageError, array_digits, place_values, prime_power
+from .gf import _CHUNK_BYTES, UsageError, array_digits, int_text, place_values, prime_power
 from .spaces import (MatrixProfile, Shapes, ball_volume, brute_weight_array, packing_radius,
                      rank_array, singleton_like_exponent)
 from .construct import FAMILIES, condition_family
@@ -190,16 +190,11 @@ class SpherePackingRecord(NamedTuple):
     holds: bool
 
     def __str__(self) -> str:
-        return f"{self._digits()} {'<=' if self.holds else '>'} {self.q}^{self.codim}"
+        return f"{int_text(self.volume)} {'<=' if self.holds else '>'} {self.q}^{self.codim}"
 
     def __repr__(self) -> str:
-        return (f"SpherePackingRecord(radius={self.radius}, volume={self._digits()}, q={self.q}, "
-                f"codim={self.codim}, holds={self.holds})")
-
-    def _digits(self) -> str:
-        """V_sr(r) in full past CPython's int->str cap; Decimal loads here, at no job start-up."""
-        from decimal import Decimal
-        return str(Decimal(self.volume))
+        return (f"SpherePackingRecord(radius={self.radius}, volume={int_text(self.volume)}, "
+                f"q={self.q}, codim={self.codim}, holds={self.holds})")
 
 
 def sphere_packing_check(q: int, shapes: Shapes, codim: int, d: int) -> SpherePackingRecord:
@@ -230,16 +225,16 @@ class StrongSingletonBch(NamedTuple):
     exponent: int | None = None
 
     @property
-    def bound(self) -> int | None:
-        return None if self.exponent is None else 2 ** self.exponent
-
-    @property
-    def singleton(self) -> int:
-        return 2 ** self.singleton_exponent
-
-    @property
     def improves(self) -> bool | None:
         return None if self.exponent is None else self.exponent < self.singleton_exponent
+
+
+def bch_parameters(m: int, t: int, e: int, n: int) -> None:
+    """Refuse an m, t, e or n of `strong_singleton_bch` below 1."""
+    for name, value in (("matrix size m", m), ("block length t", t), ("BCH error count e", e),
+                        ("BCH field degree n", n)):
+        if value < 1:
+            raise UsageError(f"{name} = {value} must be at least 1")
 
 
 def strong_singleton_bch(m: int, t: int, e: int, n: int, d_sr: int) -> StrongSingletonBch:
@@ -249,10 +244,7 @@ def strong_singleton_bch(m: int, t: int, e: int, n: int, d_sr: int) -> StrongSin
     Case 2 (d = 4m^2 e): 2^(m^2 (t - ne + n)).
     The Singleton-like bound is that of t blocks m x m; d outside 1..tm is refused.
     """
-    for name, value in (("matrix size m", m), ("block length t", t), ("BCH error count e", e),
-                        ("BCH field degree n", n)):
-        if value < 1:
-            raise UsageError(f"{name} = {value} must be at least 1")
+    bch_parameters(m, t, e, n)
     if not 1 <= d_sr <= t * m:
         raise UsageError(f"distance {d_sr} out of range 1..{t * m}")
     singleton_exponent = singleton_like_exponent({(m, m): t}, d_sr)
@@ -260,7 +252,7 @@ def strong_singleton_bch(m: int, t: int, e: int, n: int, d_sr: int) -> StrongSin
     if t < 2 ** n - 1:
         reason = f"block length {t} below 2^{n} - 1"
     elif bch_covering_radius_interval(e, n) is None:
-        reason = f"2^{n} < (2e-1)^(4e+2) = {(2 * e - 1) ** (4 * e + 2)}"
+        reason = f"2^{n} < (2e-1)^(4e+2) = {2 * e - 1}^{4 * e + 2}"
     elif not lo <= d_sr <= hi:
         reason = f"distance {d_sr} outside [{lo}, {hi}]"
     else:
@@ -315,9 +307,8 @@ def strong_singleton_blf(q: int, m: int, u: int, R: int, t: int,
     gate = block_length_bound(q, m, u, R, c).value
     if t < gate:
         raise UsageError(f"gate failed: block length {t} below {gate:.6g}")
-    bound = q ** ((t - 1) * m * m - u * R)
     return BoundRecord(
-        f"strong_singleton_blf(q={q},m={m},u={u},R={R},t={t})", bound,
+        f"strong_singleton_blf(q={q},m={m},u={u},R={R},t={t})", f"{q}^{(t - 1) * m * m - u * R}",
         (f"universal constant c = {c} (non-rigorous)",
          f"gate {t} >= {gate:.12g}", "requires d_sr = 2R + 1"))
 
@@ -341,7 +332,7 @@ def family_condition_checks(family: str, params: dict) -> ConditionRecord:
     fam = condition_family("family_condition_checks", family)(**params)
     (n, m), q = fam.shape, fam.base.order
     _, sp = distance_optimal_check(q, {fam.shape: fam.t}, fam.codim, 4)
-    return ConditionRecord(*fam.condition, not sp.holds, f"V_sr(q,2) over {fam.t} blocks "
+    return ConditionRecord(*fam.condition, not sp.holds, f"V_sr(q,2) over {int_text(fam.t)} blocks "
                            f"{n}x{m} > q^{fam.codim}", sp.volume, q ** fam.codim)
 
 

@@ -7,6 +7,11 @@ binds them by its signature (`construct.bind_params`).  Exit codes: 0
 certified/ok, 1 refuted, 2 inconclusive, 4 usage error (a `gf.UsageError`,
 or an input file missing or unreadable), 3 internal error (any other).
 
+One rule prints exact integers: a bound that is a power of q prints as
+`q^e`, and any other integer (a ball volume, a condition's two sides) in
+full through `gf.int_text`.  So no sumrank code changes the interpreter's
+int-to-str cap.
+
 `run()` is the process entry point; Python callers use `main(argv)`, which
 returns the exit code and leaves the interpreter running.
 """
@@ -25,7 +30,7 @@ from . import construct as cs
 from . import hamming as hm
 from .spaces import (MatrixProfile, Shapes, ball_volume, ball_volume_exact, block_counts,
                      count_rank_matrices, rank, rank_array, unpack_matrix)
-from .gf import UsageError, make_field, nullspace, prime_power
+from .gf import UsageError, int_text, make_field, nullspace, prime_power
 
 USAGE_ERROR = 4
 INTERNAL_ERROR = 3
@@ -189,7 +194,7 @@ def bounds_singleton(q: int, blocks: str, d: int) -> int:
     N = sum(n * count for (n, _), count in shapes.items())
     if not 1 <= d <= N:
         raise UsageError(f"distance {d} out of range 1..{N}")
-    return _show(q ** ct.singleton_like_exponent(shapes, d))
+    return _show(f"{q}^{ct.singleton_like_exponent(shapes, d)}")
 
 
 @_kind
@@ -197,12 +202,12 @@ def bounds_strong_bch(m: int, t: int, e: int, n: int, d: int) -> int:
     rec = ct.strong_singleton_bch(m, t, e, n, d)
     if not rec.applicable:
         return _show(f"inapplicable: {rec.reason}", code=2)
-    return _show(f"case {rec.case}: bound {rec.bound}", f"singleton-like: {rec.singleton}",
-                 f"improves: {rec.improves}")
+    return _show(f"case {rec.case}: bound 2^{rec.exponent}",
+                 f"singleton-like: 2^{rec.singleton_exponent}", f"improves: {rec.improves}")
 
 
 def _show_record(rec: ct.BoundRecord) -> int:
-    return _show(f"{rec.name} = {rec.value!r}", *(f"  assumption: {a}" for a in rec.assumptions))
+    return _show(f"{rec.name} = {rec.value}", *(f"  assumption: {a}" for a in rec.assumptions))
 
 
 @_kind
@@ -224,7 +229,7 @@ def bounds_entropy(Q: int, rho: float) -> int:
 def bounds_volume(q: int, blocks: str, r: int) -> int:
     if r < 0:
         raise UsageError("radius must be nonnegative")
-    return _show(ball_volume(q, _shapes(q, blocks), r))
+    return _show(int_text(ball_volume(q, _shapes(q, blocks), r)))
 
 
 @_kind
@@ -241,16 +246,19 @@ def bounds_condition(family: str, **params) -> int:
     rec = ct.family_condition_checks(family, params)
     return _show(f"rational condition [{rec.rational_condition}]: {rec.rational_holds}",
                  f"exact criterion [{rec.exact_criterion}]: {rec.exact_holds} "
-                 f"({rec.exact_lhs} vs {rec.exact_rhs})",
+                 f"({int_text(rec.exact_lhs)} vs {int_text(rec.exact_rhs)})",
                  code=0 if (rec.rational_holds and rec.exact_holds) else 2)
 
 
 @_kind
 def table_strong_bch(m: int, e: int, n: int, t: str) -> int:
-    # every record before the first line, so a refused parameter prints nothing
-    rows = [(length, d, ct.strong_singleton_bch(m, length, e, n, d))
-            for length in _list_param("t", t, "T[,T...]", int)
-            for d in range(4 * m * m * e - 1, 4 * m * m * (e + 1))]
+    # every record before the first line, so a refused parameter prints nothing; a t's rows
+    # run over d = 4m^2 e - 1 .. 4m^2 (e + 1) - 1 and stop at d = tm, the rows of its blocks
+    lengths = _list_param("t", t, "T[,T...]", int)
+    for length in lengths:
+        ct.bch_parameters(m, length, e, n)
+    rows = [(length, d, ct.strong_singleton_bch(m, length, e, n, d)) for length in lengths
+            for d in range(4 * m * m * e - 1, min(4 * m * m * (e + 1), length * m + 1))]
     print(f"{'t':>8} {'d':>6} {'strong_exp':>12} {'singleton_exp':>14} winner")
     for length, d, rec in rows:
         strong_exp = rec.exponent if rec.applicable else "n/a"
@@ -340,8 +348,6 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    with contextlib.suppress(AttributeError):  # print an asked-for bound in full (3.11+ cap)
-        sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 1_000_000))
     parser = build_parser()
     try:
         args, extra = parser.parse_known_args(argv)

@@ -26,6 +26,7 @@ map of them (a product by g, a block's syndrome, a block map), and `rref` /
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -35,6 +36,10 @@ _LOG_LIMIT = 1 << 16
 # Automatic irreducible-polynomial search is offered up to this order.
 _AUTO_POLY_LIMIT = 1 << 20
 _CHUNK_BYTES = 1 << 20  # live bytes of one chunk of words, block values or ambient words
+# Miller-Rabin on the first thirteen primes decides primality below the limit (Sorenson and
+# Webster, psi_13; the first twelve decide only below 3.18e23).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_WITNESS_LIMIT = 3317044064679887385961981
 
 
 class UsageError(ValueError):
@@ -56,12 +61,60 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def is_prime(n: int) -> bool:
+    """Whether n is prime, by Miller-Rabin on `_WITNESSES`, which decides every n below
+    `_WITNESS_LIMIT` (3.3e24).  Past it base 2 alone runs, one modular power: a failure
+    proves n composite, and a pass leaves n undecided, a UsageError."""
+    if n < 2 or any(n % a == 0 for a in _WITNESSES):
+        return n in _WITNESSES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    for a in _WITNESSES if n < _WITNESS_LIMIT else _WITNESSES[:1]:
+        x = pow(a, (n - 1) >> s, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    if n >= _WITNESS_LIMIT:
+        raise UsageError(f"whether {n} is prime is not decided past {_WITNESS_LIMIT}")
+    return True
+
+
+def _root(n: int, e: int) -> int:
+    """floor(n^(1/e)) for n >= 1, by integer Newton steps down from a start at or above it: a
+    float estimate while the root is below 2^1000, else 2^ceil(bits/e), within twice it."""
+    bits = n.bit_length()
+    r = int(math.exp(math.log(n) / e) * (1 + 1e-9)) + 1 if bits < 1000 * e else 1 << -(-bits // e)
+    while (s := ((e - 1) * r + n // r ** (e - 1)) // e) < r:
+        r = s
+    return r
+
+
 def prime_power(q: int) -> tuple[int, int]:
-    """(p, e) with q = p^e; any other q is a UsageError."""
-    primes = _prime_factors(q)
-    if len(primes) != 1:
-        raise UsageError(f"{q} is not a prime power" if q >= 2 else "field order must be at least 2")
-    return primes[0], next(e for e in range(1, q) if primes[0] ** e >= q)
+    """(p, e) with q = p^e; any other q is a UsageError.  Trial division finds a prime factor
+    p below 2^10.  Without one, every r with q = r^e exceeds 2^10, so e < bits/10; at the
+    largest such e, q is a prime power exactly when r is prime, which `is_prime` decides."""
+    if q < 2:
+        raise UsageError("field order must be at least 2")
+    p = next((d for d in range(2, 1 << 10) if q % d == 0), None)
+    if p is None:
+        e = next(e for e in range(q.bit_length() // 10, 0, -1) if _root(q, e) ** e == q)
+        p = _root(q, e)
+    else:
+        e = round(math.log(q, p))
+    if p ** e != q or not is_prime(p):
+        raise UsageError(f"{q} is not a prime power")
+    return p, e
+
+
+def int_text(value: int) -> str:
+    """An int in full decimal past CPython's int->str cap, which `str` obeys: how sumrank prints
+    an integer that can be that long and is not a power of q.  Decimal loads when called."""
+    from decimal import Decimal
+    return str(Decimal(value))
 
 
 def digits(value: int, base: int, count: int) -> list[int]:
@@ -342,7 +395,7 @@ class Field:
         if modulus is None:
             if self.order ** degree > _AUTO_POLY_LIMIT:
                 raise UsageError(
-                    f"order {self.order ** degree} exceeds the built-in polynomial "
+                    f"order {int_text(self.order ** degree)} exceeds the built-in polynomial "
                     "table; supply an explicit irreducible modulus")
             modulus = smallest_irreducible(self, degree)
         modulus = tuple(self.check(c) for c in modulus)
@@ -427,7 +480,7 @@ def make_field(p: int, tower_degrees, polynomials=None) -> Field:
     coefficients (little-endian ints over the subfield) of a monic
     irreducible; omitted steps use the deterministic built-in choice.
     """
-    if _prime_factors(p) != [p]:
+    if not is_prime(p):
         raise ValueError(f"characteristic {p} is not prime")
     degrees = list(tower_degrees)
     if not degrees or any(d < 1 for d in degrees):

@@ -391,12 +391,12 @@ def test_criterion_11_strong_singleton():
         d = 4 * m * m * e + i
         rec = ct.strong_singleton_bch(m, t, e, n, d)
         assert rec.applicable and rec.case == 1
-        assert rec.bound == 2 ** (4 * (t - 32))
-        singleton = 2 ** (4 * t - 62 - 2 * i)
-        assert rec.singleton == singleton
-        assert rec.bound < singleton and rec.improves
+        assert rec.exponent == 4 * (t - 32)
+        singleton_exponent = 4 * t - 62 - 2 * i
+        assert rec.singleton_exponent == singleton_exponent
+        assert rec.exponent < singleton_exponent and rec.improves
     rec0 = ct.strong_singleton_bch(m, t, e, n, 4 * m * m * e)
-    assert rec0.case == 2 and rec0.bound == 2 ** (4 * (t - 16))
+    assert rec0.case == 2 and rec0.exponent == 4 * (t - 16)
     assert not ct.strong_singleton_bch(m, t, e, 15, 33).applicable
     report(11, time.monotonic() - t0, 1,
            "2^(4(t-32)) < 2^(4t-62-2i) for all i in [1,15]; gate 2^16 >= 3^10")

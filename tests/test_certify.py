@@ -345,12 +345,12 @@ def test_distance_optimal_check_hamming(f4):
 def test_strong_singleton_bch():
     rec = ct.strong_singleton_bch(2, 65535, 2, 16, 33)
     assert rec.applicable and rec.case == 1
-    assert rec.bound == 2 ** (4 * (65535 - 32))
-    assert rec.improves and rec.bound * 2 ** 64 == rec.singleton
+    assert rec.exponent == 4 * (65535 - 32)
+    assert rec.improves and rec.exponent + 64 == rec.singleton_exponent
     rec2 = ct.strong_singleton_bch(2, 65535, 2, 16, 32)
-    assert rec2.case == 2 and rec2.bound == 2 ** (4 * (65535 - 16))
+    assert rec2.case == 2 and rec2.exponent == 4 * (65535 - 16)
     bad = ct.strong_singleton_bch(2, 65535, 2, 15, 33)
-    assert not bad.applicable and "59049" in bad.reason
+    assert not bad.applicable and bad.reason == "2^15 < (2e-1)^(4e+2) = 3^10"
     low_d = ct.strong_singleton_bch(2, 65535, 2, 16, 20)
     assert not low_d.applicable
     short = ct.strong_singleton_bch(2, 100, 2, 16, 33)
@@ -424,7 +424,7 @@ def test_entropy():
 
 def test_strong_singleton_blf():
     rec = ct.strong_singleton_blf(2, 2, 4, 2, 64, 1.0)
-    assert rec.value == 2 ** (4 * 63 - 8)
+    assert rec.value == f"2^{4 * 63 - 8}"
     assert any("non-rigorous" in a for a in rec.assumptions)
     # c <= 0 would make the gate trivially true; it is refused instead
     for c in (0.0, -2.0):

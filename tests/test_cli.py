@@ -424,13 +424,12 @@ def test_key_error_from_a_builder_is_internal_error(capsys, monkeypatch, argv):
 
 
 def test_bounds_strong_bch(capsys):
-    code, out, _ = run(capsys, "bounds", "strong-bch",
-                       "m=2", "t=65535", "e=2", "n=16", "d=33")
-    assert code == 0
-    assert "case 1" in out and "improves: True" in out
-    code, out, _ = run(capsys, "bounds", "strong-bch",
-                       "m=2", "t=65535", "e=2", "n=15", "d=33")
-    assert code == 2 and "inapplicable" in out
+    """Both bounds print as powers of 2, as the README's example states."""
+    assert run(capsys, "bounds", "strong-bch", "m=2", "t=65535", "e=2", "n=16", "d=33") == (
+        0, "case 1: bound 2^262012\nsingleton-like: 2^262076\nimproves: True\n", "")
+    # the failed hypothesis states its power of 2e - 1 the same way
+    assert run(capsys, "bounds", "strong-bch", "m=2", "t=65535", "e=2", "n=15", "d=33") == (
+        2, "inapplicable: 2^15 < (2e-1)^(4e+2) = 3^10\n", "")
 
 
 def test_bounds_entropy_and_volume(capsys):
@@ -452,8 +451,7 @@ def test_bounds_volume_and_singleton_build_no_field(capsys, monkeypatch):
         0, f"{1 + (q * q - 1) * (q + 1)}\n", "")
     assert (q * q - 1) * (q + 1) + 1 == 9223376434899189760
     assert run(capsys, "bounds", "singleton", "q=1594323", "blocks=2x2", "d=2") == (
-        0, f"{3 ** 26}\n", "")
-    assert 3 ** 26 == 2541865828329
+        0, "1594323^2\n", "")
     assert run(capsys, "bounds", "volume", "q=65536", "blocks=2x2", "r=1")[:2] == (
         0, f"{1 + (2 ** 32 - 1) * (2 ** 16 + 1)}\n")
     # a ball at or past the largest weight is the whole space
@@ -462,10 +460,48 @@ def test_bounds_volume_and_singleton_build_no_field(capsys, monkeypatch):
 
 
 def test_bounds_singleton(capsys):
-    code, out, _ = run(capsys, "bounds", "singleton", "q=4", "blocks=2x2", "d=2")
-    assert code == 0 and out.strip() == "16"
+    assert run(capsys, "bounds", "singleton", "q=4", "blocks=2x2", "d=2") == (0, "4^2\n", "")
+    # 2^4000000 as an integer has 1204120 digits, past any int->str cap
+    assert run(capsys, "bounds", "singleton", "q=2", "blocks=2000x2000", "d=1") == (
+        0, "2^4000000\n", "")
     code, _, err = run(capsys, "bounds", "singleton", "q=4", "blocks=3x2", "d=2")
     assert code == 4 and "violates n <= m" in err
+
+
+def test_bounds_volume_prints_past_the_str_digit_cap(capsys, int_str_digits):
+    """V_sr(75) of one 150 x 150 block over GF(2) has 5081 digits: `bounds volume` prints
+    them all while the default cap of 4300, set by the fixture, stays in force."""
+    code, out, err = run(capsys, "bounds", "volume", "q=2", "blocks=150x150", "r=75")
+    assert sys.get_int_max_str_digits() == int_str_digits == 4300
+    assert (code, err, len(out)) == (0, "", 5081 + 1)
+    sys.set_int_max_str_digits(0)  # the oracle's own str(); the fixture restores the cap
+    assert out == f"{sp.ball_volume(2, {(150, 150): 1}, 75)}\n"
+
+
+def test_main_leaves_the_str_digit_cap_as_it_found_it(capsys, int_str_digits):
+    """No sumrank code sets CPython's int->str cap: every `bounds` and `table` kind and a
+    certify job run through `main` at the default of 4300 digits and leave it there."""
+    jobs = [(*key[:2], *(f"{k}={v}" for k, v in params.items()))
+            for key, params in KIND_PARAMS.items() if key[0] != "construct"]
+    jobs.append(("certify", "sphere-packing", "--recipe", "cyclic-d4", "q=2", "m=3", "lam=1"))
+    for argv in jobs:
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 1, 2), (argv, err)
+        assert sys.get_int_max_str_digits() == int_str_digits == 4300, argv
+
+
+@pytest.mark.parametrize("q,code,out,err", [
+    (10 ** 18 + 3, 0, "1000000000000000003\n", ""),
+    ((10 ** 9 + 7) ** 2, 0, "1000000014000000049\n", ""),
+    ((10 ** 9 + 7) * (10 ** 9 + 9), 4, "", "error: 1000000016000000063 is not a prime power\n"),
+], ids=["prime", "prime-square", "two-primes"])
+def test_a_large_order_is_decided_in_bounded_time(q, code, out, err):
+    """V(1) of one 1 x 1 block is q.  Trial division up to sqrt(q) answered none of these; each
+    runs in a child with a 10 s timeout, so a relapse fails fast instead of hanging."""
+    proc = subprocess.run([sys.executable, "-m", "sumrank.cli", "bounds", "volume", f"q={q}",
+                           "blocks=1x1", "r=1"], env=_child_env(), capture_output=True,
+                          text=True, timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
 @pytest.mark.parametrize("argv,missing", [
@@ -582,7 +618,9 @@ CONDITION_REFUSALS = [
     (("construct", "covering-repetition", "q=2", "m=4", "t=0"), "length must be positive"),
     # a distance past the N = tm rows of the blocks is refused as `bounds singleton` refuses it
     (("bounds", "strong-bch", "m=2", "t=1", "e=1", "n=1", "d=16"), "distance 16 out of range 1..2"),
-    (("table", "strong-bch", "m=2", "e=1", "n=1", "t=1"), "distance 15 out of range 1..2"),
+    # a table refuses its parameters even when no row falls in the d window
+    (("table", "strong-bch", "m=2", "e=1", "n=0", "t=1"),
+     "BCH field degree n = 0 must be at least 1"),
 ])
 def test_malformed_values_are_usage_errors(capsys, argv, error):
     code, out, err = run(capsys, *argv)
@@ -869,10 +907,14 @@ def test_bounds_strong_blf_and_block_length(capsys):
     code, out, _ = run(capsys, "bounds", "strong-blf", "q=2", "m=2", "u=4", "R=2", "t=64")
     assert code == 0
     assert out.splitlines() == [
-        f"strong_singleton_blf(q=2,m=2,u=4,R=2,t=64) = {2 ** ((64 - 1) * 4 - 4 * 2)}",
+        f"strong_singleton_blf(q=2,m=2,u=4,R=2,t=64) = 2^{(64 - 1) * 4 - 4 * 2}",
         "  assumption: universal constant c = 1.0 (non-rigorous)",
         "  assumption: gate 64 >= 22.1807097779",
         "  assumption: requires d_sr = 2R + 1"]
+    # 2^399999988 as an integer has 120411995 digits
+    code, out, _ = run(capsys, "bounds", "strong-blf", "q=2", "m=2", "u=4", "R=2", "t=100000000")
+    assert code == 0
+    assert out.splitlines()[0] == "strong_singleton_blf(q=2,m=2,u=4,R=2,t=100000000) = 2^399999988"
     code, out, _ = run(capsys, "bounds", "block-length", "q=2", "m=2", "u=4", "R=2")
     assert code == 0
     assert out.splitlines() == [
@@ -897,6 +939,20 @@ def test_table_strong_bch(capsys):
     assert "n/a" in out and "strong" in out
     code, out, _ = run(capsys, "table", "strong-bch", "m=2", "e=2", "n=16", "t=")
     assert code == 4 and out == ""  # a table of no lengths is refused, not printed empty
+
+
+def test_table_strong_bch_rows_stop_at_the_rows_of_the_blocks(capsys):
+    """A t's d grid, 4m^2 e - 1 .. 4m^2 (e + 1) - 1, stops at d = tm: with m = e = 1 and t = 3
+    one row is left, and with m = 2, t = 1 none (tm = 2 < 15)."""
+    header = f"{'t':>8} {'d':>6} {'strong_exp':>12} {'singleton_exp':>14} winner\n"
+    assert run(capsys, "table", "strong-bch", "m=1", "e=1", "n=2", "t=3") == (
+        0, header + f"{3:>8} {3:>6} {'n/a':>12} {1:>14} singleton\n", "")
+    assert run(capsys, "table", "strong-bch", "m=2", "e=1", "n=1", "t=1") == (0, header, "")
+    # each t keeps the rows up to its own tm
+    code, out, _ = run(capsys, "table", "strong-bch", "m=1", "e=1", "n=2", "t=3,5,9")
+    assert code == 0
+    assert [tuple(map(int, line.split()[:2])) for line in out.splitlines()[1:]] == [
+        (3, 3), (5, 3), (5, 4), (5, 5), (9, 3), (9, 4), (9, 5), (9, 6), (9, 7)]
 
 
 def test_config_file(tmp_path, capsys):

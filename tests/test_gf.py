@@ -64,6 +64,66 @@ def test_make_field_accepts_exactly_the_primes_below_500():
         assert accepted == (p >= 0 and sieve[p]), p
 
 
+def test_prime_power_matches_trial_division_below_20000():
+    for q in range(-1, 20000):
+        primes = gf._prime_factors(q)
+        expected = None
+        if len(primes) == 1:
+            expected = primes[0], next(e for e in range(1, q + 1) if primes[0] ** e == q)
+        try:
+            got = gf.prime_power(q)
+        except gf.UsageError:
+            got = None
+        assert got == expected, q
+
+
+@pytest.mark.parametrize("n", [
+    1373653,  # the least strong pseudoprime to bases 2 and 3
+    3215031751,  # strong pseudoprime to bases 2, 3, 5 and 7
+    3825123056546413051,  # to every prime base up to 31
+    318665857834031151167461,  # to every prime base up to 37: the first twelve primes
+    (2 ** 61 - 1) * (2 ** 31 - 1),
+])
+def test_is_prime_refutes_strong_pseudoprimes(n):
+    assert not gf.is_prime(n)
+
+
+@pytest.mark.parametrize("q,expected", [
+    (10 ** 18 + 3, (10 ** 18 + 3, 1)),
+    ((10 ** 9 + 7) ** 2, (10 ** 9 + 7, 2)),
+    ((2 ** 61 - 1) ** 3, (2 ** 61 - 1, 3)),
+    (1031 ** 7, (1031, 7)),
+    (3 ** 9000, (3, 9000)),
+    ((10 ** 9 + 7) * (10 ** 9 + 9), None),
+    (1031 ** 7 * 1033 ** 2, None),
+    (2 ** 5000 * 3, None),
+])
+def test_prime_power_of_large_orders(q, expected):
+    if expected is None:
+        with pytest.raises(gf.UsageError, match="is not a prime power$"):
+            gf.prime_power(q)
+    else:
+        assert gf.prime_power(q) == expected
+
+
+def test_prime_power_refuses_a_prime_past_the_miller_rabin_limit():
+    """2^89 - 1 is prime, but past 3.3e24 the witnesses no longer decide primality; the
+    limit itself is the least composite that passes all thirteen."""
+    for q, root in ((2 ** 89 - 1, 2 ** 89 - 1), ((2 ** 89 - 1) ** 2, 2 ** 89 - 1),
+                    (gf._WITNESS_LIMIT, gf._WITNESS_LIMIT)):
+        with pytest.raises(gf.UsageError, match=f"^whether {root} is prime is not decided"):
+            gf.prime_power(q)
+    assert gf.prime_power(2 ** 89) == (2, 89)
+
+
+def test_root_is_the_floor_root():
+    rng = random.Random(5)
+    for _ in range(500):
+        n, e = rng.randrange(1, 10 ** rng.randrange(1, 400)), rng.randrange(1, 80)
+        r = gf._root(n, e)
+        assert r ** e <= n < (r + 1) ** e, (n, e)
+
+
 def _mobius(n):
     mu, k = 1, 2
     while n > 1:
