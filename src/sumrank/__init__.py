@@ -25,7 +25,7 @@ from .hamming import (LinearCode, covering_radius, cyclic_code,
                       cyclotomic_coset, min_distance)
 from .construct import (SumRankCode, build_recipe, extend_full_blocks,
                         plotkin, sr_covering, sr_linearized)
-from .certify import (Certificate, certify_code, perfection_verdict,
+from .certify import (Budgets, Certificate, certify_code, perfection_verdict,
                       singleton_defect, singleton_like_exponent,
                       sphere_packing_check, sr_covering_radius,
                       sr_min_distance)
@@ -38,7 +38,7 @@ __all__ = [
     "min_distance",
     "SumRankCode", "build_recipe", "extend_full_blocks", "plotkin",
     "sr_covering", "sr_linearized",
-    "Certificate", "certify_code", "perfection_verdict", "singleton_defect",
+    "Budgets", "Certificate", "certify_code", "perfection_verdict", "singleton_defect",
     "singleton_like_exponent", "sphere_packing_check", "sr_covering_radius",
     "sr_min_distance",
 ]

@@ -30,8 +30,7 @@ from .spaces import (MatrixProfile, Shapes, ball_volume, brute_weight_array, pac
                      rank_array, singleton_like_exponent)
 from .construct import FAMILIES, condition_family
 from .hamming import bch_covering_radius_interval
-from .syndrome import (ENUM_BUDGET, SYNDROME_BUDGET, WORK_BUDGET, BudgetExceeded, SrDistance,
-                       SumRankCode, least_weight_word, rank_table_stop)
+from .syndrome import BudgetExceeded, Budgets, SrDistance, SumRankCode, least_weight_word
 from .syndrome import covering_radius as sr_covering_radius
 
 TOOLCHAIN_VERSION = f"sumrank {__version__}"
@@ -70,29 +69,26 @@ def settle(sources, witnessed: bool = False) -> SrDistance:
                       stops=tuple(dict.fromkeys((*stops, *(r for s in ends for r in s.stops)))))
 
 
-def sr_min_distance(code: SumRankCode, budget: int = ENUM_BUDGET, *,
-                    syndrome_budget: int = SYNDROME_BUDGET,
-                    work_budget: int = WORK_BUDGET) -> SrDistance:
+def sr_min_distance(code: SumRankCode, budgets: Budgets = Budgets()) -> SrDistance:
     """Exact minimum distance, or a certified interval: d's sources in their order (module
-    docstring), `settle`d.  The DP and enumeration need rank tables, so neither runs on a block
-    past the rank-table cap; a source that may not run gives its stop instead."""
+    docstring), `settle`d.  Each engine admits itself under `budgets` (`SumRankCode.dp_stop`,
+    `SumRankCode.enum_stop`); a source that may not run gives its stop instead."""
     def sources():
         if code.dim == 0:
             yield SrDistance(math.inf, math.inf, "zero code")
-        yield from code.distance_bounds(lambda part: sr_min_distance(
-            part, budget, syndrome_budget=syndrome_budget, work_budget=work_budget))
+        yield from code.distance_bounds(lambda part: sr_min_distance(part, budgets))
         try:
-            dp = code.budgeted_dp(syndrome_budget, work_budget)
+            dp = code.budgeted_dp(budgets)
         except BudgetExceeded as exc:
             yield str(exc)
         else:
             yield SrDistance(dp.distance, dp.distance, "syndrome-dp", dp.witness)
-        stop = code.enum_stop(budget) or rank_table_stop(code.base, code.profile.blocks)
+        stop = code.enum_stop(budgets.enum)
         if not stop:
             weight, witness = least_weight_word(code.base, code._generator_rows_packed(),
                                                 code.profile.blocks)
         yield stop or SrDistance(weight, weight, "exhaustive", witness)
-        yield from code.distance_searches(budget)
+        yield from code.distance_searches(budgets)
         r = packing_radius(*_counts(code), (code.profile.N - 1) // 2)  # d <= 2r
         yield from [SrDistance(1, 2 * r, "sphere packing")] if r else []
         # one block of one row: every nonzero word, the first generator row too, weighs 1
@@ -105,11 +101,11 @@ def sr_min_distance(code: SumRankCode, budget: int = ENUM_BUDGET, *,
 # covering radius
 # ----------------------------------------------------------------------
 
-def sr_radius(code: SumRankCode, **budgets) -> SrDistance:
+def sr_radius(code: SumRankCode, budgets: Budgets = Budgets()) -> SrDistance:
     """Exact covering radius, or a certified interval: R's sources `settle`d (module docstring)."""
     def sources():
         try:  # the DP, under `budgets`, through the name the benchmark's tracing wraps
-            radius, _ = sr_covering_radius(code, **budgets)
+            radius, _ = sr_covering_radius(code, budgets)
             yield SrDistance(radius, radius, "syndrome-dp")
         except BudgetExceeded as exc:
             yield str(exc)
@@ -166,7 +162,7 @@ def sr_covering_radius_sweep(code: SumRankCode,
 
 def singleton_defect(profile: MatrixProfile, dim: int, d: int) -> int:
     """m(N - d + 1) - log_q|C| for equal column sizes m: the Singleton-like exponent - dim."""
-    if len({m for _, m in profile.blocks}) != 1:
+    if len({m for _, m in profile.shape_counts()}) != 1:
         raise ValueError("the defect is defined for equal column sizes only; "
                          "compare against the general bound instead")
     return singleton_like_exponent(profile.shape_counts(), d) - dim
@@ -539,11 +535,8 @@ RULES = {"perfect": _perfection_rule, "quasi-perfect": _perfection_rule,
 CLAIMS = tuple(RULES)
 
 
-def certify_code(code: SumRankCode, claim: str, *,
-                 enum_budget: int = ENUM_BUDGET,
-                 syndrome_budget: int = SYNDROME_BUDGET,
-                 work_budget: int = WORK_BUDGET) -> Certificate:
-    """Run the engines a claim needs and decide it on the intervals of d and R."""
+def certify_code(code: SumRankCode, claim: str, budgets: Budgets = Budgets()) -> Certificate:
+    """Run the engines a claim needs under `budgets`, and decide it on the intervals of d and R."""
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}")
     cert = Certificate(code, claim)
@@ -553,14 +546,13 @@ def certify_code(code: SumRankCode, claim: str, *,
     if code.dim == 0:
         cert.notes.append("zero code: minimum distance undefined")
         return cert
-    budgets = {"syndrome_budget": syndrome_budget, "work_budget": work_budget}
-    dist = sr_min_distance(code, enum_budget, **budgets)
+    dist = sr_min_distance(code, budgets)
     cert.add_interval("min_sum_rank_distance", dist)
     if dist.witness is not None:
         matrices = code.to_word(dist.witness).matrices
         cert.add_quantity("distance_witness", [[list(row) for row in mat] for mat in matrices],
                           "row-major matrices per block")
-    radius = sr_radius(code, **budgets) if claim in ("perfect", "quasi-perfect") else None
+    radius = sr_radius(code, budgets) if claim in ("perfect", "quasi-perfect") else None
     if radius is not None:
         cert.add_interval("covering_radius", radius)
     if stops := dict.fromkeys((*dist.stops, *(radius.stops if radius else ()))):  # each once

@@ -92,8 +92,7 @@ def _summarize(code) -> str:
         return (f"linear code {code!r}"
                 + (f"  defining set {list(code.defining_set)}" if code.defining_set else ""))
     prof = code.profile
-    shapes = sorted(set(prof.blocks))
-    shape_txt = ", ".join(f"{n}x{m}" for n, m in shapes)
+    shape_txt = ", ".join(f"{n}x{m}" for n, m in sorted(prof.shape_counts()))
     return (f"sum-rank code over GF({prof.q}): t = {prof.t} blocks of {shape_txt}, "
             f"dim {code.dim}, |C| = {prof.q}^{code.dim}, ambient dim {prof.ambient_dim}")
 
@@ -146,8 +145,8 @@ def _load_code(args):
 
 
 def cmd_certify(args) -> int:
-    cert = ct.certify_code(_load_code(args), args.claim, enum_budget=args.enum_budget,
-                           syndrome_budget=args.syndrome_budget, work_budget=args.sweep_budget)
+    budgets = ct.Budgets(args.enum_budget, args.syndrome_budget, args.sweep_budget)
+    cert = ct.certify_code(_load_code(args), args.claim, budgets)
     print(cert.to_table())
     if args.out:
         _write_out(args.out, cert.to_json)
@@ -323,14 +322,14 @@ def build_parser() -> _Parser:
     z.add_argument("--recipe")
     z.add_argument("--code", type=file_path, help="descriptor JSON written by construct")
     z.add_argument("--out", type=file_path, help="write the certificate as JSON")
-    z.add_argument("--enum-budget", type=budget, default=ct.ENUM_BUDGET,
+    z.add_argument("--enum-budget", type=budget, default=ct.Budgets().enum,
                    help="most codewords an exhaustive distance enumeration may "
                         "stream, and most half-words per table of the Hamming "
                         "support search")
-    z.add_argument("--sweep-budget", type=budget, default=ct.WORK_BUDGET,
+    z.add_argument("--sweep-budget", type=budget, default=ct.Budgets().sweep,
                    help="most syndrome-DP work: shift passes x q^codim "
                         "plus block values, over all blocks")
-    z.add_argument("--syndrome-budget", type=budget, default=ct.SYNDROME_BUDGET,
+    z.add_argument("--syndrome-budget", type=budget, default=ct.Budgets().syndrome,
                    help="most syndromes (q^codim) the syndrome DP may hold")
     add_common(z)
     z.set_defaults(fn=cmd_certify)

@@ -37,7 +37,7 @@ from .gf import (Field, UsageError, array_digits, array_mul, digit_add, digit_ad
                  linear_map, make_field, prime_power, rref)
 from . import hamming as hm
 from .spaces import MatrixProfile, pack_matrix
-from .syndrome import ENUM_BUDGET, SrDistance, SumRankCode
+from .syndrome import Budgets, SrDistance, SumRankCode
 
 
 def field_of_order(q: int) -> Field:
@@ -138,7 +138,7 @@ class IngredientSumRankCode(SumRankCode):
     def dim(self) -> int:
         return self.m * sum(c.k for c in self.ingredients)
 
-    def enumerate_packed(self, budget: int = ENUM_BUDGET):
+    def enumerate_packed(self, budget: int = Budgets().enum):
         if stop := self.enum_stop(budget):
             raise hm.BudgetExceeded(stop)
         streams = [c.codeword_list(budget) for c in self.ingredients]
@@ -282,7 +282,7 @@ class ExtendedSumRankCode(SumRankCode):
     def __init__(self, inner: SumRankCode, extra: int):
         if extra <= 0:
             raise ValueError("the number of extra blocks must be positive")
-        shapes = set(inner.profile.blocks)
+        shapes = inner.profile.shape_counts()
         if len(shapes) != 1 or len({s[0] for s in shapes} | {s[1] for s in shapes}) != 1:
             raise ValueError("full-block extension needs a homogeneous m x m profile")
         (n, m) = inner.profile.blocks[0]
@@ -297,7 +297,7 @@ class ExtendedSumRankCode(SumRankCode):
         n, m = self.block_shape
         return self.inner.dim + self.extra * n * m
 
-    def enumerate_packed(self, budget: int = ENUM_BUDGET):
+    def enumerate_packed(self, budget: int = Budgets().enum):
         if stop := self.enum_stop(budget):
             raise hm.BudgetExceeded(stop)
         n, m = self.block_shape
@@ -357,7 +357,7 @@ class PlotkinSumRankCode(SumRankCode):
     def dim(self) -> int:
         return self.first.dim + self.second.dim
 
-    def enumerate_packed(self, budget: int = ENUM_BUDGET):
+    def enumerate_packed(self, budget: int = Budgets().enum):
         if stop := self.enum_stop(budget):
             raise hm.BudgetExceeded(stop)
         seconds = list(self.second.enumerate_packed(budget))

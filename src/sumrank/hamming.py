@@ -20,8 +20,8 @@ import numpy as np
 # rref and nullspace live in `gf` and stay reachable here
 from .gf import Field, UsageError, digit_add, nullspace, rref
 from .spaces import MatrixProfile, singleton_like_exponent
-from .syndrome import (ENUM_BUDGET, BudgetExceeded, SrDistance, SumRankCode,
-                       covering_radius, scaled_syndromes)
+from .syndrome import (BudgetExceeded, Budgets, SrDistance, SumRankCode, covering_radius,
+                       scaled_syndromes)
 
 # The largest k * n of a generator that `LinearCode.generator` forms (2^25),
 # read only by descriptors and enumeration.  The 1.9 * 10^7-cell ingredients of
@@ -126,15 +126,23 @@ class LinearCode(SumRankCode):
             yield SrDistance(proven.d_lo, self.singleton, proven.source,
                              self.first_row if proven.mds else None)
 
-    def distance_searches(self, budget):
-        return [min_distance(self, budget)]  # the support search, for d <= 4
+    def distance_searches(self, budgets):
+        return [min_distance(self, budgets)]  # the support search, for d <= 4
+
+    def search_stop(self, budgets: Budgets, w: int) -> str | None:
+        """The support search's admission at weight w: why its larger half table, of
+        `iter_low_weight`, does not fit the enum budget, or None."""
+        n, nz, lo, hi = self.n, self.field.order - 1, w // 2, w - w // 2
+        need = max(comb(n, lo) * nz ** lo, comb(n, hi) * nz ** (hi - 1))
+        return (f"enum budget {budgets.enum} < {need} half-words of the weight-{w} support search"
+                if need > budgets.enum else None)
 
     def __repr__(self) -> str:
         d = self.designed_distance
         tail = f",{d}" if d is not None else ""
         return f"[{self.n},{self.k}{tail}]_{self.field.order}"
 
-    def codewords(self, budget: int = ENUM_BUDGET):
+    def codewords(self, budget: int = Budgets().enum):
         """Stream every codeword exactly once (streaming span walk)."""
         if stop := self.enum_stop(budget):
             raise BudgetExceeded(stop)
@@ -377,27 +385,19 @@ def iter_low_weight(code: LinearCode, w: int, cap: int = 1 << 30):
                     return
 
 
-def _half_words(code: LinearCode, w: int) -> int:
-    """Entries of the larger of the two half tables `iter_low_weight` lists at weight w."""
-    n, nz, lo, hi = code.n, code.field.order - 1, w // 2, w - w // 2
-    return max(comb(n, lo) * nz ** lo, comb(n, hi) * nz ** (hi - 1))
-
-
-def min_distance(code: LinearCode, budget: int = ENUM_BUDGET) -> SrDistance:
+def min_distance(code: LinearCode, budgets: Budgets = Budgets()) -> SrDistance:
     """The support search for d <= 4, read by `certify` after the DP and enumeration: no
     dependent set of <= w columns proves d >= w + 1, and a word of weight w is the witness;
     [5, Singleton] when d > 4.  It starts at the weight the structure proves
-    (`LinearCode.proven`), as no lighter word exists.  It lists its half-words only while they
-    fit `budget`; past it the result is [w, Singleton], stopped on the budget.  A lower end at
-    Singleton is a point, witnessed by `first_row`, which weighs at most that much."""
+    (`LinearCode.proven`), as no lighter word exists.  It runs at weight w only where
+    `LinearCode.search_stop` admits it; past that the result is [w, Singleton], with its stop.
+    A lower end at Singleton is a point, witnessed by `first_row`, which weighs at most that."""
     if code.k == 0:
         raise ValueError("the zero code has no nonzero codeword")
     lo, singleton, stops = 5, code.singleton, ()
     for w in range(max(1, code.proven.d_lo), 5):
-        need = _half_words(code, w)
-        if need > budget:
-            lo, stops = w, (f"enum budget {budget} < {need} half-words "
-                            f"of the weight-{w} support search",)
+        if stop := code.search_stop(budgets, w):
+            lo, stops = w, (stop,)
             break
         witness = low_weight_search(code, w)
         if witness is not None:
@@ -434,11 +434,13 @@ def bch_bound(T, n: int) -> tuple[int, str]:
 def bch_covering_radius_interval(e: int, n: int):
     """Interval [2e-1, 2e] for the covering radius of BCH(e, n), or None.
 
-    Applies only under the exact big-integer hypothesis 2^n >= (2e-1)^(4e+2).
+    Applies only where 2^n >= (2e-1)^(4e+2).  With 2^(b-1) <= 2e - 1 < 2^b, that holds when
+    n >= b(4e + 2) and fails when n < (b - 1)(4e + 2); only in between are the powers formed.
     """
     if e < 1 or n < 1:
         raise UsageError("need positive e and n")
-    if 2 ** n < (2 * e - 1) ** (4 * e + 2):
+    b, k = (2 * e - 1).bit_length(), 4 * e + 2
+    if n < (b - 1) * k or (n < b * k and 2 ** n < (2 * e - 1) ** k):
         return None
     return (2 * e - 1, 2 * e)
 

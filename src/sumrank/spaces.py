@@ -11,9 +11,10 @@ reads a prefix of one stream of weight counts (`weight_counts`) of `Shapes`.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from functools import lru_cache, reduce
 from itertools import accumulate, islice
+from types import MappingProxyType
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .gf import (_CHUNK_BYTES, Field, UsageError, array_digits, digit_adder, dig
                  place_values, undigits)
 
 BRUTE_LIMIT = 1 << 24  # most values a rank table or an ambient sweep enumerates
-Shapes = dict[tuple[int, int], int]  # {(n, m): count}, the blocks the counting bounds read
+Shapes = Mapping[tuple[int, int], int]  # {(n, m): count}, the blocks the counting bounds read
 
 
 class MatrixProfile:
@@ -31,9 +32,10 @@ class MatrixProfile:
     """
 
     def __init__(self, field: Field, blocks: tuple[tuple[int, int], ...]):
-        block_counts(blocks)
+        blocks = tuple((int(n), int(m)) for n, m in blocks)
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "blocks", tuple((int(n), int(m)) for n, m in blocks))
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "_shapes", MappingProxyType(block_counts(blocks)))  # counted once
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -62,11 +64,11 @@ class MatrixProfile:
 
     @property
     def N(self) -> int:
-        return sum(n for n, _ in self.blocks)
+        return sum(n * count for (n, _), count in self._shapes.items())
 
     @property
     def ambient_dim(self) -> int:
-        return sum(n * m for n, m in self.blocks)
+        return sum(n * m * count for (n, m), count in self._shapes.items())
 
     @property
     def ambient_size(self) -> int:
@@ -76,7 +78,7 @@ class MatrixProfile:
         return tuple(self.q ** (n * m) for n, m in self.blocks)
 
     def shape_counts(self) -> Shapes:
-        return block_counts(self.blocks)
+        return self._shapes  # a read-only view: every size above reads it
 
     def describe(self) -> dict:
         return {"field": self.field.describe(), "blocks": [list(b) for b in self.blocks]}

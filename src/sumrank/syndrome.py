@@ -76,12 +76,8 @@ import numpy as np
 
 from .gf import (Field, array_digits, array_mul, digit_adder, digits, linear_map, make_field,
                  place_values, rref, undigits)
-from .spaces import (_CHUNK_BYTES, BRUTE_LIMIT, MatrixProfile, SumRankWord, packing_radius,
-                     rank_array, unpack_matrix)
-
-ENUM_BUDGET = 1 << 22      # codewords an exhaustive enumeration may stream
-SYNDROME_BUDGET = 1 << 16  # syndromes (q^codim) the DP may hold
-WORK_BUDGET = 1 << 30      # DP work units, as `SumRankCode.budgeted_dp` counts them
+from .spaces import (_CHUNK_BYTES, BRUTE_LIMIT, MatrixProfile, Shapes, SumRankWord,
+                     packing_radius, rank_array, unpack_matrix)
 
 _INF = 100                 # int8 sentinel above every leader weight
 # Bytes of layout indices formed at once: kept below `_CHUNK_BYTES` because 1 MB pieces raise
@@ -89,6 +85,14 @@ _INF = 100                 # int8 sentinel above every leader weight
 # 32.9 MB (+4%, near the benchmark's 5% peak_rss_mb bound) and save no time beyond the
 # 10 ms spread of its 0.35 s (3 runs each, shared 2-core VM, Python 3.11, numpy 2.4).
 _LAYOUT_BYTES = 1 << 16
+
+
+class Budgets(NamedTuple):
+    """The engines' budgets, one field per `certify` option; 0 switches an engine off."""
+
+    enum: int = 1 << 22      # codewords an enumeration streams, half-words a support search lists
+    syndrome: int = 1 << 16  # syndromes (q^codim) the DP may hold
+    sweep: int = 1 << 30     # DP work units, as `SumRankCode.dp_stop` counts them
 
 
 class BudgetExceeded(RuntimeError):
@@ -102,11 +106,11 @@ def budget_stop(name: str, budget: int, q: int, e: int, items: str) -> str | Non
     return f"{name} {budget} < {q}^{e} {items}" if over else None
 
 
-def rank_table_stop(field, shapes) -> str | None:
+def rank_table_stop(field, shapes: Shapes) -> str | None:
     """Why a block of these shapes has no rank table, or None if every block has one."""
     return next(filter(None, (budget_stop("rank table cap", BRUTE_LIMIT, field.order, n * m,
                                           f"values per {n} x {m} block (q^(nm))")
-                              for n, m in dict.fromkeys(shapes))), None)
+                              for n, m in shapes)), None)
 
 
 def scaled_syndromes(field, parity: np.ndarray, scalars) -> np.ndarray:
@@ -465,14 +469,16 @@ class SumRankCode:
         return self.profile.ambient_dim
 
     def enum_stop(self, budget: int) -> str | None:
-        """Why the q^dim codewords may not be enumerated within `budget`, or None."""
-        return budget_stop("enum budget", budget, self.base.order, self.dim, "codewords (q^dim)")
+        """Enumeration's admission: why the q^dim codewords may not be streamed within `budget`
+        and weighed by rank tables, or None.  The enum budget, then the rank-table cap."""
+        return (budget_stop("enum budget", budget, self.base.order, self.dim, "codewords (q^dim)")
+                or rank_table_stop(self.base, self.profile.shape_counts()))
 
     @property
     def codim(self) -> int:
         return self.ambient_dim - self.dim
 
-    def enumerate_packed(self, budget: int = ENUM_BUDGET):
+    def enumerate_packed(self, budget: int = Budgets().enum):
         """Yield each codeword once, as a tuple of packed block ints."""
         raise NotImplementedError
 
@@ -501,7 +507,7 @@ class SumRankCode:
         """What the code's structure proves of d (no engine), `distance(part)` a part's: none."""
         return ()
 
-    def distance_searches(self, budget: int):
+    def distance_searches(self, budgets: Budgets):
         """The code's own engine for d, read after the DP and enumeration: none."""
         return ()
 
@@ -556,29 +562,29 @@ class SumRankCode:
         """One syndrome-space DP pass: d with a witness, R, and the leader table."""
         return syndrome_dp(self.base, self.flat_parity, self.profile.blocks)
 
-    def budgeted_dp(self, syndrome_budget: int = SYNDROME_BUDGET,
-                    work_budget: int = WORK_BUDGET) -> SyndromeDP:
-        """The cached `syndrome_dp`, where the budgets and the rank-table cap admit it.
+    def dp_stop(self, budgets: Budgets) -> str | None:
+        """The DP's admission: why it may not run within `budgets`, or None.  The syndrome
+        budget, the rank-table cap, then the sweep work.  A work unit is one pass over the
+        q^codim syndromes or one read of a block value.  An n x m block is charged
+        ((n - 1) L m e ceil(log2 p) + 1) q^codim + q^(nm): n - 1 rank-1 rounds over its
+        L = (q^n - 1)/(q - 1) lines, m*e generators a line and ceil(log2 p) gather-mins a
+        generator; the column min that gives rank n; one read of each block value for its
+        syndromes, ranks and d.  The charge is summed once per shape, times its count."""
+        q, e, p, codim = self.base.order, self.base.dim_over_prime, self.base.p, self.codim
+        shapes = self.profile.shape_counts()
+        over = budget_stop("syndrome budget", budgets.syndrome, q, codim, "syndromes (q^codim)")
+        if stop := over or rank_table_stop(self.base, shapes):
+            return stop
+        work = sum(count * (((n - 1) * (q ** n - 1) // (q - 1) * m * e * (p - 1).bit_length() + 1)
+                            * q ** codim + q ** (n * m)) for (n, m), count in shapes.items())
+        return (f"sweep budget {budgets.sweep} < {work} DP work units "
+                "(shift passes x q^codim + block values)") if work > budgets.sweep else None
 
-        Every engine reaches the DP through here.  Raises BudgetExceeded,
-        naming the budget or cap, when the DP may not run.  A work unit is
-        one pass over the q^codim syndromes or one read of a block value.
-        An n x m block is charged ((n - 1) L m e ceil(log2 p) + 1) q^codim
-        + q^(nm): n - 1 rank-1 rounds over its L = (q^n - 1)/(q - 1) lines,
-        m*e generators a line and ceil(log2 p) gather-mins a generator; the
-        column min that gives rank n; one read of each block value for its
-        syndromes, ranks and d.
-        """
-        q, e, p = self.base.order, self.base.dim_over_prime, self.base.p
-        stop = budget_stop("syndrome budget", syndrome_budget, q, self.codim,
-                           "syndromes (q^codim)") or rank_table_stop(self.base, self.profile.blocks)
-        if stop is not None:
+    def budgeted_dp(self, budgets: Budgets = Budgets()) -> SyndromeDP:
+        """The cached `syndrome_dp`, where `dp_stop` admits it; else BudgetExceeded with that
+        stop.  Every engine reaches the DP through here."""
+        if stop := self.dp_stop(budgets):
             raise BudgetExceeded(stop)
-        work = sum(((n - 1) * (q ** n - 1) // (q - 1) * m * e * (p - 1).bit_length() + 1)
-                   * q ** self.codim + q ** (n * m) for n, m in self.profile.blocks)
-        if work > work_budget:
-            raise BudgetExceeded(f"sweep budget {work_budget} < {work} DP work units "
-                                 "(shift passes x q^codim + block values)")
         return self.syndrome_dp
 
     def to_word(self, packed) -> SumRankWord:
@@ -587,9 +593,8 @@ class SumRankCode:
         return SumRankWord(self.profile, mats)
 
 
-def covering_radius(code: SumRankCode, *, syndrome_budget: int = SYNDROME_BUDGET,
-                    work_budget: int = WORK_BUDGET) -> tuple[int, SyndromeDP]:
+def covering_radius(code: SumRankCode, budgets: Budgets = Budgets()) -> tuple[int, SyndromeDP]:
     """Exact covering radius and the code's cached DP pass, in either metric; raises
     BudgetExceeded, naming the budget, when the DP does not fit."""
-    dp = code.budgeted_dp(syndrome_budget, work_budget)
+    dp = code.budgeted_dp(budgets)
     return dp.radius, dp

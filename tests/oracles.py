@@ -1,5 +1,6 @@
 """Brute-force oracles shared by the test modules."""
 
+import math
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -48,6 +49,15 @@ def singleton_walk(blocks, d: int) -> int:
             return sum(ni * mi for ni, mi in blocks[j:]) - m * delta
         prefix += n
     raise AssertionError("unreachable for d <= N")
+
+
+def dp_work(field, codim: int, blocks) -> int:
+    """The syndrome DP's work units, charged block by block (the reference for the sweep
+    stop of `SumRankCode.dp_stop`): ((n - 1) L m e ceil(log2 p) + 1) q^codim + q^(nm) for an
+    n x m block, L = (q^n - 1)/(q - 1) its rank-1 lines."""
+    q, p, e = field.order, field.p, field.dim_over_prime
+    return sum(((n - 1) * (q ** n - 1) // (q - 1) * m * e * math.ceil(math.log2(p)) + 1)
+               * q ** codim + q ** (n * m) for n, m in blocks)
 
 
 def counting(code) -> tuple:

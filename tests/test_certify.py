@@ -58,13 +58,13 @@ def test_sr_min_distance_exhaustive_below_syndrome_budget(qp_code):
     assert weight == 3
     assert sp.sum_rank_weight(qp_code.to_word(word)) == 3
     assert contains_packed(qp_code, word)
-    d = ct.sr_min_distance(qp_code, syndrome_budget=63)
+    d = ct.sr_min_distance(qp_code, ct.Budgets(syndrome=63))
     assert (d.value, d.method, d.witness) == (
         3, "composition(linearized: 3 hamming, 2 parity) / exhaustive", word)
 
 
 def test_sr_min_distance_interval_names_budgets(qp_code):
-    d = ct.sr_min_distance(qp_code, budget=10, syndrome_budget=2)
+    d = ct.sr_min_distance(qp_code, ct.Budgets(enum=10, syndrome=2))
     # past both budgets, the ingredients' theorems give the lower end, and the upper end 4 is
     # the parity ingredient's weight-2 word alone in its row, 2 rows of rank 2 per position,
     # which sphere packing's V_sr(2) > 2^6 ties after it
@@ -94,13 +94,12 @@ def test_zero_code_is_infinite_at_every_budget(f4, build):
     """With both engines off the zero code is still the infinite point: no budget stop,
     no [1, N] interval, and every claim is inconclusive with the same note."""
     code = build(f4)
-    budgets = ((0, 0), (ct.ENUM_BUDGET, ct.SYNDROME_BUDGET))  # both engines off, defaults
-    for enum, syndrome in budgets:
-        dist = ct.sr_min_distance(code, enum, syndrome_budget=syndrome)
+    budgets = (ct.Budgets(enum=0, syndrome=0), ct.Budgets())  # both engines off, defaults
+    for each in budgets:
+        dist = ct.sr_min_distance(code, each)
         assert dist == (math.inf, math.inf, "zero code", None, ())
     for claim in ct.CLAIMS:
-        off, default = (ct.certify_code(code, claim, enum_budget=enum, syndrome_budget=syndrome)
-                        for enum, syndrome in budgets)
+        off, default = (ct.certify_code(code, claim, each) for each in budgets)
         assert off.verdict == default.verdict == "inconclusive"
         assert off.notes == default.notes == ["zero code: minimum distance undefined"]
 
@@ -840,8 +839,9 @@ def test_exact_d_and_r_lie_in_the_intervals_the_rules_give(code):
     ingredient's proven ends hold at its own DP: d >= d_lo, d = n - k + 1 when it is called
     MDS, and R_H <= radius_hi."""
     dp = code.syndrome_dp
-    d = ct.sr_min_distance(code, 0, syndrome_budget=0)
-    radius = ct.sr_radius(code, syndrome_budget=0)
+    off = ct.Budgets(enum=0, syndrome=0)
+    d = ct.sr_min_distance(code, off)
+    radius = ct.sr_radius(code, off)
     assert d.lo <= dp.distance <= d.hi, (d, dp.distance)
     assert radius.lo <= dp.radius <= radius.hi, (radius, dp.radius)
     (rule,) = code.radius_bounds()
@@ -868,14 +868,14 @@ def hexacode_code():
 
 
 def test_certify_budget_degrades_to_inconclusive(hexacode_code):
-    cert = ct.certify_code(hexacode_code, "quasi-perfect", syndrome_budget=2)
+    cert = ct.certify_code(hexacode_code, "quasi-perfect", ct.Budgets(syndrome=2))
     assert cert.verdict == "inconclusive" and cert.exit_code == 2
 
 
 def test_budget_stop_note_names_budget(hexacode_code):
-    cert = ct.certify_code(hexacode_code, "quasi-perfect", syndrome_budget=2)
+    cert = ct.certify_code(hexacode_code, "quasi-perfect", ct.Budgets(syndrome=2))
     assert "syndrome budget 2 < 2^8 syndromes (q^codim)" in cert.notes
-    work = ct.certify_code(hexacode_code, "quasi-perfect", work_budget=100)
+    work = ct.certify_code(hexacode_code, "quasi-perfect", ct.Budgets(sweep=100))
     assert work.verdict == "inconclusive"
     # 6 blocks of 2 x 2 over GF(2): 1 round x 3 rank-1 lines x 2 generators
     # x 1 gather-min each, plus the column min, times q^codim = 256, plus 2^4
@@ -1064,8 +1064,8 @@ def test_certify_through_the_api_stays_under_the_str_digit_cap(int_str_digits, m
     assert doc["quantities"][2] == {
         "name": "min_sum_rank_distance", "value": [4, 3 * 2],
         "method": "composition(linearized: 4 bch, 2 parity, 2 parity) (interval)"}
-    assert doc["notes"] == [f"syndrome budget {ct.SYNDROME_BUDGET} < 2^33 syndromes (q^codim); "
-                            f"enum budget {ct.ENUM_BUDGET} < 2^36822 codewords (q^dim)",
+    assert doc["notes"] == [f"syndrome budget {ct.Budgets().syndrome} < 2^33 syndromes (q^codim); "
+                            f"enum budget {ct.Budgets().enum} < 2^36822 codewords (q^dim)",
                             "certified for every d in [4, 4]"]
 
 
@@ -1114,7 +1114,7 @@ def test_a_parts_budget_stops_are_named_by_the_part():
     stops are told apart.  distance-optimal-2x2 q=5's cyclic ingredient ends at its
     Hartmann-Tzeng bound, and its parity ingredient's weight-2 word, alone in its row, weighs
     2 * 2 = 4 there: a point with that word, which notes no stop."""
-    dist = ct.sr_min_distance(cs.quasi_perfect_2x2(6), budget=1, syndrome_budget=1)
+    dist = ct.sr_min_distance(cs.quasi_perfect_2x2(6), ct.Budgets(enum=1, syndrome=1))
     assert (dist.lo, dist.hi) == (2, 4)
     assert dist.method == "composition(linearized: 2 parity, 1 support_test)"
     assert dist.stops == (
@@ -1146,7 +1146,7 @@ def test_plotkin_interval_note_names_its_own_stops_first(hexacode_code):
                       + [f"{name} part: {stop}" for name in ("first", "second")
                          for stop in part.split("; ")])
     cert = ct.certify_code(cs.plotkin(hexacode_code, hexacode_code), "distance-optimal",
-                           enum_budget=1, syndrome_budget=1)
+                           ct.Budgets(enum=1, syndrome=1))
     assert cert.exit_code == 2
     assert cert.quantities[2] == {"name": "min_sum_rank_distance", "value": [2, 4],
                                   "method": "composition(plotkin) (interval)"}
@@ -1180,17 +1180,18 @@ def test_hamming_budget_stop_joins_both_notes(f4):
     end 4, read before any engine, also at budget 0, where the search alone starts and
     stops at that weight 3."""
     code = hm.hamming_code(f4, 3)  # [21, 18, 3]_4: 4^3 syndromes, 4^18 codewords
-    d = ct.sr_min_distance(code, budget=30, syndrome_budget=2)
+    d = ct.sr_min_distance(code, ct.Budgets(enum=30, syndrome=2))
     assert (d.lo, d.hi, d.method, d.witness) == (3, 4, "hamming", None)
     assert d.stops == ("syndrome budget 2 < 4^3 syndromes (q^codim)",
                        "enum budget 30 < 4^18 codewords (q^dim)",
                        "enum budget 30 < 630 half-words of the weight-3 support search")
-    assert hm.min_distance(code, 30).stops == d.stops[2:]
-    off = ct.sr_min_distance(code, 0, syndrome_budget=0)
-    assert (off.lo, off.hi, off.method, hm.min_distance(code, 0).lo) == (3, 4, "hamming", 3)
+    assert hm.min_distance(code, ct.Budgets(enum=30)).stops == d.stops[2:]
+    off = ct.Budgets(enum=0, syndrome=0)
+    assert (*ct.sr_min_distance(code, off)[:3], hm.min_distance(code, off).lo) == (
+        3, 4, "hamming", 3)
     with pytest.raises(AttributeError):
         d.stops = ()
-    settled = ct.sr_min_distance(code, syndrome_budget=2)  # the support search settles d
+    settled = ct.sr_min_distance(code, ct.Budgets(syndrome=2))  # the support search settles d
     assert (settled.value, settled.method, settled.stops) == (3, "hamming / support_test", ())
 
 
@@ -1201,9 +1202,9 @@ def test_quasi_perfect_q4_u3_fits_the_default_budgets():
     code = cs.quasi_perfect_2xm(4, 2, 3)
     assert (code.profile.t, code.codim) == (273, 8)
     work = 273 * (21 * 4 ** 8 + 4 ** 4)
-    assert work <= ct.WORK_BUDGET < 273 * 4 ** 4 * 4 ** 8  # block values x q^codim did not
+    assert work <= ct.Budgets().sweep < 273 * 4 ** 4 * 4 ** 8  # block values x q^codim did not
     with pytest.raises(ct.BudgetExceeded) as stop:
-        code.budgeted_dp(ct.SYNDROME_BUDGET, work - 1)
+        code.budgeted_dp(ct.Budgets(sweep=work - 1))
     assert str(stop.value) == (f"sweep budget {work - 1} < {work} DP work units "
                                "(shift passes x q^codim + block values)")
     assert code.budgeted_dp() is code.syndrome_dp
@@ -1213,7 +1214,7 @@ def test_dp_budget_stop_is_noted_once(hexacode_code):
     """2^8 syndromes over budget 1 stop the DP for both d and R: enumeration settles d, whose
     point notes nothing, and R's interval names the stop, once.  The ingredient rule reads
     the hexacode's R_H at n - k = 3, so R stays [2, 6] and nothing decides."""
-    cert = ct.certify_code(hexacode_code, "quasi-perfect", syndrome_budget=1)
+    cert = ct.certify_code(hexacode_code, "quasi-perfect", ct.Budgets(syndrome=1))
     assert cert.exit_code == 2
     assert cert.notes == ["syndrome budget 1 < 2^8 syndromes (q^codim)"]
 
@@ -1365,8 +1366,8 @@ def test_sphere_packing_certificates_are_pinned(key):
     # the `--out` bytes, streamed into the hash: one descriptor runs to 570 MB
     args, params = build_parser().parse_known_args(key.split())
     args.params += params
-    cert = ct.certify_code(cli._load_code(args), args.claim, enum_budget=args.enum_budget,
-                           syndrome_budget=args.syndrome_budget, work_budget=args.sweep_budget)
+    cert = ct.certify_code(cli._load_code(args), args.claim,
+                           ct.Budgets(args.enum_budget, args.syndrome_budget, args.sweep_budget))
     cert.toolchain_version = ""
     digest = hashlib.sha256()
     cert.to_json(lambda text: digest.update(text.encode()))

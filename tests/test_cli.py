@@ -190,7 +190,7 @@ def test_blocks_past_the_rank_table_cap_stop_enumeration(tmp_path, capsys):
     assert sp.rank(cs.field_of_order(2), witness) == 1
     # a point notes no stop: the cap that stops both engines is the code's own
     built = cs.covering_repetition(2, 5, 1)
-    assert sd.rank_table_stop(built.base, built.profile.blocks) == (
+    assert sd.rank_table_stop(built.base, built.profile.shape_counts()) == (
         f"rank table cap {1 << 24} < 2^25 values per 5 x 5 block (q^(nm))")
     assert doc["notes"] == []
 
@@ -432,6 +432,16 @@ def test_bounds_strong_bch(capsys):
         2, "inapplicable: 2^15 < (2e-1)^(4e+2) = 3^10\n", "")
 
 
+def test_a_large_bch_error_count_is_decided_in_bounded_time():
+    """At e = 10^6, (2e-1)^(4e+2) has 8.4 * 10^7 bits; the bit lengths alone refute
+    2^2 >= it, so no power is formed.  A child with a 10 s timeout, so a relapse fails fast."""
+    proc = subprocess.run([sys.executable, "-m", "sumrank.cli", "bounds", "strong-bch", "m=1",
+                           "t=3", "e=1000000", "n=2", "d=1"], env=_child_env(),
+                          capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "inapplicable: 2^2 < (2e-1)^(4e+2) = 1999999^4000002\n", "")
+
+
 def test_bounds_entropy_and_volume(capsys):
     code, out, _ = run(capsys, "bounds", "entropy", "Q=4", "rho=0.75")
     assert code == 0 and abs(float(out.strip()) - 1.0) < 1e-12
@@ -653,6 +663,33 @@ def test_malformed_user_files_are_usage_errors(tmp_path, capsys, option, content
     code, out, err = run(capsys, *argv, option, str(path))
     assert code == 4 and out == ""
     assert option in err and err.endswith(f"{path} {error}\n")
+
+
+def test_budget_defaults_are_the_budgets_record():
+    """The three budget options default to `Budgets()`, field by field."""
+    args = cli.build_parser().parse_args(["certify", "singleton", "--recipe", "cyclic-d4"])
+    assert ct.Budgets(args.enum_budget, args.syndrome_budget, args.sweep_budget) == ct.Budgets()
+
+
+def test_cyclic_d4_q2_m15_refuses_every_engine_in_bounded_time():
+    """cyclic-d4 q=2 m=15: 32767 blocks of 1 x 1 at codim 16.  The DP fits the syndrome
+    budget but not the sweep budget, and neither enumeration nor the weight-4 support search
+    fits the enum budget; the BCH bound's d >= 4 and V_sr(2) > 2^16 certify the claim.  Each
+    engine admits itself from the profile's one count of shapes, so the refusals take time
+    linear in the block count: a child with a 10 s timeout, where a charge that re-read codim
+    for each block took tens of seconds."""
+    proc = subprocess.run([sys.executable, "-m", "sumrank.cli", "certify", "distance-optimal",
+                           "--recipe", "cyclic-d4", "q=2", "m=15"], env=_child_env(),
+                          capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert lines[1] == "verdict  : certified"
+    assert "  min_sum_rank_distance    = [4, 17]   [bch (interval)]" in lines
+    assert ("  note: sweep budget 1073741824 < 2147483646 DP work units "
+            "(shift passes x q^codim + block values); "
+            "enum budget 4194304 < 2^32751 codewords (q^dim); "
+            "enum budget 4194304 < 536821761 half-words of the weight-4 support search") in lines
+    assert 32767 * (2 ** 16 + 2) == 2147483646 and 32767 * 32766 // 2 == 536821761
 
 
 @pytest.mark.parametrize("option,value", [("--enum-budget", "-1"), ("--syndrome-budget", "-1"),

@@ -347,7 +347,7 @@ def test_a_singleton_point_forms_no_generator():
     (the size gate refuses it)."""
     code = hm.parity_check_code(cs.field_of_order(4), 8193)
     start = time.perf_counter()
-    res = ct.sr_min_distance(code, 0, syndrome_budget=0)
+    res = ct.sr_min_distance(code, ct.Budgets(enum=0, syndrome=0))
     assert time.perf_counter() - start < 1
     assert (res.lo, res.hi, res.method) == (2, 2, "parity")
     assert hamming_weight(res.witness) == 2 and contains_packed(code, res.witness)
@@ -424,7 +424,7 @@ def test_covering_radius_vs_sweep(f2, f4):
 def test_covering_radius_budget(f4):
     c = hm.zero_code(f4, 9)
     with pytest.raises(hm.BudgetExceeded):
-        hm.covering_radius(c, syndrome_budget=1000)
+        hm.covering_radius(c, sd.Budgets(syndrome=1000))
 
 
 def test_bch_bound():
@@ -534,6 +534,14 @@ def test_bch_covering_radius_interval():
     assert hm.bch_covering_radius_interval(1, 1) == (1, 2)
     assert hm.bch_covering_radius_interval(2, 15) is None
     assert 2 ** 16 >= 3 ** 10  # the exact hypothesis behind (2, 16)
+
+
+def test_bch_covering_radius_interval_is_the_exact_comparison():
+    """The bit-length decision agrees with 2^n >= (2e-1)^(4e+2) for every e <= 40, n <= 400."""
+    for e in range(1, 41):
+        for n in range(1, 401):
+            holds = 2 ** n >= (2 * e - 1) ** (4 * e + 2)
+            assert hm.bch_covering_radius_interval(e, n) == ((2 * e - 1, 2 * e) if holds else None)
 
 
 def test_low_weight_pool(f4):

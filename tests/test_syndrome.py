@@ -28,7 +28,7 @@ from sumrank import hamming as hm
 from sumrank import spaces as sp
 from sumrank import syndrome as sd
 
-from oracles import (code_size, composition_source, contains_packed, generator_parity,
+from oracles import (code_size, composition_source, contains_packed, dp_work, generator_parity,
                      hamming_weight, unit_syndromes)
 
 FAST = settings(max_examples=25, deadline=None,
@@ -102,7 +102,7 @@ class ExplicitCode(cs.SumRankCode):
     def _parity_rows(self):
         return np.array(generator_parity(self), dtype=np.int64).reshape(-1, self.ambient_dim)
 
-    def enumerate_packed(self, budget=sd.ENUM_BUDGET):
+    def enumerate_packed(self, budget=sd.Budgets().enum):
         f = self.base
         for coeffs in itertools.product(range(f.order), repeat=self.dim):
             vec = [0] * self.ambient_dim
@@ -606,10 +606,10 @@ def test_distance_interval_holds_the_dps_d(problem):
     # DP's d and come with a codeword of that weight
     code, budget = problem
     d = code.syndrome_dp.distance
-    off = ct.sr_min_distance(code, budget, syndrome_budget=0)
+    off = ct.sr_min_distance(code, ct.Budgets(enum=budget, syndrome=0))
     assert not off.method.endswith(("syndrome-dp", "exhaustive"))  # the code's own are off
     assert off.lo <= d <= off.hi
-    on = ct.sr_min_distance(code, budget)
+    on = ct.sr_min_distance(code, ct.Budgets(enum=budget))
     assert on.exact
     for res in (off, on) if off.exact else (on,):
         assert res.value == d and res.witness is not None
@@ -782,3 +782,38 @@ def test_kernel_order_linear_code(chunk, monkeypatch, f4, f9, f16_tower):
                  hm.from_generator(f16_tower, [(1, 2, 7), (0, 5, 11)])):
         assert _kernel_words(code.field, code.generator, [1] * code.n) == \
             list(code.codewords())
+
+
+class _Shaped(sd.SumRankCode):
+    """A code of a given dimension over given blocks: all that the DP's admission reads."""
+
+    def __init__(self, base, blocks, dim):
+        super().__init__(base, sp.MatrixProfile(base, blocks))
+        self._dim = dim
+
+    @property
+    def dim(self):
+        return self._dim
+
+
+@st.composite
+def shaped_codes(draw):
+    base = cs.field_of_order(draw(st.sampled_from([2, 3, 4])))
+    shape = st.tuples(st.integers(1, 3), st.integers(1, 3)).map(sorted).map(tuple)
+    blocks = draw(st.lists(shape, min_size=1, max_size=12))
+    return _Shaped(base, blocks, draw(st.integers(0, sum(n * m for n, m in blocks))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(shaped_codes())
+def test_per_shape_admission_charges_the_per_block_work(code):
+    """At sweep budget 0 the DP's stop states its work, summed once per shape times its
+    count: the same number as the charge block by block, over mixed shapes, GF(2), GF(3)
+    and GF(4), at every codimension (a syndrome budget that holds them all)."""
+    budgets = sd.Budgets(syndrome=1 << 400, sweep=0)
+    work = dp_work(code.base, code.codim, code.profile.blocks)
+    assert code.dp_stop(budgets) == (f"sweep budget 0 < {work} DP work units "
+                                     "(shift passes x q^codim + block values)")
+    assert code.dp_stop(budgets._replace(sweep=work)) is None
+    with pytest.raises(sd.BudgetExceeded, match=f"< {work} DP work units"):
+        code.budgeted_dp(budgets._replace(sweep=work - 1))
