@@ -483,7 +483,8 @@ def _cyclic_length(q: int, e: int, lam: int, power: str, k: int = 1) -> tuple[Fi
     base = field_of_order(q)
     _gate(e >= 1, f"block length ({power} - 1)/lam must be positive")
     Q = q ** e
-    _gate(lam >= 1 and (Q - 1) % lam == 0, f"{lam} does not divide {power} - 1 = {int_text(Q - 1)}")
+    if lam < 1 or (Q - 1) % lam:  # int_text loads decimal: form the text only on refusal
+        _gate(False, f"{lam} does not divide {power} - 1 = {int_text(Q - 1)}")
     n = (Q - 1) // lam
     size = len({r for g in (0, 1, 2) for r in hm.cyclotomic_coset(g, q ** k, n)})
     _gate(size < n, "defining set covers all residues; code is trivial {0}")
@@ -555,7 +556,8 @@ def cyclic_d4_alt(q: int, m: int) -> hm.LinearCode:
     gens = [0, 1, 5] if q == 3 else [0, 1, 3]
     base = field_of_order(q)
     n = q ** m - 1
-    _gate(n > max(gens), f"length {int_text(n)} is too short for the defining set")
+    if n <= max(gens):
+        _gate(False, f"length {int_text(n)} is too short for the defining set")
     code = hm.cyclic_code(n, base, gens)
     code.designed_distance = 4
     return code

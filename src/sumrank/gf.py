@@ -257,17 +257,7 @@ class Field:
             for j, y in enumerate(db):
                 if y:
                     prod[i + j] = sub.add(prod[i + j], sub.mul(x, y))
-        # reduce by the monic modulus
-        mod = self.modulus
-        for k in range(len(prod) - 1, self.degree - 1, -1):
-            c = prod[k]
-            if c == 0:
-                continue
-            prod[k] = 0
-            for j in range(self.degree):
-                prod[k - self.degree + j] = sub.sub(
-                    prod[k - self.degree + j], sub.mul(c, mod[j]))
-        return undigits(prod[:self.degree], sub.order)
+        return undigits(poly_mod(sub, prod, [*self.modulus, 1]), sub.order)
 
     def mul(self, a: int, b: int) -> int:
         if self._exp is not None:

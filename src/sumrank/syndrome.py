@@ -262,7 +262,6 @@ def syndrome_dp(field, parity, shapes) -> SyndromeDP:
     flat = np.full(p ** digits, _INF, dtype=np.int8)
     flat[0] = 0
     buf = np.empty_like(flat)  # the state in the current block's layout
-    before = np.empty_like(flat)  # the state before the current block, in its layout
     # the rank-1 rounds' line min, coset min and shifted copy, in each layout
     rounds = [np.empty_like(flat) for _ in range(3)] if any(n > 1 for n, _ in shapes) else []
     t = len(shapes)
@@ -272,7 +271,7 @@ def syndrome_dp(field, parity, shapes) -> SyndromeDP:
     r = packing_radius(field.order, Counter(shapes), codim, codim // 2)
     # levels[w, s]: blocks after which A[s] is first <= w, else t + 1
     levels = np.full((1 + (codim if r is None else min(codim, 2 * r - 1)), len(flat)), t + 1,
-                     dtype=np.uint8 if t < 255 else np.uint16)
+                     dtype=np.min_scalar_type(t + 1))
     levels[:, 0] = 0
     b_zero = []
     for b, (n, m) in enumerate(shapes):
@@ -284,9 +283,9 @@ def syndrome_dp(field, parity, shapes) -> SyndromeDP:
         b_zero.append(min(b_zero[-1] if b_zero else _INF, int(reach.min())))
         basis, pivots = rref(prime, array_digits(units[starts[b]:starts[b + 1]].ravel(), p, digits))
         head, lo = _layout(p, basis, pivots)
-        B, old = buf.reshape(len(head), -1), before.reshape(len(head), -1)
+        B = buf.reshape(len(head), -1)
         for part, idx in _layout_rows(head, lo):
-            B[part] = old[part] = flat[idx]
+            B[part] = flat[idx]
         top = B.min(axis=0) + np.int8(n)  # any block value, counted at weight n
         if n > 1:
             gens = syn[_line_generators(field, n, m)]  # generator syndromes, a row per line
@@ -306,8 +305,9 @@ def syndrome_dp(field, parity, shapes) -> SyndromeDP:
                 np.minimum(B, C, out=B)
         np.minimum(B, top, out=B)
         for part, idx in _layout_rows(head, lo):  # write back only the syndromes that fell
-            fell = B[part] < old[part]
-            changed, new, was = idx[fell], B[part][fell], old[part][fell]
+            old = flat[idx]  # A before the block: rows hold disjoint syndromes
+            fell = B[part] < old
+            changed, new, was = idx[fell], B[part][fell], old[fell]
             flat[changed] = new
             # only the levels w with new <= w < was move
             for w in range(int(new.min(initial=_INF)), min(int(was.max(initial=0)), len(levels))):

@@ -828,6 +828,7 @@ def theorem_ingredient_codes(draw):
     return code
 
 
+@pytest.mark.seeded
 @settings(max_examples=80, deadline=None)
 @given(theorem_ingredient_codes())
 @example(cs.quasi_perfect_2xm(2, 2, 2))

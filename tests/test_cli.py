@@ -1294,6 +1294,19 @@ def test_import_loads_no_unused_stdlib_module():
     assert "sumrank.cli" in added and missing == []
 
 
+@pytest.mark.parametrize("argv", [("construct", "cyclic-d4", "q=4", "m=3", "lam=1"),
+                                  ("construct", "cyclic-d4-alt", "q=3", "m=3")],
+                         ids=["cyclic-d4", "cyclic-d4-alt"])
+def test_a_cyclic_build_that_passes_its_gates_loads_no_decimal(argv):
+    # a gate's refusal text prints its length with int_text, which loads decimal; a build
+    # the gates admit forms no such text
+    assert _fresh_python("import contextlib, io, sys\n"
+                         "from sumrank import cli\n"
+                         "with contextlib.redirect_stdout(io.StringIO()):\n"
+                         f"    code = cli.main({list(argv)!r})\n"
+                         "print(code, 'decimal' in sys.modules)\n") == ["0", "False"]
+
+
 @pytest.mark.parametrize("exit_code,argv", [
     (0, ("certify", "distance-optimal", "--recipe", "distance-optimal-2x2", "q=2")),
     (1, ("certify", "msrd", "--recipe", "almost-msrd-2x2", "q=2", "t=4")),

@@ -338,6 +338,7 @@ _NON_SPANNING_ROWS = np.random.default_rng(3).integers(0, 2, size=(4, 11)).tolis
     [[0] * 9 + [1, 1]]
 
 
+@pytest.mark.seeded
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(parity_problems())
 @example(_one_block(2, (3, 3)))
@@ -388,12 +389,23 @@ def test_dp_of_the_zero_code_returns(q, shapes):
 
 
 def test_witness_survives_uint16_level_record(f2):
-    """Past 254 blocks the level record is uint16; leaders, d and witness stay."""
+    """Past 254 blocks the level record takes the smallest type that holds t + 1, here
+    uint16; leaders, d and witness stay."""
     t, codim = 300, 5
     rows = np.random.default_rng(t).integers(0, 2, size=(codim, t)).tolist()
     parity = hm.rref(f2, rows)[0]
     assert len(parity) == codim
     _check_against_full_dp(f2, parity, [(1, 1)] * t)
+
+
+def test_a_dp_on_65535_blocks_holds_its_level_sentinel(f2):
+    """At t = 65535 the record's sentinel t + 1 passes uint16: the DP of the binary parity
+    code settles R = 1, so the code is certified quasi-perfect with d = 2 by its rule."""
+    cert = ct.certify_code(hm.parity_check_code(f2, 65535), "quasi-perfect")
+    values = {q["name"]: (q["value"], q["method"]) for q in cert.quantities}
+    assert cert.verdict == "certified"
+    assert values["min_sum_rank_distance"] == (2, "parity")
+    assert values["covering_radius"] == (1, "syndrome-dp")
 
 
 # The DP of every certify-paper job that runs one, past the oracle's 2^10 syndromes (up to
@@ -520,6 +532,7 @@ def word_codes(draw):
     return code
 
 
+@pytest.mark.seeded
 @FAST
 @given(word_codes())
 @example(cs.quasi_perfect_2xm(2, 2, 2))
@@ -536,6 +549,7 @@ def test_composition_word_is_a_codeword_of_its_stated_weight(code):
         assert ingredient.first_row == (ingredient.generator[0] if ingredient.k else None)
 
 
+@pytest.mark.seeded
 @FAST
 @given(word_codes())
 @example(cs.almost_msrd_2x2(3, 9))
@@ -591,6 +605,7 @@ def composed_codes(draw):
 _F4, _F8 = cs.field_of_order(2).extension(2), cs.field_of_order(2).extension(3)
 
 
+@pytest.mark.seeded
 @FAST
 @given(composed_codes())
 # two points of d once settled with no word: the composition's lower end 2 met by sphere
@@ -804,6 +819,7 @@ def shaped_codes(draw):
     return _Shaped(base, blocks, draw(st.integers(0, sum(n * m for n, m in blocks))))
 
 
+@pytest.mark.seeded
 @settings(max_examples=100, deadline=None)
 @given(shaped_codes())
 def test_per_shape_admission_charges_the_per_block_work(code):
