@@ -19,8 +19,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .gf import Field, UsageError, make_field
 from .spaces import (MatrixProfile, SumRankWord, ball_volume_exact,
-                     count_rank_matrices, hamming_ball_volume, rank,
-                     sum_rank_distance, sum_rank_weight)
+                     count_rank_matrices, rank, sum_rank_weight)
 from .hamming import (LinearCode, covering_radius, cyclic_code,
                       cyclotomic_coset, min_distance)
 from .construct import (SumRankCode, build_recipe, extend_full_blocks,
@@ -33,7 +32,7 @@ from .certify import (Budgets, Certificate, certify_code, perfection_verdict,
 __all__ = [
     "Field", "UsageError", "make_field",
     "MatrixProfile", "SumRankWord", "ball_volume_exact", "count_rank_matrices",
-    "hamming_ball_volume", "rank", "sum_rank_distance", "sum_rank_weight",
+    "rank", "sum_rank_weight",
     "LinearCode", "covering_radius", "cyclic_code", "cyclotomic_coset",
     "min_distance",
     "SumRankCode", "build_recipe", "extend_full_blocks", "plotkin",

@@ -22,6 +22,7 @@ import argparse
 import contextlib
 import json
 import os
+import stat
 import sys
 from typing import NoReturn
 
@@ -102,14 +103,16 @@ def _descriptor(code) -> dict:
 
 
 def _write_out(path: str, write) -> None:
-    """Stream a document into `path` by `write(fh.write)`; a failure removes the file."""
+    """Stream a document into `path` by `write(fh.write)`; a failure removes a regular file."""
     fh = open(path, "w", encoding="utf-8")
     try:
         with fh:
             write(fh.write)
             fh.write("\n")
     except BaseException:
-        os.remove(path)
+        with contextlib.suppress(OSError):  # the write's own error is the one raised
+            if stat.S_ISREG(os.lstat(path).st_mode):  # never a device such as /dev/full
+                os.remove(path)
         raise
 
 

@@ -12,13 +12,14 @@ comes from `certify.sr_min_distance`, as in the sum-rank metric.
 from __future__ import annotations
 
 import functools
+import itertools
 from math import comb, gcd
 from typing import NamedTuple
 
 import numpy as np
 
 # rref and nullspace live in `gf` and stay reachable here
-from .gf import Field, UsageError, digit_add, nullspace, rref
+from .gf import Field, UsageError, digit_adder, nullspace, rref
 from .spaces import MatrixProfile, singleton_like_exponent
 from .syndrome import (BudgetExceeded, Budgets, SrDistance, SumRankCode, covering_radius,
                        scaled_syndromes)
@@ -342,47 +343,46 @@ def low_weight_search(code: LinearCode, w: int):
 def iter_low_weight(code: LinearCode, w: int, cap: int = 1 << 30):
     """Yield up to `cap` codewords of weight exactly w, for w <= 4, each once.
 
-    Meet in the middle: a word of weight w is a codeword exactly when the
-    syndromes of its low half (its first w // 2 nonzero positions) and its
-    high half cancel.  The syndromes of every low half are tabulated; each
-    high half whose first coefficient is 1 looks up the negation of its own
-    syndrome among the low halves that end before it starts, and every
-    nonzero multiple of a match is yielded.  Syndromes are packed base-p
-    ints, sums of the weight-1 syndromes lam * h_j (`scaled_syndromes`),
-    each computed once.
-    """
+    Meet in the middle: the syndromes of a codeword's low half (its first w // 2 nonzero
+    positions) and high half cancel.  A half is a row of position, coefficient and syndrome
+    arrays (`scaled_syndromes` summed digit-wise), in lexicographic order of (j1, c1, j2, c2);
+    each high half of first coefficient 1 finds its negated syndrome by `np.searchsorted` in
+    the stably sorted low halves, and every multiple of each match ending before it is yielded."""
     if not 1 <= w <= 4:
         raise ValueError("support search handles weights 1..4 only")
-    f, n, nz = code.field, code.n, code.field.nonzero_elements()
-    add = functools.partial(digit_add, f.p)
-    single = scaled_syndromes(f, code.parity, f.elements()).tolist()
-    negated = [[syn[f.neg(lam)] for lam in f.elements()] for syn in single]
+    f, n, nz = code.field, code.n, np.asarray(code.field.nonzero_elements())
+    add = digit_adder(f.p, f.dim_over_prime * len(code.parity))
+    single = scaled_syndromes(f, code.parity, f.elements())
 
-    def halves(size, heads, table):
-        """(positions, coefficients, syndrome from `table`) of every half."""
-        out = [((), (), 0)]
-        for k in range(size):
-            out = [(pos + (j,), cs + (c,), add(syn, table[j][c]))
-                   for pos, cs, syn in out for j in range(pos[-1] + 1 if pos else 0, n)
-                   for c in (heads if k == 0 else nz)]
-        return out
+    def runs(counts):  # row r repeated counts[r] times, with each repeat's rank in its run
+        row = np.repeat(np.arange(len(counts)), counts)
+        return row, np.arange(len(row)) - (np.cumsum(counts) - counts)[row]
 
-    low: dict[int, list] = {}
-    for pos, cs, syn in halves(w // 2, nz, single):
-        low.setdefault(syn, []).append((pos, cs))
-    emitted = 0
-    for pos, cs, syn in halves(w - w // 2, (1,), negated):
-        for lpos, lcs in low.get(syn, ()):
-            if lpos and lpos[-1] >= pos[0]:
-                continue
-            for mu in nz:
-                vec = [0] * n
-                for j, c in zip(lpos + pos, lcs + cs):
-                    vec[j] = f.mul(mu, c)
-                yield tuple(vec)
-                emitted += 1
-                if emitted >= cap:
-                    return
+    def halves(size, heads, table):  # every half's positions, coefficients and syndrome
+        pos = cs = np.zeros((1, 0), np.int64)
+        syn = np.zeros(1, table.dtype)
+        for choices in (heads, nz)[:size]:
+            start = pos.max(axis=1, initial=-1) + 1
+            row, at = runs((n - start) * len(choices))
+            j, c = start[row] + at // len(choices), choices[at % len(choices)]
+            pos, cs = np.column_stack([pos[row], j]), np.column_stack([cs[row], c])
+            syn = add(syn[row], table[j, c])
+        return pos, cs, syn
+
+    lpos, lcs, lsyn = halves(w // 2, nz, single)
+    hpos, hcs, hsyn = halves(w - w // 2, nz[:1], single[:, [f.neg(c) for c in f.elements()]])
+    order, rank = np.argsort(lsyn, kind="stable"), np.argsort(hsyn)  # needles in order: locality
+    first, stop = np.empty((2, len(hsyn)), np.int64)
+    first[rank], stop[rank] = (lsyn[order].searchsorted(hsyn[rank], s) for s in ("left", "right"))
+    high, at = runs(stop - first)
+    low = order[first[high] + at]
+    keep = lpos.max(axis=1, initial=-1)[low] < hpos[high, 0]
+    at, cs = (np.hstack([a[low[keep]], b[high[keep]]]) for a, b in ((lpos, hpos), (lcs, hcs)))
+    scaled = f.np_table("mul")[nz]  # row mu - 1: mu times each element
+    for js, values in itertools.islice(((js, t[c]) for js, c in zip(at, cs) for t in scaled), cap):
+        vec = np.zeros(n, np.int64)
+        vec[js] = values
+        yield tuple(vec.tolist())
 
 
 def min_distance(code: LinearCode, budgets: Budgets = Budgets()) -> SrDistance:

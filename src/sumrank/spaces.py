@@ -124,18 +124,6 @@ class SumRankWord:
         return f"SumRankWord(profile={self.profile!r}, matrices={self.matrices!r})"
 
 
-def matrix_sub(field: Field, a, b):
-    return tuple(tuple(field.sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def word_sub(x: SumRankWord, y: SumRankWord) -> SumRankWord:
-    if x.profile != y.profile:
-        raise ValueError("profile mismatch")
-    f = x.profile.field
-    return SumRankWord(x.profile, tuple(
-        matrix_sub(f, a, b) for a, b in zip(x.matrices, y.matrices)))
-
-
 def pack_matrix(field: Field, mat) -> int:
     return undigits([field.check(x) for row in mat for x in row], field.order)
 
@@ -179,10 +167,6 @@ def sum_rank_weight(word: SumRankWord) -> int:
     return sum(rank(f, mat) for mat in word.matrices)
 
 
-def sum_rank_distance(x: SumRankWord, y: SumRankWord) -> int:
-    return sum_rank_weight(word_sub(x, y))
-
-
 # ----------------------------------------------------------------------
 # exact counting
 # ----------------------------------------------------------------------
@@ -204,13 +188,6 @@ def count_rank_matrices(n: int, m: int, r: int, q: int) -> int:
 
 def rank_distribution(n: int, m: int, q: int) -> list[int]:
     return [count_rank_matrices(n, m, r, q) for r in range(min(n, m) + 1)]
-
-
-def hamming_ball_volume(n: int, r: int, q: int) -> int:
-    """|{x in GF(q)^n : wt_H(x) <= r}|: the ball of n blocks of shape 1 x 1."""
-    if r < 0 or r > n:
-        raise ValueError(f"radius {r} out of range for length {n}")
-    return ball_volume(q, {(1, 1): n}, r)
 
 
 def ball_volume(q: int, shapes: Shapes, r: int) -> int:

@@ -362,8 +362,8 @@ def test_criterion_10_cyclic_families(f4):
     # exact optimality criterion: V_H recomputed from binomials
     v15 = 1 + 15 * 3 + 105 * 9
     v63 = 1 + 63 * 3 + 1953 * 9
-    assert v15 == sp.hamming_ball_volume(15, 2, 4) == 991
-    assert v63 == sp.hamming_ball_volume(63, 2, 4) == 17767
+    assert v15 == sp.ball_volume(4, {(1, 1): 15}, 2) == 991
+    assert v63 == sp.ball_volume(4, {(1, 1): 63}, 2) == 17767
     assert not 991 > 1024
     assert 17767 > 16384
     assert ct.distance_optimal_check(*counting(c15), 4)[0] == "inconclusive"

@@ -1,11 +1,13 @@
 """CLI: subcommands, exit codes, descriptor round trips, config files."""
 
+import errno
 import hashlib
 import json
 import math
 import os
 import resource
 import shlex
+import stat
 import subprocess
 import sys
 import time
@@ -1231,6 +1233,30 @@ def test_failed_certificate_write_leaves_no_file(tmp_path, capsys, monkeypatch):
                        "q=2", "m=2", "u=2", "--out", str(out))
     assert code == 3 and err == "internal error: MemoryError\n"
     assert not out.exists()
+
+
+def test_a_write_failing_midway_removes_its_regular_file(tmp_path):
+    def write(put):
+        put("{")
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    out = tmp_path / "cert.json"
+    with pytest.raises(OSError) as raised:
+        cli._write_out(str(out), write)
+    assert raised.value.errno == errno.ENOSPC and not out.exists()
+
+
+@pytest.mark.skipif(not (os.path.exists("/dev/full")
+                         and stat.S_ISCHR(os.stat("/dev/full").st_mode)),
+                    reason="no /dev/full character device")
+def test_a_failed_write_into_a_device_removes_nothing(capsys, monkeypatch):
+    """A write into /dev/full fails with ENOSPC; the device is not a file the write made, so
+    nothing is removed and the error is the one reported."""
+    removed = []
+    monkeypatch.setattr(cli.os, "remove", removed.append)
+    code, _, err = run(capsys, "construct", "quasi-perfect-2xm", "q=2", "m=2", "u=2",
+                       "--out", "/dev/full")
+    assert code == 3 and "No space left on device" in err and removed == []
 
 
 def test_write_json_streams_a_descriptor():

@@ -1,5 +1,6 @@
 """Ingredient codes: cyclic machinery, families, distance, covering radius."""
 
+import hashlib
 import math
 import random
 import time
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from oracles import (code_size, contains_packed, generator_polynomial, hamming_weight,
-                     hartmann_tzeng_bound)
+                     hartmann_tzeng_bound, tuple_low_weight)
 from test_syndrome import linear_codes
 
 from sumrank import certify as ct
@@ -266,15 +267,51 @@ def test_builders_write_read_only_int64_parity(f2, f3, f4, f9):
         assert code.flat_parity is parity
 
 
+_PAST_INT64 = hm.from_generator(cs.field_of_order(2),
+                                [(1,) + (0,) * 68 + (1,), (0, 1, 1) + (0,) * 67])
+
+
 def test_support_search_keeps_syndromes_past_int64(f2):
     """At codim 68, q^codim > 2^63: the weight-1 syndromes are Python ints, none wraps."""
-    code = hm.from_generator(f2, [(1,) + (0,) * 68 + (1,), (0, 1, 1) + (0,) * 67])
+    code = _PAST_INT64
     assert code.n - code.k == 68
     assert sd.scaled_syndromes(f2, code.parity, f2.elements()).dtype == object
     words = {v for v in code.codeword_list() if any(v)}
     for w in (2, 3, 4):
         assert set(hm.iter_low_weight(code, w)) == {v for v in words if hamming_weight(v) == w}
     assert hm.min_distance(code).value == 2
+
+
+@st.composite
+def unit_parities(draw):
+    """[A | I] over GF(2), GF(3), GF(4) or GF(9), of length <= 10 and codim 1 to n."""
+    field = cs.field_of_order(draw(st.sampled_from([2, 3, 4, 9])))
+    n = draw(st.integers(1, 10))
+    r = draw(st.integers(1, n))
+    a = draw(st.lists(st.integers(0, field.order - 1), min_size=r * (n - r),
+                      max_size=r * (n - r)))
+    parity = np.hstack([np.array(a, dtype=np.int64).reshape(r, n - r), np.eye(r, dtype=np.int64)])
+    return hm.LinearCode(field, n, parity)
+
+
+@pytest.mark.seeded
+@settings(max_examples=60, deadline=None)
+@given(unit_parities(), st.integers(1, 40))
+@example(_PAST_INT64, 3)
+def test_support_search_matches_the_tuple_search_in_order(code, cap):
+    """The sorted-array search yields the words of the search over tuple halves and a dict
+    of low halves, in the same order, with and without `cap`."""
+    for w in range(1, 5):
+        assert list(hm.iter_low_weight(code, w)) == list(tuple_low_weight(code, w)), w
+        assert list(hm.iter_low_weight(code, w, cap)) == list(tuple_low_weight(code, w, cap)), w
+
+
+def test_support_search_witness_is_pinned():
+    """The certificate of cyclic-d4-alt q=3 m=5 holds the support search's first weight-4
+    word as its witness; its table is the one the search over tuple halves gave."""
+    table = ct.certify_code(cs.cyclic_d4_alt(3, 5), "distance-optimal").to_table()
+    assert hashlib.sha256(table.encode()).hexdigest() == (
+        "f784575036353da880df1f64121814959932f951f336857afb8657558d01b63e")
 
 
 @pytest.mark.parametrize("parity", [
