@@ -5,7 +5,7 @@ exact enumeration result with a stated method, or a bound evaluation
 whose hypotheses were verified before the number was produced.
 """
 
-__version__ = "0.2.14"
+__version__ = "0.2.15"
 
 import os
 

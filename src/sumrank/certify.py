@@ -2,18 +2,19 @@
 
 Minimum distance and covering radius are each one intersection (`settle`) of interval
 sources, read in the order set here, under explicit budgets.  d reads the zero code, what
-the code's structure proves (`SumRankCode.distance_bounds`, no engine), the engines (the
-syndrome DP, enumeration, then the code's own search, `SumRankCode.distance_searches`: a
-Hamming-metric code's support search), sphere packing (d <= 2r, V_sr(r) > q^codim) and
-[1, N].  R reads the DP, the code's rule (`SumRankCode.radius_bounds`), sphere covering
-(R >= r, V_sr(r) >= q^codim) and [0, codim].  A Hamming-metric code is a sum-rank code of
-1 x 1 blocks.  Each source is an `SrDistance`, a point or an interval; a point of d carries
-a codeword of its weight.  `certify_code` decides a claim by one rule on the intervals of d
-and R (`RULES`): exact integer comparisons at their ends that settle it for every value in
-between, else inconclusive.  Bound evaluators validate their hypotheses first.  Counting
-bounds on |C| = q^dim compare exponents (V_sr(r) with q^codim, dim with the Singleton-like
-exponent) and print powers of q as `q^e`: no q^N or q^dim is formed.  Transcendental bounds
-are advisory and carry their assumptions in the certificate.
+the code's structure proves (`SumRankCode.distance_bounds`: no engine but a Hamming-metric
+code's support search for a word at that end), the engines (the syndrome DP, enumeration,
+then the code's own search, `SumRankCode.distance_searches`: a Hamming-metric code's
+support search), sphere packing (d <= 2r, V_sr(r) > q^codim) and [1, N].  R reads the DP,
+the code's rule (`SumRankCode.radius_bounds`), sphere covering (R >= r, V_sr(r) >=
+q^codim) and [0, codim].  A Hamming-metric code is a sum-rank code of 1 x 1 blocks.  Each
+source is an `SrDistance`, a point or an interval; a point of d carries a codeword of its
+weight, which `SumRankCode.word_weight` checks.  `certify_code` decides a claim by one rule
+on the intervals of d and R (`RULES`): exact integer comparisons at their ends that settle
+it for every value in between, else inconclusive.  Bound evaluators validate their
+hypotheses first.  Counting bounds on |C| = q^dim compare exponents (V_sr(r) with q^codim,
+dim with the Singleton-like exponent) and print powers of q as `q^e`: no q^N or q^dim is
+formed.  Transcendental bounds are advisory and carry their assumptions in the certificate.
 """
 
 from __future__ import annotations
@@ -40,13 +41,14 @@ TOOLCHAIN_VERSION = f"sumrank {__version__}"
 # minimum sum-rank distance
 # ----------------------------------------------------------------------
 
-def settle(sources, witnessed: bool = False) -> SrDistance:
+def settle(sources, weigh=None) -> SrDistance:
     """Intersect interval sources in their order (module docstring): lo is the greatest lower
     end and hi the least upper end, an earlier source keeping a tied end; a str item is a
-    stop.  With `witnessed` (d), an end at lo counts only with its word, or at inf (the zero
-    code).  The first point ends the reading, with the witness of hi's source and no stops.  An
-    interval has no witness; its stops are those met, then those of the sources read, each
-    once and in order, and its ends' sources name its method."""
+    stop.  With `weigh` (d's `SumRankCode.word_weight`), an end at lo counts only with its word,
+    or at inf (the zero code).  The first point ends the reading, with the witness of hi's
+    source, which `weigh` must weigh at the point, and no stops.  An interval has no witness;
+    its stops are those met, then those of the sources read, each once and in order, and its
+    ends' sources name its method."""
     stops, ends = [], []
     for src in sources:
         if isinstance(src, str):
@@ -54,7 +56,7 @@ def settle(sources, witnessed: bool = False) -> SrDistance:
             continue
         ends.append(src)
         low = max(ends, key=lambda s: s.lo)  # max and min keep the first of tied ends
-        high = min((s for s in ends if not witnessed or s.hi != low.lo
+        high = min((s for s in ends if not weigh or s.hi != low.lo
                     or s.witness is not None or s.hi == math.inf), key=lambda s: s.hi, default=None)
         if high and low.lo >= high.hi:
             break
@@ -64,6 +66,8 @@ def settle(sources, witnessed: bool = False) -> SrDistance:
         raise RuntimeError(f"sources disagree: {low.method} {low.lo} > {high.method} {high.hi}")
     method = low.method if low.method == high.method else f"{low.method} / {high.method}"
     if low.lo == high.hi:
+        if weigh and high.hi != math.inf and (weight := weigh(high.witness)) != high.hi:
+            raise RuntimeError(f"{high.method} states a word of weight {weight} for d = {high.hi}")
         return SrDistance(low.lo, high.hi, method, high.witness)
     return SrDistance(low.lo, high.hi, method,
                       stops=tuple(dict.fromkeys((*stops, *(r for s in ends for r in s.stops)))))
@@ -76,7 +80,7 @@ def sr_min_distance(code: SumRankCode, budgets: Budgets = Budgets()) -> SrDistan
     def sources():
         if code.dim == 0:
             yield SrDistance(math.inf, math.inf, "zero code")
-        yield from code.distance_bounds(lambda part: sr_min_distance(part, budgets))
+        yield from code.distance_bounds(lambda part: sr_min_distance(part, budgets), budgets)
         try:
             dp = code.budgeted_dp(budgets)
         except BudgetExceeded as exc:
@@ -94,7 +98,7 @@ def sr_min_distance(code: SumRankCode, budgets: Budgets = Budgets()) -> SrDistan
         # one block of one row: every nonzero word, the first generator row too, weighs 1
         yield SrDistance(1, code.profile.N, "budget stop",
                          code._generator_rows_packed()[0] if code.profile.N == 1 else None)
-    return settle(sources(), witnessed=True)
+    return settle(sources(), code.word_weight)
 
 
 # ----------------------------------------------------------------------

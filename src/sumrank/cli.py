@@ -327,8 +327,8 @@ def build_parser() -> _Parser:
     z.add_argument("--out", type=file_path, help="write the certificate as JSON")
     z.add_argument("--enum-budget", type=budget, default=ct.Budgets().enum,
                    help="most codewords an exhaustive distance enumeration may "
-                        "stream, and most half-words per table of the Hamming "
-                        "support search")
+                        "stream, and most syndrome lookups per weight of the "
+                        "Hamming support search")
     z.add_argument("--sweep-budget", type=budget, default=ct.Budgets().sweep,
                    help="most syndrome-DP work: shift passes x q^codim "
                         "plus block values, over all blocks")

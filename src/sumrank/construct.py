@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .gf import (Field, UsageError, array_digits, array_mul, digit_add, digit_adder, int_text,
-                 linear_map, make_field, prime_power, rref)
+                 linear_map, make_field, place_values, prime_power, rref)
 from . import hamming as hm
 from .spaces import MatrixProfile, pack_matrix
 from .syndrome import Budgets, SrDistance, SumRankCode
@@ -186,6 +186,19 @@ class IngredientSumRankCode(SumRankCode):
             rows.append(np.moveaxis(coords, -1, 1).reshape(-1, self.ambient_dim))
         return np.concatenate(rows)
 
+    def is_codeword(self, packed) -> bool:
+        """Whether each ingredient word is a codeword, no flat parity formed: block r's symbol i,
+        sum_c b_rc U[i, c] (`_cell_preimages`), is GF(p)-linear in the packed block, so
+        `linear_map` takes it from the images of the block's base-p unit digits."""
+        p, e, size = self.base.p, self.base.dim_over_prime, self.rows * self.m
+        blocks = np.array(packed, dtype=place_values(self.base.order, size).dtype)
+        for code, pre in zip(self.ingredients, self._cell_preimages):
+            images = [self.ext.mul(p ** j, int(u)) for u in pre for j in range(e)]
+            symbols = linear_map(p, images, self.ext.dim_over_prime, blocks)
+            if not code.is_codeword(tuple(symbols.tolist())):
+                return False
+        return True
+
     def composition_lower_bound(self, dists) -> int:
         """d >= this, from lower ends `dists` of the ingredients' distances (inf when k = 0).
 
@@ -205,7 +218,7 @@ class IngredientSumRankCode(SumRankCode):
         return min([n * d for d in dists]
                    + [max(a, b) * (m - (j - i) if n == m else 1) for (i, a), (j, b) in pairs])
 
-    def distance_bounds(self, distance):
+    def distance_bounds(self, distance, budgets: Budgets = Budgets()):
         """The composition bound, up to the lightest word c of one ingredient i alone, of weight
         n wt_H(c) (z -> c_r phi(z^(q^i)) is injective) or, covering, wt_H(c) (one row)."""
         ends = [_ingredient_end(code, distance) for code in self.ingredients]
@@ -323,7 +336,10 @@ class ExtendedSumRankCode(SumRankCode):
         inner = self.inner.flat_parity
         return np.pad(inner, ((0, 0), (0, self.ambient_dim - inner.shape[1])))
 
-    def distance_bounds(self, distance):
+    def is_codeword(self, packed) -> bool:  # the extra blocks are free
+        return self.inner.is_codeword(packed[:self.inner.profile.t])
+
+    def distance_bounds(self, distance, budgets: Budgets = Budgets()):
         # d = 1: a single 1 at entry (0, 0) of an extra block, packed as 1, has rank 1
         yield SrDistance(1, 1, "composition(extension)",
                          (0,) * self.inner.profile.t + (1,) + (0,) * (self.extra - 1))
@@ -379,7 +395,13 @@ class PlotkinSumRankCode(SumRankCode):
         return np.block([[h1, np.zeros_like(h1)],
                          [array_mul(self.base)(h2, self.base.p - 1), h2]])
 
-    def distance_bounds(self, distance):
+    def is_codeword(self, packed) -> bool:  # as `_parity_rows`: x in the first, y - x in the second
+        t, p = self.first.profile.t, self.base.p
+        minus = [reduce(lambda v, _: digit_add(p, v, a), range(p - 1), b)  # y + (p - 1) x
+                 for a, b in zip(packed[:t], packed[t:])]
+        return self.first.is_codeword(packed[:t]) and self.second.is_codeword(tuple(minus))
+
+    def distance_bounds(self, distance, budgets: Budgets = Budgets()):
         # d = min(2 d1, d2), witnessed by (c1 | c1) or (0 | c2); a zero part's d is inf
         d1, d2 = distance(self.first), distance(self.second)
         ends = [(2 * d1.lo, 2 * d1.hi, d1.witness and d1.witness * 2),
@@ -486,6 +508,9 @@ def _cyclic_length(q: int, e: int, lam: int, power: str, k: int = 1) -> tuple[Fi
     if lam < 1 or (Q - 1) % lam:  # int_text loads decimal: form the text only on refusal
         _gate(False, f"{lam} does not divide {power} - 1 = {int_text(Q - 1)}")
     n = (Q - 1) // lam
+    words = (1 + 2 * (e // k)) * -(-n.bit_length() // 64)  # (q^k)^(e/k) = 1: 1 + 2e/k residues
+    _gate(words <= hm.DENSE_CELL_LIMIT, f"the cosets of T may hold {words} 64-bit words of "
+          f"residues, above DENSE_CELL_LIMIT = {hm.DENSE_CELL_LIMIT}")
     size = len({r for g in (0, 1, 2) for r in hm.cyclotomic_coset(g, q ** k, n)})
     _gate(size < n, "defining set covers all residues; code is trivial {0}")
     return base, n, size

@@ -2,7 +2,9 @@
 
 Covers the ingredient-code machinery: cyclic codes from cyclotomic cosets,
 standard families (Hamming, Reed-Solomon, BCH, trivial codes), the support
-search for d <= 4, and the covering radius read from the syndrome-space DP.
+search (one sorted-syndrome lookup per chunk of word prefixes: a word at the
+structure's lower end, and d <= 4), and the covering radius read from the
+syndrome-space DP.
 Builders write only the parity, a read-only int64 array read as it stands;
 `LinearCode` derives the generator, as row tuples, where it is read.  It
 is a `SumRankCode` of n blocks of 1 x 1, of rank [a != 0], so exact d
@@ -19,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 # rref and nullspace live in `gf` and stay reachable here
-from .gf import Field, UsageError, digit_adder, nullspace, rref
+from .gf import _CHUNK_BYTES, Field, UsageError, digit_adder, nullspace, rref
 from .spaces import MatrixProfile, singleton_like_exponent
 from .syndrome import (BudgetExceeded, Budgets, SrDistance, SumRankCode, covering_radius,
                        scaled_syndromes)
@@ -27,7 +29,8 @@ from .syndrome import (BudgetExceeded, Budgets, SrDistance, SumRankCode, coverin
 # The largest k * n of a generator that `LinearCode.generator` forms (2^25),
 # read only by descriptors and enumeration.  The 1.9 * 10^7-cell ingredients of
 # quasi-perfect-2xm q=4 m=2 u=4 fit; the 1.07 * 10^9 cells of Python ints of
-# distance-optimal-sxs q=2 s=3 m=5 are refused before any row is formed.
+# distance-optimal-sxs q=2 s=3 m=5 are refused before any row is formed.  It also
+# bounds the 64-bit words of the cyclotomic cosets a cyclic recipe lists.
 DENSE_CELL_LIMIT = 1 << 25
 
 
@@ -66,6 +69,7 @@ class LinearCode(SumRankCode):
         self.designed_distance = designed_distance
         self.defining_set = defining_set
         self._codeword_cache: list | None = None
+        self._first_words: dict = {}
 
     @property
     def dim(self) -> int:
@@ -122,21 +126,33 @@ class LinearCode(SumRankCode):
         return Proven(lo, source, self.k >= 1 and lo == self.singleton,
                       1 if self.family == "hamming" else self.n - self.k)
 
-    def distance_bounds(self, distance):  # structure only: [d_lo, Singleton] of `proven`
-        if (proven := self.proven).source:  # MDS: a point, which the first row weighs
+    def distance_bounds(self, distance, budgets: Budgets = Budgets()):
+        """[d_lo, Singleton] of `proven`, a point witnessed by the first row if MDS, else closed
+        by a word of weight d_lo that the support search finds within the enum budget."""
+        if (proven := self.proven).source:
             yield SrDistance(proven.d_lo, self.singleton, proven.source,
                              self.first_row if proven.mds else None)
+            word = not proven.mds and self.first_word(proven.d_lo, budgets)
+            yield from [SrDistance(1, proven.d_lo, "support_test", word)] if word else []
+
+    def first_word(self, w: int, budgets: Budgets) -> tuple[int, ...] | None:
+        """`iter_low_weight`'s first word of weight w within the enum budget, or None: searched
+        once per weight and budget, as d's structure source and `min_distance` both ask."""
+        if (w, budgets.enum) not in self._first_words:
+            self._first_words[w, budgets.enum] = next(iter_low_weight(self, w, budgets.enum), None)
+        return self._first_words[w, budgets.enum]
 
     def distance_searches(self, budgets):
         return [min_distance(self, budgets)]  # the support search, for d <= 4
 
     def search_stop(self, budgets: Budgets, w: int) -> str | None:
-        """The support search's admission at weight w: why its larger half table, of
-        `iter_low_weight`, does not fit the enum budget, or None."""
-        n, nz, lo, hi = self.n, self.field.order - 1, w // 2, w - w // 2
-        need = max(comb(n, lo) * nz ** lo, comb(n, hi) * nz ** (hi - 1))
-        return (f"enum budget {budgets.enum} < {need} half-words of the weight-{w} support search"
-                if need > budgets.enum else None)
+        """Why the enum budget cuts `iter_low_weight` short at weight w, or None (weight 1 reads
+        the zero columns and makes no lookup)."""
+        n, nz, cyclic = self.n, self.field.order - 1, self.defining_set is not None
+        need = n * nz * comb(n - cyclic, w - 2 - cyclic) * nz ** (w - 3) if w > 2 else (
+            (w - 1) * (1 if cyclic else n))
+        return (f"enum budget {budgets.enum} < {need} syndrome lookups of the weight-{w} support "
+                "search" if need > budgets.enum else None)
 
     def __repr__(self) -> str:
         d = self.designed_distance
@@ -332,76 +348,69 @@ def bch_binary(e: int, n: int) -> LinearCode:
 # ----------------------------------------------------------------------
 
 def low_weight_search(code: LinearCode, w: int):
-    """First codeword of Hamming weight exactly w (w <= 4), or None.
-
-    Searches parity-check column dependencies (`iter_low_weight`), so it
-    does not enumerate the code.
-    """
-    return next(iter_low_weight(code, w, cap=1), None)
+    """First codeword of Hamming weight exactly w (`iter_low_weight`), or None."""
+    return next(iter_low_weight(code, w), None)
 
 
-def iter_low_weight(code: LinearCode, w: int, cap: int = 1 << 30):
-    """Yield up to `cap` codewords of weight exactly w, for w <= 4, each once.
+def iter_low_weight(code: LinearCode, w: int, lookups: int | None = None):
+    """Yield each codeword of weight exactly w whose first nonzero entry is 1, once.
 
-    Meet in the middle: the syndromes of a codeword's low half (its first w // 2 nonzero
-    positions) and high half cancel.  A half is a row of position, coefficient and syndrome
-    arrays (`scaled_syndromes` summed digit-wise), in lexicographic order of (j1, c1, j2, c2);
-    each high half of first coefficient 1 finds its negated syndrome by `np.searchsorted` in
-    the stably sorted low halves, and every multiple of each match ending before it is yielded."""
-    if not 1 <= w <= 4:
-        raise ValueError("support search handles weights 1..4 only")
-    f, n, nz = code.field, code.n, np.asarray(code.field.nonzero_elements())
-    add = digit_adder(f.p, f.dim_over_prime * len(code.parity))
-    single = scaled_syndromes(f, code.parity, f.elements())
-
-    def runs(counts):  # row r repeated counts[r] times, with each repeat's rank in its run
-        row = np.repeat(np.arange(len(counts)), counts)
-        return row, np.arange(len(row)) - (np.cumsum(counts) - counts)[row]
-
-    def halves(size, heads, table):  # every half's positions, coefficients and syndrome
-        pos = cs = np.zeros((1, 0), np.int64)
-        syn = np.zeros(1, table.dtype)
-        for choices in (heads, nz)[:size]:
-            start = pos.max(axis=1, initial=-1) + 1
-            row, at = runs((n - start) * len(choices))
-            j, c = start[row] + at // len(choices), choices[at % len(choices)]
-            pos, cs = np.column_stack([pos[row], j]), np.column_stack([cs[row], c])
-            syn = add(syn[row], table[j, c])
-        return pos, cs, syn
-
-    lpos, lcs, lsyn = halves(w // 2, nz, single)
-    hpos, hcs, hsyn = halves(w - w // 2, nz[:1], single[:, [f.neg(c) for c in f.elements()]])
-    order, rank = np.argsort(lsyn, kind="stable"), np.argsort(hsyn)  # needles in order: locality
-    first, stop = np.empty((2, len(hsyn)), np.int64)
-    first[rank], stop[rank] = (lsyn[order].searchsorted(hsyn[rank], s) for s in ("left", "right"))
-    high, at = runs(stop - first)
-    low = order[first[high] + at]
-    keep = lpos.max(axis=1, initial=-1)[low] < hpos[high, 0]
-    at, cs = (np.hstack([a[low[keep]], b[high[keep]]]) for a, b in ((lpos, hpos), (lcs, hcs)))
-    scaled = f.np_table("mul")[nz]  # row mu - 1: mu times each element
-    for js, values in itertools.islice(((js, t[c]) for js, c in zip(at, cs) for t in scaled), cap):
-        vec = np.zeros(n, np.int64)
-        vec[js] = values
-        yield tuple(vec.tolist())
+    Single k is the scalar nz[k % (q - 1)] alone at position k // (q - 1).  A word's first w - 2
+    singles, the first equal to 1, are its prefix, of distinct positions; prefixes come in order
+    of their positions, then of their scalars.  A prefix's needles are minus its syndrome minus
+    that of each single that may follow it (every single, or at w = 2 each first entry), and one
+    `np.searchsorted` of a chunk of prefixes' needles in the sorted syndromes of all singles
+    (`scaled_syndromes`) finds each later single that completes a word.  A shift and a scalar
+    move any word of a cyclic code (one with a defining set) to one with c_0 = 1 (Grassl 2006),
+    so its words start at 0.  With `lookups`, the search stops after the prefixes whose needles
+    fit in it: every prefix formed is counted.  A chunk's needles fit `_CHUNK_BYTES`."""
+    f, n, H = code.field, code.n, code.parity
+    nz, starts = f.nonzero_elements(), range(1 if code.defining_set is not None else n)
+    if w == 1:  # a zero column
+        yield from (tuple(int(i == j) for i in range(n)) for j in starts if not H[:, j].any())
+        return
+    add, q1 = digit_adder(f.p, f.dim_over_prime * len(H)), len(nz)
+    single = scaled_syndromes(f, H, nz).ravel()
+    neg = single.reshape(n, q1)[:, [f.neg(c) - 1 for c in nz]].ravel()  # -s(j, c) = s(j, -c)
+    order, at = np.argsort(single, kind="stable"), np.arange(n * q1) // q1  # at: k's position
+    table, nexts = single[order], np.arange(n * q1) if w > 2 else np.array(starts) * q1
+    prefixes = iter([()]) if w == 2 else (
+        (j * q1, *(a * q1 + c for a, c in zip(ats, cs))) for j in starts
+        for ats in itertools.combinations(range(j + 1, n), w - 3)
+        for cs in itertools.product(range(q1), repeat=w - 3))
+    if lookups is not None:  # zip, as islice takes no count past sys.maxsize
+        prefixes = (prefix for _, prefix in zip(range(lookups // len(nexts)), prefixes))
+    size = max(1, _CHUNK_BYTES // (32 * len(nexts)))
+    for chunk in iter(lambda: list(itertools.islice(prefixes, size)), []):
+        pre = np.array(chunk, dtype=np.int64).reshape(len(chunk), w - 2)
+        syn = functools.reduce(add, neg[pre].T, np.zeros(len(pre), neg.dtype))
+        needles, last = add(syn[:, None], neg[nexts]).ravel(), at[pre].max(axis=1, initial=-1)
+        first, stop = table.searchsorted(needles, "left"), table.searchsorted(needles, "right")
+        for i in np.flatnonzero(stop > first):
+            (r, b), ks = divmod(int(i), len(nexts)), order[first[i]:stop[i]]
+            for k in ks[(at[ks] > at[nexts[b]]) & (at[nexts[b]] > last[r])]:
+                word = [0] * n
+                for s in (*chunk[r], nexts[b], k):
+                    word[s // q1] = nz[s % q1]
+                yield tuple(word)
 
 
 def min_distance(code: LinearCode, budgets: Budgets = Budgets()) -> SrDistance:
-    """The support search for d <= 4, read by `certify` after the DP and enumeration: no
-    dependent set of <= w columns proves d >= w + 1, and a word of weight w is the witness;
-    [5, Singleton] when d > 4.  It starts at the weight the structure proves
-    (`LinearCode.proven`), as no lighter word exists.  It runs at weight w only where
-    `LinearCode.search_stop` admits it; past that the result is [w, Singleton], with its stop.
+    """The support search for d <= 4, read by `certify` after the DP and enumeration, from the
+    weight the structure proves (`LinearCode.proven`), as no lighter word exists: at each
+    weight w, `LinearCode.first_word` within the enum budget.  A word is the witness of d = w; a
+    search that ends within it proves d >= w + 1, and one that `LinearCode.search_stop` says
+    the budget cuts short gives [w, Singleton] with that stop; [5, Singleton] when d > 4.
     A lower end at Singleton is a point, witnessed by `first_row`, which weighs at most that."""
     if code.k == 0:
         raise ValueError("the zero code has no nonzero codeword")
     lo, singleton, stops = 5, code.singleton, ()
     for w in range(max(1, code.proven.d_lo), 5):
+        if (witness := code.first_word(w, budgets)) is not None:
+            return SrDistance(w, w, "support_test", witness)
         if stop := code.search_stop(budgets, w):
             lo, stops = w, (stop,)
             break
-        witness = low_weight_search(code, w)
-        if witness is not None:
-            return SrDistance(w, w, "support_test", witness)
     return SrDistance(lo, singleton, "support_test", code.first_row if lo == singleton else None,
                       stops)
 
@@ -450,12 +459,9 @@ def bch_covering_radius_interval(e: int, n: int):
 # ----------------------------------------------------------------------
 
 def low_weight_pool(code: LinearCode, wmax: int, cap: int = 512) -> list[tuple[int, ...]]:
-    """Up to `cap` codewords of weight <= wmax (wmax <= 4), by support search."""
-    pool: list[tuple[int, ...]] = []
-    for w in range(1, min(wmax, 4) + 1):
-        if len(pool) < cap:
-            pool += iter_low_weight(code, w, cap=cap - len(pool))
-    return pool
+    """Up to `cap` words of `iter_low_weight` of weight <= wmax (wmax <= 4), lightest first."""
+    words = (iter_low_weight(code, w) for w in range(1, min(wmax, 4) + 1))
+    return list(itertools.islice(itertools.chain.from_iterable(words), cap))
 
 
 def search_634_ingredient(field4: Field) -> LinearCode:

@@ -77,7 +77,7 @@ import numpy as np
 from .gf import (Field, array_digits, array_mul, digit_adder, digits, linear_map, make_field,
                  place_values, rref, undigits)
 from .spaces import (_CHUNK_BYTES, BRUTE_LIMIT, MatrixProfile, Shapes, SumRankWord,
-                     packing_radius, rank_array, unpack_matrix)
+                     packing_radius, rank, rank_array, unpack_matrix)
 
 _INF = 100                 # int8 sentinel above every leader weight
 # Bytes of layout indices formed at once: kept below `_CHUNK_BYTES` because 1 MB pieces raise
@@ -90,7 +90,7 @@ _LAYOUT_BYTES = 1 << 16
 class Budgets(NamedTuple):
     """The engines' budgets, one field per `certify` option; 0 switches an engine off."""
 
-    enum: int = 1 << 22      # codewords an enumeration streams, half-words a support search lists
+    enum: int = 1 << 22      # codewords an enumeration streams, lookups a support search makes
     syndrome: int = 1 << 16  # syndromes (q^codim) the DP may hold
     sweep: int = 1 << 30     # DP work units, as `SumRankCode.dp_stop` counts them
 
@@ -503,8 +503,9 @@ class SumRankCode:
     def describe(self) -> dict:
         raise NotImplementedError
 
-    def distance_bounds(self, distance):
-        """What the code's structure proves of d (no engine), `distance(part)` a part's: none."""
+    def distance_bounds(self, distance, budgets: Budgets = Budgets()):
+        """What the code's structure proves of d, `distance(part)` a part's, and words at its
+        lower end found within `budgets`, read before any engine: none."""
         return ()
 
     def distance_searches(self, budgets: Budgets):
@@ -586,6 +587,26 @@ class SumRankCode:
         if stop := self.dp_stop(budgets):
             raise BudgetExceeded(stop)
         return self.syndrome_dp
+
+    def is_codeword(self, packed) -> bool:
+        """Whether packed block values have zero syndrome, formed on the columns of
+        `flat_parity` at their nonzero blocks only: O(codim x support)."""
+        q, starts = self.base.order, np.cumsum([0] + [n * m for n, m in self.profile.blocks])
+        at = [b for b, v in enumerate(packed) if v]
+        cells = [x for b in at for x in digits(packed[b], q, starts[b + 1] - starts[b])]
+        parity = self.flat_parity[:, [c for b in at for c in range(starts[b], starts[b + 1])]]
+        products = array_mul(self.base)(parity, np.array(cells, dtype=np.int64))
+        # each syndrome entry sums its row of products: their base-p digits add mod p
+        return not (array_digits(products, self.base.p, self.base.dim_over_prime).sum(axis=1)
+                    % self.base.p).any()
+
+    def word_weight(self, packed) -> int:
+        """The sum-rank weight of a stated codeword of packed block values, each nonzero block
+        weighing its rank by elimination; RuntimeError when `is_codeword` refutes it."""
+        if not self.is_codeword(packed):
+            raise RuntimeError("a stated word is not a codeword: its syndrome is nonzero")
+        return sum(rank(self.base, unpack_matrix(self.base, v, n, m))
+                   for (n, m), v in zip(self.profile.blocks, packed) if v)
 
     def to_word(self, packed) -> SumRankWord:
         mats = tuple(unpack_matrix(self.base, pk, n, m)

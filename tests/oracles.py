@@ -8,9 +8,8 @@ from math import gcd
 import numpy as np
 
 from sumrank.certify import BoundRecord, sr_min_distance
-from sumrank.gf import array_mul, digit_add, digit_adder, nullspace, rref
+from sumrank.gf import array_mul, digit_adder, nullspace, rref
 from sumrank.spaces import SumRankWord, brute_rank_array, brute_weight_array, rank_distribution
-from sumrank.syndrome import scaled_syndromes
 
 
 def brute_rank_counts(field, n: int, m: int) -> list[int]:
@@ -248,34 +247,8 @@ def size_bound_from_witness(q: int, m: int, t: int, R: int, hamming_K: int) -> B
                         f"K_(q^m)(t,{R // m}) <= {hamming_K}",))
 
 
-def tuple_low_weight(code, w: int, cap: int = 1 << 30):
-    """The support search with halves as Python tuples and low halves in a dict keyed by
-    syndrome (the reference for `hamming.iter_low_weight`, order included)."""
-    f, n, nz = code.field, code.n, code.field.nonzero_elements()
-    single = scaled_syndromes(f, code.parity, f.elements()).tolist()
-    negated = [[syn[f.neg(lam)] for lam in f.elements()] for syn in single]
-
-    def halves(size, heads, table):
-        out = [((), (), 0)]
-        for k in range(size):
-            out = [(pos + (j,), cs + (c,), digit_add(f.p, syn, table[j][c]))
-                   for pos, cs, syn in out for j in range(pos[-1] + 1 if pos else 0, n)
-                   for c in (heads if k == 0 else nz)]
-        return out
-
-    low: dict = {}
-    for pos, cs, syn in halves(w // 2, nz, single):
-        low.setdefault(syn, []).append((pos, cs))
-    emitted = 0
-    for pos, cs, syn in halves(w - w // 2, (1,), negated):
-        for lpos, lcs in low.get(syn, ()):
-            if lpos and lpos[-1] >= pos[0]:
-                continue
-            for mu in nz:
-                vec = [0] * n
-                for j, c in zip(lpos + pos, lcs + cs):
-                    vec[j] = f.mul(mu, c)
-                yield tuple(vec)
-                emitted += 1
-                if emitted >= cap:
-                    return
+def low_weight_words(code, w: int) -> set:
+    """The codewords of Hamming weight w whose first nonzero entry is 1, at position 0 for a
+    code with a defining set: what `hamming.iter_low_weight` yields, from `codeword_list`."""
+    return {v for v in code.codeword_list() if hamming_weight(v) == w
+            and next(x for x in v if x) == 1 and (code.defining_set is None or v[0])}

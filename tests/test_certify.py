@@ -166,7 +166,9 @@ def test_settle_closes_d_only_on_a_word(problem):
         for item in items:
             read.append(item)
             yield item
-    res = ct.settle(stream(), witnessed=True)
+    # each source's word (i,) is its own, and weighs that source's upper end
+    weights = {s.witness: s.hi for s in items if not isinstance(s, str) and s.witness}
+    res = ct.settle(stream(), weights.__getitem__)
     seen = [item for item in read if not isinstance(item, str)]
     lo = max(s.lo for s in seen)
     closing = [s for s in seen if s.hi != lo or s.witness is not None]
@@ -1117,13 +1119,14 @@ def test_a_parts_budget_stops_are_named_by_the_part():
     2 * 2 = 4 there: a point with that word, which notes no stop."""
     dist = ct.sr_min_distance(cs.quasi_perfect_2x2(6), ct.Budgets(enum=1, syndrome=1))
     assert (dist.lo, dist.hi) == (2, 4)
-    assert dist.method == "composition(linearized: 2 parity, 1 support_test)"
+    assert dist.method == "composition(linearized: 2 parity, 2 support_test)"
     assert dist.stops == (
         "syndrome budget 1 < 2^8 syndromes (q^codim)",
         "enum budget 1 < 2^16 codewords (q^dim)",
         "ingredient 1 (explicit): syndrome budget 1 < 4^3 syndromes (q^codim)",
         "ingredient 1 (explicit): enum budget 1 < 4^3 codewords (q^dim)",
-        "ingredient 1 (explicit): enum budget 1 < 6 half-words of the weight-1 support search")
+        "ingredient 1 (explicit): enum budget 1 < 6 syndrome lookups of the weight-2 support "
+        "search")
     code = cs.distance_optimal_2x2(5)
     dist = ct.sr_min_distance(code)
     assert (dist.lo, dist.hi, dist.method) == (
@@ -1141,7 +1144,8 @@ def test_plotkin_interval_note_names_its_own_stops_first(hexacode_code):
             "enum budget 1 < 2^16 codewords (q^dim); "
             "ingredient 1 (explicit): syndrome budget 1 < 4^3 syndromes (q^codim); "
             "ingredient 1 (explicit): enum budget 1 < 4^3 codewords (q^dim); "
-            "ingredient 1 (explicit): enum budget 1 < 6 half-words of the weight-1 support search")
+            "ingredient 1 (explicit): enum budget 1 < 6 syndrome lookups of the weight-2 support "
+            "search")
     stops = "; ".join(["syndrome budget 1 < 2^16 syndromes (q^codim)",
                        "enum budget 1 < 2^32 codewords (q^dim)"]
                       + [f"{name} part: {stop}" for name in ("first", "second")
@@ -1185,7 +1189,7 @@ def test_hamming_budget_stop_joins_both_notes(f4):
     assert (d.lo, d.hi, d.method, d.witness) == (3, 4, "hamming", None)
     assert d.stops == ("syndrome budget 2 < 4^3 syndromes (q^codim)",
                        "enum budget 30 < 4^18 codewords (q^dim)",
-                       "enum budget 30 < 630 half-words of the weight-3 support search")
+                       "enum budget 30 < 1323 syndrome lookups of the weight-3 support search")
     assert hm.min_distance(code, ct.Budgets(enum=30)).stops == d.stops[2:]
     off = ct.Budgets(enum=0, syndrome=0)
     assert (*ct.sr_min_distance(code, off)[:3], hm.min_distance(code, off).lo) == (

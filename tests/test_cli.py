@@ -137,8 +137,9 @@ def test_certify_hamming_recipe(tmp_path, capsys):
     code, out, _ = run(capsys, "certify", "distance-optimal",
                        "--recipe", "cyclic-d4", "q=4", "m=3", "lam=1", "--out", str(cert))
     assert code == 0
-    # the BCH bound, read first, gives d >= 4, and the DP closes d there with its word
-    assert "min_sum_rank_distance    = 4   [bch / syndrome-dp]" in out
+    # the BCH bound, read first, gives d >= 4, and the support search's first word, found
+    # before the DP runs, closes d there
+    assert "min_sum_rank_distance    = 4   [bch / support_test]" in out
     # the certificate carries the family's checks as `bounds condition` evaluates them
     _, condition, _ = run(capsys, "bounds", "condition",
                           "family=cyclic-d4", "q=4", "m=3", "lam=1")
@@ -162,16 +163,18 @@ def test_certify_hamming_budget_stop_is_inconclusive(capsys):
 def test_certify_hamming_support_search_budget_stop(capsys):
     """The BCH bound of the [15,10]_4 code's defining set, read before any engine, gives
     [4, 6], which certifies the Singleton-like bound; the support search starts at weight 4,
-    whose C(15,2) * 3^2 = 945 low halves pass the budget.  V_sr(2) = 991 <= 4^5, so
-    sphere packing leaves the upper end."""
+    whose 14 * 3 prefixes (c_0 = 1, as the code is cyclic) take 15 * 3 = 45 lookups each, so
+    a budget of 44 runs none of them.  V_sr(2) = 991 <= 4^5, so sphere packing leaves the
+    upper end."""
     code, out, _ = run(capsys, "certify", "singleton", "--recipe", "cyclic-d4",
-                       "q=4", "m=2", "--enum-budget", "100", "--syndrome-budget", "100")
+                       "q=4", "m=2", "--enum-budget", "44", "--syndrome-budget", "100")
     assert code == 0
     assert "min_sum_rank_distance    = [4, 6]   [bch (interval)]" in out
     # the DP's and enumeration's stops, then the support search's
     assert ("  note: syndrome budget 100 < 4^5 syndromes (q^codim); "
-            "enum budget 100 < 4^10 codewords (q^dim); "
-            "enum budget 100 < 945 half-words of the weight-4 support search\n") in out
+            "enum budget 44 < 4^10 codewords (q^dim); "
+            "enum budget 44 < 1890 syndrome lookups of the weight-4 support search\n") in out
+    assert 14 * 3 * 45 == 1890
 
 
 def test_blocks_past_the_rank_table_cap_stop_enumeration(tmp_path, capsys):
@@ -199,7 +202,7 @@ def test_blocks_past_the_rank_table_cap_stop_enumeration(tmp_path, capsys):
 
 def test_sphere_packing_is_certified_from_the_interval_of_d(tmp_path, capsys):
     """quasi-perfect-2x2 past every budget: d is known in [2, 4], from the composition of its
-    parity ingredient's 2 and its hexacode ingredient's stopped search (1), up to the parity
+    parity ingredient's 2 and its hexacode ingredient's stopped search (2), up to the parity
     word of weight 2 alone in one of 2 rows (the DP's d, 4, lies inside).  No ball up to
     radius (4 - 1)//2 = 1 outgrows 2^8, so the check holds at d = 4, where it is hardest,
     and so for every d in between."""
@@ -210,7 +213,7 @@ def test_sphere_packing_is_certified_from_the_interval_of_d(tmp_path, capsys):
     doc = json.loads(cert.read_text())
     d = next(q for q in doc["quantities"] if q["name"] == "min_sum_rank_distance")
     assert (d["value"], d["method"]) == (
-        [2, 2 * 2], "composition(linearized: 2 parity, 1 support_test) (interval)")
+        [2, 2 * 2], "composition(linearized: 2 parity, 2 support_test) (interval)")
     assert 2 <= cs.quasi_perfect_2x2(6).syndrome_dp.distance <= 4
     volume = sp.ball_volume_exact(sp.MatrixProfile(cs.field_of_order(2), ((2, 2),) * 6), 1)
     assert volume <= 2 ** 8
@@ -278,7 +281,7 @@ def test_quasi_perfect_family_is_certified_from_its_ingredients(claim, q, m, u):
 
 def test_a_budget_stop_that_no_rule_decides_states_both_intervals(tmp_path, capsys):
     """quasi-perfect-2x2 past every budget: its hexacode ingredient has no theorem and its
-    own engines stop, so d is [2, 4] (the composition of 2 and the stopped search's 1, up to
+    own engines stop, so d is [2, 4] (the composition of 2 and the stopped search's 2, up to
     the parity word of weight 2 alone in one of 2 rows) and R is [2, 6] (sphere covering,
     and the ingredient rule 2 max(3, 1) from the hexacode's n - k = 3 and the parity code's
     rho = 1): nothing decides.  The DP's stop, which stops both, is named once, in the one
@@ -290,7 +293,7 @@ def test_a_budget_stop_that_no_rule_decides_states_both_intervals(tmp_path, caps
     doc = json.loads(cert.read_text())
     assert doc["quantities"][2:] == [
         {"name": "min_sum_rank_distance", "value": [2, 4],
-         "method": "composition(linearized: 2 parity, 1 support_test) (interval)"},
+         "method": "composition(linearized: 2 parity, 2 support_test) (interval)"},
         {"name": "covering_radius", "value": [2, 6],
          "method": "sphere covering / composition(linearized: 1 parity, 3 explicit) (interval)"}]
     assert doc["notes"] == ["syndrome budget 1 < 2^8 syndromes (q^codim); "
@@ -298,8 +301,8 @@ def test_a_budget_stop_that_no_rule_decides_states_both_intervals(tmp_path, caps
                             "ingredient 1 (explicit): syndrome budget 1 < 4^3 syndromes "
                             "(q^codim); "
                             "ingredient 1 (explicit): enum budget 1 < 4^3 codewords (q^dim); "
-                            "ingredient 1 (explicit): enum budget 1 < 6 half-words of the "
-                            "weight-1 support search"]
+                            "ingredient 1 (explicit): enum budget 1 < 6 syndrome lookups of "
+                            "the weight-2 support search"]
     assert out.count("syndrome budget 1 < 2^8") == 1
 
 
@@ -673,25 +676,87 @@ def test_budget_defaults_are_the_budgets_record():
     assert ct.Budgets(args.enum_budget, args.syndrome_budget, args.sweep_budget) == ct.Budgets()
 
 
-def test_cyclic_d4_q2_m15_refuses_every_engine_in_bounded_time():
-    """cyclic-d4 q=2 m=15: 32767 blocks of 1 x 1 at codim 16.  The DP fits the syndrome
-    budget but not the sweep budget, and neither enumeration nor the weight-4 support search
-    fits the enum budget; the BCH bound's d >= 4 and V_sr(2) > 2^16 certify the claim.  Each
-    engine admits itself from the profile's one count of shapes, so the refusals take time
-    linear in the block count: a child with a 10 s timeout, where a charge that re-read codim
-    for each block took tens of seconds."""
+def test_cyclic_d4_q2_m15_decides_d_by_a_lookup_word_in_bounded_time():
+    """cyclic-d4 q=2 m=15: 32767 blocks of 1 x 1 at codim 16, past the DP's sweep budget and
+    enumeration.  The BCH bound's d >= 4 and a weight-4 word of the support search, found
+    before the DP on the first prefixes through c_0 = 1, give d = 4, and V_sr(2) > 2^16
+    certifies the claim; the build and the search take about 0.5 s (a child with a 10 s
+    timeout)."""
     proc = subprocess.run([sys.executable, "-m", "sumrank.cli", "certify", "distance-optimal",
                            "--recipe", "cyclic-d4", "q=2", "m=15"], env=_child_env(),
                           capture_output=True, text=True, timeout=10)
     assert (proc.returncode, proc.stderr) == (0, "")
     lines = proc.stdout.splitlines()
     assert lines[1] == "verdict  : certified"
-    assert "  min_sum_rank_distance    = [4, 17]   [bch (interval)]" in lines
-    assert ("  note: sweep budget 1073741824 < 2147483646 DP work units "
-            "(shift passes x q^codim + block values); "
-            "enum budget 4194304 < 2^32751 codewords (q^dim); "
-            "enum budget 4194304 < 536821761 half-words of the weight-4 support search") in lines
-    assert 32767 * (2 ** 16 + 2) == 2147483646 and 32767 * 32766 // 2 == 536821761
+    assert "  min_sum_rank_distance    = 4   [bch / support_test]" in lines
+    assert not any(line.startswith("  note:") for line in lines)
+
+
+def test_a_word_search_at_a_high_bch_end_ends_within_the_enum_budget():
+    """The [63, 39]_4 cyclic code of defining set 1..10 has BCH end 11, is not MDS, and its
+    4^24 syndromes do not fit the DP, so d's structure source searches weight 11 for a word.
+    Its prefixes take distinct positions, each one counted against the enum budget: the
+    search ends after 2^22 // 189 of them and d stays [11, 18] (a child with a 20 s timeout;
+    prefixes that repeated a position, dropped uncounted, ran without bound)."""
+    script = ("from sumrank import certify as ct, construct as cs, hamming as hm\n"
+              "code = hm.cyclic_code(63, cs.field_of_order(4), range(1, 11))\n"
+              "print(code.proven.d_lo, *ct.sr_min_distance(code)[:3])")
+    proc = subprocess.run([sys.executable, "-c", script], env=_child_env(),
+                          capture_output=True, text=True, timeout=20)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "11 11 18 bch / sphere packing\n"
+
+
+def test_a_huge_enum_budget_decides_d_by_the_lookup_in_bounded_memory(capsys):
+    """cyclic-d4 q=2 m=13 with the DP off and an enum budget of 10^30, which let the
+    half-word search of earlier versions list tables of 4.9 GB: the lookup's memory is one
+    prefix's n (q - 1) needles whatever the budget, and its first word closes d = 4."""
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "certify", "singleton", "--recipe", "cyclic-d4", "q=2", "m=13",
+                       "--syndrome-budget", "0", "--enum-budget", str(10 ** 30))
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    assert "  min_sum_rank_distance    = 4   [bch / support_test]" in out.splitlines()
+
+
+@pytest.mark.parametrize("m", [4000000, 60000])
+def test_a_cyclic_length_past_the_coset_gate_is_refused_at_once(capsys, m):
+    """cyclic-d4 q=2 m: listing the cosets of T mod 2^m - 1 holds up to 1 + 2m residues of m
+    bits.  Past DENSE_CELL_LIMIT 64-bit words it is refused before any coset is listed: m =
+    4000000 ran out of memory after 43 s, and m = 60000 took 6.5 s and 495 MB."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "bounds", "condition", "family=cyclic-d4", "q=2", f"m={m}",
+                         "lam=1")
+    assert time.perf_counter() - start < 1
+    words = (1 + 2 * m) * -(-m // 64)
+    assert (code, out) == (4, "")
+    assert err == (f"error: gate failed: the cosets of T may hold {words} 64-bit words of "
+                   f"residues, above DENSE_CELL_LIMIT = {hm.DENSE_CELL_LIMIT}\n")
+
+
+def test_a_cyclic_length_inside_the_coset_gate_keeps_its_output(capsys):
+    """cyclic-d4 q=2 m=20000 lists 40001 residues of 20000 bits, inside the gate: its
+    condition is evaluated as before (its stdout's sha256 is pinned)."""
+    code, out, _ = run(capsys, "bounds", "condition", "family=cyclic-d4", "q=2", "m=20000",
+                       "lam=1")
+    assert code == 2
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6a98ecbfead8e59246a41e057954370548667a3cd05e1fb533259e961236fcb5")
+
+
+def test_a_corrupted_witness_exits_3(capsys, monkeypatch):
+    """Every point of d has its word checked (`SumRankCode.word_weight`): a support search
+    whose words carry one wrong entry makes `certify` exit 3 instead of certifying."""
+    search = hm.iter_low_weight
+
+    def corrupted(code, w, *args, **kwargs):
+        for word in search(code, w, *args, **kwargs):
+            yield word[:-1] + ((word[-1] + 1) % code.field.order,)
+    monkeypatch.setattr(hm, "iter_low_weight", corrupted)
+    code, out, err = run(capsys, "certify", "distance-optimal", "--recipe", "cyclic-d4", "q=5",
+                         "m=4")
+    assert (code, out) == (3, "")
+    assert "is not a codeword" in err
 
 
 @pytest.mark.parametrize("option,value", [("--enum-budget", "-1"), ("--syndrome-budget", "-1"),
@@ -1145,16 +1210,16 @@ def test_dp_witness_is_pinned(tmp_path, capsys, claim, recipe, params, exit_code
     (("almost-msrd", "--recipe", "almost-msrd-2x2", "q=7", "t=49",
       "--syndrome-budget", "10000000", "--sweep-budget", "100000000000"), 0, 0,
      "4   [composition(linearized: 4 reed-solomon, 2 parity)]"),
-    (("distance-optimal", "--recipe", "cyclic-d4", "q=2", "m=10"), 1, 0,
-     "4   [bch / syndrome-dp]"),
+    (("distance-optimal", "--recipe", "cyclic-d4", "q=2", "m=10"), 0, 1,
+     "4   [bch / support_test]"),
 ], ids=["2x2-q3", "almost-msrd-q7-raised", "cyclic-d4-m10"])
 def test_structure_is_read_before_any_engine(capsys, monkeypatch, argv, dp_passes,
                                              support_searches, d):
     """What a code's structure proves is read before any engine, and an engine runs only
     where it is needed: the composition closes d = 4 on distance-optimal-2x2 q=3 and, at
     budgets the DP's 7^8 syndromes fit, on almost-msrd-2x2 q=7 t=49, with no DP pass; on
-    cyclic-d4 q=2 m=10 the BCH bound gives d >= 4 and the DP, read before the support
-    search, closes d with its word, so no support search runs."""
+    cyclic-d4 q=2 m=10 the BCH bound gives d >= 4 and one support search, read with it
+    before the DP, closes d with a word of that weight, so no DP pass runs."""
     calls = {"dp": 0, "search": 0}
 
     def counted(name, engine):
@@ -1163,7 +1228,7 @@ def test_structure_is_read_before_any_engine(capsys, monkeypatch, argv, dp_passe
             return engine(*args, **kwargs)
         return call
     monkeypatch.setattr(sd, "syndrome_dp", counted("dp", sd.syndrome_dp))
-    monkeypatch.setattr(hm, "low_weight_search", counted("search", hm.low_weight_search))
+    monkeypatch.setattr(hm, "iter_low_weight", counted("search", hm.iter_low_weight))
     code, out, _ = run(capsys, "certify", *argv)
     assert code == 0
     assert f"  min_sum_rank_distance    = {d}" in out.splitlines()
@@ -1188,12 +1253,12 @@ def test_missing_out_directory_refused_before_work(tmp_path, capsys, monkeypatch
     (("construct", "distance-optimal-2x2", "q=3"),
      "c3ed45fcb063272dafedbe3f89622ed3dc77f3cae8c1861caadeab9f8d5984bc"),
     (("certify", "quasi-perfect", "--recipe", "quasi-perfect-2xm", "q=2", "m=2", "u=2"),
-     "6a78e2e1e3c4bc5df8c26b12b4bbfd2afe99f021d8c2ba3956a080c117a2c3e3"),
+     "e6f39032f87cf5c965274f1f1a622af65f237e4ef7cbf27b4e7f34110766f7c6"),
 ], ids=["descriptor", "certificate"])
 def test_out_bytes_are_pinned(tmp_path, capsys, argv, sha256):
     # the hashes are those of json.dump(s)(..., sort_keys=True, indent=2),
     # which wrote both kinds of --out file before the streaming writer; the
-    # certificate's includes its toolchain-version, sumrank 0.2.14
+    # certificate's includes its toolchain-version, sumrank 0.2.15
     out = tmp_path / "out.json"
     assert run(capsys, *argv, "--out", str(out))[0] == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256

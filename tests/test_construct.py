@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import random
 from pathlib import Path
@@ -181,6 +182,19 @@ def test_plotkin_golden(f2, f4):
     # C1 = {0}: distances preserved
     kept = cs.plotkin(c_zero, c_full)
     assert sorted(_weights(kept)) == sorted(_weights(c_full))
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_plotkin_and_extension_check_a_word_through_their_parts(q):
+    """`is_codeword` of a Plotkin sum (x | y) reads x in its first part and y - x in its
+    second, and that of a full-block extension its inner blocks, so neither forms its own flat
+    parity: over GF(3) and GF(4), each accepts exactly the words its enumeration lists."""
+    f = cs.field_of_order(q)
+    for code in (cs.plotkin(hm.parity_check_code(f, 3), hm.repetition_code(f, 3)),
+                 cs.extend_full_blocks(hm.repetition_code(f, 3), 1)):
+        ambient = itertools.product(range(q), repeat=code.profile.t)
+        assert {v for v in ambient if code.is_codeword(v)} == set(code.enumerate_packed())
+        assert "flat_parity" not in code.__dict__
 
 
 def test_plotkin_dimension_and_distance(f2, f4):

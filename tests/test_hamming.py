@@ -1,6 +1,7 @@
 """Ingredient codes: cyclic machinery, families, distance, covering radius."""
 
 import hashlib
+import itertools
 import math
 import random
 import time
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from oracles import (code_size, contains_packed, generator_polynomial, hamming_weight,
-                     hartmann_tzeng_bound, tuple_low_weight)
+                     hartmann_tzeng_bound, low_weight_words)
 from test_syndrome import linear_codes
 
 from sumrank import certify as ct
@@ -276,9 +277,8 @@ def test_support_search_keeps_syndromes_past_int64(f2):
     code = _PAST_INT64
     assert code.n - code.k == 68
     assert sd.scaled_syndromes(f2, code.parity, f2.elements()).dtype == object
-    words = {v for v in code.codeword_list() if any(v)}
     for w in (2, 3, 4):
-        assert set(hm.iter_low_weight(code, w)) == {v for v in words if hamming_weight(v) == w}
+        assert set(hm.iter_low_weight(code, w)) == low_weight_words(code, w)
     assert hm.min_distance(code).value == 2
 
 
@@ -296,22 +296,79 @@ def unit_parities(draw):
 
 @pytest.mark.seeded
 @settings(max_examples=60, deadline=None)
-@given(unit_parities(), st.integers(1, 40))
-@example(_PAST_INT64, 3)
-def test_support_search_matches_the_tuple_search_in_order(code, cap):
-    """The sorted-array search yields the words of the search over tuple halves and a dict
-    of low halves, in the same order, with and without `cap`."""
+@given(unit_parities())
+def test_support_search_yields_the_brute_force_words(code):
+    """The lookup yields each codeword of weight w whose first nonzero entry is 1 exactly
+    once, as a brute-force pass over `codeword_list` finds them, for w = 1..5 (1..4 over
+    GF(9), whose C(n, 3) * 8^2 weight-5 prefixes would dominate the run)."""
+    assume(code_size(code) <= 1 << 10)
+    for w in range(1, 5 if code.field.order == 9 else 6):
+        found = list(hm.iter_low_weight(code, w))
+        assert len(found) == len(set(found)) and set(found) == low_weight_words(code, w), w
+
+
+@st.composite
+def small_cyclic_codes(draw):
+    """Cyclic codes over GF(2), GF(3) or GF(4) of length <= 21 prime to q, whose roots lie in
+    a field of the built-in table, from a random set of coset leaders, with q^codim <= 2^12
+    so that the DP is quick."""
+    field = cs.field_of_order(draw(st.sampled_from([2, 3, 4])))
+    q = field.order
+    n = draw(st.sampled_from([n for n in range(2, 22) if gcd(n, q) == 1
+                              and q ** len(hm.cyclotomic_coset(1, q, n)) <= 1 << 20]))
+    leaders = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+    T = {r for g in leaders for r in hm.cyclotomic_coset(g, q, n)}
+    assume(len(T) < n and q ** len(T) <= 1 << 12)
+    return hm.cyclic_code(n, field, leaders)
+
+
+@pytest.mark.seeded
+@settings(max_examples=60, deadline=None)
+@given(small_cyclic_codes() | unit_parities().filter(lambda c: c.field.order < 9))
+def test_lookup_distance_is_the_dps(code):
+    """On random small cyclic codes and [A | I] codes over GF(2), GF(3) and GF(4): the
+    support search's d, where it is at most 4, and the word it finds at the structure's lower
+    end are the DP's d; every word it yields is a codeword of its weight; and on a cyclic code,
+    the search through c_0 = 1 finds a word of weight w exactly when the search through every
+    first position does (the same parity without its defining set)."""
+    assume(code.k > 0 and code.field.order ** (code.n - code.k) <= 1 << 12)
+    d = code.syndrome_dp.distance
+    res = hm.min_distance(code)
+    assert res.lo <= d <= res.hi and (res.exact or res.lo == 5)
+    if res.exact:
+        assert res.value == d == code.word_weight(res.witness)
+    bounds = list(code.distance_bounds(None))
+    if len(bounds) == 2:
+        assert bounds[1].hi == code.proven.d_lo == d == code.word_weight(bounds[1].witness)
+    everywhere = hm.LinearCode(code.field, code.n, code.parity)
     for w in range(1, 5):
-        assert list(hm.iter_low_weight(code, w)) == list(tuple_low_weight(code, w)), w
-        assert list(hm.iter_low_weight(code, w, cap)) == list(tuple_low_weight(code, w, cap)), w
+        words = list(itertools.islice(hm.iter_low_weight(code, w), 50))
+        assert all(contains_packed(code, v) and hamming_weight(v) == w for v in words)
+        assert bool(words) == any(True for _ in hm.iter_low_weight(everywhere, w)), w
 
 
 def test_support_search_witness_is_pinned():
     """The certificate of cyclic-d4-alt q=3 m=5 holds the support search's first weight-4
-    word as its witness; its table is the one the search over tuple halves gave."""
+    word through c_0 = 1 as its witness, after the weight-3 search through c_0 = 1 finds none
+    (its BCH end is 3)."""
     table = ct.certify_code(cs.cyclic_d4_alt(3, 5), "distance-optimal").to_table()
     assert hashlib.sha256(table.encode()).hexdigest() == (
-        "f784575036353da880df1f64121814959932f951f336857afb8657558d01b63e")
+        "0feeef0a042db292e6455b71aa1ef59bb285b1096ebb808c79a60ea69850293a")
+
+
+def test_a_search_cut_short_by_the_enum_budget_is_an_interval():
+    """The binary BCH [31, 21, 5] code, held without its defining set, has no theorem, so
+    with the DP and enumeration off the support search starts at weight 1.  With 400 lookups
+    it ends its searches at weights 1 and 2 and finds no word, and at weight 3 the budget
+    covers 12 of its 31 prefixes of 31 lookups each, which hold no word either: d is the
+    interval [3, 6], 6 from sphere packing, whose stop names the count, not an error (the
+    half-word search of earlier versions refused weight 3 at this budget too, with
+    C(31, 2) = 465 > 400)."""
+    code = hm.from_generator(cs.field_of_order(2), hm.bch_binary(2, 5).generator)
+    res = ct.sr_min_distance(code, ct.Budgets(enum=400, syndrome=0))
+    assert (res.lo, res.hi, res.method) == (3, 6, "support_test / sphere packing")
+    assert res.stops[-1] == "enum budget 400 < 961 syndrome lookups of the weight-3 support search"
+    assert 31 * 31 == 961 and 400 // 31 == 12
 
 
 @pytest.mark.parametrize("parity", [
@@ -362,12 +419,12 @@ def test_min_distance_support_witness(f4):
 
 
 def test_support_search_starts_at_the_proven_weight(monkeypatch):
-    """No word is lighter than the structure proves, so the search lists no half-words below
+    """No word is lighter than the structure proves, so the search makes no lookups below
     it: the [15,10]_4 cyclic-d4 code (BCH end 4) is searched at weight 4 only, and the binary
     BCH code of designed distance 5 at no weight."""
-    weights, search = [], hm.low_weight_search
-    monkeypatch.setattr(hm, "low_weight_search",
-                        lambda code, w: weights.append(w) or search(code, w))
+    weights, search = [], hm.iter_low_weight
+    monkeypatch.setattr(hm, "iter_low_weight",
+                        lambda code, w, *args: weights.append(w) or search(code, w, *args))
     code = cs.cyclic_d4(4, 2)
     assert code.proven.d_lo == 4 and hm.min_distance(code).value == 4
     assert weights == [4]
@@ -375,6 +432,19 @@ def test_support_search_starts_at_the_proven_weight(monkeypatch):
     bch = hm.bch_binary(2, 4)
     assert bch.proven.d_lo == 5
     assert (hm.min_distance(bch).lo, weights) == (5, [])
+
+
+def test_each_weight_is_searched_once_per_budget(monkeypatch):
+    """cyclic-d4-alt q=3 m=5 has BCH end 3 and d = 4.  With the DP off, d's structure source
+    searches weight 3 before the engines and finds no word; the support search after them
+    reads that search's result (`LinearCode.first_word`) and searches weight 4 only."""
+    weights, search = [], hm.iter_low_weight
+    monkeypatch.setattr(hm, "iter_low_weight",
+                        lambda code, w, *args: weights.append(w) or search(code, w, *args))
+    code = cs.cyclic_d4_alt(3, 5)
+    res = ct.sr_min_distance(code, ct.Budgets(syndrome=0))
+    assert (code.proven.d_lo, res.lo, res.hi, res.method) == (3, 4, 4, "support_test")
+    assert weights == [3, 4]
 
 
 def test_a_singleton_point_forms_no_generator():
@@ -424,7 +494,7 @@ def test_support_search_yields_every_low_weight_codeword(code):
     for w in range(1, min(4, code.n) + 1):
         found = list(hm.iter_low_weight(code, w))
         assert len(found) == len(set(found))
-        assert set(found) == {v for v in words if hamming_weight(v) == w}
+        assert set(found) == low_weight_words(code, w)
     if code.k == 0:
         return
     d = min(hamming_weight(v) for v in words if any(v))
